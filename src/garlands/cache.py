@@ -1,17 +1,23 @@
-"""Append-only disk cache for case reports, keyed by case hash."""
+"""Append-only disk cache for case reports, keyed by a hash of schema, case and caps."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 from pathlib import Path
 
-from .config import SCHEMA_VERSION
+from .config import SCHEMA_VERSION, Caps
 
 
-def case_key(case: dict) -> str:
-    payload = json.dumps({"schema": SCHEMA_VERSION, "case": case}, sort_keys=True, separators=(",", ":"))
+def case_key(case: dict, caps: Caps) -> str:
+    """Caps are part of the key: they decide whether a case is skipped."""
+    payload = json.dumps(
+        {"schema": SCHEMA_VERSION, "case": case, "caps": dataclasses.asdict(caps)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
@@ -19,7 +25,8 @@ class DiskCache:
     """Write-once JSON files under a directory; results must not depend on hits.
 
     A schema version bump invalidates everything (the version is part of both
-    the key and the stored document).
+    the key and the stored document); a file that does not hold a report
+    document is a miss.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -38,11 +45,12 @@ class DiskCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if doc.get("schema") != SCHEMA_VERSION:
+        report = doc.get("report") if isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION else None
+        if not isinstance(report, dict):
             self.misses += 1
             return None
         self.hits += 1
-        return doc["report"]
+        return report
 
     def put(self, key: str, report: dict) -> None:
         path = self.root / f"{key}.json"

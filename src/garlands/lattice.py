@@ -16,8 +16,7 @@ connected components.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -294,12 +293,14 @@ class VerificationReport:
     normalizer_of_normalizer_order: int
     verdicts: dict
     overall: str
+    torus: Subgroup
+    normalizer: Subgroup  # brute-force N(torus)
+    interval_members: tuple[Subgroup, ...]  # Lat(torus, normalizer), lattice order
     exhaustive: bool = True
-    timings_ms: dict = field(default_factory=dict)
     formula_closure_failure: dict | None = None
 
     def to_dict(self) -> dict:
-        """Stable document; timings are deliberately excluded."""
+        """Stable document; the subgroups themselves are deliberately excluded."""
         return {
             "case": self.case,
             "hypotheses": self.hypotheses,
@@ -343,13 +344,8 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = 
     what the hypothesis record predicts, so failures outside the guaranteed
     regime are reported, not asserted.
     """
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     hyp = record_hypotheses(spec, ambient.kind)
     torus = torus_subgroup(spec, ambient)
-    timings["torus"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     brute = normalizer_brute(ambient, torus)
     closure_failure = None
     try:
@@ -362,15 +358,14 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = 
         formula_eq = False
     second = normalizer_brute(ambient, brute)
     idempotent = second.same_elements(brute)
-    timings["normalizers"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     lat = enumerate_interval(torus, ambient)
     graph = normality_graph(lat)
     gls = garlands(graph)
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
-    interval_ids = sorted(m.id for m in lat.members if m.is_subset_of(brute))
+    interval_members = tuple(m for m in lat.members if m.is_subset_of(brute))
+    interval_ids = sorted(m.id for m in interval_members)
     equal = sorted(lower.member_ids) == interval_ids
     extra = [
         {"id": mid, "order": lat.by_id[mid].order}
@@ -378,7 +373,6 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = 
         if mid not in set(interval_ids)
     ]
     extra.sort(key=lambda d: (d["order"], d["id"]))
-    timings["lattice"] = time.perf_counter() - t0
 
     verdicts = {
         "normalizer_formula": _verdict(formula_eq, formula_expected(hyp, ambient.kind)),
@@ -416,8 +410,10 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = 
         normalizer_of_normalizer_order=second.order,
         verdicts=verdicts,
         overall=overall,
+        torus=torus,
+        normalizer=brute,
+        interval_members=interval_members,
         exhaustive=lat.exhaustive,
-        timings_ms={k: round(v * 1000.0, 3) for k, v in timings.items()},
         formula_closure_failure=closure_failure,
     )
 
@@ -442,24 +438,24 @@ class RestrictionReport:
         }
 
 
-def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl: AmbientGroup) -> RestrictionReport:
+def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: VerificationReport) -> RestrictionReport:
     """Does cutting Lat(T, N_GL T) down to SL give exactly Lat(T', N_SL T')?
 
-    Whenever the normalizer intersection identity holds the answer is yes;
-    the identity itself is recorded so hypothesis failures explain mismatches.
+    The SL side (T', N_SL T' and its interval) comes from the SL case's own
+    verification report; only the GL side is computed here.  Whenever the
+    normalizer intersection identity holds the answer is yes; the identity
+    itself is recorded so hypothesis failures explain mismatches.
     """
+    sl = sl_report.torus.ambient
     if gl.kind != GL or sl.kind != SL or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
     torus = torus_subgroup(spec, gl)
     n_gl = normalizer_brute(gl, torus)
-    torus_sl = torus_subgroup(spec, sl)
-    n_sl = normalizer_brute(sl, torus_sl)
-    identity_holds = intersect_with_ambient(n_gl, sl).same_elements(n_sl)
+    identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
     l0 = enumerate_interval(torus, gl, within=n_gl)
-    l0_sl = enumerate_interval(torus_sl, sl, within=n_sl)
     lhs = {intersect_with_ambient(h, sl).key_tuple() for h in l0.members}
-    rhs = {h.key_tuple() for h in l0_sl.members}
+    rhs = {h.key_tuple() for h in sl_report.interval_members}
     equal = lhs == rhs
     verdict = _verdict(equal, must=identity_holds)
     case = dict(spec.serialize())
@@ -470,6 +466,6 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl: AmbientG
         intersection_identity_holds=identity_holds,
         equal=equal,
         gl_interval_size=len(l0),
-        sl_interval_size=len(l0_sl),
+        sl_interval_size=len(sl_report.interval_members),
         verdict=verdict,
     )

@@ -82,86 +82,37 @@ def _mat_mul(field: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _det_idx(field: FieldTable, A: np.ndarray) -> np.ndarray:
-    """Vectorized determinant of (..., n, n) index arrays."""
+    """Vectorized determinant of (..., n, n) index arrays, by Laplace expansion along the first row."""
     n = A.shape[-1]
+    if n == 1:
+        return A[..., 0, 0]
     MUL = field.np_mul()
     ADD = field.np_add()
     NEG = field.np_neg()
-
-    def mul(x, y):
-        return MUL[x, y]
-
-    def add(x, y):
-        return ADD[x, y]
-
-    def sub(x, y):
-        return ADD[x, NEG[y]]
-
-    if n == 1:
-        return A[..., 0, 0]
-    if n == 2:
-        return sub(mul(A[..., 0, 0], A[..., 1, 1]), mul(A[..., 0, 1], A[..., 1, 0]))
-    if n == 3:
-        m = [
-            sub(mul(A[..., 1, 1], A[..., 2, 2]), mul(A[..., 1, 2], A[..., 2, 1])),
-            sub(mul(A[..., 1, 0], A[..., 2, 2]), mul(A[..., 1, 2], A[..., 2, 0])),
-            sub(mul(A[..., 1, 0], A[..., 2, 1]), mul(A[..., 1, 1], A[..., 2, 0])),
-        ]
-        acc = mul(A[..., 0, 0], m[0])
-        acc = sub(acc, mul(A[..., 0, 1], m[1]))
-        return add(acc, mul(A[..., 0, 2], m[2]))
-    # Laplace along the first row for larger n (only reachable with raised caps)
     acc = None
-    cols = list(range(n))
     for j in range(n):
-        rest = [c for c in cols if c != j]
-        minor = _det_idx(field, A[..., 1:, :][..., :, rest])
-        term = mul(A[..., 0, j], minor)
+        term = MUL[A[..., 0, j], _det_idx(field, np.delete(A[..., 1:, :], j, axis=-1))]
         if j % 2 == 1:
             term = NEG[term]
-        acc = term if acc is None else add(acc, term)
+        acc = term if acc is None else ADD[acc, term]
     return acc
 
 
 def _inv_mats(field: FieldTable, A: np.ndarray) -> np.ndarray:
-    """Vectorized inverses of (N, n, n) invertible index matrices."""
+    """Vectorized inverses of (..., n, n) invertible index matrices: adjugate over determinant."""
     n = A.shape[-1]
     MUL = field.np_mul()
     NEG = field.np_neg()
-    INV = field.np_inv()
-    det_inv = INV[_det_idx(field, A)]
+    det_inv = field.np_inv()[_det_idx(field, A)]
     if n == 1:
         return det_inv[..., None, None].astype(np.int16)
-    if n == 2:
-        adj = np.empty_like(A)
-        adj[..., 0, 0] = A[..., 1, 1]
-        adj[..., 1, 1] = A[..., 0, 0]
-        adj[..., 0, 1] = NEG[A[..., 0, 1]]
-        adj[..., 1, 0] = NEG[A[..., 1, 0]]
-        return MUL[det_inv[..., None, None], adj]
-    if n == 3:
-        ADD = field.np_add()
-
-        def c2(a, b, c, d):
-            return ADD[MUL[a, d], NEG[MUL[b, c]]]
-
-        adj = np.empty_like(A)
-        # adjugate: adj[i][j] = cofactor_j,i
-        adj[..., 0, 0] = c2(A[..., 1, 1], A[..., 1, 2], A[..., 2, 1], A[..., 2, 2])
-        adj[..., 0, 1] = NEG[c2(A[..., 0, 1], A[..., 0, 2], A[..., 2, 1], A[..., 2, 2])]
-        adj[..., 0, 2] = c2(A[..., 0, 1], A[..., 0, 2], A[..., 1, 1], A[..., 1, 2])
-        adj[..., 1, 0] = NEG[c2(A[..., 1, 0], A[..., 1, 2], A[..., 2, 0], A[..., 2, 2])]
-        adj[..., 1, 1] = c2(A[..., 0, 0], A[..., 0, 2], A[..., 2, 0], A[..., 2, 2])
-        adj[..., 1, 2] = NEG[c2(A[..., 0, 0], A[..., 0, 2], A[..., 1, 0], A[..., 1, 2])]
-        adj[..., 2, 0] = c2(A[..., 1, 0], A[..., 1, 1], A[..., 2, 0], A[..., 2, 1])
-        adj[..., 2, 1] = NEG[c2(A[..., 0, 0], A[..., 0, 1], A[..., 2, 0], A[..., 2, 1])]
-        adj[..., 2, 2] = c2(A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1])
-        return MUL[det_inv[..., None, None], adj]
-    out = np.empty_like(A)
-    for i in range(A.shape[0]):
-        fm = FieldMatrix(field, A[i].tolist())
-        out[i] = np.array(fm.inverse().rows, dtype=A.dtype)
-    return out
+    adj = np.empty_like(A)
+    for i in range(n):
+        for j in range(n):
+            # adj[i][j] is the (j, i) cofactor
+            cofactor = _det_idx(field, np.delete(np.delete(A, j, axis=-2), i, axis=-1))
+            adj[..., i, j] = NEG[cofactor] if (i + j) % 2 == 1 else cofactor
+    return MUL[det_inv[..., None, None], adj]
 
 
 class AmbientGroup:

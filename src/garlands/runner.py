@@ -17,7 +17,7 @@ from .lattice import (
     interval_restriction_check,
     verify_lower_garland,
 )
-from .matrix_group import GL, SL, GroupCapError, ambient_group, is_maximal_abelian, torus_subgroup
+from .matrix_group import GL, SL, GroupCapError, ambient_group, is_maximal_abelian
 
 
 class CaseError(Exception):
@@ -74,7 +74,7 @@ def build_algebra(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> tuple[FieldTable
 
 def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None = None) -> dict:
     """Full report document for one case (verify + restriction + maximal-abelian)."""
-    key = case_key(case.serialize())
+    key = case_key(case.serialize(), caps)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
@@ -97,7 +97,7 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
         return doc
 
     report = verify_lower_garland(spec, amb, caps)
-    torus = torus_subgroup(spec, amb)
+    torus = report.torus
     maximal_abelian = is_maximal_abelian(amb, torus)
 
     doc = report.to_dict()
@@ -113,7 +113,7 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
     if case.kind == SL:
         try:
             gl = ambient_group(GL, case.n, base, caps)
-            restriction = interval_restriction_check(spec, gl, amb).to_dict()
+            restriction = interval_restriction_check(spec, gl, report).to_dict()
         except GroupCapError as exc:
             restriction = {"skipped": str(exc)}
         doc["restriction"] = restriction

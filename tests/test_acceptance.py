@@ -24,7 +24,8 @@ from garlands.finite_field import (
     is_primitive_element,
     norm_to_base,
 )
-from garlands.matrix_group import GL, ambient_group, normalizer_brute, torus_subgroup
+from garlands.lattice import enumerate_interval
+from garlands.matrix_group import GL, SL, ambient_group, normalizer_brute, torus_subgroup
 from garlands.pell import is_squarefree, negative_pell, sl2q_normalizer_report
 from garlands.runner import run_case, sweep_cases
 
@@ -208,6 +209,26 @@ def test_c06_sl_restriction(sweep):
     assert checked >= 12
     print(f"\n[criterion 6] PASS: cutting Lat(T, N_GL T) to SL gives Lat(T', N_SL T') "
           f"on {checked} cases; the single identity failure is F3+F3 (recorded)")
+
+
+def test_sl_interval_matches_direct_enumeration(sweep):
+    # an SL report cuts Lat(T', N_SL T') out of the full Lat(T', SL), and the
+    # restriction check reuses it; enumerating the interval inside N_SL(T')
+    # directly is the independent route
+    checked = 0
+    for key, doc in _ok(sweep).items():
+        if key[3] != "sl":
+            continue
+        case = doc["case"]
+        base = construct_field(case["p"], case["base_degree"])
+        spec = AlgebraSpec(base, case["degrees"])
+        sl = ambient_group(SL, spec.n, base)
+        torus = torus_subgroup(spec, sl)
+        direct = enumerate_interval(torus, sl, within=normalizer_brute(sl, torus))
+        assert sorted(m.id for m in direct.members) == doc["garland"]["interval"], key
+        assert doc["restriction"]["sl_interval_size"] == len(direct), key
+        checked += 1
+    assert checked >= 12
 
 
 def test_c07_maximal_abelian(sweep):

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from garlands.cache import DiskCache
 from garlands.cli import main
+from garlands.config import SCHEMA_VERSION, Caps
+from garlands.runner import CaseSpec, run_case
 
 
 def _run(capsys, argv):
@@ -86,6 +91,22 @@ def test_cache_round_trip(tmp_path, capsys):
     _, warm, _ = _run(capsys, cached)
     assert plain == cold == warm
     assert any(tmp_path.iterdir())
+
+
+def test_cache_keyed_by_caps(tmp_path):
+    # a case skipped under a small cap must not be served as skipped later
+    case = CaseSpec(3, 1, (1, 1), "gl")
+    cache = DiskCache(tmp_path)
+    assert run_case(case, Caps(group_order=10), cache)["status"] == "skipped_cap"
+    assert run_case(case, cache=cache) == run_case(case)
+
+
+@pytest.mark.parametrize("body", [{"schema": SCHEMA_VERSION}, {"schema": SCHEMA_VERSION, "report": "x"}, []])
+def test_cache_entry_without_report_is_a_miss(tmp_path, body):
+    cache = DiskCache(tmp_path)
+    (tmp_path / "k.json").write_text(json.dumps(body), encoding="utf-8")
+    assert cache.get("k") is None
+    assert (cache.hits, cache.misses) == (0, 1)
 
 
 def test_cache_dir_env_override(tmp_path, capsys, monkeypatch):

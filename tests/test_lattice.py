@@ -160,17 +160,20 @@ def test_interval_always_inside_lower_garland():
 
 
 def test_restriction_check_examples():
+    def check(spec, gl, sl):
+        return interval_restriction_check(spec, gl, verify_lower_garland(spec, sl))
+
     gl23 = ambient_group(GL, 2, F3)
     sl23 = ambient_group(SL, 2, F3)
-    r = interval_restriction_check(AlgebraSpec(F3, [2]), gl23, sl23)
+    r = check(AlgebraSpec(F3, [2]), gl23, sl23)
     assert r.equal and r.intersection_identity_holds
 
     gl22 = ambient_group(GL, 2, F2)
     sl22 = ambient_group(SL, 2, F2)
-    r = interval_restriction_check(AlgebraSpec(F2, [2]), gl22, sl22)
+    r = check(AlgebraSpec(F2, [2]), gl22, sl22)
     assert r.equal  # SL(2,2) = GL(2,2), degenerate equality
 
-    r = interval_restriction_check(AlgebraSpec(F3, [1, 1]), gl23, sl23)
+    r = check(AlgebraSpec(F3, [1, 1]), gl23, sl23)
     assert not r.intersection_identity_holds  # recorded, not asserted
     assert r.verdict == EXPECTED_COUNTEREXAMPLE
 

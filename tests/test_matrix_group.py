@@ -12,6 +12,8 @@ from garlands.matrix_group import (
     NonMemberError,
     NotAbelianError,
     Subgroup,
+    _det_idx,
+    _inv_mats,
     ambient_group,
     centralizer_brute,
     generate,
@@ -46,6 +48,22 @@ def test_ambient_cap():
     small = Caps(group_order=40)
     with pytest.raises(GroupCapError):
         AmbientGroup(GL, 2, F3, small)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2), (2, 4)])
+def test_vectorized_det_inverse_match_field_matrix(p, m):
+    # FieldMatrix.det / .inverse (Laplace and Gauss-Jordan, one matrix at a
+    # time) are the slow oracle for the vectorized adjugate path
+    f = construct_field(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for n in (1, 2, 3, 4):
+        A = rng.integers(0, f.q, size=(40, n, n)).astype(np.int16)
+        dets = _det_idx(f, A)
+        assert dets.tolist() == [FieldMatrix(f, a.tolist()).det() for a in A]
+        invertible = A[dets != 0]
+        assert len(invertible) > 0
+        invs = _inv_mats(f, invertible)
+        assert [FieldMatrix(f, x.tolist()) for x in invs] == [FieldMatrix(f, a.tolist()).inverse() for a in invertible]
 
 
 def test_ambient_enumeration_is_consistent():
