@@ -6,9 +6,10 @@ algebras up to a size bound, or a Pell table with --pell), pell (single d
 or a range).
 
 Exit codes: 0 when every check is confirmed or matches a predicted failure,
-2 on an unexpected mismatch, 3 when an enumeration cap is exceeded, 1 on
-invalid arguments.  Reports on stdout are byte-identical across repeated
-invocations; timings and cache statistics go to stderr.
+2 on an unexpected mismatch, 3 when an enumeration cap or the Pell cap on
+--d / --d-max is exceeded, 1 on invalid arguments.  Reports on stdout are
+byte-identical across repeated invocations; timings and cache statistics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -105,21 +106,35 @@ def cmd_verify(args) -> int:
     return 2 if doc.get("overall") == UNEXPECTED_MISMATCH else 0
 
 
+def _pell_over_cap(d: int | None) -> bool:
+    """Report on stderr, before any work, a d above the Pell cap."""
+    if d is None or d <= DEFAULT_CAPS.pell_d:
+        return False
+    print(f"cap exceeded: d={d} is above the Pell cap {DEFAULT_CAPS.pell_d}", file=sys.stderr)
+    return True
+
+
+def _print_pell_table(d_max: int, as_json: bool) -> None:
+    """One line per d in [1, d_max]: a JSON row, or the aligned text table."""
+    for row in pell_sweep(d_max):
+        if as_json:
+            print(json.dumps(row, sort_keys=True, separators=(",", ":")))
+        elif "skipped" in row:
+            print(f"d={row['d']:>6}  skipped ({row['skipped']})")
+        else:
+            sol = f"x0={row['x0']} y0={row['y0']}" if row["solvable"] else "-"
+            flag = "" if row["criterion_agrees"] else "  CRITERION-DISAGREES"
+            print(
+                f"d={row['d']:>6}  period={row['period_length']:>3}  "
+                f"solvable={str(row['solvable']):5}  {sol}{flag}"
+            )
+
+
 def cmd_sweep(args) -> int:
     if args.pell:
-        for row in pell_sweep(args.d_max):
-            if args.json:
-                print(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            else:
-                if "skipped" in row:
-                    print(f"d={row['d']:>6}  skipped ({row['skipped']})")
-                else:
-                    sol = f"x0={row['x0']} y0={row['y0']}" if row["solvable"] else "-"
-                    flag = "" if row["criterion_agrees"] else "  CRITERION-DISAGREES"
-                    print(
-                        f"d={row['d']:>6}  period={row['period_length']:>3}  "
-                        f"solvable={str(row['solvable']):5}  {sol}{flag}"
-                    )
+        if _pell_over_cap(args.d_max):
+            return 3
+        _print_pell_table(args.d_max, args.json)
         return 0
     t0 = time.perf_counter()
     reports, summary = run_sweep(args.max_order, DEFAULT_CAPS, _cache_dir(args), args.threads)
@@ -154,12 +169,13 @@ def cmd_pell(args) -> int:
     if args.d is None and args.d_max is None:
         print("pell requires --d or --d-max", file=sys.stderr)
         return 1
+    if _pell_over_cap(args.d) or _pell_over_cap(args.d_max):
+        return 3
     if args.d is not None:
         doc = sl2q_normalizer_report(args.d).to_dict()
         _emit(doc, args.json)
         return 0
-    for row in pell_sweep(args.d_max):
-        print(json.dumps(row, sort_keys=True, separators=(",", ":")) if args.json else row)
+    _print_pell_table(args.d_max, args.json)
     return 0
 
 

@@ -62,6 +62,8 @@ class IntervalLattice:
 
     def __post_init__(self):
         self.by_id = {m.id: m for m in self.members}
+        if len(self.by_id) != len(self.members):  # reports key members on ids
+            raise LatticeError("subgroup id collision; widen the digest")
 
     def member_orders(self) -> list[int]:
         return [m.order for m in self.members]
@@ -108,23 +110,21 @@ def enumerate_interval(
         if not bottom.is_subset_of(top):
             raise LatticeError("bottom is not contained in the given top subgroup")
     domain = top.indices
-    members: dict[str, Subgroup] = {bottom.id: bottom}
+    members: dict[bytes, Subgroup] = {bottom.indices.tobytes(): bottom}
     queue = [bottom]
     exhaustive = True
     while queue:
         h = queue.pop(0)
         for g in _double_coset_reps(ambient, h, domain):
             k = extend_subgroup(h, g)
-            known = members.get(k.id)
-            if known is None:
-                members[k.id] = k
+            key = k.indices.tobytes()
+            if key not in members:
+                members[key] = k
                 queue.append(k)
                 if max_members is not None and len(members) > max_members:
                     exhaustive = False
                     queue.clear()
                     break
-            elif not known.same_elements(k):  # digest collision guard
-                raise LatticeError("subgroup id collision; widen the digest")
         if not exhaustive:
             break
     ordered = tuple(sorted(members.values(), key=lambda s: (s.order, s.id)))
@@ -454,8 +454,8 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
     l0 = enumerate_interval(torus, gl, within=n_gl)
-    lhs = {intersect_with_ambient(h, sl).key_tuple() for h in l0.members}
-    rhs = {h.key_tuple() for h in sl_report.interval_members}
+    lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in l0.members}
+    rhs = {h.indices.tobytes() for h in sl_report.interval_members}
     equal = lhs == rhs
     verdict = _verdict(equal, must=identity_holds)
     case = dict(spec.serialize())

@@ -4,9 +4,12 @@ Ambient groups GL(n,q) / SL(n,q) are enumerated once (within the configured
 cap) and all heavy scans run vectorized over element indices: a matrix is an
 (n, n) array of field element indices, products go through dense add/mul
 tables of the coefficient field, and membership tests use a base-q key
-lookup table.  Subgroups store sorted ambient indices plus a digest of the
-sorted matrix keys; two subgroups are equal exactly when their key sets are,
-which also makes subgroups of GL and SL over the same field comparable.
+lookup table.  A subgroup is its ambient plus its sorted ambient indices:
+two subgroups are equal exactly when they share the ambient and the index
+array, and comparing subgroups of different ambients is an error (cut one
+down with intersect_with_ambient first).  Ambient order is matrix-key order,
+so the report id, a digest of the subgroup's matrix keys, is the same for
+the same matrix set in GL and in SL.
 """
 
 from __future__ import annotations
@@ -272,16 +275,15 @@ def ambient_group(kind: str, n: int, field: FieldTable, caps: Caps = DEFAULT_CAP
 class Subgroup:
     """A subgroup of an ambient group, stored as sorted ambient indices."""
 
-    __slots__ = ("ambient", "indices", "_mask", "_keys", "_id", "_gens")
+    __slots__ = ("ambient", "indices", "_mask", "_id", "_gens")
 
-    def __init__(self, ambient: AmbientGroup, indices: Iterable[int]):
+    def __init__(self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray):
         self.ambient = ambient
-        idx = np.unique(np.asarray(list(indices), dtype=np.int32))
+        idx = np.unique(np.asarray(indices, dtype=np.int32))
         if idx.size == 0:
             raise GroupError("a subgroup contains at least the identity")
         self.indices = idx
         self._mask = None
-        self._keys = None
         self._id = None
         self._gens = None
         if ambient.order % idx.size != 0:
@@ -298,30 +300,30 @@ class Subgroup:
             self._mask = m
         return self._mask
 
-    def key_tuple(self) -> tuple[int, ...]:
-        """Sorted matrix keys; canonical across ambients over the same field."""
-        if self._keys is None:
-            keys = self.ambient.keys_of_indices(self.indices)
-            keys.sort()
-            self._keys = tuple(int(k) for k in keys)
-        return self._keys
+    def key_tuple(self) -> bytes:
+        """Matrix keys as int64 bytes, ascending because ambient order is key order."""
+        return self.ambient.keys_of_indices(self.indices).tobytes()
 
     @property
     def id(self) -> str:
+        """Digest of the matrix keys; the same matrix set has the same id in GL and SL."""
         if self._id is None:
-            h = hashlib.blake2b(digest_size=8)
-            h.update(np.array(self.key_tuple(), dtype=np.int64).tobytes())
-            self._id = h.hexdigest()
+            self._id = hashlib.blake2b(self.key_tuple(), digest_size=8).hexdigest()
         return self._id
 
     def same_elements(self, other: "Subgroup") -> bool:
-        return self.key_tuple() == other.key_tuple()
+        _require_same_ambient(self, other)
+        return np.array_equal(self.indices, other.indices)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and self.ambient.field == other.ambient.field and self.key_tuple() == other.key_tuple()
+        return (
+            isinstance(other, Subgroup)
+            and self.ambient == other.ambient
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.ambient.field, self.id))
+        return hash((self.ambient, self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, ambient={self.ambient!r})"
@@ -426,10 +428,14 @@ def torus_subgroup(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
     return Subgroup(ambient, idxs)
 
 
-def is_normal_in(h: Subgroup, k: Subgroup) -> bool:
-    """Whether h is normal in k; requires h <= k."""
+def _require_same_ambient(h: Subgroup, k: Subgroup) -> None:
     if h.ambient is not k.ambient and h.ambient != k.ambient:
         raise GroupError("subgroups of different ambient groups")
+
+
+def is_normal_in(h: Subgroup, k: Subgroup) -> bool:
+    """Whether h is normal in k; requires h <= k."""
+    _require_same_ambient(h, k)
     if not h.is_subset_of(k):
         raise GroupError("normality requires inclusion")
     amb = h.ambient
@@ -503,7 +509,7 @@ def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
             if ambient.kind == SL and prod.det() != one:
                 continue
             idxs.add(ambient.index_of(prod))
-    sub = Subgroup(ambient, idxs)
+    sub = Subgroup(ambient, sorted(idxs))
     closed = _closure(ambient, sub.generators)
     if closed.size != sub.order or not sub.mask()[closed].all():
         raise HypothesisFailure(

@@ -18,7 +18,6 @@ is the smallest disagreement).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Iterator
 
@@ -74,22 +73,17 @@ def continued_fraction_sqrt(d: int) -> tuple[int, tuple[int, ...]]:
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise PellError(f"d must not be a perfect square, got {d}")
+    # Q_k = 1 exactly when k is a multiple of the period length
     period = []
     p, q = 0, 1
     a = a0
-    seen_start = None
     while True:
         p = a * q - p
         q = (d - p * p) // q
         a = (a0 + p) // q
-        if seen_start is None:
-            seen_start = (p, q)
-        elif (p, q) == seen_start and period:
-            break
         period.append(a)
         if q == 1:
-            break
-    return a0, tuple(period)
+            return a0, tuple(period)
 
 
 def _convergent(terms: list[int]) -> tuple[int, int]:
@@ -101,24 +95,24 @@ def _convergent(terms: list[int]) -> tuple[int, int]:
     return h, k
 
 
+def _solve_validated(d: int) -> tuple[PellSolution | None, int | None]:
+    """(negative Pell solution or None, period length or None for d < 0) of a valid d."""
+    if d < 0:
+        return None, None
+    a0, period = continued_fraction_sqrt(d)
+    if len(period) % 2 == 0:
+        return None, len(period)
+    x, y = _convergent([a0, *period[:-1]])
+    return PellSolution(d, x, y), len(period)
+
+
 def negative_pell(d: int) -> PellSolution | None:
     """Fundamental solution of x^2 - d*y^2 = -1, or None when unsolvable.
 
     Solvable exactly when the continued-fraction period of sqrt(d) has odd
     length; negative d is never solvable.
     """
-    if d in (0, 1):
-        raise PellError(f"d must not be 0 or 1, got {d}")
-    if not is_squarefree(d):
-        raise PellError(f"d must be squarefree, got {d}")
-    if d < 0:
-        return None
-    a0, period = continued_fraction_sqrt(d)
-    if len(period) % 2 == 0:
-        return None
-    terms = [a0] + list(period[:-1])
-    x, y = _convergent(terms)
-    return PellSolution(d, x, y)
+    return _solve_validated(QuadraticCase(d).d)[0]
 
 
 def positive_pell(d: int) -> tuple[int, int]:
@@ -197,12 +191,7 @@ class NormalizerReport:
 
 def sl2q_normalizer_report(d: int) -> NormalizerReport:
     """Normalizer shape for d plus the printed-criterion comparison."""
-    case = QuadraticCase(d)
-    sol = negative_pell(case.d)
-    period_length = None
-    if d > 1:
-        _, period = continued_fraction_sqrt(d)
-        period_length = len(period)
+    sol, period_length = _solve_validated(QuadraticCase(d).d)
     solvable = sol is not None
     shape = NormalizerShape(d, TWO_COSETS if solvable else TORUS_ONLY, sol)
     crit = printed_criterion(d)
@@ -214,44 +203,6 @@ def sl2q_normalizer_report(d: int) -> NormalizerReport:
         criterion_predicts_solvable=crit,
         criterion_agrees=crit == solvable,
     )
-
-
-# -- exact rational shape algebra (used by the conjugation invariants) ---------
-
-
-def torus_point(d: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    """A rational point (x, y) with x^2 - d*y^2 = 1, from the line parameter t."""
-    denom = 1 - d * t * t
-    if denom == 0:
-        raise PellError("parameter hits the degenerate denominator")
-    return (1 + d * t * t) / denom, 2 * t / denom
-
-
-def _mat2(a, b, c, e):
-    return ((a, b), (c, e))
-
-
-def mat_mul2(A, B):
-    return _mat2(
-        A[0][0] * B[0][0] + A[0][1] * B[1][0],
-        A[0][0] * B[0][1] + A[0][1] * B[1][1],
-        A[1][0] * B[0][0] + A[1][1] * B[1][0],
-        A[1][0] * B[0][1] + A[1][1] * B[1][1],
-    )
-
-
-def mat_inv2(A):
-    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    if det == 0:
-        raise PellError("singular matrix")
-    return _mat2(A[1][1] / det, -A[0][1] / det, -A[1][0] / det, A[0][0] / det)
-
-
-def in_torus_shape(d: int, M) -> bool:
-    """Whether M = [[x, y*d], [y, x]] for some rationals with x^2 - d*y^2 = 1."""
-    x, yd = M[0]
-    y, x2 = M[1]
-    return x == x2 and yd == y * d and x * x - d * y * y == 1
 
 
 def pell_sweep(d_max: int) -> Iterator[dict]:

@@ -4,11 +4,17 @@ Everything here deliberately avoids the structural shortcuts of the package:
 ring automorphisms are found by constrained search over unital k-linear
 bijections, additive spans by set closure, and Pell solutions by exhaustive
 y-search, so the fast implementations are checked against a second route.
+Subgroup ids are recomputed from the element matrices' keys, and the exact
+rational 2x2 algebra at the end checks the SL(2,Q) witness matrices by
+direct conjugation.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import struct
+from fractions import Fraction
 from math import isqrt
 
 from garlands.etale import AlgebraSpec
@@ -144,6 +150,12 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
     return unique
 
 
+def subgroup_id(sub) -> str:
+    """Report id from the matrices: 8-byte blake2b over the sorted keys as native int64."""
+    keys = sorted(m.key() for m in sub.matrices())
+    return hashlib.blake2b(struct.pack(f"={len(keys)}q", *keys), digest_size=8).hexdigest()
+
+
 def exhaustive_negative_pell(d: int, y_max: int) -> tuple[int, int] | None:
     """Smallest-y solution of x^2 - d*y^2 = -1 with y <= y_max, by direct search."""
     for y in range(1, y_max + 1):
@@ -152,3 +164,38 @@ def exhaustive_negative_pell(d: int, y_max: int) -> tuple[int, int] | None:
         if x * x == x2:
             return x, y
     return None
+
+
+def torus_point(d: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    """A rational point (x, y) with x^2 - d*y^2 = 1, from the line parameter t."""
+    denom = 1 - d * t * t
+    if denom == 0:
+        raise ValueError("parameter hits the degenerate denominator")
+    return (1 + d * t * t) / denom, 2 * t / denom
+
+
+def _mat2(a, b, c, e):
+    return ((a, b), (c, e))
+
+
+def mat_mul2(A, B):
+    return _mat2(
+        A[0][0] * B[0][0] + A[0][1] * B[1][0],
+        A[0][0] * B[0][1] + A[0][1] * B[1][1],
+        A[1][0] * B[0][0] + A[1][1] * B[1][0],
+        A[1][0] * B[0][1] + A[1][1] * B[1][1],
+    )
+
+
+def mat_inv2(A):
+    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    if det == 0:
+        raise ValueError("singular matrix")
+    return _mat2(A[1][1] / det, -A[0][1] / det, -A[1][0] / det, A[0][0] / det)
+
+
+def in_torus_shape(d: int, M) -> bool:
+    """Whether M = [[x, y*d], [y, x]] for some rationals with x^2 - d*y^2 = 1."""
+    x, yd = M[0]
+    y, x2 = M[1]
+    return x == x2 and yd == y * d and x * x - d * y * y == 1

@@ -29,7 +29,7 @@ from garlands.matrix_group import GL, SL, ambient_group, normalizer_brute, torus
 from garlands.pell import is_squarefree, negative_pell, sl2q_normalizer_report
 from garlands.runner import run_case, sweep_cases
 
-from oracles import exhaustive_negative_pell
+from oracles import exhaustive_negative_pell, subgroup_id
 
 
 # the five swept cases where the lower garland is strictly larger than the
@@ -211,7 +211,21 @@ def test_c06_sl_restriction(sweep):
           f"on {checked} cases; the single identity failure is F3+F3 (recorded)")
 
 
-def test_sl_interval_matches_direct_enumeration(sweep):
+@pytest.fixture(scope="session")
+def direct_intervals(sweep):
+    """Lat(T, N(T)) of every ok sweep case, enumerated inside N(T) directly."""
+    out = {}
+    for key, doc in _ok(sweep).items():
+        case = doc["case"]
+        base = construct_field(case["p"], case["base_degree"])
+        spec = AlgebraSpec(base, case["degrees"])
+        amb = ambient_group(GL if key[3] == "gl" else SL, spec.n, base)
+        torus = torus_subgroup(spec, amb)
+        out[key] = enumerate_interval(torus, amb, within=normalizer_brute(amb, torus))
+    return out
+
+
+def test_sl_interval_matches_direct_enumeration(sweep, direct_intervals):
     # an SL report cuts Lat(T', N_SL T') out of the full Lat(T', SL), and the
     # restriction check reuses it; enumerating the interval inside N_SL(T')
     # directly is the independent route
@@ -219,16 +233,24 @@ def test_sl_interval_matches_direct_enumeration(sweep):
     for key, doc in _ok(sweep).items():
         if key[3] != "sl":
             continue
-        case = doc["case"]
-        base = construct_field(case["p"], case["base_degree"])
-        spec = AlgebraSpec(base, case["degrees"])
-        sl = ambient_group(SL, spec.n, base)
-        torus = torus_subgroup(spec, sl)
-        direct = enumerate_interval(torus, sl, within=normalizer_brute(sl, torus))
+        direct = direct_intervals[key]
         assert sorted(m.id for m in direct.members) == doc["garland"]["interval"], key
         assert doc["restriction"]["sl_interval_size"] == len(direct), key
         checked += 1
     assert checked >= 12
+
+
+def test_interval_ids_match_matrix_key_digest(sweep, direct_intervals):
+    # a report id is a digest of the member's matrix keys; recompute it from
+    # FieldMatrix.key() of every element, independently of ambient indices
+    checked = 0
+    for key, doc in _ok(sweep).items():
+        direct = direct_intervals[key]
+        for m in direct.members:
+            assert m.id == subgroup_id(m), (key, m.order)
+        assert sorted(subgroup_id(m) for m in direct.members) == doc["garland"]["interval"], key
+        checked += 1
+    assert checked >= 24
 
 
 def test_c07_maximal_abelian(sweep):

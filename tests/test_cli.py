@@ -167,3 +167,28 @@ def test_pell_invalid_d(capsys):
     code, _, err = _run(capsys, ["pell", "--d", "12"])
     assert code == 1
     assert "squarefree" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pell", "--d", "1000001"],
+        ["pell", "--d-max", "1000001", "--json"],
+        ["sweep", "--pell", "--d-max", "1000001"],
+    ],
+)
+def test_pell_cap_exit_3(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cap exceeded:")
+
+
+def test_pell_range_text_matches_sweep_table(capsys):
+    code, pell_out, _ = _run(capsys, ["pell", "--d-max", "30"])
+    assert code == 0
+    _, sweep_out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "30"])
+    assert pell_out == sweep_out
+    lines = pell_out.splitlines()
+    assert len(lines) == 30
+    assert lines[1] == "d=     2  period=  1  solvable=True   x0=1 y0=1"

@@ -6,6 +6,8 @@ from garlands.finite_field import construct_field
 from garlands.lattice import (
     CONFIRMED,
     EXPECTED_COUNTEREXAMPLE,
+    IntervalLattice,
+    LatticeError,
     NonExhaustiveError,
     enumerate_interval,
     garlands,
@@ -58,6 +60,16 @@ def test_interval_members_are_subgroups_and_unique():
     for m in lat.members:
         assert d.is_subset_of(m)
         assert gl23.order % m.order == 0
+
+
+def test_interval_lattice_rejects_repeated_member():
+    gl23 = ambient_group(GL, 2, F3)
+    d = torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23)
+    lat = enumerate_interval(d, gl23)
+    twin = Subgroup(gl23, lat.members[1].indices.copy())
+    members = tuple(sorted(lat.members + (twin,), key=lambda s: (s.order, s.id)))
+    with pytest.raises(LatticeError, match="collision"):
+        IntervalLattice(bottom=d, top=lat.top, ambient=gl23, members=members)
 
 
 def test_interval_within_top():

@@ -9,6 +9,7 @@ from garlands.matrix_group import (
     SL,
     AmbientGroup,
     GroupCapError,
+    GroupError,
     NonMemberError,
     NotAbelianError,
     Subgroup,
@@ -31,6 +32,7 @@ F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
 F4 = construct_field(2, 2)
 F5 = construct_field(5, 1)
+F9 = construct_field(3, 2)
 
 
 def test_ambient_orders():
@@ -264,6 +266,27 @@ def test_subgroup_identity_and_hash():
     assert a.id == b.id and a == b
     c = torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23)
     assert a.id != c.id and a != c
+
+
+@pytest.mark.parametrize("n,base", [(2, F2), (2, F3), (2, F4), (2, F9), (3, F2), (3, F3)])
+def test_ambient_order_is_key_order(n, base):
+    # Subgroup.id digests keys_of_indices(indices) unsorted; that is the
+    # sorted key set only because ambient order is key order
+    for kind in (GL, SL):
+        amb = ambient_group(kind, n, base)
+        keys = amb.keys_of_indices(np.arange(amb.order))
+        assert (np.diff(keys) > 0).all(), (kind, n, base.q)
+
+
+def test_same_elements_rejects_other_ambient():
+    spec = AlgebraSpec(F3, [2])
+    t_gl = torus_subgroup(spec, ambient_group(GL, 2, F3))
+    t_sl = torus_subgroup(spec, ambient_group(SL, 2, F3))
+    with pytest.raises(GroupError):
+        t_gl.same_elements(t_sl)
+    with pytest.raises(GroupError):
+        t_sl.same_elements(t_gl)
+    assert t_gl != t_sl
 
 
 def test_subgroup_serialization_shape():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from garlands import pell
 from garlands.pell import (
     TORUS_ONLY,
     TWO_COSETS,
@@ -12,19 +13,15 @@ from garlands.pell import (
     PellSolution,
     QuadraticCase,
     continued_fraction_sqrt,
-    in_torus_shape,
     is_squarefree,
-    mat_inv2,
-    mat_mul2,
     negative_pell,
     pell_sweep,
     positive_pell,
     printed_criterion,
     sl2q_normalizer_report,
-    torus_point,
 )
 
-from oracles import exhaustive_negative_pell
+from oracles import exhaustive_negative_pell, in_torus_shape, mat_inv2, mat_mul2, torus_point
 
 
 def test_continued_fraction_examples():
@@ -133,6 +130,23 @@ def test_sl2q_report_examples():
     r = sl2q_normalizer_report(34)
     assert r.shape.variant == TORUS_ONLY
     assert r.criterion_predicts_solvable and not r.criterion_agrees
+
+
+def test_report_computes_one_continued_fraction(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return continued_fraction_sqrt(d)
+
+    monkeypatch.setattr(pell, "continued_fraction_sqrt", counted)
+    for d in (2, 3, 13, 34, 94, 9_999_991):
+        calls.clear()
+        r = sl2q_normalizer_report(d)
+        assert calls == [d], d
+        assert r.period_length == len(continued_fraction_sqrt(d)[1])
+    calls.clear()
+    assert sl2q_normalizer_report(-5).period_length is None and calls == []
 
 
 def test_witness_matrix_determinant_and_conjugation():
