@@ -1,13 +1,25 @@
 """Interval lattices of subgroups, normality graphs, and garlands.
 
-The interval Lat(bottom, top) is enumerated by breadth-first closure: for
-each known member H, one representative per H-double-coset of the remaining
-elements is adjoined and the generated subgroup recorded, until a fixpoint.
-Double-coset representatives suffice because <H, h1*g*h2> = <H, g>; with a
-representative per single coset this is the same fixpoint, so this realises
-the coset-deduplicated scan.  Completeness follows by induction along any
-maximal chain: each covering step K over H equals <H, g> for every
-g in K \\ H.
+The interval Lat(bottom, top) is enumerated breadth first: for each known
+member H, one representative per H-double-coset of top other than H itself
+is adjoined and the generated subgroup recorded, until a fixpoint.
+Double-coset representatives suffice because <H, h1*g*h2> = <H, g>.
+Completeness follows by induction along any maximal chain: each covering
+step K over H equals <H, g> for every g in K \\ H.
+
+Each expanded member gets one coset table inside top (CosetTable in
+matrix_group), over positions in top's sorted ambient indices: the
+right-multiplication permutations of H's generators, right-coset labels
+(orbit minima under left multiplication by the generators) and
+double-coset labels (those labels' orbit minima under the right
+permutations).  The representatives are the positions that are their own
+double label, so each is the least element of its double coset, in
+ascending order.  <H, g> is then closed over right cosets instead of
+elements: K = <H, g> contains H, so it is a union of right cosets H x, and
+right multiplication by H's generators and by g permutes right cosets, so
+the cosets reachable from H under those right multiplications are exactly
+the cosets of K.  A closure costs [K:H] products by g plus gathers through
+the permutations, and only the member being expanded holds a table.
 
 Edges of the normality graph join every comparable pair with the smaller
 subgroup normal in the larger (no Hasse restriction); garlands are the
@@ -33,6 +45,7 @@ from .matrix_group import (
     GL,
     SL,
     AmbientGroup,
+    CosetTable,
     HypothesisFailure,
     Subgroup,
     extend_subgroup,
@@ -72,28 +85,6 @@ class IntervalLattice:
         return len(self.members)
 
 
-def _double_coset_reps(amb: AmbientGroup, h: Subgroup, domain: np.ndarray) -> list[int]:
-    """One representative per H-double-coset meeting the domain, H's own excluded."""
-    amb._ensure()
-    rep_of = np.full(amb.order, -1, dtype=np.int32)
-    right_reps: list[int] = []
-    for x in domain:
-        x = int(x)
-        if rep_of[x] >= 0:
-            continue
-        right_reps.append(x)
-        rep_of[amb.rmul(h.indices, x)] = x
-    h_coset_rep = int(rep_of[amb.identity_index])
-    consumed = np.zeros(amb.order, dtype=bool)
-    reps: list[int] = []
-    for x in right_reps:
-        if x == h_coset_rep or consumed[x]:
-            continue
-        reps.append(x)
-        consumed[rep_of[amb.lmul(x, h.indices)]] = True
-    return reps
-
-
 def enumerate_interval(
     bottom: Subgroup,
     ambient: AmbientGroup,
@@ -109,14 +100,14 @@ def enumerate_interval(
         top = within
         if not bottom.is_subset_of(top):
             raise LatticeError("bottom is not contained in the given top subgroup")
-    domain = top.indices
     members: dict[bytes, Subgroup] = {bottom.indices.tobytes(): bottom}
     queue = [bottom]
     exhaustive = True
     while queue:
         h = queue.pop(0)
-        for g in _double_coset_reps(ambient, h, domain):
-            k = extend_subgroup(h, g)
+        table = CosetTable(h, top)
+        for g in table.double_coset_reps():
+            k = extend_subgroup(table, g)
             key = k.indices.tobytes()
             if key not in members:
                 members[key] = k

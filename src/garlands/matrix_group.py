@@ -1,13 +1,19 @@
-"""Finite matrix groups over F_q: closure, normalizers, tori.
+"""Finite matrix groups over F_q: closure, coset tables, normalizers, tori.
 
 Ambient groups GL(n,q) / SL(n,q) are enumerated once (within the configured
 cap) and all heavy scans run vectorized over element indices: a matrix is an
 (n, n) array of field element indices, products go through dense add/mul
 tables of the coefficient field, and membership tests use a base-q key
-lookup table.  A subgroup is its ambient plus its sorted ambient indices:
-two subgroups are equal exactly when they share the ambient and the index
-array, and comparing subgroups of different ambients is an error (cut one
-down with intersect_with_ambient first).  Ambient order is matrix-key order,
+lookup table.  Closures run breadth first over ambient indices, dropping
+repeats with a slot array instead of a sort; a CosetTable lays out the right
+and double cosets of a subgroup H inside a larger one as permutations and
+orbit-minimum labels over positions, so extend_subgroup can close <H, g>
+over right cosets of H instead of over elements.
+
+A subgroup is its ambient plus its sorted ambient indices: two subgroups
+are equal exactly when they share the ambient and the index array, and
+comparing subgroups of different ambients is an error (cut one down with
+intersect_with_ambient first).  Ambient order is matrix-key order,
 so the report id, a digest of the subgroup's matrix keys, is the same for
 the same matrix set in GL and in SL.
 """
@@ -279,7 +285,9 @@ class Subgroup:
 
     def __init__(self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray):
         self.ambient = ambient
-        idx = np.unique(np.asarray(indices, dtype=np.int32))
+        idx = np.array(indices, dtype=np.int32)
+        if not (idx[1:] > idx[:-1]).all():
+            idx = np.unique(idx)
         if idx.size == 0:
             raise GroupError("a subgroup contains at least the identity")
         self.indices = idx
@@ -373,27 +381,27 @@ class Subgroup:
         return doc
 
 
-def _closure(amb: AmbientGroup, gen_idxs: Sequence[int], seed_idxs: Sequence[int] | None = None) -> np.ndarray:
-    """Sorted indices of the subgroup generated by gens (seeded orbit closure)."""
+def _claim_fresh(cand: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The distinct entries of cand whose slot is still -1, now claimed (slot >= 0 marks seen).
+
+    Each claimed slot holds the position of its last occurrence in cand, so
+    keeping the entries that own their slot drops repeats without a sort.
+    """
+    cand = cand[slot[cand] < 0]
+    order = np.arange(cand.size, dtype=np.int32)
+    slot[cand] = order
+    return cand[slot[cand] == order]
+
+
+def _closure(amb: AmbientGroup, gen_idxs: Sequence[int]) -> np.ndarray:
+    """Sorted indices of the subgroup generated by gens (breadth-first orbit of the identity)."""
     amb._ensure()
-    seen = np.zeros(amb.order, dtype=bool)
-    seen[amb.identity_index] = True
-    start = [amb.identity_index]
-    if seed_idxs is not None:
-        start.extend(int(i) for i in seed_idxs)
-    start.extend(int(g) for g in gen_idxs)
-    frontier = np.unique(np.array(start, dtype=np.int32))
-    seen[frontier] = True
     gens = list(dict.fromkeys(int(g) for g in gen_idxs))
-    if not gens:
-        return np.nonzero(seen)[0].astype(np.int32)
-    while frontier.size:
-        parts = [amb.rmul(frontier, g) for g in gens]
-        cand = np.unique(np.concatenate(parts))
-        fresh = cand[~seen[cand]]
-        seen[fresh] = True
-        frontier = fresh
-    return np.nonzero(seen)[0].astype(np.int32)
+    slot = np.full(amb.order, -1, dtype=np.int32)
+    frontier = _claim_fresh(np.array([amb.identity_index, *gens], dtype=np.int32), slot)
+    while frontier.size and gens:
+        frontier = _claim_fresh(np.concatenate([amb.rmul(frontier, g) for g in gens]), slot)
+    return np.flatnonzero(slot >= 0).astype(np.int32)
 
 
 def generate(ambient: AmbientGroup, gens: Iterable[FieldMatrix], max_size: int | None = None) -> Subgroup:
@@ -405,12 +413,89 @@ def generate(ambient: AmbientGroup, gens: Iterable[FieldMatrix], max_size: int |
     return Subgroup(ambient, cl)
 
 
-def extend_subgroup(h: Subgroup, extra_index: int) -> Subgroup:
-    """Subgroup generated by h and one more ambient element."""
-    amb = h.ambient
-    gens = list(h.generators) + [int(extra_index)]
-    cl = _closure(amb, gens, seed_idxs=h.indices)
-    return Subgroup(amb, cl)
+def _orbit_minima(labels: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """Least position of each class of the equivalence joining x to labels[x] and to p[x].
+
+    labels must satisfy labels[x] <= x and labels[labels] == labels
+    (np.arange qualifies); p runs over perms.  Each round hooks the label of
+    p[x] onto the label of x when that is smaller (np.minimum.at), then
+    pointer-jumps until every label is its own label.  Labels only fall and
+    stay inside their class.  A round that changes nothing leaves
+    labels[p[x]] <= labels[x] for every x, so labels are constant along each
+    cycle of p and hence on classes, and each is its class's least position.
+    """
+    labels = labels.copy()
+    while True:
+        before = labels.copy()
+        for p in perms:
+            np.minimum.at(labels, labels[p], labels)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            return labels
+
+
+class CosetTable:
+    """Right and double cosets of a subgroup H inside a subgroup top containing it.
+
+    Everything is indexed by position 0..|top|-1 in top's sorted ambient
+    indices, so position order is ambient order.  `right[i]` is the
+    permutation x -> x * s_i for H's i-th generator s_i; `labels[x]` is the
+    least position of the right coset H x (the orbit of x under left
+    multiplication by the generators' inverses, x -> (x^-1 * s_i)^-1, which
+    is right[i] conjugated by inversion); `double_labels[x]` is the least
+    position of the double coset H x H, the orbit of x's right coset under
+    the right permutations.
+    """
+
+    __slots__ = ("h", "top", "positions", "right", "labels", "double_labels")
+
+    def __init__(self, h: Subgroup, top: Subgroup):
+        _require_same_ambient(h, top)
+        if not h.is_subset_of(top):
+            raise GroupError("a coset table needs H inside the top")
+        amb = h.ambient
+        positions = np.full(amb.order, -1, dtype=np.int32)
+        positions[top.indices] = np.arange(top.order, dtype=np.int32)
+        inverse = positions[amb.inv_indices()[top.indices]]
+        self.h = h
+        self.top = top
+        self.positions = positions  # ambient index -> position in top, -1 outside
+        self.right = [positions[amb.rmul(top.indices, s)] for s in h.generators]
+        left = [inverse[r[inverse]] for r in self.right]
+        self.labels = _orbit_minima(np.arange(top.order, dtype=np.int32), left)
+        self.double_labels = _orbit_minima(self.labels, self.right)
+
+    def double_coset_reps(self) -> np.ndarray:
+        """Least element of every double coset H x H in top other than H, ascending."""
+        own = self.double_labels[self.positions[self.h.ambient.identity_index]]
+        reps = np.flatnonzero(self.double_labels == np.arange(self.top.order))
+        return self.top.indices[reps[reps != own]]
+
+
+def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
+    """<H, g> for the table's H and one element g of its top, closed over right cosets of H.
+
+    <H, g> is a union of right cosets of H, and right multiplication by H's
+    generators and by g permutes right cosets, so a breadth-first pass over
+    coset labels from H itself reaches exactly its cosets: one product by g
+    per new coset, and gathers through the right permutations.
+    """
+    g = int(extra_index)
+    if table.positions[g] < 0:
+        raise GroupError("the adjoined element lies outside the table's top")
+    amb = table.h.ambient
+    labels, positions, top = table.labels, table.positions, table.top.indices
+    slot = np.full(top.size, -1, dtype=np.int32)
+    frontier = _claim_fresh(labels[positions[[amb.identity_index]]], slot)
+    while frontier.size:
+        images = [labels[r[frontier]] for r in table.right]
+        images.append(labels[positions[amb.rmul(top[frontier], g)]])
+        frontier = _claim_fresh(np.concatenate(images), slot)
+    return Subgroup(amb, top[slot[labels] >= 0])
 
 
 def torus_subgroup(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:

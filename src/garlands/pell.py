@@ -191,7 +191,12 @@ class NormalizerReport:
 
 def sl2q_normalizer_report(d: int) -> NormalizerReport:
     """Normalizer shape for d plus the printed-criterion comparison."""
-    sol, period_length = _solve_validated(QuadraticCase(d).d)
+    return _report_validated(QuadraticCase(d).d)
+
+
+def _report_validated(d: int) -> NormalizerReport:
+    """The report of a d already checked to be squarefree and not 0 or 1."""
+    sol, period_length = _solve_validated(d)
     solvable = sol is not None
     shape = NormalizerShape(d, TWO_COSETS if solvable else TORUS_ONLY, sol)
     crit = printed_criterion(d)
@@ -208,7 +213,7 @@ def sl2q_normalizer_report(d: int) -> NormalizerReport:
 def pell_sweep(d_max: int) -> Iterator[dict]:
     """One record per d in [1, d_max]; invalid d get a skip reason."""
     for d in range(1, d_max + 1):
-        if d == 1 or not is_squarefree(d):
+        if not is_squarefree(d) or d == 1:
             yield {"d": d, "skipped": "square" if isqrt(d) ** 2 == d else "not squarefree"}
             continue
-        yield sl2q_normalizer_report(d).to_dict()
+        yield _report_validated(d).to_dict()

@@ -4,9 +4,11 @@ Everything here deliberately avoids the structural shortcuts of the package:
 ring automorphisms are found by constrained search over unital k-linear
 bijections, additive spans by set closure, and Pell solutions by exhaustive
 y-search, so the fast implementations are checked against a second route.
-Subgroup ids are recomputed from the element matrices' keys, and the exact
-rational 2x2 algebra at the end checks the SL(2,Q) witness matrices by
-direct conjugation.
+Subgroup ids are recomputed from the element matrices' keys, interval
+lattices by the element-level breadth-first route (a per-element double-coset
+loop, then a closure over elements seeded with H), and the exact rational
+2x2 algebra at the end checks the SL(2,Q) witness matrices by direct
+conjugation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import struct
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from garlands.etale import AlgebraSpec
+from garlands.matrix_group import Subgroup
 
 
 def brute_additive_span(spec: AlgebraSpec, selected) -> frozenset:
@@ -154,6 +159,64 @@ def subgroup_id(sub) -> str:
     """Report id from the matrices: 8-byte blake2b over the sorted keys as native int64."""
     keys = sorted(m.key() for m in sub.matrices())
     return hashlib.blake2b(struct.pack(f"={len(keys)}q", *keys), digest_size=8).hexdigest()
+
+
+def double_coset_reps_by_loop(amb, h, domain) -> list[int]:
+    """One representative per H-double-coset meeting the domain, H's own excluded.
+
+    Walks the domain in order: an element not yet labelled starts a right
+    coset H x, and a right-coset representative not yet consumed starts a
+    double coset, whose right cosets H x h it then consumes.
+    """
+    rep_of = np.full(amb.order, -1, dtype=np.int32)
+    right_reps: list[int] = []
+    for x in domain:
+        x = int(x)
+        if rep_of[x] >= 0:
+            continue
+        right_reps.append(x)
+        rep_of[amb.rmul(h.indices, x)] = x
+    h_coset_rep = int(rep_of[amb.identity_index])
+    consumed = np.zeros(amb.order, dtype=bool)
+    reps: list[int] = []
+    for x in right_reps:
+        if x == h_coset_rep or consumed[x]:
+            continue
+        reps.append(x)
+        consumed[rep_of[amb.lmul(x, h.indices)]] = True
+    return reps
+
+
+def element_closure(amb, h, g: int) -> np.ndarray:
+    """Sorted indices of <H, g>, by an orbit closure over elements seeded with H and g."""
+    gens = list(dict.fromkeys([*h.generators, int(g)]))
+    seen = np.zeros(amb.order, dtype=bool)
+    seen[h.indices] = True
+    seen[[amb.identity_index, int(g)]] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        fresh = np.zeros(amb.order, dtype=bool)
+        for s in gens:
+            fresh[amb.rmul(frontier, s)] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return np.flatnonzero(seen).astype(np.int32)
+
+
+def interval_by_elements(bottom, top) -> set[bytes]:
+    """Index bytes of every subgroup between bottom and top, breadth first over elements."""
+    amb = bottom.ambient
+    members = {bottom.indices.tobytes(): bottom}
+    queue = [bottom]
+    while queue:
+        h = queue.pop(0)
+        for g in double_coset_reps_by_loop(amb, h, top.indices):
+            k = Subgroup(amb, element_closure(amb, h, g))
+            if k.indices.tobytes() not in members:
+                members[k.indices.tobytes()] = k
+                queue.append(k)
+    return set(members)
 
 
 def exhaustive_negative_pell(d: int, y_max: int) -> tuple[int, int] | None:

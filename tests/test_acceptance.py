@@ -8,6 +8,7 @@ reports are cross-checked here against hand-derived group orders, an
 exhaustive Pell search, and an external Diophantine solver.
 """
 
+import numpy as np
 import pytest
 
 from garlands.etale import (
@@ -25,11 +26,11 @@ from garlands.finite_field import (
     norm_to_base,
 )
 from garlands.lattice import enumerate_interval
-from garlands.matrix_group import GL, SL, ambient_group, normalizer_brute, torus_subgroup
+from garlands.matrix_group import GL, SL, Subgroup, ambient_group, normalizer_brute, torus_subgroup
 from garlands.pell import is_squarefree, negative_pell, sl2q_normalizer_report
 from garlands.runner import run_case, sweep_cases
 
-from oracles import exhaustive_negative_pell, subgroup_id
+from oracles import exhaustive_negative_pell, interval_by_elements, subgroup_id
 
 
 # the five swept cases where the lower garland is strictly larger than the
@@ -212,8 +213,8 @@ def test_c06_sl_restriction(sweep):
 
 
 @pytest.fixture(scope="session")
-def direct_intervals(sweep):
-    """Lat(T, N(T)) of every ok sweep case, enumerated inside N(T) directly."""
+def tori(sweep):
+    """(ambient, T, N(T)) of every ok sweep case."""
     out = {}
     for key, doc in _ok(sweep).items():
         case = doc["case"]
@@ -221,8 +222,14 @@ def direct_intervals(sweep):
         spec = AlgebraSpec(base, case["degrees"])
         amb = ambient_group(GL if key[3] == "gl" else SL, spec.n, base)
         torus = torus_subgroup(spec, amb)
-        out[key] = enumerate_interval(torus, amb, within=normalizer_brute(amb, torus))
+        out[key] = (amb, torus, normalizer_brute(amb, torus))
     return out
+
+
+@pytest.fixture(scope="session")
+def direct_intervals(tori):
+    """Lat(T, N(T)) of every ok sweep case, enumerated inside N(T) directly."""
+    return {key: enumerate_interval(torus, amb, within=n) for key, (amb, torus, n) in tori.items()}
 
 
 def test_sl_interval_matches_direct_enumeration(sweep, direct_intervals):
@@ -251,6 +258,22 @@ def test_interval_ids_match_matrix_key_digest(sweep, direct_intervals):
         assert sorted(subgroup_id(m) for m in direct.members) == doc["garland"]["interval"], key
         checked += 1
     assert checked >= 24
+
+
+def test_intervals_match_element_level_oracle(sweep, tori, direct_intervals):
+    # enumerate_interval closes over cosets of H; the oracle walks every
+    # element for double cosets and closes over elements seeded with H
+    for key, (amb, torus, normalizer) in tori.items():
+        whole = Subgroup(amb, np.arange(amb.order, dtype=np.int32))
+        full = enumerate_interval(torus, amb)
+        assert {m.indices.tobytes() for m in full.members} == interval_by_elements(torus, whole), key
+        assert len(full) == sweep[key]["lattice"]["member_count"], key
+        direct = {m.indices.tobytes() for m in direct_intervals[key].members}
+        assert direct == interval_by_elements(torus, normalizer), key
+    assert len(tori) >= 24
+    # trivial tori: every subgroup of GL(2,2) = S_3, and of GL(3,2) = PSL(2,7)
+    assert sweep[(2, 2, (1, 1), "gl")]["lattice"]["member_count"] == 6
+    assert sweep[(2, 3, (1, 1, 1), "gl")]["lattice"]["member_count"] == 179
 
 
 def test_c07_maximal_abelian(sweep):

@@ -4,10 +4,12 @@ import pytest
 from garlands.config import Caps
 from garlands.etale import AlgebraSpec
 from garlands.finite_field import FieldMatrix, construct_field
+from garlands.lattice import enumerate_interval
 from garlands.matrix_group import (
     GL,
     SL,
     AmbientGroup,
+    CosetTable,
     GroupCapError,
     GroupError,
     NonMemberError,
@@ -17,6 +19,7 @@ from garlands.matrix_group import (
     _inv_mats,
     ambient_group,
     centralizer_brute,
+    extend_subgroup,
     generate,
     gl_order,
     intersect_with_ambient,
@@ -27,6 +30,8 @@ from garlands.matrix_group import (
     sl_order,
     torus_subgroup,
 )
+
+from oracles import double_coset_reps_by_loop
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -287,6 +292,58 @@ def test_same_elements_rejects_other_ambient():
     with pytest.raises(GroupError):
         t_sl.same_elements(t_gl)
     assert t_gl != t_sl
+
+
+def test_subgroup_canonicalizes_indices():
+    gl23 = ambient_group(GL, 2, F3)
+    t = torus_subgroup(AlgebraSpec(F3, [2]), gl23)
+    shuffled = np.concatenate([t.indices[::-1], t.indices[:3]]).astype(np.int64)
+    s = Subgroup(gl23, shuffled)
+    assert s.indices.dtype == np.int32
+    assert s.indices.tolist() == sorted(set(t.indices.tolist()))
+    given = t.indices.copy()
+    kept = Subgroup(gl23, given)
+    assert kept.indices.tolist() == t.indices.tolist()
+    given[0] = given[-1]  # the subgroup does not share the caller's array
+    assert kept.indices.tolist() == t.indices.tolist()
+    for bad in (np.arange(5), [4, 3, 2, 1, 0, 0]):  # order 5 does not divide 48
+        with pytest.raises(GroupError, match="does not divide"):
+            Subgroup(gl23, bad)
+    with pytest.raises(GroupError):
+        Subgroup(gl23, [])
+
+
+@pytest.mark.parametrize("n,base,degrees", [(2, F3, [1, 1]), (3, F2, [2, 1])])
+def test_coset_table_matches_brute_products(n, base, degrees):
+    amb = ambient_group(GL, n, base)
+    torus = torus_subgroup(AlgebraSpec(base, degrees), amb)
+    normalizer = normalizer_brute(amb, torus)
+    for within in (None, normalizer):
+        lat = enumerate_interval(torus, amb, within=within)
+        top = lat.top
+        position = {int(x): i for i, x in enumerate(top.indices)}
+        for h in lat.members:
+            table = CosetTable(h, top)
+            for i, x in enumerate(top.indices.tolist()):
+                # H x is rmul(h, x); H x H is the union of the right cosets H y, y in x H
+                assert table.labels[i] == min(position[int(y)] for y in amb.rmul(h.indices, x))
+                assert table.double_labels[i] == min(table.labels[position[int(y)]] for y in amb.lmul(x, h.indices))
+            assert table.double_coset_reps().tolist() == double_coset_reps_by_loop(amb, h, top.indices)
+
+
+def test_coset_table_rejects_outside_elements():
+    gl23 = ambient_group(GL, 2, F3)
+    t = torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23)
+    n = normalizer_brute(gl23, t)
+    whole = Subgroup(gl23, np.arange(gl23.order))
+    with pytest.raises(GroupError):
+        CosetTable(whole, n)
+    outside = int(np.flatnonzero(~n.mask())[0])
+    with pytest.raises(GroupError):
+        extend_subgroup(CosetTable(t, n), outside)
+    assert extend_subgroup(CosetTable(t, whole), outside).order == generate(
+        gl23, [gl23.matrix_at(int(x)) for x in [*t.generators, outside]]
+    ).order
 
 
 def test_subgroup_serialization_shape():

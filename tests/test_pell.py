@@ -204,6 +204,19 @@ def test_pell_sweep_line_count_and_flags():
     assert {r["d"] for r in skipped} >= {1, 4, 8, 9, 12}
 
 
+def test_pell_sweep_tests_squarefree_once_per_d(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return is_squarefree(d)
+
+    monkeypatch.setattr(pell, "is_squarefree", counted)
+    rows = list(pell_sweep(100))
+    assert sorted(calls) == list(range(1, 101))
+    assert [r["d"] for r in rows] == list(range(1, 101))
+
+
 def test_quadratic_case_validation():
     QuadraticCase(-5)
     QuadraticCase(34)
