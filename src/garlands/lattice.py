@@ -21,13 +21,29 @@ the cosets reachable from H under those right multiplications are exactly
 the cosets of K.  A closure costs [K:H] products by g plus gathers through
 the permutations, and only the member being expanded holds a table.
 
+A = N(bottom) cut to top acts on the interval by conjugation, and only one
+member per A-orbit is expanded: a closure that yields a new member K adds
+K's whole orbit (a breadth-first pass over A's generators, conjugating with
+lmul/rmul) to the members but queues only K, so the members are always a
+union of orbits.  This is still complete.  Take a covering step
+H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for an
+expanded representative R and n in A.  Then n^-1 H_{i+1} n = <R, n^-1 g n>,
+and n^-1 g n lies in top, so that subgroup is the closure of R with the
+representative of n^-1 g n's R-double-coset.  It was found when R was
+expanded, its orbit was added with it, and that orbit contains H_{i+1}.
+The caller passes N(bottom) when it already holds it; a conjugate that
+leaves the interval means the group passed does not normalize bottom, and
+raises LatticeError.
+
 Edges of the normality graph join every comparable pair with the smaller
 subgroup normal in the larger (no Hasse restriction); garlands are the
-connected components.
+connected components.  Comparability is one vectorized subset test per
+member, against the rows of a members x top membership matrix.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,13 +101,49 @@ class IntervalLattice:
         return len(self.members)
 
 
+def _conjugacy_orbit(k: Subgroup, acting: Subgroup, bottom: Subgroup, top: Subgroup) -> list[Subgroup]:
+    """The conjugates a K a^-1 of K under the acting group, breadth first over its generators.
+
+    Each conjugate must still lie in [bottom, top]; one that does not means
+    the acting group was not inside N(bottom) and top.
+    """
+    amb = k.ambient
+    inv = amb.inv_indices()
+    bottom_idx, top_mask = bottom.indices, top.mask()
+    orbit = {k.indices.tobytes(): k}
+    queue = deque([k])
+    while queue:
+        h = queue.popleft()
+        for a in acting.generators:
+            pos = np.searchsorted(h.indices, a)
+            if pos < h.order and h.indices[pos] == a:
+                continue  # conjugating by an element of H fixes H
+            conj = np.sort(amb.rmul(amb.lmul(a, h.indices), int(inv[a])))
+            key = conj.tobytes()
+            if key in orbit:
+                continue
+            at = np.searchsorted(conj, bottom_idx).clip(max=conj.size - 1)
+            if not (conj[at] == bottom_idx).all() or not top_mask[conj].all():
+                raise LatticeError("a conjugate leaves the interval; the normalizer does not normalize bottom")
+            orbit[key] = Subgroup(amb, conj)
+            queue.append(orbit[key])
+    return list(orbit.values())
+
+
 def enumerate_interval(
     bottom: Subgroup,
     ambient: AmbientGroup,
     within: Subgroup | None = None,
     max_members: int | None = None,
+    normalizer: Subgroup | None = None,
 ) -> IntervalLattice:
-    """All subgroups H with bottom <= H <= top (top = within or the ambient)."""
+    """All subgroups H with bottom <= H <= top (top = within or the ambient).
+
+    normalizer is N_ambient(bottom) when the caller already holds it;
+    otherwise normalizer_brute computes it.  Its intersection with top acts
+    on the interval by conjugation, and only one member per orbit is
+    expanded.
+    """
     if bottom.ambient != ambient:
         raise LatticeError("bottom subgroup lives in a different ambient group")
     if within is None:
@@ -100,24 +152,34 @@ def enumerate_interval(
         top = within
         if not bottom.is_subset_of(top):
             raise LatticeError("bottom is not contained in the given top subgroup")
-    members: dict[bytes, Subgroup] = {bottom.indices.tobytes(): bottom}
-    queue = [bottom]
+    if normalizer is None:
+        normalizer = normalizer_brute(ambient, bottom)
+    elif normalizer.ambient != ambient:
+        raise LatticeError("normalizer lives in a different ambient group")
+    if normalizer.is_subset_of(top):
+        acting = normalizer  # keeps its cached generators
+    else:
+        acting = Subgroup(ambient, normalizer.indices[top.mask()[normalizer.indices]])
+    members: dict[bytes, Subgroup] = {}
+    queue: deque[Subgroup] = deque()
     exhaustive = True
-    while queue:
-        h = queue.pop(0)
+
+    def add_orbit(k: Subgroup) -> None:
+        for m in _conjugacy_orbit(k, acting, bottom, top):
+            members[m.indices.tobytes()] = m
+        queue.append(k)
+
+    add_orbit(bottom)
+    while queue and exhaustive:
+        h = queue.popleft()
         table = CosetTable(h, top)
         for g in table.double_coset_reps():
             k = extend_subgroup(table, g)
-            key = k.indices.tobytes()
-            if key not in members:
-                members[key] = k
-                queue.append(k)
+            if k.indices.tobytes() not in members:
+                add_orbit(k)
                 if max_members is not None and len(members) > max_members:
                     exhaustive = False
-                    queue.clear()
                     break
-        if not exhaustive:
-            break
     ordered = tuple(sorted(members.values(), key=lambda s: (s.order, s.id)))
     return IntervalLattice(bottom=bottom, top=top, ambient=ambient, members=ordered, exhaustive=exhaustive)
 
@@ -134,16 +196,21 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     """Edge for every comparable pair whose smaller member is normal in the larger."""
     if not lat.exhaustive:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
-    edges = []
     ms = lat.members
-    for i, a in enumerate(ms):
-        for b in ms[i + 1 :]:
-            if a.order >= b.order or b.order % a.order != 0:
-                continue
-            if not a.is_subset_of(b):
-                continue
-            if is_normal_in(a, b):
-                edges.append((a.id, b.id))
+    # contains[i, x]: member i holds top position x; a row's columns at a's
+    # positions are all set exactly when that member contains a
+    positions = np.full(lat.ambient.order, -1, dtype=np.int32)
+    positions[lat.top.indices] = np.arange(lat.top.order, dtype=np.int32)
+    contains = np.zeros((len(ms), lat.top.order), dtype=bool)
+    for i, m in enumerate(ms):
+        contains[i, positions[m.indices]] = True
+    orders = np.array([m.order for m in ms])
+    edges = []
+    for a in ms:
+        larger = np.flatnonzero((orders > a.order) & (orders % a.order == 0))
+        for j in larger[contains[np.ix_(larger, positions[a.indices])].all(axis=1)]:
+            if is_normal_in(a, ms[j]):
+                edges.append((a.id, ms[j].id))
     return NormalityGraph(
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),
@@ -350,7 +417,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = 
     second = normalizer_brute(ambient, brute)
     idempotent = second.same_elements(brute)
 
-    lat = enumerate_interval(torus, ambient)
+    lat = enumerate_interval(torus, ambient, normalizer=brute)
     graph = normality_graph(lat)
     gls = garlands(graph)
     lower = next(g for g in gls if g.is_lower)
@@ -358,11 +425,8 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = 
     interval_members = tuple(m for m in lat.members if m.is_subset_of(brute))
     interval_ids = sorted(m.id for m in interval_members)
     equal = sorted(lower.member_ids) == interval_ids
-    extra = [
-        {"id": mid, "order": lat.by_id[mid].order}
-        for mid in lower.member_ids
-        if mid not in set(interval_ids)
-    ]
+    in_interval = set(interval_ids)
+    extra = [{"id": mid, "order": lat.by_id[mid].order} for mid in lower.member_ids if mid not in in_interval]
     extra.sort(key=lambda d: (d["order"], d["id"]))
 
     verdicts = {
@@ -444,7 +508,7 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     n_gl = normalizer_brute(gl, torus)
     identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
-    l0 = enumerate_interval(torus, gl, within=n_gl)
+    l0 = enumerate_interval(torus, gl, within=n_gl, normalizer=n_gl)
     lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in l0.members}
     rhs = {h.indices.tobytes() for h in sl_report.interval_members}
     equal = lhs == rhs

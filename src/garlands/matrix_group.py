@@ -344,21 +344,30 @@ class Subgroup:
 
     @property
     def generators(self) -> list[int]:
-        """Greedy minimal-ish generating indices, deterministic."""
+        """Greedy minimal-ish generating indices, deterministic.
+
+        Walks the elements in ascending order and picks each one outside the
+        closure C of those picked so far.  <C, x> is C plus a breadth-first
+        pass from C x under right multiplication by all picked generators:
+        an element outside C is c x w with c in C and w a word in them, and
+        the pass follows w from c x; where a prefix falls back into C, the
+        argument restarts at the next letter x of w.
+        """
         if self._gens is None:
             amb = self.ambient
             chosen: list[int] = []
-            covered = np.zeros(amb.order, dtype=bool)
-            covered[amb.identity_index] = True
+            slot = np.full(amb.order, -1, dtype=np.int32)  # >= 0 marks the closure C
+            closed = [_claim_fresh(np.array([amb.identity_index], dtype=np.int32), slot)]
             size = 1
             for x in self.indices:
-                if covered[x]:
+                if slot[x] >= 0:
                     continue
                 chosen.append(int(x))
-                cl = _closure(amb, chosen)
-                covered[:] = False
-                covered[cl] = True
-                size = cl.size
+                frontier = _claim_fresh(amb.rmul(np.concatenate(closed), int(x)), slot)
+                while frontier.size:
+                    closed.append(frontier)
+                    size += frontier.size
+                    frontier = _claim_fresh(np.concatenate([amb.rmul(frontier, g) for g in chosen]), slot)
                 if size == self.order:
                     break
             self._gens = chosen

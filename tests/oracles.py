@@ -6,7 +6,9 @@ bijections, additive spans by set closure, and Pell solutions by exhaustive
 y-search, so the fast implementations are checked against a second route.
 Subgroup ids are recomputed from the element matrices' keys, interval
 lattices by the element-level breadth-first route (a per-element double-coset
-loop, then a closure over elements seeded with H), and the exact rational
+loop, then a closure over elements seeded with H), subgroup generators by the
+greedy pick that recloses from the identity after every pick, normality
+edges by a subset test per pair of members, and the exact rational
 2x2 algebra at the end checks the SL(2,Q) witness matrices by direct
 conjugation.
 """
@@ -22,7 +24,7 @@ from math import isqrt
 import numpy as np
 
 from garlands.etale import AlgebraSpec
-from garlands.matrix_group import Subgroup
+from garlands.matrix_group import Subgroup, _closure, is_normal_in
 
 
 def brute_additive_span(spec: AlgebraSpec, selected) -> frozenset:
@@ -217,6 +219,37 @@ def interval_by_elements(bottom, top) -> set[bytes]:
                 members[k.indices.tobytes()] = k
                 queue.append(k)
     return set(members)
+
+
+def greedy_generators_from_scratch(sub) -> list[int]:
+    """Subgroup.generators' greedy pick, closing the picked elements from the identity after each pick."""
+    amb = sub.ambient
+    chosen: list[int] = []
+    covered = np.zeros(amb.order, dtype=bool)
+    covered[amb.identity_index] = True
+    for x in sub.indices:
+        if covered[x]:
+            continue
+        chosen.append(int(x))
+        cl = _closure(amb, chosen)
+        covered[:] = False
+        covered[cl] = True
+        if cl.size == sub.order:
+            break
+    return chosen
+
+
+def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], int]:
+    """(smaller id, larger id) of every pair a < b with a normal in b, and the number of pairs a < b."""
+    edges = set()
+    comparable = 0
+    for a in members:
+        for b in members:
+            if a.order < b.order and a.is_subset_of(b):
+                comparable += 1
+                if is_normal_in(a, b):
+                    edges.add((a.id, b.id))
+    return edges, comparable
 
 
 def exhaustive_negative_pell(d: int, y_max: int) -> tuple[int, int] | None:

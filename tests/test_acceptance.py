@@ -261,11 +261,13 @@ def test_interval_ids_match_matrix_key_digest(sweep, direct_intervals):
 
 
 def test_intervals_match_element_level_oracle(sweep, tori, direct_intervals):
-    # enumerate_interval closes over cosets of H; the oracle walks every
-    # element for double cosets and closes over elements seeded with H
+    # enumerate_interval closes over cosets of H and expands one member per
+    # N(T)-conjugacy class; the oracle walks every element for double cosets,
+    # closes over elements seeded with H and expands every member.  Lat(T, G)
+    # is given N(T), Lat(T, N(T)) computes it
     for key, (amb, torus, normalizer) in tori.items():
         whole = Subgroup(amb, np.arange(amb.order, dtype=np.int32))
-        full = enumerate_interval(torus, amb)
+        full = enumerate_interval(torus, amb, normalizer=normalizer)
         assert {m.indices.tobytes() for m in full.members} == interval_by_elements(torus, whole), key
         assert len(full) == sweep[key]["lattice"]["member_count"], key
         direct = {m.indices.tobytes() for m in direct_intervals[key].members}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from garlands import lattice
 from garlands.etale import AlgebraSpec
 from garlands.finite_field import construct_field
 from garlands.lattice import (
@@ -20,9 +21,12 @@ from garlands.matrix_group import (
     SL,
     Subgroup,
     ambient_group,
+    is_normal_in,
     normalizer_brute,
     torus_subgroup,
 )
+
+from oracles import normality_edges_by_pairs
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -221,6 +225,64 @@ def test_non_exhaustive_lattice_refused():
     assert not lat.exhaustive
     with pytest.raises(NonExhaustiveError):
         normality_graph(lat)
+
+
+def test_trivial_torus_gl32_expands_one_member_per_orbit(monkeypatch):
+    # GL(3,2) = PSL(2,7) has 179 subgroups in 15 conjugacy classes, and the
+    # normalizer of the trivial torus is the whole group
+    built = []
+
+    class CountingTable(lattice.CosetTable):
+        def __init__(self, h, top):
+            built.append(h)
+            super().__init__(h, top)
+
+    monkeypatch.setattr(lattice, "CosetTable", CountingTable)
+    gl32 = ambient_group(GL, 3, F2)
+    t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
+    assert t.order == 1
+    lat = enumerate_interval(t, gl32)
+    assert len(lat) == 179 and lat.exhaustive
+    assert len(built) == 15
+
+
+def test_normalizer_must_normalize_bottom():
+    gl23 = ambient_group(GL, 2, F3)
+    d = torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23)
+    whole = Subgroup(gl23, np.arange(gl23.order))
+    with pytest.raises(LatticeError, match="normalize"):
+        enumerate_interval(d, gl23, normalizer=whole)
+    sl23 = ambient_group(SL, 2, F3)
+    with pytest.raises(LatticeError, match="different ambient"):
+        enumerate_interval(d, gl23, normalizer=Subgroup(sl23, np.arange(sl23.order)))
+
+
+def test_max_members_stops_after_the_orbit_that_crosses_it():
+    gl32 = ambient_group(GL, 3, F2)
+    t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
+    lat = enumerate_interval(t, gl32, max_members=1)
+    assert not lat.exhaustive
+    # the first new member brings its whole conjugacy class (no class of
+    # proper nontrivial subgroups of GL(3,2) is a single subgroup)
+    assert 2 < len(lat) < 179
+    with pytest.raises(NonExhaustiveError):
+        normality_graph(lat)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [1, 1]), (2, [2, 1])])
+def test_normality_graph_matches_pairwise_subset_tests(monkeypatch, p, degrees):
+    spec = AlgebraSpec(construct_field(p, 1), degrees)
+    amb = ambient_group(GL, spec.n, spec.base)
+    t = torus_subgroup(spec, amb)
+    for within in (None, normalizer_brute(amb, t)):
+        lat = enumerate_interval(t, amb, within=within)
+        edges, comparable = normality_edges_by_pairs(lat.members)
+        tests = []
+        monkeypatch.setattr(lattice, "is_normal_in", lambda a, b: tests.append(1) or is_normal_in(a, b))
+        graph = normality_graph(lat)
+        monkeypatch.undo()
+        assert set(graph.edges) == edges
+        assert len(tests) == comparable
 
 
 def test_verdict_classification():

@@ -31,7 +31,7 @@ from garlands.matrix_group import (
     torus_subgroup,
 )
 
-from oracles import double_coset_reps_by_loop
+from oracles import double_coset_reps_by_loop, greedy_generators_from_scratch
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -329,6 +329,17 @@ def test_coset_table_matches_brute_products(n, base, degrees):
                 assert table.labels[i] == min(position[int(y)] for y in amb.rmul(h.indices, x))
                 assert table.double_labels[i] == min(table.labels[position[int(y)]] for y in amb.lmul(x, h.indices))
             assert table.double_coset_reps().tolist() == double_coset_reps_by_loop(amb, h, top.indices)
+
+
+@pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1])])
+def test_generators_match_greedy_from_scratch(n, base, degrees):
+    # generators extend the previous pick's closure; the oracle recloses from
+    # the identity, so the greedy picks must be the same elements
+    amb = ambient_group(GL, n, base)
+    lat = enumerate_interval(torus_subgroup(AlgebraSpec(base, degrees), amb), amb)
+    for m in lat.members:
+        fresh = Subgroup(amb, m.indices)
+        assert fresh.generators == greedy_generators_from_scratch(m), m.order
 
 
 def test_coset_table_rejects_outside_elements():
