@@ -268,10 +268,6 @@ class RingAutomorphism:
                     rows[offsets[target] + row][col] = c
         return FieldMatrix(spec.base, rows)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(t == i for i, t in enumerate(self.perm)) and all(e == 0 for e in self.frob)
-
 
 # ---------------------------------------------------------------------------
 # operations

@@ -277,10 +277,6 @@ class FieldTable:
         return (c % self.p) * self.p ** (self.m - 1)
 
     @property
-    def zero_index(self) -> int:
-        return 0
-
-    @property
     def one_index(self) -> int:
         return self.p ** (self.m - 1)
 

@@ -19,17 +19,22 @@ elements: K = <H, g> contains H, so it is a union of right cosets H x, and
 right multiplication by H's generators and by g permutes right cosets, so
 the cosets reachable from H under those right multiplications are exactly
 the cosets of K.  A closure costs [K:H] products by g plus gathers through
-the permutations, and only the member being expanded holds a table.
+the permutations, and only the member being expanded holds a table.  All of
+a member's closures run together (extend_subgroups): each breadth-first
+level is one paired product of every live (closure, coset) pair's least
+element by that closure's g, so a member costs one product call per level,
+not one per level per closure, and closures reaching the same cosets
+become one subgroup.
 
 A = N(bottom) cut to top acts on the interval by conjugation, and only one
 member per A-orbit is expanded: a closure that yields a new member K adds
-K's whole orbit (a breadth-first pass over A's generators, conjugating with
-lmul/rmul) to the members but queues only K, so the members are always a
-union of orbits.  This is still complete.  Take a covering step
-H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for an
-expanded representative R and n in A.  Then n^-1 H_{i+1} n = <R, n^-1 g n>,
-and n^-1 g n lies in top, so that subgroup is the closure of R with the
-representative of n^-1 g n's R-double-coset.  It was found when R was
+K's whole orbit (a breadth-first pass conjugating each subgroup by all of
+A's generators in one paired lmul and rmul) to the members but queues only
+K, so the members are always a union of orbits.  This is still complete.
+Take a covering step H_{i+1} = <H_i, g> along a chain from bottom, with
+H_i = n R n^-1 for an expanded representative R and n in A.  Then
+n^-1 H_{i+1} n = <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup
+is the closure of R with the representative of n^-1 g n's R-double-coset.  It was found when R was
 expanded, its orbit was added with it, and that orbit contains H_{i+1}.
 The caller passes N(bottom) when it already holds it; a conjugate that
 leaves the interval means the group passed does not normalize bottom, and
@@ -38,7 +43,13 @@ raises LatticeError.
 Edges of the normality graph join every comparable pair with the smaller
 subgroup normal in the larger (no Hasse restriction); garlands are the
 connected components.  Comparability is one vectorized subset test per
-member, against the rows of a members x top membership matrix.
+member, against the rows of a members x top membership matrix.  Normality
+is then decided once per larger member b: a is normal in b exactly when
+b's generators conjugate a generating set of a into a, and the members'
+generators lying in a are one (they include a's own).  So b's generators
+conjugate every member generator inside b in one paired lmul and rmul,
+and gathers of those conjugates in the membership matrix decide normality
+in b for every smaller a at once.
 """
 
 from __future__ import annotations
@@ -64,9 +75,8 @@ from .matrix_group import (
     CosetTable,
     HypothesisFailure,
     Subgroup,
-    extend_subgroup,
+    extend_subgroups,
     intersect_with_ambient,
-    is_normal_in,
     normalizer_brute,
     normalizer_formula,
     torus_subgroup,
@@ -108,17 +118,15 @@ def _conjugacy_orbit(k: Subgroup, acting: Subgroup, bottom: Subgroup, top: Subgr
     the acting group was not inside N(bottom) and top.
     """
     amb = k.ambient
-    inv = amb.inv_indices()
+    gens = np.array(acting.generators, dtype=np.int32)
     bottom_idx, top_mask = bottom.indices, top.mask()
     orbit = {k.indices.tobytes(): k}
     queue = deque([k])
     while queue:
         h = queue.popleft()
-        for a in acting.generators:
-            pos = np.searchsorted(h.indices, a)
-            if pos < h.order and h.indices[pos] == a:
-                continue  # conjugating by an element of H fixes H
-            conj = np.sort(amb.rmul(amb.lmul(a, h.indices), int(inv[a])))
+        inside = h.indices[np.searchsorted(h.indices, gens).clip(max=h.order - 1)] == gens
+        outside = gens[~inside]  # conjugating by an element of H fixes H
+        for conj in np.sort(amb.conjugates(outside, h.indices), axis=1):
             key = conj.tobytes()
             if key in orbit:
                 continue
@@ -173,8 +181,7 @@ def enumerate_interval(
     while queue and exhaustive:
         h = queue.popleft()
         table = CosetTable(h, top)
-        for g in table.double_coset_reps():
-            k = extend_subgroup(table, g)
+        for k in extend_subgroups(table, table.double_coset_reps()):
             if k.indices.tobytes() not in members:
                 add_orbit(k)
                 if max_members is not None and len(members) > max_members:
@@ -205,12 +212,22 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     for i, m in enumerate(ms):
         contains[i, positions[m.indices]] = True
     orders = np.array([m.order for m in ms])
-    edges = []
-    for a in ms:
+    below = np.zeros((len(ms), len(ms)), dtype=bool)  # below[i, j]: member i is a proper subgroup of j
+    for i, a in enumerate(ms):
         larger = np.flatnonzero((orders > a.order) & (orders % a.order == 0))
-        for j in larger[contains[np.ix_(larger, positions[a.indices])].all(axis=1)]:
-            if is_normal_in(a, ms[j]):
-                edges.append((a.id, ms[j].id))
+        below[i, larger[contains[np.ix_(larger, positions[a.indices])].all(axis=1)]] = True
+    # a is normal in b when b's generators conjugate a set generating a into
+    # a; the members' generators that lie in a are such a set
+    gens = positions[np.unique(np.array([g for m in ms for g in m.generators], dtype=np.int32))]
+    edges = []
+    for j in np.flatnonzero(below.any(axis=0)):
+        b = ms[j]
+        smaller = np.flatnonzero(below[:, j])
+        xs = gens[contains[j, gens]]
+        conj = positions[lat.ambient.conjugates(b.generators, lat.top.indices[xs])]
+        holds = contains[np.ix_(smaller, xs)]  # holds[a, x]: x in a
+        kept = contains[smaller[:, None, None], conj] | ~holds[:, None, :]
+        edges.extend((ms[i].id, b.id) for i in smaller[kept.all(axis=(1, 2))])
     return NormalityGraph(
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),

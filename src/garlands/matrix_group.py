@@ -4,11 +4,14 @@ Ambient groups GL(n,q) / SL(n,q) are enumerated once (within the configured
 cap) and all heavy scans run vectorized over element indices: a matrix is an
 (n, n) array of field element indices, products go through dense add/mul
 tables of the coefficient field, and membership tests use a base-q key
-lookup table.  Closures run breadth first over ambient indices, dropping
-repeats with a slot array instead of a sort; a CosetTable lays out the right
-and double cosets of a subgroup H inside a larger one as permutations and
-orbit-minimum labels over positions, so extend_subgroup can close <H, g>
-over right cosets of H instead of over elements.
+lookup table.  rmul and lmul multiply by one index or by an index array
+paired elementwise with their input, so a breadth-first pass makes one
+product call per level however many generators or closures it advances.
+Closures run breadth first over ambient indices, dropping repeats with a
+slot array instead of a sort; a CosetTable lays out the right and double
+cosets of a subgroup H inside a larger one as permutations and
+orbit-minimum labels over positions, so extend_subgroups can close <H, g>
+for many g together over right cosets of H instead of over elements.
 
 A subgroup is its ambient plus its sorted ambient indices: two subgroups
 are equal exactly when they share the ambient and the index array, and
@@ -241,16 +244,25 @@ class AmbientGroup:
 
     # -- batched group operations -------------------------------------------------
 
-    def rmul(self, idxs: np.ndarray, g: int) -> np.ndarray:
-        """Indices of x * g for each x in idxs."""
+    def rmul(self, idxs: np.ndarray, g: int | np.ndarray) -> np.ndarray:
+        """Indices of x * g for each x in idxs; an index array g pairs elementwise with idxs."""
         self._ensure()
         prods = _mat_mul(self.field, self._mats[idxs], self._mats[g])
         return self.indices_of_mats(prods)
 
-    def lmul(self, g: int, idxs: np.ndarray) -> np.ndarray:
+    def lmul(self, g: int | np.ndarray, idxs: np.ndarray) -> np.ndarray:
+        """Indices of g * x for each x in idxs; an index array g pairs elementwise with idxs."""
         self._ensure()
-        prods = _mat_mul(self.field, self._mats[g][None, :, :], self._mats[idxs])
+        prods = _mat_mul(self.field, self._mats[g], self._mats[idxs])
         return self.indices_of_mats(prods)
+
+    def conjugates(self, gens: Sequence[int], idxs: np.ndarray) -> np.ndarray:
+        """(len(gens), len(idxs)) indices of g * x * g^-1: one paired lmul and one paired rmul."""
+        gens = np.asarray(gens, dtype=np.int32)
+        idxs = np.asarray(idxs, dtype=np.int32)
+        left = np.repeat(gens, idxs.size)
+        conj = self.rmul(self.lmul(left, np.tile(idxs, gens.size)), self.inv_indices()[left])
+        return conj.reshape(gens.size, idxs.size)
 
     def conj_by_all(self, x: int) -> np.ndarray:
         """Indices of g * x * g^-1 for every ambient g, in ambient order."""
@@ -336,9 +348,6 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, ambient={self.ambient!r})"
 
-    def contains_index(self, idx: int) -> bool:
-        return bool(self.mask()[idx])
-
     def is_subset_of(self, other: "Subgroup") -> bool:
         return bool(other.mask()[self.indices].all())
 
@@ -367,7 +376,7 @@ class Subgroup:
                 while frontier.size:
                     closed.append(frontier)
                     size += frontier.size
-                    frontier = _claim_fresh(np.concatenate([amb.rmul(frontier, g) for g in chosen]), slot)
+                    frontier = _claim_fresh(_right_images(amb, frontier, chosen), slot)
                 if size == self.order:
                     break
             self._gens = chosen
@@ -402,6 +411,11 @@ def _claim_fresh(cand: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return cand[slot[cand] == order]
 
 
+def _right_images(amb: AmbientGroup, idxs: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+    """x * g for every g in gens and x in idxs, g-major, in one paired rmul."""
+    return amb.rmul(np.tile(idxs, len(gens)), np.repeat(np.asarray(gens, dtype=np.int32), idxs.size))
+
+
 def _closure(amb: AmbientGroup, gen_idxs: Sequence[int]) -> np.ndarray:
     """Sorted indices of the subgroup generated by gens (breadth-first orbit of the identity)."""
     amb._ensure()
@@ -409,7 +423,7 @@ def _closure(amb: AmbientGroup, gen_idxs: Sequence[int]) -> np.ndarray:
     slot = np.full(amb.order, -1, dtype=np.int32)
     frontier = _claim_fresh(np.array([amb.identity_index, *gens], dtype=np.int32), slot)
     while frontier.size and gens:
-        frontier = _claim_fresh(np.concatenate([amb.rmul(frontier, g) for g in gens]), slot)
+        frontier = _claim_fresh(_right_images(amb, frontier, gens), slot)
     return np.flatnonzero(slot >= 0).astype(np.int32)
 
 
@@ -457,7 +471,8 @@ class CosetTable:
     multiplication by the generators' inverses, x -> (x^-1 * s_i)^-1, which
     is right[i] conjugated by inversion); `double_labels[x]` is the least
     position of the double coset H x H, the orbit of x's right coset under
-    the right permutations.
+    the right permutations.  extend_subgroups closes <H, g> over the
+    right-coset labels, and the double labels give the g worth adjoining.
     """
 
     __slots__ = ("h", "top", "positions", "right", "labels", "double_labels")
@@ -485,26 +500,46 @@ class CosetTable:
         return self.top.indices[reps[reps != own]]
 
 
-def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
-    """<H, g> for the table's H and one element g of its top, closed over right cosets of H.
+def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Subgroup]:
+    """The distinct <H, g> for the table's H and every g in extra_indices, in first-occurrence order.
 
     <H, g> is a union of right cosets of H, and right multiplication by H's
     generators and by g permutes right cosets, so a breadth-first pass over
-    coset labels from H itself reaches exactly its cosets: one product by g
-    per new coset, and gathers through the right permutations.
+    right cosets from H itself reaches exactly its cosets.  All closures run
+    together: the frontier holds (closure, coset) pairs, and each level is
+    one paired product of every frontier coset's least element by its
+    closure's g, plus gathers through the right permutations; one claim over
+    closure * cosets + coset drops repeats.  Closures with the same coset set
+    become one Subgroup.
     """
-    g = int(extra_index)
-    if table.positions[g] < 0:
+    gs = np.asarray(extra_indices, dtype=np.int32)
+    if (table.positions[gs] < 0).any():
         raise GroupError("the adjoined element lies outside the table's top")
     amb = table.h.ambient
     labels, positions, top = table.labels, table.positions, table.top.indices
-    slot = np.full(top.size, -1, dtype=np.int32)
-    frontier = _claim_fresh(labels[positions[[amb.identity_index]]], slot)
+    is_least = labels == np.arange(top.size)
+    least = np.flatnonzero(is_least)  # coset number -> its least position
+    coset = (np.cumsum(is_least, dtype=np.int32) - 1)[labels]  # position -> coset number
+    ncos = least.size
+    slot = np.full(gs.size * ncos, -1, dtype=np.int32)
+    start = coset[positions[amb.identity_index]]
+    frontier = _claim_fresh(np.arange(gs.size, dtype=np.int32) * ncos + start, slot)
     while frontier.size:
-        images = [labels[r[frontier]] for r in table.right]
-        images.append(labels[positions[amb.rmul(top[frontier], g)]])
-        frontier = _claim_fresh(np.concatenate(images), slot)
-    return Subgroup(amb, top[slot[labels] >= 0])
+        closure, xs = np.divmod(frontier, ncos)
+        xs = least[xs]
+        images = [coset[r[xs]] for r in table.right]
+        images.append(coset[positions[amb.rmul(top[xs], gs[closure])]])
+        frontier = _claim_fresh(np.tile(closure * ncos, len(images)) + np.concatenate(images), slot)
+    cosets = (slot >= 0).reshape(gs.size, ncos)
+    first = {}
+    for i, row in enumerate(np.packbits(cosets, axis=1)):
+        first.setdefault(row.tobytes(), i)
+    return [Subgroup(amb, top[cosets[i][coset]]) for i in first.values()]
+
+
+def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
+    """<H, g> for the table's H and one element g of its top (extend_subgroups with one g)."""
+    return extend_subgroups(table, [extra_index])[0]
 
 
 def torus_subgroup(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
@@ -532,14 +567,7 @@ def is_normal_in(h: Subgroup, k: Subgroup) -> bool:
     _require_same_ambient(h, k)
     if not h.is_subset_of(k):
         raise GroupError("normality requires inclusion")
-    amb = h.ambient
-    hmask = h.mask()
-    for g in k.generators:
-        ginv = int(amb.inv_indices()[g])
-        conj = amb.rmul(amb.lmul(g, h.indices), ginv)
-        if not hmask[conj].all():
-            return False
-    return True
+    return bool(h.mask()[h.ambient.conjugates(k.generators, h.indices)].all())
 
 
 def normalizer_brute(ambient: AmbientGroup, h: Subgroup) -> Subgroup:

@@ -239,14 +239,14 @@ def greedy_generators_from_scratch(sub) -> list[int]:
     return chosen
 
 
-def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], int]:
-    """(smaller id, larger id) of every pair a < b with a normal in b, and the number of pairs a < b."""
+def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
+    """(smaller id, larger id) of every pair a < b with a normal in b, and of every pair a < b."""
     edges = set()
-    comparable = 0
+    comparable = set()
     for a in members:
         for b in members:
             if a.order < b.order and a.is_subset_of(b):
-                comparable += 1
+                comparable.add((a.id, b.id))
                 if is_normal_in(a, b):
                     edges.add((a.id, b.id))
     return edges, comparable

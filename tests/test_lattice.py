@@ -19,9 +19,9 @@ from garlands.lattice import (
 from garlands.matrix_group import (
     GL,
     SL,
+    AmbientGroup,
     Subgroup,
     ambient_group,
-    is_normal_in,
     normalizer_brute,
     torus_subgroup,
 )
@@ -277,12 +277,18 @@ def test_normality_graph_matches_pairwise_subset_tests(monkeypatch, p, degrees):
     for within in (None, normalizer_brute(amb, t)):
         lat = enumerate_interval(t, amb, within=within)
         edges, comparable = normality_edges_by_pairs(lat.members)
-        tests = []
-        monkeypatch.setattr(lattice, "is_normal_in", lambda a, b: tests.append(1) or is_normal_in(a, b))
+        for m in lat.members:
+            m.generators  # picked before counting, so only conjugations multiply below
+        calls = []
+        for name in ("lmul", "rmul"):
+            product = getattr(AmbientGroup, name)
+            monkeypatch.setattr(AmbientGroup, name, lambda *args, _f=product, _n=name: calls.append(_n) or _f(*args))
         graph = normality_graph(lat)
         monkeypatch.undo()
         assert set(graph.edges) == edges
-        assert len(tests) == comparable
+        # one paired lmul and one paired rmul per member with a proper subgroup in the lattice
+        larger = {b for _, b in comparable}
+        assert calls == ["lmul", "rmul"] * len(larger)
 
 
 def test_verdict_classification():

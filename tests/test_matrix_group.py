@@ -20,6 +20,7 @@ from garlands.matrix_group import (
     ambient_group,
     centralizer_brute,
     extend_subgroup,
+    extend_subgroups,
     generate,
     gl_order,
     intersect_with_ambient,
@@ -31,7 +32,7 @@ from garlands.matrix_group import (
     torus_subgroup,
 )
 
-from oracles import double_coset_reps_by_loop, greedy_generators_from_scratch
+from oracles import double_coset_reps_by_loop, element_closure, greedy_generators_from_scratch
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -85,6 +86,24 @@ def test_ambient_enumeration_is_consistent():
         inv = amb.inv_indices()
         for i in (0, 1, amb.order - 1):
             assert int(amb.rmul(np.array([i], dtype=np.int32), int(inv[i]))[0]) == e
+
+
+@pytest.mark.parametrize("n,base", [(2, F2), (3, F2), (2, F4), (2, F9)])
+def test_paired_products_match_field_matrix_products(n, base):
+    amb = ambient_group(GL, n, base)
+    rng = np.random.default_rng(base.q * 10 + n)
+    xs = rng.integers(amb.order, size=40).astype(np.int32)
+    gs = rng.integers(amb.order, size=40).astype(np.int32)
+    mat = amb.matrix_at
+    assert amb.rmul(xs, gs).tolist() == [amb.index_of(mat(x) * mat(g)) for x, g in zip(xs, gs)]
+    assert amb.lmul(gs, xs).tolist() == [amb.index_of(mat(g) * mat(x)) for x, g in zip(xs, gs)]
+    g = int(gs[0])  # one index multiplies every entry
+    assert amb.rmul(xs, g).tolist() == [amb.index_of(mat(x) * mat(g)) for x in xs]
+    assert amb.lmul(g, xs).tolist() == [amb.index_of(mat(g) * mat(x)) for x in xs]
+    conj = amb.conjugates(gs[:3], xs)
+    assert conj.shape == (3, xs.size)
+    for row, s in zip(conj, gs[:3]):
+        assert row.tolist() == [amb.index_of(mat(s) * mat(x) * mat(s).inverse()) for x in xs]
 
 
 def test_generate_examples():
@@ -328,7 +347,11 @@ def test_coset_table_matches_brute_products(n, base, degrees):
                 # H x is rmul(h, x); H x H is the union of the right cosets H y, y in x H
                 assert table.labels[i] == min(position[int(y)] for y in amb.rmul(h.indices, x))
                 assert table.double_labels[i] == min(table.labels[position[int(y)]] for y in amb.lmul(x, h.indices))
-            assert table.double_coset_reps().tolist() == double_coset_reps_by_loop(amb, h, top.indices)
+            reps = table.double_coset_reps()
+            assert reps.tolist() == double_coset_reps_by_loop(amb, h, top.indices)
+            # the batched closures are the distinct element-level closures, first occurrence first
+            closures = dict.fromkeys(element_closure(amb, h, g).tobytes() for g in reps)
+            assert [k.indices.tobytes() for k in extend_subgroups(table, reps)] == list(closures)
 
 
 @pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1])])
