@@ -5,11 +5,11 @@ lower-garland verification with verdicts), sweep (corpus run over all
 algebras up to a size bound, or a Pell table with --pell), pell (single d
 or a range).
 
-Exit codes: 0 when every check is confirmed or matches a predicted failure,
-2 on an unexpected mismatch, 3 when an enumeration cap or the Pell cap on
---d / --d-max is exceeded, 1 on invalid arguments.  Reports on stdout are
-byte-identical across repeated invocations; timings and cache statistics go
-to stderr.
+Exit codes: 0 when every check is confirmed or matches a predicted failure
+(and after --help), 2 on an unexpected mismatch, 3 when an enumeration cap
+or the Pell cap on --d / --d-max is exceeded, 1 on invalid arguments,
+argument-parsing errors included.  Reports on stdout are byte-identical
+across repeated invocations; timings and cache statistics go to stderr.
 """
 
 from __future__ import annotations
@@ -193,9 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--degrees", type=str, required=True, help="comma-separated factor degrees, e.g. 2,1")
         sp.add_argument("--ambient", choices=["gl", "sl"], default="gl")
 
-    def add_common(sp):
+    def add_common(sp, cached=False):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--cache-dir", type=str, default=None, help=f"report cache directory (or ${CACHE_ENV})")
+        if cached:
+            sp.add_argument("--cache-dir", type=str, default=None, help=f"report cache directory (or ${CACHE_ENV})")
 
     sp = sub.add_parser("torus", help="construct the torus and report its order/generators")
     add_case_flags(sp)
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="full lower-garland verification for one case")
     add_case_flags(sp)
-    add_common(sp)
+    add_common(sp, cached=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="verify all algebras with q^n up to a bound")
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--pell", action="store_true", help="emit a Pell table instead")
     sp.add_argument("--d-max", type=int, default=100)
-    add_common(sp)
+    add_common(sp, cached=True)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("pell", help="negative-Pell normalizer shape for d")
@@ -225,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad arguments and 0 after --help
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (CaseError, PellError, FieldError) as exc:

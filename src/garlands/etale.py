@@ -5,7 +5,10 @@ The fixed k-basis of S is the concatenation of the power bases
 each factor over k).  With that basis the regular embedding of S into
 n x n matrices over k is block diagonal, idempotents of rank-1 factors are
 standard basis vectors, and a quadratic factor presented by y^2 = d produces
-the classical [[x, y*d], [y, x]] block.
+the classical [[x, y*d], [y, x]] block.  Each factor holds one table of
+those blocks, indexed by element (Extension.mult_blocks), and
+regular_rep_mats maps a batch of component-index rows to block-diagonal
+index matrices with one gather per factor; regular_rep reads the same table.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .finite_field import (
@@ -173,20 +178,15 @@ class AlgebraSpec:
         for comps in itertools.product(*(range(1, e.top.q) for e in self.extensions)):
             yield AlgebraElement(self, comps)
 
-    def regular_rep_rows(self, comps: Sequence[int]) -> list[list[int]]:
-        """Block-diagonal matrix of right multiplication, base-field indices."""
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
+    def regular_rep_mats(self, comps: np.ndarray) -> np.ndarray:
+        """(N, n, n) block-diagonal base-field index matrices of right multiplication by (N, t) comps."""
+        comps = np.asarray(comps).reshape(-1, len(self.degrees))
+        out = np.zeros((comps.shape[0], self.n, self.n), dtype=np.int32)
         pos = 0
-        for e, d, x in zip(self.extensions, self.degrees, comps):
-            e._ensure_coords()
-            basis_pow = e._ypow
-            for col in range(d):
-                prod = e.top.mul_idx(basis_pow[col], x)
-                for row, c in enumerate(e.coords(prod)):
-                    rows[pos + row][pos + col] = c
+        for i, (e, d) in enumerate(zip(self.extensions, self.degrees)):
+            out[:, pos : pos + d, pos : pos + d] = e.mult_blocks()[comps[:, i]]
             pos += d
-        return rows
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,6 @@ class AlgebraElement:
 
     spec: AlgebraSpec
     comps: tuple[int, ...]
-
-    @property
-    def components(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(e.top, c) for e, c in zip(self.spec.extensions, self.comps))
 
     @property
     def is_unit(self) -> bool:
@@ -275,14 +271,14 @@ class RingAutomorphism:
 
 def regular_rep(a: AlgebraElement) -> FieldMatrix:
     """Matrix of right multiplication by a in the fixed basis of S over k."""
-    return FieldMatrix(a.spec.base, a.spec.regular_rep_rows(a.comps))
+    return FieldMatrix(a.spec.base, a.spec.regular_rep_mats(a.comps)[0].tolist())
 
 
-def torus_units(spec: AlgebraSpec) -> list[AlgebraElement]:
-    """All invertible elements of S, in canonical component order."""
+def torus_units(spec: AlgebraSpec) -> np.ndarray:
+    """All invertible elements of S as (N, t) component indices, in canonical component order."""
     if spec.unit_count > spec.caps.algebra_order:
         raise AlgebraCapError(f"unit count {spec.unit_count} exceeds cap")
-    return list(spec.units())
+    return np.indices([e.top.q - 1 for e in spec.extensions]).reshape(len(spec.degrees), -1).T + 1
 
 
 def algebra_norm(a: AlgebraElement) -> FieldElement:
@@ -348,9 +344,6 @@ class RowSpan:
                 v = [f.sub_idx(x, f.mul_idx(c, y)) for x, y in zip(v, row)]
         return v
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
-
     def add(self, vec: Sequence[int]) -> bool:
         """Insert a vector; True if it enlarged the span."""
         f = self.field
@@ -403,12 +396,8 @@ def additive_span_check(spec: AlgebraSpec, selector: Selector) -> SpanCheckResul
 
 
 def span_absorbs_units(spec: AlgebraSpec, selector: Selector) -> bool:
-    """Whether the span of the selected units contains every unit of S."""
-    span = RowSpan(spec.base, spec.n)
-    for u in spec.units():
-        if selector(u):
-            span.add(spec.coords_comps(u.comps))
-    return all(span.contains(spec.coords_comps(u.comps)) for u in spec.units())
+    """Whether the span of the selected units contains every unit of S (it lies inside theirs)."""
+    return additive_span_check(spec, selector).rank == additive_span_check(spec, select_all_units).rank
 
 
 def primitive_norm_one_search(base: FieldTable, ext_field: FieldTable) -> FieldElement | None:

@@ -35,6 +35,9 @@ _LOG_TABLE_MAX = 1 << 16
 # guard for the dense q x q numpy tables used by the matrix engine
 _NP_TABLE_MAX = 512
 
+# guard for an extension's table of multiplication matrices (entries)
+_BLOCK_TABLE_MAX = 1 << 22
+
 
 class FieldError(Exception):
     pass
@@ -547,7 +550,7 @@ class Extension:
     respect to the power basis 1, y, ..., y^(n-1) over the base.
     """
 
-    __slots__ = ("base", "top", "degree", "embed", "_lift", "_embed_set", "gen_index", "_coords", "_ypow")
+    __slots__ = ("base", "top", "degree", "embed", "_lift", "_embed_set", "gen_index", "_coords", "_ypow", "_mult")
 
     def __init__(self, base: FieldTable, top: FieldTable):
         if base.p != top.p:
@@ -563,6 +566,7 @@ class Extension:
         self.gen_index = self._find_relative_generator()
         self._coords = None
         self._ypow = None
+        self._mult = None
 
     def _build_embedding(self) -> np.ndarray:
         base, top = self.base, self.top
@@ -662,6 +666,18 @@ class Extension:
         """Coordinates over the base w.r.t. the power basis 1, y, ..., y^(n-1)."""
         self._ensure_coords()
         return self._coords[top_idx]
+
+    def mult_blocks(self) -> np.ndarray:
+        """(q_top, d, d) base-field index matrices, d the degree: block x has column j = coords of y^j * x."""
+        if self._mult is None:
+            top = self.top
+            if top.q * self.degree**2 > _BLOCK_TABLE_MAX:
+                raise FieldCapError(f"multiplication table of F_{top.q} over F_{self.base.q} is too large")
+            self._ensure_coords()
+            coords = np.array([self._coords[x] for x in range(top.q)], dtype=np.int32)
+            cols = [coords[[top.mul_idx(yp, x) for x in range(top.q)]] for yp in self._ypow]
+            self._mult = np.stack(cols, axis=-1)
+        return self._mult
 
     def from_coords(self, coords: Sequence[int]) -> int:
         self._ensure_coords()
@@ -805,9 +821,6 @@ class FieldMatrix:
         n = self.n
         if n == 1:
             return self.rows[0][0]
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            return f.sub_idx(f.mul_idx(a, d), f.mul_idx(b, c))
         # Laplace expansion along the first row
         acc = 0
         for j in range(n):

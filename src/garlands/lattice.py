@@ -61,13 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .etale import (
-    AlgebraSpec,
-    additive_span_check,
-    select_all_units,
-    select_norm_one,
-    span_absorbs_units,
-)
+from .etale import AlgebraSpec, additive_span_check, select_all_units, select_norm_one
 from .matrix_group import (
     GL,
     SL,
@@ -302,10 +296,12 @@ def record_hypotheses(spec: AlgebraSpec, ambient_kind: str) -> dict:
     units_span / norm_one_span are the additive-generation conditions for the
     torus and its determinant-one part; norm_one_absorbs_units is the weaker
     premise (every unit is a combination of norm-one units) that drives the
-    GL-vs-SL normalizer intersection identity.  large_field_regime marks the
-    range (q >= 13, characteristic not 2 or 3) in which the interval
-    description of the lower garland is guaranteed; outside it the
-    description can fail and failures are reported as expected.
+    GL-vs-SL normalizer intersection identity; the norm-one span lies inside
+    the units' span, so it holds exactly when the two ranks agree.
+    large_field_regime marks the range (q >= 13, characteristic not 2 or 3)
+    in which the interval description of the lower garland is guaranteed;
+    outside it the description can fail and failures are reported as
+    expected.
     """
     units = additive_span_check(spec, select_all_units)
     norm_one = additive_span_check(spec, select_norm_one)
@@ -314,7 +310,7 @@ def record_hypotheses(spec: AlgebraSpec, ambient_kind: str) -> dict:
     rec = {
         "units_span": units.spans,
         "norm_one_span": norm_one.spans,
-        "norm_one_absorbs_units": span_absorbs_units(spec, select_norm_one),
+        "norm_one_absorbs_units": norm_one.rank == units.rank,
         "not_f3_plus_f3": not _is_f3_plus_f3(spec),
         "at_most_two_f2_factors": f2_factors <= 2,
         "sum_of_fields": True,

@@ -13,6 +13,11 @@ cosets of a subgroup H inside a larger one as permutations and
 orbit-minimum labels over positions, so extend_subgroups can close <H, g>
 for many g together over right cosets of H instead of over elements.
 
+The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
+a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
+one product against the stacked P_sigma and one lookup.  An SL ambient
+keeps the determinant-one matrices; det t(a) is the norm of a.
+
 A subgroup is its ambient plus its sorted ambient indices: two subgroups
 are equal exactly when they share the ambient and the index array, and
 comparing subgroups of different ambients is an error (cut one down with
@@ -30,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .etale import AlgebraSpec, aut_group, regular_rep, torus_units
+from .etale import AlgebraSpec, aut_group, torus_units
 from .finite_field import FieldMatrix, FieldTable
 
 GL = "GL"
@@ -220,7 +225,8 @@ class AmbientGroup:
 
     def indices_of_mats(self, mats: np.ndarray) -> np.ndarray:
         """Ambient indices of (N, n, n) member matrices."""
-        idx = self._lut[self.keys_of_mats(mats)]
+        keys = self.keys_of_mats(mats)  # enumerates the ambient before _lut is read
+        idx = self._lut[keys]
         if (idx < 0).any():
             raise NonMemberError("matrix outside the ambient group")
         return idx.astype(np.int32)
@@ -273,11 +279,8 @@ class AmbientGroup:
         return self.indices_of_mats(conj)
 
     def commute_mask(self, x: int) -> np.ndarray:
-        """Boolean mask over ambient g of g*x == x*g."""
-        self._ensure()
-        gx = self.keys_of_mats(_mat_mul(self.field, self._mats, self._mats[x]))
-        xg = self.keys_of_mats(_mat_mul(self.field, self._mats[x][None, :, :], self._mats))
-        return gx == xg
+        """Boolean mask over ambient g of g*x == x*g, that is g * x * g^-1 == x."""
+        return self.conj_by_all(x) == x
 
 
 @lru_cache(maxsize=None)
@@ -542,19 +545,24 @@ def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
     return extend_subgroups(table, [extra_index])[0]
 
 
-def torus_subgroup(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
-    """Image of the units of S (GL) or of its norm-one units (SL)."""
+def _check_algebra(spec: AlgebraSpec, ambient: AmbientGroup) -> None:
     if spec.n != ambient.n:
         raise GroupError(f"algebra rank {spec.n} does not match ambient size {ambient.n}")
     if spec.base != ambient.field:
         raise GroupError("algebra base field does not match the ambient field")
-    idxs = []
-    one = spec.base.one_index
-    for u in torus_units(spec):
-        if ambient.kind == SL and spec.norm_comps(u.comps) != one:
-            continue
-        idxs.append(ambient.index_of(regular_rep(u)))
-    return Subgroup(ambient, idxs)
+
+
+def _member_indices(ambient: AmbientGroup, mats: np.ndarray) -> np.ndarray:
+    """Ambient indices of invertible (N, n, n) matrices; an SL ambient keeps the determinant-one ones."""
+    if ambient.kind == SL:
+        mats = mats[_det_idx(ambient.field, mats) == ambient.field.one_index]
+    return ambient.indices_of_mats(mats)
+
+
+def torus_subgroup(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
+    """Image t(S*) of the units of S (GL), or its determinant-one part (SL): det t(a) is the norm of a."""
+    _check_algebra(spec, ambient)
+    return Subgroup(ambient, _member_indices(ambient, spec.regular_rep_mats(torus_units(spec))))
 
 
 def _require_same_ambient(h: Subgroup, k: Subgroup) -> None:
@@ -589,15 +597,9 @@ def centralizer_brute(ambient: AmbientGroup, h: Subgroup) -> Subgroup:
 
 
 def is_abelian(h: Subgroup) -> bool:
-    amb = h.ambient
-    gens = h.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if int(amb.rmul(np.array([a], dtype=np.int32), b)[0]) != int(
-                amb.rmul(np.array([b], dtype=np.int32), a)[0]
-            ):
-                return False
-    return True
+    """Whether every generator of h conjugates every generator to itself."""
+    gens = np.asarray(h.generators, dtype=np.int32)
+    return bool((h.ambient.conjugates(gens, gens) == gens).all())
 
 
 def is_maximal_abelian(ambient: AmbientGroup, h: Subgroup) -> bool:
@@ -616,22 +618,11 @@ def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
     resulting set is verified to be closed; a closure failure raises
     HypothesisFailure with a structured payload instead of crashing.
     """
-    if spec.n != ambient.n:
-        raise GroupError(f"algebra rank {spec.n} does not match ambient size {ambient.n}")
-    if spec.base != ambient.field:
-        raise GroupError("algebra base field does not match the ambient field")
-    sigmas = aut_group(spec)
-    p_mats = [s.matrix() for s in sigmas]
-    one = spec.base.one_index
-    idxs = set()
-    for u in torus_units(spec):
-        t = regular_rep(u)
-        for pm in p_mats:
-            prod = t * pm
-            if ambient.kind == SL and prod.det() != one:
-                continue
-            idxs.add(ambient.index_of(prod))
-    sub = Subgroup(ambient, sorted(idxs))
+    _check_algebra(spec, ambient)
+    tori = spec.regular_rep_mats(torus_units(spec))
+    perms = np.array([s.matrix().rows for s in aut_group(spec)], dtype=np.int16)
+    prods = _mat_mul(ambient.field, tori[:, None], perms[None]).reshape(-1, spec.n, spec.n)
+    sub = Subgroup(ambient, _member_indices(ambient, prods))
     closed = _closure(ambient, sub.generators)
     if closed.size != sub.order or not sub.mask()[closed].all():
         raise HypothesisFailure(

@@ -8,7 +8,10 @@ Subgroup ids are recomputed from the element matrices' keys, interval
 lattices by the element-level breadth-first route (a per-element double-coset
 loop, then a closure over elements seeded with H), subgroup generators by the
 greedy pick that recloses from the identity after every pick, normality
-edges by a subset test per pair of members, and the exact rational
+edges by a subset test per pair of members, regular representations from
+the algebra's own multiplication and coordinates, the torus and the
+formula normalizer from those, one unit at a time through FieldMatrix
+products, determinants and lookups, and the exact rational
 2x2 algebra at the end checks the SL(2,Q) witness matrices by direct
 conjugation.
 """
@@ -23,8 +26,9 @@ from math import isqrt
 
 import numpy as np
 
-from garlands.etale import AlgebraSpec
-from garlands.matrix_group import Subgroup, _closure, is_normal_in
+from garlands.etale import AlgebraSpec, aut_group
+from garlands.finite_field import FieldMatrix
+from garlands.matrix_group import SL, Subgroup, _closure, is_normal_in
 
 
 def brute_additive_span(spec: AlgebraSpec, selected) -> frozenset:
@@ -250,6 +254,40 @@ def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], set[tuple[s
                 if is_normal_in(a, b):
                     edges.add((a.id, b.id))
     return edges, comparable
+
+
+def regular_rep_by_basis(a) -> FieldMatrix:
+    """Matrix of right multiplication by a: column j holds the coordinates of e_j * a."""
+    spec = a.spec
+    one = spec.base.one_index
+    basis = [spec.from_coords([one if i == j else 0 for i in range(spec.n)]) for j in range(spec.n)]
+    cols = [spec.coords_comps(spec.mul_comps(e, a.comps)) for e in basis]
+    return FieldMatrix(spec.base, [list(row) for row in zip(*cols)])
+
+
+def torus_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
+    """Sorted ambient indices of t(u) for every unit u (norm-one units in SL), one matrix at a time."""
+    one = spec.base.one_index
+    idxs = [
+        ambient.index_of(regular_rep_by_basis(u))
+        for u in spec.units()
+        if ambient.kind != SL or spec.norm_comps(u.comps) == one
+    ]
+    return np.array(sorted(idxs), dtype=np.int32)
+
+
+def formula_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
+    """Sorted ambient indices of t(u) * P_sigma (determinant one in SL), one FieldMatrix product at a time."""
+    one = spec.base.one_index
+    perms = [s.matrix() for s in aut_group(spec)]
+    idxs = set()
+    for u in spec.units():
+        t = regular_rep_by_basis(u)
+        for pm in perms:
+            prod = t * pm
+            if ambient.kind != SL or prod.det() == one:
+                idxs.add(ambient.index_of(prod))
+    return np.array(sorted(idxs), dtype=np.int32)
 
 
 def exhaustive_negative_pell(d: int, y_max: int) -> tuple[int, int] | None:

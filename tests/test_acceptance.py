@@ -26,11 +26,19 @@ from garlands.finite_field import (
     norm_to_base,
 )
 from garlands.lattice import enumerate_interval
-from garlands.matrix_group import GL, SL, Subgroup, ambient_group, normalizer_brute, torus_subgroup
+from garlands.matrix_group import (
+    GL,
+    SL,
+    Subgroup,
+    ambient_group,
+    normalizer_brute,
+    normalizer_formula,
+    torus_subgroup,
+)
 from garlands.pell import is_squarefree, negative_pell, sl2q_normalizer_report
 from garlands.runner import run_case, sweep_cases
 
-from oracles import exhaustive_negative_pell, interval_by_elements, subgroup_id
+from oracles import exhaustive_negative_pell, formula_by_units, interval_by_elements, subgroup_id, torus_by_units
 
 
 # the five swept cases where the lower garland is strictly larger than the
@@ -230,6 +238,16 @@ def tori(sweep):
 def direct_intervals(tori):
     """Lat(T, N(T)) of every ok sweep case, enumerated inside N(T) directly."""
     return {key: enumerate_interval(torus, amb, within=n) for key, (amb, torus, n) in tori.items()}
+
+
+def test_torus_and_formula_match_per_unit_oracle(sweep, tori):
+    # the index-array route against one FieldMatrix product, determinant and lookup per unit
+    for key, (amb, torus, _) in tori.items():
+        case = sweep[key]["case"]
+        spec = AlgebraSpec(construct_field(case["p"], case["base_degree"]), case["degrees"])
+        assert np.array_equal(torus.indices, torus_by_units(spec, amb)), key
+        assert np.array_equal(normalizer_formula(spec, amb).indices, formula_by_units(spec, amb)), key
+    assert len(tori) >= 24
 
 
 def test_sl_interval_matches_direct_enumeration(sweep, direct_intervals):

@@ -76,6 +76,30 @@ def test_validation_error_exit_1(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus", "--p", "3"],  # --degrees missing
+        ["torus", "--p", "3", "--degrees", "2", "--ambient", "xx"],
+        ["torus", "--p", "3", "--degrees", "2", "--bogus"],
+        ["torus", "--p", "3", "--degrees", "2", "--cache-dir", "d"],  # only verify and sweep read a cache
+        ["pell", "--d", "2", "--cache-dir", "d"],
+    ],
+)
+def test_argument_errors_exit_1(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, argv)
+    assert code == 1  # exit 2 means unexpected_mismatch
+    assert out == "" and "usage:" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exit_0(capsys):
+    code, out, _ = _run(capsys, ["torus", "--help"])
+    assert code == 0
+    assert "usage:" in out
+
+
 def test_byte_identical_reports(capsys):
     args = ["verify", "--p", "3", "--degrees", "2", "--ambient", "sl", "--json"]
     _, out1, _ = _run(capsys, args)

@@ -18,9 +18,9 @@ from garlands.etale import (
     span_absorbs_units,
     torus_units,
 )
-from garlands.finite_field import construct_extension, construct_field, extension_of
+from garlands.finite_field import FieldCapError, construct_extension, construct_field, extension_of
 
-from oracles import brute_additive_span, brute_ring_automorphisms
+from oracles import brute_additive_span, brute_ring_automorphisms, regular_rep_by_basis
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -106,12 +106,30 @@ def test_regular_rep_multiplicative_and_injective(base, degrees):
     spec = AlgebraSpec(base, degrees)
     if spec.order > 81:
         pytest.skip("exhaustive oracle bounded at order 81")
-    units = torus_units(spec)
+    units = [spec.element(c) for c in torus_units(spec)]
     images = {regular_rep(u).key() for u in units}
     assert len(images) == len(units)
     for a in units[:6]:
         for b in units:
             assert regular_rep(a * b) == regular_rep(a) * regular_rep(b)
+
+
+@pytest.mark.parametrize("base,degrees", SMALL_SHAPES)
+def test_regular_rep_mats_match_per_element_routes(base, degrees):
+    # the batched table route against regular_rep and against the algebra's own products
+    spec = AlgebraSpec(base, degrees)
+    elements = list(spec.elements())
+    mats = spec.regular_rep_mats([a.comps for a in elements])
+    for a, m in zip(elements, mats):
+        assert m.tolist() == [list(row) for row in regular_rep(a).rows]
+        assert regular_rep(a) == regular_rep_by_basis(a)
+    assert torus_units(spec).tolist() == [list(u.comps) for u in spec.units()]
+
+
+def test_regular_rep_refuses_oversized_table():
+    spec = AlgebraSpec(F2, [20])  # 2^20 blocks of 20 x 20 entries
+    with pytest.raises(FieldCapError):
+        regular_rep(spec.one)
 
 
 def test_aut_group_examples():
@@ -169,6 +187,7 @@ def test_additive_span_matches_brute_closure(base, degrees):
         brute = brute_additive_span(spec, [u for u in spec.units() if selector(u)])
         assert fast.spans == (len(brute) == spec.order)
         assert len(brute) == base.q**fast.rank
+        assert span_absorbs_units(spec, selector) == all(u.comps in brute for u in spec.units())
 
 
 def test_span_absorbs_units():

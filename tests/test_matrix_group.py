@@ -32,7 +32,13 @@ from garlands.matrix_group import (
     torus_subgroup,
 )
 
-from oracles import double_coset_reps_by_loop, element_closure, greedy_generators_from_scratch
+from oracles import (
+    double_coset_reps_by_loop,
+    element_closure,
+    formula_by_units,
+    greedy_generators_from_scratch,
+    torus_by_units,
+)
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -139,6 +145,23 @@ def test_torus_orders():
     d23 = torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23)
     assert d23.order == 4
     assert all(m.rows[0][1] == 0 and m.rows[1][0] == 0 for m in d23.matrices())
+
+
+@pytest.mark.parametrize("kind", [GL, SL])
+@pytest.mark.parametrize("degrees", [(2,), (1, 1)])
+def test_torus_and_formula_match_per_unit_oracle_q13(kind, degrees):
+    # the guaranteed regime, one step past the sweep's default cap
+    f13 = construct_field(13, 1)
+    spec = AlgebraSpec(f13, degrees)
+    amb = ambient_group(kind, 2, f13, Caps(group_order=30_000))
+    assert np.array_equal(torus_subgroup(spec, amb).indices, torus_by_units(spec, amb))
+    assert np.array_equal(normalizer_formula(spec, amb).indices, formula_by_units(spec, amb))
+
+
+def test_indices_of_mats_on_fresh_ambient():
+    amb = AmbientGroup(GL, 2, F3)  # not enumerated yet
+    ident = np.array([[[1, 0], [0, 1]]], dtype=np.int16)
+    assert amb.indices_of_mats(ident).tolist() == [amb.identity_index]
 
 
 def test_torus_sl_equals_gl_torus_cut_to_sl():
