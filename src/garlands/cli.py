@@ -25,9 +25,9 @@ from .config import DEFAULT_CAPS, SCHEMA_VERSION
 from .etale import AlgebraSpec
 from .finite_field import FieldCapError, FieldError, construct_field
 from .lattice import UNEXPECTED_MISMATCH
-from .matrix_group import GroupCapError, GroupError, ambient_group, is_maximal_abelian, torus_subgroup
+from .matrix_group import GroupCapError, GroupError, ambient_group, torus_subgroup
 from .pell import PellError, pell_sweep, sl2q_normalizer_report
-from .runner import CaseError, CaseSpec, run_case, run_sweep
+from .runner import CaseError, CaseSpec, run_case, run_sweep, torus_block
 
 CACHE_ENV = "GARLANDS_CACHE_DIR"
 
@@ -74,18 +74,13 @@ def cmd_torus(args) -> int:
     base = construct_field(case.p, case.base_degree)
     spec = AlgebraSpec(base, case.degrees)
     amb = ambient_group(case.kind, case.n, base)
-    torus = torus_subgroup(spec, amb)
     doc = {
         "schema": SCHEMA_VERSION,
         "case": case.serialize(),
         "field": base.serialize(),
         "algebra_order": spec.order,
         "ambient_order": amb.order,
-        "torus": {
-            "order": torus.order,
-            "maximal_abelian": is_maximal_abelian(amb, torus),
-            "generators": [m.coeff_rows() for m in torus.generator_matrices()],
-        },
+        "torus": torus_block(torus_subgroup(spec, amb)),
     }
     _emit(doc, args.json)
     return 0

@@ -93,13 +93,6 @@ class AlgebraSpec:
             out *= e.top.q
         return out
 
-    @property
-    def unit_count(self) -> int:
-        out = 1
-        for e in self.extensions:
-            out *= e.top.q - 1
-        return out
-
     def serialize(self) -> dict:
         return {"p": self.base.p, "base_degree": self.base.m, "degrees": list(self.degrees)}
 
@@ -276,8 +269,6 @@ def regular_rep(a: AlgebraElement) -> FieldMatrix:
 
 def torus_units(spec: AlgebraSpec) -> np.ndarray:
     """All invertible elements of S as (N, t) component indices, in canonical component order."""
-    if spec.unit_count > spec.caps.algebra_order:
-        raise AlgebraCapError(f"unit count {spec.unit_count} exceeds cap")
     return np.indices([e.top.q - 1 for e in spec.extensions]).reshape(len(spec.degrees), -1).T + 1
 
 

@@ -26,30 +26,27 @@ element by that closure's g, so a member costs one product call per level,
 not one per level per closure, and closures reaching the same cosets
 become one subgroup.
 
-A = N(bottom) cut to top acts on the interval by conjugation, and only one
-member per A-orbit is expanded: a closure that yields a new member K adds
-K's whole orbit (a breadth-first pass conjugating each subgroup by all of
-A's generators in one paired lmul and rmul) to the members but queues only
-K, so the members are always a union of orbits.  This is still complete.
-Take a covering step H_{i+1} = <H_i, g> along a chain from bottom, with
-H_i = n R n^-1 for an expanded representative R and n in A.  Then
-n^-1 H_{i+1} n = <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup
-is the closure of R with the representative of n^-1 g n's R-double-coset.  It was found when R was
-expanded, its orbit was added with it, and that orbit contains H_{i+1}.
-The caller passes N(bottom) when it already holds it; a conjugate that
-leaves the interval means the group passed does not normalize bottom, and
-raises LatticeError.
+Bottom is expanded first, and its table's normalizer A = N_top(bottom)
+acts on the interval by conjugation; only one member per A-orbit is
+expanded: a closure that yields a new member K adds K's whole orbit (a
+breadth-first pass conjugating each subgroup by all of A's generators in
+one paired lmul and rmul) to the members but queues only K, so the members
+are always a union of orbits.  This is still complete.  Take a covering
+step H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for
+an expanded representative R and n in A.  Then n^-1 H_{i+1} n =
+<R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup is the closure of
+R with the representative of n^-1 g n's R-double-coset.  It was found when
+R was expanded, its orbit was added with it, and that orbit contains
+H_{i+1}.
 
-Edges of the normality graph join every comparable pair with the smaller
-subgroup normal in the larger (no Hasse restriction); garlands are the
-connected components.  Comparability is one vectorized subset test per
-member, against the rows of a members x top membership matrix.  Normality
-is then decided once per larger member b: a is normal in b exactly when
-b's generators conjugate a generating set of a into a, and the members'
-generators lying in a are one (they include a's own).  So b's generators
-conjugate every member generator inside b in one paired lmul and rmul,
-and gathers of those conjugates in the membership matrix decide normality
-in b for every smaller a at once.
+Every member's normalizer in top comes from the same tables: a
+representative R has N_top(R) from its own table, and a member a R a^-1
+found by conjugating has a N_top(R) a^-1.  Edges of the normality graph
+join every comparable pair with the smaller subgroup normal in the larger
+(no Hasse restriction); garlands are the connected components.  a is
+normal in b exactly when a < b <= N_top(a), so each member needs two
+subset tests against the rows of a members x top membership matrix and no
+group products.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, Caps
 from .etale import AlgebraSpec, additive_span_check, select_all_units, select_norm_one
 from .matrix_group import (
     GL,
@@ -92,6 +88,7 @@ class IntervalLattice:
     ambient: AmbientGroup
     members: tuple[Subgroup, ...]  # sorted by (order, id)
     exhaustive: bool = True
+    normalizers: tuple[Subgroup, ...] = ()  # N_top of each member, aligned with members; () unless exhaustive
 
     def __post_init__(self):
         self.by_id = {m.id: m for m in self.members}
@@ -105,31 +102,36 @@ class IntervalLattice:
         return len(self.members)
 
 
-def _conjugacy_orbit(k: Subgroup, acting: Subgroup, bottom: Subgroup, top: Subgroup) -> list[Subgroup]:
-    """The conjugates a K a^-1 of K under the acting group, breadth first over its generators.
-
-    Each conjugate must still lie in [bottom, top]; one that does not means
-    the acting group was not inside N(bottom) and top.
-    """
+def _conjugacy_orbit(k: Subgroup, acting: Subgroup) -> list[tuple[Subgroup, int]]:
+    """Each conjugate a K a^-1 of K under the acting group with one such a, breadth first over its generators."""
     amb = k.ambient
     gens = np.array(acting.generators, dtype=np.int32)
-    bottom_idx, top_mask = bottom.indices, top.mask()
-    orbit = {k.indices.tobytes(): k}
-    queue = deque([k])
+    orbit = {k.indices.tobytes(): (k, amb.identity_index)}
+    queue = deque(orbit.values())
     while queue:
-        h = queue.popleft()
+        h, a = queue.popleft()
         inside = h.indices[np.searchsorted(h.indices, gens).clip(max=h.order - 1)] == gens
         outside = gens[~inside]  # conjugating by an element of H fixes H
-        for conj in np.sort(amb.conjugates(outside, h.indices), axis=1):
+        conjugators = amb.rmul(outside, a)  # g (a K a^-1) g^-1 = (g a) K (g a)^-1
+        for c, conj in zip(conjugators.tolist(), np.sort(amb.conjugates(outside, h.indices), axis=1)):
             key = conj.tobytes()
-            if key in orbit:
-                continue
-            at = np.searchsorted(conj, bottom_idx).clip(max=conj.size - 1)
-            if not (conj[at] == bottom_idx).all() or not top_mask[conj].all():
-                raise LatticeError("a conjugate leaves the interval; the normalizer does not normalize bottom")
-            orbit[key] = Subgroup(amb, conj)
-            queue.append(orbit[key])
+            if key not in orbit:
+                orbit[key] = (Subgroup(amb, conj), c)
+                queue.append(orbit[key])
     return list(orbit.values())
+
+
+def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]]) -> tuple[Subgroup, ...]:
+    """a N a^-1 for each (N, a), in one paired lmul and rmul; an identity a leaves N as it is."""
+    out = [n for n, _ in pairs]
+    moved = [i for i, (_, a) in enumerate(pairs) if a != amb.identity_index]
+    if moved:
+        sizes = [out[i].order for i in moved]
+        left = np.repeat(np.array([pairs[i][1] for i in moved], dtype=np.int32), sizes)
+        flat = amb.rmul(amb.lmul(left, np.concatenate([out[i].indices for i in moved])), amb.inv_indices()[left])
+        for i, part in zip(moved, np.split(flat, np.cumsum(sizes)[:-1])):
+            out[i] = Subgroup(amb, part)
+    return tuple(out)
 
 
 def enumerate_interval(
@@ -137,14 +139,11 @@ def enumerate_interval(
     ambient: AmbientGroup,
     within: Subgroup | None = None,
     max_members: int | None = None,
-    normalizer: Subgroup | None = None,
 ) -> IntervalLattice:
-    """All subgroups H with bottom <= H <= top (top = within or the ambient).
+    """All subgroups H with bottom <= H <= top (top = within or the ambient), each with N_top(H).
 
-    normalizer is N_ambient(bottom) when the caller already holds it;
-    otherwise normalizer_brute computes it.  Its intersection with top acts
-    on the interval by conjugation, and only one member per orbit is
-    expanded.
+    Bottom's table is built first, and its normalizer in top acts on the
+    interval by conjugation, so only one member per orbit is expanded.
     """
     if bottom.ambient != ambient:
         raise LatticeError("bottom subgroup lives in a different ambient group")
@@ -154,35 +153,37 @@ def enumerate_interval(
         top = within
         if not bottom.is_subset_of(top):
             raise LatticeError("bottom is not contained in the given top subgroup")
-    if normalizer is None:
-        normalizer = normalizer_brute(ambient, bottom)
-    elif normalizer.ambient != ambient:
-        raise LatticeError("normalizer lives in a different ambient group")
-    if normalizer.is_subset_of(top):
-        acting = normalizer  # keeps its cached generators
-    else:
-        acting = Subgroup(ambient, normalizer.indices[top.mask()[normalizer.indices]])
-    members: dict[bytes, Subgroup] = {}
-    queue: deque[Subgroup] = deque()
+    start = bottom.indices.tobytes()
+    # member key -> (member, its representative R's key, a with member = a R a^-1)
+    members = {start: (bottom, start, ambient.identity_index)}
+    rep_normalizers: dict[bytes, Subgroup] = {}  # representative key -> N_top(R)
+    queue = deque([bottom])
     exhaustive = True
-
-    def add_orbit(k: Subgroup) -> None:
-        for m in _conjugacy_orbit(k, acting, bottom, top):
-            members[m.indices.tobytes()] = m
-        queue.append(k)
-
-    add_orbit(bottom)
     while queue and exhaustive:
         h = queue.popleft()
         table = CosetTable(h, top)
+        rep_normalizers[h.indices.tobytes()] = table.normalizer()
+        acting = rep_normalizers[start]  # bottom's table is the first
         for k in extend_subgroups(table, table.double_coset_reps()):
-            if k.indices.tobytes() not in members:
-                add_orbit(k)
+            rep = k.indices.tobytes()
+            if rep not in members:
+                for m, a in _conjugacy_orbit(k, acting):
+                    members[m.indices.tobytes()] = (m, rep, a)
+                queue.append(k)
                 if max_members is not None and len(members) > max_members:
                     exhaustive = False
                     break
-    ordered = tuple(sorted(members.values(), key=lambda s: (s.order, s.id)))
-    return IntervalLattice(bottom=bottom, top=top, ambient=ambient, members=ordered, exhaustive=exhaustive)
+    ordered = sorted(members.values(), key=lambda e: (e[0].order, e[0].id))
+    return IntervalLattice(
+        bottom=bottom,
+        top=top,
+        ambient=ambient,
+        members=tuple(m for m, _, _ in ordered),
+        exhaustive=exhaustive,
+        normalizers=(
+            _conjugate_normalizers(ambient, [(rep_normalizers[r], a) for _, r, a in ordered]) if exhaustive else ()
+        ),
+    )
 
 
 @dataclass
@@ -198,30 +199,21 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     if not lat.exhaustive:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
     ms = lat.members
-    # contains[i, x]: member i holds top position x; a row's columns at a's
-    # positions are all set exactly when that member contains a
+    # contains[i, x]: member i holds top position x; a row's columns at a
+    # subgroup's positions are all set exactly when that member contains it
     positions = np.full(lat.ambient.order, -1, dtype=np.int32)
     positions[lat.top.indices] = np.arange(lat.top.order, dtype=np.int32)
     contains = np.zeros((len(ms), lat.top.order), dtype=bool)
     for i, m in enumerate(ms):
         contains[i, positions[m.indices]] = True
     orders = np.array([m.order for m in ms])
-    below = np.zeros((len(ms), len(ms)), dtype=bool)  # below[i, j]: member i is a proper subgroup of j
-    for i, a in enumerate(ms):
-        larger = np.flatnonzero((orders > a.order) & (orders % a.order == 0))
-        below[i, larger[contains[np.ix_(larger, positions[a.indices])].all(axis=1)]] = True
-    # a is normal in b when b's generators conjugate a set generating a into
-    # a; the members' generators that lie in a are such a set
-    gens = positions[np.unique(np.array([g for m in ms for g in m.generators], dtype=np.int32))]
     edges = []
-    for j in np.flatnonzero(below.any(axis=0)):
-        b = ms[j]
-        smaller = np.flatnonzero(below[:, j])
-        xs = gens[contains[j, gens]]
-        conj = positions[lat.ambient.conjugates(b.generators, lat.top.indices[xs])]
-        holds = contains[np.ix_(smaller, xs)]  # holds[a, x]: x in a
-        kept = contains[smaller[:, None, None], conj] | ~holds[:, None, :]
-        edges.extend((ms[i].id, b.id) for i in smaller[kept.all(axis=(1, 2))])
+    for a, na in zip(ms, lat.normalizers):
+        # a is normal in b exactly when a < b <= N_top(a)
+        bs = np.flatnonzero((orders > a.order) & (na.order % orders == 0))
+        above = contains[np.ix_(bs, positions[a.indices])].all(axis=1)
+        inside = contains[np.ix_(bs, positions[na.indices])].sum(axis=1) == orders[bs]
+        edges.extend((a.id, ms[j].id) for j in bs[above & inside])
     return NormalityGraph(
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),
@@ -405,13 +397,14 @@ class VerificationReport:
         }
 
 
-def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
+def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> VerificationReport:
     """Full verification for one algebra/ambient case.
 
-    Computes the torus, both normalizers, the interval lattice, its
+    Computes the torus, both normalizers, the interval lattice [T, G], its
     normality graph and garlands, and checks (a) formula vs brute
     normalizer, (b) lower garland vs the interval up to the normalizer,
-    (c) idempotence of the normalizer; every check records a verdict against
+    (c) idempotence of the normalizer, whose own normalizer the lattice
+    holds as a member's; every check records a verdict against
     what the hypothesis record predicts, so failures outside the guaranteed
     regime are reported, not asserted.
     """
@@ -427,10 +420,10 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup, caps: Caps = 
         closure_failure = exc.payload
         formula_order = 0
         formula_eq = False
-    second = normalizer_brute(ambient, brute)
-    idempotent = second.same_elements(brute)
 
-    lat = enumerate_interval(torus, ambient, normalizer=brute)
+    lat = enumerate_interval(torus, ambient)
+    second = lat.normalizers[lat.members.index(brute)]  # N(N(T)): N(T) is a member of [T, G]
+    idempotent = second.same_elements(brute)
     graph = normality_graph(lat)
     gls = garlands(graph)
     lower = next(g for g in gls if g.is_lower)
@@ -521,7 +514,7 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     n_gl = normalizer_brute(gl, torus)
     identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
-    l0 = enumerate_interval(torus, gl, within=n_gl, normalizer=n_gl)
+    l0 = enumerate_interval(torus, gl, within=n_gl)
     lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in l0.members}
     rhs = {h.indices.tobytes() for h in sl_report.interval_members}
     equal = lhs == rhs

@@ -302,7 +302,8 @@ class Subgroup:
         self.ambient = ambient
         idx = np.array(indices, dtype=np.int32)
         if not (idx[1:] > idx[:-1]).all():
-            idx = np.unique(idx)
+            idx = np.sort(idx)  # not np.unique, whose first call imports numpy.ma (about 15 ms)
+            idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
         if idx.size == 0:
             raise GroupError("a subgroup contains at least the identity")
         self.indices = idx
@@ -476,6 +477,8 @@ class CosetTable:
     position of the double coset H x H, the orbit of x's right coset under
     the right permutations.  extend_subgroups closes <H, g> over the
     right-coset labels, and the double labels give the g worth adjoining.
+    H x H = H x exactly when x normalizes H, so the double cosets that are
+    single right cosets make up N_top(H).
     """
 
     __slots__ = ("h", "top", "positions", "right", "labels", "double_labels")
@@ -501,6 +504,12 @@ class CosetTable:
         own = self.double_labels[self.positions[self.h.ambient.identity_index]]
         reps = np.flatnonzero(self.double_labels == np.arange(self.top.order))
         return self.top.indices[reps[reps != own]]
+
+    def normalizer(self) -> Subgroup:
+        """N_top(H): the positions whose double coset holds one right coset."""
+        leaders = np.flatnonzero(self.labels == np.arange(self.top.order))
+        width = np.bincount(self.double_labels[leaders], minlength=self.top.order)
+        return Subgroup(self.h.ambient, self.top.indices[width[self.double_labels] == 1])
 
 
 def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Subgroup]:

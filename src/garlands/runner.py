@@ -17,7 +17,7 @@ from .lattice import (
     interval_restriction_check,
     verify_lower_garland,
 )
-from .matrix_group import GL, SL, GroupCapError, ambient_group, is_maximal_abelian
+from .matrix_group import GL, SL, GroupCapError, Subgroup, ambient_group, is_maximal_abelian
 
 
 class CaseError(Exception):
@@ -72,6 +72,15 @@ def build_algebra(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> tuple[FieldTable
     return base, AlgebraSpec(base, case.degrees, caps)
 
 
+def torus_block(torus: Subgroup) -> dict:
+    """The report's "torus" entry: order, maximal-abelian check and generator matrices."""
+    return {
+        "order": torus.order,
+        "maximal_abelian": is_maximal_abelian(torus.ambient, torus),
+        "generators": [m.coeff_rows() for m in torus.generator_matrices()],
+    }
+
+
 def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None = None) -> dict:
     """Full report document for one case (verify + restriction + maximal-abelian)."""
     key = case_key(case.serialize(), caps)
@@ -96,18 +105,11 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
             cache.put(key, doc)
         return doc
 
-    report = verify_lower_garland(spec, amb, caps)
-    torus = report.torus
-    maximal_abelian = is_maximal_abelian(amb, torus)
-
+    report = verify_lower_garland(spec, amb)
     doc = report.to_dict()
     doc["schema"] = SCHEMA_VERSION
     doc["status"] = "ok"
-    doc["torus"] = {
-        "order": torus.order,
-        "maximal_abelian": maximal_abelian,
-        "generators": [m.coeff_rows() for m in torus.generator_matrices()],
-    }
+    doc["torus"] = torus_block(report.torus)
 
     # GL-vs-SL restriction data rides along with the SL case when GL fits the cap
     if case.kind == SL:
@@ -154,7 +156,7 @@ def prime_power_bases(max_q: int) -> list[tuple[int, int]]:
     return out
 
 
-def sweep_cases(max_order: int, caps: Caps = DEFAULT_CAPS) -> list[CaseSpec]:
+def sweep_cases(max_order: int) -> list[CaseSpec]:
     """Every algebra with 2 <= n and q^n <= max_order, in both ambients.
 
     Cases whose ambient exceeds the group cap are still listed; run_case
@@ -188,7 +190,7 @@ def run_sweep(
     threads: int = 1,
 ) -> tuple[list[dict], dict]:
     """All case reports (ordered by case key) plus a summary."""
-    cases = sweep_cases(max_order, caps)
+    cases = sweep_cases(max_order)
     if threads > 1:
         import multiprocessing
 

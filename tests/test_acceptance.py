@@ -281,11 +281,10 @@ def test_interval_ids_match_matrix_key_digest(sweep, direct_intervals):
 def test_intervals_match_element_level_oracle(sweep, tori, direct_intervals):
     # enumerate_interval closes over cosets of H and expands one member per
     # N(T)-conjugacy class; the oracle walks every element for double cosets,
-    # closes over elements seeded with H and expands every member.  Lat(T, G)
-    # is given N(T), Lat(T, N(T)) computes it
+    # closes over elements seeded with H and expands every member
     for key, (amb, torus, normalizer) in tori.items():
         whole = Subgroup(amb, np.arange(amb.order, dtype=np.int32))
-        full = enumerate_interval(torus, amb, normalizer=normalizer)
+        full = enumerate_interval(torus, amb)
         assert {m.indices.tobytes() for m in full.members} == interval_by_elements(torus, whole), key
         assert len(full) == sweep[key]["lattice"]["member_count"], key
         direct = {m.indices.tobytes() for m in direct_intervals[key].members}
@@ -294,6 +293,17 @@ def test_intervals_match_element_level_oracle(sweep, tori, direct_intervals):
     # trivial tori: every subgroup of GL(2,2) = S_3, and of GL(3,2) = PSL(2,7)
     assert sweep[(2, 2, (1, 1), "gl")]["lattice"]["member_count"] == 6
     assert sweep[(2, 3, (1, 1, 1), "gl")]["lattice"]["member_count"] == 179
+
+
+def test_idempotence_matches_second_brute_scan(sweep, tori):
+    # the report reads N(N(T)) off the [T, G] lattice; a second whole-ambient
+    # scan is the oracle
+    for key, (amb, torus, normalizer) in tori.items():
+        second = normalizer_brute(amb, normalizer)
+        idem = sweep[key]["idempotence"]
+        assert idem["normalizer_of_normalizer_order"] == second.order, key
+        assert idem["holds"] == second.same_elements(normalizer), key
+    assert len(tori) >= 24
 
 
 def test_c07_maximal_abelian(sweep):

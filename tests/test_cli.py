@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from garlands.cache import DiskCache
 from garlands.cli import main
 from garlands.config import SCHEMA_VERSION, Caps
 from garlands.runner import CaseSpec, run_case
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run(capsys, argv):
@@ -39,6 +45,17 @@ def test_torus_sl22(capsys):
     code, out, _ = _run(capsys, ["torus", "--p", "2", "--degrees", "2", "--ambient", "sl", "--json"])
     assert code == 0
     assert json.loads(out)["torus"]["order"] == 3
+
+
+def test_case_run_leaves_numpy_ma_unimported():
+    # numpy.ma is imported by np.unique, and costs 14-15 ms on first use
+    script = (
+        "import sys; from garlands.runner import CaseSpec, run_case; "
+        "run_case(CaseSpec(2, 1, (1, 1, 1), 'gl')); print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_confirmed_case(capsys):

@@ -372,6 +372,8 @@ def test_coset_table_matches_brute_products(n, base, degrees):
                 assert table.double_labels[i] == min(table.labels[position[int(y)]] for y in amb.lmul(x, h.indices))
             reps = table.double_coset_reps()
             assert reps.tolist() == double_coset_reps_by_loop(amb, h, top.indices)
+            brute = normalizer_brute(amb, h)
+            assert table.normalizer().same_elements(Subgroup(amb, brute.indices[top.mask()[brute.indices]]))
             # the batched closures are the distinct element-level closures, first occurrence first
             closures = dict.fromkeys(element_closure(amb, h, g).tobytes() for g in reps)
             assert [k.indices.tobytes() for k in extend_subgroups(table, reps)] == list(closures)
