@@ -45,7 +45,6 @@ from .matrix_group import (
     AmbientGroup,
     Subgroup,
     ambient_group,
-    centralizer_brute,
     generate,
     is_maximal_abelian,
     is_normal_in,

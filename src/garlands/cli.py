@@ -22,10 +22,10 @@ import time
 
 from .cache import DiskCache
 from .config import DEFAULT_CAPS, SCHEMA_VERSION
-from .etale import AlgebraSpec
+from .etale import AlgebraCapError, AlgebraError, AlgebraSpec
 from .finite_field import FieldCapError, FieldError, construct_field
 from .lattice import UNEXPECTED_MISMATCH
-from .matrix_group import GroupCapError, GroupError, ambient_group, torus_subgroup
+from .matrix_group import CosetTable, GroupCapError, GroupError, Subgroup, ambient_group, torus_subgroup
 from .pell import PellError, pell_sweep, sl2q_normalizer_report
 from .runner import CaseError, CaseSpec, run_case, run_sweep, torus_block
 
@@ -74,13 +74,15 @@ def cmd_torus(args) -> int:
     base = construct_field(case.p, case.base_degree)
     spec = AlgebraSpec(base, case.degrees)
     amb = ambient_group(case.kind, case.n, base)
+    torus = torus_subgroup(spec, amb)
+    normalizer = CosetTable(torus, Subgroup(amb, range(amb.order))).normalizer()
     doc = {
         "schema": SCHEMA_VERSION,
         "case": case.serialize(),
         "field": base.serialize(),
         "algebra_order": spec.order,
         "ambient_order": amb.order,
-        "torus": torus_block(torus_subgroup(spec, amb)),
+        "torus": torus_block(torus, normalizer),
     }
     _emit(doc, args.json)
     return 0
@@ -230,10 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseError, PellError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GroupCapError, FieldCapError) as exc:
+    except (GroupCapError, FieldCapError, AlgebraCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except GroupError as exc:
+    except (GroupError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

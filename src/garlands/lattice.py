@@ -67,7 +67,6 @@ from .matrix_group import (
     Subgroup,
     extend_subgroups,
     intersect_with_ambient,
-    normalizer_brute,
     normalizer_formula,
     torus_subgroup,
 )
@@ -357,7 +356,7 @@ class VerificationReport:
     verdicts: dict
     overall: str
     torus: Subgroup
-    normalizer: Subgroup  # brute-force N(torus)
+    normalizer: Subgroup  # N(torus), from the torus's coset table over the whole ambient
     interval_members: tuple[Subgroup, ...]  # Lat(torus, normalizer), lattice order
     exhaustive: bool = True
     formula_closure_failure: dict | None = None
@@ -400,35 +399,35 @@ class VerificationReport:
 def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> VerificationReport:
     """Full verification for one algebra/ambient case.
 
-    Computes the torus, both normalizers, the interval lattice [T, G], its
-    normality graph and garlands, and checks (a) formula vs brute
-    normalizer, (b) lower garland vs the interval up to the normalizer,
-    (c) idempotence of the normalizer, whose own normalizer the lattice
-    holds as a member's; every check records a verdict against
-    what the hypothesis record predicts, so failures outside the guaranteed
-    regime are reported, not asserted.
+    Computes the torus, the interval lattice [T, G] with its normality graph
+    and garlands, and the formula normalizer; checks (a) formula vs N(T),
+    (b) lower garland vs the interval up to N(T), (c) idempotence of N(T).
+    N(T) and N(N(T)) are the lattice's normalizers of its members T and
+    N(T): element-level, over all of G, and independent of the formula.
+    Every check records a verdict against what the hypothesis record
+    predicts, so failures outside the guaranteed regime are reported.
     """
     hyp = record_hypotheses(spec, ambient.kind)
     torus = torus_subgroup(spec, ambient)
-    brute = normalizer_brute(ambient, torus)
+    lat = enumerate_interval(torus, ambient)
+    normalizer = lat.normalizers[lat.members.index(torus)]  # T's own table, over all of G
     closure_failure = None
     try:
         formula = normalizer_formula(spec, ambient)
         formula_order = formula.order
-        formula_eq = formula.same_elements(brute)
+        formula_eq = formula.same_elements(normalizer)
     except HypothesisFailure as exc:
         closure_failure = exc.payload
         formula_order = 0
         formula_eq = False
 
-    lat = enumerate_interval(torus, ambient)
-    second = lat.normalizers[lat.members.index(brute)]  # N(N(T)): N(T) is a member of [T, G]
-    idempotent = second.same_elements(brute)
+    second = lat.normalizers[lat.members.index(normalizer)]  # N(N(T)): N(T) is a member of [T, G]
+    idempotent = second.same_elements(normalizer)
     graph = normality_graph(lat)
     gls = garlands(graph)
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
-    interval_members = tuple(m for m in lat.members if m.is_subset_of(brute))
+    interval_members = tuple(m for m in lat.members if m.is_subset_of(normalizer))
     interval_ids = sorted(m.id for m in interval_members)
     equal = sorted(lower.member_ids) == interval_ids
     in_interval = set(interval_ids)
@@ -456,7 +455,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
         case=case,
         hypotheses=hyp,
         torus_order=torus.order,
-        normalizer_brute_order=brute.order,
+        normalizer_brute_order=normalizer.order,
         normalizer_formula_order=formula_order,
         formula_equals_brute=formula_eq,
         lattice_member_count=len(lat),
@@ -472,7 +471,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
         verdicts=verdicts,
         overall=overall,
         torus=torus,
-        normalizer=brute,
+        normalizer=normalizer,
         interval_members=interval_members,
         exhaustive=lat.exhaustive,
         formula_closure_failure=closure_failure,
@@ -503,15 +502,16 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     """Does cutting Lat(T, N_GL T) down to SL give exactly Lat(T', N_SL T')?
 
     The SL side (T', N_SL T' and its interval) comes from the SL case's own
-    verification report; only the GL side is computed here.  Whenever the
-    normalizer intersection identity holds the answer is yes; the identity
-    itself is recorded so hypothesis failures explain mismatches.
+    verification report; only the GL side (N_GL(T) from T's table over GL)
+    is computed here.  Whenever the normalizer intersection identity holds
+    the answer is yes; the identity itself is recorded so hypothesis
+    failures explain mismatches.
     """
     sl = sl_report.torus.ambient
     if gl.kind != GL or sl.kind != SL or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
     torus = torus_subgroup(spec, gl)
-    n_gl = normalizer_brute(gl, torus)
+    n_gl = CosetTable(torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
     identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
     l0 = enumerate_interval(torus, gl, within=n_gl)

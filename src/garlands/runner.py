@@ -8,7 +8,7 @@ from typing import Iterator
 
 from .cache import DiskCache, case_key
 from .config import DEFAULT_CAPS, SCHEMA_VERSION, Caps
-from .etale import AlgebraSpec
+from .etale import AlgebraCapError, AlgebraSpec
 from .finite_field import FieldCapError, FieldTable, construct_field, is_prime
 from .lattice import (
     CONFIRMED,
@@ -72,11 +72,11 @@ def build_algebra(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> tuple[FieldTable
     return base, AlgebraSpec(base, case.degrees, caps)
 
 
-def torus_block(torus: Subgroup) -> dict:
-    """The report's "torus" entry: order, maximal-abelian check and generator matrices."""
+def torus_block(torus: Subgroup, normalizer: Subgroup) -> dict:
+    """The report's "torus" entry: order, maximal-abelian check (inside N(T)) and generator matrices."""
     return {
         "order": torus.order,
-        "maximal_abelian": is_maximal_abelian(torus.ambient, torus),
+        "maximal_abelian": is_maximal_abelian(torus, normalizer),
         "generators": [m.coeff_rows() for m in torus.generator_matrices()],
     }
 
@@ -91,7 +91,7 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
     try:
         base, spec = build_algebra(case, caps)
         amb = ambient_group(case.kind, case.n, base, caps)
-    except (GroupCapError, FieldCapError) as exc:
+    except (GroupCapError, FieldCapError, AlgebraCapError) as exc:
         case_doc = case.serialize()
         case_doc["q"] = case.q
         case_doc["n"] = case.n
@@ -109,7 +109,7 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
     doc = report.to_dict()
     doc["schema"] = SCHEMA_VERSION
     doc["status"] = "ok"
-    doc["torus"] = torus_block(report.torus)
+    doc["torus"] = torus_block(report.torus, report.normalizer)
 
     # GL-vs-SL restriction data rides along with the SL case when GL fits the cap
     if case.kind == SL:

@@ -8,7 +8,8 @@ Subgroup ids are recomputed from the element matrices' keys, interval
 lattices by the element-level breadth-first route (a per-element double-coset
 loop, then a closure over elements seeded with H), subgroup generators by the
 greedy pick that recloses from the identity after every pick, normality
-edges by a subset test per pair of members, regular representations from
+edges by a subset test per pair of members, centralizers by a commuting
+scan of the whole ambient per generator, regular representations from
 the algebra's own multiplication and coordinates, the torus and the
 formula normalizer from those, one unit at a time through FieldMatrix
 products, determinants and lookups, and the exact rational
@@ -254,6 +255,14 @@ def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], set[tuple[s
                 if is_normal_in(a, b):
                     edges.add((a.id, b.id))
     return edges, comparable
+
+
+def centralizer_brute(ambient, h) -> Subgroup:
+    """{g : g x = x g for every x in h}, by scanning every ambient element."""
+    ok = np.ones(ambient.order, dtype=bool)
+    for x in h.generators:
+        ok &= ambient.commute_mask(x)
+    return Subgroup(ambient, np.nonzero(ok)[0])
 
 
 def regular_rep_by_basis(a) -> FieldMatrix:

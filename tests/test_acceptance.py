@@ -31,6 +31,7 @@ from garlands.matrix_group import (
     SL,
     Subgroup,
     ambient_group,
+    intersect_with_ambient,
     normalizer_brute,
     normalizer_formula,
     torus_subgroup,
@@ -38,7 +39,14 @@ from garlands.matrix_group import (
 from garlands.pell import is_squarefree, negative_pell, sl2q_normalizer_report
 from garlands.runner import run_case, sweep_cases
 
-from oracles import exhaustive_negative_pell, formula_by_units, interval_by_elements, subgroup_id, torus_by_units
+from oracles import (
+    centralizer_brute,
+    exhaustive_negative_pell,
+    formula_by_units,
+    interval_by_elements,
+    subgroup_id,
+    torus_by_units,
+)
 
 
 # the five swept cases where the lower garland is strictly larger than the
@@ -306,6 +314,27 @@ def test_idempotence_matches_second_brute_scan(sweep, tori):
     assert len(tori) >= 24
 
 
+def test_rerouted_verdicts_match_conjugation_scans(sweep, tori):
+    # a report's N(T), N_GL(T) and C(T) come from coset tables; the
+    # whole-ambient conjugation scans are the oracle for every verdict they feed
+    restricted = 0
+    for key, (amb, torus, normalizer) in tori.items():
+        doc = sweep[key]
+        case = doc["case"]
+        spec = AlgebraSpec(construct_field(case["p"], case["base_degree"]), case["degrees"])
+        assert doc["normalizers"]["brute_order"] == normalizer.order, key
+        formula_eq = normalizer_formula(spec, amb).same_elements(normalizer)
+        assert doc["normalizers"]["formula_equals_brute"] == formula_eq, key
+        assert doc["torus"]["maximal_abelian"] == centralizer_brute(amb, torus).same_elements(torus), key
+        if key[3] == "sl" and "skipped" not in doc["restriction"]:
+            gl = ambient_group(GL, spec.n, spec.base)
+            n_gl = normalizer_brute(gl, torus_subgroup(spec, gl))
+            identity = intersect_with_ambient(n_gl, amb).same_elements(normalizer)
+            assert doc["restriction"]["intersection_identity_holds"] == identity, key
+            restricted += 1
+    assert len(tori) >= 24 and restricted >= 12
+
+
 def test_c07_maximal_abelian(sweep):
     ok = _ok(sweep)
     checked_gl = checked_sl = 0
@@ -326,7 +355,7 @@ def test_c07_maximal_abelian(sweep):
     # and the unit-span exclusion is substantive: the trivial torus of F2+F2 is not
     assert ok[(2, 2, (1, 1), "gl")]["torus"]["maximal_abelian"] is False
     assert checked_gl >= 10 and checked_sl >= 10
-    print(f"\n[criterion 7] PASS: torus maximal abelian (brute centralizer scan) on all "
+    print(f"\n[criterion 7] PASS: torus maximal abelian (centralizer inside N(T)) on all "
           f"{checked_gl} unit-spanning GL cases and {checked_sl} SL cases with the "
           "intersection premise")
 

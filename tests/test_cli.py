@@ -87,6 +87,22 @@ def test_verify_cap_exit_3(capsys):
     assert code == 3  # GL(3,7) far over the enumeration cap
 
 
+@pytest.mark.parametrize("command,degrees", [("verify", "21"), ("torus", "21"), ("verify", "7,7,7")])
+def test_algebra_cap_exit_3(capsys, command, degrees):
+    # 2^21 is over the algebra-order cap: a clean cap failure, not a traceback
+    code, _, err = _run(capsys, [command, "--p", "2", "--degrees", degrees])
+    assert code == 3
+    assert "Traceback" not in err
+    if command == "torus":
+        assert err.startswith("cap exceeded: algebra order")
+
+
+def test_run_case_skips_over_cap_algebra():
+    doc = run_case(CaseSpec(2, 1, (21,), "gl"))
+    assert doc["status"] == "skipped_cap"
+    assert "algebra order" in doc["reason"]
+
+
 def test_validation_error_exit_1(capsys):
     code, _, err = _run(capsys, ["torus", "--p", "6", "--degrees", "2"])
     assert code == 1

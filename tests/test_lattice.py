@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from garlands import lattice
+from garlands import cli, lattice
 from garlands.etale import AlgebraSpec
 from garlands.finite_field import construct_field
 from garlands.lattice import (
@@ -25,6 +27,7 @@ from garlands.matrix_group import (
     normalizer_brute,
     torus_subgroup,
 )
+from garlands.runner import CaseSpec, run_case
 
 from oracles import normality_edges_by_pairs
 
@@ -297,19 +300,30 @@ def test_member_normalizers_match_brute(p, degrees):
     assert enumerate_interval(t, amb, max_members=1).normalizers == ()
 
 
-def test_verify_scans_the_ambient_once(monkeypatch):
-    # N(T) is the one brute scan; N(N(T)) is read off the lattice
+def test_verify_scans_the_ambient_once(monkeypatch, capsys):
+    # T's coset table over G is the one whole-ambient pass: N(T), N(N(T)),
+    # N_GL(T) and C(T) come from coset tables, and no case calls a
+    # conjugation scan, the tests' reference route
     calls = []
-    monkeypatch.setattr(lattice, "normalizer_brute", lambda *args: calls.append(args) or normalizer_brute(*args))
-    for p, degrees in [(2, [1, 1, 1]), (3, [2]), (3, [1, 1])]:
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "garlands"]:
+        if hasattr(mod, "normalizer_brute"):
+            wrapped = lambda *args, _f=mod.normalizer_brute: calls.append("normalizer_brute") or _f(*args)
+            monkeypatch.setattr(mod, "normalizer_brute", wrapped)
+    for name in ("conj_by_all", "commute_mask"):
+        wrapped = lambda *args, _f=getattr(AmbientGroup, name), _n=name: calls.append(_n) or _f(*args)
+        monkeypatch.setattr(AmbientGroup, name, wrapped)
+    for p, degrees in [(2, (1, 1, 1)), (3, (2,)), (3, (1, 1))]:
         spec = AlgebraSpec(construct_field(p, 1), degrees)
+        gl = ambient_group(GL, spec.n, spec.base)
         sl_report = verify_lower_garland(spec, ambient_group(SL, spec.n, spec.base))
-        calls.clear()
-        verify_lower_garland(spec, ambient_group(GL, spec.n, spec.base))
-        assert len(calls) == 1
-        calls.clear()
-        interval_restriction_check(spec, ambient_group(GL, spec.n, spec.base), sl_report)
-        assert len(calls) == 1
+        verify_lower_garland(spec, gl)
+        interval_restriction_check(spec, gl, sl_report)
+        for ambient in ("gl", "sl"):
+            assert run_case(CaseSpec(p, 1, degrees, ambient))["status"] == "ok"
+            flags = ["--p", str(p), "--degrees", ",".join(map(str, degrees)), "--ambient", ambient]
+            assert cli.main(["torus", *flags]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_verdict_classification():

@@ -18,7 +18,6 @@ from garlands.matrix_group import (
     _det_idx,
     _inv_mats,
     ambient_group,
-    centralizer_brute,
     extend_subgroup,
     extend_subgroups,
     generate,
@@ -33,6 +32,7 @@ from garlands.matrix_group import (
 )
 
 from oracles import (
+    centralizer_brute,
     double_coset_reps_by_loop,
     element_closure,
     formula_by_units,
@@ -268,18 +268,27 @@ def test_gl_sl_normalizer_intersection_follows_span():
 
 
 def test_is_maximal_abelian_examples():
+    # C(h) is computed inside N(h); the whole ambient as the container agrees
     gl23 = ambient_group(GL, 2, F3)
-    assert is_maximal_abelian(gl23, torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23))
-    assert is_maximal_abelian(gl23, torus_subgroup(AlgebraSpec(F3, [2]), gl23))
+    whole = Subgroup(gl23, range(gl23.order))
     center = generate(gl23, [FieldMatrix(F3, [[2, 0], [0, 2]])])
-    assert not is_maximal_abelian(gl23, center)
+    for h, expected in [
+        (torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23), True),
+        (torus_subgroup(AlgebraSpec(F3, [2]), gl23), True),
+        (center, False),
+    ]:
+        assert is_maximal_abelian(h, normalizer_brute(gl23, h)) is expected, h.order
+        assert is_maximal_abelian(h, whole) is expected, h.order
 
 
 def test_is_maximal_abelian_rejects_nonabelian():
     gl23 = ambient_group(GL, 2, F3)
     whole = Subgroup(gl23, range(gl23.order))
     with pytest.raises(NotAbelianError):
-        is_maximal_abelian(gl23, whole)
+        is_maximal_abelian(whole, whole)
+    center = generate(gl23, [FieldMatrix(F3, [[2, 0], [0, 2]])])
+    with pytest.raises(GroupError):  # the container must hold h
+        is_maximal_abelian(torus_subgroup(AlgebraSpec(F3, [2]), gl23), center)
 
 
 def test_centralizer_of_torus_is_torus_when_units_span():
