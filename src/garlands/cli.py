@@ -229,13 +229,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (CaseError, PellError, FieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GroupCapError, FieldCapError, AlgebraCapError) as exc:
+    except (GroupCapError, FieldCapError, AlgebraCapError) as exc:  # before their base classes
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (GroupError, AlgebraError) as exc:
+    except (CaseError, PellError, FieldError, GroupError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

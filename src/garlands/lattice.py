@@ -7,31 +7,39 @@ Double-coset representatives suffice because <H, h1*g*h2> = <H, g>.
 Completeness follows by induction along any maximal chain: each covering
 step K over H equals <H, g> for every g in K \\ H.
 
-Each expanded member gets one coset table inside top (CosetTable in
-matrix_group), over positions in top's sorted ambient indices: the
-right-multiplication permutations of H's generators, right-coset labels
-(orbit minima under left multiplication by the generators) and
-double-coset labels (those labels' orbit minima under the right
-permutations).  The representatives are the positions that are their own
-double label, so each is the least element of its double coset, in
-ascending order.  <H, g> is then closed over right cosets instead of
-elements: K = <H, g> contains H, so it is a union of right cosets H x, and
-right multiplication by H's generators and by g permutes right cosets, so
-the cosets reachable from H under those right multiplications are exactly
-the cosets of K.  A closure costs [K:H] products by g plus gathers through
-the permutations, and only the member being expanded holds a table.  All of
-a member's closures run together (extend_subgroups): each breadth-first
-level is one paired product of every live (closure, coset) pair's least
-element by that closure's g, so a member costs one product call per level,
-not one per level per closure, and closures reaching the same cosets
-become one subgroup.
+Each expanded member other than top gets one coset table inside top
+(CosetTable in matrix_group), over positions in top's sorted ambient
+indices: the right-multiplication permutations of H's generators,
+right-coset labels (orbit minima under left multiplication by the
+generators) and double-coset labels (those labels' orbit minima under the
+right permutations).  The permutations belong to top (Subgroup.right_perm,
+memoized per generator), and members share generators, so an enumeration
+makes one product of the whole top per distinct generator, not one per
+generator per table.  Top itself gets no table: its only double coset is
+itself, so it has no extension, and N_top(top) = top.  The representatives
+are the positions that are their own double label, so each is the least
+element of its double coset, in ascending order.  <H, g> is then closed
+over right cosets instead of elements: K = <H, g> contains H, so it is a
+union of right cosets H x, and right multiplication by H's generators and
+by g permutes right cosets, so the cosets reachable from H under those
+right multiplications are exactly the cosets of K.  A closure costs at most
+[K:H] products by g plus gathers through the permutations, and only the
+member being expanded holds a table.  All of a member's closures run
+together (extend_subgroups): each breadth-first level is one paired product
+of every live (closure, coset) pair's least element by that closure's g, so
+a member costs one product call per level, not one per level per closure,
+and closures reaching the same cosets become one subgroup.  [K:H] divides
+[top:H], so a closure holding more than half of top's right cosets is all
+of top and stops there.
 
 Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
-expanded: a closure that yields a new member K adds K's whole orbit (a
-breadth-first pass conjugating each subgroup by all of A's generators in
-one paired lmul and rmul) to the members but queues only K, so the members
-are always a union of orbits.  This is still complete.  Take a covering
+expanded: a closure that yields a new member K adds K's whole orbit to the
+members but queues only K, so the members are always a union of orbits.
+The orbit is found breadth first over A's generators, and every conjugate
+has K's order, so each level (all its subgroups by all their generators
+outside them) is one paired lmul, one paired rmul and one rmul for the
+conjugators.  This is still complete.  Take a covering
 step H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for
 an expanded representative R and n in A.  Then n^-1 H_{i+1} n =
 <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup is the closure of
@@ -40,13 +48,13 @@ R was expanded, its orbit was added with it, and that orbit contains
 H_{i+1}.
 
 Every member's normalizer in top comes from the same tables: a
-representative R has N_top(R) from its own table, and a member a R a^-1
-found by conjugating has a N_top(R) a^-1.  Edges of the normality graph
-join every comparable pair with the smaller subgroup normal in the larger
-(no Hasse restriction); garlands are the connected components.  a is
-normal in b exactly when a < b <= N_top(a), so each member needs two
-subset tests against the rows of a members x top membership matrix and no
-group products.
+representative R has N_top(R) from its own table (top, which has none, is
+its own), and a member a R a^-1 found by conjugating has a N_top(R) a^-1.
+Edges of the normality graph join every comparable pair with the smaller
+subgroup normal in the larger (no Hasse restriction); garlands are the
+connected components.  a is normal in b exactly when a < b <= N_top(a), so
+each member needs two subset tests against the rows of a members x top
+membership matrix and no group products.
 """
 
 from __future__ import annotations
@@ -102,21 +110,33 @@ class IntervalLattice:
 
 
 def _conjugacy_orbit(k: Subgroup, acting: Subgroup) -> list[tuple[Subgroup, int]]:
-    """Each conjugate a K a^-1 of K under the acting group with one such a, breadth first over its generators."""
+    """Each conjugate a K a^-1 of K under the acting group with one such a, breadth first over its generators.
+
+    Every conjugate has K's order, so a whole level is one batch: its
+    (subgroup, generator) pairs, generators inside the subgroup skipped,
+    take one paired lmul, one paired rmul and one conjugator rmul.
+    """
     amb = k.ambient
     gens = np.array(acting.generators, dtype=np.int32)
     orbit = {k.indices.tobytes(): (k, amb.identity_index)}
-    queue = deque(orbit.values())
-    while queue:
-        h, a = queue.popleft()
-        inside = h.indices[np.searchsorted(h.indices, gens).clip(max=h.order - 1)] == gens
-        outside = gens[~inside]  # conjugating by an element of H fixes H
-        conjugators = amb.rmul(outside, a)  # g (a K a^-1) g^-1 = (g a) K (g a)^-1
-        for c, conj in zip(conjugators.tolist(), np.sort(amb.conjugates(outside, h.indices), axis=1)):
-            key = conj.tobytes()
+    level = list(orbit.values())
+    while level:
+        # conjugating by an element of H fixes H
+        inside = [h.indices[np.searchsorted(h.indices, gens).clip(max=k.order - 1)] == gens for h, _ in level]
+        member, gen = np.nonzero(~np.array(inside))  # member-major, the order a one-subgroup-at-a-time queue takes
+        if not member.size:
+            break
+        g = gens[gen]
+        # g (a K a^-1) g^-1 = (g a) K (g a)^-1
+        conjugators = amb.rmul(g, np.array([a for _, a in level], dtype=np.int32)[member])
+        rows = np.concatenate([level[i][0].indices for i in member.tolist()])
+        conj = np.sort(amb.conjugate_pairs(np.repeat(g, k.order), rows).reshape(member.size, k.order), axis=1)
+        level = []
+        for c, row in zip(conjugators.tolist(), conj):
+            key = row.tobytes()
             if key not in orbit:
-                orbit[key] = (Subgroup(amb, conj), c)
-                queue.append(orbit[key])
+                orbit[key] = (Subgroup(amb, row), c)
+                level.append(orbit[key])
     return list(orbit.values())
 
 
@@ -127,7 +147,7 @@ def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]])
     if moved:
         sizes = [out[i].order for i in moved]
         left = np.repeat(np.array([pairs[i][1] for i in moved], dtype=np.int32), sizes)
-        flat = amb.rmul(amb.lmul(left, np.concatenate([out[i].indices for i in moved])), amb.inv_indices()[left])
+        flat = amb.conjugate_pairs(left, np.concatenate([out[i].indices for i in moved]))
         for i, part in zip(moved, np.split(flat, np.cumsum(sizes)[:-1])):
             out[i] = Subgroup(amb, part)
     return tuple(out)
@@ -160,6 +180,9 @@ def enumerate_interval(
     exhaustive = True
     while queue and exhaustive:
         h = queue.popleft()
+        if h.order == top.order:  # top is its own only double coset: no extension, and N_top(top) = top
+            rep_normalizers[h.indices.tobytes()] = top
+            continue
         table = CosetTable(h, top)
         rep_normalizers[h.indices.tobytes()] = table.normalizer()
         acting = rep_normalizers[start]  # bottom's table is the first
@@ -200,8 +223,7 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     ms = lat.members
     # contains[i, x]: member i holds top position x; a row's columns at a
     # subgroup's positions are all set exactly when that member contains it
-    positions = np.full(lat.ambient.order, -1, dtype=np.int32)
-    positions[lat.top.indices] = np.arange(lat.top.order, dtype=np.int32)
+    positions = lat.top.positions()
     contains = np.zeros((len(ms), lat.top.order), dtype=bool)
     for i, m in enumerate(ms):
         contains[i, positions[m.indices]] = True

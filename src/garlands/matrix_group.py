@@ -11,7 +11,9 @@ Closures run breadth first over ambient indices, dropping repeats with a
 slot array instead of a sort; a CosetTable lays out the right and double
 cosets of a subgroup H inside a larger one as permutations and
 orbit-minimum labels over positions, so extend_subgroups can close <H, g>
-for many g together over right cosets of H instead of over elements.
+for many g together over right cosets of H instead of over elements.  The
+right permutations are memoized on the larger subgroup, so the tables of
+one enumeration share them.
 
 The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
 a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
@@ -262,12 +264,15 @@ class AmbientGroup:
         prods = _mat_mul(self.field, self._mats[g], self._mats[idxs])
         return self.indices_of_mats(prods)
 
+    def conjugate_pairs(self, gs: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+        """Indices of g * x * g^-1 for g paired elementwise with x: one paired lmul and one paired rmul."""
+        return self.rmul(self.lmul(gs, idxs), self.inv_indices()[gs])
+
     def conjugates(self, gens: Sequence[int], idxs: np.ndarray) -> np.ndarray:
-        """(len(gens), len(idxs)) indices of g * x * g^-1: one paired lmul and one paired rmul."""
+        """(len(gens), len(idxs)) indices of g * x * g^-1, from one conjugate_pairs call."""
         gens = np.asarray(gens, dtype=np.int32)
         idxs = np.asarray(idxs, dtype=np.int32)
-        left = np.repeat(gens, idxs.size)
-        conj = self.rmul(self.lmul(left, np.tile(idxs, gens.size)), self.inv_indices()[left])
+        conj = self.conjugate_pairs(np.repeat(gens, idxs.size), np.tile(idxs, gens.size))
         return conj.reshape(gens.size, idxs.size)
 
     def conj_by_all(self, x: int) -> np.ndarray:
@@ -296,7 +301,7 @@ def ambient_group(kind: str, n: int, field: FieldTable, caps: Caps = DEFAULT_CAP
 class Subgroup:
     """A subgroup of an ambient group, stored as sorted ambient indices."""
 
-    __slots__ = ("ambient", "indices", "_mask", "_id", "_gens")
+    __slots__ = ("ambient", "indices", "_mask", "_positions", "_right", "_id", "_gens")
 
     def __init__(self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray):
         self.ambient = ambient
@@ -308,6 +313,8 @@ class Subgroup:
             raise GroupError("a subgroup contains at least the identity")
         self.indices = idx
         self._mask = None
+        self._positions = None
+        self._right = {}
         self._id = None
         self._gens = None
         if ambient.order % idx.size != 0:
@@ -323,6 +330,27 @@ class Subgroup:
             m[self.indices] = True
             self._mask = m
         return self._mask
+
+    def positions(self) -> np.ndarray:
+        """Ambient index -> its position in the sorted indices, -1 outside."""
+        if self._positions is None:
+            pos = np.full(self.ambient.order, -1, dtype=np.int32)
+            pos[self.indices] = np.arange(self.order, dtype=np.int32)
+            self._positions = pos
+        return self._positions
+
+    def right_perm(self, s: int) -> np.ndarray:
+        """The permutation x -> x * s of positions, for s in this subgroup; memoized per s.
+
+        Coset tables inside this subgroup share it, so an enumeration makes
+        one product of the whole subgroup per distinct generator; the memo
+        holds (distinct s) * order * 4 bytes and lives as long as the subgroup.
+        """
+        s = int(s)
+        perm = self._right.get(s)
+        if perm is None:
+            perm = self._right[s] = self.positions()[self.ambient.rmul(self.indices, s)]
+        return perm
 
     def key_tuple(self) -> bytes:
         """Matrix keys as int64 bytes, ascending because ambient order is key order."""
@@ -470,7 +498,8 @@ class CosetTable:
 
     Everything is indexed by position 0..|top|-1 in top's sorted ambient
     indices, so position order is ambient order.  `right[i]` is the
-    permutation x -> x * s_i for H's i-th generator s_i; `labels[x]` is the
+    permutation x -> x * s_i for H's i-th generator s_i, top.right_perm(s_i),
+    which every table inside the same top shares; `labels[x]` is the
     least position of the right coset H x (the orbit of x under left
     multiplication by the generators' inverses, x -> (x^-1 * s_i)^-1, which
     is right[i] conjugated by inversion); `double_labels[x]` is the least
@@ -481,27 +510,23 @@ class CosetTable:
     single right cosets make up N_top(H).
     """
 
-    __slots__ = ("h", "top", "positions", "right", "labels", "double_labels")
+    __slots__ = ("h", "top", "right", "labels", "double_labels")
 
     def __init__(self, h: Subgroup, top: Subgroup):
         _require_same_ambient(h, top)
         if not h.is_subset_of(top):
             raise GroupError("a coset table needs H inside the top")
-        amb = h.ambient
-        positions = np.full(amb.order, -1, dtype=np.int32)
-        positions[top.indices] = np.arange(top.order, dtype=np.int32)
-        inverse = positions[amb.inv_indices()[top.indices]]
+        inverse = top.positions()[h.ambient.inv_indices()[top.indices]]
         self.h = h
         self.top = top
-        self.positions = positions  # ambient index -> position in top, -1 outside
-        self.right = [positions[amb.rmul(top.indices, s)] for s in h.generators]
+        self.right = [top.right_perm(s) for s in h.generators]
         left = [inverse[r[inverse]] for r in self.right]
         self.labels = _orbit_minima(np.arange(top.order, dtype=np.int32), left)
         self.double_labels = _orbit_minima(self.labels, self.right)
 
     def double_coset_reps(self) -> np.ndarray:
         """Least element of every double coset H x H in top other than H, ascending."""
-        own = self.double_labels[self.positions[self.h.ambient.identity_index]]
+        own = self.double_labels[self.top.positions()[self.h.ambient.identity_index]]
         reps = np.flatnonzero(self.double_labels == np.arange(self.top.order))
         return self.top.indices[reps[reps != own]]
 
@@ -523,21 +548,35 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     closure's g, plus gathers through the right permutations; one claim over
     closure * cosets + coset drops repeats.  Closures with the same coset set
     become one Subgroup.
+
+    [K:H] divides [top:H], so a closure that has claimed more than half of
+    top's right cosets is already all of top: it takes every coset and
+    leaves the frontier without another level.
     """
     gs = np.asarray(extra_indices, dtype=np.int32)
-    if (table.positions[gs] < 0).any():
+    positions = table.top.positions()
+    if (positions[gs] < 0).any():
         raise GroupError("the adjoined element lies outside the table's top")
     amb = table.h.ambient
-    labels, positions, top = table.labels, table.positions, table.top.indices
+    labels, top = table.labels, table.top.indices
     is_least = labels == np.arange(top.size)
     least = np.flatnonzero(is_least)  # coset number -> its least position
     coset = (np.cumsum(is_least, dtype=np.int32) - 1)[labels]  # position -> coset number
     ncos = least.size
     slot = np.full(gs.size * ncos, -1, dtype=np.int32)
+    claimed = np.zeros(gs.size, dtype=np.int64)  # cosets each closure has reached
     start = coset[positions[amb.identity_index]]
     frontier = _claim_fresh(np.arange(gs.size, dtype=np.int32) * ncos + start, slot)
     while frontier.size:
         closure, xs = np.divmod(frontier, ncos)
+        claimed += np.bincount(closure, minlength=gs.size)
+        whole = 2 * claimed > ncos
+        if whole[closure].any():
+            slot.reshape(gs.size, ncos)[whole] = 0
+            live = ~whole[closure]
+            closure, xs = closure[live], xs[live]
+            if not closure.size:
+                break
         xs = least[xs]
         images = [coset[r[xs]] for r in table.right]
         images.append(coset[positions[amb.rmul(top[xs], gs[closure])]])

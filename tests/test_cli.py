@@ -97,6 +97,13 @@ def test_algebra_cap_exit_3(capsys, command, degrees):
         assert err.startswith("cap exceeded: algebra order")
 
 
+def test_field_cap_exit_3(capsys):
+    # FieldCapError is a FieldError: the cap clause must catch it first
+    code, _, err = _run(capsys, ["torus", "--p", "2", "--base-degree", "30", "--degrees", "2"])
+    assert code == 3
+    assert err.startswith("cap exceeded: field order")
+
+
 def test_run_case_skips_over_cap_algebra():
     doc = run_case(CaseSpec(2, 1, (21,), "gl"))
     assert doc["status"] == "skipped_cap"

@@ -232,7 +232,8 @@ def test_non_exhaustive_lattice_refused():
 
 def test_trivial_torus_gl32_expands_one_member_per_orbit(monkeypatch):
     # GL(3,2) = PSL(2,7) has 179 subgroups in 15 conjugacy classes, and the
-    # normalizer of the trivial torus is the whole group
+    # normalizer of the trivial torus is the whole group; the class of the
+    # whole group gets no table, since top has no extension
     built = []
 
     class CountingTable(lattice.CosetTable):
@@ -246,7 +247,48 @@ def test_trivial_torus_gl32_expands_one_member_per_orbit(monkeypatch):
     assert t.order == 1
     lat = enumerate_interval(t, gl32)
     assert len(lat) == 179 and lat.exhaustive
-    assert len(built) == 15
+    assert len(built) == 14
+    assert all(h.order < gl32.order for h in built)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [2, 1])])
+def test_one_whole_top_product_per_generator(monkeypatch, p, degrees):
+    # the coset tables share top's right permutations, one per distinct generator
+    spec = AlgebraSpec(construct_field(p, 1), degrees)
+    amb = ambient_group(GL, spec.n, spec.base)
+    t = torus_subgroup(spec, amb)
+    whole_top = []
+    rmul = AmbientGroup.rmul
+
+    def counting_rmul(self, x, g):
+        if len(x) == amb.order:
+            whole_top.append(g)
+        return rmul(self, x, g)
+
+    monkeypatch.setattr(AmbientGroup, "rmul", counting_rmul)
+    lat = enumerate_interval(t, amb)
+    monkeypatch.undo()
+    assert lat.exhaustive and whole_top
+    assert all(np.ndim(g) == 0 for g in whole_top)
+    assert len(set(map(int, whole_top))) == len(whole_top)
+
+
+@pytest.mark.parametrize("acting_order", [168, 24])
+def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
+    # the level-batched orbit of each member of GL(3,2) 1,1,1's [T, G] under
+    # N(T) = G, and under a smaller acting group whose orbits split, against
+    # conjugating K by every element of the acting group
+    gl32 = ambient_group(GL, 3, F2)
+    t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
+    lat = enumerate_interval(t, gl32)
+    acting = next(n for n in lat.normalizers if n.order == acting_order)
+    for k in lat.members:
+        orbit = lattice._conjugacy_orbit(k, acting)
+        by_all = {row.tobytes() for row in np.sort(gl32.conjugates(acting.indices, k.indices), axis=1)}
+        assert {m.indices.tobytes() for m, _ in orbit} == by_all
+        for m, a in orbit:
+            assert acting.mask()[a]
+            assert np.array_equal(np.sort(gl32.conjugates([a], k.indices)[0]), m.indices)
 
 
 def test_max_members_stops_after_the_orbit_that_crosses_it():

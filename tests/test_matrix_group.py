@@ -388,6 +388,38 @@ def test_coset_table_matches_brute_products(n, base, degrees):
             assert [k.indices.tobytes() for k in extend_subgroups(table, reps)] == list(closures)
 
 
+def test_right_perm_matches_fresh_products():
+    amb = ambient_group(GL, 3, F2)
+    torus = torus_subgroup(AlgebraSpec(F2, [2, 1]), amb)
+    for top in (Subgroup(amb, np.arange(amb.order)), normalizer_brute(amb, torus)):
+        positions = np.full(amb.order, -1, dtype=np.int32)
+        positions[top.indices] = np.arange(top.order)
+        assert np.array_equal(top.positions(), positions)
+        for s in top.indices.tolist():
+            perm = top.right_perm(s)
+            assert np.array_equal(perm, positions[amb.rmul(top.indices, s)])
+            assert top.right_perm(s) is perm  # memoized on the top
+
+
+def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
+    # T's table for GL(3,3) 2,1 over G: most closures reach all of G, and
+    # they stop once they hold more than half the cosets, so the products
+    # by g fall short of one per coset of each closure
+    amb = ambient_group(GL, 3, F3)
+    t = torus_subgroup(AlgebraSpec(F3, [2, 1]), amb)
+    table = CosetTable(t, Subgroup(amb, np.arange(amb.order)))
+    reps = table.double_coset_reps()
+    closures = [element_closure(amb, t, g) for g in reps]
+    assert any(c.size == amb.order for c in closures)
+    products = []
+    rmul = AmbientGroup.rmul
+    monkeypatch.setattr(AmbientGroup, "rmul", lambda self, x, g: products.append(len(x)) or rmul(self, x, g))
+    got = extend_subgroups(table, reps)
+    monkeypatch.undo()
+    assert [k.indices.tobytes() for k in got] == list(dict.fromkeys(c.tobytes() for c in closures))
+    assert sum(products) < sum(c.size // t.order for c in closures)
+
+
 @pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1])])
 def test_generators_match_greedy_from_scratch(n, base, degrees):
     # generators extend the previous pick's closure; the oracle recloses from
