@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="verify all algebras with q^n up to a bound")
     sp.add_argument("--max-order", type=int, default=100, help="bound on the algebra order q^n")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="worker processes, at least 1")
     sp.add_argument("--pell", action="store_true", help="emit a Pell table instead")
     sp.add_argument("--d-max", type=int, default=100)
     add_common(sp, cached=True)

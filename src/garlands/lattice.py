@@ -15,22 +15,24 @@ generators) and double-coset labels (those labels' orbit minima under the
 right permutations).  The permutations belong to top (Subgroup.right_perm,
 memoized per generator), and members share generators, so an enumeration
 makes one product of the whole top per distinct generator, not one per
-generator per table.  Top itself gets no table: its only double coset is
-itself, so it has no extension, and N_top(top) = top.  The representatives
-are the positions that are their own double label, so each is the least
-element of its double coset, in ascending order.  <H, g> is then closed
-over right cosets instead of elements: K = <H, g> contains H, so it is a
-union of right cosets H x, and right multiplication by H's generators and
-by g permutes right cosets, so the cosets reachable from H under those
-right multiplications are exactly the cosets of K.  A closure costs at most
-[K:H] products by g plus gathers through the permutations, and only the
-member being expanded holds a table.  All of a member's closures run
-together (extend_subgroups): each breadth-first level is one paired product
-of every live (closure, coset) pair's least element by that closure's g, so
-a member costs one product call per level, not one per level per closure,
-and closures reaching the same cosets become one subgroup.  [K:H] divides
-[top:H], so a closure holding more than half of top's right cosets is all
-of top and stops there.
+generator per table.  Every member contains bottom, so its right cosets are
+unions of bottom's: each later table starts from bottom's right-coset
+labels, and only its generators outside bottom add left permutations.  Top
+itself gets no table: its only double coset is itself, so it has no
+extension, and N_top(top) = top.  The representatives are the positions
+that are their own double label, so each is the least element of its double
+coset, in ascending order.  <H, g> is then closed over right cosets instead
+of elements: K = <H, g> contains H, so it is a union of right cosets H x,
+and right multiplication by H's generators and by g permutes right cosets,
+so the cosets reachable from H under those right multiplications are
+exactly the cosets of K.  A closure costs at most [K:H] products by g plus
+gathers through the permutations, and only the member being expanded holds
+a table.  All of a member's closures run together (extend_subgroups): each
+breadth-first level is one paired product of every live (closure, coset)
+pair's least element by that closure's g, so a member costs one product
+call per level, not one per level per closure, and closures reaching the
+same cosets become one subgroup.  [K:H] divides [top:H], so a closure
+holding more than half of top's right cosets is all of top and stops there.
 
 Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
@@ -161,8 +163,9 @@ def enumerate_interval(
 ) -> IntervalLattice:
     """All subgroups H with bottom <= H <= top (top = within or the ambient), each with N_top(H).
 
-    Bottom's table is built first, and its normalizer in top acts on the
-    interval by conjugation, so only one member per orbit is expanded.
+    Bottom's table is built first; it seeds every later table's right
+    cosets, and its normalizer in top acts on the interval by conjugation,
+    so only one member per orbit is expanded.
     """
     if bottom.ambient != ambient:
         raise LatticeError("bottom subgroup lives in a different ambient group")
@@ -178,12 +181,15 @@ def enumerate_interval(
     rep_normalizers: dict[bytes, Subgroup] = {}  # representative key -> N_top(R)
     queue = deque([bottom])
     exhaustive = True
+    below = None  # bottom's table, once built
     while queue and exhaustive:
         h = queue.popleft()
         if h.order == top.order:  # top is its own only double coset: no extension, and N_top(top) = top
             rep_normalizers[h.indices.tobytes()] = top
             continue
-        table = CosetTable(h, top)
+        table = CosetTable(h, top, below)
+        if below is None:
+            below = table
         rep_normalizers[h.indices.tobytes()] = table.normalizer()
         acting = rep_normalizers[start]  # bottom's table is the first
         for k in extend_subgroups(table, table.double_coset_reps()):

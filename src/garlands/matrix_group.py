@@ -7,13 +7,18 @@ tables of the coefficient field, and membership tests use a base-q key
 lookup table.  rmul and lmul multiply by one index or by an index array
 paired elementwise with their input, so a breadth-first pass makes one
 product call per level however many generators or closures it advances.
+rmul by one index g needs no matrix product per element: the ambient keeps
+each element's row codes (the base-q^n digits of its key), so one product
+of the q^n row vectors by g gives every row of every x * g, and its key is
+a sum of looked-up codes.  Paired factors, and lmul, multiply matrices.
 Closures run breadth first over ambient indices, dropping repeats with a
 slot array instead of a sort; a CosetTable lays out the right and double
 cosets of a subgroup H inside a larger one as permutations and
 orbit-minimum labels over positions, so extend_subgroups can close <H, g>
 for many g together over right cosets of H instead of over elements.  The
 right permutations are memoized on the larger subgroup, so the tables of
-one enumeration share them.
+one enumeration share them, and a table can start from the right-coset
+labels of a subgroup of H over the same top (the interval's bottom).
 
 The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
 a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
@@ -155,6 +160,8 @@ class AmbientGroup:
         self._mats: np.ndarray | None = None
         self._lut: np.ndarray | None = None
         self._keypow: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
+        self._rowvecs: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._identity: int | None = None
 
@@ -198,6 +205,10 @@ class AmbientGroup:
         lut[sel] = np.arange(sel.size, dtype=np.int32)
         self._lut = lut
         self._keypow = np.array([q ** (n * n - 1 - i) for i in range(n * n)], dtype=np.int64)
+        # row codes: the base-q^n digits of each key, most significant (row 0) first
+        self._rows = np.array([sel // q ** (n * (n - 1 - i)) % q**n for i in range(n)], dtype=np.int32)
+        # the first q^n candidates are zero but for their last row, which runs through every row vector in code order
+        self._rowvecs = np.ascontiguousarray(mats[: q**n, n - 1 :])
         ident = FieldMatrix.identity(self.field, n)
         self._identity = int(lut[ident.key()])
         self._inv = None
@@ -227,11 +238,13 @@ class AmbientGroup:
 
     def indices_of_mats(self, mats: np.ndarray) -> np.ndarray:
         """Ambient indices of (N, n, n) member matrices."""
-        keys = self.keys_of_mats(mats)  # enumerates the ambient before _lut is read
-        idx = self._lut[keys]
+        return self._indices_of_keys(self.keys_of_mats(mats))  # enumerates the ambient before _lut is read
+
+    def _indices_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        idx = np.take(self._lut, keys)
         if (idx < 0).any():
             raise NonMemberError("matrix outside the ambient group")
-        return idx.astype(np.int32)
+        return idx
 
     def index_of(self, mat: FieldMatrix) -> int:
         if mat.field != self.field or mat.n != self.n:
@@ -253,10 +266,26 @@ class AmbientGroup:
     # -- batched group operations -------------------------------------------------
 
     def rmul(self, idxs: np.ndarray, g: int | np.ndarray) -> np.ndarray:
-        """Indices of x * g for each x in idxs; an index array g pairs elementwise with idxs."""
+        """Indices of x * g for each x in idxs; an index array g pairs elementwise with idxs.
+
+        Row i of x * g is (row i of x) * g, so one index g goes by lookup:
+        one small product gives code(v * g) for all q^n row vectors v, and
+        key(x * g) sums those codes at x's row codes, weighted by place.  A
+        paired g multiplies the matrices, since a table per distinct factor
+        would cost more than the products.
+        """
         self._ensure()
-        prods = _mat_mul(self.field, self._mats[idxs], self._mats[g])
-        return self.indices_of_mats(prods)
+        if np.ndim(g):
+            return self.indices_of_mats(_mat_mul(self.field, self._mats[idxs], self._mats[g]))
+        n = self.n
+        place = self._keypow.reshape(n, n)  # place[i, n-1] weighs row i's code, place[-1] a row's digits
+        vg = _mat_mul(self.field, self._rowvecs, self._mats[g]).reshape(-1, n)
+        codes = vg @ place[-1]  # code(v * g) for every row vector v
+        # np.take: numpy's [] gathers cast int32 indices first, at about twice the cost
+        keys = np.take(codes * place[0, n - 1], np.take(self._rows[0], idxs))
+        for i in range(1, n):
+            keys += np.take(codes * place[i, n - 1], np.take(self._rows[i], idxs))
+        return self._indices_of_keys(keys)
 
     def lmul(self, g: int | np.ndarray, idxs: np.ndarray) -> np.ndarray:
         """Indices of g * x for each x in idxs; an index array g pairs elementwise with idxs."""
@@ -508,20 +537,37 @@ class CosetTable:
     right-coset labels, and the double labels give the g worth adjoining.
     H x H = H x exactly when x normalizes H, so the double cosets that are
     single right cosets make up N_top(H).
+
+    below, if given, is the table of a subgroup B of H over the same top.
+    Each right coset of H is a union of right cosets of B, and H is
+    generated by B and H's generators outside B, so the labels start from
+    below.labels and only those generators add left permutations.
     """
 
     __slots__ = ("h", "top", "right", "labels", "double_labels")
 
-    def __init__(self, h: Subgroup, top: Subgroup):
+    def __init__(self, h: Subgroup, top: Subgroup, below: "CosetTable | None" = None):
         _require_same_ambient(h, top)
         if not h.is_subset_of(top):
             raise GroupError("a coset table needs H inside the top")
-        inverse = top.positions()[h.ambient.inv_indices()[top.indices]]
         self.h = h
         self.top = top
         self.right = [top.right_perm(s) for s in h.generators]
-        left = [inverse[r[inverse]] for r in self.right]
-        self.labels = _orbit_minima(np.arange(top.order, dtype=np.int32), left)
+        if below is None:
+            labels, fresh = np.arange(top.order, dtype=np.int32), self.right
+        else:
+            if below.top is not top and below.top != top:
+                raise GroupError("a seed table needs the same top")
+            if not below.h.is_subset_of(h):
+                raise GroupError("a seed table needs a subgroup of H")
+            inside = below.h.mask()
+            labels = below.labels
+            fresh = [r for s, r in zip(h.generators, self.right) if not inside[s]]
+        left = []
+        if fresh:
+            inverse = top.positions()[h.ambient.inv_indices()[top.indices]]
+            left = [inverse[r[inverse]] for r in fresh]
+        self.labels = _orbit_minima(labels, left)
         self.double_labels = _orbit_minima(self.labels, self.right)
 
     def double_coset_reps(self) -> np.ndarray:

@@ -189,12 +189,20 @@ def run_sweep(
     cache_dir: str | None = None,
     threads: int = 1,
 ) -> tuple[list[dict], dict]:
-    """All case reports (ordered by case key) plus a summary."""
+    """All case reports (ordered by case key) plus a summary.
+
+    threads > 1 runs the cases in that many worker processes, but no more
+    than there are cases; each worker is a fresh (spawned) interpreter, so
+    the reports are the same as with one thread.
+    """
+    if threads < 1:
+        raise CaseError(f"threads must be at least 1, got {threads}")
     cases = sweep_cases(max_order)
-    if threads > 1:
+    workers = min(threads, len(cases))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(threads) as pool:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
             reports = list(pool.imap(_run_case_tuple, [(c, caps, cache_dir) for c in cases]))
     else:
         cache = DiskCache(cache_dir) if cache_dir else None

@@ -199,6 +199,47 @@ def test_sweep_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_sweep_threads_byte_identical(capsys):
+    args = ["sweep", "--max-order", "30", "--json"]
+    code1, out1, _ = _run(capsys, [*args, "--threads", "1"])
+    code2, out2, _ = _run(capsys, [*args, "--threads", "2"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_threads_below_one_exit_1(capsys, threads):
+    code, out, err = _run(capsys, ["sweep", "--max-order", "9", "--threads", threads])
+    assert code == 1
+    assert out == "" and "threads" in err
+
+
+def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
+    import multiprocessing
+
+    from garlands import runner
+
+    pools = []
+    real = multiprocessing.get_context
+
+    def spy(method=None):
+        ctx = real(method)
+
+        class Context:
+            def Pool(self, workers):
+                pools.append((method, workers))
+                return ctx.Pool(workers)
+
+        return Context()
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    two = runner.sweep_cases(4)[:2]
+    monkeypatch.setattr(runner, "sweep_cases", lambda max_order: two)
+    reports, summary = runner.run_sweep(4, threads=8)
+    assert pools == [("spawn", 2)] and summary["cases"] == 2
+    assert reports == runner.run_sweep(4, threads=1)[0]
+
+
 def test_sweep_pell_table(capsys):
     code, out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "100", "--json"])
     assert code == 0

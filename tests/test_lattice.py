@@ -237,9 +237,9 @@ def test_trivial_torus_gl32_expands_one_member_per_orbit(monkeypatch):
     built = []
 
     class CountingTable(lattice.CosetTable):
-        def __init__(self, h, top):
+        def __init__(self, h, top, below=None):
             built.append(h)
-            super().__init__(h, top)
+            super().__init__(h, top, below)
 
     monkeypatch.setattr(lattice, "CosetTable", CountingTable)
     gl32 = ambient_group(GL, 3, F2)

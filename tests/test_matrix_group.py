@@ -45,6 +45,9 @@ F3 = construct_field(3, 1)
 F4 = construct_field(2, 2)
 F5 = construct_field(5, 1)
 F9 = construct_field(3, 2)
+F13 = construct_field(13, 1)
+F16 = construct_field(2, 4)
+WIDE = Caps(group_order=70_000)  # admits GL(2,13), GL(2,16) and GL(4,2)
 
 
 def test_ambient_orders():
@@ -94,9 +97,11 @@ def test_ambient_enumeration_is_consistent():
             assert int(amb.rmul(np.array([i], dtype=np.int32), int(inv[i]))[0]) == e
 
 
-@pytest.mark.parametrize("n,base", [(2, F2), (3, F2), (2, F4), (2, F9)])
+@pytest.mark.parametrize(
+    "n,base", [(2, F2), (3, F2), (2, F4), (2, F9), (3, F3), (2, F13), (2, F16), (1, F9), (4, F2)]
+)
 def test_paired_products_match_field_matrix_products(n, base):
-    amb = ambient_group(GL, n, base)
+    amb = ambient_group(GL, n, base, WIDE)
     rng = np.random.default_rng(base.q * 10 + n)
     xs = rng.integers(amb.order, size=40).astype(np.int32)
     gs = rng.integers(amb.order, size=40).astype(np.int32)
@@ -110,6 +115,24 @@ def test_paired_products_match_field_matrix_products(n, base):
     assert conj.shape == (3, xs.size)
     for row, s in zip(conj, gs[:3]):
         assert row.tolist() == [amb.index_of(mat(s) * mat(x) * mat(s).inverse()) for x in xs]
+    # one index goes by row-code lookup, an index array by matrix products:
+    # over the whole ambient they agree
+    every = np.arange(amb.order, dtype=np.int32)
+    for g in gs[:3].tolist():
+        assert np.array_equal(amb.rmul(every, g), amb.rmul(every, np.full(amb.order, g, dtype=np.int32)))
+
+
+@pytest.mark.parametrize("n,base", [(1, F9), (2, F3), (2, F4), (3, F2), (3, F3), (4, F2)])
+def test_row_codes_are_the_key_digits(n, base):
+    # row i's code is base-q^n digit n-1-i of the key, and the row vectors run in code order
+    for kind in (GL, SL):
+        amb = ambient_group(kind, n, base, WIDE)
+        keys = amb.keys_of_indices(np.arange(amb.order))
+        qn = base.q**n
+        assert amb._rows.shape == (n, amb.order) and amb._rows.dtype == np.int32
+        for i in range(n):
+            assert np.array_equal(amb._rows[i], keys // qn ** (n - 1 - i) % qn), (kind, i)
+        assert np.array_equal(amb._rowvecs.reshape(qn, n) @ amb._keypow[-n:], np.arange(qn))
 
 
 def test_generate_examples():
@@ -386,6 +409,31 @@ def test_coset_table_matches_brute_products(n, base, degrees):
             # the batched closures are the distinct element-level closures, first occurrence first
             closures = dict.fromkeys(element_closure(amb, h, g).tobytes() for g in reps)
             assert [k.indices.tobytes() for k in extend_subgroups(table, reps)] == list(closures)
+
+
+@pytest.mark.parametrize("n,base,degrees", [(3, F3, [2, 1]), (2, F9, [1, 1])])
+def test_seeded_coset_tables_match_unseeded(n, base, degrees):
+    # a table seeded with the bottom's table starts from its right-coset
+    # labels and adds left permutations only for generators outside bottom
+    amb = ambient_group(GL, n, base)
+    torus = torus_subgroup(AlgebraSpec(base, degrees), amb)
+    whole = Subgroup(amb, np.arange(amb.order))
+    normalizer = CosetTable(torus, whole).normalizer()
+    for within in (None, normalizer):
+        lat = enumerate_interval(torus, amb, within=within)
+        top = lat.top
+        below = CosetTable(torus, top)
+        for h in lat.members:
+            plain, seeded = CosetTable(h, top), CosetTable(h, top, below=below)
+            assert np.array_equal(seeded.labels, plain.labels), h.order
+            assert np.array_equal(seeded.double_labels, plain.double_labels), h.order
+            assert np.array_equal(seeded.double_coset_reps(), plain.double_coset_reps())
+            assert seeded.normalizer() == plain.normalizer()
+        bigger = next(h for h in lat.members if h.order > torus.order)
+        with pytest.raises(GroupError, match="subgroup of H"):
+            CosetTable(torus, top, below=CosetTable(bigger, top))
+    with pytest.raises(GroupError, match="same top"):
+        CosetTable(normalizer, normalizer, below=CosetTable(torus, whole))
 
 
 def test_right_perm_matches_fresh_products():
