@@ -22,6 +22,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps
 from .finite_field import (
     Extension,
+    FieldCapError,
     FieldElement,
     FieldMatrix,
     FieldTable,
@@ -41,7 +42,7 @@ class AlgebraCapError(AlgebraError):
 class AlgebraSpec:
     """An etale algebra over a finite field, given by factor degrees."""
 
-    __slots__ = ("base", "degrees", "n", "extensions", "caps")
+    __slots__ = ("base", "degrees", "n", "caps", "_extensions")
 
     def __init__(self, base: FieldTable, degrees: Sequence[int], caps: Caps = DEFAULT_CAPS):
         degrees = tuple(int(d) for d in degrees)
@@ -49,23 +50,25 @@ class AlgebraSpec:
             raise AlgebraError("at least one factor required")
         if any(d < 1 for d in degrees):
             raise AlgebraError(f"factor degrees must be >= 1, got {degrees}")
-        order = 1
-        for d in degrees:
-            order *= base.q**d
+        order = base.q ** sum(degrees)
         if order > caps.algebra_order:
             raise AlgebraCapError(f"algebra order {order} exceeds cap {caps.algebra_order}")
+        for d in degrees:
+            if base.q**d > caps.field_order:
+                raise FieldCapError(f"field order {base.q ** d} exceeds cap {caps.field_order}")
         self.base = base
         self.degrees = degrees
         self.n = sum(degrees)
         self.caps = caps
-        by_degree: dict[int, Extension] = {}
-        exts = []
-        for d in degrees:
-            if d not in by_degree:
-                top = construct_extension(base, d, caps)
-                by_degree[d] = extension_of(base, top)
-            exts.append(by_degree[d])
-        self.extensions = tuple(exts)
+        self._extensions = None
+
+    @property
+    def extensions(self) -> tuple[Extension, ...]:
+        """Each factor over the base, built on first use: the caps are checked before, in __init__."""
+        if self._extensions is None:
+            base, caps = self.base, self.caps
+            self._extensions = tuple(extension_of(base, construct_extension(base, d, caps)) for d in self.degrees)
+        return self._extensions
 
     # -- identity --------------------------------------------------------------
 
@@ -88,10 +91,7 @@ class AlgebraSpec:
 
     @property
     def order(self) -> int:
-        out = 1
-        for e in self.extensions:
-            out *= e.top.q
-        return out
+        return self.base.q**self.n
 
     def serialize(self) -> dict:
         return {"p": self.base.p, "base_degree": self.base.m, "degrees": list(self.degrees)}

@@ -13,13 +13,13 @@ indices: the right-multiplication permutations of H's generators,
 right-coset labels (orbit minima under left multiplication by the
 generators) and double-coset labels (those labels' orbit minima under the
 right permutations).  The permutations belong to top (Subgroup.right_perm,
-memoized per generator), and members share generators, so an enumeration
-makes one product of the whole top per distinct generator, not one per
-generator per table.  Every member contains bottom, so its right cosets are
-unions of bottom's: each later table starts from bottom's right-coset
-labels, and only its generators outside bottom add left permutations.  Top
-itself gets no table: its only double coset is itself, so it has no
-extension, and N_top(top) = top.  The representatives are the positions
+memoized per generator).  A member closed as <H, g> keeps H's generators
+plus g, so members share generators, and an enumeration makes one product
+of the whole top per distinct generator.  Every member contains bottom, so
+its right cosets are unions of bottom's: each later table starts from
+bottom's right-coset labels, and only the elements adjoined since bottom
+add left permutations.  Top itself gets no table: its only double coset is
+itself, so it has no extension, and N_top(top) = top.  The representatives are the positions
 that are their own double label, so each is the least element of its double
 coset, in ascending order.  <H, g> is then closed over right cosets instead
 of elements: K = <H, g> contains H, so it is a union of right cosets H x,

@@ -18,7 +18,8 @@ orbit-minimum labels over positions, so extend_subgroups can close <H, g>
 for many g together over right cosets of H instead of over elements.  The
 right permutations are memoized on the larger subgroup, so the tables of
 one enumeration share them, and a table can start from the right-coset
-labels of a subgroup of H over the same top (the interval's bottom).
+labels of a subgroup of H over the same top (the interval's bottom).  <H, g>
+keeps H's generators plus g; only an element set picks generators greedily.
 
 The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
 a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
@@ -410,36 +411,30 @@ class Subgroup:
         return f"Subgroup(order={self.order}, ambient={self.ambient!r})"
 
     def is_subset_of(self, other: "Subgroup") -> bool:
+        _require_same_ambient(self, other)
         return bool(other.mask()[self.indices].all())
 
     @property
     def generators(self) -> list[int]:
-        """Greedy minimal-ish generating indices, deterministic.
+        """Generating indices, deterministic.
 
-        Walks the elements in ascending order and picks each one outside the
-        closure C of those picked so far.  <C, x> is C plus a breadth-first
-        pass from C x under right multiplication by all picked generators:
-        an element outside C is c x w with c in C and w a word in them, and
-        the pass follows w from c x; where a prefix falls back into C, the
-        argument restarts at the next letter x of w.
+        A subgroup closed from generators (extend_subgroups) keeps them.
+        Otherwise the pick is greedy: take the least element outside the
+        closure of those taken so far and reclose from the identity, until
+        the closure has this subgroup's order.  Each pick at least doubles
+        the closure, so all the reclosures together cost at most about
+        twice the last one.
         """
         if self._gens is None:
-            amb = self.ambient
-            chosen: list[int] = []
-            slot = np.full(amb.order, -1, dtype=np.int32)  # >= 0 marks the closure C
-            closed = [_claim_fresh(np.array([amb.identity_index], dtype=np.int32), slot)]
-            size = 1
-            for x in self.indices:
-                if slot[x] >= 0:
-                    continue
-                chosen.append(int(x))
-                frontier = _claim_fresh(amb.rmul(np.concatenate(closed), int(x)), slot)
-                while frontier.size:
-                    closed.append(frontier)
-                    size += frontier.size
-                    frontier = _claim_fresh(_right_images(amb, frontier, chosen), slot)
-                if size == self.order:
+            amb, chosen = self.ambient, []
+            inside = np.zeros(amb.order, dtype=bool)  # the closure of chosen
+            inside[amb.identity_index] = True
+            while inside.sum() != self.order:
+                outside = self.indices[~inside[self.indices]]
+                if not outside.size:  # a set that is no subgroup, closed past its own size
                     break
+                chosen.append(int(outside[0]))
+                inside[_closure(amb, chosen)] = True
             self._gens = chosen
         return self._gens
 
@@ -472,19 +467,15 @@ def _claim_fresh(cand: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return cand[slot[cand] == order]
 
 
-def _right_images(amb: AmbientGroup, idxs: np.ndarray, gens: Sequence[int]) -> np.ndarray:
-    """x * g for every g in gens and x in idxs, g-major, in one paired rmul."""
-    return amb.rmul(np.tile(idxs, len(gens)), np.repeat(np.asarray(gens, dtype=np.int32), idxs.size))
-
-
 def _closure(amb: AmbientGroup, gen_idxs: Sequence[int]) -> np.ndarray:
     """Sorted indices of the subgroup generated by gens (breadth-first orbit of the identity)."""
     amb._ensure()
-    gens = list(dict.fromkeys(int(g) for g in gen_idxs))
+    gens = np.array(list(dict.fromkeys(int(g) for g in gen_idxs)), dtype=np.int32)
     slot = np.full(amb.order, -1, dtype=np.int32)
     frontier = _claim_fresh(np.array([amb.identity_index, *gens], dtype=np.int32), slot)
-    while frontier.size and gens:
-        frontier = _claim_fresh(_right_images(amb, frontier, gens), slot)
+    while frontier.size and gens.size:
+        # x * g for every g and every frontier x, g-major, in one paired rmul
+        frontier = _claim_fresh(amb.rmul(np.tile(frontier, gens.size), np.repeat(gens, frontier.size)), slot)
     return np.flatnonzero(slot >= 0).astype(np.int32)
 
 
@@ -547,7 +538,6 @@ class CosetTable:
     __slots__ = ("h", "top", "right", "labels", "double_labels")
 
     def __init__(self, h: Subgroup, top: Subgroup, below: "CosetTable | None" = None):
-        _require_same_ambient(h, top)
         if not h.is_subset_of(top):
             raise GroupError("a coset table needs H inside the top")
         self.h = h
@@ -593,7 +583,8 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     one paired product of every frontier coset's least element by its
     closure's g, plus gathers through the right permutations; one claim over
     closure * cosets + coset drops repeats.  Closures with the same coset set
-    become one Subgroup.
+    become one Subgroup, generated by H's generators and the first g that
+    reached it.
 
     [K:H] divides [top:H], so a closure that has claimed more than half of
     top's right cosets is already all of top: it takes every coset and
@@ -631,7 +622,12 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     first = {}
     for i, row in enumerate(np.packbits(cosets, axis=1)):
         first.setdefault(row.tobytes(), i)
-    return [Subgroup(amb, top[cosets[i][coset]]) for i in first.values()]
+    out = []
+    for i in first.values():
+        k = Subgroup(amb, top[cosets[i][coset]])
+        k._gens = [*table.h.generators, int(gs[i])]
+        out.append(k)
+    return out
 
 
 def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
@@ -666,7 +662,6 @@ def _require_same_ambient(h: Subgroup, k: Subgroup) -> None:
 
 def is_normal_in(h: Subgroup, k: Subgroup) -> bool:
     """Whether h is normal in k; requires h <= k."""
-    _require_same_ambient(h, k)
     if not h.is_subset_of(k):
         raise GroupError("normality requires inclusion")
     return bool(h.mask()[h.ambient.conjugates(k.generators, h.indices)].all())
@@ -693,7 +688,6 @@ def is_maximal_abelian(h: Subgroup, normalizer: Subgroup) -> bool:
     """True when nothing outside h commutes with all of h, sought in normalizer, which must hold C(h) (N(h) does)."""
     if not is_abelian(h):
         raise NotAbelianError("subgroup is not abelian")
-    _require_same_ambient(h, normalizer)
     if not h.is_subset_of(normalizer):
         raise GroupError("h is not inside the given normalizer")
     conj = h.ambient.conjugates(h.generators, normalizer.indices)

@@ -8,6 +8,8 @@ reports are cross-checked here against hand-derived group orders, an
 exhaustive Pell search, and an external Diophantine solver.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from garlands.matrix_group import (
     torus_subgroup,
 )
 from garlands.pell import is_squarefree, negative_pell, sl2q_normalizer_report
-from garlands.runner import run_case, sweep_cases
+from garlands.runner import run_case, stable_json, sweep_cases
 
 from oracles import (
     centralizer_brute,
@@ -47,6 +49,10 @@ from oracles import (
     subgroup_id,
     torus_by_units,
 )
+
+# one stable_json line per run_sweep(500) report; a change that alters a
+# report regenerates it in the same change and bumps SCHEMA_VERSION
+GOLDEN_SWEEP_500 = Path(__file__).resolve().parent / "golden" / "sweep_500.jsonl"
 
 
 # the five swept cases where the lower garland is strictly larger than the
@@ -466,6 +472,11 @@ def test_sweep_500_contract():
     # q = 13 SL fits the cap while GL does not: restriction is skipped cleanly
     sl13 = next(r for r in reports if r.get("status") == "ok" and r["case"]["q"] == 13)
     assert "skipped" in sl13["restriction"]
+    # byte-identical to the stored reports, case by case
+    golden = GOLDEN_SWEEP_500.read_text().splitlines()
+    assert len(reports) == len(golden), f"{len(reports)} reports, golden file has {len(golden)}"
+    for case, report, want in zip(sweep_cases(500), reports, golden):
+        assert stable_json(report) == want, f"report differs from {GOLDEN_SWEEP_500.name} for {case.serialize()}"
     print(f"\n[sweep contract] PASS: {summary['cases']} cases "
           f"({summary['ok']} verified, {summary['skipped_cap']} over cap), "
           f"{summary['confirmed']} confirmed, "

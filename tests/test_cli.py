@@ -110,6 +110,29 @@ def test_run_case_skips_over_cap_algebra():
     assert "algebra order" in doc["reason"]
 
 
+def test_caps_are_checked_before_factor_fields_are_built(capsys, monkeypatch):
+    # F_16^4 fits the field and algebra caps but GL(4,16) does not: the case
+    # is skipped without building F_65536 over F_16
+    import garlands.etale
+    import garlands.finite_field
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap case built an extension field")
+
+    monkeypatch.setattr(garlands.finite_field.Extension, "__init__", refuse)
+    monkeypatch.setattr(garlands.etale, "construct_extension", refuse)
+    doc = run_case(CaseSpec(2, 4, (4,), "gl"))
+    assert doc["status"] == "skipped_cap"
+    assert doc["reason"].startswith("GL(4,16) has order")
+    code, _, err = _run(capsys, ["torus", "--p", "2", "--base-degree", "4", "--degrees", "4"])
+    assert code == 3
+    assert err.startswith("cap exceeded: GL(4,16) has order")
+    # a factor field over its cap is refused after the algebra and before the group
+    doc = run_case(CaseSpec(2, 1, (5,), "gl"), Caps(field_order=16))
+    assert doc["status"] == "skipped_cap"
+    assert doc["reason"] == "field order 32 exceeds cap 16"
+
+
 def test_validation_error_exit_1(capsys):
     code, _, err = _run(capsys, ["torus", "--p", "6", "--degrees", "2"])
     assert code == 1

@@ -1,9 +1,10 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from garlands import cli, lattice
+from garlands import cli, lattice, matrix_group
 from garlands.etale import AlgebraSpec
 from garlands.finite_field import construct_field
 from garlands.lattice import (
@@ -33,6 +34,7 @@ from oracles import normality_edges_by_pairs
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
+F9 = construct_field(3, 2)
 
 
 def test_interval_bottom_is_ambient():
@@ -171,6 +173,25 @@ def test_verify_f3f3_sl23_formula_mismatch():
     assert rep.overall == EXPECTED_COUNTEREXAMPLE
 
 
+def test_formula_closure_failure_is_reported(monkeypatch):
+    # with a shear standing in for the nontrivial automorphism of F_9 / F_3,
+    # the predicted set {t(a) P} is not closed: the report records the
+    # failure and the formula verdict instead of raising
+    shapes = ([[1, 0], [0, 1]], [[1, 1], [0, 1]])
+    stand_ins = [SimpleNamespace(matrix=lambda rows=rows: SimpleNamespace(rows=rows)) for rows in shapes]
+    monkeypatch.setattr(matrix_group, "aut_group", lambda spec: stand_ins)
+    spec = AlgebraSpec(F3, [2])
+    for kind, set_size, closure_size in [(GL, 16, 48), (SL, 8, 24)]:
+        rep = verify_lower_garland(spec, ambient_group(kind, 2, F3))
+        failure = rep.formula_closure_failure
+        assert failure["ambient"] == {"kind": kind, "n": 2, "q": 3}
+        assert (failure["set_size"], failure["closure_size"]) == (set_size, closure_size)
+        assert rep.normalizer_formula_order == 0
+        assert not rep.formula_equals_brute
+        assert rep.verdicts["normalizer_formula"] == "unexpected_mismatch"
+        assert rep.to_dict()["normalizers"]["formula_closure_failure"] == failure
+
+
 def test_interval_always_inside_lower_garland():
     for base, degs, kind in [(F3, [2], GL), (F3, [1, 1], GL), (F3, [2], SL), (F2, [2, 1], GL)]:
         spec = AlgebraSpec(base, degs)
@@ -271,6 +292,58 @@ def test_one_whole_top_product_per_generator(monkeypatch, p, degrees):
     assert lat.exhaustive and whole_top
     assert all(np.ndim(g) == 0 for g in whole_top)
     assert len(set(map(int, whole_top))) == len(whole_top)
+
+
+@pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1]), (2, F9, [1, 1])])
+def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch, n, base, degrees):
+    # a member K = <H, g> is generated by H's generators and g, so its table
+    # builds left permutations only for the elements adjoined since T
+    amb = ambient_group(GL, n, base)
+    t = torus_subgroup(AlgebraSpec(base, degrees), amb)
+    builders = {}  # member key -> the H whose table first closed it
+    extend = lattice.extend_subgroups
+
+    def recording_extend(table, gs):
+        out = extend(table, gs)
+        for k in out:
+            builders.setdefault(k.indices.tobytes(), table.h)
+        return out
+
+    perm_sets = []  # every _orbit_minima call's permutations; a table's first call takes its left ones
+    orbit_minima = matrix_group._orbit_minima
+
+    def recording_minima(labels, perms):
+        perm_sets.append(list(perms))
+        return orbit_minima(labels, perms)
+
+    monkeypatch.setattr(matrix_group, "_orbit_minima", recording_minima)
+    tables = []  # (H, top, its left permutations)
+
+    class RecordingTable(lattice.CosetTable):
+        def __init__(self, h, top, below=None):
+            start = len(perm_sets)
+            super().__init__(h, top, below)
+            tables.append((h, top, perm_sets[start]))
+
+    monkeypatch.setattr(lattice, "extend_subgroups", recording_extend)
+    monkeypatch.setattr(lattice, "CosetTable", RecordingTable)
+    lat = enumerate_interval(t, amb)
+    monkeypatch.undo()
+    assert lat.exhaustive and len(tables) > 1
+    assert tables[0][0] is t
+    inside_t = t.mask()
+    for h, top, left in tables[1:]:
+        builder = builders[h.indices.tobytes()]
+        gens = h.generators
+        assert gens[:-1] == builder.generators and not builder.mask()[gens[-1]], h.order
+        assert np.array_equal(matrix_group._closure(amb, gens), h.indices), h.order
+        adjoined = gens[len(t.generators) :]
+        assert gens[: len(t.generators)] == t.generators
+        assert not inside_t[adjoined].any() and 2 ** len(adjoined) <= h.order // t.order
+        inverse = top.positions()[amb.inv_indices()[top.indices]]
+        assert len(left) == len(adjoined), h.order
+        for s, perm in zip(adjoined, left):
+            assert np.array_equal(perm, inverse[top.right_perm(s)[inverse]])
 
 
 @pytest.mark.parametrize("acting_order", [168, 24])

@@ -368,6 +368,19 @@ def test_same_elements_rejects_other_ambient():
     assert t_gl != t_sl
 
 
+def test_is_subset_of_rejects_other_ambient():
+    # {I, diag(1, 2)} has determinant 2, so it is not inside SL(2,3); read
+    # against SL's mask by GL's indices it would look as if it were
+    gl23, sl23 = ambient_group(GL, 2, F3), ambient_group(SL, 2, F3)
+    flip = Subgroup(gl23, [gl23.identity_index, gl23.index_of(FieldMatrix(F3, [[1, 0], [0, 2]]))])
+    whole_sl = Subgroup(sl23, np.arange(sl23.order))
+    with pytest.raises(GroupError, match="different ambient"):
+        flip.is_subset_of(whole_sl)
+    with pytest.raises(GroupError, match="different ambient"):
+        whole_sl.is_subset_of(flip)
+    assert flip.is_subset_of(Subgroup(gl23, np.arange(gl23.order)))
+
+
 def test_subgroup_canonicalizes_indices():
     gl23 = ambient_group(GL, 2, F3)
     t = torus_subgroup(AlgebraSpec(F3, [2]), gl23)
@@ -470,8 +483,9 @@ def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
 
 @pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1])])
 def test_generators_match_greedy_from_scratch(n, base, degrees):
-    # generators extend the previous pick's closure; the oracle recloses from
-    # the identity, so the greedy picks must be the same elements
+    # a member rebuilt from its indices has no generators to keep, so it
+    # picks greedily; the oracle walks every element in turn and must pick
+    # the same elements
     amb = ambient_group(GL, n, base)
     lat = enumerate_interval(torus_subgroup(AlgebraSpec(base, degrees), amb), amb)
     for m in lat.members:
