@@ -45,7 +45,6 @@ from .matrix_group import (
     AmbientGroup,
     Subgroup,
     ambient_group,
-    generate,
     is_maximal_abelian,
     is_normal_in,
     normalizer_brute,
@@ -58,7 +57,6 @@ from .pell import (
     QuadraticCase,
     continued_fraction_sqrt,
     negative_pell,
-    positive_pell,
     sl2q_normalizer_report,
 )
 from .runner import CaseSpec, run_case, run_sweep, sweep_cases

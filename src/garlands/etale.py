@@ -113,10 +113,6 @@ class AlgebraSpec:
     def neg_comps(self, a: Sequence[int]) -> tuple[int, ...]:
         return tuple(e.top.neg_idx(x) for e, x in zip(self.extensions, a))
 
-    def scalar_mul_comps(self, c: int, a: Sequence[int]) -> tuple[int, ...]:
-        """Multiply by a base-field element (base index c)."""
-        return tuple(e.top.mul_idx(int(e.embed[c]), x) for e, x in zip(self.extensions, a))
-
     def inv_comps(self, a: Sequence[int]) -> tuple[int, ...]:
         if any(x == 0 for x in a):
             raise ZeroDivisionError("not a unit")
@@ -189,10 +185,6 @@ class AlgebraElement:
     spec: AlgebraSpec
     comps: tuple[int, ...]
 
-    @property
-    def is_unit(self) -> bool:
-        return all(c != 0 for c in self.comps)
-
     def _check(self, other: "AlgebraElement") -> None:
         if self.spec != other.spec:
             raise AlgebraError("elements of different algebras")
@@ -230,14 +222,6 @@ class RingAutomorphism:
     spec: AlgebraSpec
     perm: tuple[int, ...]
     frob: tuple[int, ...]
-
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
-        if a.spec != self.spec:
-            raise AlgebraError("element of a different algebra")
-        out = [0] * len(self.perm)
-        for i, (target, e) in enumerate(zip(self.perm, self.frob)):
-            out[target] = self.spec.extensions[i].rel_frobenius(a.comps[i], e)
-        return AlgebraElement(self.spec, tuple(out))
 
     def matrix(self) -> FieldMatrix:
         """Matrix of this k-linear map in the fixed basis (columns = images)."""

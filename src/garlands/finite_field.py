@@ -11,10 +11,22 @@ element is addressed by a canonical index, the rank of its coefficient tuple
 in lexicographic order (constant term most significant); this index order is
 the total order used for canonical matrix/subgroup encodings downstream.
 
+All arithmetic rests on one core.  Products reduce through one polynomial
+product-and-reduce over F_p (_pmulmod), powers through one square-and-multiply
+(_ppowmod), and the generator of the multiplicative group, the least element
+of order q - 1, is found once.  Multiplication by a fixed element is an
+F_p-linear map of coefficient digits (FieldTable._mul_by), which fills the
+exp/log tables by doubling, and the dense tables the matrix engine reads
+(np_add, np_mul, np_neg, np_inv) are derived with numpy from every element's
+digits and logarithm.  FieldMatrix carries matrices in and out only; matrix
+arithmetic runs vectorized over ambient indices in matrix_group.
+
 Extensions F_{q^n} of a base field F_q are realised inside the absolute
 field F_{p^(m*n)} via a deterministic embedding (the base generator is sent
 to the lexicographically least root of its defining polynomial), so a single
-FieldTable type covers base fields and extension fields alike.
+FieldTable type covers base fields and extension fields alike.  An
+extension's power-basis coordinates, and the element of every coordinate
+tuple, come from one numpy pass over all coordinate tuples.
 """
 
 from __future__ import annotations
@@ -55,21 +67,6 @@ class FieldMismatchError(FieldError):
     pass
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     out = []
@@ -83,6 +80,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +195,7 @@ class FieldTable:
     and p^m within the configured cap.
     """
 
-    __slots__ = (
-        "p",
-        "m",
-        "q",
-        "defining_poly",
-        "_xpow",
-        "_exp",
-        "_log",
-        "_gen_idx",
-        "_np_add",
-        "_np_mul",
-        "_np_neg",
-        "_np_inv",
-    )
+    __slots__ = ("p", "m", "q", "defining_poly", "_place", "_exp", "_log", "_gen_idx", "_np")
 
     def __init__(self, p: int, m: int, caps: Caps = DEFAULT_CAPS):
         if not isinstance(p, int) or not is_prime(p):
@@ -221,23 +209,12 @@ class FieldTable:
         self.m = m
         self.q = q
         self.defining_poly = minimal_irreducible(p, m)
-        # reductions of x^m .. x^(2m-2) mod defining_poly, as index-free lists
-        f = list(self.defining_poly)
-        xk = [0] * m + [1]
-        rows = []
-        cur = _pmod(xk, f, p)
-        for _ in range(m - 1):
-            row = cur + [0] * (m - len(cur))
-            rows.append(row)
-            cur = _pmod([0] + cur, f, p)
-        self._xpow = rows
+        # place[i] = p^(m-1-i) weighs coefficient i in an index; it is also the index of x^i
+        self._place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self._exp = None
         self._log = None
         self._gen_idx = None
-        self._np_add = None
-        self._np_mul = None
-        self._np_neg = None
-        self._np_inv = None
+        self._np = {}
 
     # -- identity / ordering -------------------------------------------------
 
@@ -275,6 +252,13 @@ class FieldTable:
             idx += c * self.p ** (self.m - 1 - i)
         return idx
 
+    def _digits(self, idxs) -> np.ndarray:
+        """(..., m) coefficients of an index array, constant term first."""
+        return np.asarray(idxs, dtype=np.int64)[..., None] // self._place % self.p
+
+    def _index_of_digits(self, digits: np.ndarray) -> np.ndarray:
+        return digits @ self._place
+
     def scalar_index(self, c: int) -> int:
         """Index of the prime-field constant c."""
         return (c % self.p) * self.p ** (self.m - 1)
@@ -308,64 +292,43 @@ class FieldTable:
     def sub_idx(self, a: int, b: int) -> int:
         return self.add_idx(a, self.neg_idx(b))
 
+    def _poly_index(self, poly: Sequence[int]) -> int:
+        """Index of a reduced polynomial, constant term first and trailing zeros trimmed."""
+        return self.index_of([*poly, *[0] * (self.m - len(poly))])
+
     def _polymul_idx(self, a: int, b: int) -> int:
-        """Multiplication via polynomial product, no tables required."""
-        p, m = self.p, self.m
-        ca = self.coeffs_of(a)
-        cb = self.coeffs_of(b)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # fold x^m .. x^(2m-2) back using the precomputed reductions
-        res = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                row = self._xpow[k - m]
-                for i in range(m):
-                    res[i] = (res[i] + c * row[i]) % p
-        return self.index_of(res)
+        """Multiplication by polynomial product and reduction, no tables required."""
+        return self._poly_index(_pmulmod(self.coeffs_of(a), self.coeffs_of(b), self.defining_poly, self.p))
+
+    def _polypow_idx(self, a: int, e: int) -> int:
+        return self._poly_index(_ppowmod(self.coeffs_of(a), e, self.defining_poly, self.p))
+
+    def _mul_by(self, xs, a: int) -> np.ndarray:
+        """Indices of x * a for an index array xs: multiplication by a is F_p-linear on coefficients."""
+        rows = self._digits([self._polymul_idx(int(xi), a) for xi in self._place])  # row i: x^i * a
+        xs = np.asarray(xs)
+        step = 1 << 16  # bounds the (step, m) digit arrays of a whole large field
+        parts = [self._index_of_digits(self._digits(xs[s : s + step]) @ rows % self.p) for s in range(0, xs.size, step)]
+        return np.concatenate(parts)
 
     def _ensure_log(self) -> bool:
         if self._exp is not None:
             return True
-        if self.q > _LOG_TABLE_MAX:
-            return False
         q = self.q
-        factors = _prime_factors(q - 1) if q > 2 else []
-        gen = None
-        for cand in range(1, q):
-            if cand == self.one_index and q > 2:
-                continue
-            ok = all(self._pow_direct(cand, (q - 1) // ell) != self.one_index for ell in factors)
-            if ok:
-                gen = cand
-                break
-        if gen is None:  # q == 2
-            gen = self.one_index
+        if q > _LOG_TABLE_MAX:
+            return False
         exp = np.empty(q - 1, dtype=np.int64)
-        cur = self.one_index
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = self._polymul_idx(cur, gen)
+        exp[0] = self.one_index
+        k, gk = 1, self.generator_index()
+        while k < q - 1:  # exp[k : 2k] = exp[:k] * g^k
+            n = min(k, q - 1 - k)
+            exp[k : k + n] = self._mul_by(exp[:n], gk)
+            k, gk = k + n, self._polymul_idx(gk, gk)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self._exp = exp
         self._log = log
-        self._gen_idx = gen
         return True
-
-    def _pow_direct(self, a: int, e: int) -> int:
-        result = self.one_index
-        base = a
-        while e:
-            if e & 1:
-                result = self._polymul_idx(result, base)
-            base = self._polymul_idx(base, base)
-            e >>= 1
-        return result
 
     def mul_idx(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -379,7 +342,7 @@ class FieldTable:
             raise ZeroDivisionError("inverse of zero in finite field")
         if self._ensure_log():
             return int(self._exp[(-int(self._log[a])) % (self.q - 1)])
-        return self._pow_direct(a, self.q - 2)
+        return self._polypow_idx(a, self.q - 2)
 
     def pow_idx(self, a: int, e: int) -> int:
         if a == 0:
@@ -390,8 +353,7 @@ class FieldTable:
             return 0
         if self._ensure_log():
             return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-        e %= self.q - 1
-        return self._pow_direct(a, e)
+        return self._polypow_idx(a, e % (self.q - 1))
 
     def frob_idx(self, a: int, i: int = 1) -> int:
         """a^(p^i), the i-th Frobenius iterate."""
@@ -399,57 +361,42 @@ class FieldTable:
         return self.pow_idx(a, self.p**i)
 
     def generator_index(self) -> int:
-        """A fixed generator of the multiplicative group (least in element order)."""
-        if self._ensure_log():
-            return self._gen_idx
-        factors = _prime_factors(self.q - 1)
-        for cand in range(1, self.q):
-            if all(self._pow_direct(cand, (self.q - 1) // ell) != self.one_index for ell in factors):
-                return cand
-        raise FieldError("no generator found")  # unreachable
+        """The least element of multiplicative order q - 1, a fixed generator of the multiplicative group."""
+        if self._gen_idx is None:
+            q, one = self.q, self.one_index
+            factors = _prime_factors(q - 1)
+            self._gen_idx = next(
+                c for c in range(1, q) if all(self._polypow_idx(c, (q - 1) // ell) != one for ell in factors)
+            )
+        return self._gen_idx
 
     # -- numpy tables for the matrix engine ------------------------------------
+    # built over all q elements at once: coefficients add digitwise mod p,
+    # logarithms add mod q - 1, and zero (log -1) has no logarithm
+
+    def _dense(self, name: str, build) -> np.ndarray:
+        if name not in self._np:
+            if self.q > _NP_TABLE_MAX:
+                raise FieldCapError(f"dense tables unavailable for field of order {self.q}")
+            self._ensure_log()
+            self._np[name] = build(self._digits(np.arange(self.q)), self._log).astype(np.int16)
+        return self._np[name]
 
     def np_add(self) -> np.ndarray:
-        if self._np_add is None:
-            if self.q > _NP_TABLE_MAX:
-                raise FieldCapError(f"dense tables unavailable for field of order {self.q}")
-            q = self.q
-            t = np.empty((q, q), dtype=np.int16)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self.add_idx(a, b)
-                    t[a, b] = v
-                    t[b, a] = v
-            self._np_add = t
-        return self._np_add
-
-    def np_mul(self) -> np.ndarray:
-        if self._np_mul is None:
-            if self.q > _NP_TABLE_MAX:
-                raise FieldCapError(f"dense tables unavailable for field of order {self.q}")
-            q = self.q
-            t = np.empty((q, q), dtype=np.int16)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self.mul_idx(a, b)
-                    t[a, b] = v
-                    t[b, a] = v
-            self._np_mul = t
-        return self._np_mul
+        return self._dense("add", lambda d, lg: self._index_of_digits((d[:, None] + d[None]) % self.p))
 
     def np_neg(self) -> np.ndarray:
-        if self._np_neg is None:
-            self._np_neg = np.array([self.neg_idx(a) for a in range(self.q)], dtype=np.int16)
-        return self._np_neg
+        return self._dense("neg", lambda d, lg: self._index_of_digits(-d % self.p))
+
+    def np_mul(self) -> np.ndarray:
+        def build(d, lg):
+            return np.where(np.minimum.outer(lg, lg) < 0, 0, self._exp[np.add.outer(lg, lg) % (self.q - 1)])
+
+        return self._dense("mul", build)
 
     def np_inv(self) -> np.ndarray:
-        if self._np_inv is None:
-            t = np.zeros(self.q, dtype=np.int16)
-            for a in range(1, self.q):
-                t[a] = self.inv_idx(a)
-            self._np_inv = t
-        return self._np_inv
+        """Inverses of the nonzero elements; entry 0 is 0."""
+        return self._dense("inv", lambda d, lg: np.where(lg < 0, 0, self._exp[-lg % (self.q - 1)]))
 
     # -- element objects -------------------------------------------------------
 
@@ -457,9 +404,6 @@ class FieldTable:
         if not 0 <= idx < self.q:
             raise FieldError(f"element index {idx} out of range for order {self.q}")
         return FieldElement(self, idx)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        return FieldElement(self, self.index_of(coeffs))
 
     @property
     def zero(self) -> "FieldElement":
@@ -517,10 +461,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return FieldElement(self.owner, self.owner.inv_idx(self.index))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.index == 0
-
     def __repr__(self) -> str:
         return f"F{self.owner.q}{self.coeffs}"
 
@@ -550,7 +490,7 @@ class Extension:
     respect to the power basis 1, y, ..., y^(n-1) over the base.
     """
 
-    __slots__ = ("base", "top", "degree", "embed", "_lift", "_embed_set", "gen_index", "_coords", "_ypow", "_mult")
+    __slots__ = ("base", "top", "degree", "embed", "_lift", "gen_index", "_coords", "_elements", "_ypow", "_mult")
 
     def __init__(self, base: FieldTable, top: FieldTable):
         if base.p != top.p:
@@ -562,9 +502,9 @@ class Extension:
         self.degree = top.m // base.m
         self.embed = self._build_embedding()
         self._lift = {int(t): b for b, t in enumerate(self.embed)}
-        self._embed_set = frozenset(self._lift)
         self.gen_index = self._find_relative_generator()
         self._coords = None
+        self._elements = None
         self._ypow = None
         self._mult = None
 
@@ -591,16 +531,9 @@ class Extension:
         if not roots:
             raise FieldError("embedding root not found")  # unreachable
         r = min(roots)
-        rpow = [top.one_index]
-        for _ in range(base.m - 1):
-            rpow.append(top.mul_idx(rpow[-1], r))
-        emb = np.empty(base.q, dtype=np.int64)
-        for a in range(base.q):
-            acc = 0
-            for c, rp in zip(base.coeffs_of(a), rpow):
-                acc = top.add_idx(acc, top.mul_idx(top.scalar_index(c), rp))
-            emb[a] = acc
-        return emb
+        # a = sum c_i x^i goes to sum c_i r^i, and prime-field scalars scale coefficients
+        rpow = [top.pow_idx(r, i) for i in range(base.m)]
+        return top._index_of_digits(base._digits(np.arange(base.q)) @ top._digits(rpow) % top.p)
 
     def _find_relative_generator(self) -> int:
         if self.degree == 1:
@@ -612,7 +545,7 @@ class Extension:
 
     def contains(self, top_idx: int) -> bool:
         """Whether an element of the top field lies in the embedded base."""
-        return top_idx in self._embed_set
+        return top_idx in self._lift
 
     def lift(self, top_idx: int) -> int:
         """Base-field index of an embedded element."""
@@ -643,29 +576,32 @@ class Extension:
         return self.lift(self.top.pow_idx(top_idx, e))
 
     def _ensure_coords(self) -> None:
+        """Coordinates of every element and the element of every coordinate tuple, in one pass.
+
+        The element with coordinates (a_0, ..., a_(d-1)) is sum a_j y^j; its
+        coefficient digits are the sums of those of the terms, mod p.
+        """
         if self._coords is not None:
             return
-        n = self.degree
-        top, base = self.top, self.base
-        ypow = [top.one_index]
-        for _ in range(n - 1):
-            ypow.append(top.mul_idx(ypow[-1], self.gen_index))
-        coords: dict[int, tuple[int, ...]] = {}
-        for combo in itertools.product(range(base.q), repeat=n):
-            acc = 0
-            for a, yp in zip(combo, ypow):
-                if a:
-                    acc = top.add_idx(acc, top.mul_idx(int(self.embed[a]), yp))
-            coords[acc] = combo
-        if len(coords) != top.q:
-            raise FieldError("power basis failed to span")  # unreachable
-        self._coords = coords
-        self._ypow = ypow
+        top, n, bq = self.top, self.degree, self.base.q
+        self._ypow = [top.pow_idx(self.gen_index, j) for j in range(n)]
+        terms = [top._digits(top._mul_by(self.embed, yp)) for yp in self._ypow]  # terms[j][a]: digits of a * y^j
+        elements = np.zeros((bq,) * n, dtype=np.int64)  # axis j holds coordinate a_j
+        for i, w in enumerate(top._place):  # one digit at a time, over the whole grid of coordinate tuples
+            digit = sum(t[:, i].reshape([bq if k == j else 1 for k in range(n)]) for j, t in enumerate(terms))
+            elements += digit % top.p * w
+        self._coords = np.empty((top.q, n), dtype=np.int32)
+        self._coords[elements.ravel()] = np.indices((bq,) * n).reshape(n, -1).T
+        self._elements = elements
 
     def coords(self, top_idx: int) -> tuple[int, ...]:
         """Coordinates over the base w.r.t. the power basis 1, y, ..., y^(n-1)."""
         self._ensure_coords()
-        return self._coords[top_idx]
+        return tuple(self._coords[top_idx].tolist())
+
+    def from_coords(self, coords: Sequence[int]) -> int:
+        self._ensure_coords()
+        return int(self._elements[tuple(coords)])
 
     def mult_blocks(self) -> np.ndarray:
         """(q_top, d, d) base-field index matrices, d the degree: block x has column j = coords of y^j * x."""
@@ -674,36 +610,9 @@ class Extension:
             if top.q * self.degree**2 > _BLOCK_TABLE_MAX:
                 raise FieldCapError(f"multiplication table of F_{top.q} over F_{self.base.q} is too large")
             self._ensure_coords()
-            coords = np.array([self._coords[x] for x in range(top.q)], dtype=np.int32)
-            cols = [coords[[top.mul_idx(yp, x) for x in range(top.q)]] for yp in self._ypow]
-            self._mult = np.stack(cols, axis=-1)
+            every = np.arange(top.q)
+            self._mult = np.stack([self._coords[top._mul_by(every, yp)] for yp in self._ypow], axis=-1)
         return self._mult
-
-    def from_coords(self, coords: Sequence[int]) -> int:
-        self._ensure_coords()
-        acc = 0
-        for a, yp in zip(coords, self._ypow):
-            if a:
-                acc = self.top.add_idx(acc, self.top.mul_idx(int(self.embed[a]), yp))
-        return acc
-
-    def rel_min_poly(self, top_idx: int) -> tuple[int, ...]:
-        """Minimal polynomial over the base (base-field indices, constant first, monic)."""
-        orbit = [top_idx]
-        cur = self.rel_frobenius(top_idx)
-        while cur != top_idx:
-            orbit.append(cur)
-            cur = self.rel_frobenius(cur)
-        top = self.top
-        poly = [top.one_index]  # product of (X - conjugate), top-field coefficients
-        for root in orbit:
-            nxt = [0] * (len(poly) + 1)
-            neg = top.neg_idx(root)
-            for i, c in enumerate(poly):
-                nxt[i] = top.add_idx(nxt[i], top.mul_idx(c, neg))
-                nxt[i + 1] = top.add_idx(nxt[i + 1], c)
-            poly = nxt
-        return tuple(self.lift(c) for c in poly)
 
 
 @lru_cache(maxsize=None)
@@ -751,16 +660,12 @@ def is_primitive_element(x: FieldElement, base: FieldTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matrices over a FieldTable
+# matrices over a FieldTable, for input and output only: matrix arithmetic
+# runs vectorized over ambient index arrays in matrix_group
 
 
 class FieldMatrix:
-    """Immutable n x n matrix over a FieldTable.
-
-    Rows hold canonical element indices.  The canonical byte encoding is the
-    row-major index tuple; `key()` packs it into a single base-q integer used
-    for ambient lookups and cross-group comparisons.
-    """
+    """Immutable n x n matrix over a FieldTable; rows hold canonical element indices."""
 
     __slots__ = ("field", "n", "rows")
 
@@ -777,77 +682,8 @@ class FieldMatrix:
         one = field.one_index
         return cls(field, [[one if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_coeff_rows(cls, field: FieldTable, rows: Sequence[Sequence[Sequence[int]]]) -> "FieldMatrix":
-        return cls(field, [[field.index_of(c) for c in r] for r in rows])
-
     def coeff_rows(self) -> list[list[tuple[int, ...]]]:
         return [[self.field.coeffs_of(v) for v in r] for r in self.rows]
-
-    def key(self) -> int:
-        k = 0
-        for r in self.rows:
-            for v in r:
-                k = k * self.field.q + v
-        return k
-
-    @classmethod
-    def from_key(cls, field: FieldTable, n: int, key: int) -> "FieldMatrix":
-        entries = []
-        for _ in range(n * n):
-            entries.append(key % field.q)
-            key //= field.q
-        entries.reverse()
-        return cls(field, [entries[i * n : (i + 1) * n] for i in range(n)])
-
-    def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.field != other.field or self.n != other.n:
-            raise FieldMismatchError("matrix shape/field mismatch")
-        f = self.field
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = f.add_idx(acc, f.mul_idx(self.rows[i][k], other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(f, out)
-
-    def det(self) -> int:
-        f = self.field
-        n = self.n
-        if n == 1:
-            return self.rows[0][0]
-        # Laplace expansion along the first row
-        acc = 0
-        for j in range(n):
-            c = self.rows[0][j]
-            if c == 0:
-                continue
-            minor = FieldMatrix(f, [[self.rows[i][k] for k in range(n) if k != j] for i in range(1, n)])
-            term = f.mul_idx(c, minor.det())
-            acc = f.add_idx(acc, term if j % 2 == 0 else f.neg_idx(term))
-        return acc
-
-    def inverse(self) -> "FieldMatrix":
-        f = self.field
-        n = self.n
-        aug = [list(r) + [f.one_index if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise FieldError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = f.inv_idx(aug[col][col])
-            aug[col] = [f.mul_idx(inv, v) for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    c = aug[r][col]
-                    aug[r] = [f.sub_idx(v, f.mul_idx(c, w)) for v, w in zip(aug[r], aug[col])]
-        return FieldMatrix(f, [row[n:] for row in aug])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldMatrix) and self.field == other.field and self.rows == other.rows

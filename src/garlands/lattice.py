@@ -124,7 +124,7 @@ def _conjugacy_orbit(k: Subgroup, acting: Subgroup) -> list[tuple[Subgroup, int]
     level = list(orbit.values())
     while level:
         # conjugating by an element of H fixes H
-        inside = [h.indices[np.searchsorted(h.indices, gens).clip(max=k.order - 1)] == gens for h, _ in level]
+        inside = [h.contains(gens) for h, _ in level]
         member, gen = np.nonzero(~np.array(inside))  # member-major, the order a one-subgroup-at-a-time queue takes
         if not member.size:
             break

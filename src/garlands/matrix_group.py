@@ -26,19 +26,21 @@ a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
 one product against the stacked P_sigma and one lookup.  An SL ambient
 keeps the determinant-one matrices; det t(a) is the norm of a.
 
-A subgroup is its ambient plus its sorted ambient indices: two subgroups
-are equal exactly when they share the ambient and the index array, and
-comparing subgroups of different ambients is an error (cut one down with
-intersect_with_ambient first).  Ambient order is matrix-key order,
-so the report id, a digest of the subgroup's matrix keys, is the same for
-the same matrix set in GL and in SL.
+A subgroup is its ambient plus its sorted ambient indices, and membership
+is a sorted search in them.  Two subgroups are equal exactly when they share
+the ambient and the index array, and comparing subgroups of different
+ambients is an error (cut one down with intersect_with_ambient first).
+Ambient order is matrix-key order, so the report id, a digest of the
+subgroup's matrix keys, is the same for the same matrix set in GL and in SL.
+The matrix key (row-major entries as one base-q integer) is encoded only
+here, in AmbientGroup.keys_of_mats.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -210,9 +212,8 @@ class AmbientGroup:
         self._rows = np.array([sel // q ** (n * (n - 1 - i)) % q**n for i in range(n)], dtype=np.int32)
         # the first q^n candidates are zero but for their last row, which runs through every row vector in code order
         self._rowvecs = np.ascontiguousarray(mats[: q**n, n - 1 :])
-        ident = FieldMatrix.identity(self.field, n)
-        self._identity = int(lut[ident.key()])
         self._inv = None
+        self._identity = self.index_of(FieldMatrix.identity(self.field, n))
 
     @property
     def identity_index(self) -> int:
@@ -250,11 +251,7 @@ class AmbientGroup:
     def index_of(self, mat: FieldMatrix) -> int:
         if mat.field != self.field or mat.n != self.n:
             raise NonMemberError(f"matrix over the wrong field/size for {self!r}")
-        self._ensure()
-        idx = int(self._lut[mat.key()])
-        if idx < 0:
-            raise NonMemberError(f"matrix is not a member of {self!r}")
-        return idx
+        return int(self.indices_of_mats(np.array([mat.rows]))[0])
 
     def matrix_at(self, idx: int) -> FieldMatrix:
         self._ensure()
@@ -331,7 +328,7 @@ def ambient_group(kind: str, n: int, field: FieldTable, caps: Caps = DEFAULT_CAP
 class Subgroup:
     """A subgroup of an ambient group, stored as sorted ambient indices."""
 
-    __slots__ = ("ambient", "indices", "_mask", "_positions", "_right", "_id", "_gens")
+    __slots__ = ("ambient", "indices", "_positions", "_right", "_id", "_gens")
 
     def __init__(self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray):
         self.ambient = ambient
@@ -342,7 +339,6 @@ class Subgroup:
         if idx.size == 0:
             raise GroupError("a subgroup contains at least the identity")
         self.indices = idx
-        self._mask = None
         self._positions = None
         self._right = {}
         self._id = None
@@ -354,12 +350,9 @@ class Subgroup:
     def order(self) -> int:
         return int(self.indices.size)
 
-    def mask(self) -> np.ndarray:
-        if self._mask is None:
-            m = np.zeros(self.ambient.order, dtype=bool)
-            m[self.indices] = True
-            self._mask = m
-        return self._mask
+    def contains(self, idxs: np.ndarray) -> np.ndarray:
+        """Whether each ambient index in idxs lies in this subgroup, by sorted search."""
+        return _sorted_contains(self.indices, idxs)
 
     def positions(self) -> np.ndarray:
         """Ambient index -> its position in the sorted indices, -1 outside."""
@@ -412,47 +405,28 @@ class Subgroup:
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         _require_same_ambient(self, other)
-        return bool(other.mask()[self.indices].all())
+        return bool(other.contains(self.indices).all())
 
     @property
     def generators(self) -> list[int]:
         """Generating indices, deterministic.
 
         A subgroup closed from generators (extend_subgroups) keeps them.
-        Otherwise the pick is greedy: take the least element outside the
-        closure of those taken so far and reclose from the identity, until
-        the closure has this subgroup's order.  Each pick at least doubles
-        the closure, so all the reclosures together cost at most about
-        twice the last one.
+        Otherwise they are picked greedily (_pick_generators).  Each pick at
+        least doubles the closure, so all the reclosures together cost at
+        most about twice the last one.
         """
         if self._gens is None:
-            amb, chosen = self.ambient, []
-            inside = np.zeros(amb.order, dtype=bool)  # the closure of chosen
-            inside[amb.identity_index] = True
-            while inside.sum() != self.order:
-                outside = self.indices[~inside[self.indices]]
-                if not outside.size:  # a set that is no subgroup, closed past its own size
-                    break
-                chosen.append(int(outside[0]))
-                inside[_closure(amb, chosen)] = True
-            self._gens = chosen
+            self._gens = _pick_generators(self.ambient, self.indices)[0]
         return self._gens
 
     def generator_matrices(self) -> list[FieldMatrix]:
         return [self.ambient.matrix_at(g) for g in self.generators]
 
-    def matrices(self) -> list[FieldMatrix]:
-        return [self.ambient.matrix_at(int(i)) for i in self.indices]
 
-    def serialize(self, with_elements: bool = False) -> dict:
-        doc = {
-            "ambient": {"kind": self.ambient.kind, "n": self.ambient.n, "field": self.ambient.field.serialize()},
-            "order": self.order,
-            "generators": [m.coeff_rows() for m in self.generator_matrices()],
-        }
-        if with_elements:
-            doc["elements"] = [m.coeff_rows() for m in self.matrices()]
-        return doc
+def _sorted_contains(sorted_idxs: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+    """Whether each of idxs occurs in the ascending array sorted_idxs."""
+    return np.take(sorted_idxs, np.searchsorted(sorted_idxs, idxs), mode="clip") == idxs
 
 
 def _claim_fresh(cand: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -479,13 +453,22 @@ def _closure(amb: AmbientGroup, gen_idxs: Sequence[int]) -> np.ndarray:
     return np.flatnonzero(slot >= 0).astype(np.int32)
 
 
-def generate(ambient: AmbientGroup, gens: Iterable[FieldMatrix], max_size: int | None = None) -> Subgroup:
-    """Smallest subgroup of the ambient containing the given matrices."""
-    idxs = [ambient.index_of(m) for m in gens]
-    cl = _closure(ambient, idxs)
-    if max_size is not None and cl.size > max_size:
-        raise GroupCapError(f"closure reached {cl.size} elements, cap {max_size}", order=int(cl.size))
-    return Subgroup(ambient, cl)
+def _pick_generators(amb: AmbientGroup, indices: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy generators of the sorted element set indices, and the closure they generate.
+
+    Take the least element outside the closure of those taken so far and
+    reclose from the identity, until the closure has the set's size.  For a
+    subgroup the closure is the subgroup; for a set that is not one, it
+    differs from the set.
+    """
+    chosen, closed = [], np.array([amb.identity_index], dtype=np.int32)
+    while closed.size != indices.size:
+        outside = indices[~_sorted_contains(closed, indices)]
+        if not outside.size:  # a set that is no subgroup, closed past its own size
+            break
+        chosen.append(int(outside[0]))
+        closed = _closure(amb, chosen)
+    return chosen, closed
 
 
 def _orbit_minima(labels: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -550,9 +533,9 @@ class CosetTable:
                 raise GroupError("a seed table needs the same top")
             if not below.h.is_subset_of(h):
                 raise GroupError("a seed table needs a subgroup of H")
-            inside = below.h.mask()
+            inside = below.h.contains(np.array(h.generators, dtype=np.int32))
             labels = below.labels
-            fresh = [r for s, r in zip(h.generators, self.right) if not inside[s]]
+            fresh = [r for r, s_inside in zip(self.right, inside) if not s_inside]
         left = []
         if fresh:
             inverse = top.positions()[h.ambient.inv_indices()[top.indices]]
@@ -664,7 +647,7 @@ def is_normal_in(h: Subgroup, k: Subgroup) -> bool:
     """Whether h is normal in k; requires h <= k."""
     if not h.is_subset_of(k):
         raise GroupError("normality requires inclusion")
-    return bool(h.mask()[h.ambient.conjugates(k.generators, h.indices)].all())
+    return bool(h.contains(h.ambient.conjugates(k.generators, h.indices)).all())
 
 
 def normalizer_brute(ambient: AmbientGroup, h: Subgroup) -> Subgroup:
@@ -672,9 +655,8 @@ def normalizer_brute(ambient: AmbientGroup, h: Subgroup) -> Subgroup:
     if h.ambient != ambient:
         raise GroupError("subgroup lives in a different ambient group")
     ok = np.ones(ambient.order, dtype=bool)
-    hmask = h.mask()
     for x in h.generators:
-        ok &= hmask[ambient.conj_by_all(x)]
+        ok &= h.contains(ambient.conj_by_all(x))
     return Subgroup(ambient, np.nonzero(ok)[0])
 
 
@@ -707,8 +689,8 @@ def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
     perms = np.array([s.matrix().rows for s in aut_group(spec)], dtype=np.int16)
     prods = _mat_mul(ambient.field, tori[:, None], perms[None]).reshape(-1, spec.n, spec.n)
     sub = Subgroup(ambient, _member_indices(ambient, prods))
-    closed = _closure(ambient, sub.generators)
-    if closed.size != sub.order or not sub.mask()[closed].all():
+    sub._gens, closed = _pick_generators(ambient, sub.indices)  # the pick's last closure decides
+    if closed.size != sub.order or not sub.contains(closed).all():
         raise HypothesisFailure(
             "predicted normalizer set is not closed under multiplication",
             payload={

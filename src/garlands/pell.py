@@ -115,19 +115,6 @@ def negative_pell(d: int) -> PellSolution | None:
     return _solve_validated(QuadraticCase(d).d)[0]
 
 
-def positive_pell(d: int) -> tuple[int, int]:
-    """Fundamental solution of x^2 - d*y^2 = +1 for non-square d > 1."""
-    a0, period = continued_fraction_sqrt(d)
-    if len(period) % 2 == 0:
-        terms = [a0] + list(period[:-1])
-    else:
-        terms = [a0] + list(period) + list(period[:-1])
-    x, y = _convergent(terms)
-    if x * x - d * y * y != 1:
-        raise PellError(f"internal: convergent failed for d={d}")
-    return x, y
-
-
 TORUS_ONLY = "TorusOnly"
 TWO_COSETS = "TwoCosets"
 

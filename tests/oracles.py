@@ -1,4 +1,4 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent brute-force oracles and test-only routes used by the test suite.
 
 Everything here deliberately avoids the structural shortcuts of the package:
 ring automorphisms are found by constrained search over unital k-linear
@@ -15,6 +15,13 @@ formula normalizer from those, one unit at a time through FieldMatrix
 products, determinants and lookups, and the exact rational
 2x2 algebra at the end checks the SL(2,Q) witness matrices by direct
 conjugation.
+
+The package does matrix arithmetic only vectorized over ambient indices,
+and keeps FieldMatrix for input and output.  The one-matrix-at-a-time
+routes live here: matrix keys, products (cell by cell), determinants
+(Laplace expansion) and inverses (Gauss-Jordan), subgroups generated from
+matrices, subgroup matrices and serialization, relative minimal
+polynomials and scalar multiples in an algebra.
 """
 
 from __future__ import annotations
@@ -28,8 +35,122 @@ from math import isqrt
 import numpy as np
 
 from garlands.etale import AlgebraSpec, aut_group
-from garlands.finite_field import FieldMatrix
-from garlands.matrix_group import SL, Subgroup, _closure, is_normal_in
+from garlands.finite_field import FieldError, FieldMatrix, FieldMismatchError
+from garlands.matrix_group import SL, GroupCapError, Subgroup, _closure, is_normal_in
+
+
+def matrix_key(m: FieldMatrix) -> int:
+    """The row-major entries read as one base-q integer, the ambient's lookup key."""
+    k = 0
+    for r in m.rows:
+        for v in r:
+            k = k * m.field.q + v
+    return k
+
+
+def matrix_from_key(field, n: int, key: int) -> FieldMatrix:
+    entries = []
+    for _ in range(n * n):
+        key, v = divmod(key, field.q)
+        entries.append(v)
+    entries.reverse()
+    return FieldMatrix(field, [entries[i * n : (i + 1) * n] for i in range(n)])
+
+
+def matrix_from_coeff_rows(field, rows) -> FieldMatrix:
+    return FieldMatrix(field, [[field.index_of(c) for c in r] for r in rows])
+
+
+def matrix_product(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    if a.field != b.field or a.n != b.n:
+        raise FieldMismatchError("matrix shape/field mismatch")
+    f = a.field
+    out = []
+    for row in a.rows:
+        out.append([])
+        for col in zip(*b.rows):
+            acc = 0
+            for x, y in zip(row, col):
+                acc = f.add_idx(acc, f.mul_idx(x, y))
+            out[-1].append(acc)
+    return FieldMatrix(f, out)
+
+
+def matrix_det(m: FieldMatrix) -> int:
+    """Determinant by Laplace expansion along the first row."""
+    f, rows = m.field, m.rows
+    if m.n == 1:
+        return rows[0][0]
+    acc = 0
+    for j, c in enumerate(rows[0]):
+        if c:
+            term = f.mul_idx(c, matrix_det(FieldMatrix(f, [r[:j] + r[j + 1 :] for r in rows[1:]])))
+            acc = f.add_idx(acc, term if j % 2 == 0 else f.neg_idx(term))
+    return acc
+
+
+def matrix_inverse(m: FieldMatrix) -> FieldMatrix:
+    """Inverse by Gauss-Jordan elimination."""
+    f, n = m.field, m.n
+    aug = [list(r) + [f.one_index if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise FieldError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = f.inv_idx(aug[col][col])
+        aug[col] = [f.mul_idx(inv, v) for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [f.sub_idx(v, f.mul_idx(c, w)) for v, w in zip(aug[r], aug[col])]
+    return FieldMatrix(f, [row[n:] for row in aug])
+
+
+def generate(ambient, gens, max_size: int | None = None) -> Subgroup:
+    """Smallest subgroup of the ambient containing the given matrices."""
+    cl = _closure(ambient, [ambient.index_of(m) for m in gens])
+    if max_size is not None and cl.size > max_size:
+        raise GroupCapError(f"closure reached {cl.size} elements, cap {max_size}", order=int(cl.size))
+    return Subgroup(ambient, cl)
+
+
+def subgroup_matrices(sub) -> list[FieldMatrix]:
+    return [sub.ambient.matrix_at(int(i)) for i in sub.indices]
+
+
+def subgroup_serialize(sub, with_elements: bool = False) -> dict:
+    amb = sub.ambient
+    doc = {
+        "ambient": {"kind": amb.kind, "n": amb.n, "field": amb.field.serialize()},
+        "order": sub.order,
+        "generators": [m.coeff_rows() for m in sub.generator_matrices()],
+    }
+    if with_elements:
+        doc["elements"] = [m.coeff_rows() for m in subgroup_matrices(sub)]
+    return doc
+
+
+def rel_min_poly(ext, top_idx: int) -> tuple[int, ...]:
+    """Minimal polynomial over the base (base-field indices, constant first, monic).
+
+    It is the product of X - c over the relative Frobenius orbit of the element.
+    """
+    top = ext.top
+    poly = [top.one_index]  # top-field coefficients
+    for j in range(ext.orbit_size(top_idx)):
+        neg = top.neg_idx(ext.rel_frobenius(top_idx, j))
+        nxt = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i] = top.add_idx(nxt[i], top.mul_idx(c, neg))
+            nxt[i + 1] = top.add_idx(nxt[i + 1], c)
+        poly = nxt
+    return tuple(ext.lift(c) for c in poly)
+
+
+def scalar_mul_comps(spec: AlgebraSpec, c: int, a) -> tuple[int, ...]:
+    """Multiply by a base-field element (base index c)."""
+    return tuple(e.top.mul_idx(int(e.embed[c]), x) for e, x in zip(spec.extensions, a))
 
 
 def brute_additive_span(spec: AlgebraSpec, selected) -> frozenset:
@@ -42,7 +163,7 @@ def brute_additive_span(spec: AlgebraSpec, selected) -> frozenset:
         for v in frontier:
             for w in vectors:
                 for c in range(spec.base.q):
-                    cand = spec.add_comps(v, spec.scalar_mul_comps(c, w))
+                    cand = spec.add_comps(v, scalar_mul_comps(spec, c, w))
                     if cand not in span:
                         span.add(cand)
                         nxt.append(cand)
@@ -89,7 +210,7 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
             acc = spec.zero
             for c, img in zip(coeffs, images):
                 if c:
-                    acc = acc + spec.element(spec.scalar_mul_comps(c, img.comps))
+                    acc = acc + spec.element(scalar_mul_comps(spec, c, img.comps))
             table[src] = acc.comps
         if len(set(table.values())) != spec.order:
             return None
@@ -127,14 +248,14 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
             assign_generators(assign_idem, f + 1, assign_gen + [None])
             return
         ext = spec.extensions[f]
-        minpoly = ext.rel_min_poly(ext.gen_index)  # base-field indices, monic
+        minpoly = rel_min_poly(ext, ext.gen_index)  # base-field indices, monic
         block = assign_idem[f]
         for z in spec.elements():
             if z * block != z:
                 continue
             acc = spec.zero
             for coeff in reversed(minpoly):
-                acc = acc * z + spec.element(spec.scalar_mul_comps(coeff, block.comps))
+                acc = acc * z + spec.element(scalar_mul_comps(spec, coeff, block.comps))
             if acc.comps == spec.zero_comps():
                 assign_generators(assign_idem, f + 1, assign_gen + [z])
 
@@ -164,7 +285,7 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
 
 def subgroup_id(sub) -> str:
     """Report id from the matrices: 8-byte blake2b over the sorted keys as native int64."""
-    keys = sorted(m.key() for m in sub.matrices())
+    keys = sorted(matrix_key(m) for m in subgroup_matrices(sub))
     return hashlib.blake2b(struct.pack(f"={len(keys)}q", *keys), digest_size=8).hexdigest()
 
 
@@ -293,8 +414,8 @@ def formula_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
     for u in spec.units():
         t = regular_rep_by_basis(u)
         for pm in perms:
-            prod = t * pm
-            if ambient.kind != SL or prod.det() == one:
+            prod = matrix_product(t, pm)
+            if ambient.kind != SL or matrix_det(prod) == one:
                 idxs.add(ambient.index_of(prod))
     return np.array(sorted(idxs), dtype=np.int32)
 

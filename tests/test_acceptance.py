@@ -281,7 +281,7 @@ def test_sl_interval_matches_direct_enumeration(sweep, direct_intervals):
 
 def test_interval_ids_match_matrix_key_digest(sweep, direct_intervals):
     # a report id is a digest of the member's matrix keys; recompute it from
-    # FieldMatrix.key() of every element, independently of ambient indices
+    # matrix_key() of every element, independently of ambient indices
     checked = 0
     for key, doc in _ok(sweep).items():
         direct = direct_intervals[key]

@@ -12,6 +12,7 @@ from garlands.config import SCHEMA_VERSION, Caps
 from garlands.runner import CaseSpec, run_case
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, argv):
@@ -270,6 +271,24 @@ def test_sweep_pell_table(capsys):
     assert len(lines) == 100
     d34 = next(r for r in lines if r.get("d") == 34)
     assert d34["criterion_agrees"] is False
+
+
+def test_sweep_pell_100_golden(capsys):
+    # byte-identical to the stored table, row by row
+    code, out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "100", "--json"])
+    assert code == 0
+    golden = (GOLDEN / "pell_100.jsonl").read_text().splitlines()
+    assert out.splitlines() == golden
+
+
+def test_torus_golden(capsys):
+    golden = (GOLDEN / "torus.jsonl").read_text().splitlines()
+    cases = [["--p", "3", "--degrees", "2,1", "--ambient", "sl"], ["--p", "13", "--degrees", "2", "--ambient", "sl"]]
+    assert len(golden) == len(cases)
+    for flags, want in zip(cases, golden):
+        code, out, _ = _run(capsys, ["torus", *flags, "--json"])
+        assert code == 0
+        assert out.splitlines() == [want], flags
 
 
 def test_pell_single(capsys):

