@@ -68,15 +68,19 @@ class FieldMismatchError(FieldError):
 
 
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division."""
+    """Distinct prime factors of n in ascending order (none for 0 and 1).
+
+    Trial division by 2, 3 and then the 6k - 1, 6k + 1 wheel: 5, 7, 11, 13, ...
+    """
     out = []
-    f = 2
+    f, step = 2, 1
     while f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
-        f += 1 if f == 2 else 2
+        f += step
+        step = 6 - step if f > 5 else 2
     if n > 1:
         out.append(n)
     return out

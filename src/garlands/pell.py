@@ -1,10 +1,9 @@
 """Negative Pell equation x^2 - d*y^2 = -1 and the SL(2,Q) torus normalizer.
 
-The continued fraction of sqrt(d) is computed with the exact integer
-recurrence on (P, Q) pairs; the equation is solvable precisely when the
-period length is odd, and the fundamental solution is the convergent just
-before the end of the first period.  All arithmetic is arbitrary precision;
-solutions are verified by substitution before being returned.
+The exact (P, Q) recurrence for sqrt(d)'s continued fraction runs only to the
+middle of the period, a palindrome followed by 2*a0 (Legendre).  The equation
+is solvable precisely when the period length is odd; the fundamental solution
+then comes from the two middle convergents and is verified by substitution.
 
 When a solution (x0, y0) exists, the normalizer of the rational quadratic
 torus {[[x, y*d], [y, x]] : x^2 - d*y^2 = 1} inside SL(2,Q) gains a second
@@ -18,8 +17,10 @@ is the smallest disagreement).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import Iterator
+from math import isqrt, prod
+from typing import Iterator, Sequence
+
+from .finite_field import _prime_factors
 
 
 class PellError(Exception):
@@ -27,17 +28,8 @@ class PellError(Exception):
 
 
 def is_squarefree(d: int) -> bool:
-    d = abs(d)
-    if d == 0:
-        return False
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        while d % f == 0:
-            d //= f
-        f += 1 if f == 2 else 2
-    return True
+    """No square of a prime divides d (0 is not squarefree; 1 and -1 are)."""
+    return prod(_prime_factors(abs(d))) == abs(d)
 
 
 @dataclass(frozen=True)
@@ -67,43 +59,61 @@ class PellSolution:
 
 
 def continued_fraction_sqrt(d: int) -> tuple[int, tuple[int, ...]]:
-    """(a0, periodic part) of the continued fraction of sqrt(d), d non-square > 1."""
+    """(a0, periodic part) of the continued fraction of sqrt(d), d non-square > 1.
+
+    The period is a palindrome followed by 2*a0: the (P, Q) recurrence stops at the first n
+    with P(n+1) = Pn (length 2n) or Q(n+1) = Qn (length 2n + 1) and mirrors a1 .. an.
+    """
     if d <= 1:
         raise PellError(f"d must be > 1, got {d}")
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise PellError(f"d must not be a perfect square, got {d}")
-    # Q_k = 1 exactly when k is a multiple of the period length
-    period = []
-    p, q = 0, 1
-    a = a0
+    half = []
+    p, q, a = 0, 1, a0
     while True:
-        p = a * q - p
-        q = (d - p * p) // q
+        p_next = a * q - p  # P1 = a0 differs from P0 = 0: the first P repeat has n >= 1
+        if p_next == p:
+            return a0, (*half, *half[-2::-1], 2 * a0)
+        q_next = (d - p_next * p_next) // q
+        if q_next == q:
+            return a0, (*half, *half[::-1], 2 * a0)
+        p, q = p_next, q_next
         a = (a0 + p) // q
-        period.append(a)
-        if q == 1:
-            return a0, tuple(period)
+        half.append(a)
 
 
-def _convergent(terms: list[int]) -> tuple[int, int]:
-    h_prev, h = 1, terms[0]
-    k_prev, k = 0, 1
+def _convergents(terms: Sequence[int]) -> tuple[int, int, int, int]:
+    """p(k-1), q(k-1), pk, qk of [terms[0]; terms[1], ..., terms[k]], with p(-1)/q(-1) = 1/0."""
+    p_prev, q_prev, p, q = 1, 0, terms[0], 1
     for a in terms[1:]:
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    return h, k
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p_prev, q_prev, p, q
+
+
+def _convergent(terms: Sequence[int]) -> tuple[int, int]:
+    """(p, q) of the continued fraction [terms[0]; terms[1], ...]."""
+    return _convergents(terms)[2:]
 
 
 def _solve_validated(d: int) -> tuple[PellSolution | None, int | None]:
-    """(negative Pell solution or None, period length or None for d < 0) of a valid d."""
+    """(negative Pell solution or None, period length or None for d < 0) of a valid d.
+
+    For odd l = 2k + 1 and the convergents pi/qi of [a0; a1 .. ak], x0 + y0*sqrt(d) =
+    (p(k-1) + q(k-1)*sqrt(d)) * (pk + qk*sqrt(d)) / |p(k-1)^2 - d*q(k-1)^2|.
+    """
     if d < 0:
         return None, None
     a0, period = continued_fraction_sqrt(d)
     if len(period) % 2 == 0:
         return None, len(period)
-    x, y = _convergent([a0, *period[:-1]])
-    return PellSolution(d, x, y), len(period)
+    p0, q0, p1, q1 = _convergents([a0, *period[: len(period) // 2]])
+    mid = abs(p0 * p0 - d * q0 * q0)
+    x, y = p0 * p1 + d * q0 * q1, p0 * q1 + p1 * q0
+    if x % mid or y % mid:
+        raise PellError(f"internal: midpoint convergents of sqrt({d}) give no integer solution")
+    return PellSolution(d, x // mid, y // mid), len(period)
 
 
 def negative_pell(d: int) -> PellSolution | None:
@@ -137,18 +147,7 @@ class NormalizerShape:
 
 def printed_criterion(d: int) -> bool:
     """d > 0 with no prime divisor of the form 4m + 3 (necessary, not sufficient)."""
-    if d <= 0:
-        return False
-    rest = d
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            if f % 4 == 3:
-                return False
-            while rest % f == 0:
-                rest //= f
-        f += 1 if f == 2 else 2
-    return not (rest > 1 and rest % 4 == 3)
+    return d > 0 and all(p % 4 != 3 for p in _prime_factors(d))
 
 
 @dataclass(frozen=True)

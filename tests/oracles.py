@@ -3,7 +3,9 @@
 Everything here deliberately avoids the structural shortcuts of the package:
 ring automorphisms are found by constrained search over unital k-linear
 bijections, additive spans by set closure, and Pell solutions by exhaustive
-y-search, so the fast implementations are checked against a second route.
+y-search and by the convergent that ends the first full period of sqrt(d)'s
+continued fraction, so the fast implementations are checked against a second
+route.
 Subgroup ids are recomputed from the element matrices' keys, interval
 lattices by the element-level breadth-first route (a per-element double-coset
 loop, then a closure over elements seeded with H), subgroup generators by the
@@ -315,17 +317,26 @@ def double_coset_reps_by_loop(amb, h, domain) -> list[int]:
     return reps
 
 
-def element_closure(amb, h, g: int) -> np.ndarray:
-    """Sorted indices of <H, g>, by an orbit closure over elements seeded with H and g."""
-    gens = list(dict.fromkeys([*h.generators, int(g)]))
+def element_closure(amb, h, g: int, right: dict | None = None) -> np.ndarray:
+    """Sorted indices of <H, g>, by an orbit closure over elements seeded with H and g.
+
+    Each generator s acts through x -> x * s on the whole ambient, one rmul
+    per generator; right caches these permutations by s across calls.
+    """
+    right = {} if right is None else right
+    perms = []
+    for s in dict.fromkeys([*h.generators, int(g)]):
+        if s not in right:
+            right[s] = amb.rmul(np.arange(amb.order, dtype=np.int32), s)
+        perms.append(right[s])
     seen = np.zeros(amb.order, dtype=bool)
     seen[h.indices] = True
     seen[[amb.identity_index, int(g)]] = True
     frontier = np.flatnonzero(seen)
     while frontier.size:
         fresh = np.zeros(amb.order, dtype=bool)
-        for s in gens:
-            fresh[amb.rmul(frontier, s)] = True
+        for perm in perms:
+            fresh[perm[frontier]] = True
         fresh &= ~seen
         seen |= fresh
         frontier = np.flatnonzero(fresh)
@@ -337,10 +348,11 @@ def interval_by_elements(bottom, top) -> set[bytes]:
     amb = bottom.ambient
     members = {bottom.indices.tobytes(): bottom}
     queue = [bottom]
+    right: dict = {}
     while queue:
         h = queue.pop(0)
         for g in double_coset_reps_by_loop(amb, h, top.indices):
-            k = Subgroup(amb, element_closure(amb, h, g))
+            k = Subgroup(amb, element_closure(amb, h, g, right))
             if k.indices.tobytes() not in members:
                 members[k.indices.tobytes()] = k
                 queue.append(k)
@@ -428,6 +440,37 @@ def exhaustive_negative_pell(d: int, y_max: int) -> tuple[int, int] | None:
         if x * x == x2:
             return x, y
     return None
+
+
+def continued_fraction_by_full_period(d: int) -> tuple[int, tuple[int, ...]]:
+    """(a0, period) of sqrt(d), non-square d > 1, by the (P, Q) recurrence run until Q returns to 1."""
+    a0 = isqrt(d)
+    period = []
+    p, q, a = 0, 1, a0
+    while True:
+        p = a * q - p
+        q = (d - p * p) // q
+        a = (a0 + p) // q
+        period.append(a)
+        if q == 1:
+            return a0, tuple(period)
+
+
+def convergent_by_terms(terms) -> tuple[int, int]:
+    """(h, k) of the continued fraction [terms[0]; terms[1], ...], by the forward recurrence."""
+    h_prev, h, k_prev, k = 1, terms[0], 0, 1
+    for a in terms[1:]:
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return h, k
+
+
+def negative_pell_by_full_period(d: int) -> tuple[int, int] | None:
+    """x^2 - d*y^2 = -1 from the convergent just before the end of an odd first period, else None."""
+    a0, period = continued_fraction_by_full_period(d)
+    if len(period) % 2 == 0:
+        return None
+    return convergent_by_terms([a0, *period[:-1]])
 
 
 def torus_point(d: int, t: Fraction) -> tuple[Fraction, Fraction]:

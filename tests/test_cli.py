@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -279,6 +280,14 @@ def test_sweep_pell_100_golden(capsys):
     assert code == 0
     golden = (GOLDEN / "pell_100.jsonl").read_text().splitlines()
     assert out.splitlines() == golden
+
+
+def test_sweep_pell_20000_digest(capsys):
+    # SHA-256 of the whole table, byte for byte
+    code, out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "20000", "--json"])
+    assert code == 0
+    want = (GOLDEN / "pell_20000.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_torus_golden(capsys):

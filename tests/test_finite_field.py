@@ -8,6 +8,7 @@ from garlands.finite_field import (
     FieldMatrix,
     FieldMismatchError,
     NotPrimeError,
+    _prime_factors,
     construct_extension,
     construct_field,
     extension_of,
@@ -22,6 +23,28 @@ from oracles import matrix_det, matrix_from_key, matrix_inverse, matrix_key, mat
 
 def from_coeffs(field, coeffs):
     return field.element(field.index_of(coeffs))
+
+
+def test_prime_factors_match_sieve_to_20000():
+    n_max = 20_000
+    factors = [[] for _ in range(n_max + 1)]
+    for f in range(2, n_max + 1):
+        if not factors[f]:  # no smaller prime divides f
+            for m in range(f, n_max + 1, f):
+                factors[m].append(f)
+    for n in range(n_max + 1):
+        assert _prime_factors(n) == factors[n], n
+
+
+def test_prime_factors_of_prime_powers_and_products():
+    assert _prime_factors(25) == [5]
+    assert _prime_factors(49) == [7]
+    assert _prime_factors(121) == [11]
+    assert _prime_factors(997**2) == [997]
+    assert _prime_factors(2**20) == [2]
+    assert _prime_factors(3**12) == [3]
+    assert _prime_factors(2 * 3 * 5 * 7 * 11 * 13) == [2, 3, 5, 7, 11, 13]
+    assert _prime_factors(9_999_991) == [9_999_991]
 
 
 def test_construct_field_examples():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
@@ -21,7 +22,15 @@ from garlands.pell import (
     sl2q_normalizer_report,
 )
 
-from oracles import exhaustive_negative_pell, in_torus_shape, mat_inv2, mat_mul2, torus_point
+from oracles import (
+    continued_fraction_by_full_period,
+    exhaustive_negative_pell,
+    in_torus_shape,
+    mat_inv2,
+    mat_mul2,
+    negative_pell_by_full_period,
+    torus_point,
+)
 
 
 def test_continued_fraction_examples():
@@ -46,6 +55,37 @@ def test_continued_fraction_matches_decimal_expansion():
             terms.append(a)
             value = 1 / (value - a)
         assert terms == mine[: len(terms)]
+
+
+def _check_against_full_period(d):
+    """Midpoint period and solution of a non-square d against the full-period recurrence."""
+    a0, period = continued_fraction_by_full_period(d)
+    assert continued_fraction_sqrt(d) == (a0, period), d
+    # a palindrome followed by 2 * a0
+    assert period[-1] == 2 * a0 and period[:-1] == period[-2::-1], d
+    sol, length = pell._solve_validated(d)
+    assert length == len(period), d
+    assert (None if sol is None else (sol.x, sol.y)) == negative_pell_by_full_period(d), d
+    if is_squarefree(d):
+        assert negative_pell(d) == sol, d
+        assert sl2q_normalizer_report(d).period_length == len(period), d
+
+
+def test_midpoint_matches_full_period_every_d_to_20000():
+    for d in range(2, 20_001):
+        if isqrt(d) ** 2 != d:
+            _check_against_full_period(d)
+
+
+def test_midpoint_matches_full_period_sampled_squarefree_d_below_10_6():
+    rng = Random(14)
+    sample = set()
+    while len(sample) < 2_000:
+        d = rng.randrange(2, 10**6)
+        if is_squarefree(d):
+            sample.add(d)
+    for d in sorted(sample):
+        _check_against_full_period(d)
 
 
 def test_continued_fraction_rejects_bad_d():
@@ -128,6 +168,23 @@ def test_printed_criterion():
     assert not printed_criterion(7)
     assert printed_criterion(34)  # 2 * 17, no 4m+3 divisor: predicts solvable
     assert not printed_criterion(-5)
+
+
+def test_squarefree_and_criterion_edge_values():
+    assert [is_squarefree(d) for d in (0, 1, -1, -2, -5, -12, -18, 9_999_991)] == [
+        False, True, True, True, True, False, False, True,
+    ]
+    # 9,999,991 is a prime congruent to 3 mod 4
+    assert [printed_criterion(d) for d in (0, 1, -1, -2, -5, 9_999_991)] == [False, True, False, False, False, False]
+
+
+def test_squarefree_and_criterion_match_definitions():
+    for d in range(-3_000, 3_001):
+        n = abs(d)
+        squarefree = n > 0 and all(n % (f * f) for f in range(2, isqrt(n) + 1))
+        assert is_squarefree(d) == squarefree, d
+        primes = [f for f in range(2, n + 1) if n % f == 0 and all(f % e for e in range(2, isqrt(f) + 1))]
+        assert printed_criterion(d) == (d > 0 and all(f % 4 != 3 for f in primes)), d
 
 
 def test_sl2q_report_examples():
