@@ -7,7 +7,7 @@ or a range).
 
 Exit codes: 0 when every check is confirmed or matches a predicted failure
 (and after --help), 2 on an unexpected mismatch, 3 when an enumeration cap
-or the Pell cap on --d / --d-max is exceeded, 1 on invalid arguments,
+or the Pell cap on |--d| / |--d-max| is exceeded, 1 on invalid arguments,
 argument-parsing errors included.  Reports on stdout are byte-identical
 across repeated invocations; timings and cache statistics go to stderr.
 """
@@ -104,10 +104,10 @@ def cmd_verify(args) -> int:
 
 
 def _pell_over_cap(d: int | None) -> bool:
-    """Report on stderr, before any work, a d above the Pell cap."""
-    if d is None or d <= DEFAULT_CAPS.pell_d:
+    """Report on stderr, before any work, a d whose absolute value is above the Pell cap."""
+    if d is None or abs(d) <= DEFAULT_CAPS.pell_d:
         return False
-    print(f"cap exceeded: d={d} is above the Pell cap {DEFAULT_CAPS.pell_d}", file=sys.stderr)
+    print(f"cap exceeded: |d| = {abs(d)} is above the Pell cap {DEFAULT_CAPS.pell_d}", file=sys.stderr)
     return True
 
 

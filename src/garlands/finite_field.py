@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -67,20 +68,40 @@ class FieldMismatchError(FieldError):
     pass
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for k in range(2, isqrt(n - 1) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytes(len(range(k * k, n, k)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+# trial divisors of _prime_factors: every prime below 2^12, which covers any
+# n < 2^24 (each Pell d under the default cap, each q - 1 under the field cap),
+# then the 6k - 1, 6k + 1 wheel from 4097 = 6 * 683 - 1, its first number above
+_SMALL_PRIMES = _primes_below(1 << 12)
+_WHEEL_START = 4097
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n in ascending order (none for 0 and 1).
 
-    Trial division by 2, 3 and then the 6k - 1, 6k + 1 wheel: 5, 7, 11, 13, ...
+    Trial division by the primes below 2^12, then by the wheel 4097, 4099,
+    4103, 4105, ... (steps 2 and 4), so any n is factored; the loop stops
+    once the divisor's square exceeds what is left of n.
     """
     out = []
-    f, step = 2, 1
-    while f * f <= n:
+    wheel = itertools.accumulate(itertools.cycle((2, 4)), initial=_WHEEL_START)
+    for f in itertools.chain(_SMALL_PRIMES, wheel):
+        if f * f > n:
+            break
         if n % f == 0:
             out.append(f)
+            n //= f
             while n % f == 0:
                 n //= f
-        f += step
-        step = 6 - step if f > 5 else 2
     if n > 1:
         out.append(n)
     return out

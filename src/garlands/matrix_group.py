@@ -372,7 +372,7 @@ class Subgroup:
         s = int(s)
         perm = self._right.get(s)
         if perm is None:
-            perm = self._right[s] = self.positions()[self.ambient.rmul(self.indices, s)]
+            perm = self._right[s] = self.positions().take(self.ambient.rmul(self.indices, s))
         return perm
 
     def key_tuple(self) -> bytes:
@@ -485,10 +485,11 @@ def _orbit_minima(labels: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray
     labels = labels.copy()
     while True:
         before = labels.copy()
+        # ndarray.take here and in the coset tables: [] on int32 indices costs about twice as much
         for p in perms:
-            np.minimum.at(labels, labels[p], labels)
+            np.minimum.at(labels, labels.take(p), labels)
         while True:
-            jumped = labels[labels]
+            jumped = labels.take(labels)
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
@@ -538,8 +539,8 @@ class CosetTable:
             fresh = [r for r, s_inside in zip(self.right, inside) if not s_inside]
         left = []
         if fresh:
-            inverse = top.positions()[h.ambient.inv_indices()[top.indices]]
-            left = [inverse[r[inverse]] for r in fresh]
+            inverse = top.positions().take(h.ambient.inv_indices().take(top.indices))
+            left = [inverse.take(r.take(inverse)) for r in fresh]
         self.labels = _orbit_minima(labels, left)
         self.double_labels = _orbit_minima(self.labels, self.right)
 
@@ -597,8 +598,8 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
             closure, xs = closure[live], xs[live]
             if not closure.size:
                 break
-        xs = least[xs]
-        images = [coset[r[xs]] for r in table.right]
+        xs = least.take(xs)
+        images = [coset.take(r.take(xs)) for r in table.right]
         images.append(coset[positions[amb.rmul(top[xs], gs[closure])]])
         frontier = _claim_fresh(np.tile(closure * ncos, len(images)) + np.concatenate(images), slot)
     cosets = (slot >= 0).reshape(gs.size, ncos)

@@ -12,6 +12,9 @@ torus alone.  A printed divisibility criterion (d > 0 with no prime divisor
 congruent to 3 mod 4) is evaluated alongside and its agreement with actual
 solvability is reported, since it is necessary but not sufficient (d = 34
 is the smallest disagreement).
+
+A report factors d once: the distinct primes of |d| give both the
+squarefree check (their product is |d|) and the printed criterion.
 """
 
 from __future__ import annotations
@@ -32,6 +35,16 @@ def is_squarefree(d: int) -> bool:
     return prod(_prime_factors(abs(d))) == abs(d)
 
 
+def _valid_primes(d: int) -> list[int]:
+    """The distinct primes of |d|, for d squarefree and not 0 or 1; PellError otherwise."""
+    if d in (0, 1):
+        raise PellError(f"d must not be 0 or 1, got {d}")
+    primes = _prime_factors(abs(d))
+    if prod(primes) != abs(d):
+        raise PellError(f"d must be squarefree, got {d}")
+    return primes
+
+
 @dataclass(frozen=True)
 class QuadraticCase:
     """A squarefree integer d != 0, 1 defining Q(sqrt(d))."""
@@ -39,10 +52,7 @@ class QuadraticCase:
     d: int
 
     def __post_init__(self):
-        if self.d in (0, 1):
-            raise PellError(f"d must not be 0 or 1, got {self.d}")
-        if not is_squarefree(self.d):
-            raise PellError(f"d must be squarefree, got {self.d}")
+        _valid_primes(self.d)
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,12 @@ class NormalizerShape:
 
 def printed_criterion(d: int) -> bool:
     """d > 0 with no prime divisor of the form 4m + 3 (necessary, not sufficient)."""
-    return d > 0 and all(p % 4 != 3 for p in _prime_factors(d))
+    return d > 0 and _criterion(d, _prime_factors(d))
+
+
+def _criterion(d: int, primes: Sequence[int]) -> bool:
+    """The printed criterion for d, given the distinct primes of |d|."""
+    return d > 0 and all(p % 4 != 3 for p in primes)
 
 
 @dataclass(frozen=True)
@@ -177,15 +192,15 @@ class NormalizerReport:
 
 def sl2q_normalizer_report(d: int) -> NormalizerReport:
     """Normalizer shape for d plus the printed-criterion comparison."""
-    return _report_validated(QuadraticCase(d).d)
+    return _report_validated(d, _valid_primes(d))
 
 
-def _report_validated(d: int) -> NormalizerReport:
-    """The report of a d already checked to be squarefree and not 0 or 1."""
+def _report_validated(d: int, primes: Sequence[int]) -> NormalizerReport:
+    """The report of a valid d (squarefree, not 0 or 1) whose distinct primes of |d| are given."""
     sol, period_length = _solve_validated(d)
     solvable = sol is not None
     shape = NormalizerShape(d, TWO_COSETS if solvable else TORUS_ONLY, sol)
-    crit = printed_criterion(d)
+    crit = _criterion(d, primes)
     return NormalizerReport(
         d=d,
         shape=shape,
@@ -199,7 +214,8 @@ def _report_validated(d: int) -> NormalizerReport:
 def pell_sweep(d_max: int) -> Iterator[dict]:
     """One record per d in [1, d_max]; invalid d get a skip reason."""
     for d in range(1, d_max + 1):
-        if not is_squarefree(d) or d == 1:
+        primes = _prime_factors(d)
+        if d == 1 or prod(primes) != d:
             yield {"d": d, "skipped": "square" if isqrt(d) ** 2 == d else "not squarefree"}
             continue
-        yield _report_validated(d).to_dict()
+        yield _report_validated(d, primes).to_dict()

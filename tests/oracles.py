@@ -291,30 +291,36 @@ def subgroup_id(sub) -> str:
     return hashlib.blake2b(struct.pack(f"={len(keys)}q", *keys), digest_size=8).hexdigest()
 
 
-def double_coset_reps_by_loop(amb, h, domain) -> list[int]:
-    """One representative per H-double-coset meeting the domain, H's own excluded.
+def double_coset_reps_by_elements(amb, h, domain) -> list[int]:
+    """One representative per H-double-coset in the domain, H's own excluded.
 
-    Walks the domain in order: an element not yet labelled starts a right
-    coset H x, and a right-coset representative not yet consumed starts a
-    double coset, whose right cosets H x h it then consumes.
+    domain is a group containing H, in any order; each double coset is
+    represented by its first element there.  Each position x starts labelled
+    with itself and takes the least label found at s * x, for every
+    generator s of H, until no label falls: one lmul of the whole domain per
+    generator.  Then label(x) <= label(s * x) for every s, so labels agree
+    along each cycle of x -> s * x and hence on H x, and each is the first
+    position of its right coset.  The double labels do the same from the
+    right labels over x * s, one rmul per generator, and end as the first
+    position of H x H.
     """
-    rep_of = np.full(amb.order, -1, dtype=np.int32)
-    right_reps: list[int] = []
-    for x in domain:
-        x = int(x)
-        if rep_of[x] >= 0:
-            continue
-        right_reps.append(x)
-        rep_of[amb.rmul(h.indices, x)] = x
-    h_coset_rep = int(rep_of[amb.identity_index])
-    consumed = np.zeros(amb.order, dtype=bool)
-    reps: list[int] = []
-    for x in right_reps:
-        if x == h_coset_rep or consumed[x]:
-            continue
-        reps.append(x)
-        consumed[rep_of[amb.lmul(x, h.indices)]] = True
-    return reps
+    domain = np.asarray(domain)
+    pos = np.full(amb.order, -1, dtype=np.int64)
+    pos[domain] = np.arange(domain.size)
+
+    def least_over(labels, perms):
+        while True:
+            before = labels
+            for perm in perms:
+                labels = np.minimum(labels, labels[perm])
+            if np.array_equal(labels, before):
+                return labels
+
+    right = least_over(np.arange(domain.size), [pos[amb.lmul(s, domain)] for s in h.generators])
+    double = least_over(right, [pos[amb.rmul(domain, s)] for s in h.generators])
+    own = double[pos[amb.identity_index]]
+    firsts = np.flatnonzero(double == np.arange(domain.size))
+    return domain[firsts[firsts != own]].tolist()
 
 
 def element_closure(amb, h, g: int, right: dict | None = None) -> np.ndarray:
@@ -351,7 +357,7 @@ def interval_by_elements(bottom, top) -> set[bytes]:
     right: dict = {}
     while queue:
         h = queue.pop(0)
-        for g in double_coset_reps_by_loop(amb, h, top.indices):
+        for g in double_coset_reps_by_elements(amb, h, top.indices):
             k = Subgroup(amb, element_closure(amb, h, g, right))
             if k.indices.tobytes() not in members:
                 members[k.indices.tobytes()] = k

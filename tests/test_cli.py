@@ -331,6 +331,7 @@ def test_pell_invalid_d(capsys):
         ["pell", "--d", "1000001"],
         ["pell", "--d-max", "1000001", "--json"],
         ["sweep", "--pell", "--d-max", "1000001"],
+        ["pell", "--d", "-1000001"],
     ],
 )
 def test_pell_cap_exit_3(capsys, argv):

@@ -1,5 +1,8 @@
+from random import Random
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +48,32 @@ def test_prime_factors_of_prime_powers_and_products():
     assert _prime_factors(3**12) == [3]
     assert _prime_factors(2 * 3 * 5 * 7 * 11 * 13) == [2, 3, 5, 7, 11, 13]
     assert _prime_factors(9_999_991) == [9_999_991]
+
+
+def test_prime_factors_across_the_table_bound():
+    # trial division runs over the primes below 2^12, then over the 6k +- 1 wheel
+    below = sympy.prevprime(1 << 12)  # the largest table prime, 4093
+    p1 = sympy.nextprime(1 << 12)  # the first prime the wheel reaches, 4099
+    p2 = sympy.nextprime(p1)
+    p3 = sympy.nextprime(p2)
+    assert _prime_factors(0) == [] and _prime_factors(1) == []
+    assert _prime_factors(1 << 20) == [2]
+    assert _prime_factors(below) == [below]
+    assert _prime_factors(below**2) == [below]
+    assert _prime_factors(p1**2) == [p1]
+    assert _prime_factors(p1**3) == [p1]
+    assert _prime_factors(below * p1) == [below, p1]
+    assert _prime_factors(p1 * p2) == [p1, p2]
+    assert _prime_factors(p1 * p2 * p3) == [p1, p2, p3]
+    assert _prime_factors(2 * p1**2 * p3) == [2, p1, p3]
+    assert _prime_factors(4097) == [17, 241]  # the wheel's first number is composite
+
+
+def test_prime_factors_match_sympy_on_a_seeded_sample():
+    rng = Random(20_261_018)
+    for _ in range(200):
+        n = rng.randrange(2, 1 << 34)
+        assert _prime_factors(n) == sorted(sympy.factorint(n)), n
 
 
 def test_construct_field_examples():

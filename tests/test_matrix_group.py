@@ -32,7 +32,7 @@ from garlands.matrix_group import (
 
 from oracles import (
     centralizer_brute,
-    double_coset_reps_by_loop,
+    double_coset_reps_by_elements,
     element_closure,
     formula_by_units,
     generate,
@@ -423,7 +423,7 @@ def test_coset_table_matches_brute_products(n, base, degrees):
                 assert table.labels[i] == min(position[int(y)] for y in amb.rmul(h.indices, x))
                 assert table.double_labels[i] == min(table.labels[position[int(y)]] for y in amb.lmul(x, h.indices))
             reps = table.double_coset_reps()
-            assert reps.tolist() == double_coset_reps_by_loop(amb, h, top.indices)
+            assert reps.tolist() == double_coset_reps_by_elements(amb, h, top.indices)
             brute = normalizer_brute(amb, h)
             assert table.normalizer().same_elements(Subgroup(amb, brute.indices[top.contains(brute.indices)]))
             # the batched closures are the distinct element-level closures, first occurrence first

@@ -274,17 +274,22 @@ def test_pell_sweep_line_count_and_flags():
     assert {r["d"] for r in skipped} >= {1, 4, 8, 9, 12}
 
 
-def test_pell_sweep_tests_squarefree_once_per_d(monkeypatch):
+def test_pell_factors_each_d_once(monkeypatch):
     calls = []
+    factor = pell._prime_factors
 
-    def counted(d):
-        calls.append(d)
-        return is_squarefree(d)
+    def counted(n):
+        calls.append(n)
+        return factor(n)
 
-    monkeypatch.setattr(pell, "is_squarefree", counted)
+    monkeypatch.setattr(pell, "_prime_factors", counted)
     rows = list(pell_sweep(100))
-    assert sorted(calls) == list(range(1, 101))
+    assert calls == list(range(1, 101))
     assert [r["d"] for r in rows] == list(range(1, 101))
+    for d in (2, 3, 34, 94, -5, 9_999_991):
+        calls.clear()
+        sl2q_normalizer_report(d)
+        assert calls == [abs(d)], d
 
 
 def test_quadratic_case_validation():
