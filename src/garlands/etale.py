@@ -389,6 +389,10 @@ def primitive_norm_one_search(base: FieldTable, ext_field: FieldTable) -> FieldE
 def count_power_in_base(base: FieldTable, x: FieldElement, exponent: int) -> int:
     """Number of alpha in k with (x + alpha)^N in k.
 
+    One pass over the shifts x + alpha, none zero since x lies outside k.
+    k* is the subgroup of K* of order |k| - 1, so w^N lies in k exactly when
+    N log(w) is a multiple of (|K| - 1) / (|k| - 1); the logs come from K's
+    exp/log table, so K must have one (FieldCapError otherwise).
     Preconditions reported distinctly: x outside the base, gcd(N, p) = 1,
     |k| > N, N >= 1.
     """
@@ -402,9 +406,6 @@ def count_power_in_base(base: FieldTable, x: FieldElement, exponent: int) -> int
     if base.q <= exponent:
         raise AlgebraError(f"base field of order {base.q} too small for exponent {exponent}")
     top = x.owner
-    count = 0
-    for alpha in range(base.q):
-        z = top.add_idx(x.index, int(ext.embed[alpha]))
-        if ext.contains(top.pow_idx(z, exponent)):
-            count += 1
-    return count
+    step = (top.q - 1) // (base.q - 1)
+    logs = top.logs(top.add_idxs(x.index, ext.embed))
+    return int(np.count_nonzero(logs * (exponent % step) % step == 0))

@@ -317,6 +317,10 @@ class FieldTable:
     def sub_idx(self, a: int, b: int) -> int:
         return self.add_idx(a, self.neg_idx(b))
 
+    def add_idxs(self, a: int, bs) -> np.ndarray:
+        """Indices of a + b for every b in an index array, digitwise mod p."""
+        return self._index_of_digits((self._digits(a) + self._digits(bs)) % self.p)
+
     def _poly_index(self, poly: Sequence[int]) -> int:
         """Index of a reduced polynomial, constant term first and trailing zeros trimmed."""
         return self.index_of([*poly, *[0] * (self.m - len(poly))])
@@ -379,6 +383,12 @@ class FieldTable:
         if self._ensure_log():
             return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
         return self._polypow_idx(a, e % (self.q - 1))
+
+    def logs(self, idxs) -> np.ndarray:
+        """Logarithms to the base generator_index() of nonzero elements, read from the exp/log table."""
+        if not self._ensure_log():
+            raise FieldCapError(f"no exp/log table for a field of order {self.q}; tables stop at {_LOG_TABLE_MAX}")
+        return self._log[np.asarray(idxs)]
 
     def frob_idx(self, a: int, i: int = 1) -> int:
         """a^(p^i), the i-th Frobenius iterate."""

@@ -57,6 +57,21 @@ subgroup normal in the larger (no Hasse restriction); garlands are the
 connected components.  a is normal in b exactly when a < b <= N_top(a), so
 each member needs two subset tests against the rows of a members x top
 membership matrix and no group products.
+
+One case pipeline builds each torus stage once per process.  The stage
+memo, keyed by (ambient, algebra), holds the torus T from its first use,
+and N(T) with the members of Lat(T, N(T)) from the first case that
+computes them; when N(T) = G it also keeps the whole [T, G] lattice, which
+is then the interval.  verify_lower_garland takes T, and [T, G] when held,
+from the memo.  interval_restriction_check reads N_GL(T) and the GL
+interval from it, so after the GL case the restriction is only the SL
+intersections; otherwise it builds T's table over GL and enumerates the
+interval inside N_GL(T), and records both, and when N_GL(T) = GL that
+interval is the GL case's [T, G].  The memo holds subgroups' element
+lists only: no coset table, and no positions or right permutations (memos
+as long as the ambient), which a lattice's top drops once its tables and
+normality graph are built.  Like the ambient_group cache whose ambients it
+refers to, it lives as long as the process and evicts nothing.
 """
 
 from __future__ import annotations
@@ -424,20 +439,67 @@ class VerificationReport:
         }
 
 
+@dataclass
+class _Stage:
+    """What the case pipeline knows of one torus: T, and once a case has computed them, N(T) and Lat(T, N(T)).
+
+    lattice is the whole [T, G] lattice, kept only when N(T) = G, where it
+    is the interval.
+    """
+
+    torus: Subgroup
+    normalizer: Subgroup | None = None
+    interval: tuple[Subgroup, ...] = ()  # members of Lat(T, N(T)), in lattice order
+    lattice: IntervalLattice | None = None
+
+
+# (ambient, algebra) -> its stage, for the life of the process, as the
+# ambient_group cache keeps the ambients
+_STAGES: dict[tuple[AmbientGroup, AlgebraSpec], _Stage] = {}
+
+
+def _stage(spec: AlgebraSpec, ambient: AmbientGroup) -> _Stage:
+    """The memo's stage of spec's torus in ambient, with T computed on first use."""
+    key = (ambient, spec)
+    if key not in _STAGES:
+        _STAGES[key] = _Stage(torus_subgroup(spec, ambient))
+    return _STAGES[key]
+
+
+def _record(stage: _Stage, normalizer: Subgroup, interval: tuple[Subgroup, ...], lat: IntervalLattice) -> None:
+    """Keep N(T) and its interval, and lat when N(T) is all of lat's ambient.
+
+    The callers have dropped the memos of lat's top (positions and right
+    permutations, arrays as long as the ambient), so a stage keeps
+    subgroups' element lists only.
+    """
+    stage.normalizer, stage.interval = normalizer, interval
+    if normalizer.order == lat.ambient.order:
+        stage.lattice = lat
+
+
+def _reset_stages() -> None:
+    """Empty the stage memo, so a test that counts computations starts cold."""
+    _STAGES.clear()
+
+
 def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> VerificationReport:
     """Full verification for one algebra/ambient case.
 
-    Computes the torus, the interval lattice [T, G] with its normality graph
-    and garlands, and the formula normalizer; checks (a) formula vs N(T),
+    Takes the torus from the stage memo, and the interval lattice [T, G]
+    too when the memo holds it (else enumerates it); builds the normality
+    graph, the garlands and the formula normalizer; checks (a) formula vs N(T),
     (b) lower garland vs the interval up to N(T), (c) idempotence of N(T).
+    N(T) and its interval go into the memo unless it holds them already.
     N(T) and N(N(T)) are the lattice's normalizers of its members T and
     N(T): element-level, over all of G, and independent of the formula.
     Every check records a verdict against what the hypothesis record
     predicts, so failures outside the guaranteed regime are reported.
     """
     hyp = record_hypotheses(spec, ambient.kind)
-    torus = torus_subgroup(spec, ambient)
-    lat = enumerate_interval(torus, ambient)
+    stage = _stage(spec, ambient)
+    torus = stage.torus
+    lat = stage.lattice if stage.lattice is not None else enumerate_interval(torus, ambient)
     normalizer = lat.normalizers[lat.members.index(torus)]  # T's own table, over all of G
     closure_failure = None
     try:
@@ -452,10 +514,13 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
     second = lat.normalizers[lat.members.index(normalizer)]  # N(N(T)): N(T) is a member of [T, G]
     idempotent = second.same_elements(normalizer)
     graph = normality_graph(lat)
+    lat.top.drop_memos()  # the stage may keep lat, and keeps no memo as long as the ambient
     gls = garlands(graph)
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
     interval_members = tuple(m for m in lat.members if m.is_subset_of(normalizer))
+    if stage.normalizer is None:
+        _record(stage, normalizer, interval_members, lat)
     interval_ids = sorted(m.id for m in interval_members)
     equal = sorted(lower.member_ids) == interval_ids
     in_interval = set(interval_ids)
@@ -530,20 +595,26 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     """Does cutting Lat(T, N_GL T) down to SL give exactly Lat(T', N_SL T')?
 
     The SL side (T', N_SL T' and its interval) comes from the SL case's own
-    verification report; only the GL side (N_GL(T) from T's table over GL)
-    is computed here.  Whenever the normalizer intersection identity holds
-    the answer is yes; the identity itself is recorded so hypothesis
-    failures explain mismatches.
+    verification report.  The GL side (N_GL(T) and the members of
+    Lat(T, N_GL T)) comes from the GL stage memo, which the GL case's
+    verification fills; when it has not run in this process, N_GL(T) comes
+    from T's table over GL and the interval is enumerated inside it, and
+    both are recorded for the GL case.  Whenever the normalizer intersection
+    identity holds the answer is yes; the identity itself is recorded so
+    hypothesis failures explain mismatches.
     """
     sl = sl_report.torus.ambient
     if gl.kind != GL or sl.kind != SL or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
-    torus = torus_subgroup(spec, gl)
-    n_gl = CosetTable(torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
-    identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
+    stage = _stage(spec, gl)
+    if stage.normalizer is None:
+        n_gl = CosetTable(stage.torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
+        l0 = enumerate_interval(stage.torus, gl, within=n_gl)
+        n_gl.drop_memos()  # l0's top, which the stage keeps
+        _record(stage, n_gl, l0.members, l0)
+    identity_holds = intersect_with_ambient(stage.normalizer, sl).same_elements(sl_report.normalizer)
 
-    l0 = enumerate_interval(torus, gl, within=n_gl)
-    lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in l0.members}
+    lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in stage.interval}
     rhs = {h.indices.tobytes() for h in sl_report.interval_members}
     equal = lhs == rhs
     verdict = _verdict(equal, must=identity_holds)
@@ -554,7 +625,7 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
         case=case,
         intersection_identity_holds=identity_holds,
         equal=equal,
-        gl_interval_size=len(l0),
+        gl_interval_size=len(stage.interval),
         sl_interval_size=len(sl_report.interval_members),
         verdict=verdict,
     )

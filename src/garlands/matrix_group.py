@@ -375,6 +375,11 @@ class Subgroup:
             perm = self._right[s] = self.positions().take(self.ambient.rmul(self.indices, s))
         return perm
 
+    def drop_memos(self) -> None:
+        """Forget the positions and right permutations, memos as long as the ambient that rebuild on demand."""
+        self._positions = None
+        self._right = {}
+
     def key_tuple(self) -> bytes:
         """Matrix keys as int64 bytes, ascending because ambient order is key order."""
         return self.ambient.keys_of_indices(self.indices).tobytes()

@@ -5,13 +5,18 @@ middle of the period, a palindrome followed by 2*a0 (Legendre).  The equation
 is solvable precisely when the period length is odd; the fundamental solution
 then comes from the two middle convergents and is verified by substitution.
 
-When a solution (x0, y0) exists, the normalizer of the rational quadratic
-torus {[[x, y*d], [y, x]] : x^2 - d*y^2 = 1} inside SL(2,Q) gains a second
-coset with representative [[x0, -y0*d], [y0, -x0]]; otherwise it is the
-torus alone.  A printed divisibility criterion (d > 0 with no prime divisor
-congruent to 3 mod 4) is evaluated alongside and its agreement with actual
-solvability is reported, since it is necessary but not sufficient (d = 34
-is the smallest disagreement).
+A report's `variant`, `solvable` and `criterion_agrees` answer the integer
+equation, which is the SL(2,Z) shape: an integer solution (x0, y0) puts
+[[x0, -y0*d], [y0, -x0]] in a second coset of the integral torus
+{[[x, y*d], [y, x]] : x^2 - d*y^2 = 1}, and `TorusOnly` means there is none.
+They do not give the SL(2,Q) shape.  The rational torus has a second coset
+exactly when x^2 - d*y^2 = -1 has a rational solution, which for
+squarefree d > 1 is the printed divisibility criterion (no prime divisor
+congruent to 3 mod 4).  For d = 34, W = [[5/3, -34/3], [1/3, -5/3]] has
+det 1 and inverts the torus, though the integer equation has no solution.
+So `criterion_agrees` compares the criterion with integer solvability, and
+where it is false (d = 34 is the smallest such d) the SL(2,Z) and SL(2,Q)
+answers differ.  Reporting the SL(2,Q) answer is item 1 of ROADMAP.md.
 
 A report factors d once: the distinct primes of |d| give both the
 squarefree check (their product is |d|) and the printed criterion.
@@ -141,7 +146,7 @@ TWO_COSETS = "TwoCosets"
 
 @dataclass(frozen=True)
 class NormalizerShape:
-    """Shape of the SL(2,Q) normalizer of the quadratic torus for d."""
+    """Shape of the normalizer of the quadratic torus for d, from the integer equation (the SL(2,Z) shape)."""
 
     d: int
     variant: str
@@ -156,7 +161,7 @@ class NormalizerShape:
 
 
 def printed_criterion(d: int) -> bool:
-    """d > 0 with no prime divisor of the form 4m + 3 (necessary, not sufficient)."""
+    """d > 0 with no prime divisor of the form 4m + 3; for squarefree d > 1, x^2 - d*y^2 = -1 is solvable over Q."""
     return d > 0 and _criterion(d, _prime_factors(d))
 
 
@@ -191,7 +196,7 @@ class NormalizerReport:
 
 
 def sl2q_normalizer_report(d: int) -> NormalizerReport:
-    """Normalizer shape for d plus the printed-criterion comparison."""
+    """Normalizer shape for d from the integer equation, plus the printed-criterion comparison."""
     return _report_validated(d, _valid_primes(d))
 
 

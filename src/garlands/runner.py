@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 from .cache import DiskCache, case_key
@@ -177,10 +178,10 @@ def sweep_cases(max_order: int) -> list[CaseSpec]:
     return cases
 
 
-def _run_case_tuple(args: tuple) -> dict:
-    case, caps, cache_dir = args
+def _run_task(args: tuple) -> list[dict]:
+    cases, caps, cache_dir = args
     cache = DiskCache(cache_dir) if cache_dir else None
-    return run_case(case, caps, cache)
+    return [run_case(c, caps, cache) for c in cases]
 
 
 def run_sweep(
@@ -192,18 +193,23 @@ def run_sweep(
     """All case reports (ordered by case key) plus a summary.
 
     threads > 1 runs the cases in that many worker processes, but no more
-    than there are cases; each worker is a fresh (spawned) interpreter, so
-    the reports are the same as with one thread.
+    than there are tasks (an algebra's GL and SL cases are one task); each
+    worker is a fresh (spawned) interpreter, so the reports are the same as
+    with one thread.
     """
     if threads < 1:
         raise CaseError(f"threads must be at least 1, got {threads}")
     cases = sweep_cases(max_order)
-    workers = min(threads, len(cases))
+    # an algebra's cases (GL, then SL) are adjacent and make one task, so a
+    # worker runs the SL restriction after the GL case that fills its stage
+    tasks = [list(t) for _, t in groupby(cases, key=lambda c: (c.p, c.base_degree, c.degrees))]
+    workers = min(threads, len(tasks))
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            reports = list(pool.imap(_run_case_tuple, [(c, caps, cache_dir) for c in cases]))
+            args = [(task, caps, cache_dir) for task in tasks]
+            reports = [doc for docs in pool.imap(_run_task, args) for doc in docs]
     else:
         cache = DiskCache(cache_dir) if cache_dir else None
         reports = [run_case(c, caps, cache) for c in cases]

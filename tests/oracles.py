@@ -37,7 +37,7 @@ from math import isqrt
 import numpy as np
 
 from garlands.etale import AlgebraSpec, aut_group
-from garlands.finite_field import FieldError, FieldMatrix, FieldMismatchError
+from garlands.finite_field import FieldError, FieldMatrix, FieldMismatchError, extension_of
 from garlands.matrix_group import SL, GroupCapError, Subgroup, _closure, is_normal_in
 
 
@@ -153,6 +153,18 @@ def rel_min_poly(ext, top_idx: int) -> tuple[int, ...]:
 def scalar_mul_comps(spec: AlgebraSpec, c: int, a) -> tuple[int, ...]:
     """Multiply by a base-field element (base index c)."""
     return tuple(e.top.mul_idx(int(e.embed[c]), x) for e, x in zip(spec.extensions, a))
+
+
+def count_power_in_base_by_shifts(base, x, exponent: int) -> int:
+    """Number of alpha in k with (x + alpha)^N in k, one scalar sum, power and membership test per alpha."""
+    ext = extension_of(base, x.owner)
+    top = x.owner
+    count = 0
+    for alpha in range(base.q):
+        z = top.add_idx(x.index, int(ext.embed[alpha]))
+        if ext.contains(top.pow_idx(z, exponent)):
+            count += 1
+    return count
 
 
 def brute_additive_span(spec: AlgebraSpec, selected) -> frozenset:
@@ -339,12 +351,13 @@ def element_closure(amb, h, g: int, right: dict | None = None) -> np.ndarray:
     seen[h.indices] = True
     seen[[amb.identity_index, int(g)]] = True
     frontier = np.flatnonzero(seen)
+    fresh = np.zeros(amb.order, dtype=bool)  # one buffer for every level
     while frontier.size:
-        fresh = np.zeros(amb.order, dtype=bool)
         for perm in perms:
             fresh[perm[frontier]] = True
-        fresh &= ~seen
-        seen |= fresh
+        # reached and not seen before; this clears the last level too, which is seen now
+        np.greater(fresh, seen, out=fresh)
+        np.logical_or(seen, fresh, out=seen)
         frontier = np.flatnonzero(fresh)
     return np.flatnonzero(seen).astype(np.int32)
 

@@ -43,6 +43,7 @@ from garlands.runner import run_case, stable_json, sweep_cases
 
 from oracles import (
     centralizer_brute,
+    count_power_in_base_by_shifts,
     exhaustive_negative_pell,
     formula_by_units,
     interval_by_elements,
@@ -387,6 +388,7 @@ def _proper_extension_pairs(max_top: int):
 def test_c08_power_in_base_bound():
     violations = 0
     swept = 0
+    compared = 0
     for p, a, b in _proper_extension_pairs(2401):
         base = construct_field(p, a)
         top = construct_field(p, b)
@@ -399,11 +401,16 @@ def test_c08_power_in_base_bound():
                 continue
             x = top.element(idx)
             for N in exponents:
-                if count_power_in_base(base, x, N) > N:
+                count = count_power_in_base(base, x, N)
+                if swept % 97 == 0:  # a sample against the scalar loop over k
+                    assert count == count_power_in_base_by_shifts(base, x, N), (p, a, b, idx, N)
+                    compared += 1
+                if count > N:
                     violations += 1
                 swept += 1
     assert violations == 0
     assert swept > 50_000
+    assert compared > swept // 100
     print(f"\n[criterion 8] PASS: shifted-power count <= N on {swept} (x, N) pairs, zero violations")
 
 

@@ -258,10 +258,10 @@ def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
         return Context()
 
     monkeypatch.setattr(multiprocessing, "get_context", spy)
-    two = runner.sweep_cases(4)[:2]
-    monkeypatch.setattr(runner, "sweep_cases", lambda max_order: two)
+    # GL and SL of two algebras over F_2; an algebra's cases are one task,
+    # so the four cases start two workers
     reports, summary = runner.run_sweep(4, threads=8)
-    assert pools == [("spawn", 2)] and summary["cases"] == 2
+    assert pools == [("spawn", 2)] and summary["cases"] == 4
     assert reports == runner.run_sweep(4, threads=1)[0]
 
 

@@ -258,6 +258,11 @@ def test_count_power_in_base_preconditions():
         count_power_in_base(F5, x, 6)
     with pytest.raises(AlgebraError, match=">= 1"):
         count_power_in_base(F5, x, 0)
+    # the count reads logarithms, and fields past the exp/log table size have none
+    f2 = construct_field(2, 1)
+    big = construct_field(2, 17)
+    with pytest.raises(FieldCapError, match="exp/log"):
+        count_power_in_base(f2, big.element(2), 1)
 
 
 @settings(deadline=None, max_examples=40)

@@ -28,7 +28,8 @@ from garlands.matrix_group import (
     normalizer_brute,
     torus_subgroup,
 )
-from garlands.runner import CaseSpec, run_case
+from garlands.config import Caps
+from garlands.runner import CaseSpec, run_case, stable_json
 
 from oracles import normality_edges_by_pairs
 
@@ -452,6 +453,98 @@ def test_verify_scans_the_ambient_once(monkeypatch, capsys):
             assert cli.main(["torus", *flags]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+# the GL/SL pairs of the benchmark's lattice and large-q case lists, with the caps they run under
+PIPELINE_PAIRS = [
+    ((2, 1, (1, 1, 1)), Caps()),
+    ((3, 1, (2, 1)), Caps()),
+    ((13, 1, (2,)), Caps(group_order=30_000)),
+    ((13, 1, (1, 1)), Caps(group_order=30_000)),
+]
+
+
+@pytest.mark.parametrize("algebra,caps", PIPELINE_PAIRS)
+def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
+    # a pair run in either order shares one GL stage; each report must equal
+    # the one a process that runs only that case prints
+    gl, sl = CaseSpec(*algebra, "gl"), CaseSpec(*algebra, "sl")
+    cold = {}
+    for case in (gl, sl):
+        lattice._reset_stages()
+        cold[case] = stable_json(run_case(case, caps))
+    for order in ((gl, sl), (sl, gl)):
+        lattice._reset_stages()
+        for case in order:
+            assert stable_json(run_case(case, caps)) == cold[case], (order, case)
+
+
+class _Counts:
+    """Counts enumerate_interval, torus_subgroup and whole-ambient coset tables called from the lattice module."""
+
+    def __init__(self, monkeypatch):
+        self.intervals = self.tori = self.whole_tables = 0
+        enumerate_, torus = lattice.enumerate_interval, lattice.torus_subgroup
+        counts = self
+
+        def counting_enumerate(*args, **kwargs):
+            counts.intervals += 1
+            return enumerate_(*args, **kwargs)
+
+        def counting_torus(*args):
+            counts.tori += 1
+            return torus(*args)
+
+        class CountingTable(lattice.CosetTable):
+            def __init__(self, h, top, below=None):
+                counts.whole_tables += top.order == h.ambient.order
+                super().__init__(h, top, below)
+
+        monkeypatch.setattr(lattice, "enumerate_interval", counting_enumerate)
+        monkeypatch.setattr(lattice, "torus_subgroup", counting_torus)
+        monkeypatch.setattr(lattice, "CosetTable", CountingTable)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [2, 1])])
+def test_restriction_after_the_gl_case_reuses_its_stage(monkeypatch, p, degrees):
+    spec = AlgebraSpec(construct_field(p, 1), degrees)
+    gl, sl = ambient_group(GL, spec.n, spec.base), ambient_group(SL, spec.n, spec.base)
+    verify_lower_garland(spec, gl)
+    sl_report = verify_lower_garland(spec, sl)
+    counts = _Counts(monkeypatch)
+    after_gl = interval_restriction_check(spec, gl, sl_report)
+    assert (counts.whole_tables, counts.intervals, counts.tori) == (0, 0, 0)
+    # cold, the same check builds T's table over GL (and, when N_GL(T) = GL,
+    # the enumeration's tables) and enumerates the interval inside N_GL(T)
+    lattice._reset_stages()
+    assert interval_restriction_check(spec, gl, sl_report).to_dict() == after_gl.to_dict()
+    assert counts.whole_tables >= 1 and (counts.intervals, counts.tori) == (1, 1)
+
+
+def test_gl32_after_sl32_reuses_the_restriction_lattice(monkeypatch):
+    # N_GL(T) is all of GL(3,2) for the trivial torus, so the restriction's
+    # Lat(T, N_GL T) is the GL case's [T, G]
+    run_case(CaseSpec(2, 1, (1, 1, 1), "sl"))
+    counts = _Counts(monkeypatch)
+    assert run_case(CaseSpec(2, 1, (1, 1, 1), "gl"))["lattice"]["member_count"] == 179
+    assert (counts.intervals, counts.tori) == (0, 0)
+
+
+def test_stage_memo_keeps_no_ambient_sized_memo():
+    # no subgroup a stage holds keeps positions or right permutations, whose
+    # arrays are as long as the ambient
+    for algebra, caps in PIPELINE_PAIRS[:2]:
+        for ambient in ("sl", "gl"):
+            run_case(CaseSpec(*algebra, ambient), caps)
+    assert len(lattice._STAGES) == 4
+    held = []
+    for stage in lattice._STAGES.values():
+        held += [stage.torus, stage.normalizer, *stage.interval]
+        if stage.lattice is not None:
+            held += [stage.lattice.top, *stage.lattice.members, *stage.lattice.normalizers]
+    # N(T) = G only for the trivial torus of GL(3,2) = SL(3,2)
+    assert sum(stage.lattice is not None for stage in lattice._STAGES.values()) == 2
+    assert all(h._positions is None and h._right == {} for h in held)
 
 
 def test_verdict_classification():
