@@ -67,7 +67,10 @@ from the memo.  interval_restriction_check reads N_GL(T) and the GL
 interval from it, so after the GL case the restriction is only the SL
 intersections; otherwise it builds T's table over GL and enumerates the
 interval inside N_GL(T), and records both, and when N_GL(T) = GL that
-interval is the GL case's [T, G].  The memo holds subgroups' element
+interval is the GL case's [T, G].  Over F_2, where SL = GL, the
+restriction takes the GL side from the SL report and touches no GL stage,
+so each of the two cases enumerates its own lattice in either order.  The
+memo holds subgroups' element
 lists only: no coset table, and no positions or right permutations (memos
 as long as the ambient), which a lattice's top drops once its tables and
 normality graph are built.  Like the ambient_group cache whose ambients it
@@ -599,22 +602,29 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     Lat(T, N_GL T)) comes from the GL stage memo, which the GL case's
     verification fills; when it has not run in this process, N_GL(T) comes
     from T's table over GL and the interval is enumerated inside it, and
-    both are recorded for the GL case.  Whenever the normalizer intersection
+    both are recorded for the GL case.  When SL = GL (q = 2) T' = T and the
+    GL side is the SL report's own, so nothing over GL is built, whichever
+    case ran first.  Whenever the normalizer intersection
     identity holds the answer is yes; the identity itself is recorded so
     hypothesis failures explain mismatches.
     """
     sl = sl_report.torus.ambient
     if gl.kind != GL or sl.kind != SL or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
-    stage = _stage(spec, gl)
-    if stage.normalizer is None:
-        n_gl = CosetTable(stage.torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
-        l0 = enumerate_interval(stage.torus, gl, within=n_gl)
-        n_gl.drop_memos()  # l0's top, which the stage keeps
-        _record(stage, n_gl, l0.members, l0)
-    identity_holds = intersect_with_ambient(stage.normalizer, sl).same_elements(sl_report.normalizer)
+    if sl.order == gl.order:
+        # the determinant is trivial (q = 2): SL = GL and T' = T, so the GL side is the SL side
+        n_gl, interval = sl_report.normalizer, sl_report.interval_members
+    else:
+        stage = _stage(spec, gl)
+        if stage.normalizer is None:
+            n_gl = CosetTable(stage.torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
+            l0 = enumerate_interval(stage.torus, gl, within=n_gl)
+            n_gl.drop_memos()  # l0's top, which the stage keeps
+            _record(stage, n_gl, l0.members, l0)
+        n_gl, interval = stage.normalizer, stage.interval
+    identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
-    lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in stage.interval}
+    lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in interval}
     rhs = {h.indices.tobytes() for h in sl_report.interval_members}
     equal = lhs == rhs
     verdict = _verdict(equal, must=identity_holds)
@@ -625,7 +635,7 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
         case=case,
         intersection_identity_holds=identity_holds,
         equal=equal,
-        gl_interval_size=len(stage.interval),
+        gl_interval_size=len(interval),
         sl_interval_size=len(sl_report.interval_members),
         verdict=verdict,
     )

@@ -25,6 +25,7 @@ from garlands.matrix_group import (
     AmbientGroup,
     Subgroup,
     ambient_group,
+    intersect_with_ambient,
     normalizer_brute,
     torus_subgroup,
 )
@@ -505,7 +506,7 @@ class _Counts:
         monkeypatch.setattr(lattice, "CosetTable", CountingTable)
 
 
-@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [2, 1])])
+@pytest.mark.parametrize("p,degrees", [(5, [1]), (3, [2, 1])])
 def test_restriction_after_the_gl_case_reuses_its_stage(monkeypatch, p, degrees):
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     gl, sl = ambient_group(GL, spec.n, spec.base), ambient_group(SL, spec.n, spec.base)
@@ -521,13 +522,30 @@ def test_restriction_after_the_gl_case_reuses_its_stage(monkeypatch, p, degrees)
     assert counts.whole_tables >= 1 and (counts.intervals, counts.tori) == (1, 1)
 
 
-def test_gl32_after_sl32_reuses_the_restriction_lattice(monkeypatch):
-    # N_GL(T) is all of GL(3,2) for the trivial torus, so the restriction's
-    # Lat(T, N_GL T) is the GL case's [T, G]
-    run_case(CaseSpec(2, 1, (1, 1, 1), "sl"))
+def test_gl_after_sl_reuses_the_restriction_lattice(monkeypatch):
+    # T = GL(1,5) is its own normalizer, so the restriction's Lat(T, N_GL T)
+    # is the GL case's [T, G]
+    run_case(CaseSpec(5, 1, (1,), "sl"))
     counts = _Counts(monkeypatch)
-    assert run_case(CaseSpec(2, 1, (1, 1, 1), "gl"))["lattice"]["member_count"] == 179
+    assert run_case(CaseSpec(5, 1, (1,), "gl"))["lattice"]["member_count"] == 1
     assert (counts.intervals, counts.tori) == (0, 0)
+
+
+def test_restriction_over_f2_takes_the_gl_side_from_the_sl_report(monkeypatch):
+    # SL(3,2) = GL(3,2), so the check builds nothing over GL, whichever case
+    # ran first, and leaves the GL case its own enumeration
+    spec = AlgebraSpec(construct_field(2, 1), [1, 1, 1])
+    gl, sl = ambient_group(GL, 3, spec.base), ambient_group(SL, 3, spec.base)
+    sl_report = verify_lower_garland(spec, sl)
+    counts = _Counts(monkeypatch)
+    report = interval_restriction_check(spec, gl, sl_report)
+    assert (counts.whole_tables, counts.intervals, counts.tori) == (0, 0, 0)
+    assert (report.equal, report.intersection_identity_holds, report.gl_interval_size) == (True, True, 179)
+    assert lattice._STAGES.keys() == {(sl, spec)}
+    # the GL side enumerated over GL and cut down to SL is the SL report's interval
+    gl_lat = enumerate_interval(torus_subgroup(spec, gl), gl)
+    cut = {intersect_with_ambient(h, sl).indices.tobytes() for h in gl_lat.members}
+    assert cut == {h.indices.tobytes() for h in sl_report.interval_members}
 
 
 def test_stage_memo_keeps_no_ambient_sized_memo():
