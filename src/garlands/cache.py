@@ -56,7 +56,8 @@ class DiskCache:
         path = self.root / f"{key}.json"
         if path.exists():
             return  # append-only: first write wins
-        tmp = self.root / f"{key}.tmp"
+        # a name per writer: with a shared one, concurrent writers rename each other's file away
+        tmp = self.root / f"{key}.{os.urandom(8).hex()}.tmp"
         tmp.write_text(
             json.dumps({"schema": SCHEMA_VERSION, "report": report}, sort_keys=True, indent=1),
             encoding="utf-8",

@@ -67,14 +67,13 @@ from the memo.  interval_restriction_check reads N_GL(T) and the GL
 interval from it, so after the GL case the restriction is only the SL
 intersections; otherwise it builds T's table over GL and enumerates the
 interval inside N_GL(T), and records both, and when N_GL(T) = GL that
-interval is the GL case's [T, G].  Over F_2, where SL = GL, the
-restriction takes the GL side from the SL report and touches no GL stage,
-so each of the two cases enumerates its own lattice in either order.  The
-memo holds subgroups' element
-lists only: no coset table, and no positions or right permutations (memos
-as long as the ambient), which a lattice's top drops once its tables and
-normality graph are built.  Like the ambient_group cache whose ambients it
-refers to, it lives as long as the process and evicts nothing.
+interval is the GL case's [T, G].  Over F_2, SL = GL (the ambients compare
+equal) and T' = T, so the two cases share one stage, and when N(T) = G one
+[T, G] lattice, whose normality graph it builds once.  The memo holds
+subgroups' element lists only: no coset table, and no positions or right
+permutations (memos as long as the ambient), which a lattice's top drops
+once its tables and normality graph are built.  Like the ambient_group
+cache whose ambients it refers to, it lives as long as the process.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ import numpy as np
 from .etale import AlgebraSpec, additive_span_check, select_all_units, select_norm_one
 from .matrix_group import (
     GL,
-    SL,
     AmbientGroup,
     CosetTable,
     HypothesisFailure,
@@ -119,6 +117,7 @@ class IntervalLattice:
 
     def __post_init__(self):
         self.by_id = {m.id: m for m in self.members}
+        self.graph: NormalityGraph | None = None  # normality_graph's memo
         if len(self.by_id) != len(self.members):  # reports key members on ids
             raise LatticeError("subgroup id collision; widen the digest")
 
@@ -241,7 +240,9 @@ class NormalityGraph:
 
 
 def normality_graph(lat: IntervalLattice) -> NormalityGraph:
-    """Edge for every comparable pair whose smaller member is normal in the larger."""
+    """Edge for every comparable pair whose smaller member is normal in the larger; built once per lattice."""
+    if lat.graph is not None:
+        return lat.graph
     if not lat.exhaustive:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
     ms = lat.members
@@ -259,12 +260,13 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
         above = contains[np.ix_(bs, positions[a.indices])].all(axis=1)
         inside = contains[np.ix_(bs, positions[na.indices])].sum(axis=1) == orders[bs]
         edges.extend((a.id, ms[j].id) for j in bs[above & inside])
-    return NormalityGraph(
+    lat.graph = NormalityGraph(
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),
         bottom_id=lat.bottom.id,
         top_id=lat.top.id if lat.top.id in lat.by_id else lat.members[-1].id,
     )
+    return lat.graph
 
 
 class _UnionFind:
@@ -602,26 +604,21 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     Lat(T, N_GL T)) comes from the GL stage memo, which the GL case's
     verification fills; when it has not run in this process, N_GL(T) comes
     from T's table over GL and the interval is enumerated inside it, and
-    both are recorded for the GL case.  When SL = GL (q = 2) T' = T and the
-    GL side is the SL report's own, so nothing over GL is built, whichever
-    case ran first.  Whenever the normalizer intersection
-    identity holds the answer is yes; the identity itself is recorded so
-    hypothesis failures explain mismatches.
+    both are recorded for the GL case.  Over F_2 the SL case's stage is the
+    GL stage (SL = GL), which the SL case has filled itself.  Whenever the
+    normalizer intersection identity holds the answer is yes; the identity
+    itself is recorded so hypothesis failures explain mismatches.
     """
-    sl = sl_report.torus.ambient
-    if gl.kind != GL or sl.kind != SL or gl.field != sl.field or gl.n != sl.n:
+    sl = sl_report.torus.ambient  # over F_2 possibly the GL object, whose stage the SL case shares
+    if gl.kind != GL or sl_report.case["ambient"] != "sl" or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
-    if sl.order == gl.order:
-        # the determinant is trivial (q = 2): SL = GL and T' = T, so the GL side is the SL side
-        n_gl, interval = sl_report.normalizer, sl_report.interval_members
-    else:
-        stage = _stage(spec, gl)
-        if stage.normalizer is None:
-            n_gl = CosetTable(stage.torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
-            l0 = enumerate_interval(stage.torus, gl, within=n_gl)
-            n_gl.drop_memos()  # l0's top, which the stage keeps
-            _record(stage, n_gl, l0.members, l0)
-        n_gl, interval = stage.normalizer, stage.interval
+    stage = _stage(spec, gl)
+    if stage.normalizer is None:
+        n_gl = CosetTable(stage.torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
+        l0 = enumerate_interval(stage.torus, gl, within=n_gl)
+        n_gl.drop_memos()  # l0's top, which the stage keeps
+        _record(stage, n_gl, l0.members, l0)
+    n_gl, interval = stage.normalizer, stage.interval
     identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
     lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in interval}

@@ -30,8 +30,9 @@ A subgroup is its ambient plus its sorted ambient indices, and membership
 is a sorted search in them.  Two subgroups are equal exactly when they share
 the ambient and the index array, and comparing subgroups of different
 ambients is an error (cut one down with intersect_with_ambient first).
-Ambient order is matrix-key order, so the report id, a digest of the
-subgroup's matrix keys, is the same for the same matrix set in GL and in SL.
+Ambients are equal when their element sets are (SL = GL over F_2), and
+ambient order is matrix-key order, so equal ambients agree on indices and
+the report id, a digest of the matrix keys, is the same in GL and in SL.
 The matrix key (row-major entries as one base-q integer) is encoded only
 here, in AmbientGroup.keys_of_mats.
 """
@@ -174,13 +175,13 @@ class AmbientGroup:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AmbientGroup)
-            and self.kind == other.kind
             and self.n == other.n
             and self.field == other.field
+            and self.order == other.order
         )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.n, self.field))
+        return hash((self.n, self.field, self.order))  # SL is inside GL, so equal orders mean the same set
 
     # -- enumeration ------------------------------------------------------------
 

@@ -198,6 +198,26 @@ def test_cache_entry_without_report_is_a_miss(tmp_path, body):
     assert (cache.hits, cache.misses) == (0, 1)
 
 
+def test_cache_writers_of_one_key_keep_their_own_temporary_files(tmp_path, monkeypatch):
+    # a second writer of the same key (another process sharing the directory)
+    # finishes its put between the first writer's write and its rename
+    report = {"status": "ok", "case": {"p": 2}}
+    rename = Path.replace
+    interleaved = []
+
+    def replace_after_another_put(self, target):
+        if not interleaved:
+            interleaved.append(self.name)
+            DiskCache(tmp_path).put("k", report)
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace_after_another_put)
+    DiskCache(tmp_path).put("k", report)
+    monkeypatch.undo()
+    assert interleaved and [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    assert DiskCache(tmp_path).get("k") == report
+
+
 def test_cache_dir_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GARLANDS_CACHE_DIR", str(tmp_path))
     _run(capsys, ["verify", "--p", "2", "--degrees", "2", "--json"])

@@ -481,11 +481,11 @@ def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
 
 
 class _Counts:
-    """Counts enumerate_interval, torus_subgroup and whole-ambient coset tables called from the lattice module."""
+    """Counts the tori, intervals, whole-ambient coset tables and normality graphs the lattice module makes."""
 
     def __init__(self, monkeypatch):
-        self.intervals = self.tori = self.whole_tables = 0
-        enumerate_, torus = lattice.enumerate_interval, lattice.torus_subgroup
+        self.intervals = self.tori = self.whole_tables = self.graphs = 0
+        enumerate_, torus, graph = lattice.enumerate_interval, lattice.torus_subgroup, lattice.NormalityGraph
         counts = self
 
         def counting_enumerate(*args, **kwargs):
@@ -496,6 +496,10 @@ class _Counts:
             counts.tori += 1
             return torus(*args)
 
+        def counting_graph(**fields):
+            counts.graphs += 1
+            return graph(**fields)
+
         class CountingTable(lattice.CosetTable):
             def __init__(self, h, top, below=None):
                 counts.whole_tables += top.order == h.ambient.order
@@ -504,6 +508,7 @@ class _Counts:
         monkeypatch.setattr(lattice, "enumerate_interval", counting_enumerate)
         monkeypatch.setattr(lattice, "torus_subgroup", counting_torus)
         monkeypatch.setattr(lattice, "CosetTable", CountingTable)
+        monkeypatch.setattr(lattice, "NormalityGraph", counting_graph)
 
 
 @pytest.mark.parametrize("p,degrees", [(5, [1]), (3, [2, 1])])
@@ -531,21 +536,65 @@ def test_gl_after_sl_reuses_the_restriction_lattice(monkeypatch):
     assert (counts.intervals, counts.tori) == (0, 0)
 
 
-def test_restriction_over_f2_takes_the_gl_side_from_the_sl_report(monkeypatch):
-    # SL(3,2) = GL(3,2), so the check builds nothing over GL, whichever case
-    # ran first, and leaves the GL case its own enumeration
+@pytest.mark.parametrize("first", ["gl", "sl"])
+def test_f2_pair_shares_one_stage(monkeypatch, first):
+    # SL(3,2) = GL(3,2): the pair makes one torus, enumerates one [T, G] and
+    # builds its normality graph once, whichever case runs first, and its
+    # reports are the cold per-case ones
+    order = [first, {"gl": "sl", "sl": "gl"}[first]]
+    cases = {ambient: CaseSpec(2, 1, (1, 1, 1), ambient) for ambient in order}
+    cold = {}
+    for ambient, case in cases.items():
+        lattice._reset_stages()
+        cold[ambient] = stable_json(run_case(case))
+    lattice._reset_stages()
+    counts = _Counts(monkeypatch)
+    for ambient in order:
+        assert stable_json(run_case(cases[ambient])) == cold[ambient], ambient
+    pair = (counts.intervals, counts.tori, counts.whole_tables, counts.graphs)
+    assert len(lattice._STAGES) == 1 and next(iter(lattice._STAGES.values())).lattice.graph is not None
+    # the pair builds the whole-ambient tables of the first case alone (those
+    # of one [T, G] enumeration) and nothing for the restriction
+    lattice._reset_stages()
+    counts.intervals = counts.tori = counts.whole_tables = counts.graphs = 0
+    run_case(cases[first])
+    assert pair == (1, 1, counts.whole_tables, 1)
+    # independent of the memo: GL's [T, G] enumerated over the GL object and
+    # cut down to SL is the SL report's interval
+    monkeypatch.undo()
     spec = AlgebraSpec(construct_field(2, 1), [1, 1, 1])
     gl, sl = ambient_group(GL, 3, spec.base), ambient_group(SL, 3, spec.base)
     sl_report = verify_lower_garland(spec, sl)
-    counts = _Counts(monkeypatch)
-    report = interval_restriction_check(spec, gl, sl_report)
-    assert (counts.whole_tables, counts.intervals, counts.tori) == (0, 0, 0)
-    assert (report.equal, report.intersection_identity_holds, report.gl_interval_size) == (True, True, 179)
-    assert lattice._STAGES.keys() == {(sl, spec)}
-    # the GL side enumerated over GL and cut down to SL is the SL report's interval
+    lattice._reset_stages()
     gl_lat = enumerate_interval(torus_subgroup(spec, gl), gl)
+    assert gl_lat.ambient is gl and len(gl_lat) == 179
     cut = {intersect_with_ambient(h, sl).indices.tobytes() for h in gl_lat.members}
     assert cut == {h.indices.tobytes() for h in sl_report.interval_members}
+
+
+def test_ambients_are_equal_exactly_when_their_element_sets_are():
+    for n in (1, 2, 3):
+        gl, sl = ambient_group(GL, n, F2), ambient_group(SL, n, F2)
+        assert gl is not sl and gl == sl and hash(gl) == hash(sl)
+        assert np.array_equal(gl.mats(), sl.mats())
+    for base in (F3, construct_field(2, 2)):
+        for n in (1, 2):
+            assert ambient_group(GL, n, base) != ambient_group(SL, n, base)
+    # over F_3 the pair keeps a stage per ambient
+    for ambient in ("gl", "sl"):
+        run_case(CaseSpec(3, 1, (2, 1), ambient))
+    assert [amb.kind for amb, _ in lattice._STAGES] == [GL, SL]
+    # the SL side is checked on the report's case, since over F_2 its torus may live in the GL object
+    for base in (F2, F3):
+        spec = AlgebraSpec(base, [2])
+        gl = ambient_group(GL, 2, base)
+        gl_report = verify_lower_garland(spec, gl)
+        with pytest.raises(LatticeError):
+            interval_restriction_check(spec, gl, gl_report)
+        sl_report = verify_lower_garland(spec, ambient_group(SL, 2, base))
+        with pytest.raises(LatticeError):
+            interval_restriction_check(spec, ambient_group(GL, 3, base), sl_report)
+        assert interval_restriction_check(spec, gl, sl_report).equal
 
 
 def test_stage_memo_keeps_no_ambient_sized_memo():
@@ -554,15 +603,20 @@ def test_stage_memo_keeps_no_ambient_sized_memo():
     for algebra, caps in PIPELINE_PAIRS[:2]:
         for ambient in ("sl", "gl"):
             run_case(CaseSpec(*algebra, ambient), caps)
-    assert len(lattice._STAGES) == 4
-    held = []
+    # GL(3,2) = SL(3,2), so that pair shares one stage
+    assert len(lattice._STAGES) == 3
+    held, graphs = [], []
     for stage in lattice._STAGES.values():
         held += [stage.torus, stage.normalizer, *stage.interval]
         if stage.lattice is not None:
             held += [stage.lattice.top, *stage.lattice.members, *stage.lattice.normalizers]
+            graphs.append(stage.lattice.graph)
     # N(T) = G only for the trivial torus of GL(3,2) = SL(3,2)
-    assert sum(stage.lattice is not None for stage in lattice._STAGES.values()) == 2
+    assert sum(stage.lattice is not None for stage in lattice._STAGES.values()) == 1
     assert all(h._positions is None and h._right == {} for h in held)
+    # the kept lattice keeps its normality graph, which holds member ids only
+    assert len(graphs) == 1 and len(graphs[0].vertices) == 179
+    assert all(isinstance(x, str) for g in graphs for x in (*g.vertices, *sum(g.edges, ()), g.bottom_id, g.top_id))
 
 
 def test_verdict_classification():
