@@ -58,22 +58,14 @@ connected components.  a is normal in b exactly when a < b <= N_top(a), so
 each member needs two subset tests against the rows of a members x top
 membership matrix and no group products.
 
-One case pipeline builds each torus stage once per process.  The stage
-memo, keyed by (ambient, algebra), holds the torus T from its first use,
-and N(T) with the members of Lat(T, N(T)) from the first case that
-computes them; when N(T) = G it also keeps the whole [T, G] lattice, which
-is then the interval.  verify_lower_garland takes T, and [T, G] when held,
-from the memo.  interval_restriction_check reads N_GL(T) and the GL
-interval from it, so after the GL case the restriction is only the SL
-intersections; otherwise it builds T's table over GL and enumerates the
-interval inside N_GL(T), and records both, and when N_GL(T) = GL that
-interval is the GL case's [T, G].  Over F_2, SL = GL (the ambients compare
-equal) and T' = T, so the two cases share one stage, and when N(T) = G one
-[T, G] lattice, whose normality graph it builds once.  The memo holds
-subgroups' element lists only: no coset table, and no positions or right
-permutations (memos as long as the ambient), which a lattice's top drops
-once its tables and normality graph are built.  Like the ambient_group
-cache whose ambients it refers to, it lives as long as the process.
+One case pipeline: every case's [T, G] is enumerated once per process,
+and kept (keyed by (ambient, algebra), so over F_2, where SL = GL, the two
+cases share it).  T, N(T), N(N(T)), the normality graph and the interval
+[T, N(T)] are all read off that lattice, which keeps element lists only.
+An SL restriction that runs before its GL case enumerates only
+Lat(T, N_GL T) and keeps nothing: enumerating and keeping the whole
+[T, GL] there raised the largest per-case time of the lattice benchmark
+workload from 49 to 72 ms (medians of 20 runs on a 2-core host).
 """
 
 from __future__ import annotations
@@ -264,7 +256,7 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),
         bottom_id=lat.bottom.id,
-        top_id=lat.top.id if lat.top.id in lat.by_id else lat.members[-1].id,
+        top_id=lat.top.id,
     )
     return lat.graph
 
@@ -444,68 +436,51 @@ class VerificationReport:
         }
 
 
-@dataclass
-class _Stage:
-    """What the case pipeline knows of one torus: T, and once a case has computed them, N(T) and Lat(T, N(T)).
+# (ambient, algebra) -> its [T, G] lattice, for the life of the process, as
+# the ambient_group cache keeps the ambients
+_LATTICES: dict[tuple[AmbientGroup, AlgebraSpec], IntervalLattice] = {}
 
-    lattice is the whole [T, G] lattice, kept only when N(T) = G, where it
-    is the interval.
+
+def _torus_lattice(spec: AlgebraSpec, ambient: AmbientGroup) -> IntervalLattice:
+    """[T, G] for spec's torus T in ambient, with its normality graph: enumerated once per process, and kept.
+
+    Its top's memos (positions and right permutations, arrays as long as
+    the ambient) are dropped once the graph is built.
     """
-
-    torus: Subgroup
-    normalizer: Subgroup | None = None
-    interval: tuple[Subgroup, ...] = ()  # members of Lat(T, N(T)), in lattice order
-    lattice: IntervalLattice | None = None
-
-
-# (ambient, algebra) -> its stage, for the life of the process, as the
-# ambient_group cache keeps the ambients
-_STAGES: dict[tuple[AmbientGroup, AlgebraSpec], _Stage] = {}
-
-
-def _stage(spec: AlgebraSpec, ambient: AmbientGroup) -> _Stage:
-    """The memo's stage of spec's torus in ambient, with T computed on first use."""
     key = (ambient, spec)
-    if key not in _STAGES:
-        _STAGES[key] = _Stage(torus_subgroup(spec, ambient))
-    return _STAGES[key]
+    if key not in _LATTICES:
+        lat = enumerate_interval(torus_subgroup(spec, ambient), ambient)
+        normality_graph(lat)
+        lat.top.drop_memos()
+        _LATTICES[key] = lat
+    return _LATTICES[key]
 
 
-def _record(stage: _Stage, normalizer: Subgroup, interval: tuple[Subgroup, ...], lat: IntervalLattice) -> None:
-    """Keep N(T) and its interval, and lat when N(T) is all of lat's ambient.
-
-    The callers have dropped the memos of lat's top (positions and right
-    permutations, arrays as long as the ambient), so a stage keeps
-    subgroups' element lists only.
-    """
-    stage.normalizer, stage.interval = normalizer, interval
-    if normalizer.order == lat.ambient.order:
-        stage.lattice = lat
+def _interval(lat: IntervalLattice) -> tuple[Subgroup, ...]:
+    """The members of Lat(T, N(T)) in lat = [T, G], in lattice order; T is the one smallest member, so N(T) is normalizers[0]."""
+    return tuple(m for m in lat.members if m.is_subset_of(lat.normalizers[0]))
 
 
-def _reset_stages() -> None:
-    """Empty the stage memo, so a test that counts computations starts cold."""
-    _STAGES.clear()
+def _reset_lattices() -> None:
+    """Empty the lattice memo, so a test that counts computations starts cold."""
+    _LATTICES.clear()
 
 
 def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> VerificationReport:
     """Full verification for one algebra/ambient case.
 
-    Takes the torus from the stage memo, and the interval lattice [T, G]
-    too when the memo holds it (else enumerates it); builds the normality
-    graph, the garlands and the formula normalizer; checks (a) formula vs N(T),
-    (b) lower garland vs the interval up to N(T), (c) idempotence of N(T).
-    N(T) and its interval go into the memo unless it holds them already.
-    N(T) and N(N(T)) are the lattice's normalizers of its members T and
-    N(T): element-level, over all of G, and independent of the formula.
-    Every check records a verdict against what the hypothesis record
-    predicts, so failures outside the guaranteed regime are reported.
+    Reads everything off the case's [T, G] lattice (_torus_lattice): T is
+    its bottom, N(T) and N(N(T)) are its normalizers of the members T and
+    N(T) (element-level, over all of G, and independent of the formula),
+    and the normality graph is the lattice's own.  Checks (a) the formula
+    normalizer vs N(T), (b) lower garland vs the interval up to N(T),
+    (c) idempotence of N(T).  Every check records a verdict against what
+    the hypothesis record predicts, so failures outside the guaranteed
+    regime are reported.
     """
     hyp = record_hypotheses(spec, ambient.kind)
-    stage = _stage(spec, ambient)
-    torus = stage.torus
-    lat = stage.lattice if stage.lattice is not None else enumerate_interval(torus, ambient)
-    normalizer = lat.normalizers[lat.members.index(torus)]  # T's own table, over all of G
+    lat = _torus_lattice(spec, ambient)
+    torus, normalizer = lat.bottom, lat.normalizers[0]  # T is the one smallest member
     closure_failure = None
     try:
         formula = normalizer_formula(spec, ambient)
@@ -518,14 +493,10 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
 
     second = lat.normalizers[lat.members.index(normalizer)]  # N(N(T)): N(T) is a member of [T, G]
     idempotent = second.same_elements(normalizer)
-    graph = normality_graph(lat)
-    lat.top.drop_memos()  # the stage may keep lat, and keeps no memo as long as the ambient
-    gls = garlands(graph)
+    gls = garlands(normality_graph(lat))
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
-    interval_members = tuple(m for m in lat.members if m.is_subset_of(normalizer))
-    if stage.normalizer is None:
-        _record(stage, normalizer, interval_members, lat)
+    interval_members = _interval(lat)
     interval_ids = sorted(m.id for m in interval_members)
     equal = sorted(lower.member_ids) == interval_ids
     in_interval = set(interval_ids)
@@ -601,24 +572,24 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
 
     The SL side (T', N_SL T' and its interval) comes from the SL case's own
     verification report.  The GL side (N_GL(T) and the members of
-    Lat(T, N_GL T)) comes from the GL stage memo, which the GL case's
-    verification fills; when it has not run in this process, N_GL(T) comes
-    from T's table over GL and the interval is enumerated inside it, and
-    both are recorded for the GL case.  Over F_2 the SL case's stage is the
-    GL stage (SL = GL), which the SL case has filled itself.  Whenever the
-    normalizer intersection identity holds the answer is yes; the identity
-    itself is recorded so hypothesis failures explain mismatches.
+    Lat(T, N_GL T)) is read off the GL case's [T, G] lattice whenever the
+    lattice memo holds it, which over F_2 (SL = GL) it always does.  Else
+    N_GL(T) comes from T's table over GL and the interval is enumerated
+    inside it, and nothing is kept (see the module docstring for why).
+    Whenever the normalizer intersection identity holds the answer is yes;
+    the identity itself is recorded so hypothesis failures explain
+    mismatches.
     """
-    sl = sl_report.torus.ambient  # over F_2 possibly the GL object, whose stage the SL case shares
+    sl = sl_report.torus.ambient  # over F_2 possibly the GL object, whose lattice the SL case shares
     if gl.kind != GL or sl_report.case["ambient"] != "sl" or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
-    stage = _stage(spec, gl)
-    if stage.normalizer is None:
-        n_gl = CosetTable(stage.torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
-        l0 = enumerate_interval(stage.torus, gl, within=n_gl)
-        n_gl.drop_memos()  # l0's top, which the stage keeps
-        _record(stage, n_gl, l0.members, l0)
-    n_gl, interval = stage.normalizer, stage.interval
+    lat = _LATTICES.get((gl, spec))
+    if lat is not None:
+        n_gl, interval = lat.normalizers[0], _interval(lat)
+    else:
+        torus = torus_subgroup(spec, gl)
+        n_gl = CosetTable(torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
+        interval = enumerate_interval(torus, gl, within=n_gl).members
     identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
     lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in interval}

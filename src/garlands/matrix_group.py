@@ -711,9 +711,11 @@ def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
 
 
 def intersect_with_ambient(h: Subgroup, target: AmbientGroup) -> Subgroup:
-    """h intersected with another ambient over the same field (e.g. SL inside GL)."""
+    """h intersected with another ambient over the same field (e.g. SL inside GL); h itself when the ambients are equal."""
     if target.field != h.ambient.field or target.n != h.ambient.n:
         raise GroupError("ambients are not comparable")
+    if target == h.ambient:
+        return h
     target._ensure()
     keys = h.ambient.keys_of_indices(h.indices)
     got = target._lut[keys]

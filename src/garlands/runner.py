@@ -201,18 +201,17 @@ def run_sweep(
         raise CaseError(f"threads must be at least 1, got {threads}")
     cases = sweep_cases(max_order)
     # an algebra's cases (GL, then SL) are adjacent and make one task, so a
-    # worker runs the SL restriction after the GL case that fills its stage
-    tasks = [list(t) for _, t in groupby(cases, key=lambda c: (c.p, c.base_degree, c.degrees))]
+    # worker runs the SL restriction after the GL case whose [T, G] it reads
+    tasks = [(list(t), caps, cache_dir) for _, t in groupby(cases, key=lambda c: (c.p, c.base_degree, c.degrees))]
     workers = min(threads, len(tasks))
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            args = [(task, caps, cache_dir) for task in tasks]
-            reports = [doc for docs in pool.imap(_run_task, args) for doc in docs]
+            done = list(pool.imap(_run_task, tasks))
     else:
-        cache = DiskCache(cache_dir) if cache_dir else None
-        reports = [run_case(c, caps, cache) for c in cases]
+        done = list(map(_run_task, tasks))
+    reports = [doc for docs in done for doc in docs]
     summary = {
         "cases": len(reports),
         "ok": sum(1 for r in reports if r.get("status") == "ok"),

@@ -32,7 +32,7 @@ from garlands.matrix_group import (
 from garlands.config import Caps
 from garlands.runner import CaseSpec, run_case, stable_json
 
-from oracles import normality_edges_by_pairs
+from oracles import matrix_det, matrix_from_key, normality_edges_by_pairs
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -89,6 +89,10 @@ def test_interval_within_top():
     n = normalizer_brute(gl23, t)
     lat = enumerate_interval(t, gl23, within=n)
     assert lat.member_orders() == [8, 16]
+    # an exhaustive lattice holds its top, inside the ambient or not
+    for top in (n, t):
+        lat = enumerate_interval(t, gl23, within=top)
+        assert normality_graph(lat).top_id == lat.top.id == lat.members[-1].id
 
 
 def test_normality_graph_examples():
@@ -456,26 +460,28 @@ def test_verify_scans_the_ambient_once(monkeypatch, capsys):
     assert calls == []
 
 
-# the GL/SL pairs of the benchmark's lattice and large-q case lists, with the caps they run under
+# the GL/SL pairs of the benchmark's lattice and large-q case lists, with the
+# caps they run under, and an F_2 pair whose N(T) is not all of G
 PIPELINE_PAIRS = [
     ((2, 1, (1, 1, 1)), Caps()),
     ((3, 1, (2, 1)), Caps()),
     ((13, 1, (2,)), Caps(group_order=30_000)),
     ((13, 1, (1, 1)), Caps(group_order=30_000)),
+    ((2, 1, (2, 1)), Caps()),
 ]
 
 
 @pytest.mark.parametrize("algebra,caps", PIPELINE_PAIRS)
 def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
-    # a pair run in either order shares one GL stage; each report must equal
-    # the one a process that runs only that case prints
+    # a pair run in either order reads the lattice memo; each report must
+    # equal the one a process that runs only that case prints
     gl, sl = CaseSpec(*algebra, "gl"), CaseSpec(*algebra, "sl")
     cold = {}
     for case in (gl, sl):
-        lattice._reset_stages()
+        lattice._reset_lattices()
         cold[case] = stable_json(run_case(case, caps))
     for order in ((gl, sl), (sl, gl)):
-        lattice._reset_stages()
+        lattice._reset_lattices()
         for case in order:
             assert stable_json(run_case(case, caps)) == cold[case], (order, case)
 
@@ -484,7 +490,7 @@ class _Counts:
     """Counts the tori, intervals, whole-ambient coset tables and normality graphs the lattice module makes."""
 
     def __init__(self, monkeypatch):
-        self.intervals = self.tori = self.whole_tables = self.graphs = 0
+        self.reset()
         enumerate_, torus, graph = lattice.enumerate_interval, lattice.torus_subgroup, lattice.NormalityGraph
         counts = self
 
@@ -510,6 +516,9 @@ class _Counts:
         monkeypatch.setattr(lattice, "CosetTable", CountingTable)
         monkeypatch.setattr(lattice, "NormalityGraph", counting_graph)
 
+    def reset(self):
+        self.intervals = self.tori = self.whole_tables = self.graphs = 0
+
 
 @pytest.mark.parametrize("p,degrees", [(5, [1]), (3, [2, 1])])
 def test_restriction_after_the_gl_case_reuses_its_stage(monkeypatch, p, degrees):
@@ -521,55 +530,53 @@ def test_restriction_after_the_gl_case_reuses_its_stage(monkeypatch, p, degrees)
     after_gl = interval_restriction_check(spec, gl, sl_report)
     assert (counts.whole_tables, counts.intervals, counts.tori) == (0, 0, 0)
     # cold, the same check builds T's table over GL (and, when N_GL(T) = GL,
-    # the enumeration's tables) and enumerates the interval inside N_GL(T)
-    lattice._reset_stages()
+    # the enumeration's tables), enumerates the interval inside N_GL(T), and
+    # keeps nothing
+    lattice._reset_lattices()
     assert interval_restriction_check(spec, gl, sl_report).to_dict() == after_gl.to_dict()
     assert counts.whole_tables >= 1 and (counts.intervals, counts.tori) == (1, 1)
-
-
-def test_gl_after_sl_reuses_the_restriction_lattice(monkeypatch):
-    # T = GL(1,5) is its own normalizer, so the restriction's Lat(T, N_GL T)
-    # is the GL case's [T, G]
-    run_case(CaseSpec(5, 1, (1,), "sl"))
-    counts = _Counts(monkeypatch)
-    assert run_case(CaseSpec(5, 1, (1,), "gl"))["lattice"]["member_count"] == 1
-    assert (counts.intervals, counts.tori) == (0, 0)
+    assert lattice._LATTICES == {}
 
 
 @pytest.mark.parametrize("first", ["gl", "sl"])
 def test_f2_pair_shares_one_stage(monkeypatch, first):
-    # SL(3,2) = GL(3,2): the pair makes one torus, enumerates one [T, G] and
-    # builds its normality graph once, whichever case runs first, and its
-    # reports are the cold per-case ones
+    # SL(n,2) = GL(n,2): the pair makes one torus, enumerates one [T, G] and
+    # builds its normality graph once, whichever case runs first, whether or
+    # not N(T) = G, and its reports are the cold per-case ones
     order = [first, {"gl": "sl", "sl": "gl"}[first]]
-    cases = {ambient: CaseSpec(2, 1, (1, 1, 1), ambient) for ambient in order}
-    cold = {}
-    for ambient, case in cases.items():
-        lattice._reset_stages()
-        cold[ambient] = stable_json(run_case(case))
-    lattice._reset_stages()
     counts = _Counts(monkeypatch)
-    for ambient in order:
-        assert stable_json(run_case(cases[ambient])) == cold[ambient], ambient
-    pair = (counts.intervals, counts.tori, counts.whole_tables, counts.graphs)
-    assert len(lattice._STAGES) == 1 and next(iter(lattice._STAGES.values())).lattice.graph is not None
-    # the pair builds the whole-ambient tables of the first case alone (those
-    # of one [T, G] enumeration) and nothing for the restriction
-    lattice._reset_stages()
-    counts.intervals = counts.tori = counts.whole_tables = counts.graphs = 0
-    run_case(cases[first])
-    assert pair == (1, 1, counts.whole_tables, 1)
-    # independent of the memo: GL's [T, G] enumerated over the GL object and
-    # cut down to SL is the SL report's interval
+    for degrees in [(1, 1, 1), (3,), (2, 1)]:
+        cases = {ambient: CaseSpec(2, 1, degrees, ambient) for ambient in order}
+        cold = {}
+        for ambient, case in cases.items():
+            lattice._reset_lattices()
+            cold[ambient] = stable_json(run_case(case))
+        lattice._reset_lattices()
+        counts.reset()
+        for ambient in order:
+            assert stable_json(run_case(cases[ambient])) == cold[ambient], (degrees, ambient)
+        pair = (counts.intervals, counts.tori, counts.whole_tables, counts.graphs)
+        assert len(lattice._LATTICES) == 1 and next(iter(lattice._LATTICES.values())).graph is not None
+        # the pair builds the whole-ambient tables of the first case alone
+        # (those of one [T, G] enumeration) and nothing for the restriction
+        lattice._reset_lattices()
+        counts.reset()
+        run_case(cases[first])
+        assert pair == (1, 1, counts.whole_tables, 1), degrees
+    # independent of the memo and of intersect_with_ambient: GL's [T, G]
+    # enumerated over the GL object and cut to determinant one by matrix
+    # keys is the SL report's interval
     monkeypatch.undo()
     spec = AlgebraSpec(construct_field(2, 1), [1, 1, 1])
     gl, sl = ambient_group(GL, 3, spec.base), ambient_group(SL, 3, spec.base)
     sl_report = verify_lower_garland(spec, sl)
-    lattice._reset_stages()
+    lattice._reset_lattices()
     gl_lat = enumerate_interval(torus_subgroup(spec, gl), gl)
     assert gl_lat.ambient is gl and len(gl_lat) == 179
-    cut = {intersect_with_ambient(h, sl).indices.tobytes() for h in gl_lat.members}
-    assert cut == {h.indices.tobytes() for h in sl_report.interval_members}
+    keys = gl.keys_of_indices(np.arange(gl.order, dtype=np.int32))
+    det_one = {int(k) for k in keys if matrix_det(matrix_from_key(spec.base, 3, int(k))) == 1}
+    cut = {frozenset(map(int, gl.keys_of_indices(h.indices))) & det_one for h in gl_lat.members}
+    assert cut == {frozenset(map(int, sl.keys_of_indices(h.indices))) for h in sl_report.interval_members}
 
 
 def test_ambients_are_equal_exactly_when_their_element_sets_are():
@@ -577,13 +584,19 @@ def test_ambients_are_equal_exactly_when_their_element_sets_are():
         gl, sl = ambient_group(GL, n, F2), ambient_group(SL, n, F2)
         assert gl is not sl and gl == sl and hash(gl) == hash(sl)
         assert np.array_equal(gl.mats(), sl.mats())
+        # cutting a subgroup down to an equal ambient keeps it as it is
+        whole = Subgroup(gl, np.arange(gl.order))
+        assert intersect_with_ambient(whole, sl) is whole
     for base in (F3, construct_field(2, 2)):
         for n in (1, 2):
-            assert ambient_group(GL, n, base) != ambient_group(SL, n, base)
-    # over F_3 the pair keeps a stage per ambient
+            gl, sl = ambient_group(GL, n, base), ambient_group(SL, n, base)
+            assert gl != sl
+            cut = intersect_with_ambient(Subgroup(gl, np.arange(gl.order)), sl)
+            assert cut.ambient is sl and cut.order == sl.order
+    # over F_3 the pair keeps a lattice per ambient
     for ambient in ("gl", "sl"):
         run_case(CaseSpec(3, 1, (2, 1), ambient))
-    assert [amb.kind for amb, _ in lattice._STAGES] == [GL, SL]
+    assert [amb.kind for amb, _ in lattice._LATTICES] == [GL, SL]
     # the SL side is checked on the report's case, since over F_2 its torus may live in the GL object
     for base in (F2, F3):
         spec = AlgebraSpec(base, [2])
@@ -598,24 +611,19 @@ def test_ambients_are_equal_exactly_when_their_element_sets_are():
 
 
 def test_stage_memo_keeps_no_ambient_sized_memo():
-    # no subgroup a stage holds keeps positions or right permutations, whose
-    # arrays are as long as the ambient
+    # no subgroup the lattice memo holds keeps positions or right
+    # permutations, whose arrays are as long as the ambient
     for algebra, caps in PIPELINE_PAIRS[:2]:
         for ambient in ("sl", "gl"):
             run_case(CaseSpec(*algebra, ambient), caps)
-    # GL(3,2) = SL(3,2), so that pair shares one stage
-    assert len(lattice._STAGES) == 3
-    held, graphs = [], []
-    for stage in lattice._STAGES.values():
-        held += [stage.torus, stage.normalizer, *stage.interval]
-        if stage.lattice is not None:
-            held += [stage.lattice.top, *stage.lattice.members, *stage.lattice.normalizers]
-            graphs.append(stage.lattice.graph)
-    # N(T) = G only for the trivial torus of GL(3,2) = SL(3,2)
-    assert sum(stage.lattice is not None for stage in lattice._STAGES.values()) == 1
+    # GL(3,2) = SL(3,2), so that pair shares one lattice
+    assert len(lattice._LATTICES) == 3
+    held = [h for lat in lattice._LATTICES.values() for h in (lat.top, *lat.members, *lat.normalizers)]
     assert all(h._positions is None and h._right == {} for h in held)
-    # the kept lattice keeps its normality graph, which holds member ids only
-    assert len(graphs) == 1 and len(graphs[0].vertices) == 179
+    # each kept lattice keeps its normality graph, which holds member ids only
+    graphs = [lat.graph for lat in lattice._LATTICES.values()]
+    assert sorted(len(g.vertices) for g in graphs) == sorted(len(lat) for lat in lattice._LATTICES.values())
+    assert 179 in [len(g.vertices) for g in graphs]
     assert all(isinstance(x, str) for g in graphs for x in (*g.vertices, *sum(g.edges, ()), g.bottom_id, g.top_id))
 
 
