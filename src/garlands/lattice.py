@@ -38,10 +38,14 @@ Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
 expanded: a closure that yields a new member K adds K's whole orbit to the
 members but queues only K, so the members are always a union of orbits.
-The orbit is found breadth first over A's generators, and every conjugate
-has K's order, so each level (all its subgroups by all their generators
-outside them) is one paired lmul, one paired rmul and one rmul for the
-conjugators.  This is still complete.  Take a covering
+The orbit comes from bottom's right-coset leaders in A (CosetTable.leaders
+that lie in A), one element a per right coset bottom a, and needs no
+generators of A.  Every n in A is t a for a leader a and some t in bottom,
+and bottom lies in every member H, so n^-1 H n = a^-1 t^-1 H t a = a^-1 H a;
+as a H a^-1 contains a bottom a^-1 = bottom, also n H n^-1 = a H a^-1.  So
+conjugating K by every leader reaches its whole orbit.  A leader inside K
+fixes K and is skipped, and the rest make one paired conjugation of K's
+elements.  The enumeration is still complete.  Take a covering
 step H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for
 an expanded representative R and n in A.  Then n^-1 H_{i+1} n =
 <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup is the closure of
@@ -120,34 +124,22 @@ class IntervalLattice:
         return len(self.members)
 
 
-def _conjugacy_orbit(k: Subgroup, acting: Subgroup) -> list[tuple[Subgroup, int]]:
-    """Each conjugate a K a^-1 of K under the acting group with one such a, breadth first over its generators.
+def _conjugacy_orbit(k: Subgroup, leaders: np.ndarray) -> list[tuple[Subgroup, int]]:
+    """Each conjugate a K a^-1 of K under A with one such a, from one conjugation batch.
 
-    Every conjugate has K's order, so a whole level is one batch: its
-    (subgroup, generator) pairs, generators inside the subgroup skipped,
-    take one paired lmul, one paired rmul and one conjugator rmul.
+    leaders holds one ambient index per right coset of bottom in A, which
+    reaches every conjugate (see the module docstring).  K comes first,
+    with the identity; leaders inside K fix K and are skipped, and each
+    other conjugate records the first leader that reaches it.
     """
     amb = k.ambient
-    gens = np.array(acting.generators, dtype=np.int32)
     orbit = {k.indices.tobytes(): (k, amb.identity_index)}
-    level = list(orbit.values())
-    while level:
-        # conjugating by an element of H fixes H
-        inside = [h.contains(gens) for h, _ in level]
-        member, gen = np.nonzero(~np.array(inside))  # member-major, the order a one-subgroup-at-a-time queue takes
-        if not member.size:
-            break
-        g = gens[gen]
-        # g (a K a^-1) g^-1 = (g a) K (g a)^-1
-        conjugators = amb.rmul(g, np.array([a for _, a in level], dtype=np.int32)[member])
-        rows = np.concatenate([level[i][0].indices for i in member.tolist()])
-        conj = np.sort(amb.conjugate_pairs(np.repeat(g, k.order), rows).reshape(member.size, k.order), axis=1)
-        level = []
-        for c, row in zip(conjugators.tolist(), conj):
+    moving = leaders[~k.contains(leaders)]
+    if moving.size:
+        for a, row in zip(moving.tolist(), np.sort(amb.conjugates(moving, k.indices), axis=1)):
             key = row.tobytes()
             if key not in orbit:
-                orbit[key] = (Subgroup(amb, row), c)
-                level.append(orbit[key])
+                orbit[key] = (Subgroup(amb, row), a)
     return list(orbit.values())
 
 
@@ -173,8 +165,9 @@ def enumerate_interval(
     """All subgroups H with bottom <= H <= top (top = within or the ambient), each with N_top(H).
 
     Bottom's table is built first; it seeds every later table's right
-    cosets, and its normalizer in top acts on the interval by conjugation,
-    so only one member per orbit is expanded.
+    cosets, and its normalizer in top acts on the interval by conjugation
+    through its right-coset leaders, so only one member per orbit is
+    expanded.
     """
     if bottom.ambient != ambient:
         raise LatticeError("bottom subgroup lives in a different ambient group")
@@ -197,14 +190,15 @@ def enumerate_interval(
             rep_normalizers[h.indices.tobytes()] = top
             continue
         table = CosetTable(h, top, below)
-        if below is None:
-            below = table
         rep_normalizers[h.indices.tobytes()] = table.normalizer()
-        acting = rep_normalizers[start]  # bottom's table is the first
+        if below is None:  # bottom's table, the first
+            below = table
+            leaders = top.indices[table.leaders]
+            leaders = leaders[rep_normalizers[start].contains(leaders)]  # one per right coset of bottom in A
         for k in extend_subgroups(table, table.double_coset_reps()):
             rep = k.indices.tobytes()
             if rep not in members:
-                for m, a in _conjugacy_orbit(k, acting):
+                for m, a in _conjugacy_orbit(k, leaders):
                     members[m.indices.tobytes()] = (m, rep, a)
                 queue.append(k)
                 if max_members is not None and len(members) > max_members:

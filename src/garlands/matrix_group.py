@@ -161,6 +161,9 @@ class AmbientGroup:
                 f"{kind}({n},{field.q}) has order {self.order}, cap is {caps.group_order}",
                 order=self.order,
             )
+        candidates = field.q ** (n * n)  # the enumeration lists every candidate matrix
+        if candidates > 80_000_000:
+            raise GroupCapError(f"cannot enumerate {self!r}: {candidates} candidate matrices")
         self._mats: np.ndarray | None = None
         self._lut: np.ndarray | None = None
         self._keypow: np.ndarray | None = None
@@ -190,8 +193,6 @@ class AmbientGroup:
             return
         q, n = self.field.q, self.n
         total = q ** (n * n)
-        if total > 80_000_000:
-            raise GroupCapError(f"cannot enumerate {self!r}: {total} candidate matrices")
         flat = np.arange(total, dtype=np.int64)
         entries = np.empty((total, n * n), dtype=np.int16)
         rem = flat.copy()
@@ -512,10 +513,12 @@ class CosetTable:
     which every table inside the same top shares; `labels[x]` is the
     least position of the right coset H x (the orbit of x under left
     multiplication by the generators' inverses, x -> (x^-1 * s_i)^-1, which
-    is right[i] conjugated by inversion); `double_labels[x]` is the least
-    position of the double coset H x H, the orbit of x's right coset under
-    the right permutations.  extend_subgroups closes <H, g> over the
-    right-coset labels, and the double labels give the g worth adjoining.
+    is right[i] conjugated by inversion); `leaders` are the positions that
+    are their own label, one per right coset, ascending; `double_labels[x]`
+    is the least position of the double coset H x H, the orbit of x's right
+    coset under the right permutations.  extend_subgroups closes <H, g>
+    over the right-coset labels, and the double labels give the g worth
+    adjoining.
     H x H = H x exactly when x normalizes H, so the double cosets that are
     single right cosets make up N_top(H).
 
@@ -525,7 +528,7 @@ class CosetTable:
     below.labels and only those generators add left permutations.
     """
 
-    __slots__ = ("h", "top", "right", "labels", "double_labels")
+    __slots__ = ("h", "top", "right", "labels", "leaders", "double_labels")
 
     def __init__(self, h: Subgroup, top: Subgroup, below: "CosetTable | None" = None):
         if not h.is_subset_of(top):
@@ -548,6 +551,7 @@ class CosetTable:
             inverse = top.positions().take(h.ambient.inv_indices().take(top.indices))
             left = [inverse.take(r.take(inverse)) for r in fresh]
         self.labels = _orbit_minima(labels, left)
+        self.leaders = np.flatnonzero(self.labels == np.arange(top.order))
         self.double_labels = _orbit_minima(self.labels, self.right)
 
     def double_coset_reps(self) -> np.ndarray:
@@ -558,8 +562,7 @@ class CosetTable:
 
     def normalizer(self) -> Subgroup:
         """N_top(H): the positions whose double coset holds one right coset."""
-        leaders = np.flatnonzero(self.labels == np.arange(self.top.order))
-        width = np.bincount(self.double_labels[leaders], minlength=self.top.order)
+        width = np.bincount(self.double_labels[self.leaders], minlength=self.top.order)
         return Subgroup(self.h.ambient, self.top.indices[width[self.double_labels] == 1])
 
 
@@ -585,10 +588,8 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     if (positions[gs] < 0).any():
         raise GroupError("the adjoined element lies outside the table's top")
     amb = table.h.ambient
-    labels, top = table.labels, table.top.indices
-    is_least = labels == np.arange(top.size)
-    least = np.flatnonzero(is_least)  # coset number -> its least position
-    coset = (np.cumsum(is_least, dtype=np.int32) - 1)[labels]  # position -> coset number
+    top, least = table.top.indices, table.leaders  # coset number -> its least position
+    coset = np.searchsorted(least, table.labels).astype(np.int32)  # position -> coset number
     ncos = least.size
     slot = np.full(gs.size * ncos, -1, dtype=np.int32)
     claimed = np.zeros(gs.size, dtype=np.int64)  # cosets each closure has reached

@@ -10,6 +10,7 @@ import pytest
 from garlands.cache import DiskCache
 from garlands.cli import main
 from garlands.config import SCHEMA_VERSION, Caps
+from garlands.matrix_group import AmbientGroup
 from garlands.runner import CaseSpec, run_case
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -110,6 +111,19 @@ def test_run_case_skips_over_cap_algebra():
     doc = run_case(CaseSpec(2, 1, (21,), "gl"))
     assert doc["status"] == "skipped_cap"
     assert "algebra order" in doc["reason"]
+
+
+def test_run_case_skips_an_ambient_with_too_many_candidate_matrices(monkeypatch):
+    # SL(2,101) fits a 2,000,000 order cap, but its enumeration would list
+    # all 101^4 candidate matrices: the ambient refuses when it is made,
+    # inside run_case's cap handling, and never starts the enumeration
+    def refuse(self):
+        raise AssertionError("an over-cap ambient started its enumeration")
+
+    monkeypatch.setattr(AmbientGroup, "_ensure", refuse)
+    doc = run_case(CaseSpec(101, 1, (2,), "sl"), Caps(group_order=2_000_000))
+    assert doc["status"] == "skipped_cap"
+    assert doc["reason"] == "cannot enumerate SL(2,101): 104060401 candidate matrices"
 
 
 def test_caps_are_checked_before_factor_fields_are_built(capsys, monkeypatch):

@@ -30,7 +30,7 @@ from garlands.matrix_group import (
     torus_subgroup,
 )
 from garlands.config import Caps
-from garlands.runner import CaseSpec, run_case, stable_json
+from garlands.runner import CaseSpec, build_algebra, run_case, stable_json
 
 from oracles import matrix_det, matrix_from_key, normality_edges_by_pairs
 
@@ -367,20 +367,74 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
 
 @pytest.mark.parametrize("acting_order", [168, 24])
 def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
-    # the level-batched orbit of each member of GL(3,2) 1,1,1's [T, G] under
+    # the one-batch orbit of each member of GL(3,2) 1,1,1's [T, G] under
     # N(T) = G, and under a smaller acting group whose orbits split, against
-    # conjugating K by every element of the acting group
+    # conjugating K by every element of the acting group; T is trivial, so
+    # its right-coset leaders in the acting group are all of that group
     gl32 = ambient_group(GL, 3, F2)
     t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
     lat = enumerate_interval(t, gl32)
     acting = next(n for n in lat.normalizers if n.order == acting_order)
+    leaders = acting.indices[lattice.CosetTable(t, acting).leaders]
+    assert np.array_equal(leaders, acting.indices)
     for k in lat.members:
-        orbit = lattice._conjugacy_orbit(k, acting)
+        orbit = lattice._conjugacy_orbit(k, leaders)
         by_all = {row.tobytes() for row in np.sort(gl32.conjugates(acting.indices, k.indices), axis=1)}
         assert {m.indices.tobytes() for m, _ in orbit} == by_all
         for m, a in orbit:
             assert acting.contains(a)
             assert np.array_equal(np.sort(gl32.conjugates([a], k.indices)[0]), m.indices)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [1, 1]), (2, [2, 1]), (3, [2, 1])])
+def test_orbits_come_from_one_leader_per_right_coset_of_t_in_its_normalizer(monkeypatch, p, degrees):
+    # the enumeration conjugates every orbit by the same leaders: they lie in
+    # N_top(T), T a runs over each right coset of T in N_top(T) once, and
+    # each orbit is K's conjugates by every element of N_top(T)
+    spec = AlgebraSpec(construct_field(p, 1), degrees)
+    amb = ambient_group(GL, spec.n, spec.base)
+    t = torus_subgroup(spec, amb)
+    calls = []
+    orbit = lattice._conjugacy_orbit
+
+    def recording_orbit(k, leaders):
+        calls.append((k, leaders, orbit(k, leaders)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lattice, "_conjugacy_orbit", recording_orbit)
+    for within in (None, normalizer_brute(amb, t)):
+        calls.clear()
+        lat = enumerate_interval(t, amb, within=within)
+        n = _cut(normalizer_brute(amb, t), lat.top)
+        leaders = calls[0][1]
+        assert all(c[1] is leaders for c in calls)
+        cosets = amb.lmul(np.repeat(t.indices, leaders.size), np.tile(leaders, t.order))
+        assert leaders.size == n.order // t.order and np.array_equal(np.sort(cosets), n.indices)
+        for k, _, got in calls:
+            by_all = {row.tobytes() for row in np.sort(amb.conjugates(n.indices, k.indices), axis=1)}
+            assert {m.indices.tobytes() for m, _ in got} == by_all, k.order
+
+
+def test_conjugacy_orbit_skips_the_leaders_inside_k(monkeypatch):
+    # conjugating by an element of K fixes K, so only the leaders outside K
+    # conjugate it; the top holds every leader and is conjugated by none
+    gl32 = ambient_group(GL, 3, F2)
+    t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
+    lat = enumerate_interval(t, gl32)
+    leaders = np.arange(gl32.order, dtype=np.int32)  # T is trivial: every element leads its own coset
+    pairs = []
+    conjugate_pairs = AmbientGroup.conjugate_pairs
+    monkeypatch.setattr(
+        AmbientGroup, "conjugate_pairs", lambda self, gs, idxs: pairs.append(gs.size) or conjugate_pairs(self, gs, idxs)
+    )
+    for k in lat.members:
+        pairs.clear()
+        lattice._conjugacy_orbit(k, leaders)
+        assert sum(pairs) == (gl32.order - k.order) * k.order, k.order
+    top = lat.members[-1]
+    pairs.clear()
+    assert lattice._conjugacy_orbit(top, leaders) == [(top, gl32.identity_index)]
+    assert pairs == []
 
 
 def test_max_members_stops_after_the_orbit_that_crosses_it():
@@ -484,6 +538,38 @@ def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
         lattice._reset_lattices()
         for case in order:
             assert stable_json(run_case(case, caps)) == cold[case], (order, case)
+
+
+@pytest.mark.parametrize("algebra,caps", PIPELINE_PAIRS)
+def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra, caps):
+    # members closed as <H, g> keep their generators and N(T) acts through
+    # T's right-coset leaders, so a pair's cases pick generators greedily
+    # for each case's torus and formula set alone, and never for N(T); an
+    # F_2 pair shares one [T, G] and so one torus
+    def keys(amb, indices):
+        return set(amb.keys_of_indices(indices).tolist())
+
+    picked = []
+    pick = matrix_group._pick_generators
+
+    def recording_pick(amb, indices):
+        picked.append(keys(amb, indices))
+        return pick(amb, indices)
+
+    monkeypatch.setattr(matrix_group, "_pick_generators", recording_pick)
+    lattice._reset_lattices()
+    cases = [CaseSpec(*algebra, ambient) for ambient in ("gl", "sl")]
+    for case in cases:
+        assert run_case(case, caps)["status"] == "ok"
+    monkeypatch.undo()
+    expected = []
+    for case in cases:
+        base, spec = build_algebra(case, caps)
+        amb = ambient_group(case.kind, case.n, base, caps)
+        if case.ambient == "gl" or base.q > 2:
+            expected.append(keys(amb, torus_subgroup(spec, amb).indices))
+        expected.append(keys(amb, matrix_group.normalizer_formula(spec, amb).indices))
+    assert picked == expected
 
 
 class _Counts:
