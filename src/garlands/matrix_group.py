@@ -4,9 +4,18 @@ Ambient groups GL(n,q) / SL(n,q) are enumerated once (within the configured
 cap) and all heavy scans run vectorized over element indices: a matrix is an
 (n, n) array of field element indices, products go through dense add/mul
 tables of the coefficient field, and membership tests use a base-q key
-lookup table.  rmul and lmul multiply by one index or by an index array
-paired elementwise with their input, so a breadth-first pass makes one
-product call per level however many generators or closures it advances.
+lookup table.  The enumeration goes row by row, already in key order: each
+prefix of n-1 rows, in code order, is kept when its cofactor vector c (its
+n maximal minors) is nonzero, and its last rows are the x with c . x != 0
+(GL) or c . x = 1 (SL), since the determinant is linear in the last row;
+no other matrix is listed, and no non-member's determinant is taken.  One
+memo of minors per batch (_Minors) gives those cofactors, the determinants
+of the SL cut, and the inverse table as adjugate over determinant.  The
+sorted keys are stored, so a subgroup's keys are a gather.
+
+rmul and lmul multiply by one index or by an index array paired
+elementwise with their input, so a breadth-first pass makes one product
+call per level however many generators or closures it advances.
 rmul by one index g needs no matrix product per element: the ambient keeps
 each element's row codes (the base-q^n digits of its key), so one product
 of the q^n row vectors by g gives every row of every x * g, and its key is
@@ -34,7 +43,7 @@ Ambients are equal when their element sets are (SL = GL over F_2), and
 ambient order is matrix-key order, so equal ambients agree on indices and
 the report id, a digest of the matrix keys, is the same in GL and in SL.
 The matrix key (row-major entries as one base-q integer) is encoded only
-here, in AmbientGroup.keys_of_mats.
+in AmbientGroup: by the enumeration and by keys_of_mats.
 """
 
 from __future__ import annotations
@@ -109,38 +118,101 @@ def _mat_mul(field: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det_idx(field: FieldTable, A: np.ndarray) -> np.ndarray:
-    """Vectorized determinant of (..., n, n) index arrays, by Laplace expansion along the first row."""
-    n = A.shape[-1]
-    if n == 1:
-        return A[..., 0, 0]
-    MUL = field.np_mul()
-    ADD = field.np_add()
-    NEG = field.np_neg()
-    acc = None
-    for j in range(n):
-        term = MUL[A[..., 0, j], _det_idx(field, np.delete(A[..., 1:, :], j, axis=-1))]
-        if j % 2 == 1:
-            term = NEG[term]
-        acc = term if acc is None else ADD[acc, term]
-    return acc
+class _Minors:
+    """minors(rows, cols): the determinant of A's square submatrix on two bitmasks, memoized.
+
+    A is a batch of (..., k, n) index matrices.  A minor expands along its
+    last row r: the sum over its columns c of +-A[r, c] * minor(rows - r,
+    cols - c), negated when an odd number of its columns follow c.  Each
+    (rows, cols) is computed once, as an int16 array over the batch, by
+    lookups in the field's flattened mul/add tables.  The memo goes with the
+    object, which holds no reference to itself, so it is freed on return.
+    """
+
+    def __init__(self, field: FieldTable, A: np.ndarray):
+        self.q, self.n = field.q, A.shape[-1]
+        mul, self.neg = field.np_mul().ravel(), field.np_neg()
+        self.signed = (mul, self.neg.take(mul))  # a * b and -(a * b) at a * q + b
+        self.add = field.np_add().ravel()
+        self.entries = np.ascontiguousarray(np.moveaxis(A, (-2, -1), (0, 1)))  # entries[r, c]: one contiguous batch
+        self.scaled = self.entries.astype(np.int32) * self.q
+        self.memo = {0: np.full(A.shape[:-2], field.one_index, dtype=np.int16)}  # the empty minor
+
+    def __call__(self, rows: int, cols: int) -> np.ndarray:
+        key = rows << self.n | cols
+        if key in self.memo:
+            return self.memo[key]
+        r = rows.bit_length() - 1
+        if rows == 1 << r:
+            return self.entries[r, cols.bit_length() - 1]
+        acc = None
+        for after, c in enumerate(c for c in reversed(range(self.n)) if cols >> c & 1):
+            term = self.signed[after % 2].take(self.scaled[r, c] + self(rows ^ 1 << r, cols ^ 1 << c))
+            acc = term if acc is None else self.add.take(acc.astype(np.int32) * self.q + term)
+        self.memo[key] = acc
+        return acc
+
+    def cofactor(self, i: int, j: int) -> np.ndarray:
+        """(-1)^(i+j) times the minor without row i and column j; row i of A is not read, so it may be absent."""
+        full = (1 << self.n) - 1
+        minor = self(full ^ 1 << i, full ^ 1 << j)
+        return self.neg.take(minor) if (i + j) % 2 else minor
+
+
+def _det(field: FieldTable, A: np.ndarray) -> np.ndarray:
+    """Determinants of (..., n, n) index matrices."""
+    full = (1 << A.shape[-1]) - 1
+    return _Minors(field, A)(full, full)
 
 
 def _inv_mats(field: FieldTable, A: np.ndarray) -> np.ndarray:
-    """Vectorized inverses of (..., n, n) invertible index matrices: adjugate over determinant."""
+    """Inverses of (..., n, n) invertible index matrices: adjugate over determinant, from one memo of minors."""
     n = A.shape[-1]
-    MUL = field.np_mul()
-    NEG = field.np_neg()
-    det_inv = field.np_inv()[_det_idx(field, A)]
-    if n == 1:
-        return det_inv[..., None, None].astype(np.int16)
-    adj = np.empty_like(A)
+    minors, full = _Minors(field, A), (1 << n) - 1
+    det_inv = field.np_inv().take(minors(full, full)).astype(np.int32) * field.q
+    mul = field.np_mul().ravel()
+    out = np.empty_like(A)
     for i in range(n):
         for j in range(n):
-            # adj[i][j] is the (j, i) cofactor
-            cofactor = _det_idx(field, np.delete(np.delete(A, j, axis=-2), i, axis=-1))
-            adj[..., i, j] = NEG[cofactor] if (i + j) % 2 == 1 else cofactor
-    return MUL[det_inv[..., None, None], adj]
+            out[..., i, j] = mul.take(det_inv + minors.cofactor(j, i))  # adj[i][j] is the (j, i) cofactor
+    return out
+
+
+def _last_rows(field: FieldTable, kind: str, leading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, n-1, n) leading rows that are independent, and the codes of their last rows x, ascending.
+
+    det = c . x for the leading rows' last-row cofactors c, and c is nonzero
+    exactly when the rows are independent.  With t the last nonzero place
+    of c, x's places after t are free, and its places before t (its head)
+    fix c_t x_t: GL bars the one x_t with c . x = 0 and SL takes the one
+    with c . x = 1.  So in code order of head, x_t and tail the codes ascend.
+    """
+    q, n = field.q, leading.shape[-1]
+    minors = _Minors(field, leading)
+    cof = np.stack([minors.cofactor(n - 1, t) for t in range(n)], axis=-1)
+    del minors  # the memo goes before the output is allocated
+    live = np.flatnonzero(cof.any(axis=1)).astype(np.int32)
+    cof = cof[live]
+    mul, add, neg, inv = field.np_mul().ravel(), field.np_add().ravel(), field.np_neg(), field.np_inv()
+    per = q ** (n - 1) if kind == SL else q**n - q ** (n - 1)
+    out = np.empty((live.size, per), dtype=np.int32)
+    pivot = n - 1 - np.argmax(cof[:, ::-1] != 0, axis=1)
+    for t in range(n):
+        at = np.flatnonzero(pivot == t)
+        heads = np.arange(q**t, dtype=np.int32)
+        dot = np.zeros((at.size, heads.size), dtype=np.int16)  # c . x over the head's places
+        for s in range(t):
+            term = mul.take(cof[at, s, None].astype(np.int32) * q + heads // q ** (t - 1 - s) % q)
+            dot = add.take(dot.astype(np.int32) * q + term)
+        rhs = neg.take(dot)  # GL: c_t x_t != -dot
+        if kind == SL:  # SL: c_t x_t = 1 - dot
+            rhs = add.take(rhs.astype(np.int32) + field.one_index * q)
+        xt = mul.take(inv.take(cof[at, t]).astype(np.int32)[:, None] * q + rhs)[..., None]
+        if kind == GL:  # every other value, in order
+            xt = np.arange(q - 1, dtype=np.int16) + (np.arange(q - 1) >= xt)
+        codes = (heads * q ** (n - t))[:, None] + xt.astype(np.int32) * q ** (n - 1 - t)
+        out[at] = (codes[..., None] + np.arange(q ** (n - 1 - t), dtype=np.int32)).reshape(at.size, per)
+    return live, out
 
 
 class AmbientGroup:
@@ -161,9 +233,10 @@ class AmbientGroup:
                 f"{kind}({n},{field.q}) has order {self.order}, cap is {caps.group_order}",
                 order=self.order,
             )
-        candidates = field.q ** (n * n)  # the enumeration lists every candidate matrix
+        candidates = field.q ** (n * n)  # the dense key table holds 4 bytes for every candidate matrix
         if candidates > 80_000_000:
             raise GroupCapError(f"cannot enumerate {self!r}: {candidates} candidate matrices")
+        self._keys: np.ndarray | None = None
         self._mats: np.ndarray | None = None
         self._lut: np.ndarray | None = None
         self._keypow: np.ndarray | None = None
@@ -189,31 +262,36 @@ class AmbientGroup:
     # -- enumeration ------------------------------------------------------------
 
     def _ensure(self) -> None:
-        if self._mats is not None:
+        if self._keys is not None:
             return
         q, n = self.field.q, self.n
-        total = q ** (n * n)
-        flat = np.arange(total, dtype=np.int64)
-        entries = np.empty((total, n * n), dtype=np.int16)
-        rem = flat.copy()
-        for pos in range(n * n - 1, -1, -1):
-            entries[:, pos] = rem % q
-            rem //= q
-        mats = entries.reshape(total, n, n)
-        dets = _det_idx(self.field, mats)
-        keep = dets != 0 if self.kind == GL else dets == self.field.one_index
-        sel = np.nonzero(keep)[0]
-        if sel.size != self.order:
-            raise GroupError(f"enumeration mismatch for {self!r}: {sel.size} != {self.order}")
-        self._mats = np.ascontiguousarray(mats[sel])
-        lut = np.full(total, -1, dtype=np.int32)
-        lut[sel] = np.arange(sel.size, dtype=np.int32)
+        qn = q**n
+        # the row vector of each code, and every choice of the leading n-1 rows in code order
+        vecs = (np.arange(qn)[:, None] // q ** np.arange(n - 1, -1, -1) % q).astype(np.int16)
+        prefix = np.arange(qn ** (n - 1), dtype=np.int32)
+        leading = np.empty((n - 1, prefix.size), dtype=np.int32)
+        for i in range(n - 1):
+            leading[i] = prefix // qn ** (n - 2 - i) % qn
+        live, last = _last_rows(self.field, self.kind, vecs[leading.T])
+        if last.size != self.order:
+            raise GroupError(f"enumeration mismatch for {self!r}: {last.size} != {self.order}")
+        # row codes: the base-q^n digits of each key, most significant (row 0) first
+        rows = np.empty((n, self.order), dtype=np.int32)
+        for i in range(n - 1):
+            rows[i] = np.repeat(leading[i, live], last.shape[1])
+        rows[n - 1] = last.reshape(-1)
+        self._rows = rows
+        self._keys = (live.astype(np.int64)[:, None] * qn + last).reshape(-1)  # ascending, as prefixes and rows ascend
+        del last  # before the matrices and the key table are allocated
+        mats = np.empty((self.order, n, n), dtype=np.int16)
+        for i in range(n):
+            mats[:, i] = vecs.take(rows[i], axis=0)
+        self._mats = mats
+        lut = np.full(q ** (n * n), -1, dtype=np.int32)
+        lut[self._keys] = np.arange(self.order, dtype=np.int32)
         self._lut = lut
         self._keypow = np.array([q ** (n * n - 1 - i) for i in range(n * n)], dtype=np.int64)
-        # row codes: the base-q^n digits of each key, most significant (row 0) first
-        self._rows = np.array([sel // q ** (n * (n - 1 - i)) % q**n for i in range(n)], dtype=np.int32)
-        # the first q^n candidates are zero but for their last row, which runs through every row vector in code order
-        self._rowvecs = np.ascontiguousarray(mats[: q**n, n - 1 :])
+        self._rowvecs = vecs[:, None, :]
         self._inv = None
         self._identity = self.index_of(FieldMatrix.identity(self.field, n))
 
@@ -229,8 +307,9 @@ class AmbientGroup:
     def inv_indices(self) -> np.ndarray:
         self._ensure()
         if self._inv is None:
-            invm = _inv_mats(self.field, self._mats)
-            self._inv = self.indices_of_mats(invm)
+            step = 1 << 16  # bounds the minors and the key products of a whole large ambient
+            chunks = (self._mats[s : s + step] for s in range(0, self.order, step))
+            self._inv = np.concatenate([self.indices_of_mats(_inv_mats(self.field, m)) for m in chunks])
         return self._inv
 
     # -- lookups ----------------------------------------------------------------
@@ -261,7 +340,7 @@ class AmbientGroup:
 
     def keys_of_indices(self, idxs: np.ndarray) -> np.ndarray:
         self._ensure()
-        return self.keys_of_mats(self._mats[idxs])
+        return np.take(self._keys, idxs)
 
     # -- batched group operations -------------------------------------------------
 
@@ -636,7 +715,7 @@ def _check_algebra(spec: AlgebraSpec, ambient: AmbientGroup) -> None:
 def _member_indices(ambient: AmbientGroup, mats: np.ndarray) -> np.ndarray:
     """Ambient indices of invertible (N, n, n) matrices; an SL ambient keeps the determinant-one ones."""
     if ambient.kind == SL:
-        mats = mats[_det_idx(ambient.field, mats) == ambient.field.one_index]
+        mats = mats[_det(ambient.field, mats) == ambient.field.one_index]
     return ambient.indices_of_mats(mats)
 
 

@@ -14,9 +14,10 @@ edges by a subset test per pair of members, centralizers by a commuting
 scan of the whole ambient per generator, regular representations from
 the algebra's own multiplication and coordinates, the torus and the
 formula normalizer from those, one unit at a time through FieldMatrix
-products, determinants and lookups, and the exact rational
-2x2 algebra at the end checks the SL(2,Q) witness matrices by direct
-conjugation.
+products, determinants and lookups, ambient groups from every candidate
+matrix and its vectorized Laplace determinant (minors cut out by
+np.delete), and the exact rational 2x2 algebra at the end checks the
+SL(2,Q) witness matrices by direct conjugation.
 
 The package does matrix arithmetic only vectorized over ambient indices,
 and keeps FieldMatrix for input and output.  The one-matrix-at-a-time
@@ -107,6 +108,35 @@ def matrix_inverse(m: FieldMatrix) -> FieldMatrix:
                 c = aug[r][col]
                 aug[r] = [f.sub_idx(v, f.mul_idx(c, w)) for v, w in zip(aug[r], aug[col])]
     return FieldMatrix(f, [row[n:] for row in aug])
+
+
+def laplace_det(field, A: np.ndarray) -> np.ndarray:
+    """Determinants of (..., n, n) index arrays, by Laplace expansion along the first row with np.delete minors."""
+    n = A.shape[-1]
+    if n == 1:
+        return A[..., 0, 0]
+    MUL = field.np_mul()
+    ADD = field.np_add()
+    NEG = field.np_neg()
+    acc = None
+    for j in range(n):
+        term = MUL[A[..., 0, j], laplace_det(field, np.delete(A[..., 1:, :], j, axis=-1))]
+        if j % 2 == 1:
+            term = NEG[term]
+        acc = term if acc is None else ADD[acc, term]
+    return acc
+
+
+def ambient_by_candidates(kind: str, n: int, field) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys and (n, order) row codes of GL(n, q) or SL(n, q): every one of the q^(n^2)
+    candidate matrices, kept by its Laplace determinant."""
+    q = field.q
+    keys = np.arange(q ** (n * n), dtype=np.int64)
+    mats = (keys[:, None] // q ** np.arange(n * n - 1, -1, -1) % q).astype(np.int16).reshape(-1, n, n)
+    dets = laplace_det(field, mats)
+    keys = keys[dets != 0 if kind != SL else dets == field.one_index]
+    rows = np.array([keys // q ** (n * (n - 1 - i)) % q**n for i in range(n)], dtype=np.int32)
+    return keys, rows
 
 
 def generate(ambient, gens, max_size: int | None = None) -> Subgroup:

@@ -114,9 +114,10 @@ def test_run_case_skips_over_cap_algebra():
 
 
 def test_run_case_skips_an_ambient_with_too_many_candidate_matrices(monkeypatch):
-    # SL(2,101) fits a 2,000,000 order cap, but its enumeration would list
-    # all 101^4 candidate matrices: the ambient refuses when it is made,
-    # inside run_case's cap handling, and never starts the enumeration
+    # SL(2,101) fits a 2,000,000 order cap, but its dense key table would
+    # hold a slot for each of its 101^4 candidate matrices: the ambient
+    # refuses when it is made, inside run_case's cap handling, and never
+    # starts the enumeration
     def refuse(self):
         raise AssertionError("an over-cap ambient started its enumeration")
 

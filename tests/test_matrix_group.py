@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from garlands.matrix_group import (
     NonMemberError,
     NotAbelianError,
     Subgroup,
-    _det_idx,
+    _det,
     _inv_mats,
     ambient_group,
     extend_subgroup,
@@ -31,12 +33,14 @@ from garlands.matrix_group import (
 )
 
 from oracles import (
+    ambient_by_candidates,
     centralizer_brute,
     double_coset_reps_by_elements,
     element_closure,
     formula_by_units,
     generate,
     greedy_generators_from_scratch,
+    laplace_det,
     matrix_det,
     matrix_from_coeff_rows,
     matrix_inverse,
@@ -76,17 +80,68 @@ def test_ambient_cap():
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2), (2, 4)])
 def test_vectorized_det_inverse_match_field_matrix(p, m):
     # matrix_det / matrix_inverse (Laplace and Gauss-Jordan, one FieldMatrix
-    # at a time) are the slow oracle for the vectorized adjugate path
+    # at a time) are the slow oracle for the memoized minors and the adjugate
     f = construct_field(p, m)
     rng = np.random.default_rng(p * 10 + m)
     for n in (1, 2, 3, 4):
         A = rng.integers(0, f.q, size=(40, n, n)).astype(np.int16)
-        dets = _det_idx(f, A)
+        dets = _det(f, A)
         assert dets.tolist() == [matrix_det(FieldMatrix(f, a.tolist())) for a in A]
+        assert np.array_equal(dets, laplace_det(f, A))
         invertible = A[dets != 0]
         assert len(invertible) > 0
         invs = _inv_mats(f, invertible)
         assert [FieldMatrix(f, x.tolist()) for x in invs] == [matrix_inverse(FieldMatrix(f, a.tolist())) for a in invertible]
+
+
+@pytest.mark.parametrize(
+    "n,base",
+    [(2, F2), (3, F2), (2, F3), (3, F3), (2, F4), (3, F4), (2, F5), (3, F5), (1, F2), (1, F9), (2, F16), (4, F2)],
+)
+def test_row_by_row_enumeration_matches_every_candidate(n, base):
+    # the cofactor build against the candidate-and-Laplace route, key for key
+    # and row code for row code; F_2..F_5 with n <= 3 are the acceptance
+    # sweep's fields, and GL/SL(3,4) and (3,5) need a raised cap
+    for kind in (GL, SL):
+        amb = AmbientGroup(kind, n, base, Caps(group_order=2_000_000))
+        keys, rows = ambient_by_candidates(kind, n, base)
+        amb._ensure()
+        assert amb._keys.dtype == np.int64 and np.array_equal(amb._keys, keys), (kind, n, base.q)
+        assert np.array_equal(amb._rows, rows), (kind, n, base.q)
+        assert np.array_equal(amb.keys_of_mats(amb.mats()), keys), (kind, n, base.q)
+
+
+@pytest.mark.parametrize("base", [F2, F3, F4, F9, F13, F16])
+def test_inverse_table_is_an_involution_that_inverts(base):
+    # over every ambient inside WIDE: inv[inv[x]] = x, and the paired
+    # products x * inv[x], by matrix multiplication, are all the identity
+    seen = 0
+    for n in (1, 2, 3, 4):
+        for kind, order in ((GL, gl_order(n, base.q)), (SL, sl_order(n, base.q))):
+            if order > WIDE.group_order:
+                continue
+            amb = ambient_group(kind, n, base, WIDE)
+            every = np.arange(amb.order, dtype=np.int32)
+            inv = amb.inv_indices()
+            assert np.array_equal(inv[inv], every), (kind, n)
+            assert (amb.rmul(every, inv) == amb.identity_index).all(), (kind, n)
+            seen += 1
+    assert seen >= 4
+
+
+def test_enumeration_memory_follows_the_group_and_the_key_table():
+    # SL(2,31) keeps 29,760 of 923,521 candidate matrices; what the build
+    # holds at its peak is the group's arrays plus the dense key table
+    # (4 bytes a candidate, 3.7 MB here), not a candidate array
+    amb = AmbientGroup(SL, 2, construct_field(31, 1), WIDE)
+    tracemalloc.start()
+    try:
+        amb._ensure()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amb.order == 29_760
+    assert peak <= 10 * 2**20, peak
 
 
 def test_ambient_enumeration_is_consistent():
