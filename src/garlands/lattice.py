@@ -9,30 +9,35 @@ step K over H equals <H, g> for every g in K \\ H.
 
 Each expanded member other than top gets one coset table inside top
 (CosetTable in matrix_group), over positions in top's sorted ambient
-indices: the right-multiplication permutations of H's generators,
+indices: the right-multiplication permutations of H's generators and the
 right-coset labels (orbit minima under left multiplication by the
-generators) and double-coset labels (those labels' orbit minima under the
-right permutations).  The permutations belong to top (Subgroup.right_perm,
-memoized per generator).  A member closed as <H, g> keeps H's generators
-plus g, so members share generators, and an enumeration makes one product
-of the whole top per distinct generator.  Every member contains bottom, so
-its right cosets are unions of bottom's: each later table starts from
-bottom's right-coset labels, and only the elements adjoined since bottom
-add left permutations.  Top itself gets no table: its only double coset is
-itself, so it has no extension, and N_top(top) = top.  The representatives are the positions
-that are their own double label, so each is the least element of its double
-coset, in ascending order.  <H, g> is then closed over right cosets instead
-of elements: K = <H, g> contains H, so it is a union of right cosets H x,
-and right multiplication by H's generators and by g permutes right cosets,
-so the cosets reachable from H under those right multiplications are
-exactly the cosets of K.  A closure costs at most [K:H] products by g plus
-gathers through the permutations, and only the member being expanded holds
-a table.  All of a member's closures run together (extend_subgroups): each
-breadth-first level is one paired product of every live (closure, coset)
-pair's least element by that closure's g, so a member costs one product
-call per level, not one per level per closure, and closures reaching the
-same cosets become one subgroup.  [K:H] divides [top:H], so a closure
-holding more than half of top's right cosets is all of top and stops there.
+generators), which number the right cosets by their leaders.  The
+double cosets are orbit minima over those numbers, not over positions,
+under the maps of right cosets the right permutations induce, so that
+pass is sized by [top:H].  The permutations belong to top
+(Subgroup.right_perm, memoized per generator).  A member closed as <H, g>
+keeps H's generators plus g, so members share generators, and an
+enumeration makes one product of the whole top per distinct generator.
+Every member contains bottom, so its right cosets are unions of bottom's:
+each later table starts from bottom's right-coset labels, and only the
+elements adjoined since bottom add left permutations.  Top itself gets no
+table: its only double coset is itself, so it has no extension, and
+N_top(top) = top.  The representatives are the leaders of the cosets
+that are their own double label, so each is the least element of its
+double coset, in ascending order.  <H, g> is then closed over right cosets
+instead of elements: K = <H, g> contains H, so it is a union of right
+cosets H x, and right multiplication by H's generators and by g permutes
+right cosets, so the cosets reachable from H under those right
+multiplications are exactly the cosets of K.  A closure costs at most
+[K:H] products by g plus gathers through the maps of cosets, and only
+the member being expanded holds a table.  All of a member's closures run
+together (extend_subgroups): the products by every g go through one
+factor table built for the call, and each breadth-first level gathers
+every live (closure, coset) pair's least element through it at that
+closure's g, so a level is one call with no matrix product, and closures
+reaching the same cosets become one subgroup.  [K:H] divides [top:H], so
+a closure holding more than half of top's right cosets is all of top and
+stops there.
 
 Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
@@ -44,8 +49,8 @@ generators of A.  Every n in A is t a for a leader a and some t in bottom,
 and bottom lies in every member H, so n^-1 H n = a^-1 t^-1 H t a = a^-1 H a;
 as a H a^-1 contains a bottom a^-1 = bottom, also n H n^-1 = a H a^-1.  So
 conjugating K by every leader reaches its whole orbit.  A leader inside K
-fixes K and is skipped, and the rest make one paired conjugation of K's
-elements.  The enumeration is still complete.  Take a covering
+fixes K and is skipped, and the rest conjugate K's elements in one batch,
+through one factor table of their inverses.  The enumeration is still complete.  Take a covering
 step H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for
 an expanded representative R and n in A.  Then n^-1 H_{i+1} n =
 <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup is the closure of
@@ -144,13 +149,14 @@ def _conjugacy_orbit(k: Subgroup, leaders: np.ndarray) -> list[tuple[Subgroup, i
 
 
 def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]]) -> tuple[Subgroup, ...]:
-    """a N a^-1 for each (N, a), in one paired lmul and rmul; an identity a leaves N as it is."""
+    """a N a^-1 for each (N, a), in one conjugate_by call; an identity a leaves N as it is."""
     out = [n for n, _ in pairs]
     moved = [i for i, (_, a) in enumerate(pairs) if a != amb.identity_index]
     if moved:
         sizes = [out[i].order for i in moved]
-        left = np.repeat(np.array([pairs[i][1] for i in moved], dtype=np.int32), sizes)
-        flat = amb.conjugate_pairs(left, np.concatenate([out[i].indices for i in moved]))
+        which = np.repeat(np.arange(len(moved), dtype=np.int32), sizes)
+        gs = np.array([pairs[i][1] for i in moved], dtype=np.int32)
+        flat = amb.conjugate_by(gs, which, np.concatenate([out[i].indices for i in moved]))
         for i, part in zip(moved, np.split(flat, np.cumsum(sizes)[:-1])):
             out[i] = Subgroup(amb, part)
     return tuple(out)
@@ -451,8 +457,14 @@ def _torus_lattice(spec: AlgebraSpec, ambient: AmbientGroup) -> IntervalLattice:
 
 
 def _interval(lat: IntervalLattice) -> tuple[Subgroup, ...]:
-    """The members of Lat(T, N(T)) in lat = [T, G], in lattice order; T is the one smallest member, so N(T) is normalizers[0]."""
-    return tuple(m for m in lat.members if m.is_subset_of(lat.normalizers[0]))
+    """The members of Lat(T, N(T)) in lat = [T, G], in lattice order; T is the one smallest member, so N(T) is normalizers[0].
+
+    One membership test of every member's indices against N(T); a member
+    is inside when all of its run is.
+    """
+    inside = lat.normalizers[0].contains(np.concatenate([m.indices for m in lat.members]))
+    starts = np.cumsum([0] + [m.order for m in lat.members[:-1]])
+    return tuple(m for m, kept in zip(lat.members, np.logical_and.reduceat(inside, starts)) if kept)
 
 
 def _reset_lattices() -> None:

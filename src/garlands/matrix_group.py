@@ -13,22 +13,28 @@ memo of minors per batch (_Minors) gives those cofactors, the determinants
 of the SL cut, and the inverse table as adjugate over determinant.  The
 sorted keys are stored, so a subgroup's keys are a gather.
 
-rmul and lmul multiply by one index or by an index array paired
-elementwise with their input, so a breadth-first pass makes one product
-call per level however many generators or closures it advances.
-rmul by one index g needs no matrix product per element: the ambient keeps
-each element's row codes (the base-q^n digits of its key), so one product
-of the q^n row vectors by g gives every row of every x * g, and its key is
-a sum of looked-up codes.  Paired factors, and lmul, multiply matrices.
+Every product of ambient elements on the case path is a right product
+through a factor table (RightProducts).  Row i of x * f is (row i of x) * f, and the
+ambient keeps each element's row codes (the base-q^n digits of its key),
+so one small product of the q^n row vectors by a call site's few factors
+gives code(v * f) for every row vector v and factor f, and key(x * f) is a
+sum of looked-up codes.  A call site (a closure, an extend_subgroups call,
+a conjugation batch) builds its table once; each breadth-first level is
+then gathers only, one call however many generators or closures it
+advances.  rmul is the same path with a table of one factor (or of a
+paired array's distinct values); lmul and conjugation go through the
+inverse table, as g * x = (x^-1 * g^-1)^-1, so g * x * g^-1 is two right
+products by g^-1 that share one table.
 Closures run breadth first over ambient indices, dropping repeats with a
-slot array instead of a sort; a CosetTable lays out the right and double
-cosets of a subgroup H inside a larger one as permutations and
-orbit-minimum labels over positions, so extend_subgroups can close <H, g>
-for many g together over right cosets of H instead of over elements.  The
-right permutations are memoized on the larger subgroup, so the tables of
-one enumeration share them, and a table can start from the right-coset
-labels of a subgroup of H over the same top (the interval's bottom).  <H, g>
-keeps H's generators plus g; only an element set picks generators greedily.
+slot array instead of a sort; a CosetTable lays out the right cosets of a
+subgroup H inside a larger one as permutations and orbit-minimum labels
+over positions, and its double cosets over the numbers of those right
+cosets, so extend_subgroups can close <H, g> for many g together over
+right cosets of H instead of over elements.  The right permutations are
+memoized on the larger subgroup, so the tables of one enumeration share
+them, and a table can start from the right-coset labels of a subgroup of
+H over the same top (the interval's bottom).  <H, g> keeps H's generators
+plus g; only an element set picks generators greedily.
 
 The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
 a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
@@ -324,7 +330,7 @@ class AmbientGroup:
         return self._indices_of_keys(self.keys_of_mats(mats))  # enumerates the ambient before _lut is read
 
     def _indices_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        idx = np.take(self._lut, keys)
+        idx = self._lut.take(keys)
         if (idx < 0).any():
             raise NonMemberError("matrix outside the ambient group")
         return idx
@@ -347,41 +353,37 @@ class AmbientGroup:
     def rmul(self, idxs: np.ndarray, g: int | np.ndarray) -> np.ndarray:
         """Indices of x * g for each x in idxs; an index array g pairs elementwise with idxs.
 
-        Row i of x * g is (row i of x) * g, so one index g goes by lookup:
-        one small product gives code(v * g) for all q^n row vectors v, and
-        key(x * g) sums those codes at x's row codes, weighted by place.  A
-        paired g multiplies the matrices, since a table per distinct factor
-        would cost more than the products.
+        One RightProducts table of g's distinct values.  A call site that
+        multiplies by the same few factors on every breadth-first level
+        builds its table once and calls it instead: a table rebuilt on
+        every level can cost more than the products it serves (large-q).
         """
-        self._ensure()
         if np.ndim(g):
-            return self.indices_of_mats(_mat_mul(self.field, self._mats[idxs], self._mats[g]))
-        n = self.n
-        place = self._keypow.reshape(n, n)  # place[i, n-1] weighs row i's code, place[-1] a row's digits
-        vg = _mat_mul(self.field, self._rowvecs, self._mats[g]).reshape(-1, n)
-        codes = vg @ place[-1]  # code(v * g) for every row vector v
-        # np.take: numpy's [] gathers cast int32 indices first, at about twice the cost
-        keys = np.take(codes * place[0, n - 1], np.take(self._rows[0], idxs))
-        for i in range(1, n):
-            keys += np.take(codes * place[i, n - 1], np.take(self._rows[i], idxs))
-        return self._indices_of_keys(keys)
+            factors, which = np.unique(g, return_inverse=True)  # only tests pair factors with rmul
+            return RightProducts(self, factors)(idxs, which)
+        return RightProducts(self, [g])(idxs)
 
     def lmul(self, g: int | np.ndarray, idxs: np.ndarray) -> np.ndarray:
-        """Indices of g * x for each x in idxs; an index array g pairs elementwise with idxs."""
-        self._ensure()
-        prods = _mat_mul(self.field, self._mats[g], self._mats[idxs])
-        return self.indices_of_mats(prods)
+        """Indices of g * x for each x in idxs, as (x^-1 * g^-1)^-1; an index array g pairs elementwise with idxs."""
+        inv = self.inv_indices()
+        return inv.take(self.rmul(inv.take(idxs), inv[g]))
 
-    def conjugate_pairs(self, gs: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-        """Indices of g * x * g^-1 for g paired elementwise with x: one paired lmul and one paired rmul."""
-        return self.rmul(self.lmul(gs, idxs), self.inv_indices()[gs])
+    def conjugate_by(self, gs: np.ndarray, which: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+        """Indices of g * x * g^-1 with g = gs[which[i]] for each x = idxs[i].
+
+        g * x * g^-1 = (x^-1 * g^-1)^-1 * g^-1: two right products by g^-1
+        that share one table of the inverses of gs.
+        """
+        inv = self.inv_indices()
+        by = RightProducts(self, inv.take(gs))
+        return by(inv.take(by(inv.take(idxs), which)), which)
 
     def conjugates(self, gens: Sequence[int], idxs: np.ndarray) -> np.ndarray:
-        """(len(gens), len(idxs)) indices of g * x * g^-1, from one conjugate_pairs call."""
+        """(len(gens), len(idxs)) indices of g * x * g^-1, from one conjugate_by call."""
         gens = np.asarray(gens, dtype=np.int32)
         idxs = np.asarray(idxs, dtype=np.int32)
-        conj = self.conjugate_pairs(np.repeat(gens, idxs.size), np.tile(idxs, gens.size))
-        return conj.reshape(gens.size, idxs.size)
+        which = np.repeat(np.arange(gens.size, dtype=np.int32), idxs.size)
+        return self.conjugate_by(gens, which, np.tile(idxs, gens.size)).reshape(gens.size, idxs.size)
 
     def conj_by_all(self, x: int) -> np.ndarray:
         """Indices of g * x * g^-1 for every ambient g, in ambient order."""
@@ -394,6 +396,44 @@ class AmbientGroup:
     def commute_mask(self, x: int) -> np.ndarray:
         """Boolean mask over ambient g of g*x == x*g, that is g * x * g^-1 == x."""
         return self.conj_by_all(x) == x
+
+
+class RightProducts:
+    """Right multiplication by a few factors f_0, f_1, ..., as gathers.
+
+    Row i of x * f is (row i of x) * f.  So one small product of the q^n
+    row vectors v by every factor gives code(v * f_j) for all v and j, and
+    key(x * f_j) is the sum over rows i of place_i * code(row_i(x) * f_j):
+    n gathers at x's row codes, offset by j * q^n, then one key lookup.
+    """
+
+    __slots__ = ("amb", "span", "weighted")
+
+    def __init__(self, amb: AmbientGroup, factors: Sequence[int] | np.ndarray):
+        amb._ensure()
+        n = amb.n
+        place = amb._keypow.reshape(n, n)  # place[i, n-1] weighs row i's code, place[-1] a row's digits
+        vf = _mat_mul(amb.field, amb._rowvecs, amb._mats[np.asarray(factors, dtype=np.int32)][:, None])
+        codes = (vf.reshape(-1, n) @ place[-1]).astype(np.int32)  # code(v * f_j) at j * q^n + code(v)
+        self.amb = amb
+        self.span = amb._rowvecs.shape[0]
+        self.weighted = [codes * np.int32(place[i, n - 1]) for i in range(n)]  # keys stay below q^(n*n) <= 80M
+
+    def __call__(self, idxs: np.ndarray, which: int | np.ndarray = 0) -> np.ndarray:
+        """Indices of x * f_which for each x in idxs; an index array which pairs elementwise with idxs."""
+        offset = np.multiply(which, self.span, dtype=np.int32)
+        keys = None
+        for rows, weighted in zip(self.amb._rows, self.weighted):
+            # ndarray.take: numpy's [] gathers cast int32 indices first, at about twice the cost
+            at = rows.take(idxs)
+            if offset.ndim or offset:
+                at += offset
+            part = weighted.take(at)
+            if keys is None:
+                keys = part
+            else:
+                keys += part
+        return self.amb._indices_of_keys(keys)
 
 
 @lru_cache(maxsize=None)
@@ -533,9 +573,11 @@ def _closure(amb: AmbientGroup, gen_idxs: Sequence[int]) -> np.ndarray:
     gens = np.array(list(dict.fromkeys(int(g) for g in gen_idxs)), dtype=np.int32)
     slot = np.full(amb.order, -1, dtype=np.int32)
     frontier = _claim_fresh(np.array([amb.identity_index, *gens], dtype=np.int32), slot)
+    by = RightProducts(amb, gens)
     while frontier.size and gens.size:
-        # x * g for every g and every frontier x, g-major, in one paired rmul
-        frontier = _claim_fresh(amb.rmul(np.tile(frontier, gens.size), np.repeat(gens, frontier.size)), slot)
+        # x * g for every g and every frontier x, g-major, in one call
+        which = np.repeat(np.arange(gens.size, dtype=np.int32), frontier.size)
+        frontier = _claim_fresh(by(np.tile(frontier, gens.size), which), slot)
     return np.flatnonzero(slot >= 0).astype(np.int32)
 
 
@@ -586,18 +628,26 @@ def _orbit_minima(labels: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray
 class CosetTable:
     """Right and double cosets of a subgroup H inside a subgroup top containing it.
 
-    Everything is indexed by position 0..|top|-1 in top's sorted ambient
+    Right cosets are indexed by position 0..|top|-1 in top's sorted ambient
     indices, so position order is ambient order.  `right[i]` is the
     permutation x -> x * s_i for H's i-th generator s_i, top.right_perm(s_i),
     which every table inside the same top shares; `labels[x]` is the
     least position of the right coset H x (the orbit of x under left
     multiplication by the generators' inverses, x -> (x^-1 * s_i)^-1, which
     is right[i] conjugated by inversion); `leaders` are the positions that
-    are their own label, one per right coset, ascending; `double_labels[x]`
-    is the least position of the double coset H x H, the orbit of x's right
-    coset under the right permutations.  extend_subgroups closes <H, g>
-    over the right-coset labels, and the double labels give the g worth
-    adjoining.
+    are their own label, one per right coset, ascending, and `coset[x]` is
+    the number of x's right coset, the rank of its leader.
+
+    Double cosets are computed over those numbers, not over positions: H x H
+    is a union of right cosets, and right multiplication by s_i maps right
+    cosets to right cosets, coset c to `coset_right[i][c]`, the coset of
+    leaders[c] * s_i.  `double[c]` is the least coset number of the double
+    coset holding coset c, its orbit minimum under those maps, and as coset
+    numbers ascend with their leaders, leaders[double[c]] is the least
+    position of that double coset.  Left multiplication does not act on
+    H's right cosets, so the right-coset labels stay over positions.
+    extend_subgroups closes <H, g> over coset numbers, and the double
+    cosets give the g worth adjoining.
     H x H = H x exactly when x normalizes H, so the double cosets that are
     single right cosets make up N_top(H).
 
@@ -607,7 +657,7 @@ class CosetTable:
     below.labels and only those generators add left permutations.
     """
 
-    __slots__ = ("h", "top", "right", "labels", "leaders", "double_labels")
+    __slots__ = ("h", "top", "right", "labels", "leaders", "coset", "coset_right", "double")
 
     def __init__(self, h: Subgroup, top: Subgroup, below: "CosetTable | None" = None):
         if not h.is_subset_of(top):
@@ -630,19 +680,22 @@ class CosetTable:
             inverse = top.positions().take(h.ambient.inv_indices().take(top.indices))
             left = [inverse.take(r.take(inverse)) for r in fresh]
         self.labels = _orbit_minima(labels, left)
-        self.leaders = np.flatnonzero(self.labels == np.arange(top.order))
-        self.double_labels = _orbit_minima(self.labels, self.right)
+        leads = self.labels == np.arange(top.order)
+        self.leaders = np.flatnonzero(leads)
+        self.coset = (np.cumsum(leads, dtype=np.int32) - 1).take(self.labels)
+        self.coset_right = [self.coset.take(r.take(self.leaders)) for r in self.right]
+        self.double = _orbit_minima(np.arange(self.leaders.size, dtype=np.int32), self.coset_right)
 
     def double_coset_reps(self) -> np.ndarray:
         """Least element of every double coset H x H in top other than H, ascending."""
-        own = self.double_labels[self.top.positions()[self.h.ambient.identity_index]]
-        reps = np.flatnonzero(self.double_labels == np.arange(self.top.order))
-        return self.top.indices[reps[reps != own]]
+        own = self.coset[self.top.positions()[self.h.ambient.identity_index]]  # H, a double coset of one coset
+        reps = np.flatnonzero(self.double == np.arange(self.double.size))
+        return self.top.indices[self.leaders[reps[reps != own]]]
 
     def normalizer(self) -> Subgroup:
         """N_top(H): the positions whose double coset holds one right coset."""
-        width = np.bincount(self.double_labels[self.leaders], minlength=self.top.order)
-        return Subgroup(self.h.ambient, self.top.indices[width[self.double_labels] == 1])
+        width = np.bincount(self.double, minlength=self.double.size)  # right cosets per double coset
+        return Subgroup(self.h.ambient, self.top.indices[(width.take(self.double) == 1).take(self.coset)])
 
 
 def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Subgroup]:
@@ -651,12 +704,13 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     <H, g> is a union of right cosets of H, and right multiplication by H's
     generators and by g permutes right cosets, so a breadth-first pass over
     right cosets from H itself reaches exactly its cosets.  All closures run
-    together: the frontier holds (closure, coset) pairs, and each level is
-    one paired product of every frontier coset's least element by its
-    closure's g, plus gathers through the right permutations; one claim over
-    closure * cosets + coset drops repeats.  Closures with the same coset set
-    become one Subgroup, generated by H's generators and the first g that
-    reached it.
+    together: the frontier holds (closure, coset) pairs, and each level
+    gathers through the table's maps of cosets (coset_right) and multiplies
+    every frontier coset's least element by its closure's g, through one
+    RightProducts table of every g built before the first level; one claim
+    over closure * cosets + coset drops repeats.  Closures with the same
+    coset set become one Subgroup, generated by H's generators and the
+    first g that reached it.
 
     [K:H] divides [top:H], so a closure that has claimed more than half of
     top's right cosets is already all of top: it takes every coset and
@@ -667,9 +721,10 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     if (positions[gs] < 0).any():
         raise GroupError("the adjoined element lies outside the table's top")
     amb = table.h.ambient
-    top, least = table.top.indices, table.leaders  # coset number -> its least position
-    coset = np.searchsorted(least, table.labels).astype(np.int32)  # position -> coset number
-    ncos = least.size
+    top, coset = table.top.indices, table.coset
+    lead = top.take(table.leaders)  # coset number -> its least element
+    ncos = lead.size
+    by = RightProducts(amb, gs)
     slot = np.full(gs.size * ncos, -1, dtype=np.int32)
     claimed = np.zeros(gs.size, dtype=np.int64)  # cosets each closure has reached
     start = coset[positions[amb.identity_index]]
@@ -684,9 +739,8 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
             closure, xs = closure[live], xs[live]
             if not closure.size:
                 break
-        xs = least.take(xs)
-        images = [coset.take(r.take(xs)) for r in table.right]
-        images.append(coset[positions[amb.rmul(top[xs], gs[closure])]])
+        images = [moved.take(xs) for moved in table.coset_right]
+        images.append(coset.take(positions.take(by(lead.take(xs), closure))))
         frontier = _claim_fresh(np.tile(closure * ncos, len(images)) + np.concatenate(images), slot)
     cosets = (slot >= 0).reshape(gs.size, ncos)
     first = {}

@@ -21,10 +21,11 @@ SL(2,Q) witness matrices by direct conjugation.
 
 The package does matrix arithmetic only vectorized over ambient indices,
 and keeps FieldMatrix for input and output.  The one-matrix-at-a-time
-routes live here: matrix keys, products (cell by cell), determinants
-(Laplace expansion) and inverses (Gauss-Jordan), subgroups generated from
-matrices, subgroup matrices and serialization, relative minimal
-polynomials and scalar multiples in an algebra.
+routes live here: matrix keys, products (cell by cell, and per element
+pair over index arrays), determinants (Laplace expansion) and inverses
+(Gauss-Jordan), subgroups generated from matrices, subgroup matrices and
+serialization, relative minimal polynomials and scalar multiples in an
+algebra.
 """
 
 from __future__ import annotations
@@ -125,6 +126,31 @@ def laplace_det(field, A: np.ndarray) -> np.ndarray:
             term = NEG[term]
         acc = term if acc is None else ADD[acc, term]
     return acc
+
+
+def products_by_matrices(amb, a, b) -> np.ndarray:
+    """Ambient indices of a * b for index arrays a and b paired elementwise; either may be one index.
+
+    The per-element matrix route: each pair's matrices are multiplied entry
+    by entry through the field's add and mul tables, and each product's key
+    (its row-major entries as one base-q integer) is found among the
+    ambient's sorted keys.  It shares only the element list with the
+    package's row-code products.
+    """
+    field, n = amb.field, amb.n
+    mats = amb.mats().astype(np.int64)
+    A, B = np.broadcast_arrays(mats[np.atleast_1d(a)], mats[np.atleast_1d(b)])
+    mul, add = field.np_mul(), field.np_add()
+    C = np.zeros(A.shape, dtype=np.int64)  # index 0 is the field's zero
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                C[:, i, j] = add[C[:, i, j], mul[A[:, i, k], B[:, k, j]]]
+    keys = C.reshape(-1, n * n) @ field.q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    every = amb.keys_of_indices(np.arange(amb.order))
+    found = np.searchsorted(every, keys)
+    assert (found < amb.order).all() and (every[np.minimum(found, amb.order - 1)] == keys).all(), "product outside"
+    return found.astype(np.int32)
 
 
 def ambient_by_candidates(kind: str, n: int, field) -> tuple[np.ndarray, np.ndarray]:

@@ -292,6 +292,32 @@ def test_trivial_torus_gl32_expands_one_member_per_orbit(monkeypatch):
     assert all(h.order < gl32.order for h in built)
 
 
+def test_enumeration_multiplies_matrices_only_for_factor_tables(monkeypatch):
+    # every matrix product of GL(3,3) 2,1's [T, G] enumeration is a factor
+    # table, the q^n row vectors by a few factors: no batch of elements
+    spec = AlgebraSpec(F3, [2, 1])
+    amb = ambient_group(GL, 3, F3)
+    t = torus_subgroup(spec, amb)
+    batches = []
+    mat_mul = matrix_group._mat_mul
+
+    def recording(field, a, b):
+        batches.append((a, b.shape))
+        return mat_mul(field, a, b)
+
+    monkeypatch.setattr(matrix_group, "_mat_mul", recording)
+    lat = enumerate_interval(t, amb)
+    monkeypatch.undo()
+    assert lat.exhaustive and len(lat) > 1 and batches
+    for a, shape in batches:
+        assert a is amb._rowvecs and a.shape == (27, 1, 3)
+        assert len(shape) == 4 and shape[1:] == (1, 3, 3)
+    # a table holds the factors of one call site, at most one per right
+    # coset of T (154 factors in all here), never one per element
+    assert max(shape[0] for _, shape in batches) <= amb.order // t.order
+    assert sum(shape[0] for _, shape in batches) < amb.order // 50
+
+
 @pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [2, 1])])
 def test_one_whole_top_product_per_generator(monkeypatch, p, degrees):
     # the coset tables share top's right permutations, one per distinct generator
@@ -422,10 +448,10 @@ def test_conjugacy_orbit_skips_the_leaders_inside_k(monkeypatch):
     t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
     lat = enumerate_interval(t, gl32)
     leaders = np.arange(gl32.order, dtype=np.int32)  # T is trivial: every element leads its own coset
-    pairs = []
-    conjugate_pairs = AmbientGroup.conjugate_pairs
+    pairs = []  # conjugation's products: one per element conjugated
+    conjugate_by = AmbientGroup.conjugate_by
     monkeypatch.setattr(
-        AmbientGroup, "conjugate_pairs", lambda self, gs, idxs: pairs.append(gs.size) or conjugate_pairs(self, gs, idxs)
+        AmbientGroup, "conjugate_by", lambda self, gs, w, idxs: pairs.append(len(idxs)) or conjugate_by(self, gs, w, idxs)
     )
     for k in lat.members:
         pairs.clear()
@@ -458,9 +484,9 @@ def test_normality_graph_matches_pairwise_subset_tests(monkeypatch, p, degrees):
         lat = enumerate_interval(t, amb, within=within)
         edges, comparable = normality_edges_by_pairs(lat.members)
         calls = []
-        for name in ("lmul", "rmul"):
-            product = getattr(AmbientGroup, name)
-            monkeypatch.setattr(AmbientGroup, name, lambda *args, _f=product, _n=name: calls.append(_n) or _f(*args))
+        for cls, name in ((AmbientGroup, "lmul"), (AmbientGroup, "rmul"), (matrix_group.RightProducts, "__call__")):
+            product = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *args, _f=product, _n=name: calls.append(_n) or _f(*args))
         graph = normality_graph(lat)
         monkeypatch.undo()
         assert set(graph.edges) == edges

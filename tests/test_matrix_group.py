@@ -16,6 +16,7 @@ from garlands.matrix_group import (
     GroupError,
     NonMemberError,
     NotAbelianError,
+    RightProducts,
     Subgroup,
     _det,
     _inv_mats,
@@ -45,6 +46,7 @@ from oracles import (
     matrix_from_coeff_rows,
     matrix_inverse,
     matrix_product,
+    products_by_matrices,
     subgroup_matrices,
     subgroup_serialize,
     torus_by_units,
@@ -177,11 +179,52 @@ def test_paired_products_match_field_matrix_products(n, base):
     for row, s in zip(conj, gs[:3]):
         conj = [matrix_product(matrix_product(mat(s), mat(x)), matrix_inverse(mat(s))) for x in xs]
         assert row.tolist() == [amb.index_of(c) for c in conj]
-    # one index goes by row-code lookup, an index array by matrix products:
-    # over the whole ambient they agree
+    # one index gets a table of one factor, an index array a table of its
+    # distinct values: over the whole ambient they agree
     every = np.arange(amb.order, dtype=np.int32)
     for g in gs[:3].tolist():
         assert np.array_equal(amb.rmul(every, g), amb.rmul(every, np.full(amb.order, g, dtype=np.int32)))
+
+
+ORACLE_AMBIENTS = [
+    (kind, n, base)
+    for base in (F2, F3, F4, F9, F13)
+    for n in (2, 3)
+    for kind, order in ((GL, gl_order(n, base.q)), (SL, sl_order(n, base.q)))
+    if order <= WIDE.group_order
+]
+
+
+@pytest.mark.parametrize("kind,n,base", ORACLE_AMBIENTS)
+def test_products_match_the_matrix_oracle(kind, n, base):
+    # RightProducts, and rmul, lmul and conjugation through it, against
+    # per-element matrix products: tables with a repeated factor and the
+    # identity, single-factor calls, and inverses by Gauss-Jordan
+    amb = ambient_group(kind, n, base, WIDE)
+    rng = np.random.default_rng(base.q * 10 + n)
+    e = amb.identity_index
+    xs = np.append(rng.integers(amb.order, size=60), e).astype(np.int32)
+    a, b, c = rng.integers(amb.order, size=3).tolist()
+    factors = np.array([a, e, b, a, c], dtype=np.int32)
+    which = rng.integers(factors.size, size=xs.size).astype(np.int32)
+    gs = factors[which]
+    expect = products_by_matrices(amb, xs, gs)
+    assert np.array_equal(RightProducts(amb, factors)(xs, which), expect)
+    assert np.array_equal(amb.rmul(xs, gs), expect)
+    assert np.array_equal(amb.lmul(gs, xs), products_by_matrices(amb, gs, xs))
+    for g in (e, a):
+        right = products_by_matrices(amb, xs, g)
+        assert np.array_equal(RightProducts(amb, [g])(xs), right)
+        assert np.array_equal(RightProducts(amb, factors)(xs, int(np.flatnonzero(factors == g)[-1])), right)
+        assert np.array_equal(amb.rmul(xs, g), right)
+        assert np.array_equal(amb.lmul(g, xs), products_by_matrices(amb, g, xs))
+    inverses = np.array([amb.index_of(matrix_inverse(amb.matrix_at(int(g)))) for g in factors], dtype=np.int32)
+    expect = products_by_matrices(amb, products_by_matrices(amb, gs, xs), inverses[which])
+    assert np.array_equal(amb.conjugate_by(factors, which, xs), expect)
+    conj = amb.conjugates(factors, xs)
+    assert conj.shape == (factors.size, xs.size)
+    for row, g, g_inv in zip(conj, factors, inverses):
+        assert np.array_equal(row, products_by_matrices(amb, products_by_matrices(amb, g, xs), g_inv))
 
 
 @pytest.mark.parametrize("n,base", [(1, F9), (2, F3), (2, F4), (3, F2), (3, F3), (4, F2)])
@@ -462,7 +505,7 @@ def test_subgroup_canonicalizes_indices():
         Subgroup(gl23, [])
 
 
-@pytest.mark.parametrize("n,base,degrees", [(2, F3, [1, 1]), (3, F2, [2, 1])])
+@pytest.mark.parametrize("n,base,degrees", [(2, F3, [1, 1]), (3, F2, [2, 1]), (2, F4, [2])])
 def test_coset_table_matches_brute_products(n, base, degrees):
     amb = ambient_group(GL, n, base)
     torus = torus_subgroup(AlgebraSpec(base, degrees), amb)
@@ -474,9 +517,13 @@ def test_coset_table_matches_brute_products(n, base, degrees):
         for h in lat.members:
             table = CosetTable(h, top)
             for i, x in enumerate(top.indices.tolist()):
-                # H x is rmul(h, x); H x H is the union of the right cosets H y, y in x H
-                assert table.labels[i] == min(position[int(y)] for y in amb.rmul(h.indices, x))
-                assert table.double_labels[i] == min(table.labels[position[int(y)]] for y in amb.lmul(x, h.indices))
+                # H x and x H by per-element matrix products; H x H is the
+                # union of the right cosets H y, y in x H, and its least
+                # position leads the least coset number of x's double coset
+                assert table.labels[i] == min(position[int(y)] for y in products_by_matrices(amb, h.indices, x))
+                assert table.leaders[table.coset[i]] == table.labels[i]
+                least = min(table.labels[position[int(y)]] for y in products_by_matrices(amb, x, h.indices))
+                assert table.leaders[table.double[table.coset[i]]] == least
             reps = table.double_coset_reps()
             assert reps.tolist() == double_coset_reps_by_elements(amb, h, top.indices)
             brute = normalizer_brute(amb, h)
@@ -501,7 +548,8 @@ def test_seeded_coset_tables_match_unseeded(n, base, degrees):
         for h in lat.members:
             plain, seeded = CosetTable(h, top), CosetTable(h, top, below=below)
             assert np.array_equal(seeded.labels, plain.labels), h.order
-            assert np.array_equal(seeded.double_labels, plain.double_labels), h.order
+            assert np.array_equal(seeded.coset, plain.coset), h.order
+            assert np.array_equal(seeded.double, plain.double), h.order
             assert np.array_equal(seeded.double_coset_reps(), plain.double_coset_reps())
             assert seeded.normalizer() == plain.normalizer()
         bigger = next(h for h in lat.members if h.order > torus.order)
@@ -534,13 +582,13 @@ def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
     reps = table.double_coset_reps()
     closures = [element_closure(amb, t, g) for g in reps]
     assert any(c.size == amb.order for c in closures)
-    products = []
-    rmul = AmbientGroup.rmul
-    monkeypatch.setattr(AmbientGroup, "rmul", lambda self, x, g: products.append(len(x)) or rmul(self, x, g))
+    products = []  # the products by g go through one RightProducts table
+    call = RightProducts.__call__
+    monkeypatch.setattr(RightProducts, "__call__", lambda self, x, w=0: products.append(len(x)) or call(self, x, w))
     got = extend_subgroups(table, reps)
     monkeypatch.undo()
     assert [k.indices.tobytes() for k in got] == list(dict.fromkeys(c.tobytes() for c in closures))
-    assert sum(products) < sum(c.size // t.order for c in closures)
+    assert products and sum(products) < sum(c.size // t.order for c in closures)
 
 
 @pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1])])
