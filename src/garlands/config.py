@@ -23,4 +23,4 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2

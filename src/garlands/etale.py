@@ -256,6 +256,28 @@ def torus_units(spec: AlgebraSpec) -> np.ndarray:
     return np.indices([e.top.q - 1 for e in spec.extensions]).reshape(len(spec.degrees), -1).T + 1
 
 
+def torus_generators(spec: AlgebraSpec, norm_one: bool = False) -> np.ndarray:
+    """Generators of S*, or with norm_one of its norm-one part, as (N, t) component rows; none is the identity.
+
+    S* is the product of the cyclic K_i*, generated by the g_i: K_i's
+    primitive element in slot i, 1 elsewhere.  With l_i the log in k of
+    N(g_i), prod g_i^e_i has norm one iff sum l_i e_i = 0 mod q - 1; l_1 is
+    prime to q - 1 (the norm K_1* -> k* is onto), so with u_j = l_j / l_1
+    the norm-one part is generated by g_1^(q-1) and the g_j g_1^(-u_j).
+    """
+    exts = spec.extensions
+    one = np.array(spec.one_comps())
+    prim = [e.top.generator_index() for e in exts]
+    rows = np.where(np.eye(len(exts), dtype=bool), prim, one)
+    if norm_one:
+        q, top = spec.base.q, exts[0].top
+        logs = spec.base.logs([e.rel_norm(g) for e, g in zip(exts, prim)]).tolist()
+        over = pow(logs[0], -1, q - 1)
+        rows[0, 0] = top.pow_idx(prim[0], q - 1)
+        rows[1:, 0] = [top.pow_idx(prim[0], -(log * over % (q - 1))) for log in logs[1:]]
+    return rows[(rows != one).any(axis=1)]
+
+
 def algebra_norm(a: AlgebraElement) -> FieldElement:
     """The norm of a down to the base field; equals det(regular_rep(a))."""
     return FieldElement(a.spec.base, a.spec.norm_comps(a.comps))

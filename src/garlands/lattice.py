@@ -249,8 +249,9 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     for a, na in zip(ms, lat.normalizers):
         # a is normal in b exactly when a < b <= N_top(a)
         bs = np.flatnonzero((orders > a.order) & (na.order % orders == 0))
-        above = contains[np.ix_(bs, positions[a.indices])].all(axis=1)
-        inside = contains[np.ix_(bs, positions[na.indices])].sum(axis=1) == orders[bs]
+        rows = contains.take(bs, 0)  # one row gather, then column gathers: np.ix_ costs about half as much again
+        above = rows.take(positions.take(a.indices), 1).all(axis=1)
+        inside = rows.take(positions.take(na.indices), 1).sum(axis=1) == orders[bs]
         edges.extend((a.id, ms[j].id) for j in bs[above & inside])
     lat.graph = NormalityGraph(
         vertices=tuple(m.id for m in ms),

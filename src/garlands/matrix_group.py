@@ -32,14 +32,15 @@ over positions, and its double cosets over the numbers of those right
 cosets, so extend_subgroups can close <H, g> for many g together over
 right cosets of H instead of over elements.  The right permutations are
 memoized on the larger subgroup, so the tables of one enumeration share
-them, and a table can start from the right-coset labels of a subgroup of
-H over the same top (the interval's bottom).  <H, g> keeps H's generators
-plus g; only an element set picks generators greedily.
+them, a table can start from the right-coset labels of a subgroup of H
+over the same top (the interval's bottom), and <H, g> keeps H's generators
+plus g.
 
 The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
 a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
 one product against the stacked P_sigma and one lookup.  An SL ambient
-keeps the determinant-one matrices; det t(a) is the norm of a.
+keeps the determinant-one matrices; det t(a) is the norm of a.  No
+subgroup searches for generators: these two take theirs from the algebra.
 
 A subgroup is its ambient plus its sorted ambient indices, and membership
 is a sorted search in them.  Two subgroups are equal exactly when they share
@@ -61,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .etale import AlgebraSpec, aut_group, torus_units
+from .etale import AlgebraSpec, aut_group, torus_generators, torus_units
 from .finite_field import FieldMatrix, FieldTable
 
 GL = "GL"
@@ -451,19 +452,21 @@ class Subgroup:
 
     __slots__ = ("ambient", "indices", "_positions", "_right", "_id", "_gens")
 
-    def __init__(self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray):
+    def __init__(
+        self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray, generators: Sequence[int] | None = None
+    ):
         self.ambient = ambient
         idx = np.array(indices, dtype=np.int32)
         if not (idx[1:] > idx[:-1]).all():
             idx = np.sort(idx)  # not np.unique, whose first call imports numpy.ma (about 15 ms)
-            idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
+            idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
         if idx.size == 0:
             raise GroupError("a subgroup contains at least the identity")
         self.indices = idx
         self._positions = None
         self._right = {}
         self._id = None
-        self._gens = None
+        self._gens = None if generators is None else [int(g) for g in generators]
         if ambient.order % idx.size != 0:
             raise GroupError(f"order {idx.size} does not divide ambient order {ambient.order}")
 
@@ -473,7 +476,7 @@ class Subgroup:
 
     def contains(self, idxs: np.ndarray) -> np.ndarray:
         """Whether each ambient index in idxs lies in this subgroup, by sorted search."""
-        return _sorted_contains(self.indices, idxs)
+        return np.take(self.indices, np.searchsorted(self.indices, idxs), mode="clip") == idxs
 
     def positions(self) -> np.ndarray:
         """Ambient index -> its position in the sorted indices, -1 outside."""
@@ -535,24 +538,13 @@ class Subgroup:
 
     @property
     def generators(self) -> list[int]:
-        """Generating indices, deterministic.
-
-        A subgroup closed from generators (extend_subgroups) keeps them.
-        Otherwise they are picked greedily (_pick_generators).  Each pick at
-        least doubles the closure, so all the reclosures together cost at
-        most about twice the last one.
-        """
+        """As built by torus_subgroup, normalizer_formula or extend_subgroups; an element set has none."""
         if self._gens is None:
-            self._gens = _pick_generators(self.ambient, self.indices)[0]
+            raise GroupError(f"{self!r} was built from its elements and carries no generators")
         return self._gens
 
     def generator_matrices(self) -> list[FieldMatrix]:
         return [self.ambient.matrix_at(g) for g in self.generators]
-
-
-def _sorted_contains(sorted_idxs: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-    """Whether each of idxs occurs in the ascending array sorted_idxs."""
-    return np.take(sorted_idxs, np.searchsorted(sorted_idxs, idxs), mode="clip") == idxs
 
 
 def _claim_fresh(cand: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -579,24 +571,6 @@ def _closure(amb: AmbientGroup, gen_idxs: Sequence[int]) -> np.ndarray:
         which = np.repeat(np.arange(gens.size, dtype=np.int32), frontier.size)
         frontier = _claim_fresh(by(np.tile(frontier, gens.size), which), slot)
     return np.flatnonzero(slot >= 0).astype(np.int32)
-
-
-def _pick_generators(amb: AmbientGroup, indices: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Greedy generators of the sorted element set indices, and the closure they generate.
-
-    Take the least element outside the closure of those taken so far and
-    reclose from the identity, until the closure has the set's size.  For a
-    subgroup the closure is the subgroup; for a set that is not one, it
-    differs from the set.
-    """
-    chosen, closed = [], np.array([amb.identity_index], dtype=np.int32)
-    while closed.size != indices.size:
-        outside = indices[~_sorted_contains(closed, indices)]
-        if not outside.size:  # a set that is no subgroup, closed past its own size
-            break
-        chosen.append(int(outside[0]))
-        closed = _closure(amb, chosen)
-    return chosen, closed
 
 
 def _orbit_minima(labels: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -746,12 +720,7 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     first = {}
     for i, row in enumerate(np.packbits(cosets, axis=1)):
         first.setdefault(row.tobytes(), i)
-    out = []
-    for i in first.values():
-        k = Subgroup(amb, top[cosets[i][coset]])
-        k._gens = [*table.h.generators, int(gs[i])]
-        out.append(k)
-    return out
+    return [Subgroup(amb, top[cosets[i][coset]], [*table.h.generators, gs[i]]) for i in first.values()]
 
 
 def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
@@ -766,17 +735,23 @@ def _check_algebra(spec: AlgebraSpec, ambient: AmbientGroup) -> None:
         raise GroupError("algebra base field does not match the ambient field")
 
 
-def _member_indices(ambient: AmbientGroup, mats: np.ndarray) -> np.ndarray:
-    """Ambient indices of invertible (N, n, n) matrices; an SL ambient keeps the determinant-one ones."""
-    if ambient.kind == SL:
-        mats = mats[_det(ambient.field, mats) == ambient.field.one_index]
-    return ambient.indices_of_mats(mats)
+def _in_ambient(ambient: AmbientGroup, mats: np.ndarray) -> np.ndarray:
+    """Mask over a batch of invertible (..., n, n) matrices: all of them in GL, the determinant-one ones in SL."""
+    if ambient.kind == GL:
+        return np.ones(mats.shape[:-2], dtype=bool)
+    return _det(ambient.field, mats) == ambient.field.one_index
+
+
+def _torus_generators(spec: AlgebraSpec, ambient: AmbientGroup) -> np.ndarray:
+    return ambient.indices_of_mats(spec.regular_rep_mats(torus_generators(spec, ambient.kind == SL)))
 
 
 def torus_subgroup(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
     """Image t(S*) of the units of S (GL), or its determinant-one part (SL): det t(a) is the norm of a."""
     _check_algebra(spec, ambient)
-    return Subgroup(ambient, _member_indices(ambient, spec.regular_rep_mats(torus_units(spec))))
+    mats = spec.regular_rep_mats(torus_units(spec))
+    members = ambient.indices_of_mats(mats[_in_ambient(ambient, mats)])
+    return Subgroup(ambient, members, _torus_generators(spec, ambient))
 
 
 def _require_same_ambient(h: Subgroup, k: Subgroup) -> None:
@@ -801,15 +776,10 @@ def normalizer_brute(ambient: AmbientGroup, h: Subgroup) -> Subgroup:
     return Subgroup(ambient, np.nonzero(ok)[0])
 
 
-def is_abelian(h: Subgroup) -> bool:
-    """Whether every generator of h conjugates every generator to itself."""
-    gens = np.asarray(h.generators, dtype=np.int32)
-    return bool((h.ambient.conjugates(gens, gens) == gens).all())
-
-
 def is_maximal_abelian(h: Subgroup, normalizer: Subgroup) -> bool:
     """True when nothing outside h commutes with all of h, sought in normalizer, which must hold C(h) (N(h) does)."""
-    if not is_abelian(h):
+    gens = np.asarray(h.generators, dtype=np.int32)
+    if not (h.ambient.conjugates(gens, gens) == gens).all():
         raise NotAbelianError("subgroup is not abelian")
     if not h.is_subset_of(normalizer):
         raise GroupError("h is not inside the given normalizer")
@@ -818,20 +788,26 @@ def is_maximal_abelian(h: Subgroup, normalizer: Subgroup) -> bool:
 
 
 def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
-    """The predicted normalizer: matrices t(a) * P_sigma inside the ambient.
+    """The predicted normalizer X: matrices t(a) * P_sigma inside the ambient.
 
     a runs over the units of S and sigma over the ring automorphisms of S
-    over k; for an SL ambient only determinant-one products are kept.  The
-    resulting set is verified to be closed; a closure failure raises
-    HypothesisFailure with a structured payload instead of crashing.
+    over k; for an SL ambient only determinant-one products are kept.  With
+    x_sigma the first product in the ambient for sigma (in SL one exists, as
+    the norm is onto k*), X is the union of the cosets T x_sigma.  So X lies
+    inside <T's generators, the x_sigma other than 1>, which lie in X, and
+    one closure of them has |X| elements exactly when X is closed; if not,
+    HypothesisFailure carries a structured payload instead of crashing.
     """
     _check_algebra(spec, ambient)
     tori = spec.regular_rep_mats(torus_units(spec))
     perms = np.array([s.matrix().rows for s in aut_group(spec)], dtype=np.int16)
-    prods = _mat_mul(ambient.field, tori[:, None], perms[None]).reshape(-1, spec.n, spec.n)
-    sub = Subgroup(ambient, _member_indices(ambient, prods))
-    sub._gens, closed = _pick_generators(ambient, sub.indices)  # the pick's last closure decides
-    if closed.size != sub.order or not sub.contains(closed).all():
+    prods = _mat_mul(ambient.field, tori[:, None], perms[None])  # [unit, sigma]
+    inside = _in_ambient(ambient, prods)
+    xs = ambient.indices_of_mats(prods[inside.argmax(axis=0), np.arange(len(perms))])
+    gens = [*_torus_generators(spec, ambient), *xs[xs != ambient.identity_index]]
+    sub = Subgroup(ambient, ambient.indices_of_mats(prods[inside]), gens)
+    closed = _closure(ambient, sub.generators)
+    if closed.size != sub.order:
         raise HypothesisFailure(
             "predicted normalizer set is not closed under multiplication",
             payload={

@@ -8,12 +8,13 @@ continued fraction, so the fast implementations are checked against a second
 route.
 Subgroup ids are recomputed from the element matrices' keys, interval
 lattices by the element-level breadth-first route (a per-element double-coset
-loop, then a closure over elements seeded with H), subgroup generators by the
-greedy pick that recloses from the identity after every pick, normality
-edges by a subset test per pair of members, centralizers by a commuting
-scan of the whole ambient per generator, regular representations from
-the algebra's own multiplication and coordinates, the torus and the
-formula normalizer from those, one unit at a time through FieldMatrix
+loop, then a closure over elements seeded with H), generators of a subgroup
+given as an element set by a greedy pick that recloses from the identity
+after every pick, normality edges by a subset test per pair of members,
+centralizers by a commuting scan of the whole ambient per generator,
+regular representations from the algebra's own multiplication and
+coordinates, the torus and the formula normalizer (and each x_sigma, its
+first t(u) * P_sigma) from those, one unit at a time through FieldMatrix
 products, determinants and lookups, ambient groups from every candidate
 matrix and its vectorized Laplace determinant (minors cut out by
 np.delete), and the exact rational 2x2 algebra at the end checks the
@@ -167,10 +168,11 @@ def ambient_by_candidates(kind: str, n: int, field) -> tuple[np.ndarray, np.ndar
 
 def generate(ambient, gens, max_size: int | None = None) -> Subgroup:
     """Smallest subgroup of the ambient containing the given matrices."""
-    cl = _closure(ambient, [ambient.index_of(m) for m in gens])
+    idxs = [ambient.index_of(m) for m in gens]
+    cl = _closure(ambient, idxs)
     if max_size is not None and cl.size > max_size:
         raise GroupCapError(f"closure reached {cl.size} elements, cap {max_size}", order=int(cl.size))
-    return Subgroup(ambient, cl)
+    return Subgroup(ambient, cl, idxs)
 
 
 def subgroup_matrices(sub) -> list[FieldMatrix]:
@@ -427,7 +429,7 @@ def interval_by_elements(bottom, top) -> set[bytes]:
     while queue:
         h = queue.pop(0)
         for g in double_coset_reps_by_elements(amb, h, top.indices):
-            k = Subgroup(amb, element_closure(amb, h, g, right))
+            k = Subgroup(amb, element_closure(amb, h, g, right), [*h.generators, g])
             if k.indices.tobytes() not in members:
                 members[k.indices.tobytes()] = k
                 queue.append(k)
@@ -435,7 +437,7 @@ def interval_by_elements(bottom, top) -> set[bytes]:
 
 
 def greedy_generators_from_scratch(sub) -> list[int]:
-    """Subgroup.generators' greedy pick, closing the picked elements from the identity after each pick."""
+    """Greedy generators of a subgroup: each element not yet covered is picked, and the picks are closed from the identity."""
     amb = sub.ambient
     chosen: list[int] = []
     covered = np.zeros(amb.order, dtype=bool)
@@ -452,15 +454,21 @@ def greedy_generators_from_scratch(sub) -> list[int]:
     return chosen
 
 
+def with_generators(sub) -> Subgroup:
+    """The subgroup again, carrying greedy generators: an element set, such as a brute normalizer, carries none."""
+    return Subgroup(sub.ambient, sub.indices, greedy_generators_from_scratch(sub))
+
+
 def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     """(smaller id, larger id) of every pair a < b with a normal in b, and of every pair a < b."""
     edges = set()
     comparable = set()
+    generated = {b.id: with_generators(b) for b in members}
     for a in members:
         for b in members:
             if a.order < b.order and a.is_subset_of(b):
                 comparable.add((a.id, b.id))
-                if is_normal_in(a, b):
+                if is_normal_in(a, generated[b.id]):
                     edges.add((a.id, b.id))
     return edges, comparable
 
@@ -505,6 +513,17 @@ def formula_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
             if ambient.kind != SL or matrix_det(prod) == one:
                 idxs.add(ambient.index_of(prod))
     return np.array(sorted(idxs), dtype=np.int32)
+
+
+def formula_leaders_by_units(spec: AlgebraSpec, ambient) -> list[int]:
+    """x_sigma for each automorphism sigma, in aut_group order: the first t(u) * P_sigma in the ambient, in unit order."""
+    one = spec.base.one_index
+    out = []
+    for s in aut_group(spec):
+        pm = s.matrix()
+        prods = (matrix_product(regular_rep_by_basis(u), pm) for u in spec.units())
+        out.append(next(ambient.index_of(x) for x in prods if ambient.kind != SL or matrix_det(x) == one))
+    return out
 
 
 def exhaustive_negative_pell(d: int, y_max: int) -> tuple[int, int] | None:

@@ -8,11 +8,13 @@ reports are cross-checked here against hand-derived group orders, an
 exhaustive Pell search, and an external Diophantine solver.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from garlands.config import Caps
 from garlands.etale import (
     AlgebraSpec,
     additive_span_check,
@@ -46,9 +48,12 @@ from oracles import (
     count_power_in_base_by_shifts,
     exhaustive_negative_pell,
     formula_by_units,
+    generate,
     interval_by_elements,
+    matrix_from_coeff_rows,
     subgroup_id,
     torus_by_units,
+    with_generators,
 )
 
 # one stable_json line per run_sweep(500) report; a change that alters a
@@ -265,6 +270,48 @@ def test_torus_and_formula_match_per_unit_oracle(sweep, tori):
     assert len(tori) >= 24
 
 
+def test_constructed_generators_close_to_the_torus_and_formula_set(tori):
+    # T's generators come from the algebra (a primitive element per factor,
+    # and norm-one combinations of them in SL) and X's add one t(a) P_sigma
+    # per sigma; each list closes, through the oracle's closure, to exactly
+    # the per-unit torus and formula set, with no identity among them, and
+    # over F_2 (SL = GL) the two torus lists agree
+    f13, large = construct_field(13, 1), Caps(group_order=30_000)  # GL(2,13) has order 26208
+    cases = [(amb, AlgebraSpec(amb.field, key[2])) for key, (amb, _, _) in tori.items()]
+    for degrees in ((2,), (1, 1)):
+        for kind in (GL, SL):
+            cases.append((ambient_group(kind, 2, f13, large), AlgebraSpec(f13, degrees)))
+    lists = {}
+    for amb, spec in cases:
+        torus, formula = torus_subgroup(spec, amb), normalizer_formula(spec, amb)
+        for sub, want in ((torus, torus_by_units(spec, amb)), (formula, formula_by_units(spec, amb))):
+            assert amb.identity_index not in sub.generators, (amb, spec)
+            closed = generate(amb, [amb.matrix_at(g) for g in sub.generators])
+            assert np.array_equal(closed.indices, want), (amb, spec)
+        lists[amb.kind, spec] = amb.keys_of_indices(torus.generators).tolist()
+    f2 = [spec for kind, spec in lists if kind == GL and spec.base.q == 2]
+    assert f2 and all(lists[GL, spec] == lists[SL, spec] for spec in f2)
+    assert len(cases) >= 28
+
+
+def test_printed_torus_generators_regenerate_the_torus():
+    # every generator list in the stored reports, read back from its
+    # coefficient rows, closes to a group of the printed torus order
+    checked = 0
+    for path in (GOLDEN_SWEEP_500, GOLDEN_SWEEP_500.with_name("torus.jsonl")):
+        for line in path.read_text().splitlines():
+            doc = json.loads(line)
+            if "torus" not in doc:
+                continue
+            case = doc["case"]
+            base = construct_field(case["p"], case["base_degree"])
+            amb = ambient_group(case["ambient"].upper(), sum(case["degrees"]), base)
+            gens = [matrix_from_coeff_rows(base, rows) for rows in doc["torus"]["generators"]]
+            assert generate(amb, gens).order == doc["torus"]["order"], case
+            checked += 1
+    assert checked == 54
+
+
 def test_sl_interval_matches_direct_enumeration(sweep, direct_intervals):
     # an SL report cuts Lat(T', N_SL T') out of the full Lat(T', SL), and the
     # restriction check reuses it; enumerating the interval inside N_SL(T')
@@ -314,7 +361,7 @@ def test_idempotence_matches_second_brute_scan(sweep, tori):
     # the report reads N(N(T)) off the [T, G] lattice; a second whole-ambient
     # scan is the oracle
     for key, (amb, torus, normalizer) in tori.items():
-        second = normalizer_brute(amb, normalizer)
+        second = normalizer_brute(amb, with_generators(normalizer))
         idem = sweep[key]["idempotence"]
         assert idem["normalizer_of_normalizer_order"] == second.order, key
         assert idem["holds"] == second.same_elements(normalizer), key

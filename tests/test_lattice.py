@@ -32,7 +32,7 @@ from garlands.matrix_group import (
 from garlands.config import Caps
 from garlands.runner import CaseSpec, build_algebra, run_case, stable_json
 
-from oracles import matrix_det, matrix_from_key, normality_edges_by_pairs
+from oracles import formula_leaders_by_units, matrix_det, matrix_from_key, normality_edges_by_pairs, with_generators
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -200,16 +200,18 @@ def test_formula_closure_failure_is_reported(monkeypatch):
 
 @pytest.mark.parametrize("kind", [GL, SL])
 def test_normalizer_formula_closes_the_formula_set_once(monkeypatch, kind):
-    # the generator pick's last closure decides whether the formula set is
-    # closed: one closure per picked generator and none after
+    # X is the union of the cosets T x_sigma, so one closure of T's
+    # generators and the x_sigma decides whether X is closed
     calls = []
     closure = matrix_group._closure
     monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append(list(gens)) or closure(amb, gens))
     for spec in (AlgebraSpec(F3, [2]), AlgebraSpec(F3, [1, 1]), AlgebraSpec(F2, [2, 1])):
         calls.clear()
-        n = matrix_group.normalizer_formula(spec, ambient_group(kind, spec.n, spec.base))
-        gens = n.generators
-        assert gens and calls == [gens[:i] for i in range(1, len(gens) + 1)], spec
+        amb = ambient_group(kind, spec.n, spec.base)
+        n = matrix_group.normalizer_formula(spec, amb)
+        leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
+        assert n.generators == torus_subgroup(spec, amb).generators + leaders, spec
+        assert calls == [n.generators], spec
 
 
 def test_interval_always_inside_lower_garland():
@@ -247,7 +249,9 @@ def test_lattice_conjugation_invariance():
     for _ in range(3):
         g = int(rng.integers(gl23.order))
         ginv = int(gl23.inv_indices()[g])
-        conj = Subgroup(gl23, gl23.rmul(gl23.lmul(g, d.indices), ginv))
+        conj = Subgroup(
+            gl23, gl23.rmul(gl23.lmul(g, d.indices), ginv), gl23.rmul(gl23.lmul(g, np.array(d.generators)), ginv)
+        )
         lat2 = enumerate_interval(conj, gl23)
         assert lat2.member_orders() == lat.member_orders()
         graph2 = normality_graph(lat2)
@@ -510,7 +514,7 @@ def test_member_normalizers_match_brute(p, degrees):
         lat = enumerate_interval(t, amb, within=within)
         assert len(lat.normalizers) == len(lat.members)
         for m, nm in zip(lat.members, lat.normalizers):
-            assert nm.same_elements(_cut(normalizer_brute(amb, m), lat.top)), m.order
+            assert nm.same_elements(_cut(normalizer_brute(amb, with_generators(m)), lat.top)), m.order
     assert enumerate_interval(t, amb, max_members=1).normalizers == ()
 
 
@@ -568,21 +572,15 @@ def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
 
 @pytest.mark.parametrize("algebra,caps", PIPELINE_PAIRS)
 def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra, caps):
-    # members closed as <H, g> keep their generators and N(T) acts through
-    # T's right-coset leaders, so a pair's cases pick generators greedily
-    # for each case's torus and formula set alone, and never for N(T); an
-    # F_2 pair shares one [T, G] and so one torus
-    def keys(amb, indices):
-        return set(amb.keys_of_indices(indices).tolist())
-
-    picked = []
-    pick = matrix_group._pick_generators
-
-    def recording_pick(amb, indices):
-        picked.append(keys(amb, indices))
-        return pick(amb, indices)
-
-    monkeypatch.setattr(matrix_group, "_pick_generators", recording_pick)
+    # the torus and the formula set take their generators from the algebra,
+    # members closed as <H, g> keep theirs and N(T) acts through T's
+    # right-coset leaders, so no case searches for generators: across a
+    # pair, the one closure per case is normalizer_formula's, on T's
+    # generators and the x_sigma
+    assert not hasattr(matrix_group, "_pick_generators")
+    calls = []
+    closure = matrix_group._closure
+    monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append((amb, list(gens))) or closure(amb, gens))
     lattice._reset_lattices()
     cases = [CaseSpec(*algebra, ambient) for ambient in ("gl", "sl")]
     for case in cases:
@@ -592,10 +590,9 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
     for case in cases:
         base, spec = build_algebra(case, caps)
         amb = ambient_group(case.kind, case.n, base, caps)
-        if case.ambient == "gl" or base.q > 2:
-            expected.append(keys(amb, torus_subgroup(spec, amb).indices))
-        expected.append(keys(amb, matrix_group.normalizer_formula(spec, amb).indices))
-    assert picked == expected
+        leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
+        expected.append((amb, torus_subgroup(spec, amb).generators + leaders))
+    assert calls == expected
 
 
 class _Counts:

@@ -40,7 +40,6 @@ from oracles import (
     element_closure,
     formula_by_units,
     generate,
-    greedy_generators_from_scratch,
     laplace_det,
     matrix_det,
     matrix_from_coeff_rows,
@@ -50,6 +49,7 @@ from oracles import (
     subgroup_matrices,
     subgroup_serialize,
     torus_by_units,
+    with_generators,
 )
 
 F2 = construct_field(2, 1)
@@ -304,7 +304,7 @@ def test_torus_sl_equals_gl_torus_cut_to_sl():
 
 def test_is_normal_examples():
     gl22 = ambient_group(GL, 2, F2)
-    whole = Subgroup(gl22, range(6))
+    whole = with_generators(Subgroup(gl22, range(6)))
     assert is_normal_in(whole, whole)
     triv = generate(gl22, [])
     assert is_normal_in(triv, whole)
@@ -324,7 +324,7 @@ def test_is_normal_requires_inclusion():
 
 def test_normalizer_brute_spot_values():
     gl23 = ambient_group(GL, 2, F3)
-    whole = Subgroup(gl23, range(gl23.order))
+    whole = with_generators(Subgroup(gl23, range(gl23.order)))
     assert normalizer_brute(gl23, whole).order == 48
     d23 = torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23)
     assert normalizer_brute(gl23, d23).order == 8  # monomial group
@@ -411,7 +411,7 @@ def test_is_maximal_abelian_examples():
 
 def test_is_maximal_abelian_rejects_nonabelian():
     gl23 = ambient_group(GL, 2, F3)
-    whole = Subgroup(gl23, range(gl23.order))
+    whole = with_generators(Subgroup(gl23, range(gl23.order)))
     with pytest.raises(NotAbelianError):
         is_maximal_abelian(whole, whole)
     center = generate(gl23, [FieldMatrix(F3, [[2, 0], [0, 2]])])
@@ -437,7 +437,7 @@ def test_conjugation_invariance_of_normalizer():
         g = int(rng.integers(gl23.order))
         ginv = int(gl23.inv_indices()[g])
         conj_idx = gl23.rmul(gl23.lmul(g, t.indices), ginv)
-        conj_t = Subgroup(gl23, conj_idx)
+        conj_t = Subgroup(gl23, conj_idx, gl23.rmul(gl23.lmul(g, np.array(t.generators)), ginv))
         n_conj = normalizer_brute(gl23, conj_t)
         expected = Subgroup(gl23, gl23.rmul(gl23.lmul(g, n_t.indices), ginv))
         assert n_conj.same_elements(expected)
@@ -514,7 +514,7 @@ def test_coset_table_matches_brute_products(n, base, degrees):
         lat = enumerate_interval(torus, amb, within=within)
         top = lat.top
         position = {int(x): i for i, x in enumerate(top.indices)}
-        for h in lat.members:
+        for h in map(with_generators, lat.members):  # a member conjugated from its orbit's representative has none
             table = CosetTable(h, top)
             for i, x in enumerate(top.indices.tolist()):
                 # H x and x H by per-element matrix products; H x H is the
@@ -545,7 +545,7 @@ def test_seeded_coset_tables_match_unseeded(n, base, degrees):
         lat = enumerate_interval(torus, amb, within=within)
         top = lat.top
         below = CosetTable(torus, top)
-        for h in lat.members:
+        for h in map(with_generators, lat.members):  # a member conjugated from its orbit's representative has none
             plain, seeded = CosetTable(h, top), CosetTable(h, top, below=below)
             assert np.array_equal(seeded.labels, plain.labels), h.order
             assert np.array_equal(seeded.coset, plain.coset), h.order
@@ -556,7 +556,7 @@ def test_seeded_coset_tables_match_unseeded(n, base, degrees):
         with pytest.raises(GroupError, match="subgroup of H"):
             CosetTable(torus, top, below=CosetTable(bigger, top))
     with pytest.raises(GroupError, match="same top"):
-        CosetTable(normalizer, normalizer, below=CosetTable(torus, whole))
+        CosetTable(with_generators(normalizer), normalizer, below=CosetTable(torus, whole))
 
 
 def test_right_perm_matches_fresh_products():
@@ -593,14 +593,22 @@ def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
 
 @pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1])])
 def test_generators_match_greedy_from_scratch(n, base, degrees):
-    # a member rebuilt from its indices has no generators to keep, so it
-    # picks greedily; the oracle walks every element in turn and must pick
-    # the same elements
+    # a subgroup given as an element set carries no generators, and no
+    # search finds some; every member the enumeration closed as <H, g>
+    # keeps the generators it was closed from, and they close to it
     amb = ambient_group(GL, n, base)
     lat = enumerate_interval(torus_subgroup(AlgebraSpec(base, degrees), amb), amb)
+    kept = 0
     for m in lat.members:
-        fresh = Subgroup(amb, m.indices)
-        assert fresh.generators == greedy_generators_from_scratch(m), m.order
+        with pytest.raises(GroupError, match="no generators"):
+            Subgroup(amb, m.indices).generators
+        try:
+            gens = m.generators
+        except GroupError:  # conjugated from its orbit's representative
+            continue
+        assert generate(amb, [amb.matrix_at(g) for g in gens]).same_elements(m), m.order
+        kept += 1
+    assert kept > 1
 
 
 def test_coset_table_rejects_outside_elements():
