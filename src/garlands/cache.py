@@ -59,7 +59,8 @@ class DiskCache:
         # a name per writer: with a shared one, concurrent writers rename each other's file away
         tmp = self.root / f"{key}.{os.urandom(8).hex()}.tmp"
         tmp.write_text(
-            json.dumps({"schema": SCHEMA_VERSION, "report": report}, sort_keys=True, indent=1),
+            # compact: json's C encoder runs only without indent
+            json.dumps({"schema": SCHEMA_VERSION, "report": report}, sort_keys=True, separators=(",", ":")),
             encoding="utf-8",
         )
         tmp.replace(path)

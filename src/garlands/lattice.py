@@ -8,19 +8,25 @@ Completeness follows by induction along any maximal chain: each covering
 step K over H equals <H, g> for every g in K \\ H.
 
 Each expanded member other than top gets one coset table inside top
-(CosetTable in matrix_group), over positions in top's sorted ambient
-indices: the right-multiplication permutations of H's generators and the
-right-coset labels (orbit minima under left multiplication by the
-generators), which number the right cosets by their leaders.  The
-double cosets are orbit minima over those numbers, not over positions,
-under the maps of right cosets the right permutations induce, so that
-pass is sized by [top:H].  The permutations belong to top
-(Subgroup.right_perm, memoized per generator).  A member closed as <H, g>
-keeps H's generators plus g, so members share generators, and an
-enumeration makes one product of the whole top per distinct generator.
-Every member contains bottom, so its right cosets are unions of bottom's:
-each later table starts from bottom's right-coset labels, and only the
-elements adjoined since bottom add left permutations.  Top itself gets no
+(CosetTable in matrix_group): the right-coset labels over positions in
+top's sorted ambient indices, which number the right cosets by their
+leaders, and the maps of right cosets that right multiplication by H's
+generators induces.  The double cosets are orbit minima over those
+numbers, not over positions, so that pass is sized by [top:H].  Bottom's
+table takes its labels as orbit minima under left multiplication by its
+generators, by doubling along each generator's permutation.  Every member
+contains bottom, so its right cosets are unions of bottom's, and each
+later table is seeded with bottom's.  A member H with [H:bottom] <=
+|bottom| labels bottom's right cosets directly, by one product of their
+leaders with a right transversal of bottom in H, at most |top| products
+and no permutation of the whole top.  A larger member starts from
+bottom's labels over positions, and only the elements adjoined since
+bottom add left permutations; its right permutations belong to top
+(Subgroup.right_perm, memoized per generator).  A member closed as
+<H, g> keeps H's generators plus g, so members share generators, and an
+enumeration makes one product of the whole top per distinct generator
+that a position table reads.
+Top itself gets no
 table: its only double coset is itself, so it has no extension, and
 N_top(top) = top.  The representatives are the leaders of the cosets
 that are their own double label, so each is the least element of its

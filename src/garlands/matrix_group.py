@@ -27,14 +27,16 @@ inverse table, as g * x = (x^-1 * g^-1)^-1, so g * x * g^-1 is two right
 products by g^-1 that share one table.
 Closures run breadth first over ambient indices, dropping repeats with a
 slot array instead of a sort; a CosetTable lays out the right cosets of a
-subgroup H inside a larger one as permutations and orbit-minimum labels
-over positions, and its double cosets over the numbers of those right
-cosets, so extend_subgroups can close <H, g> for many g together over
-right cosets of H instead of over elements.  The right permutations are
-memoized on the larger subgroup, so the tables of one enumeration share
-them, a table can start from the right-coset labels of a subgroup of H
-over the same top (the interval's bottom), and <H, g> keeps H's generators
-plus g.
+subgroup H inside a larger one (top) by labels over top's positions, and
+its double cosets over the numbers of those right cosets, so
+extend_subgroups can close <H, g> for many g together over right cosets
+of H instead of over elements.  A table's labels come over positions, as
+orbit minima under left permutations (doubling along each, for the
+bottom of an interval), or, for a member H over a bottom T with
+[H:T] <= |T|, over T's right cosets: one product of T's coset leaders by
+a right transversal of T in H, at most |top| products.  The right
+permutations the position route reads are memoized on top, so the tables
+of one enumeration share them, and <H, g> keeps H's generators plus g.
 
 The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
 a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
@@ -49,8 +51,9 @@ ambients is an error (cut one down with intersect_with_ambient first).
 Ambients are equal when their element sets are (SL = GL over F_2), and
 ambient order is matrix-key order, so equal ambients agree on indices and
 the report id, a digest of the matrix keys, is the same in GL and in SL.
-The matrix key (row-major entries as one base-q integer) is encoded only
-in AmbientGroup: by the enumeration and by keys_of_mats.
+The matrix key (row-major entries as one base-q integer, below
+q^(n*n) <= 80M, so int32 holds it) is encoded only in AmbientGroup: by the
+enumeration and by keys_of_mats.
 """
 
 from __future__ import annotations
@@ -322,9 +325,14 @@ class AmbientGroup:
     # -- lookups ----------------------------------------------------------------
 
     def keys_of_mats(self, mats: np.ndarray) -> np.ndarray:
+        """Keys of (..., n, n) index matrices by Horner's rule in int32: keys stay below q^(n*n) <= 80M."""
         self._ensure()
-        n = self.n
-        return mats.reshape(-1, n * n).astype(np.int64) @ self._keypow
+        flat = mats.reshape(-1, self.n * self.n)
+        keys = flat[:, 0].astype(np.int32)
+        for k in range(1, flat.shape[1]):
+            keys *= self.field.q
+            keys += flat[:, k]
+        return keys
 
     def indices_of_mats(self, mats: np.ndarray) -> np.ndarray:
         """Ambient indices of (N, n, n) member matrices."""
@@ -489,9 +497,10 @@ class Subgroup:
     def right_perm(self, s: int) -> np.ndarray:
         """The permutation x -> x * s of positions, for s in this subgroup; memoized per s.
 
-        Coset tables inside this subgroup share it, so an enumeration makes
-        one product of the whole subgroup per distinct generator; the memo
-        holds (distinct s) * order * 4 bytes and lives as long as the subgroup.
+        Coset tables over positions inside this subgroup share it, so an
+        enumeration makes one product of the whole subgroup per distinct
+        generator they read; the memo holds (distinct s) * order * 4 bytes
+        and lives as long as the subgroup.
         """
         s = int(s)
         perm = self._right.get(s)
@@ -577,88 +586,161 @@ def _orbit_minima(labels: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray
     """Least position of each class of the equivalence joining x to labels[x] and to p[x].
 
     labels must satisfy labels[x] <= x and labels[labels] == labels
-    (np.arange qualifies); p runs over perms.  Each round hooks the label of
-    p[x] onto the label of x when that is smaller (np.minimum.at), then
-    pointer-jumps until every label is its own label.  Labels only fall and
-    stay inside their class.  A round that changes nothing leaves
-    labels[p[x]] <= labels[x] for every x, so labels are constant along each
-    cycle of p and hence on classes, and each is its class's least position.
+    (np.arange qualifies); p runs over perms.  Labels constant along every
+    p (labels[p] == labels) are constant on classes, and as each is its own
+    label and no larger than x, each is its class's least position: that
+    ends the loop.  Otherwise a round hooks the label of p[x] onto the label
+    of x when that is smaller (np.minimum.at), then pointer-jumps until
+    every label is its own label.  Labels only fall and stay inside their
+    class, so the rounds end.
     """
-    labels = labels.copy()
-    while True:
-        before = labels.copy()
+    while not all(np.array_equal(labels.take(p), labels) for p in perms):
+        labels = labels.copy()
         # ndarray.take here and in the coset tables: [] on int32 indices costs about twice as much
         for p in perms:
             np.minimum.at(labels, labels.take(p), labels)
-        while True:
-            jumped = labels.take(labels)
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if np.array_equal(labels, before):
+        labels = _jump(labels)
+    return labels
+
+
+def _jump(labels: np.ndarray) -> np.ndarray:
+    """Pointer-jump labels[x] <= x until every label is its own label."""
+    while True:
+        jumped = labels.take(labels)
+        if np.array_equal(jumped, labels):
             return labels
+        labels = jumped
+
+
+def _cycle_minima(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """_orbit_minima(np.arange(size), perms), with each p's cycles first taken whole by window-minimum doubling.
+
+    Along p, labels = min(labels, labels[p]) and then p = p[p]: after k
+    rounds labels[x] is the least position among x, p(x), ...,
+    p^(2^k - 1)(x).  Once a round lowers nothing, labels are constant on
+    every cycle of p^(2^k), whose windows of 2^k steps cover the cycle of p,
+    so each label is its p-cycle's least: a p of order d takes at most
+    ceil(log2 d) + 1 rounds of gathers.  Every label stays inside its orbit,
+    so joining x to labels[x] and to p[x] joins exactly the orbits, and
+    after a pointer jump _orbit_minima finishes exactly for any perms.  When
+    they commute (an abelian group acting from the left), the cycles of one
+    p taken over the cycle minima of the others already are the orbit
+    minima, and the finishing pass only checks that.  The start is
+    np.arange: from other labels, lowering labels[x] would drop the link
+    from x to its old label.
+    """
+    labels = np.arange(size, dtype=np.int32)
+    for p in perms:
+        while True:
+            ahead = labels.take(p)
+            if not (ahead < labels).any():
+                break
+            np.minimum(labels, ahead, out=labels)
+            p = p.take(p)
+    return _orbit_minima(_jump(labels), perms)
 
 
 class CosetTable:
     """Right and double cosets of a subgroup H inside a subgroup top containing it.
 
     Right cosets are indexed by position 0..|top|-1 in top's sorted ambient
-    indices, so position order is ambient order.  `right[i]` is the
-    permutation x -> x * s_i for H's i-th generator s_i, top.right_perm(s_i),
-    which every table inside the same top shares; `labels[x]` is the
-    least position of the right coset H x (the orbit of x under left
-    multiplication by the generators' inverses, x -> (x^-1 * s_i)^-1, which
-    is right[i] conjugated by inversion); `leaders` are the positions that
-    are their own label, one per right coset, ascending, and `coset[x]` is
-    the number of x's right coset, the rank of its leader.
+    indices, so position order is ambient order.  `labels[x]` is the least
+    position of the right coset H x; `leaders` are the positions that are
+    their own label, one per right coset, ascending, and `coset[x]` is the
+    number of x's right coset, the rank of its leader.
 
     Double cosets are computed over those numbers, not over positions: H x H
-    is a union of right cosets, and right multiplication by s_i maps right
-    cosets to right cosets, coset c to `coset_right[i][c]`, the coset of
-    leaders[c] * s_i.  `double[c]` is the least coset number of the double
-    coset holding coset c, its orbit minimum under those maps, and as coset
-    numbers ascend with their leaders, leaders[double[c]] is the least
-    position of that double coset.  Left multiplication does not act on
-    H's right cosets, so the right-coset labels stay over positions.
-    extend_subgroups closes <H, g> over coset numbers, and the double
-    cosets give the g worth adjoining.
-    H x H = H x exactly when x normalizes H, so the double cosets that are
-    single right cosets make up N_top(H).
+    is a union of right cosets, and right multiplication by H's i-th
+    generator s_i maps right cosets to right cosets, coset c to
+    `coset_right[i][c]`, the coset of leaders[c] * s_i.  `double[c]` is the
+    least coset number of the double coset holding coset c, its orbit
+    minimum under those maps, and as coset numbers ascend with their
+    leaders, leaders[double[c]] is the least position of that double coset.
+    extend_subgroups closes <H, g> over coset numbers, and the double cosets
+    give the g worth adjoining.  H x H = H x exactly when x normalizes H, so
+    the double cosets that are single right cosets make up N_top(H).
 
-    below, if given, is the table of a subgroup B of H over the same top.
-    Each right coset of H is a union of right cosets of B, and H is
-    generated by B and H's generators outside B, so the labels start from
-    below.labels and only those generators add left permutations.
+    The right-coset labels take one of two routes.
+
+    Over positions: H x is the orbit of x under left multiplication by the
+    generators' inverses, x -> (x^-1 * s_i)^-1, which is the permutation
+    top.right_perm(s_i) (x -> x * s_i, memoized on top and shared by the
+    position tables inside it) conjugated by inversion, and the labels are orbit
+    minima under those left permutations, taken by doubling
+    (_cycle_minima).  coset_right reads the right permutations at the
+    leaders.  below, if given, is the table of a subgroup T of H over the
+    same top.  Each right coset of H is a union of right cosets of T, and H
+    is generated by T and H's generators outside T, so a seeded table
+    hooks only those generators' left permutations onto T's labels
+    (_orbit_minima).
+
+    Over T's right cosets, for a seeded table with [H:T] <= |T|: with r_j
+    the leaders of T's right cosets inside H (a right transversal of T in
+    H, T's own coset among them), H = U_j T r_j, so H x = U_j T r_j x.  The
+    right cosets of T inside the H-coset of T's coset c are those of
+    r_j * lead_T(c), and the least of their numbers is the number of that
+    H-coset's least position: exact, with no iteration.  That takes
+    [H:T] * [top:T] products, as (lead_T(c)^-1 * r_j^-1)^-1 through one
+    RightProducts table of the r_j^-1, and coset_right takes [top:H]
+    products per generator at H's leaders.  The size rule [H:T] <= |T|
+    keeps the first within |top| products, one pass over top, and no array
+    of the route exceeds |top| entries; it builds no permutation of the
+    whole top.  A larger index would take more products than that, so such
+    a table goes over positions, through top's shared right permutations.
     """
 
-    __slots__ = ("h", "top", "right", "labels", "leaders", "coset", "coset_right", "double")
+    __slots__ = ("h", "top", "labels", "leaders", "coset", "coset_right", "double")
 
     def __init__(self, h: Subgroup, top: Subgroup, below: "CosetTable | None" = None):
         if not h.is_subset_of(top):
             raise GroupError("a coset table needs H inside the top")
         self.h = h
         self.top = top
-        self.right = [top.right_perm(s) for s in h.generators]
-        if below is None:
-            labels, fresh = np.arange(top.order, dtype=np.int32), self.right
-        else:
+        if below is not None:
             if below.top is not top and below.top != top:
                 raise GroupError("a seed table needs the same top")
             if not below.h.is_subset_of(h):
                 raise GroupError("a seed table needs a subgroup of H")
+        if _over_cosets(h, below):
+            self._label_over_cosets(below)
+        else:
+            self._label_over_positions(below)
+        self.double = _orbit_minima(np.arange(self.leaders.size, dtype=np.int32), self.coset_right)
+
+    def _label_over_positions(self, below: "CosetTable | None") -> None:
+        h, top = self.h, self.top
+        right = [top.right_perm(s) for s in h.generators]
+        fresh = right
+        if below is not None:
             inside = below.h.contains(np.array(h.generators, dtype=np.int32))
-            labels = below.labels
-            fresh = [r for r, s_inside in zip(self.right, inside) if not s_inside]
+            fresh = [r for r, s_inside in zip(right, inside) if not s_inside]
         left = []
         if fresh:
             inverse = top.positions().take(h.ambient.inv_indices().take(top.indices))
             left = [inverse.take(r.take(inverse)) for r in fresh]
-        self.labels = _orbit_minima(labels, left)
+        self.labels = _cycle_minima(left, top.order) if below is None else _orbit_minima(below.labels, left)
         leads = self.labels == np.arange(top.order)
         self.leaders = np.flatnonzero(leads)
         self.coset = (np.cumsum(leads, dtype=np.int32) - 1).take(self.labels)
-        self.coset_right = [self.coset.take(r.take(self.leaders)) for r in self.right]
-        self.double = _orbit_minima(np.arange(self.leaders.size, dtype=np.int32), self.coset_right)
+        self.coset_right = [self.coset.take(r.take(self.leaders)) for r in right]
+
+    def _label_over_cosets(self, below: "CosetTable") -> None:
+        h, top, amb = self.h, self.top, self.h.ambient
+        inv, positions = amb.inv_indices(), top.positions()
+        lead = top.indices.take(below.leaders)  # T's coset number -> its least element
+        trans = lead[h.contains(lead)]  # one r_j per right coset of T in H
+        which = np.repeat(np.arange(trans.size, dtype=np.int32), lead.size)
+        prods = RightProducts(amb, inv.take(trans))(np.tile(inv.take(lead), trans.size), which)
+        cosets = below.coset.take(positions.take(inv.take(prods))).reshape(trans.size, lead.size)
+        least = cosets.min(axis=0)  # T's coset number -> the least one in its H-coset
+        own = least == np.arange(lead.size)
+        self.leaders = below.leaders[own]
+        self.labels = below.leaders.take(least).take(below.coset)
+        self.coset = (np.cumsum(own, dtype=np.int32) - 1).take(least).take(below.coset)
+        gens = np.asarray(h.generators, dtype=np.int32)
+        which = np.repeat(np.arange(gens.size, dtype=np.int32), self.leaders.size)
+        at = RightProducts(amb, gens)(np.tile(top.indices.take(self.leaders), gens.size), which)
+        self.coset_right = list(self.coset.take(positions.take(at)).reshape(gens.size, self.leaders.size))
 
     def double_coset_reps(self) -> np.ndarray:
         """Least element of every double coset H x H in top other than H, ascending."""
@@ -670,6 +752,11 @@ class CosetTable:
         """N_top(H): the positions whose double coset holds one right coset."""
         width = np.bincount(self.double, minlength=self.double.size)  # right cosets per double coset
         return Subgroup(self.h.ambient, self.top.indices[(width.take(self.double) == 1).take(self.coset)])
+
+
+def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
+    """Whether H's table takes the route over T's right cosets: seeded by T's table, with [H:T] <= |T|."""
+    return below is not None and h.order <= below.h.order**2
 
 
 def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Subgroup]:
@@ -794,9 +881,11 @@ def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
     over k; for an SL ambient only determinant-one products are kept.  With
     x_sigma the first product in the ambient for sigma (in SL one exists, as
     the norm is onto k*), X is the union of the cosets T x_sigma.  So X lies
-    inside <T's generators, the x_sigma other than 1>, which lie in X, and
-    one closure of them has |X| elements exactly when X is closed; if not,
-    HypothesisFailure carries a structured payload instead of crashing.
+    inside <T's generators, the x_sigma other than 1>, which lie in X with
+    1, and X is closed exactly when X * s lies in X for every generator s:
+    then X * <gens> lies in X, which holds 1.  That is one RightProducts
+    call over |X| * |gens| products; only if it fails is the closure taken,
+    for the structured payload HypothesisFailure carries instead of crashing.
     """
     _check_algebra(spec, ambient)
     tori = spec.regular_rep_mats(torus_units(spec))
@@ -806,15 +895,15 @@ def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
     xs = ambient.indices_of_mats(prods[inside.argmax(axis=0), np.arange(len(perms))])
     gens = [*_torus_generators(spec, ambient), *xs[xs != ambient.identity_index]]
     sub = Subgroup(ambient, ambient.indices_of_mats(prods[inside]), gens)
-    closed = _closure(ambient, sub.generators)
-    if closed.size != sub.order:
+    which = np.repeat(np.arange(len(gens), dtype=np.int32), sub.order)
+    if not sub.contains(RightProducts(ambient, gens)(np.tile(sub.indices, len(gens)), which)).all():
         raise HypothesisFailure(
             "predicted normalizer set is not closed under multiplication",
             payload={
                 "case": spec.serialize(),
                 "ambient": {"kind": ambient.kind, "n": ambient.n, "q": ambient.field.q},
                 "set_size": sub.order,
-                "closure_size": int(closed.size),
+                "closure_size": int(_closure(ambient, gens).size),
             },
         )
     return sub

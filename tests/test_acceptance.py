@@ -30,9 +30,11 @@ from garlands.finite_field import (
     norm_to_base,
 )
 from garlands.lattice import enumerate_interval
+from garlands import matrix_group
 from garlands.matrix_group import (
     GL,
     SL,
+    CosetTable,
     Subgroup,
     ambient_group,
     intersect_with_ambient,
@@ -292,6 +294,45 @@ def test_constructed_generators_close_to_the_torus_and_formula_set(tori):
     f2 = [spec for kind, spec in lists if kind == GL and spec.base.q == 2]
     assert f2 and all(lists[GL, spec] == lists[SL, spec] for spec in f2)
     assert len(cases) >= 28
+
+
+def test_coset_table_label_routes_agree(monkeypatch, tori, direct_intervals):
+    # every member H of [T, G] and of [T, N(T)], seeded with T's table, gets
+    # the same table over T's right cosets as over positions, whichever the
+    # size rule [H:T] <= |T| picks, and the same as its unseeded table,
+    # whose labels come by doubling; the 24 ok acceptance tori and
+    # GL/SL(2,13) with degrees 2 and 1,1
+    f13, large = construct_field(13, 1), Caps(group_order=30_000)
+    lattices = []
+    for key, (amb, torus, _) in tori.items():
+        lattices += [enumerate_interval(torus, amb), direct_intervals[key]]
+    for degrees in ((2,), (1, 1)):
+        for kind in (GL, SL):
+            amb = ambient_group(kind, 2, f13, large)
+            torus = torus_subgroup(AlgebraSpec(f13, degrees), amb)
+            whole = enumerate_interval(torus, amb)
+            lattices += [whole, enumerate_interval(torus, amb, within=whole.normalizers[0])]
+    assert len(lattices) >= 2 * 28
+    compared = 0
+    for lat in lattices:
+        top = lat.top
+        below = CosetTable(lat.bottom, top)
+        for m in lat.members:
+            h = with_generators(m)
+            tables = []
+            for over_cosets in (True, False):
+                monkeypatch.setattr(matrix_group, "_over_cosets", lambda h, below, route=over_cosets: route)
+                tables.append(CosetTable(h, top, below))
+            monkeypatch.undo()
+            tables.append(CosetTable(h, top))
+            first = tables[0]
+            for other in tables[1:]:
+                for field in ("labels", "coset", "leaders", "double"):
+                    assert np.array_equal(getattr(first, field), getattr(other, field)), (field, m.order)
+                assert np.array_equal(first.double_coset_reps(), other.double_coset_reps()), m.order
+                assert first.normalizer() == other.normalizer(), m.order
+            compared += 1
+    assert compared > 100
 
 
 def test_printed_torus_generators_regenerate_the_torus():

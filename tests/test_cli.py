@@ -213,6 +213,21 @@ def test_cache_entry_without_report_is_a_miss(tmp_path, body):
     assert (cache.hits, cache.misses) == (0, 1)
 
 
+def test_cache_writes_compact_json_and_reads_the_indented_layout(tmp_path):
+    # put writes one line without indentation; a file written in the older
+    # indented layout holds the same document and is still a hit
+    report = json.loads(json.dumps(run_case(CaseSpec(3, 1, (1, 1), "gl"))))  # as JSON holds it: lists, not tuples
+    cache = DiskCache(tmp_path)
+    cache.put("new", report)
+    text = (tmp_path / "new.json").read_text(encoding="utf-8")
+    doc = {"schema": SCHEMA_VERSION, "report": report}
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert cache.get("new") == report
+    (tmp_path / "old.json").write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
+    assert cache.get("old") == report
+    assert (cache.hits, cache.misses) == (2, 0)
+
+
 def test_cache_writers_of_one_key_keep_their_own_temporary_files(tmp_path, monkeypatch):
     # a second writer of the same key (another process sharing the directory)
     # finishes its put between the first writer's write and its rename

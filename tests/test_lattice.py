@@ -199,19 +199,28 @@ def test_formula_closure_failure_is_reported(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [GL, SL])
-def test_normalizer_formula_closes_the_formula_set_once(monkeypatch, kind):
-    # X is the union of the cosets T x_sigma, so one closure of T's
-    # generators and the x_sigma decides whether X is closed
+def test_normalizer_formula_closes_only_a_failing_set(monkeypatch, kind):
+    # X holds 1 and T's generators plus the x_sigma, so one product pass
+    # X * s over those generators decides whether X is closed: a closed X
+    # takes no closure, and a failing one exactly one, on its generators,
+    # for the payload's closure size
     calls = []
     closure = matrix_group._closure
     monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append(list(gens)) or closure(amb, gens))
     for spec in (AlgebraSpec(F3, [2]), AlgebraSpec(F3, [1, 1]), AlgebraSpec(F2, [2, 1])):
-        calls.clear()
         amb = ambient_group(kind, spec.n, spec.base)
         n = matrix_group.normalizer_formula(spec, amb)
         leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
         assert n.generators == torus_subgroup(spec, amb).generators + leaders, spec
-        assert calls == [n.generators], spec
+        assert calls == [], spec
+    shear = SimpleNamespace(matrix=lambda: SimpleNamespace(rows=[[1, 1], [0, 1]]))
+    monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
+    spec, amb = AlgebraSpec(F3, [2]), ambient_group(kind, 2, F3)
+    with pytest.raises(matrix_group.HypothesisFailure) as failure:
+        matrix_group.normalizer_formula(spec, amb)
+    torus_gens = torus_subgroup(spec, amb).generators
+    assert len(calls) == 1 and calls[0][:-1] == torus_gens  # T's generators, then the shear's x_sigma
+    assert failure.value.payload["closure_size"] == closure(amb, calls[0]).size
 
 
 def test_interval_always_inside_lower_garland():
@@ -346,8 +355,13 @@ def test_one_whole_top_product_per_generator(monkeypatch, p, degrees):
 
 @pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1]), (2, F9, [1, 1])])
 def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch, n, base, degrees):
-    # a member K = <H, g> is generated by H's generators and g, so its table
-    # builds left permutations only for the elements adjoined since T
+    # a member K = <H, g> is generated by H's generators and g.  T's own
+    # table takes the left permutations of T's generators by doubling, which
+    # for the abelian T leaves the finishing pass nothing to change; a
+    # later table over positions ([K:T] > |T|) builds left permutations only
+    # for the elements adjoined since T, and one over T's right cosets
+    # builds no permutation of the whole top: no right permutation, no
+    # orbit minima over positions, no product pass longer than |top|
     amb = ambient_group(GL, n, base)
     t = torus_subgroup(AlgebraSpec(base, degrees), amb)
     builders = {}  # member key -> the H whose table first closed it
@@ -359,29 +373,56 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
             builders.setdefault(k.indices.tobytes(), table.h)
         return out
 
-    perm_sets = []  # every _orbit_minima call's permutations; a table's first call takes its left ones
-    orbit_minima = matrix_group._orbit_minima
+    calls = []  # ("minima", labels, perms), ("cycles", perms), ("right", s), ("products", count)
+    orbit_minima, cycle_minima = matrix_group._orbit_minima, matrix_group._cycle_minima
+    right_perm, products = Subgroup.right_perm, matrix_group.RightProducts.__call__
 
-    def recording_minima(labels, perms):
-        perm_sets.append(list(perms))
+    def recording_orbit_minima(labels, perms):
+        calls.append(("minima", labels.copy(), list(perms)))
         return orbit_minima(labels, perms)
 
-    monkeypatch.setattr(matrix_group, "_orbit_minima", recording_minima)
-    tables = []  # (H, top, its left permutations)
+    def recording_cycle_minima(perms, size):
+        calls.append(("cycles", list(perms)))
+        return cycle_minima(perms, size)
+
+    def recording_right_perm(self, s):
+        calls.append(("right", s))
+        return right_perm(self, s)
+
+    def recording_products(self, idxs, which=0):
+        calls.append(("products", len(idxs)))
+        return products(self, idxs, which)
+
+    monkeypatch.setattr(matrix_group, "_orbit_minima", recording_orbit_minima)
+    monkeypatch.setattr(matrix_group, "_cycle_minima", recording_cycle_minima)
+    monkeypatch.setattr(Subgroup, "right_perm", recording_right_perm)
+    monkeypatch.setattr(matrix_group.RightProducts, "__call__", recording_products)
+    tables = []  # (H, top, the calls its table made)
 
     class RecordingTable(lattice.CosetTable):
         def __init__(self, h, top, below=None):
-            start = len(perm_sets)
+            start = len(calls)
             super().__init__(h, top, below)
-            tables.append((h, top, perm_sets[start]))
+            tables.append((h, top, calls[start:]))
 
     monkeypatch.setattr(lattice, "extend_subgroups", recording_extend)
     monkeypatch.setattr(lattice, "CosetTable", RecordingTable)
     lat = enumerate_interval(t, amb)
     monkeypatch.undo()
     assert lat.exhaustive and len(tables) > 1
-    assert tables[0][0] is t
-    for h, top, left in tables[1:]:
+    top = tables[0][1]
+    inverse = top.positions()[amb.inv_indices()[top.indices]]
+
+    def left(gens):
+        return [inverse[top.right_perm(s)[inverse]] for s in gens]
+
+    h, _, made = tables[0]
+    assert h is t
+    doubled = [c[1] for c in made if c[0] == "cycles"]
+    assert len(doubled) == 1 and all(map(np.array_equal, doubled[0], left(t.generators)))
+    finished = next(c[1] for c in made if c[0] == "minima")  # the finishing pass's start
+    assert np.array_equal(finished, lattice.CosetTable(t, top).labels)
+    for h, _, made in tables[1:]:
         builder = builders[h.indices.tobytes()]
         gens = h.generators
         assert gens[:-1] == builder.generators and not builder.contains(gens[-1]), h.order
@@ -389,10 +430,48 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
         adjoined = gens[len(t.generators) :]
         assert gens[: len(t.generators)] == t.generators
         assert not t.contains(adjoined).any() and 2 ** len(adjoined) <= h.order // t.order
-        inverse = top.positions()[amb.inv_indices()[top.indices]]
-        assert len(left) == len(adjoined), h.order
-        for s, perm in zip(adjoined, left):
-            assert np.array_equal(perm, inverse[top.right_perm(s)[inverse]])
+        assert not [c for c in made if c[0] == "cycles"], h.order
+        over_positions = [c[2] for c in made if c[0] == "minima" and c[1].size == top.order]
+        if h.order // t.order > t.order:  # over positions, from T's labels
+            assert len(over_positions) == 1 and len(over_positions[0]) == len(adjoined), h.order
+            assert all(map(np.array_equal, over_positions[0], left(adjoined))), h.order
+        else:  # over T's right cosets
+            assert not over_positions and not [c for c in made if c[0] == "right"], h.order
+            assert max(c[1] for c in made if c[0] == "products") <= top.order, h.order
+
+
+@pytest.mark.parametrize(
+    "p,degrees,routes",
+    [
+        (3, [2, 1], {"cosets", "positions"}),
+        (2, [2, 1], {"cosets", "positions"}),
+        (2, [1, 1, 1], {"positions"}),  # T is trivial, so [H:T] = |H| > |T| for every H past T
+    ],
+)
+def test_member_tables_take_the_route_the_size_rule_names(monkeypatch, p, degrees, routes):
+    # T's own table is over positions; every later table, seeded with T's,
+    # is over T's right cosets exactly when [H:T] <= |T|
+    amb = ambient_group(GL, 3, construct_field(p, 1))
+    t = torus_subgroup(AlgebraSpec(amb.field, degrees), amb)
+    taken = []  # (H, seeded, route)
+    over_cosets, over_positions = lattice.CosetTable._label_over_cosets, lattice.CosetTable._label_over_positions
+
+    def by_cosets(table, below):
+        taken.append((table.h, below is not None, "cosets"))
+        return over_cosets(table, below)
+
+    def by_positions(table, below):
+        taken.append((table.h, below is not None, "positions"))
+        return over_positions(table, below)
+
+    monkeypatch.setattr(lattice.CosetTable, "_label_over_cosets", by_cosets)
+    monkeypatch.setattr(lattice.CosetTable, "_label_over_positions", by_positions)
+    enumerate_interval(t, amb)
+    monkeypatch.undo()
+    assert taken[0] == (t, False, "positions") and all(seeded for _, seeded, _ in taken[1:])
+    for h, _, route in taken[1:]:
+        assert route == ("cosets" if h.order // t.order <= t.order else "positions"), h.order
+    assert {route for _, _, route in taken[1:]} == routes
 
 
 @pytest.mark.parametrize("acting_order", [168, 24])
@@ -574,13 +653,21 @@ def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
 def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra, caps):
     # the torus and the formula set take their generators from the algebra,
     # members closed as <H, g> keep theirs and N(T) acts through T's
-    # right-coset leaders, so no case searches for generators: across a
-    # pair, the one closure per case is normalizer_formula's, on T's
-    # generators and the x_sigma
+    # right-coset leaders, so no case searches for generators; a closed
+    # formula set is checked by one product pass, so across a pair no case
+    # takes a closure, and the formula set's generators are T's and the
+    # x_sigma
     assert not hasattr(matrix_group, "_pick_generators")
-    calls = []
-    closure = matrix_group._closure
+    calls, formula_gens = [], []
+    closure, formula = matrix_group._closure, lattice.normalizer_formula
     monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append((amb, list(gens))) or closure(amb, gens))
+
+    def recording_formula(spec, amb):
+        x = formula(spec, amb)
+        formula_gens.append((amb, x.generators))
+        return x
+
+    monkeypatch.setattr(lattice, "normalizer_formula", recording_formula)
     lattice._reset_lattices()
     cases = [CaseSpec(*algebra, ambient) for ambient in ("gl", "sl")]
     for case in cases:
@@ -592,7 +679,8 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
         amb = ambient_group(case.kind, case.n, base, caps)
         leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
         expected.append((amb, torus_subgroup(spec, amb).generators + leaders))
-    assert calls == expected
+    assert calls == []
+    assert formula_gens == expected
 
 
 class _Counts:

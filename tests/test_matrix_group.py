@@ -18,8 +18,10 @@ from garlands.matrix_group import (
     NotAbelianError,
     RightProducts,
     Subgroup,
+    _cycle_minima,
     _det,
     _inv_mats,
+    _orbit_minima,
     ambient_group,
     extend_subgroup,
     extend_subgroups,
@@ -110,7 +112,8 @@ def test_row_by_row_enumeration_matches_every_candidate(n, base):
         amb._ensure()
         assert amb._keys.dtype == np.int64 and np.array_equal(amb._keys, keys), (kind, n, base.q)
         assert np.array_equal(amb._rows, rows), (kind, n, base.q)
-        assert np.array_equal(amb.keys_of_mats(amb.mats()), keys), (kind, n, base.q)
+        looked_up = amb.keys_of_mats(amb.mats())  # int32 Horner sums, against the candidates' int64 keys
+        assert looked_up.dtype == np.int32 and np.array_equal(looked_up, keys), (kind, n, base.q)
 
 
 @pytest.mark.parametrize("base", [F2, F3, F4, F9, F13, F16])
@@ -557,6 +560,48 @@ def test_seeded_coset_tables_match_unseeded(n, base, degrees):
             CosetTable(torus, top, below=CosetTable(bigger, top))
     with pytest.raises(GroupError, match="same top"):
         CosetTable(with_generators(normalizer), normalizer, below=CosetTable(torus, whole))
+
+
+def _orbit_minima_by_search(perms, size: int) -> list[int]:
+    """Least point of each orbit of <perms> on range(size): a search from each point in ascending order."""
+    label = [-1] * size
+    for x in range(size):
+        if label[x] < 0:
+            label[x], stack = x, [x]
+            while stack:
+                y = stack.pop()
+                for p in perms:
+                    z = int(p[y])
+                    if label[z] < 0:
+                        label[z] = x
+                        stack.append(z)
+    return label
+
+
+def test_cycle_minima_match_orbit_minima_and_search():
+    # doubling along each permutation, then the finishing pass, against the
+    # hooking rounds alone and against a plain search: commuting sets (powers
+    # of one permutation), non-commuting random sets, single long cycles
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for size in (1, 2, 7, 64, 255, 1000):
+        for _ in range(12):
+            base = rng.permutation(size).astype(np.int32)
+            kind = rng.integers(3)
+            if kind == 0:  # powers of one permutation commute
+                perms = [base, base.take(base).take(base)]
+            elif kind == 1:  # independent random permutations almost never commute
+                perms = [base, *(rng.permutation(size).astype(np.int32) for _ in range(rng.integers(3)))]
+            else:  # one cycle through every point
+                cycle = np.empty(size, dtype=np.int32)
+                cycle[base] = np.roll(base, -1)
+                perms = [cycle]
+            got = _cycle_minima(perms, size)
+            assert got.tolist() == _orbit_minima_by_search(perms, size), (size, kind)
+            assert np.array_equal(got, _orbit_minima(np.arange(size, dtype=np.int32), perms))
+            checked += 1
+    assert checked == 72
+    assert _cycle_minima([], 3).tolist() == [0, 1, 2]
 
 
 def test_right_perm_matches_fresh_products():
