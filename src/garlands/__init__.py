@@ -2,31 +2,22 @@
 
 from .config import DEFAULT_CAPS, Caps
 from .etale import (
-    AlgebraElement,
     AlgebraSpec,
     RingAutomorphism,
     additive_span_check,
-    algebra_norm,
     aut_group,
     aut_group_size,
     count_power_in_base,
     primitive_norm_one_search,
-    regular_rep,
-    select_all_units,
-    select_norm_one,
     torus_units,
 )
 from .finite_field import (
     Extension,
-    FieldElement,
     FieldMatrix,
     FieldTable,
     construct_extension,
     construct_field,
     extension_of,
-    frobenius,
-    is_primitive_element,
-    norm_to_base,
 )
 from .lattice import (
     Garland,
@@ -46,8 +37,6 @@ from .matrix_group import (
     Subgroup,
     ambient_group,
     is_maximal_abelian,
-    is_normal_in,
-    normalizer_brute,
     normalizer_formula,
     torus_subgroup,
 )

@@ -8,14 +8,16 @@ standard basis vectors, and a quadratic factor presented by y^2 = d produces
 the classical [[x, y*d], [y, x]] block.  Each factor holds one table of
 those blocks, indexed by element (Extension.mult_blocks), and
 regular_rep_mats maps a batch of component-index rows to block-diagonal
-index matrices with one gather per factor; regular_rep reads the same table.
+index matrices with one gather per factor.  The span checks read each
+unit's coordinates from column 0 of the same tables and eliminate over the
+base field's dense tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .config import DEFAULT_CAPS, Caps
 from .finite_field import (
     Extension,
     FieldCapError,
-    FieldElement,
     FieldMatrix,
     FieldTable,
     construct_extension,
@@ -140,33 +141,6 @@ class AlgebraSpec:
             pos += d
         return tuple(comps)
 
-    # -- element objects --------------------------------------------------------
-
-    def element(self, comps: Sequence[int]) -> "AlgebraElement":
-        comps = tuple(int(c) for c in comps)
-        if len(comps) != len(self.degrees):
-            raise AlgebraError(f"expected {len(self.degrees)} components")
-        for e, c in zip(self.extensions, comps):
-            if not 0 <= c < e.top.q:
-                raise AlgebraError(f"component index {c} out of range")
-        return AlgebraElement(self, comps)
-
-    @property
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.one_comps())
-
-    @property
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.zero_comps())
-
-    def elements(self) -> Iterator["AlgebraElement"]:
-        for comps in itertools.product(*(range(e.top.q) for e in self.extensions)):
-            yield AlgebraElement(self, comps)
-
-    def units(self) -> Iterator["AlgebraElement"]:
-        for comps in itertools.product(*(range(1, e.top.q) for e in self.extensions)):
-            yield AlgebraElement(self, comps)
-
     def regular_rep_mats(self, comps: np.ndarray) -> np.ndarray:
         """(N, n, n) block-diagonal base-field index matrices of right multiplication by (N, t) comps."""
         comps = np.asarray(comps).reshape(-1, len(self.degrees))
@@ -176,39 +150,6 @@ class AlgebraSpec:
             out[:, pos : pos + d, pos : pos + d] = e.mult_blocks()[comps[:, i]]
             pos += d
         return out
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """An element of an AlgebraSpec; comps holds one index per factor."""
-
-    spec: AlgebraSpec
-    comps: tuple[int, ...]
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.spec != other.spec:
-            raise AlgebraError("elements of different algebras")
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.spec, self.spec.mul_comps(self.comps, other.comps))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.spec, self.spec.add_comps(self.comps, other.comps))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.spec, self.spec.add_comps(self.comps, self.spec.neg_comps(other.comps)))
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.spec, self.spec.neg_comps(self.comps))
-
-    def inverse(self) -> "AlgebraElement":
-        return AlgebraElement(self.spec, self.spec.inv_comps(self.comps))
-
-    def __repr__(self) -> str:
-        return f"S{self.spec.degrees}{self.comps}"
 
 
 @dataclass(frozen=True)
@@ -246,14 +187,14 @@ class RingAutomorphism:
 # operations
 
 
-def regular_rep(a: AlgebraElement) -> FieldMatrix:
-    """Matrix of right multiplication by a in the fixed basis of S over k."""
-    return FieldMatrix(a.spec.base, a.spec.regular_rep_mats(a.comps)[0].tolist())
-
-
 def torus_units(spec: AlgebraSpec) -> np.ndarray:
     """All invertible elements of S as (N, t) component indices, in canonical component order."""
     return np.indices([e.top.q - 1 for e in spec.extensions]).reshape(len(spec.degrees), -1).T + 1
+
+
+def _norm_logs(spec: AlgebraSpec) -> list[int]:
+    """l_i, the log in k of N(g_i) for g_i the primitive element of factor K_i."""
+    return spec.base.logs([e.rel_norm(e.top.generator_index()) for e in spec.extensions]).tolist()
 
 
 def torus_generators(spec: AlgebraSpec, norm_one: bool = False) -> np.ndarray:
@@ -271,16 +212,11 @@ def torus_generators(spec: AlgebraSpec, norm_one: bool = False) -> np.ndarray:
     rows = np.where(np.eye(len(exts), dtype=bool), prim, one)
     if norm_one:
         q, top = spec.base.q, exts[0].top
-        logs = spec.base.logs([e.rel_norm(g) for e, g in zip(exts, prim)]).tolist()
+        logs = _norm_logs(spec)
         over = pow(logs[0], -1, q - 1)
         rows[0, 0] = top.pow_idx(prim[0], q - 1)
         rows[1:, 0] = [top.pow_idx(prim[0], -(log * over % (q - 1))) for log in logs[1:]]
     return rows[(rows != one).any(axis=1)]
-
-
-def algebra_norm(a: AlgebraElement) -> FieldElement:
-    """The norm of a down to the base field; equals det(regular_rep(a))."""
-    return FieldElement(a.spec.base, a.spec.norm_comps(a.comps))
 
 
 def aut_group(spec: AlgebraSpec) -> list[RingAutomorphism]:
@@ -324,92 +260,62 @@ def aut_group_size(spec: AlgebraSpec) -> int:
     return out
 
 
-class RowSpan:
-    """Incremental k-linear span of coordinate vectors (Gaussian elimination)."""
-
-    def __init__(self, field: FieldTable, n: int):
-        self.field = field
-        self.n = n
-        self.pivots: dict[int, list[int]] = {}
-
-    def _reduce(self, vec: Sequence[int]) -> list[int]:
-        f = self.field
-        v = list(vec)
-        for col, row in self.pivots.items():
-            c = v[col]
-            if c:
-                v = [f.sub_idx(x, f.mul_idx(c, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        f = self.field
-        v = self._reduce(vec)
-        for col, x in enumerate(v):
-            if x:
-                inv = f.inv_idx(x)
-                self.pivots[col] = [f.mul_idx(inv, y) for y in v]
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-Selector = Callable[[AlgebraElement], bool]
-
-
-def select_all_units(a: AlgebraElement) -> bool:
-    return True
-
-
-def select_norm_one(a: AlgebraElement) -> bool:
-    return a.spec.norm_comps(a.comps) == a.spec.base.one_index
 
 
 @dataclass(frozen=True)
 class SpanCheckResult:
     spans: bool
     rank: int
-    witness: tuple[AlgebraElement, ...]
+    witness: np.ndarray  # (rank, t) component rows of selected units spanning what they all span
 
 
-def additive_span_check(spec: AlgebraSpec, selector: Selector) -> SpanCheckResult:
-    """k-linear span of the selected units: does it equal all of S?
+def additive_span_check(spec: AlgebraSpec, norm_one: bool = False) -> SpanCheckResult:
+    """k-linear span of the units of S, or with norm_one of its norm-one units: is it all of S?
 
-    The witness lists a spanning subset of the selected units (the pivots
-    found, in canonical unit order).
+    The units are the rows of torus_units.  A unit with K_i-logarithms a_i
+    is prod g_i^a_i, so its norm is one iff sum l_i a_i = 0 mod q - 1, the
+    l_i of torus_generators.  Its coordinates in the fixed k-basis are
+    column 0 of its factors' multiplication blocks.  One column-pivot
+    elimination over k's dense tables gives the rank: a column's pivot is
+    the first row not yet zero there, and it is subtracted from every row
+    that is not.  The witness holds the pivot rows' units, in the order
+    found; every selected unit lies in their span.
     """
-    span = RowSpan(spec.base, spec.n)
-    witness: list[AlgebraElement] = []
-    for u in spec.units():
-        if selector(u):
-            if span.add(spec.coords_comps(u.comps)):
-                witness.append(u)
-                if span.rank == spec.n:
-                    break
-    return SpanCheckResult(span.rank == spec.n, span.rank, tuple(witness))
+    units = torus_units(spec)
+    exts, base = spec.extensions, spec.base
+    if norm_one:
+        logs = sum(l * e.top.logs(units[:, i]) for i, (l, e) in enumerate(zip(_norm_logs(spec), exts)))
+        units = units[logs % (base.q - 1) == 0]
+    rows = np.concatenate([e.mult_blocks()[units[:, i], :, 0] for i, e in enumerate(exts)], axis=1)
+    add, mul, neg, inv = base.np_add(), base.np_mul(), base.np_neg(), base.np_inv()
+    pivots = []
+    for col in range(spec.n):
+        live = np.flatnonzero(rows[:, col])
+        if live.size:
+            pivots.append(live[0])
+            scaled = mul[inv[rows[live[0], col]], rows[live[0]]]  # the pivot row with a one in col
+            rows[live] = add[rows[live], neg[mul[rows[live, col, None], scaled]]]
+    return SpanCheckResult(len(pivots) == spec.n, len(pivots), units[pivots])
 
 
-def span_absorbs_units(spec: AlgebraSpec, selector: Selector) -> bool:
+def span_absorbs_units(spec: AlgebraSpec, norm_one: bool) -> bool:
     """Whether the span of the selected units contains every unit of S (it lies inside theirs)."""
-    return additive_span_check(spec, selector).rank == additive_span_check(spec, select_all_units).rank
+    return additive_span_check(spec, norm_one).rank == additive_span_check(spec).rank
 
 
-def primitive_norm_one_search(base: FieldTable, ext_field: FieldTable) -> FieldElement | None:
-    """First element of K (canonical order) of norm 1 that generates K over base."""
+def primitive_norm_one_search(base: FieldTable, ext_field: FieldTable) -> int | None:
+    """Index of the first element of K (canonical order) of norm 1 that generates K over base."""
     ext = extension_of(base, ext_field)
     if ext.degree < 2:
         raise AlgebraError("K must be a proper extension of the base")
     for idx in range(1, ext_field.q):
         if ext.rel_norm(idx) == base.one_index and ext.orbit_size(idx) == ext.degree:
-            return FieldElement(ext_field, idx)
+            return idx
     return None
 
 
-def count_power_in_base(base: FieldTable, x: FieldElement, exponent: int) -> int:
-    """Number of alpha in k with (x + alpha)^N in k.
+def count_power_in_base(base: FieldTable, top: FieldTable, x: int, exponent: int) -> int:
+    """Number of alpha in k with (x + alpha)^N in k, for x an element index of K = top.
 
     One pass over the shifts x + alpha, none zero since x lies outside k.
     k* is the subgroup of K* of order |k| - 1, so w^N lies in k exactly when
@@ -418,16 +324,15 @@ def count_power_in_base(base: FieldTable, x: FieldElement, exponent: int) -> int
     Preconditions reported distinctly: x outside the base, gcd(N, p) = 1,
     |k| > N, N >= 1.
     """
-    ext = extension_of(base, x.owner)
+    ext = extension_of(base, top)
     if exponent < 1:
         raise AlgebraError(f"exponent must be >= 1, got {exponent}")
-    if ext.contains(x.index):
+    if ext.contains(x):
         raise AlgebraError("x must lie outside the base field")
     if exponent % base.p == 0:
         raise AlgebraError(f"exponent {exponent} is divisible by the characteristic {base.p}")
     if base.q <= exponent:
         raise AlgebraError(f"base field of order {base.q} too small for exponent {exponent}")
-    top = x.owner
     step = (top.q - 1) // (base.q - 1)
-    logs = top.logs(top.add_idxs(x.index, ext.embed))
+    logs = top.logs(top.add_idxs(x, ext.embed))
     return int(np.count_nonzero(logs * (exponent % step) % step == 0))

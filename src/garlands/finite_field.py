@@ -32,10 +32,9 @@ tuple, come from one numpy pass over all coordinate tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -314,9 +313,6 @@ class FieldTable:
             w *= p
         return out
 
-    def sub_idx(self, a: int, b: int) -> int:
-        return self.add_idx(a, self.neg_idx(b))
-
     def add_idxs(self, a: int, bs) -> np.ndarray:
         """Indices of a + b for every b in an index array, digitwise mod p."""
         return self._index_of_digits((self._digits(a) + self._digits(bs)) % self.p)
@@ -433,71 +429,8 @@ class FieldTable:
         """Inverses of the nonzero elements; entry 0 is 0."""
         return self._dense("inv", lambda d, lg: np.where(lg < 0, 0, self._exp[-lg % (self.q - 1)]))
 
-    # -- element objects -------------------------------------------------------
-
-    def element(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.q:
-            raise FieldError(f"element index {idx} out of range for order {self.q}")
-        return FieldElement(self, idx)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_index)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.q):
-            yield FieldElement(self, i)
-
     def serialize(self) -> dict:
         return {"p": self.p, "m": self.m, "defining_poly": list(self.defining_poly)}
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldTable, addressed by canonical index."""
-
-    owner: FieldTable
-    index: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.owner.coeffs_of(self.index)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.owner != other.owner:
-            raise FieldMismatchError("elements of different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.add_idx(self.index, other.index))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.sub_idx(self.index, other.index))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.mul_idx(self.index, other.index))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.mul_idx(self.index, self.owner.inv_idx(other.index)))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.neg_idx(self.index))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.pow_idx(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.inv_idx(self.index))
-
-    def __repr__(self) -> str:
-        return f"F{self.owner.q}{self.coeffs}"
 
 
 # ---------------------------------------------------------------------------
@@ -671,27 +604,6 @@ def construct_extension(base: FieldTable, n: int, caps: Caps = DEFAULT_CAPS) -> 
     top = _shared_field(base.p, base.m * n)
     extension_of(base, top)  # warm the embedding cache
     return top
-
-
-# ---------------------------------------------------------------------------
-# public operations on elements
-
-
-def frobenius(x: FieldElement, i: int = 1) -> FieldElement:
-    """x^(p^i); applying it m times is the identity."""
-    return FieldElement(x.owner, x.owner.frob_idx(x.index, i))
-
-
-def norm_to_base(x: FieldElement, base: FieldTable) -> FieldElement:
-    """Product of the Galois conjugates of x over base, as a base element."""
-    ext = extension_of(base, x.owner)
-    return FieldElement(base, ext.rel_norm(x.index))
-
-
-def is_primitive_element(x: FieldElement, base: FieldTable) -> bool:
-    """Whether x generates its field over base."""
-    ext = extension_of(base, x.owner)
-    return ext.orbit_size(x.index) == ext.degree
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,6 @@ class AmbientGroup:
         self.kind = kind
         self.n = n
         self.field = field
-        self.caps = caps
         self.order = gl_order(n, field.q) if kind == GL else sl_order(n, field.q)
         if self.order > caps.group_order:
             raise GroupCapError(

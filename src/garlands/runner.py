@@ -16,6 +16,7 @@ from .lattice import (
     EXPECTED_COUNTEREXAMPLE,
     UNEXPECTED_MISMATCH,
     interval_restriction_check,
+    overall_verdict,
     verify_lower_garland,
 )
 from .matrix_group import GL, SL, GroupCapError, Subgroup, ambient_group, is_maximal_abelian
@@ -120,11 +121,7 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
         except GroupCapError as exc:
             restriction = {"skipped": str(exc)}
         doc["restriction"] = restriction
-        rv = restriction.get("verdict")
-        if rv == UNEXPECTED_MISMATCH:
-            doc["overall"] = UNEXPECTED_MISMATCH
-        elif rv == EXPECTED_COUNTEREXAMPLE and doc["overall"] == CONFIRMED:
-            doc["overall"] = EXPECTED_COUNTEREXAMPLE
+        doc["overall"] = overall_verdict([doc["overall"], restriction.get("verdict")])
 
     if cache is not None:
         cache.put(key, doc)

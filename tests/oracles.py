@@ -108,7 +108,7 @@ def matrix_inverse(m: FieldMatrix) -> FieldMatrix:
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 c = aug[r][col]
-                aug[r] = [f.sub_idx(v, f.mul_idx(c, w)) for v, w in zip(aug[r], aug[col])]
+                aug[r] = [f.add_idx(v, f.neg_idx(f.mul_idx(c, w))) for v, w in zip(aug[r], aug[col])]
     return FieldMatrix(f, [row[n:] for row in aug])
 
 
@@ -213,21 +213,24 @@ def scalar_mul_comps(spec: AlgebraSpec, c: int, a) -> tuple[int, ...]:
     return tuple(e.top.mul_idx(int(e.embed[c]), x) for e, x in zip(spec.extensions, a))
 
 
-def count_power_in_base_by_shifts(base, x, exponent: int) -> int:
+def algebra_comps(spec: AlgebraSpec, units: bool = False) -> list[tuple[int, ...]]:
+    """Every element of S (with units, every unit) as a component tuple, in canonical component order."""
+    return list(itertools.product(*(range(int(units), e.top.q) for e in spec.extensions)))
+
+
+def count_power_in_base_by_shifts(base, top, x: int, exponent: int) -> int:
     """Number of alpha in k with (x + alpha)^N in k, one scalar sum, power and membership test per alpha."""
-    ext = extension_of(base, x.owner)
-    top = x.owner
+    ext = extension_of(base, top)
     count = 0
     for alpha in range(base.q):
-        z = top.add_idx(x.index, int(ext.embed[alpha]))
+        z = top.add_idx(x, int(ext.embed[alpha]))
         if ext.contains(top.pow_idx(z, exponent)):
             count += 1
     return count
 
 
-def brute_additive_span(spec: AlgebraSpec, selected) -> frozenset:
-    """The k-linear span of the selected elements, as a set of comps tuples."""
-    vectors = [a.comps for a in selected]
+def brute_additive_span(spec: AlgebraSpec, vectors) -> frozenset:
+    """The k-linear span of the given component rows, as a set of comps tuples."""
     span = {spec.zero_comps()}
     frontier = [spec.zero_comps()]
     while frontier:
@@ -254,7 +257,9 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
     multiplicativity on all basis pairs and bijectivity.
     """
     base = spec.base
-    idempotents = [e for e in spec.elements() if e * e == e and e.comps != spec.zero_comps()]
+    zero, one = spec.zero_comps(), spec.one_comps()
+    elements = algebra_comps(spec)
+    idempotents = [e for e in elements if spec.mul_comps(e, e) == e and e != zero]
     t = len(spec.degrees)
 
     results = []
@@ -271,7 +276,7 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
                 power = block
                 for e in range(d):
                     images.append(power)
-                    power = power * y_img
+                    power = spec.mul_comps(power, y_img)
         return images
 
     def k_linear_map(images):
@@ -279,11 +284,11 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
         table = {}
         for coeffs in itertools.product(range(base.q), repeat=spec.n):
             src = spec.from_coords(coeffs)
-            acc = spec.zero
+            acc = zero
             for c, img in zip(coeffs, images):
                 if c:
-                    acc = acc + spec.element(scalar_mul_comps(spec, c, img.comps))
-            table[src] = acc.comps
+                    acc = spec.add_comps(acc, scalar_mul_comps(spec, c, img))
+            table[src] = acc
         if len(set(table.values())) != spec.order:
             return None
         return table
@@ -293,7 +298,6 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
         table = k_linear_map(images)
         if table is None:
             return
-        one = spec.one_comps()
         if table[one] != one:
             return
         # multiplicativity on all basis pairs suffices by bilinearity
@@ -322,25 +326,25 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
         ext = spec.extensions[f]
         minpoly = rel_min_poly(ext, ext.gen_index)  # base-field indices, monic
         block = assign_idem[f]
-        for z in spec.elements():
-            if z * block != z:
+        for z in elements:
+            if spec.mul_comps(z, block) != z:
                 continue
-            acc = spec.zero
+            acc = zero
             for coeff in reversed(minpoly):
-                acc = acc * z + spec.element(scalar_mul_comps(spec, coeff, block.comps))
-            if acc.comps == spec.zero_comps():
+                acc = spec.add_comps(spec.mul_comps(acc, z), scalar_mul_comps(spec, coeff, block))
+            if acc == zero:
                 assign_generators(assign_idem, f + 1, assign_gen + [z])
 
     for combo in itertools.permutations(idempotents, t):
         # images of the factor identities: orthogonal idempotents summing to 1
-        total = spec.zero
+        total = zero
         ok = True
         for i, e in enumerate(combo):
-            total = total + e
+            total = spec.add_comps(total, e)
             for j in range(i):
-                if (combo[j] * e).comps != spec.zero_comps():
+                if spec.mul_comps(combo[j], e) != zero:
                     ok = False
-        if not ok or total.comps != spec.one_comps():
+        if not ok or total != one:
             continue
         assign_generators(list(combo), 0, [])
 
@@ -481,12 +485,11 @@ def centralizer_brute(ambient, h) -> Subgroup:
     return Subgroup(ambient, np.nonzero(ok)[0])
 
 
-def regular_rep_by_basis(a) -> FieldMatrix:
-    """Matrix of right multiplication by a: column j holds the coordinates of e_j * a."""
-    spec = a.spec
+def regular_rep_by_basis(spec: AlgebraSpec, a) -> FieldMatrix:
+    """Matrix of right multiplication by the element with components a: column j holds the coordinates of e_j * a."""
     one = spec.base.one_index
     basis = [spec.from_coords([one if i == j else 0 for i in range(spec.n)]) for j in range(spec.n)]
-    cols = [spec.coords_comps(spec.mul_comps(e, a.comps)) for e in basis]
+    cols = [spec.coords_comps(spec.mul_comps(e, a)) for e in basis]
     return FieldMatrix(spec.base, [list(row) for row in zip(*cols)])
 
 
@@ -494,9 +497,9 @@ def torus_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
     """Sorted ambient indices of t(u) for every unit u (norm-one units in SL), one matrix at a time."""
     one = spec.base.one_index
     idxs = [
-        ambient.index_of(regular_rep_by_basis(u))
-        for u in spec.units()
-        if ambient.kind != SL or spec.norm_comps(u.comps) == one
+        ambient.index_of(regular_rep_by_basis(spec, u))
+        for u in algebra_comps(spec, units=True)
+        if ambient.kind != SL or spec.norm_comps(u) == one
     ]
     return np.array(sorted(idxs), dtype=np.int32)
 
@@ -506,8 +509,8 @@ def formula_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
     one = spec.base.one_index
     perms = [s.matrix() for s in aut_group(spec)]
     idxs = set()
-    for u in spec.units():
-        t = regular_rep_by_basis(u)
+    for u in algebra_comps(spec, units=True):
+        t = regular_rep_by_basis(spec, u)
         for pm in perms:
             prod = matrix_product(t, pm)
             if ambient.kind != SL or matrix_det(prod) == one:
@@ -521,7 +524,7 @@ def formula_leaders_by_units(spec: AlgebraSpec, ambient) -> list[int]:
     out = []
     for s in aut_group(spec):
         pm = s.matrix()
-        prods = (matrix_product(regular_rep_by_basis(u), pm) for u in spec.units())
+        prods = (matrix_product(regular_rep_by_basis(spec, u), pm) for u in algebra_comps(spec, units=True))
         out.append(next(ambient.index_of(x) for x in prods if ambient.kind != SL or matrix_det(x) == one))
     return out
 

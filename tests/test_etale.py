@@ -4,24 +4,20 @@ from hypothesis import strategies as st
 
 from garlands.etale import (
     AlgebraCapError,
-    AlgebraElement,
     AlgebraError,
     AlgebraSpec,
     additive_span_check,
-    algebra_norm,
     aut_group,
     aut_group_size,
     count_power_in_base,
     primitive_norm_one_search,
-    regular_rep,
-    select_all_units,
-    select_norm_one,
     span_absorbs_units,
     torus_units,
 )
-from garlands.finite_field import FieldCapError, construct_extension, construct_field, extension_of
+from garlands.finite_field import FieldCapError, FieldMatrix, construct_extension, construct_field, extension_of
 
 from oracles import (
+    algebra_comps,
     brute_additive_span,
     brute_ring_automorphisms,
     matrix_det,
@@ -32,13 +28,11 @@ from oracles import (
 
 
 def apply(sigma, a):
-    """sigma(a): factor i goes to slot sigma.perm[i] through its relative Frobenius power sigma.frob[i]."""
-    if a.spec != sigma.spec:
-        raise AlgebraError("element of a different algebra")
+    """sigma(a) for component indices a: factor i goes to slot sigma.perm[i] through its relative Frobenius power sigma.frob[i]."""
     out = [0] * len(sigma.perm)
     for i, (target, e) in enumerate(zip(sigma.perm, sigma.frob)):
-        out[target] = sigma.spec.extensions[i].rel_frobenius(a.comps[i], e)
-    return AlgebraElement(sigma.spec, tuple(out))
+        out[target] = sigma.spec.extensions[i].rel_frobenius(a[i], e)
+    return tuple(out)
 
 
 F2 = construct_field(2, 1)
@@ -68,15 +62,14 @@ def test_regular_rep_f9_shape():
     ext = spec.extensions[0]
     for a in range(3):
         for b in range(3):
-            el = spec.element((ext.from_coords((a, b)),))
-            assert regular_rep(el).rows == ((a, (-b) % 3), (b, a))
+            assert spec.regular_rep_mats([ext.from_coords((a, b))])[0].tolist() == [[a, (-b) % 3], [b, a]]
 
 
 def test_regular_rep_split_is_diagonal():
     spec = AlgebraSpec(F3, [1, 1])
     for a in range(1, 3):
         for b in range(1, 3):
-            assert regular_rep(spec.element((a, b))).rows == ((a, 0), (0, b))
+            assert spec.regular_rep_mats([a, b])[0].tolist() == [[a, 0], [0, b]]
 
 
 @pytest.mark.parametrize("p", [3, 7])
@@ -90,8 +83,7 @@ def test_regular_rep_quadratic_shape(p):
     ext = spec.extensions[0]
     for x in range(p):
         for y in range(p):
-            el = spec.element((ext.from_coords((x, y)),))
-            assert regular_rep(el).rows == ((x, (y * d) % p), (y, x))
+            assert spec.regular_rep_mats([ext.from_coords((x, y))])[0].tolist() == [[x, (y * d) % p], [y, x]]
 
 
 def test_torus_units_counts():
@@ -102,13 +94,12 @@ def test_torus_units_counts():
 
 def test_algebra_norm_examples():
     spec = AlgebraSpec(F3, [1, 1, 1])
-    assert algebra_norm(spec.one).index == F3.one_index
+    assert spec.norm_comps(spec.one_comps()) == F3.one_index
     spec9 = AlgebraSpec(F3, [2])
     ext = spec9.extensions[0]
     for a in range(3):
         for b in range(3):
-            el = spec9.element((ext.from_coords((a, b)),))
-            assert algebra_norm(el).index == (a * a + b * b) % 3
+            assert spec9.norm_comps((ext.from_coords((a, b)),)) == (a * a + b * b) % 3
 
 
 @pytest.mark.parametrize("base,degrees", SMALL_SHAPES)
@@ -116,8 +107,9 @@ def test_det_of_regular_rep_equals_norm(base, degrees):
     spec = AlgebraSpec(base, degrees)
     if spec.order > 81:
         pytest.skip("exhaustive oracle bounded at order 81")
-    for el in spec.elements():
-        assert matrix_det(regular_rep(el)) == spec.norm_comps(el.comps)
+    elements = algebra_comps(spec)
+    for el, m in zip(elements, spec.regular_rep_mats(elements)):
+        assert matrix_det(FieldMatrix(base, m.tolist())) == spec.norm_comps(el)
 
 
 @pytest.mark.parametrize("base,degrees", SMALL_SHAPES)
@@ -125,30 +117,28 @@ def test_regular_rep_multiplicative_and_injective(base, degrees):
     spec = AlgebraSpec(base, degrees)
     if spec.order > 81:
         pytest.skip("exhaustive oracle bounded at order 81")
-    units = [spec.element(c) for c in torus_units(spec)]
-    images = {matrix_key(regular_rep(u)) for u in units}
-    assert len(images) == len(units)
+    units = [tuple(u) for u in torus_units(spec).tolist()]
+    rep = {u: FieldMatrix(base, m.tolist()) for u, m in zip(units, spec.regular_rep_mats(units))}
+    assert len({matrix_key(m) for m in rep.values()}) == len(units)
     for a in units[:6]:
         for b in units:
-            assert regular_rep(a * b) == matrix_product(regular_rep(a), regular_rep(b))
+            assert rep[spec.mul_comps(a, b)] == matrix_product(rep[a], rep[b])
 
 
 @pytest.mark.parametrize("base,degrees", SMALL_SHAPES)
 def test_regular_rep_mats_match_per_element_routes(base, degrees):
-    # the batched table route against regular_rep and against the algebra's own products
+    # the batched table route against the algebra's own products
     spec = AlgebraSpec(base, degrees)
-    elements = list(spec.elements())
-    mats = spec.regular_rep_mats([a.comps for a in elements])
-    for a, m in zip(elements, mats):
-        assert m.tolist() == [list(row) for row in regular_rep(a).rows]
-        assert regular_rep(a) == regular_rep_by_basis(a)
-    assert torus_units(spec).tolist() == [list(u.comps) for u in spec.units()]
+    elements = algebra_comps(spec)
+    for a, m in zip(elements, spec.regular_rep_mats(elements)):
+        assert FieldMatrix(base, m.tolist()) == regular_rep_by_basis(spec, a)
+    assert torus_units(spec).tolist() == [list(u) for u in algebra_comps(spec, units=True)]
 
 
 def test_regular_rep_refuses_oversized_table():
     spec = AlgebraSpec(F2, [20])  # 2^20 blocks of 20 x 20 entries
     with pytest.raises(FieldCapError):
-        regular_rep(spec.one)
+        spec.regular_rep_mats([spec.one_comps()])
 
 
 def test_aut_group_examples():
@@ -165,7 +155,7 @@ def test_aut_group_against_brute_force(base, degrees):
     fast = aut_group(spec)
     assert len(fast) == aut_group_size(spec)
     brute = brute_ring_automorphisms(spec)
-    fast_maps = {tuple(sorted((a.comps, apply(s, a).comps) for a in spec.elements())) for s in fast}
+    fast_maps = {tuple(sorted((a, apply(s, a)) for a in algebra_comps(spec))) for s in fast}
     brute_maps = {tuple(sorted(t.items())) for t in brute}
     assert fast_maps == brute_maps
 
@@ -176,23 +166,23 @@ def test_aut_commutes_with_norm(base, degrees):
     if spec.order > 81:
         pytest.skip("bounded at order 81")
     for sigma in aut_group(spec):
-        for a in spec.elements():
-            assert algebra_norm(apply(sigma, a)) == algebra_norm(a)
+        for a in algebra_comps(spec):
+            assert spec.norm_comps(apply(sigma, a)) == spec.norm_comps(a)
 
 
 def test_additive_span_examples():
-    res = additive_span_check(AlgebraSpec(F3, [1, 1]), select_norm_one)
+    res = additive_span_check(AlgebraSpec(F3, [1, 1]), norm_one=True)
     assert not res.spans and res.rank == 1  # span is the diagonal
-    assert additive_span_check(AlgebraSpec(F3, [2]), select_norm_one).spans
-    res = additive_span_check(AlgebraSpec(F2, [1, 1]), select_all_units)
+    assert additive_span_check(AlgebraSpec(F3, [2]), norm_one=True).spans
+    res = additive_span_check(AlgebraSpec(F2, [1, 1]))
     assert not res.spans and res.rank == 1  # only unit is (1, 1)
 
 
 def test_additive_span_witness_spans():
     spec = AlgebraSpec(F5, [1, 1])
-    res = additive_span_check(spec, select_norm_one)
+    res = additive_span_check(spec, norm_one=True)
     assert res.spans
-    regen = brute_additive_span(spec, list(res.witness))
+    regen = brute_additive_span(spec, res.witness.tolist())
     assert len(regen) == spec.order
 
 
@@ -201,25 +191,32 @@ def test_additive_span_matches_brute_closure(base, degrees):
     spec = AlgebraSpec(base, degrees)
     if spec.order > 81:
         pytest.skip("bounded at order 81")
-    for selector in (select_all_units, select_norm_one):
-        fast = additive_span_check(spec, selector)
-        brute = brute_additive_span(spec, [u for u in spec.units() if selector(u)])
+    units = algebra_comps(spec, units=True)
+    for norm_one in (False, True):
+        fast = additive_span_check(spec, norm_one)
+        selected = [u for u in units if not norm_one or spec.norm_comps(u) == base.one_index]
+        brute = brute_additive_span(spec, selected)
         assert fast.spans == (len(brute) == spec.order)
         assert len(brute) == base.q**fast.rank
-        assert span_absorbs_units(spec, selector) == all(u.comps in brute for u in spec.units())
+        witness = [tuple(w) for w in fast.witness.tolist()]
+        assert len(witness) == fast.rank and set(witness) <= set(selected)
+        assert brute_additive_span(spec, witness) == brute
+        assert span_absorbs_units(spec, norm_one) == all(u in brute for u in units)
 
 
 def test_span_absorbs_units():
-    assert span_absorbs_units(AlgebraSpec(F2, [1, 1]), select_norm_one)  # S* is one element
-    assert not span_absorbs_units(AlgebraSpec(F3, [1, 1]), select_norm_one)
-    assert span_absorbs_units(AlgebraSpec(F3, [2]), select_norm_one)
+    assert span_absorbs_units(AlgebraSpec(F2, [1, 1]), norm_one=True)  # S* is one element
+    assert not span_absorbs_units(AlgebraSpec(F3, [1, 1]), norm_one=True)
+    assert span_absorbs_units(AlgebraSpec(F3, [2]), norm_one=True)
 
 
 def test_primitive_norm_one_examples():
-    w = primitive_norm_one_search(F2, construct_extension(F2, 2))
-    assert w is not None and w.coeffs == (0, 1)  # the generator of F4
-    i = primitive_norm_one_search(F3, construct_extension(F3, 2))
-    assert i is not None and i.coeffs == (0, 1)
+    f4 = construct_extension(F2, 2)
+    w = primitive_norm_one_search(F2, f4)
+    assert w is not None and f4.coeffs_of(w) == (0, 1)  # the generator of F4
+    f9 = construct_extension(F3, 2)
+    i = primitive_norm_one_search(F3, f9)
+    assert i is not None and f9.coeffs_of(i) == (0, 1)
     f25 = construct_extension(F5, 2)
     w = primitive_norm_one_search(F5, f25)
     assert w is not None
@@ -231,9 +228,9 @@ def test_primitive_norm_one_examples():
 def test_count_power_in_base_examples():
     f25 = construct_field(5, 2)
     ext = extension_of(F5, f25)
-    x = next(f25.element(i) for i in range(f25.q) if not ext.contains(i))
-    assert count_power_in_base(F5, x, 2) == 1  # exactly one shift kills the trace
-    assert count_power_in_base(F5, x, 1) == 0
+    x = next(i for i in range(f25.q) if not ext.contains(i))
+    assert count_power_in_base(F5, f25, x, 2) == 1  # exactly one shift kills the trace
+    assert count_power_in_base(F5, f25, x, 1) == 0
 
     f49 = construct_field(7, 2)
     f7 = construct_field(7, 1)
@@ -242,36 +239,36 @@ def test_count_power_in_base_examples():
         if ext49.contains(idx):
             continue
         for exponent in (2, 3):
-            assert count_power_in_base(f7, f49.element(idx), exponent) <= exponent
+            assert count_power_in_base(f7, f49, idx, exponent) <= exponent
 
 
 def test_count_power_in_base_preconditions():
     f25 = construct_field(5, 2)
     ext = extension_of(F5, f25)
-    inside = next(f25.element(int(ext.embed[2])) for _ in [0])
+    inside = int(ext.embed[2])
     with pytest.raises(AlgebraError, match="outside"):
-        count_power_in_base(F5, inside, 2)
-    x = f25.element(1)
+        count_power_in_base(F5, f25, inside, 2)
+    x = 1
     with pytest.raises(AlgebraError, match="characteristic"):
-        count_power_in_base(F5, x, 5)
+        count_power_in_base(F5, f25, x, 5)
     with pytest.raises(AlgebraError, match="too small"):
-        count_power_in_base(F5, x, 6)
+        count_power_in_base(F5, f25, x, 6)
     with pytest.raises(AlgebraError, match=">= 1"):
-        count_power_in_base(F5, x, 0)
+        count_power_in_base(F5, f25, x, 0)
     # the count reads logarithms, and fields past the exp/log table size have none
     f2 = construct_field(2, 1)
     big = construct_field(2, 17)
     with pytest.raises(FieldCapError, match="exp/log"):
-        count_power_in_base(f2, big.element(2), 1)
+        count_power_in_base(f2, big, 2, 1)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2), st.integers(0, 2))
 def test_algebra_ring_axioms_random(i1, i2, a, b):
     spec = AlgebraSpec(F3, [2, 1])
-    x = spec.element((i1, a))
-    y = spec.element((i2, b))
-    assert (x + y) * (x - y) == x * x - y * y
-    assert x * y == y * x
-    if all(x.comps):
-        assert (x * x.inverse()) == spec.one
+    add, mul, neg = spec.add_comps, spec.mul_comps, spec.neg_comps
+    x, y = (i1, a), (i2, b)
+    assert mul(add(x, y), add(x, neg(y))) == add(mul(x, x), neg(mul(y, y)))
+    assert mul(x, y) == mul(y, x)
+    if all(x):
+        assert mul(x, spec.inv_comps(x)) == spec.one_comps()

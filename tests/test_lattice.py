@@ -824,13 +824,33 @@ def test_stage_memo_keeps_no_ambient_sized_memo():
     assert all(isinstance(x, str) for g in graphs for x in (*g.vertices, *sum(g.edges, ()), g.bottom_id, g.top_id))
 
 
-def test_verdict_classification():
-    from garlands.lattice import UNEXPECTED_MISMATCH, _verdict
+def test_verdict_classification(monkeypatch):
+    from garlands import runner
+    from garlands.lattice import UNEXPECTED_MISMATCH, _verdict, overall_verdict
 
     assert _verdict(True, must=True) == CONFIRMED
     assert _verdict(True, must=False) == CONFIRMED
     assert _verdict(False, must=False) == EXPECTED_COUNTEREXAMPLE
     assert _verdict(False, must=True) == UNEXPECTED_MISMATCH
+
+    # the overall verdict is the gravest: unexpected > expected > confirmed, whatever the order
+    verdicts = (CONFIRMED, EXPECTED_COUNTEREXAMPLE, UNEXPECTED_MISMATCH)
+    for a in verdicts:
+        for b in verdicts:
+            assert overall_verdict([a, b]) == max(a, b, key=verdicts.index)
+    assert overall_verdict([]) == CONFIRMED
+    assert overall_verdict([CONFIRMED, None]) == CONFIRMED  # a skipped restriction has no verdict
+
+    # run_case merges the restriction's verdict by the same rule: SL(2,2) with degrees 2
+    # confirms every check of its own, so a counterexample in the restriction alone decides
+    case = CaseSpec(2, 1, (2,), "sl")
+    assert run_case(case)["overall"] == CONFIRMED
+    for verdict in (EXPECTED_COUNTEREXAMPLE, UNEXPECTED_MISMATCH):
+        stub = SimpleNamespace(to_dict=lambda v=verdict: {"verdict": v})
+        monkeypatch.setattr(runner, "interval_restriction_check", lambda *args, _s=stub: _s)
+        doc = run_case(case)
+        assert doc["verdicts"] == dict.fromkeys(doc["verdicts"], CONFIRMED)
+        assert doc["restriction"]["verdict"] == verdict and doc["overall"] == verdict
 
 
 def test_report_to_dict_is_stable():
