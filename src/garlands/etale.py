@@ -8,9 +8,12 @@ standard basis vectors, and a quadratic factor presented by y^2 = d produces
 the classical [[x, y*d], [y, x]] block.  Each factor holds one table of
 those blocks, indexed by element (Extension.mult_blocks), and
 regular_rep_mats maps a batch of component-index rows to block-diagonal
-index matrices with one gather per factor.  The span checks read each
-unit's coordinates from column 0 of the same tables and eliminate over the
-base field's dense tables.
+index matrices with one gather per factor.  Whether a unit has norm one
+is decided here only, by its norm's logarithm (unit_norm_logs): the span
+check, the SL cut of the torus and the formula set's x_sigma all read it.
+The span check reads each unit's coordinates from column 0 of the same
+tables and finds both ranks, all units' and the norm-one units', in one
+elimination over the base field's dense tables.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ class AlgebraSpec:
         return {"p": self.base.p, "base_degree": self.base.m, "degrees": list(self.degrees)}
 
     # -- componentwise arithmetic on index tuples -------------------------------
+    # zero_, mul_, add_, neg_, inv_, norm_ and coords_comps and from_coords are
+    # the tests' reference routes, which no case path calls: cases work on
+    # arrays of unit rows.
 
     def zero_comps(self) -> tuple[int, ...]:
         return (0,) * len(self.degrees)
@@ -197,6 +203,17 @@ def _norm_logs(spec: AlgebraSpec) -> list[int]:
     return spec.base.logs([e.rel_norm(e.top.generator_index()) for e in spec.extensions]).tolist()
 
 
+def unit_norm_logs(spec: AlgebraSpec, units: np.ndarray) -> np.ndarray:
+    """log N(a) in k, mod q - 1, for each (N, t) unit row a: the one norm-one rule (log 0) of every case.
+
+    A unit with K_i-logarithms a_i is prod g_i^a_i, so its norm has log
+    sum l_i a_i, the l_i of _norm_logs.  det t(a) is N(a), so this also
+    decides which t(a) lie in SL and which t(a) * P_sigma do.
+    """
+    logs = sum(l * e.top.logs(units[:, i]) for i, (l, e) in enumerate(zip(_norm_logs(spec), spec.extensions)))
+    return logs % (spec.base.q - 1)
+
+
 def torus_generators(spec: AlgebraSpec, norm_one: bool = False) -> np.ndarray:
     """Generators of S*, or with norm_one of its norm-one part, as (N, t) component rows; none is the identity.
 
@@ -260,8 +277,6 @@ def aut_group_size(spec: AlgebraSpec) -> int:
     return out
 
 
-
-
 @dataclass(frozen=True)
 class SpanCheckResult:
     spans: bool
@@ -269,38 +284,52 @@ class SpanCheckResult:
     witness: np.ndarray  # (rank, t) component rows of selected units spanning what they all span
 
 
-def additive_span_check(spec: AlgebraSpec, norm_one: bool = False) -> SpanCheckResult:
-    """k-linear span of the units of S, or with norm_one of its norm-one units: is it all of S?
+def _pivots(base: FieldTable, rows: np.ndarray) -> np.ndarray:
+    """Pivot rows of a column-pivot elimination of (N, c) base-field index rows, which it overwrites.
 
-    The units are the rows of torus_units.  A unit with K_i-logarithms a_i
-    is prod g_i^a_i, so its norm is one iff sum l_i a_i = 0 mod q - 1, the
-    l_i of torus_generators.  Its coordinates in the fixed k-basis are
-    column 0 of its factors' multiplication blocks.  One column-pivot
-    elimination over k's dense tables gives the rank: a column's pivot is
-    the first row not yet zero there, and it is subtracted from every row
-    that is not.  The witness holds the pivot rows' units, in the order
-    found; every selected unit lies in their span.
+    A column's pivot is the first row not yet zero there, and it is
+    subtracted from every row that is not.  So a row's updates read only
+    pivots above it: eliminating a prefix of the rows never reads a later
+    row, and the pivots among the first m rows are those of the first m
+    rows eliminated alone, rank(first m rows) many.
     """
-    units = torus_units(spec)
-    exts, base = spec.extensions, spec.base
-    if norm_one:
-        logs = sum(l * e.top.logs(units[:, i]) for i, (l, e) in enumerate(zip(_norm_logs(spec), exts)))
-        units = units[logs % (base.q - 1) == 0]
-    rows = np.concatenate([e.mult_blocks()[units[:, i], :, 0] for i, e in enumerate(exts)], axis=1)
     add, mul, neg, inv = base.np_add(), base.np_mul(), base.np_neg(), base.np_inv()
     pivots = []
-    for col in range(spec.n):
+    for col in range(rows.shape[1]):
         live = np.flatnonzero(rows[:, col])
         if live.size:
             pivots.append(live[0])
             scaled = mul[inv[rows[live[0], col]], rows[live[0]]]  # the pivot row with a one in col
             rows[live] = add[rows[live], neg[mul[rows[live, col, None], scaled]]]
-    return SpanCheckResult(len(pivots) == spec.n, len(pivots), units[pivots])
+    return np.array(pivots, dtype=np.intp)
 
 
-def span_absorbs_units(spec: AlgebraSpec, norm_one: bool) -> bool:
-    """Whether the span of the selected units contains every unit of S (it lies inside theirs)."""
-    return additive_span_check(spec, norm_one).rank == additive_span_check(spec).rank
+def additive_span_check(spec: AlgebraSpec) -> tuple[SpanCheckResult, SpanCheckResult]:
+    """k-linear spans of the units of S and of its norm-one units: is each all of S?
+
+    Returns (units, norm_one), both from one elimination (_pivots).  The
+    units are the rows of torus_units, the norm-one ones (unit_norm_logs 0)
+    moved first, each part in unit order.  A unit's coordinates in the
+    fixed k-basis are column 0 of its factors' multiplication blocks.  The
+    pivots among the first m rows, m the count of norm-one units, give
+    their rank, and all pivots the rank of all units.  A witness holds the
+    pivot rows' units, in the order found; every selected unit lies in
+    their span.
+    """
+    units = torus_units(spec)
+    norm_one = unit_norm_logs(spec, units) == 0
+    units = np.concatenate([units[norm_one], units[~norm_one]])
+    rows = np.concatenate([e.mult_blocks()[units[:, i], :, 0] for i, e in enumerate(spec.extensions)], axis=1)
+    pivots = _pivots(spec.base, rows)
+    return tuple(
+        SpanCheckResult(p.size == spec.n, p.size, units[p]) for p in (pivots, pivots[pivots < norm_one.sum()])
+    )
+
+
+def span_absorbs_units(spec: AlgebraSpec) -> bool:
+    """Whether the span of the norm-one units contains every unit of S (it lies inside theirs): the ranks agree."""
+    units, norm_one = additive_span_check(spec)
+    return norm_one.rank == units.rank
 
 
 def primitive_norm_one_search(base: FieldTable, ext_field: FieldTable) -> int | None:

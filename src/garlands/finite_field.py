@@ -387,7 +387,7 @@ class FieldTable:
         return self._log[np.asarray(idxs)]
 
     def frob_idx(self, a: int, i: int = 1) -> int:
-        """a^(p^i), the i-th Frobenius iterate."""
+        """a^(p^i), the i-th Frobenius iterate: the tests' reference route, which no case path calls."""
         i %= self.m
         return self.pow_idx(a, self.p**i)
 

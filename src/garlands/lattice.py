@@ -335,14 +335,14 @@ def record_hypotheses(spec: AlgebraSpec, ambient_kind: str) -> dict:
     torus and its determinant-one part; norm_one_absorbs_units is the weaker
     premise (every unit is a combination of norm-one units) that drives the
     GL-vs-SL normalizer intersection identity; the norm-one span lies inside
-    the units' span, so it holds exactly when the two ranks agree.
+    the units' span, so it holds exactly when the two ranks agree.  All
+    three come from one additive_span_check, one elimination for both ranks.
     large_field_regime marks the range (q >= 13, characteristic not 2 or 3)
     in which the interval description of the lower garland is guaranteed;
     outside it the description can fail and failures are reported as
     expected.
     """
-    units = additive_span_check(spec)
-    norm_one = additive_span_check(spec, norm_one=True)
+    units, norm_one = additive_span_check(spec)
     q = spec.base.q
     f2_factors = sum(1 for d in spec.degrees if d == 1) if q == 2 else 0
     rec = {
@@ -494,17 +494,19 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
     its bottom, N(T) and N(N(T)) are its normalizers of the members T and
     N(T) (element-level, over all of G, and independent of the formula),
     and the normality graph is the lattice's own.  Checks (a) the formula
-    normalizer vs N(T), (b) lower garland vs the interval up to N(T),
-    (c) idempotence of N(T).  Every check records a verdict against what
-    the hypothesis record predicts, so failures outside the guaranteed
-    regime are reported.
+    normalizer, built from that T, vs N(T), (b) lower garland vs the
+    interval up to N(T), (c) idempotence of N(T).  Every check records a
+    verdict against what the hypothesis record predicts, so failures
+    outside the guaranteed regime are reported.
     """
     hyp = record_hypotheses(spec, ambient.kind)
     lat = _torus_lattice(spec, ambient)
     torus, normalizer = lat.bottom, lat.normalizers[0]  # T is the one smallest member
     closure_failure = None
     try:
-        formula = normalizer_formula(spec, ambient)
+        # T in the case's own ambient: over F_2 (SL = GL) the lattice and its T
+        # may be the other case's, and the failure payload names the ambient
+        formula = normalizer_formula(spec, Subgroup(ambient, torus.indices, torus.generators))
         formula_order = formula.order
         formula_eq = formula.same_elements(normalizer)
     except HypothesisFailure as exc:

@@ -38,11 +38,15 @@ a right transversal of T in H, at most |top| products.  The right
 permutations the position route reads are memoized on top, so the tables
 of one enumeration share them, and <H, g> keeps H's generators plus g.
 
-The torus t(S*) and the formula normalizer {t(a) * P_sigma} share one path:
-a batch of regular-representation matrices (AlgebraSpec.regular_rep_mats),
-one product against the stacked P_sigma and one lookup.  An SL ambient
-keeps the determinant-one matrices; det t(a) is the norm of a.  No
-subgroup searches for generators: these two take theirs from the algebra.
+The torus T = t(S*) is one batch of regular-representation matrices
+(AlgebraSpec.regular_rep_mats) and one lookup.  det t(a) is the norm of a,
+so an SL ambient keeps the units of norm one, as etale decides it
+(unit_norm_logs), and takes no determinant.  The formula normalizer
+{t(a) * P_sigma} is built from the case's T: the union of the cosets
+T x_sigma, one x_sigma per automorphism, by right products.  Only the
+stacked P_sigma have their determinants taken, to pick the SL x_sigma.
+No subgroup searches for generators: these two take theirs from the
+algebra.
 
 A subgroup is its ambient plus its sorted ambient indices, and membership
 is a sorted search in them.  Two subgroups are equal exactly when they share
@@ -65,7 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .etale import AlgebraSpec, aut_group, torus_generators, torus_units
+from .etale import AlgebraSpec, aut_group, torus_generators, torus_units, unit_norm_logs
 from .finite_field import FieldMatrix, FieldTable
 
 GL = "GL"
@@ -324,14 +328,9 @@ class AmbientGroup:
     # -- lookups ----------------------------------------------------------------
 
     def keys_of_mats(self, mats: np.ndarray) -> np.ndarray:
-        """Keys of (..., n, n) index matrices by Horner's rule in int32: keys stay below q^(n*n) <= 80M."""
+        """Keys of (..., n, n) index matrices: the row-major entries, one int64 dot with their place values."""
         self._ensure()
-        flat = mats.reshape(-1, self.n * self.n)
-        keys = flat[:, 0].astype(np.int32)
-        for k in range(1, flat.shape[1]):
-            keys *= self.field.q
-            keys += flat[:, k]
-        return keys
+        return mats.reshape(-1, self.n * self.n) @ self._keypow
 
     def indices_of_mats(self, mats: np.ndarray) -> np.ndarray:
         """Ambient indices of (N, n, n) member matrices."""
@@ -821,23 +820,22 @@ def _check_algebra(spec: AlgebraSpec, ambient: AmbientGroup) -> None:
         raise GroupError("algebra base field does not match the ambient field")
 
 
-def _in_ambient(ambient: AmbientGroup, mats: np.ndarray) -> np.ndarray:
-    """Mask over a batch of invertible (..., n, n) matrices: all of them in GL, the determinant-one ones in SL."""
-    if ambient.kind == GL:
-        return np.ones(mats.shape[:-2], dtype=bool)
-    return _det(ambient.field, mats) == ambient.field.one_index
-
-
-def _torus_generators(spec: AlgebraSpec, ambient: AmbientGroup) -> np.ndarray:
-    return ambient.indices_of_mats(spec.regular_rep_mats(torus_generators(spec, ambient.kind == SL)))
-
-
 def torus_subgroup(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
-    """Image t(S*) of the units of S (GL), or its determinant-one part (SL): det t(a) is the norm of a."""
+    """Image t(S*) of the units of S (GL), or of its norm-one units (SL), generated as etale.torus_generators says.
+
+    det t(a) is the norm of a, so the SL cut keeps the units that
+    etale.unit_norm_logs puts at log 0.  One regular_rep_mats batch holds
+    the generators' rows and then the kept units', and one lookup gives
+    both their indices.
+    """
     _check_algebra(spec, ambient)
-    mats = spec.regular_rep_mats(torus_units(spec))
-    members = ambient.indices_of_mats(mats[_in_ambient(ambient, mats)])
-    return Subgroup(ambient, members, _torus_generators(spec, ambient))
+    norm_one = ambient.kind == SL
+    units = torus_units(spec)
+    if norm_one:
+        units = units[unit_norm_logs(spec, units) == 0]
+    gens = torus_generators(spec, norm_one)
+    idxs = ambient.indices_of_mats(spec.regular_rep_mats(np.concatenate([gens, units])))
+    return Subgroup(ambient, idxs[len(gens) :], idxs[: len(gens)])
 
 
 def _require_same_ambient(h: Subgroup, k: Subgroup) -> None:
@@ -873,27 +871,36 @@ def is_maximal_abelian(h: Subgroup, normalizer: Subgroup) -> bool:
     return int((conj == normalizer.indices).all(axis=0).sum()) == h.order
 
 
-def normalizer_formula(spec: AlgebraSpec, ambient: AmbientGroup) -> Subgroup:
-    """The predicted normalizer X: matrices t(a) * P_sigma inside the ambient.
+def normalizer_formula(spec: AlgebraSpec, torus: Subgroup) -> Subgroup:
+    """The predicted normalizer X = {t(a) * P_sigma} inside the ambient of the case's torus T.
 
     a runs over the units of S and sigma over the ring automorphisms of S
-    over k; for an SL ambient only determinant-one products are kept.  With
-    x_sigma the first product in the ambient for sigma (in SL one exists, as
-    the norm is onto k*), X is the union of the cosets T x_sigma.  So X lies
-    inside <T's generators, the x_sigma other than 1>, which lie in X with
-    1, and X is closed exactly when X * s lies in X for every generator s:
-    then X * <gens> lies in X, which holds 1.  That is one RightProducts
-    call over |X| * |gens| products; only if it fails is the closure taken,
-    for the structured payload HypothesisFailure carries instead of crashing.
+    over k; for an SL ambient only determinant-one products are kept.  As
+    det(t(a) * P_sigma) = N(a) * det(P_sigma), X is the union of the
+    cosets T x_sigma, with x_sigma the first product in the ambient for
+    sigma, in torus_units order: in GL a is the first unit, and in SL the
+    first unit with N(a) = det(P_sigma)^-1 by etale.unit_norm_logs (one
+    exists, as the norm is onto k*).  So X is |T| * |Aut| right products by
+    the x_sigma, and it lies inside <T's generators, the x_sigma other than
+    1>, which lie in X with 1.  X is closed exactly when X * s lies in X
+    for every generator s: then X * <gens> lies in X, which holds 1.  That
+    is one RightProducts call over |X| * |gens| products; only if it fails
+    is the closure taken, for the structured payload HypothesisFailure
+    carries instead of crashing.
     """
+    ambient, field = torus.ambient, torus.ambient.field
     _check_algebra(spec, ambient)
-    tori = spec.regular_rep_mats(torus_units(spec))
     perms = np.array([s.matrix().rows for s in aut_group(spec)], dtype=np.int16)
-    prods = _mat_mul(ambient.field, tori[:, None], perms[None])  # [unit, sigma]
-    inside = _in_ambient(ambient, prods)
-    xs = ambient.indices_of_mats(prods[inside.argmax(axis=0), np.arange(len(perms))])
-    gens = [*_torus_generators(spec, ambient), *xs[xs != ambient.identity_index]]
-    sub = Subgroup(ambient, ambient.indices_of_mats(prods[inside]), gens)
+    units = torus_units(spec)
+    first = np.zeros(len(perms), dtype=np.intp)  # GL: the first unit
+    if ambient.kind == SL:
+        want = -field.logs(_det(field, perms)) % (field.q - 1)  # log det(P_sigma)^-1
+        first = (unit_norm_logs(spec, units)[:, None] == want).argmax(axis=0)
+    xs = ambient.indices_of_mats(_mat_mul(field, spec.regular_rep_mats(units[first]), perms))
+    gens = [*torus.generators, *xs[xs != ambient.identity_index]]
+    which = np.repeat(np.arange(xs.size, dtype=np.int32), torus.order)
+    members = RightProducts(ambient, xs)(np.tile(torus.indices, xs.size), which)
+    sub = Subgroup(ambient, members, gens)
     which = np.repeat(np.arange(len(gens), dtype=np.int32), sub.order)
     if not sub.contains(RightProducts(ambient, gens)(np.tile(sub.indices, len(gens)), which)).all():
         raise HypothesisFailure(

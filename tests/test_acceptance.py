@@ -43,6 +43,7 @@ from oracles import (
     count_power_in_base_by_shifts,
     exhaustive_negative_pell,
     formula_by_units,
+    formula_leaders_by_units,
     generate,
     interval_by_elements,
     matrix_from_coeff_rows,
@@ -131,7 +132,7 @@ def test_c02_predicted_failure_f3f3_sl23(sweep):
     doc = sweep[(3, 2, (1, 1), "sl")]
     assert doc["hypotheses"]["norm_one_span"] is False
     spec = AlgebraSpec(construct_field(3, 1), [1, 1])
-    span = additive_span_check(spec, norm_one=True)
+    span = additive_span_check(spec)[1]
     assert span.spans is False and span.rank == 1
     nrm = doc["normalizers"]
     assert nrm["formula_order"] == 4
@@ -255,14 +256,36 @@ def direct_intervals(tori):
     return {key: enumerate_interval(torus, amb, within=n) for key, (amb, torus, n) in tori.items()}
 
 
+# (kind, p, base degree) of every large-q shape whose GL(2, q) or SL(2, q)
+# fits a 30,000 cap: odd q has det P_sigma = -1 (a factor swap, or the
+# Frobenius of a quadratic factor), and q = 9, 16 have Frobenius blocks over
+# an extension base
+LARGE_Q_AMBIENTS = [(GL, 3, 2), (GL, 11, 1), (GL, 13, 1)] + [(SL, p, m) for p, m in ((3, 2), (11, 1), (13, 1), (2, 4), (19, 1))]
+
+
 def test_torus_and_formula_match_per_unit_oracle(sweep, tori):
-    # the index-array route against one FieldMatrix product, determinant and lookup per unit
+    # the index-array route against one FieldMatrix product, determinant and
+    # lookup per unit: T, the formula set built from T, and its generators,
+    # T's and one x_sigma per sigma other than 1, the first t(a) P_sigma in
+    # the ambient in unit order
+    cases = []
     for key, (amb, torus, _) in tori.items():
         case = sweep[key]["case"]
-        spec = AlgebraSpec(construct_field(case["p"], case["base_degree"]), case["degrees"])
-        assert np.array_equal(torus.indices, torus_by_units(spec, amb)), key
-        assert np.array_equal(normalizer_formula(spec, amb).indices, formula_by_units(spec, amb)), key
-    assert len(tori) >= 24
+        cases.append((AlgebraSpec(construct_field(case["p"], case["base_degree"]), case["degrees"]), amb, torus))
+    large = Caps(group_order=30_000)
+    for kind, p, m in LARGE_Q_AMBIENTS:
+        base = construct_field(p, m)
+        amb = ambient_group(kind, 2, base, large)
+        for degrees in ((2,), (1, 1)):
+            spec = AlgebraSpec(base, degrees)
+            cases.append((spec, amb, torus_subgroup(spec, amb)))
+    for spec, amb, torus in cases:
+        assert np.array_equal(torus.indices, torus_by_units(spec, amb)), (amb, spec)
+        formula = normalizer_formula(spec, torus)
+        assert np.array_equal(formula.indices, formula_by_units(spec, amb)), (amb, spec)
+        leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
+        assert formula.generators == torus.generators + leaders, (amb, spec)
+    assert len(cases) >= 24 + 16
 
 
 def test_constructed_generators_close_to_the_torus_and_formula_set(tori):
@@ -278,7 +301,8 @@ def test_constructed_generators_close_to_the_torus_and_formula_set(tori):
             cases.append((ambient_group(kind, 2, f13, large), AlgebraSpec(f13, degrees)))
     lists = {}
     for amb, spec in cases:
-        torus, formula = torus_subgroup(spec, amb), normalizer_formula(spec, amb)
+        torus = torus_subgroup(spec, amb)
+        formula = normalizer_formula(spec, torus)
         for sub, want in ((torus, torus_by_units(spec, amb)), (formula, formula_by_units(spec, amb))):
             assert amb.identity_index not in sub.generators, (amb, spec)
             closed = generate(amb, [amb.matrix_at(g) for g in sub.generators])
@@ -411,7 +435,7 @@ def test_rerouted_verdicts_match_conjugation_scans(sweep, tori):
         case = doc["case"]
         spec = AlgebraSpec(construct_field(case["p"], case["base_degree"]), case["degrees"])
         assert doc["normalizers"]["brute_order"] == normalizer.order, key
-        formula_eq = normalizer_formula(spec, amb).same_elements(normalizer)
+        formula_eq = normalizer_formula(spec, torus).same_elements(normalizer)
         assert doc["normalizers"]["formula_equals_brute"] == formula_eq, key
         assert doc["torus"]["maximal_abelian"] == centralizer_brute(amb, torus).same_elements(torus), key
         if key[3] == "sl" and "skipped" not in doc["restriction"]:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from garlands.etale import (
     AlgebraCapError,
     AlgebraError,
     AlgebraSpec,
+    _pivots,
     additive_span_check,
     aut_group,
     aut_group_size,
@@ -171,16 +173,16 @@ def test_aut_commutes_with_norm(base, degrees):
 
 
 def test_additive_span_examples():
-    res = additive_span_check(AlgebraSpec(F3, [1, 1]), norm_one=True)
+    res = additive_span_check(AlgebraSpec(F3, [1, 1]))[1]
     assert not res.spans and res.rank == 1  # span is the diagonal
-    assert additive_span_check(AlgebraSpec(F3, [2]), norm_one=True).spans
-    res = additive_span_check(AlgebraSpec(F2, [1, 1]))
+    assert additive_span_check(AlgebraSpec(F3, [2]))[1].spans
+    res = additive_span_check(AlgebraSpec(F2, [1, 1]))[0]
     assert not res.spans and res.rank == 1  # only unit is (1, 1)
 
 
 def test_additive_span_witness_spans():
     spec = AlgebraSpec(F5, [1, 1])
-    res = additive_span_check(spec, norm_one=True)
+    res = additive_span_check(spec)[1]
     assert res.spans
     regen = brute_additive_span(spec, res.witness.tolist())
     assert len(regen) == spec.order
@@ -192,22 +194,53 @@ def test_additive_span_matches_brute_closure(base, degrees):
     if spec.order > 81:
         pytest.skip("bounded at order 81")
     units = algebra_comps(spec, units=True)
-    for norm_one in (False, True):
-        fast = additive_span_check(spec, norm_one)
-        selected = [u for u in units if not norm_one or spec.norm_comps(u) == base.one_index]
+    norm_one = [u for u in units if spec.norm_comps(u) == base.one_index]
+    for fast, selected in zip(additive_span_check(spec), (units, norm_one)):
         brute = brute_additive_span(spec, selected)
         assert fast.spans == (len(brute) == spec.order)
         assert len(brute) == base.q**fast.rank
         witness = [tuple(w) for w in fast.witness.tolist()]
         assert len(witness) == fast.rank and set(witness) <= set(selected)
         assert brute_additive_span(spec, witness) == brute
-        assert span_absorbs_units(spec, norm_one) == all(u in brute for u in units)
+    assert span_absorbs_units(spec) == all(u in brute for u in units)  # brute: the norm-one span
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_prefix_pivots_are_the_prefix_rank(p, m):
+    # additive_span_check reads both ranks off one elimination, norm-one rows
+    # first: for every m, the pivots among the first m rows must be those of
+    # the first m rows eliminated alone, and number their rank, here the
+    # log_q of the size of their span, grown by brute closure.  Seeded rows;
+    # about a third are combinations of two earlier rows, so ranks stall
+    field = construct_field(p, m)
+    rng = np.random.default_rng(10 * p + m)
+    add, mul = field.add_idx, field.mul_idx
+    stalls = 0  # rows inside the span of the rows above, while that span is not everything
+    for cols in (2, 3, 4, 3):
+        rows = []
+        for _ in range(10):
+            if len(rows) >= 2 and rng.random() < 0.35:
+                a, b = rng.choice(len(rows), 2, replace=False)
+                c, d = (int(x) for x in rng.integers(field.q, size=2))
+                rows.append(tuple(add(mul(c, x), mul(d, y)) for x, y in zip(rows[a], rows[b])))
+            else:
+                rows.append(tuple(int(x) for x in rng.integers(field.q, size=cols)))
+        pivots = _pivots(field, np.array(rows, dtype=np.int32))
+        span = {(0,) * cols}
+        for k, row in enumerate(rows, 1):
+            if len(span) < field.q**cols:
+                stalls += row in span
+                span = {tuple(add(v, mul(c, r)) for v, r in zip(vec, row)) for vec in span for c in range(field.q)}
+            prefix = pivots[pivots < k]
+            assert np.array_equal(prefix, _pivots(field, np.array(rows[:k], dtype=np.int32))), (cols, k)
+            assert field.q**prefix.size == len(span), (cols, k)
+    assert stalls
 
 
 def test_span_absorbs_units():
-    assert span_absorbs_units(AlgebraSpec(F2, [1, 1]), norm_one=True)  # S* is one element
-    assert not span_absorbs_units(AlgebraSpec(F3, [1, 1]), norm_one=True)
-    assert span_absorbs_units(AlgebraSpec(F3, [2]), norm_one=True)
+    assert span_absorbs_units(AlgebraSpec(F2, [1, 1]))  # S* is one element
+    assert not span_absorbs_units(AlgebraSpec(F3, [1, 1]))
+    assert span_absorbs_units(AlgebraSpec(F3, [2]))
 
 
 def test_primitive_norm_one_examples():

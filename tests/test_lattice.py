@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from garlands import cli, lattice, matrix_group
-from garlands.etale import AlgebraSpec
-from garlands.finite_field import construct_field
+from garlands.etale import AlgebraSpec, aut_group_size
+from garlands.finite_field import FieldMatrix, construct_field
 from garlands.lattice import (
     CONFIRMED,
     EXPECTED_COUNTEREXAMPLE,
@@ -32,6 +32,7 @@ from garlands.matrix_group import (
 from garlands.config import Caps
 from garlands.runner import CaseSpec, build_algebra, run_case, stable_json
 
+import oracles
 from oracles import formula_leaders_by_units, matrix_det, matrix_from_key, normality_edges_by_pairs, with_generators
 
 F2 = construct_field(2, 1)
@@ -196,6 +197,15 @@ def test_formula_closure_failure_is_reported(monkeypatch):
         assert not rep.formula_equals_brute
         assert rep.verdicts["normalizer_formula"] == "unexpected_mismatch"
         assert rep.to_dict()["normalizers"]["formula_closure_failure"] == failure
+    # over F_2 (SL = GL) the SL case reads the GL case's lattice and its T,
+    # and its payload still names SL; X = {shear} lacks 1
+    shear = SimpleNamespace(matrix=lambda: SimpleNamespace(rows=[[1, 1], [0, 1]]))
+    monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
+    lattice._reset_lattices()
+    for kind in (GL, SL):
+        failure = verify_lower_garland(AlgebraSpec(F2, [1, 1]), ambient_group(kind, 2, F2)).formula_closure_failure
+        assert failure["ambient"] == {"kind": kind, "n": 2, "q": 2}, kind
+        assert (failure["set_size"], failure["closure_size"]) == (1, 2), kind
 
 
 @pytest.mark.parametrize("kind", [GL, SL])
@@ -209,18 +219,38 @@ def test_normalizer_formula_closes_only_a_failing_set(monkeypatch, kind):
     monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append(list(gens)) or closure(amb, gens))
     for spec in (AlgebraSpec(F3, [2]), AlgebraSpec(F3, [1, 1]), AlgebraSpec(F2, [2, 1])):
         amb = ambient_group(kind, spec.n, spec.base)
-        n = matrix_group.normalizer_formula(spec, amb)
+        torus = torus_subgroup(spec, amb)
+        n = matrix_group.normalizer_formula(spec, torus)
         leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
-        assert n.generators == torus_subgroup(spec, amb).generators + leaders, spec
+        assert n.generators == torus.generators + leaders, spec
         assert calls == [], spec
     shear = SimpleNamespace(matrix=lambda: SimpleNamespace(rows=[[1, 1], [0, 1]]))
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
     spec, amb = AlgebraSpec(F3, [2]), ambient_group(kind, 2, F3)
+    torus = torus_subgroup(spec, amb)
     with pytest.raises(matrix_group.HypothesisFailure) as failure:
-        matrix_group.normalizer_formula(spec, amb)
-    torus_gens = torus_subgroup(spec, amb).generators
-    assert len(calls) == 1 and calls[0][:-1] == torus_gens  # T's generators, then the shear's x_sigma
+        matrix_group.normalizer_formula(spec, torus)
+    assert len(calls) == 1 and calls[0][:-1] == torus.generators  # T's generators, then the shear's x_sigma
     assert failure.value.payload["closure_size"] == closure(amb, calls[0]).size
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_sl_x_sigma_takes_the_inverse_determinant(monkeypatch, p):
+    # det(t(a) P) = N(a) det(P), so in SL x_sigma is t(a) P for the first
+    # unit a with N(a) = det(P)^-1.  An automorphism's P_sigma has det +-1,
+    # its own inverse, so stand-ins of det 2 and 3 tell that rule from
+    # N(a) = det(P); the per-unit oracle reads the same stand-ins, and the
+    # diagonal stand-ins keep X = T closed over the split algebra
+    field = construct_field(p, 1)
+    shapes = ([[1, 0], [0, 1]], [[2, 0], [0, 1]], [[3, 0], [0, 1]])
+    stand_ins = [SimpleNamespace(matrix=lambda rows=rows: FieldMatrix(field, rows)) for rows in shapes]
+    monkeypatch.setattr(matrix_group, "aut_group", lambda spec: stand_ins)
+    monkeypatch.setattr(oracles, "aut_group", lambda spec: stand_ins)
+    spec, amb = AlgebraSpec(field, [1, 1]), ambient_group(SL, 2, field)
+    torus = torus_subgroup(spec, amb)
+    leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
+    assert len(leaders) == 2
+    assert matrix_group.normalizer_formula(spec, torus).generators == torus.generators + leaders
 
 
 def test_interval_always_inside_lower_garland():
@@ -656,31 +686,55 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
     # right-coset leaders, so no case searches for generators; a closed
     # formula set is checked by one product pass, so across a pair no case
     # takes a closure, and the formula set's generators are T's and the
-    # x_sigma
+    # x_sigma.  Each algebra-side stage runs once per case: one span check
+    # for both ranks, and, where the case builds its own T (an SL case over
+    # F_2 reads the GL case's lattice), one torus_generators call and one
+    # regular_rep_mats batch of T's generators and units; the formula set
+    # comes from T, with one batch of |Aut(S)| units for the x_sigma and, in
+    # SL, the determinants of the |Aut(S)| P_sigma only
     assert not hasattr(matrix_group, "_pick_generators")
-    calls, formula_gens = [], []
+    calls, formula_gens, stages = [], [], []
     closure, formula = matrix_group._closure, lattice.normalizer_formula
     monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append((amb, list(gens))) or closure(amb, gens))
 
-    def recording_formula(spec, amb):
-        x = formula(spec, amb)
-        formula_gens.append((amb, x.generators))
+    def recording_formula(spec, torus):
+        x = formula(spec, torus)
+        formula_gens.append((torus.ambient.kind, x.generators))
         return x
 
+    def staged(name, fn, size=lambda *args: None):
+        return lambda *args: stages[-1].append((name, size(*args))) or fn(*args)
+
     monkeypatch.setattr(lattice, "normalizer_formula", recording_formula)
+    monkeypatch.setattr(lattice, "additive_span_check", staged("span", lattice.additive_span_check))
+    monkeypatch.setattr(matrix_group, "torus_generators", staged("generators", matrix_group.torus_generators))
+    monkeypatch.setattr(matrix_group, "_det", staged("det", matrix_group._det, lambda field, mats: len(mats)))
+    rep = AlgebraSpec.regular_rep_mats
+    monkeypatch.setattr(AlgebraSpec, "regular_rep_mats", staged("rep", rep, lambda spec, comps: len(comps)))
     lattice._reset_lattices()
     cases = [CaseSpec(*algebra, ambient) for ambient in ("gl", "sl")]
     for case in cases:
+        stages.append([])
         assert run_case(case, caps)["status"] == "ok"
     monkeypatch.undo()
-    expected = []
+    expected, expected_stages = [], []
     for case in cases:
         base, spec = build_algebra(case, caps)
         amb = ambient_group(case.kind, case.n, base, caps)
+        torus = torus_subgroup(spec, amb)
         leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
-        expected.append((amb, torus_subgroup(spec, amb).generators + leaders))
+        expected.append((amb.kind, torus.generators + leaders))
+        auts = aut_group_size(spec)
+        own_torus = case.kind == GL or base.q > 2
+        expected_stages.append(
+            [("span", None)]
+            + [("generators", None), ("rep", len(torus.generators) + torus.order)] * own_torus
+            + [("det", auts)] * (case.kind == SL)
+            + [("rep", auts)]
+        )
     assert calls == []
     assert formula_gens == expected
+    assert stages == expected_stages
 
 
 class _Counts:
