@@ -30,20 +30,21 @@ Top itself gets no
 table: its only double coset is itself, so it has no extension, and
 N_top(top) = top.  The representatives are the leaders of the cosets
 that are their own double label, so each is the least element of its
-double coset, in ascending order.  <H, g> is then closed over right cosets
-instead of elements: K = <H, g> contains H, so it is a union of right
-cosets H x, and right multiplication by H's generators and by g permutes
-right cosets, so the cosets reachable from H under those right
-multiplications are exactly the cosets of K.  A closure costs at most
-[K:H] products by g plus gathers through the maps of cosets, and only
-the member being expanded holds a table.  All of a member's closures run
-together (extend_subgroups): the products by every g go through one
-factor table built for the call, and each breadth-first level gathers
-every live (closure, coset) pair's least element through it at that
+double coset, in ascending order.  <H, g> is then closed over double
+cosets instead of elements: K = <H, g> contains H, so it is a union of
+double cosets H x H, and H x H is the orbit of the right coset H x under
+right multiplication by H's generators.  So the right cosets of K are
+those reached from H by two moves, completing a right coset to its double
+coset and multiplying it by g.  A closure costs at most [K:H] products by
+g and no gather through the maps of cosets, and only the member being
+expanded holds a table.  All of a member's closures run together
+(extend_subgroups): the products by every g go through one factor table
+built for the call, and each breadth-first level multiplies every right
+coset of each newly claimed (closure, double coset) pair by that
 closure's g, so a level is one call with no matrix product, and closures
-reaching the same cosets become one subgroup.  [K:H] divides [top:H], so
-a closure holding more than half of top's right cosets is all of top and
-stops there.
+claiming the same double cosets become one subgroup.  [K:H] divides
+[top:H], so a closure whose double cosets hold more than half of top's
+right cosets is all of top and stops there.
 
 Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
@@ -501,12 +502,13 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
     """
     hyp = record_hypotheses(spec, ambient.kind)
     lat = _torus_lattice(spec, ambient)
-    torus, normalizer = lat.bottom, lat.normalizers[0]  # T is the one smallest member
+    # over F_2 (SL = GL) the lattice may be the other case's, so the report's
+    # subgroups, and T in the failure payload, are put in the case's own ambient
+    torus = lat.bottom.with_ambient(ambient)
+    normalizer = lat.normalizers[0].with_ambient(ambient)  # T is the one smallest member
     closure_failure = None
     try:
-        # T in the case's own ambient: over F_2 (SL = GL) the lattice and its T
-        # may be the other case's, and the failure payload names the ambient
-        formula = normalizer_formula(spec, Subgroup(ambient, torus.indices, torus.generators))
+        formula = normalizer_formula(spec, torus)
         formula_order = formula.order
         formula_eq = formula.same_elements(normalizer)
     except HypothesisFailure as exc:
@@ -519,7 +521,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
     gls = garlands(normality_graph(lat))
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
-    interval_members = _interval(lat)
+    interval_members = tuple(m.with_ambient(ambient) for m in _interval(lat))
     interval_ids = sorted(m.id for m in interval_members)
     equal = sorted(lower.member_ids) == interval_ids
     in_interval = set(interval_ids)
@@ -597,7 +599,7 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     the identity itself is recorded so hypothesis failures explain
     mismatches.
     """
-    sl = sl_report.torus.ambient  # over F_2 possibly the GL object, whose lattice the SL case shares
+    sl = sl_report.torus.ambient  # over F_2 equal to gl, so the memo key (gl, spec) finds the lattice the pair shares
     if gl.kind != GL or sl_report.case["ambient"] != "sl" or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
     lat = _LATTICES.get((gl, spec))

@@ -29,7 +29,7 @@ Closures run breadth first over ambient indices, dropping repeats with a
 slot array instead of a sort; a CosetTable lays out the right cosets of a
 subgroup H inside a larger one (top) by labels over top's positions, and
 its double cosets over the numbers of those right cosets, so
-extend_subgroups can close <H, g> for many g together over right cosets
+extend_subgroups can close <H, g> for many g together over double cosets
 of H instead of over elements.  A table's labels come over positions, as
 orbit minima under left permutations (doubling along each, for the
 bottom of an interval), or, for a member H over a bottom T with
@@ -511,6 +511,16 @@ class Subgroup:
         self._positions = None
         self._right = {}
 
+    def with_ambient(self, ambient: AmbientGroup) -> "Subgroup":
+        """This element set under an equal ambient object (SL(n,2) for GL(n,2)), with its generators and id."""
+        if ambient is self.ambient:
+            return self
+        if ambient != self.ambient:
+            raise GroupError("subgroups of different ambient groups")
+        out = Subgroup(ambient, self.indices, self._gens)
+        out._id = self._id
+        return out
+
     def key_tuple(self) -> bytes:
         """Matrix keys as int64 bytes, ascending because ambient order is key order."""
         return self.ambient.keys_of_indices(self.indices).tobytes()
@@ -654,9 +664,14 @@ class CosetTable:
     least coset number of the double coset holding coset c, its orbit
     minimum under those maps, and as coset numbers ascend with their
     leaders, leaders[double[c]] is the least position of that double coset.
-    extend_subgroups closes <H, g> over coset numbers, and the double cosets
-    give the g worth adjoining.  H x H = H x exactly when x normalizes H, so
-    the double cosets that are single right cosets make up N_top(H).
+    The double cosets are numbered in the order of those least cosets:
+    `dnum[c]` is the number of coset c's double coset, `dwidth[d]` the count
+    of right cosets in double coset d, and `by_double` the coset numbers
+    grouped by double coset, one ascending run per number, each run starting
+    at the sum of the widths before it.  extend_subgroups closes <H, g> over
+    double coset numbers, and the double cosets give the g worth adjoining.
+    H x H = H x exactly when x normalizes H, so the double cosets that are
+    single right cosets make up N_top(H).
 
     The right-coset labels take one of two routes.
 
@@ -687,7 +702,7 @@ class CosetTable:
     a table goes over positions, through top's shared right permutations.
     """
 
-    __slots__ = ("h", "top", "labels", "leaders", "coset", "coset_right", "double")
+    __slots__ = ("h", "top", "labels", "leaders", "coset", "coset_right", "double", "dnum", "dwidth", "by_double")
 
     def __init__(self, h: Subgroup, top: Subgroup, below: "CosetTable | None" = None):
         if not h.is_subset_of(top):
@@ -703,7 +718,12 @@ class CosetTable:
             self._label_over_cosets(below)
         else:
             self._label_over_positions(below)
-        self.double = _orbit_minima(np.arange(self.leaders.size, dtype=np.int32), self.coset_right)
+        ncos = self.leaders.size
+        self.double = _orbit_minima(np.arange(ncos, dtype=np.int32), self.coset_right)
+        own = self.double == np.arange(ncos)
+        self.dnum = (np.cumsum(own, dtype=np.int32) - 1).take(self.double)
+        self.dwidth = np.bincount(self.dnum).astype(np.int32)
+        self.by_double = np.argsort(self.dnum, kind="stable").astype(np.int32)
 
     def _label_over_positions(self, below: "CosetTable | None") -> None:
         h, top = self.h, self.top
@@ -748,8 +768,7 @@ class CosetTable:
 
     def normalizer(self) -> Subgroup:
         """N_top(H): the positions whose double coset holds one right coset."""
-        width = np.bincount(self.double, minlength=self.double.size)  # right cosets per double coset
-        return Subgroup(self.h.ambient, self.top.indices[(width.take(self.double) == 1).take(self.coset)])
+        return Subgroup(self.h.ambient, self.top.indices[(self.dwidth.take(self.dnum) == 1).take(self.coset)])
 
 
 def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
@@ -760,52 +779,61 @@ def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
 def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Subgroup]:
     """The distinct <H, g> for the table's H and every g in extra_indices, in first-occurrence order.
 
-    <H, g> is a union of right cosets of H, and right multiplication by H's
-    generators and by g permutes right cosets, so a breadth-first pass over
-    right cosets from H itself reaches exactly its cosets.  All closures run
-    together: the frontier holds (closure, coset) pairs, and each level
-    gathers through the table's maps of cosets (coset_right) and multiplies
-    every frontier coset's least element by its closure's g, through one
-    RightProducts table of every g built before the first level; one claim
-    over closure * cosets + coset drops repeats.  Closures with the same
-    coset set become one Subgroup, generated by H's generators and the
-    first g that reached it.
+    <H, g> is a union of double cosets H x H.  H x H is the orbit of the
+    right coset H x under right multiplication by H's generators, so the
+    right cosets of K = <H, g> are those reached from H by two moves:
+    complete a right coset to its double coset, and multiply it by g.  All
+    closures run together, breadth first over (closure, double coset)
+    pairs: each level takes every right coset of each newly claimed double
+    coset (a run of the table's by_double), multiplies its least element by
+    its closure's g, once, through one RightProducts table of every g built
+    before the first level, and claims the double cosets of the images.
+    One claim over closure * double cosets + double coset drops repeats.
+    Closures that claim the same double cosets reach the same cosets and
+    become one Subgroup, generated by H's generators and the first g that
+    reached it.
 
-    [K:H] divides [top:H], so a closure that has claimed more than half of
-    top's right cosets is already all of top: it takes every coset and
-    leaves the frontier without another level.
+    [K:H] divides [top:H], so a closure whose claimed double cosets hold
+    more than half of top's right cosets is already all of top: it takes
+    every double coset and leaves the frontier without another level.
     """
     gs = np.asarray(extra_indices, dtype=np.int32)
     positions = table.top.positions()
     if (positions[gs] < 0).any():
         raise GroupError("the adjoined element lies outside the table's top")
     amb = table.h.ambient
-    top, coset = table.top.indices, table.coset
+    top, coset, dnum, width = table.top.indices, table.coset, table.dnum, table.dwidth
     lead = top.take(table.leaders)  # coset number -> its least element
-    ncos = lead.size
+    ncos, ndouble = lead.size, width.size
+    start = np.cumsum(width, dtype=np.int32) - width  # double coset number -> the start of its run in by_double
     by = RightProducts(amb, gs)
-    slot = np.full(gs.size * ncos, -1, dtype=np.int32)
-    claimed = np.zeros(gs.size, dtype=np.int64)  # cosets each closure has reached
-    start = coset[positions[amb.identity_index]]
-    frontier = _claim_fresh(np.arange(gs.size, dtype=np.int32) * ncos + start, slot)
+    slot = np.full(gs.size * ndouble, -1, dtype=np.int32)
+    claimed = np.zeros(gs.size)  # right cosets each closure has reached, a weighted bincount: float, exact here
+    own = dnum[coset[positions[amb.identity_index]]]  # H, a double coset of one right coset
+    frontier = _claim_fresh(np.arange(gs.size, dtype=np.int32) * ndouble + own, slot)
     while frontier.size:
-        closure, xs = np.divmod(frontier, ncos)
-        claimed += np.bincount(closure, minlength=gs.size)
+        closure, ds = np.divmod(frontier, ndouble)
+        w = width.take(ds)
+        claimed += np.bincount(closure, weights=w, minlength=gs.size)
         whole = 2 * claimed > ncos
         if whole[closure].any():
-            slot.reshape(gs.size, ncos)[whole] = 0
+            slot.reshape(gs.size, ndouble)[whole] = 0
             live = ~whole[closure]
-            closure, xs = closure[live], xs[live]
+            closure, ds, w = closure[live], ds[live], w[live]
             if not closure.size:
                 break
-        images = [moved.take(xs) for moved in table.coset_right]
-        images.append(coset.take(positions.take(by(lead.take(xs), closure))))
-        frontier = _claim_fresh(np.tile(closure * ncos, len(images)) + np.concatenate(images), slot)
-    cosets = (slot >= 0).reshape(gs.size, ncos)
+        # every right coset of each new double coset, beside its closure: ragged runs of by_double
+        ends = np.cumsum(w, dtype=np.int32)
+        runs = np.arange(ends[-1], dtype=np.int32) + np.repeat(start.take(ds) - ends + w, w)
+        closure = np.repeat(closure, w)
+        images = coset.take(positions.take(by(lead.take(table.by_double.take(runs)), closure)))
+        frontier = _claim_fresh(closure * ndouble + dnum.take(images), slot)
+    reached = (slot >= 0).reshape(gs.size, ndouble)
     first = {}
-    for i, row in enumerate(np.packbits(cosets, axis=1)):
+    for i, row in enumerate(np.packbits(reached, axis=1)):
         first.setdefault(row.tobytes(), i)
-    return [Subgroup(amb, top[cosets[i][coset]], [*table.h.generators, gs[i]]) for i in first.values()]
+    double_at = dnum.take(coset)  # position -> its double coset number
+    return [Subgroup(amb, top[reached[i].take(double_at)], [*table.h.generators, gs[i]]) for i in first.values()]
 
 
 def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:

@@ -830,6 +830,32 @@ def test_f2_pair_shares_one_stage(monkeypatch, first):
     assert cut == {frozenset(map(int, sl.keys_of_indices(h.indices))) for h in sl_report.interval_members}
 
 
+@pytest.mark.parametrize("n,degrees", [(2, [2]), (2, [1, 1]), (3, [1, 1, 1]), (3, [2, 1])])
+def test_f2_reports_name_their_own_ambient(monkeypatch, n, degrees):
+    # SL(n,2) = GL(n,2) share one [T, G], enumerated in whichever ambient
+    # object ran first; each report's T, N(T) and interval members are in
+    # its own case's ambient, keep their generators and ids, and the
+    # restriction check still reads the shared lattice
+    spec = AlgebraSpec(F2, degrees)
+    gl, sl = ambient_group(GL, n, F2), ambient_group(SL, n, F2)
+    for order in ((gl, sl), (sl, gl)):
+        lattice._reset_lattices()
+        reports = {amb.kind: verify_lower_garland(spec, amb) for amb in order}
+        (lat,) = lattice._LATTICES.values()
+        assert lat.ambient is order[0]
+        for amb in (gl, sl):
+            report = reports[amb.kind]
+            held = [report.torus, report.normalizer, *report.interval_members]
+            assert all(h.ambient is amb for h in held), (amb, order[0])
+            assert report.torus.generators == lat.bottom.generators
+            assert report.normalizer.same_elements(lat.normalizers[0])
+            assert sorted(h.id for h in report.interval_members) == report.interval
+        counts = _Counts(monkeypatch)
+        assert interval_restriction_check(spec, gl, reports[SL]).equal
+        assert (counts.intervals, counts.tori, counts.whole_tables) == (0, 0, 0)
+        monkeypatch.undo()
+
+
 def test_ambients_are_equal_exactly_when_their_element_sets_are():
     for n in (1, 2, 3):
         gl, sl = ambient_group(GL, n, F2), ambient_group(SL, n, F2)
@@ -848,7 +874,7 @@ def test_ambients_are_equal_exactly_when_their_element_sets_are():
     for ambient in ("gl", "sl"):
         run_case(CaseSpec(3, 1, (2, 1), ambient))
     assert [amb.kind for amb, _ in lattice._LATTICES] == [GL, SL]
-    # the SL side is checked on the report's case, since over F_2 its torus may live in the GL object
+    # the SL side is checked on the report's case, whose subgroups are in the SL ambient even over F_2
     for base in (F2, F3):
         spec = AlgebraSpec(base, [2])
         gl = ambient_group(GL, 2, base)

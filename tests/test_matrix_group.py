@@ -642,6 +642,83 @@ def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
     assert products and sum(products) < sum(c.size // t.order for c in closures)
 
 
+def _extension_tables(name):
+    """The coset tables of one named case of test_extend_subgroups_match_element_closures."""
+    base, degrees, caps = {
+        "gl33-21": (F3, [2, 1], Caps()),  # T over G, where most closures are all of G
+        "gl2-13": (F13, [2], WIDE),
+        "members": (F3, [2, 1], Caps()),
+        "trivial-h": (F2, [1, 1, 1], Caps()),  # H = 1: every double coset is one right coset
+    }[name]
+    amb = ambient_group(GL, sum(degrees), base, caps)
+    t = torus_subgroup(AlgebraSpec(base, degrees), amb)
+    whole = Subgroup(amb, np.arange(amb.order))
+    below = CosetTable(t, whole)
+    if name != "members":
+        return [below]
+    # tables of members T < H < G seeded with T's, three over T's right
+    # cosets ([H:T] <= |T|) and three over positions
+    members = [with_generators(m) for m in enumerate_interval(t, amb).members if t.order < m.order < amb.order]
+    rng = np.random.default_rng(26)
+    tables = []
+    for route in ([m for m in members if m.order <= t.order**2], [m for m in members if m.order > t.order**2]):
+        tables += [CosetTable(route[i], whole, below) for i in rng.choice(len(route), 3, replace=False)]
+    return tables
+
+
+@pytest.mark.parametrize("name", ["gl33-21", "gl2-13", "members", "trivial-h"])
+def test_extend_subgroups_match_element_closures(name):
+    # closing <H, g> over double cosets reaches the element-level closures:
+    # the same subgroups, in first-occurrence order, each generated by H's
+    # generators and the first g that reached it; the adjoined elements are
+    # the double-coset representatives, then a seeded sample of top with
+    # the identity and repeats
+    rng = np.random.default_rng(2602)
+    right, wide, whole_top = {}, 0, 0
+    for table in _extension_tables(name):
+        h, top = table.h, table.top
+        amb = h.ambient
+        # the double coset numbering: runs of by_double, ascending inside each run, widths by count
+        assert np.array_equal(table.dnum.take(table.by_double), np.repeat(np.arange(table.dwidth.size), table.dwidth))
+        assert np.array_equal(table.leaders.take(table.by_double.take(np.cumsum(table.dwidth) - table.dwidth)),
+                              table.leaders.take(np.flatnonzero(table.double == np.arange(table.double.size))))
+        assert all((np.diff(run) > 0).all() for run in np.split(table.by_double, np.cumsum(table.dwidth)[:-1]))
+        assert table.dnum.dtype == table.dwidth.dtype == table.by_double.dtype == np.int32
+        wide += int((table.dwidth > 1).sum())
+        gs = np.concatenate(
+            [table.double_coset_reps(), [amb.identity_index], rng.choice(top.indices, 12), table.double_coset_reps()[:3]]
+        ).astype(np.int32)
+        closures = {}
+        for g in gs.tolist():
+            closures.setdefault(element_closure(amb, h, g, right).tobytes(), g)
+        got = extend_subgroups(table, gs)
+        assert [k.indices.tobytes() for k in got] == list(closures)
+        assert [k.generators for k in got] == [[*h.generators, g] for g in closures.values()]
+        assert [k.order for k in got] == [len(c) // 4 for c in closures]
+        whole_top += sum(k.order == top.order for k in got)
+    if name == "trivial-h":
+        assert wide == 0
+    else:
+        assert wide > 0 and whole_top > 0  # some double coset holds several right cosets, and the half rule fires
+
+
+def test_extend_subgroups_keys_closures_on_double_cosets(monkeypatch):
+    # the closures move by double cosets: they read none of the table's
+    # maps of right cosets, and they are told apart by the double cosets
+    # they claim, one bit row per closure, not by their right cosets
+    tables = _extension_tables("gl33-21") + _extension_tables("members")
+    want = [extend_subgroups(table, table.double_coset_reps()) for table in tables]
+    shapes = []
+    packbits = np.packbits
+    monkeypatch.setattr(np, "packbits", lambda a, axis=None: shapes.append(a.shape) or packbits(a, axis=axis))
+    for table, closures in zip(tables, want):
+        table.coset_right = None
+        reps = table.double_coset_reps()
+        assert extend_subgroups(table, reps) == closures
+        assert shapes.pop() == (reps.size, table.dwidth.size)
+    assert shapes == []
+
+
 @pytest.mark.parametrize("n,base,degrees", [(3, F2, [1, 1, 1]), (3, F3, [2, 1])])
 def test_generators_match_greedy_from_scratch(n, base, degrees):
     # a subgroup given as an element set carries no generators, and no
