@@ -1,19 +1,22 @@
 """Direct sums of finite fields S = K_1 + ... + K_t over a base field k.
 
-The fixed k-basis of S is the concatenation of the power bases
-1, y, ..., y^(n_i - 1) of the factors (y the canonical relative generator of
-each factor over k).  With that basis the regular embedding of S into
-n x n matrices over k is block diagonal, idempotents of rank-1 factors are
-standard basis vectors, and a quadratic factor presented by y^2 = d produces
-the classical [[x, y*d], [y, x]] block.  Each factor holds one table of
-those blocks, indexed by element (Extension.mult_blocks), and
-regular_rep_mats maps a batch of component-index rows to block-diagonal
-index matrices with one gather per factor.  Whether a unit has norm one
-is decided here only, by its norm's logarithm (unit_norm_logs): the span
-check, the SL cut of the torus and the formula set's x_sigma all read it.
-The span check reads each unit's coordinates from column 0 of the same
-tables and finds both ranks, all units' and the norm-one units', in one
-elimination over the base field's dense tables.
+An element of S is a row of component indices, entry i an element index of
+K_i's shared FieldTable; cases work on arrays of such rows.  The fixed
+k-basis of S is the concatenation of the power bases 1, y, ..., y^(n_i - 1)
+of the factors (y the canonical relative generator of each factor over k).
+With that basis the regular embedding of S into n x n matrices over k is
+block diagonal, idempotents of rank-1 factors are standard basis vectors,
+and a quadratic factor presented by y^2 = d produces the classical
+[[x, y*d], [y, x]] block.  Each factor holds one table of those blocks,
+indexed by element (Extension.mult_blocks), and regular_rep_mats maps a
+batch of component-index rows to block-diagonal index matrices with one
+gather per factor.  Whether a unit has norm one is decided here only, by
+its norm's logarithm (unit_norm_logs), read from the factors' exp/log
+tables, which every field has: the span check, the SL cut of the torus and
+the formula set's x_sigma all read it.  The span check reads each unit's
+coordinates from column 0 of the same tables and finds both ranks, all
+units' and the norm-one units', in one elimination over the base field's
+dense tables.
 """
 
 from __future__ import annotations
@@ -100,52 +103,13 @@ class AlgebraSpec:
     def serialize(self) -> dict:
         return {"p": self.base.p, "base_degree": self.base.m, "degrees": list(self.degrees)}
 
-    # -- componentwise arithmetic on index tuples -------------------------------
-    # zero_, mul_, add_, neg_, inv_, norm_ and coords_comps and from_coords are
-    # the tests' reference routes, which no case path calls: cases work on
-    # arrays of unit rows.
-
-    def zero_comps(self) -> tuple[int, ...]:
-        return (0,) * len(self.degrees)
+    # -- elements as component rows ---------------------------------------------
+    # an element of S is a row of factor indices, one per K_i; cases work on
+    # arrays of unit rows, and the tests' one-element reference arithmetic
+    # on such rows lives in tests/oracles.py, on coefficient polynomials
 
     def one_comps(self) -> tuple[int, ...]:
         return tuple(e.top.one_index for e in self.extensions)
-
-    def mul_comps(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple(e.top.mul_idx(x, y) for e, x, y in zip(self.extensions, a, b))
-
-    def add_comps(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple(e.top.add_idx(x, y) for e, x, y in zip(self.extensions, a, b))
-
-    def neg_comps(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple(e.top.neg_idx(x) for e, x in zip(self.extensions, a))
-
-    def inv_comps(self, a: Sequence[int]) -> tuple[int, ...]:
-        if any(x == 0 for x in a):
-            raise ZeroDivisionError("not a unit")
-        return tuple(e.top.inv_idx(x) for e, x in zip(self.extensions, a))
-
-    def norm_comps(self, a: Sequence[int]) -> int:
-        """Product of the factor norms, a base-field index."""
-        acc = self.base.one_index
-        for e, x in zip(self.extensions, a):
-            acc = self.base.mul_idx(acc, e.rel_norm(x))
-        return acc
-
-    def coords_comps(self, a: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates in the fixed k-basis (length n, base indices)."""
-        out: list[int] = []
-        for e, x in zip(self.extensions, a):
-            out.extend(e.coords(x))
-        return tuple(out)
-
-    def from_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        comps = []
-        pos = 0
-        for e, d in zip(self.extensions, self.degrees):
-            comps.append(e.from_coords(coords[pos : pos + d]))
-            pos += d
-        return tuple(comps)
 
     def regular_rep_mats(self, comps: np.ndarray) -> np.ndarray:
         """(N, n, n) block-diagonal base-field index matrices of right multiplication by (N, t) comps."""
@@ -349,7 +313,7 @@ def count_power_in_base(base: FieldTable, top: FieldTable, x: int, exponent: int
     One pass over the shifts x + alpha, none zero since x lies outside k.
     k* is the subgroup of K* of order |k| - 1, so w^N lies in k exactly when
     N log(w) is a multiple of (|K| - 1) / (|k| - 1); the logs come from K's
-    exp/log table, so K must have one (FieldCapError otherwise).
+    exp/log table.
     Preconditions reported distinctly: x outside the base, gcd(N, p) = 1,
     |k| > N, N >= 1.
     """
@@ -363,5 +327,5 @@ def count_power_in_base(base: FieldTable, top: FieldTable, x: int, exponent: int
     if base.q <= exponent:
         raise AlgebraError(f"base field of order {base.q} too small for exponent {exponent}")
     step = (top.q - 1) // (base.q - 1)
-    logs = top.logs(top.add_idxs(x, ext.embed))
+    logs = top.logs(top.add_each(x, ext.embed))
     return int(np.count_nonzero(logs * (exponent % step) % step == 0))

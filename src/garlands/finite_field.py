@@ -5,28 +5,32 @@ monic irreducible polynomial of degree m (non-leading coefficients compared
 with the constant term most significant).  Construction is therefore
 reproducible: two tables for the same (p, m) agree coefficient for
 coefficient, and element indices are interchangeable between instances.
+construct_field checks the cap and returns the one FieldTable per (p, m)
+that the process shares, so a case, its extensions and its ambient read one
+set of tables.
 
 Elements are coefficient vectors of length m with entries in [0, p).  Each
 element is addressed by a canonical index, the rank of its coefficient tuple
 in lexicographic order (constant term most significant); this index order is
 the total order used for canonical matrix/subgroup encodings downstream.
 
-All arithmetic rests on one core.  Products reduce through one polynomial
-product-and-reduce over F_p (_pmulmod), powers through one square-and-multiply
-(_ppowmod), and the generator of the multiplicative group, the least element
-of order q - 1, is found once.  Multiplication by a fixed element is an
-F_p-linear map of coefficient digits (FieldTable._mul_by), which fills the
-exp/log tables by doubling, and the dense tables the matrix engine reads
-(np_add, np_mul, np_neg, np_inv) are derived with numpy from every element's
-digits and logarithm.  FieldMatrix carries matrices in and out only; matrix
-arithmetic runs vectorized over ambient indices in matrix_group.
+Each operation has one route.  Polynomial product-and-reduce over F_p
+(_pmulmod) and square-and-multiply (_ppowmod) find the generator of the
+multiplicative group, the least element of order q - 1.  Multiplication by
+a fixed element is an F_p-linear map of coefficient digits
+(FieldTable._mul_by), which fills every field's exp/log tables by doubling
+on first use.  Powers and logarithms read those tables, sums add digits
+mod p, and the dense tables the matrix engine reads (np_add, np_mul,
+np_neg, np_inv) are derived with numpy from every element's digits and
+logarithm.  FieldMatrix carries matrices in and out only; matrix arithmetic
+runs vectorized over ambient indices in matrix_group.
 
 Extensions F_{q^n} of a base field F_q are realised inside the absolute
 field F_{p^(m*n)} via a deterministic embedding (the base generator is sent
-to the lexicographically least root of its defining polynomial), so a single
-FieldTable type covers base fields and extension fields alike.  An
-extension's power-basis coordinates, and the element of every coordinate
-tuple, come from one numpy pass over all coordinate tuples.
+to the least root of its defining polynomial, found in one numpy pass over
+the subfield's logarithms), so a single FieldTable type covers base fields
+and extension fields alike.  An extension's power-basis coordinates come
+from one numpy pass over all coordinate tuples.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-
-# exp/log tables are only built for fields up to this size; bigger fields
-# fall back to direct polynomial arithmetic
-_LOG_TABLE_MAX = 1 << 16
 
 # guard for the dense q x q numpy tables used by the matrix engine
 _NP_TABLE_MAX = 512
@@ -215,23 +215,20 @@ def minimal_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FieldTable:
     """Concrete finite field F_{p^m} with deterministic construction.
 
-    Use :func:`construct_field`; the constructor validates p prime, m >= 1
-    and p^m within the configured cap.
+    Use :func:`construct_field`, which checks the cap and shares one table
+    per (p, m); the constructor validates p prime and m >= 1.
     """
 
     __slots__ = ("p", "m", "q", "defining_poly", "_place", "_exp", "_log", "_gen_idx", "_np")
 
-    def __init__(self, p: int, m: int, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, p: int, m: int):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrimeError(f"characteristic must be prime, got {p}")
         if not isinstance(m, int) or m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
-        q = p**m
-        if q > caps.field_order:
-            raise FieldCapError(f"field order {q} exceeds cap {caps.field_order}")
         self.p = p
         self.m = m
-        self.q = q
+        self.q = p**m
         self.defining_poly = minimal_irreducible(p, m)
         # place[i] = p^(m-1-i) weighs coefficient i in an index; it is also the index of x^i
         self._place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -283,37 +280,11 @@ class FieldTable:
     def _index_of_digits(self, digits: np.ndarray) -> np.ndarray:
         return digits @ self._place
 
-    def scalar_index(self, c: int) -> int:
-        """Index of the prime-field constant c."""
-        return (c % self.p) * self.p ** (self.m - 1)
-
     @property
     def one_index(self) -> int:
         return self.p ** (self.m - 1)
 
-    # -- scalar arithmetic on indices -----------------------------------------
-
-    def add_idx(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a + b) % p
-        out = 0
-        w = 1
-        for _ in range(m):
-            out += ((a // w + b // w) % p) * w
-            w *= p
-        return out
-
-    def neg_idx(self, a: int) -> int:
-        p, m = self.p, self.m
-        out = 0
-        w = 1
-        for _ in range(m):
-            out += (-(a // w) % p) * w
-            w *= p
-        return out
-
-    def add_idxs(self, a: int, bs) -> np.ndarray:
+    def add_each(self, a: int, bs) -> np.ndarray:
         """Indices of a + b for every b in an index array, digitwise mod p."""
         return self._index_of_digits((self._digits(a) + self._digits(bs)) % self.p)
 
@@ -321,53 +292,37 @@ class FieldTable:
         """Index of a reduced polynomial, constant term first and trailing zeros trimmed."""
         return self.index_of([*poly, *[0] * (self.m - len(poly))])
 
-    def _polymul_idx(self, a: int, b: int) -> int:
+    def _poly_product(self, a: int, b: int) -> int:
         """Multiplication by polynomial product and reduction, no tables required."""
         return self._poly_index(_pmulmod(self.coeffs_of(a), self.coeffs_of(b), self.defining_poly, self.p))
 
-    def _polypow_idx(self, a: int, e: int) -> int:
+    def _poly_power(self, a: int, e: int) -> int:
         return self._poly_index(_ppowmod(self.coeffs_of(a), e, self.defining_poly, self.p))
 
     def _mul_by(self, xs, a: int) -> np.ndarray:
         """Indices of x * a for an index array xs: multiplication by a is F_p-linear on coefficients."""
-        rows = self._digits([self._polymul_idx(int(xi), a) for xi in self._place])  # row i: x^i * a
+        rows = self._digits([self._poly_product(int(xi), a) for xi in self._place])  # row i: x^i * a
         xs = np.asarray(xs)
         step = 1 << 16  # bounds the (step, m) digit arrays of a whole large field
         parts = [self._index_of_digits(self._digits(xs[s : s + step]) @ rows % self.p) for s in range(0, xs.size, step)]
         return np.concatenate(parts)
 
-    def _ensure_log(self) -> bool:
+    def _ensure_log(self) -> None:
+        """Build the exp/log tables: exp[k] = g^k for the generator g, log[exp[k]] = k, log[0] = -1."""
         if self._exp is not None:
-            return True
+            return
         q = self.q
-        if q > _LOG_TABLE_MAX:
-            return False
         exp = np.empty(q - 1, dtype=np.int64)
         exp[0] = self.one_index
         k, gk = 1, self.generator_index()
         while k < q - 1:  # exp[k : 2k] = exp[:k] * g^k
             n = min(k, q - 1 - k)
             exp[k : k + n] = self._mul_by(exp[:n], gk)
-            k, gk = k + n, self._polymul_idx(gk, gk)
+            k, gk = k + n, self._poly_product(gk, gk)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self._exp = exp
         self._log = log
-        return True
-
-    def mul_idx(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._ensure_log():
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
-        return self._polymul_idx(a, b)
-
-    def inv_idx(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in finite field")
-        if self._ensure_log():
-            return int(self._exp[(-int(self._log[a])) % (self.q - 1)])
-        return self._polypow_idx(a, self.q - 2)
 
     def pow_idx(self, a: int, e: int) -> int:
         if a == 0:
@@ -376,20 +331,13 @@ class FieldTable:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        if self._ensure_log():
-            return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-        return self._polypow_idx(a, e % (self.q - 1))
+        self._ensure_log()
+        return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
     def logs(self, idxs) -> np.ndarray:
         """Logarithms to the base generator_index() of nonzero elements, read from the exp/log table."""
-        if not self._ensure_log():
-            raise FieldCapError(f"no exp/log table for a field of order {self.q}; tables stop at {_LOG_TABLE_MAX}")
+        self._ensure_log()
         return self._log[np.asarray(idxs)]
-
-    def frob_idx(self, a: int, i: int = 1) -> int:
-        """a^(p^i), the i-th Frobenius iterate: the tests' reference route, which no case path calls."""
-        i %= self.m
-        return self.pow_idx(a, self.p**i)
 
     def generator_index(self) -> int:
         """The least element of multiplicative order q - 1, a fixed generator of the multiplicative group."""
@@ -397,7 +345,7 @@ class FieldTable:
             q, one = self.q, self.one_index
             factors = _prime_factors(q - 1)
             self._gen_idx = next(
-                c for c in range(1, q) if all(self._polypow_idx(c, (q - 1) // ell) != one for ell in factors)
+                c for c in range(1, q) if all(self._poly_power(c, (q - 1) // ell) != one for ell in factors)
             )
         return self._gen_idx
 
@@ -438,15 +386,15 @@ class FieldTable:
 
 
 def construct_field(p: int, m: int, caps: Caps = DEFAULT_CAPS) -> FieldTable:
-    """Deterministic FieldTable for F_{p^m}; repeated calls are identical."""
-    return FieldTable(p, m, caps)
+    """The FieldTable of F_{p^m}, once p^m is within the cap: one table per (p, m) in the process."""
+    if p**m > caps.field_order:
+        raise FieldCapError(f"field order {p**m} exceeds cap {caps.field_order}")
+    return _shared_field(p, m)
 
 
 @lru_cache(maxsize=None)
 def _shared_field(p: int, m: int) -> FieldTable:
-    # callers have already validated their own caps; admit exactly this order
-    caps = DEFAULT_CAPS if p**m <= DEFAULT_CAPS.field_order else Caps(field_order=p**m)
-    return FieldTable(p, m, caps)
+    return FieldTable(p, m)
 
 
 class Extension:
@@ -458,7 +406,7 @@ class Extension:
     respect to the power basis 1, y, ..., y^(n-1) over the base.
     """
 
-    __slots__ = ("base", "top", "degree", "embed", "_lift", "gen_index", "_coords", "_elements", "_ypow", "_mult")
+    __slots__ = ("base", "top", "degree", "embed", "_lift", "gen_index", "_coords", "_ypow", "_mult")
 
     def __init__(self, base: FieldTable, top: FieldTable):
         if base.p != top.p:
@@ -472,7 +420,6 @@ class Extension:
         self._lift = {int(t): b for b, t in enumerate(self.embed)}
         self.gen_index = self._find_relative_generator()
         self._coords = None
-        self._elements = None
         self._ypow = None
         self._mult = None
 
@@ -480,25 +427,16 @@ class Extension:
         base, top = self.base, self.top
         if self.degree == 1 and base.defining_poly == top.defining_poly:
             return np.arange(base.q, dtype=np.int64)
-        # the subfield of order q inside top is {0} union the subgroup of
-        # order q-1 of top*; scan it for roots of base.defining_poly
-        g = top.generator_index()
-        h = top.pow_idx(g, (top.q - 1) // (base.q - 1))
-        subfield = [0, top.one_index]
-        cur = h
-        while cur != top.one_index:
-            subfield.append(cur)
-            cur = top.mul_idx(cur, h)
-        roots = []
-        for z in subfield:
-            acc = 0  # Horner with prime-field scalars
-            for c in reversed(base.defining_poly):
-                acc = top.add_idx(top.mul_idx(acc, z), top.scalar_index(c))
-            if acc == 0:
-                roots.append(z)
-        if not roots:
-            raise FieldError("embedding root not found")  # unreachable
-        r = min(roots)
+        # base.defining_poly = sum c_i x^i has its roots in the subfield of
+        # order q: 0 (a root when c_0 = 0, only for the prime field's x) and
+        # the powers of g^((|top| - 1) / (q - 1)), whose logs are the
+        # multiples of that step.  c_i z^i scales the digits of z^i by c_i.
+        top._ensure_log()
+        logs = np.arange(0, top.q - 1, (top.q - 1) // (base.q - 1))
+        powers = top._digits(top._exp[np.outer(logs, np.arange(base.m + 1)) % (top.q - 1)])
+        values = np.einsum("zid,i->zd", powers, np.array(base.defining_poly)) % top.p
+        roots = top._exp[logs[~values.any(axis=1)]]
+        r = 0 if base.defining_poly[0] == 0 else int(roots.min())
         # a = sum c_i x^i goes to sum c_i r^i, and prime-field scalars scale coefficients
         rpow = [top.pow_idx(r, i) for i in range(base.m)]
         return top._index_of_digits(base._digits(np.arange(base.q)) @ top._digits(rpow) % top.p)
@@ -544,7 +482,7 @@ class Extension:
         return self.lift(self.top.pow_idx(top_idx, e))
 
     def _ensure_coords(self) -> None:
-        """Coordinates of every element and the element of every coordinate tuple, in one pass.
+        """Coordinates of every element, in one pass over all coordinate tuples.
 
         The element with coordinates (a_0, ..., a_(d-1)) is sum a_j y^j; its
         coefficient digits are the sums of those of the terms, mod p.
@@ -560,16 +498,11 @@ class Extension:
             elements += digit % top.p * w
         self._coords = np.empty((top.q, n), dtype=np.int32)
         self._coords[elements.ravel()] = np.indices((bq,) * n).reshape(n, -1).T
-        self._elements = elements
 
     def coords(self, top_idx: int) -> tuple[int, ...]:
         """Coordinates over the base w.r.t. the power basis 1, y, ..., y^(n-1)."""
         self._ensure_coords()
         return tuple(self._coords[top_idx].tolist())
-
-    def from_coords(self, coords: Sequence[int]) -> int:
-        self._ensure_coords()
-        return int(self._elements[tuple(coords)])
 
     def mult_blocks(self) -> np.ndarray:
         """(q_top, d, d) base-field index matrices, d the degree: block x has column j = coords of y^j * x."""

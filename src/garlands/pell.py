@@ -107,11 +107,6 @@ def _convergents(terms: Sequence[int]) -> tuple[int, int, int, int]:
     return p_prev, q_prev, p, q
 
 
-def _convergent(terms: Sequence[int]) -> tuple[int, int]:
-    """(p, q) of the continued fraction [terms[0]; terms[1], ...]."""
-    return _convergents(terms)[2:]
-
-
 def _solve_validated(d: int) -> tuple[PellSolution | None, int | None]:
     """(negative Pell solution or None, period length or None for d < 0) of a valid d.
 

@@ -20,6 +20,15 @@ matrix and its vectorized Laplace determinant (minors cut out by
 np.delete), and the exact rational 2x2 algebra at the end checks the
 SL(2,Q) witness matrices by direct conjugation.
 
+Past building its tables, the package multiplies, inverts and takes powers
+in a field only through its exp/log and dense tables.  The one element at
+a time field and algebra arithmetic lives here, on coefficient
+polynomials: schoolbook products reduced mod the defining polynomial,
+square-and-multiply powers, sums and norms per component, the base's
+embedding by the least root of its defining polynomial found by evaluating
+at every element in index order, and the relative generator by orbits
+under x -> x^q.
+
 The package does matrix arithmetic only vectorized over ambient indices,
 and keeps FieldMatrix for input and output.  The one-matrix-at-a-time
 routes live here: matrix keys, products (cell by cell, and per element
@@ -42,6 +51,167 @@ import numpy as np
 from garlands.etale import AlgebraSpec, aut_group
 from garlands.finite_field import FieldError, FieldMatrix, FieldMismatchError, extension_of
 from garlands.matrix_group import SL, GroupCapError, Subgroup, _closure, is_normal_in
+
+
+# -- field arithmetic on coefficient polynomials ------------------------------
+# One element at a time, from the defining polynomial and the index encoding
+# only: none of these read the exp/log or dense tables that they check.
+
+
+def _coeffs(f, a: int) -> list[int]:
+    """Coefficients of the element with index a, constant term first (the most significant digit)."""
+    out = [0] * f.m
+    for i in range(f.m - 1, -1, -1):
+        a, out[i] = divmod(a, f.p)
+    return out
+
+
+def _index(f, coeffs) -> int:
+    idx = 0
+    for c in coeffs:
+        idx = idx * f.p + c % f.p
+    return idx
+
+
+def add_idx(f, a: int, b: int) -> int:
+    return _index(f, [x + y for x, y in zip(_coeffs(f, a), _coeffs(f, b))])
+
+
+def neg_idx(f, a: int) -> int:
+    return _index(f, [-x for x in _coeffs(f, a)])
+
+
+def scalar_index(f, c: int) -> int:
+    """Index of the prime-field constant c."""
+    return _index(f, [c] + [0] * (f.m - 1))
+
+
+def mul_idx(f, a: int, b: int) -> int:
+    """a * b by the schoolbook product of coefficient polynomials, reduced mod the defining polynomial."""
+    p, m, poly = f.p, f.m, f.defining_poly
+    x, y = _coeffs(f, a), _coeffs(f, b)
+    out = [0] * (2 * m - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                out[i + j] += xi * yj
+    for k in range(2 * m - 2, m - 1, -1):  # x^k = -x^(k-m) * (poly - x^m)
+        c = out[k] % p
+        if c:
+            for i in range(m):
+                out[k - m + i] -= c * poly[i]
+    return _index(f, out[:m])
+
+
+def pow_idx(f, a: int, e: int) -> int:
+    """a^e for e >= 0, by square-and-multiply over mul_idx."""
+    out = f.one_index
+    while e:
+        if e & 1:
+            out = mul_idx(f, out, a)
+        a, e = mul_idx(f, a, a), e >> 1
+    return out
+
+
+def inv_idx(f, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero in finite field")
+    return pow_idx(f, a, f.q - 2)
+
+
+def frob_idx(f, a: int, i: int = 1) -> int:
+    """a^(p^i), the i-th Frobenius iterate."""
+    return pow_idx(f, a, f.p ** (i % f.m))
+
+
+def poly_value(f, coeffs, z: int) -> int:
+    """sum c_i z^i for prime-field constants c_i (constant first), by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = add_idx(f, mul_idx(f, acc, z), scalar_index(f, c))
+    return acc
+
+
+def least_root_embedding(base, top) -> list[int]:
+    """Top index of each base element: x goes to the least root r of base's defining polynomial in top,
+    found by evaluating it at every element in index order, and sum c_i x^i to sum c_i r^i."""
+    r = next(z for z in range(top.q) if poly_value(top, base.defining_poly, z) == 0)
+    return [poly_value(top, base.coeffs_of(a), r) for a in range(base.q)]
+
+
+def rel_norm_by_products(ext, x: int) -> int:
+    """Norm to the base, as a base index: the product of the relative Frobenius conjugates x^(q^j), j < d."""
+    top, acc = ext.top, ext.top.one_index
+    for _ in range(ext.degree):
+        acc, x = mul_idx(top, acc, x), pow_idx(top, x, ext.base.q)
+    return ext.lift(acc)
+
+
+def relative_generator_by_orbits(ext) -> int:
+    """The least top element whose orbit under x -> x^q has d members, d the degree."""
+    top, q = ext.top, ext.base.q
+    for x in range(1, top.q):
+        orbit, y = 1, pow_idx(top, x, q)
+        while y != x:
+            orbit, y = orbit + 1, pow_idx(top, y, q)
+        if orbit == ext.degree:
+            return x
+    raise AssertionError("no primitive element")
+
+
+def extension_from_coords(ext, coords) -> int:
+    """The top element sum a_j y^j for base coordinates a_j, y the relative generator."""
+    top, acc, yj = ext.top, 0, ext.top.one_index
+    for a in coords:
+        acc = add_idx(top, acc, mul_idx(top, int(ext.embed[a]), yj))
+        yj = mul_idx(top, yj, ext.gen_index)
+    return acc
+
+
+# -- algebra arithmetic on component tuples -------------------------------------
+
+
+def zero_comps(spec: AlgebraSpec) -> tuple[int, ...]:
+    return (0,) * len(spec.degrees)
+
+
+def mul_comps(spec: AlgebraSpec, a, b) -> tuple[int, ...]:
+    return tuple(mul_idx(e.top, x, y) for e, x, y in zip(spec.extensions, a, b))
+
+
+def add_comps(spec: AlgebraSpec, a, b) -> tuple[int, ...]:
+    return tuple(add_idx(e.top, x, y) for e, x, y in zip(spec.extensions, a, b))
+
+
+def neg_comps(spec: AlgebraSpec, a) -> tuple[int, ...]:
+    return tuple(neg_idx(e.top, x) for e, x in zip(spec.extensions, a))
+
+
+def inv_comps(spec: AlgebraSpec, a) -> tuple[int, ...]:
+    if any(x == 0 for x in a):
+        raise ZeroDivisionError("not a unit")
+    return tuple(inv_idx(e.top, x) for e, x in zip(spec.extensions, a))
+
+
+def norm_comps(spec: AlgebraSpec, a) -> int:
+    """Product of the factor norms, a base-field index."""
+    acc = spec.base.one_index
+    for e, x in zip(spec.extensions, a):
+        acc = mul_idx(spec.base, acc, rel_norm_by_products(e, x))
+    return acc
+
+
+def coords_comps(spec: AlgebraSpec, a) -> tuple[int, ...]:
+    """Coordinates in the fixed k-basis (length n, base indices)."""
+    return tuple(c for e, x in zip(spec.extensions, a) for c in e.coords(x))
+
+
+def algebra_from_coords(spec: AlgebraSpec, coords) -> tuple[int, ...]:
+    comps, pos = [], 0
+    for e, d in zip(spec.extensions, spec.degrees):
+        comps.append(extension_from_coords(e, coords[pos : pos + d]))
+        pos += d
+    return tuple(comps)
 
 
 def matrix_key(m: FieldMatrix) -> int:
@@ -76,7 +246,7 @@ def matrix_product(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         for col in zip(*b.rows):
             acc = 0
             for x, y in zip(row, col):
-                acc = f.add_idx(acc, f.mul_idx(x, y))
+                acc = add_idx(f, acc, mul_idx(f, x, y))
             out[-1].append(acc)
     return FieldMatrix(f, out)
 
@@ -89,8 +259,8 @@ def matrix_det(m: FieldMatrix) -> int:
     acc = 0
     for j, c in enumerate(rows[0]):
         if c:
-            term = f.mul_idx(c, matrix_det(FieldMatrix(f, [r[:j] + r[j + 1 :] for r in rows[1:]])))
-            acc = f.add_idx(acc, term if j % 2 == 0 else f.neg_idx(term))
+            term = mul_idx(f, c, matrix_det(FieldMatrix(f, [r[:j] + r[j + 1 :] for r in rows[1:]])))
+            acc = add_idx(f, acc, term if j % 2 == 0 else neg_idx(f, term))
     return acc
 
 
@@ -103,12 +273,12 @@ def matrix_inverse(m: FieldMatrix) -> FieldMatrix:
         if pivot is None:
             raise FieldError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = f.inv_idx(aug[col][col])
-        aug[col] = [f.mul_idx(inv, v) for v in aug[col]]
+        inv = inv_idx(f, aug[col][col])
+        aug[col] = [mul_idx(f, inv, v) for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 c = aug[r][col]
-                aug[r] = [f.add_idx(v, f.neg_idx(f.mul_idx(c, w))) for v, w in zip(aug[r], aug[col])]
+                aug[r] = [add_idx(f, v, neg_idx(f, mul_idx(f, c, w))) for v, w in zip(aug[r], aug[col])]
     return FieldMatrix(f, [row[n:] for row in aug])
 
 
@@ -194,23 +364,26 @@ def subgroup_serialize(sub, with_elements: bool = False) -> dict:
 def rel_min_poly(ext, top_idx: int) -> tuple[int, ...]:
     """Minimal polynomial over the base (base-field indices, constant first, monic).
 
-    It is the product of X - c over the relative Frobenius orbit of the element.
+    It is the product of X - c over the orbit of the element under c -> c^q.
     """
     top = ext.top
     poly = [top.one_index]  # top-field coefficients
-    for j in range(ext.orbit_size(top_idx)):
-        neg = top.neg_idx(ext.rel_frobenius(top_idx, j))
+    c = top_idx
+    while True:
+        neg = neg_idx(top, c)
         nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] = top.add_idx(nxt[i], top.mul_idx(c, neg))
-            nxt[i + 1] = top.add_idx(nxt[i + 1], c)
+        for i, a in enumerate(poly):
+            nxt[i] = add_idx(top, nxt[i], mul_idx(top, a, neg))
+            nxt[i + 1] = add_idx(top, nxt[i + 1], a)
         poly = nxt
-    return tuple(ext.lift(c) for c in poly)
+        c = pow_idx(top, c, ext.base.q)
+        if c == top_idx:
+            return tuple(ext.lift(a) for a in poly)
 
 
 def scalar_mul_comps(spec: AlgebraSpec, c: int, a) -> tuple[int, ...]:
     """Multiply by a base-field element (base index c)."""
-    return tuple(e.top.mul_idx(int(e.embed[c]), x) for e, x in zip(spec.extensions, a))
+    return tuple(mul_idx(e.top, int(e.embed[c]), x) for e, x in zip(spec.extensions, a))
 
 
 def algebra_comps(spec: AlgebraSpec, units: bool = False) -> list[tuple[int, ...]]:
@@ -218,27 +391,78 @@ def algebra_comps(spec: AlgebraSpec, units: bool = False) -> list[tuple[int, ...
     return list(itertools.product(*(range(int(units), e.top.q) for e in spec.extensions)))
 
 
+def _perm_closure(gens, n: int) -> frozenset:
+    """The permutations of range(n) generated by gens (tuples of images), by breadth-first composition."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(g[i] for i in s)
+                if h not in group:
+                    group.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return frozenset(group)
+
+
+def subgroup_count_of_aut(degrees) -> int:
+    """|Sub(W)| for W = prod_d C_d wr S_(m_d), m_d the number of factors of degree d: Aut_k(S) for S with these degrees.
+
+    W acts on n = sum(degrees) points, a block of d points per factor of
+    degree d: each factor's cyclic shift of its block (its Frobenius) and the
+    swap of the blocks of every two factors of equal degree generate it.
+    Its subgroups are closed from the trivial group outward, each as
+    <H, g> for a subgroup H found before and an element g outside it.
+    """
+    starts = list(itertools.accumulate(degrees, initial=0))
+    n = starts[-1]
+    gens = [tuple(s + (i - s + 1) % d if s <= i < s + d else i for i in range(n)) for s, d in zip(starts, degrees)]
+    for a, b in itertools.combinations(range(len(degrees)), 2):
+        if degrees[a] == degrees[b]:
+            shift = starts[b] - starts[a]
+            gens.append(tuple(
+                i + shift if starts[a] <= i < starts[a + 1] else i - shift if starts[b] <= i < starts[b + 1] else i
+                for i in range(n)
+            ))
+    whole = _perm_closure(gens, n)
+    trivial = _perm_closure([], n)
+    subgroups = {trivial: []}  # subgroup -> the generators it was closed from
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in whole - h:
+                k = _perm_closure(subgroups[h] + [g], n)
+                if k not in subgroups:
+                    subgroups[k] = subgroups[h] + [g]
+                    nxt.append(k)
+        frontier = nxt
+    return len(subgroups)
+
+
 def count_power_in_base_by_shifts(base, top, x: int, exponent: int) -> int:
     """Number of alpha in k with (x + alpha)^N in k, one scalar sum, power and membership test per alpha."""
     ext = extension_of(base, top)
     count = 0
     for alpha in range(base.q):
-        z = top.add_idx(x, int(ext.embed[alpha]))
-        if ext.contains(top.pow_idx(z, exponent)):
+        z = add_idx(top, x, int(ext.embed[alpha]))
+        if ext.contains(pow_idx(top, z, exponent)):
             count += 1
     return count
 
 
 def brute_additive_span(spec: AlgebraSpec, vectors) -> frozenset:
     """The k-linear span of the given component rows, as a set of comps tuples."""
-    span = {spec.zero_comps()}
-    frontier = [spec.zero_comps()]
+    span = {zero_comps(spec)}
+    frontier = [zero_comps(spec)]
     while frontier:
         nxt = []
         for v in frontier:
             for w in vectors:
                 for c in range(spec.base.q):
-                    cand = spec.add_comps(v, scalar_mul_comps(spec, c, w))
+                    cand = add_comps(spec, v, scalar_mul_comps(spec, c, w))
                     if cand not in span:
                         span.add(cand)
                         nxt.append(cand)
@@ -257,9 +481,9 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
     multiplicativity on all basis pairs and bijectivity.
     """
     base = spec.base
-    zero, one = spec.zero_comps(), spec.one_comps()
+    zero, one = zero_comps(spec), spec.one_comps()
     elements = algebra_comps(spec)
-    idempotents = [e for e in elements if spec.mul_comps(e, e) == e and e != zero]
+    idempotents = [e for e in elements if mul_comps(spec, e, e) == e and e != zero]
     t = len(spec.degrees)
 
     results = []
@@ -276,18 +500,18 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
                 power = block
                 for e in range(d):
                     images.append(power)
-                    power = spec.mul_comps(power, y_img)
+                    power = mul_comps(spec, power, y_img)
         return images
 
     def k_linear_map(images):
         """comps -> comps map by k-linear extension, or None if not bijective."""
         table = {}
         for coeffs in itertools.product(range(base.q), repeat=spec.n):
-            src = spec.from_coords(coeffs)
+            src = algebra_from_coords(spec, coeffs)
             acc = zero
             for c, img in zip(coeffs, images):
                 if c:
-                    acc = spec.add_comps(acc, scalar_mul_comps(spec, c, img))
+                    acc = add_comps(spec, acc, scalar_mul_comps(spec, c, img))
             table[src] = acc
         if len(set(table.values())) != spec.order:
             return None
@@ -303,14 +527,14 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
         # multiplicativity on all basis pairs suffices by bilinearity
         one_idx = base.one_index
         basis = [
-            spec.from_coords(tuple(one_idx if i == j else 0 for i in range(spec.n)))
+            algebra_from_coords(spec, tuple(one_idx if i == j else 0 for i in range(spec.n)))
             for j in range(spec.n)
         ]
         for a in basis:
             for b in basis:
-                prod = spec.mul_comps(a, b)
+                prod = mul_comps(spec, a, b)
                 img_prod = table[prod]
-                lhs = spec.mul_comps(table[a], table[b])
+                lhs = mul_comps(spec, table[a], table[b])
                 if lhs != img_prod:
                     return
         results.append(table)
@@ -327,11 +551,11 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
         minpoly = rel_min_poly(ext, ext.gen_index)  # base-field indices, monic
         block = assign_idem[f]
         for z in elements:
-            if spec.mul_comps(z, block) != z:
+            if mul_comps(spec, z, block) != z:
                 continue
             acc = zero
             for coeff in reversed(minpoly):
-                acc = spec.add_comps(spec.mul_comps(acc, z), scalar_mul_comps(spec, coeff, block))
+                acc = add_comps(spec, mul_comps(spec, acc, z), scalar_mul_comps(spec, coeff, block))
             if acc == zero:
                 assign_generators(assign_idem, f + 1, assign_gen + [z])
 
@@ -340,9 +564,9 @@ def brute_ring_automorphisms(spec: AlgebraSpec) -> list[dict]:
         total = zero
         ok = True
         for i, e in enumerate(combo):
-            total = spec.add_comps(total, e)
+            total = add_comps(spec, total, e)
             for j in range(i):
-                if spec.mul_comps(combo[j], e) != zero:
+                if mul_comps(spec, combo[j], e) != zero:
                     ok = False
         if not ok or total != one:
             continue
@@ -488,8 +712,8 @@ def centralizer_brute(ambient, h) -> Subgroup:
 def regular_rep_by_basis(spec: AlgebraSpec, a) -> FieldMatrix:
     """Matrix of right multiplication by the element with components a: column j holds the coordinates of e_j * a."""
     one = spec.base.one_index
-    basis = [spec.from_coords([one if i == j else 0 for i in range(spec.n)]) for j in range(spec.n)]
-    cols = [spec.coords_comps(spec.mul_comps(e, a)) for e in basis]
+    basis = [algebra_from_coords(spec, [one if i == j else 0 for i in range(spec.n)]) for j in range(spec.n)]
+    cols = [coords_comps(spec, mul_comps(spec, e, a)) for e in basis]
     return FieldMatrix(spec.base, [list(row) for row in zip(*cols)])
 
 
@@ -499,7 +723,7 @@ def torus_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
     idxs = [
         ambient.index_of(regular_rep_by_basis(spec, u))
         for u in algebra_comps(spec, units=True)
-        if ambient.kind != SL or spec.norm_comps(u) == one
+        if ambient.kind != SL or norm_comps(spec, u) == one
     ]
     return np.array(sorted(idxs), dtype=np.int32)
 

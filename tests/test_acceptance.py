@@ -18,6 +18,7 @@ from garlands.config import Caps
 from garlands.etale import (
     AlgebraSpec,
     additive_span_check,
+    aut_group_size,
     count_power_in_base,
     primitive_norm_one_search,
 )
@@ -47,6 +48,7 @@ from oracles import (
     generate,
     interval_by_elements,
     matrix_from_coeff_rows,
+    subgroup_count_of_aut,
     subgroup_id,
     torus_by_units,
     with_generators,
@@ -593,3 +595,26 @@ def test_sweep_500_contract():
           f"({summary['ok']} verified, {summary['skipped_cap']} over cap), "
           f"{summary['confirmed']} confirmed, "
           f"{summary['expected_counterexamples']} expected counterexamples, 0 unexpected")
+
+
+def test_interval_is_sub_w_where_the_formula_holds():
+    # where N(T) is the formula set, N(T)/T is W = Aut_k(S) = prod_d C_d wr S_(m_d),
+    # so by the correspondence theorem [T, N(T)] has |Sub(W)| members and
+    # |N(T)| = |T| |W|; W's subgroups are counted from the degrees alone
+    from garlands.runner import run_sweep
+
+    known = {(1, 1, 1): 6, (2, 2): 10, (1, 1, 1, 1): 30, (4,): 3}  # S_3, D_4, S_4, C_4
+    assert {degrees: subgroup_count_of_aut(degrees) for degrees in known} == known
+    reports, _ = run_sweep(500)
+    checked = 0
+    for doc in reports:
+        if doc["status"] != "ok" or not doc["normalizers"]["formula_equals_brute"]:
+            continue
+        case = doc["case"]
+        key = (case["q"], tuple(case["degrees"]), case["ambient"])
+        spec = AlgebraSpec(construct_field(case["p"], case["base_degree"]), case["degrees"])
+        assert len(doc["garland"]["interval"]) == subgroup_count_of_aut(tuple(case["degrees"])), key
+        assert doc["normalizers"]["brute_order"] == doc["torus_order"] * aut_group_size(spec), key
+        checked += 1
+    assert checked == 47
+    print(f"\n[W = Aut(S)] PASS: |[T, N(T)]| = |Sub(W)| and |N(T)| = |T| |W| on {checked} sweep-500 cases")

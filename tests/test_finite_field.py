@@ -10,6 +10,7 @@ from garlands.finite_field import (
     FieldCapError,
     FieldMatrix,
     FieldMismatchError,
+    FieldTable,
     NotPrimeError,
     _prime_factors,
     construct_extension,
@@ -18,7 +19,22 @@ from garlands.finite_field import (
     minimal_irreducible,
 )
 
-from oracles import matrix_det, matrix_from_key, matrix_inverse, matrix_key, matrix_product
+from oracles import (
+    add_idx,
+    extension_from_coords,
+    frob_idx,
+    inv_idx,
+    least_root_embedding,
+    matrix_det,
+    matrix_from_key,
+    matrix_inverse,
+    matrix_key,
+    matrix_product,
+    mul_idx,
+    neg_idx,
+    rel_norm_by_products,
+    relative_generator_by_orbits,
+)
 
 
 def test_prime_factors_match_sieve_to_20000():
@@ -88,20 +104,22 @@ def test_construct_field_at_cap_boundary():
     f = construct_field(2, 20)  # exactly the default cap
     assert f.q == 1 << 20
     a, b = 12345, 999_983
-    assert f.mul_idx(a, f.mul_idx(b, b)) == f.mul_idx(f.mul_idx(a, b), b)
-    assert f.mul_idx(a, f.inv_idx(a)) == f.one_index
+    assert mul_idx(f, a, mul_idx(f, b, b)) == mul_idx(f, mul_idx(f, a, b), b)
+    assert mul_idx(f, a, inv_idx(f, a)) == f.one_index
 
 
 def test_determinism_fresh_constructions():
-    a = construct_field(3, 3)
-    b = construct_field(3, 3)
+    a = FieldTable(3, 3)
+    b = FieldTable(3, 3)
     assert a is not b
     assert a == b
     assert a.defining_poly == b.defining_poly
     for x in range(a.q):
         for y in (1, 5, 11):
-            assert a.mul_idx(x, y) == b.mul_idx(x, y)
-            assert a.add_idx(x, y) == b.add_idx(x, y)
+            assert mul_idx(a, x, y) == mul_idx(b, x, y)
+            assert add_idx(a, x, y) == add_idx(b, x, y)
+    assert np.array_equal(a.logs(range(1, a.q)), b.logs(range(1, b.q)))
+    assert construct_field(3, 3) is construct_field(3, 3)
 
 
 def test_minimal_irreducible_is_minimal():
@@ -124,11 +142,11 @@ def test_field_axioms_exhaustive_small(p, m):
     f = construct_field(p, m)
     one = f.one_index
     for a in range(f.q):
-        assert f.add_idx(a, 0) == a
-        assert f.mul_idx(a, one) == a
-        assert f.add_idx(a, f.neg_idx(a)) == 0
+        assert add_idx(f, a, 0) == a
+        assert mul_idx(f, a, one) == a
+        assert add_idx(f, a, neg_idx(f, a)) == 0
         if a:
-            assert f.mul_idx(a, f.inv_idx(a)) == one
+            assert mul_idx(f, a, inv_idx(f, a)) == one
             assert f.pow_idx(a, f.q - 1) == one
 
 
@@ -136,22 +154,22 @@ def test_field_axioms_exhaustive_small(p, m):
 @given(st.integers(0, 728), st.integers(0, 728), st.integers(0, 728))
 def test_field_axioms_random_f729(a, b, c):
     f = construct_field(3, 6)
-    assert f.mul_idx(f.mul_idx(a, b), c) == f.mul_idx(a, f.mul_idx(b, c))
-    assert f.add_idx(f.add_idx(a, b), c) == f.add_idx(a, f.add_idx(b, c))
-    lhs = f.mul_idx(a, f.add_idx(b, c))
-    rhs = f.add_idx(f.mul_idx(a, b), f.mul_idx(a, c))
+    assert mul_idx(f, mul_idx(f, a, b), c) == mul_idx(f, a, mul_idx(f, b, c))
+    assert add_idx(f, add_idx(f, a, b), c) == add_idx(f, a, add_idx(f, b, c))
+    lhs = mul_idx(f, a, add_idx(f, b, c))
+    rhs = add_idx(f, mul_idx(f, a, b), mul_idx(f, a, c))
     assert lhs == rhs
 
 
 def test_frobenius_examples():
     f2 = construct_field(2, 1)
-    assert f2.frob_idx(1, 1) == 1
+    assert frob_idx(f2, 1, 1) == 1
     f4 = construct_field(2, 2)
     g = f4.generator_index()
-    assert f4.frob_idx(g, 1) == f4.mul_idx(g, g)
+    assert frob_idx(f4, g, 1) == mul_idx(f4, g, g)
     f9 = construct_field(3, 2)
     for x in range(f9.q):
-        assert f9.frob_idx(x, 2) == x
+        assert frob_idx(f9, x, 2) == x
 
 
 def test_frobenius_order_m():
@@ -160,7 +178,7 @@ def test_frobenius_order_m():
         for x in range(f.q):
             y = x
             for _ in range(m):
-                y = f.frob_idx(y, 1)
+                y = frob_idx(f, y, 1)
             assert y == x
 
 
@@ -200,8 +218,8 @@ def test_norm_multiplicative_exhaustive_up_to_81():
             for b in range(top.q):
                 na = ext.rel_norm(a)
                 nb = ext.rel_norm(b)
-                nab = ext.rel_norm(top.mul_idx(a, b))
-                assert nab == base.mul_idx(na, nb)
+                nab = ext.rel_norm(mul_idx(top, a, b))
+                assert nab == mul_idx(base, na, nb)
 
 
 def test_norm_field_mismatch():
@@ -239,9 +257,32 @@ def test_extension_embedding_is_homomorphism():
         for a in range(base.q):
             for b in range(base.q):
                 ea, eb = int(ext.embed[a]), int(ext.embed[b])
-                assert int(ext.embed[base.add_idx(a, b)]) == top.add_idx(ea, eb)
-                assert int(ext.embed[base.mul_idx(a, b)]) == top.mul_idx(ea, eb)
+                assert int(ext.embed[add_idx(base, a, b)]) == add_idx(top, ea, eb)
+                assert int(ext.embed[mul_idx(base, a, b)]) == mul_idx(top, ea, eb)
         assert int(ext.embed[base.one_index]) == top.one_index
+
+
+# every base q <= 16 with q^d <= 4096, d >= 2, and F_4 in F_(2^18), a top past 2^16 elements
+EMBEDDINGS = [
+    (p, m, d)
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+    for d in range(2, 13)
+    if p ** (m * d) <= 4096
+] + [(2, 2, 9)]
+
+
+@pytest.mark.parametrize("p,m,d", EMBEDDINGS)
+def test_embedding_generator_and_norm_match_polynomial_routes(p, m, d):
+    # the embedding sends x to the least root of the base's defining polynomial,
+    # the relative generator is the least element with d conjugates, and the
+    # norm is the product of the conjugates: all by coefficient polynomials
+    base = construct_field(p, m)
+    top = construct_extension(base, d)
+    ext = extension_of(base, top)
+    assert ext.embed.tolist() == least_root_embedding(base, top)
+    assert ext.gen_index == relative_generator_by_orbits(ext)
+    sample = [0, top.one_index, ext.gen_index, *np.random.default_rng(top.q).integers(1, top.q, size=16).tolist()]
+    assert [ext.rel_norm(x) for x in sample] == [rel_norm_by_products(ext, x) for x in sample]
 
 
 def test_extension_coords_roundtrip():
@@ -249,7 +290,7 @@ def test_extension_coords_roundtrip():
     top = construct_extension(base, 2)
     ext = extension_of(base, top)
     for z in range(top.q):
-        assert ext.from_coords(ext.coords(z)) == z
+        assert extension_from_coords(ext, ext.coords(z)) == z
 
 
 def test_element_total_order_matches_lex():
@@ -273,7 +314,7 @@ def _order_by_products(f, a):
     """Multiplicative order of a by repeated table-free polynomial products."""
     k, x = 1, a
     while x != f.one_index:
-        x, k = f._polymul_idx(x, a), k + 1
+        x, k = f._poly_product(x, a), k + 1
     return k
 
 
@@ -285,13 +326,13 @@ def test_dense_tables_match_scalar_ops(p, m):
     q, every = f.q, range(f.q)
     add, mul, neg, inv = f.np_add(), f.np_mul(), f.np_neg(), f.np_inv()
     assert add.dtype == mul.dtype == neg.dtype == inv.dtype == np.int16
-    assert add.tolist() == [[f.add_idx(a, b) for b in every] for a in every]
-    assert mul.tolist() == [[f.mul_idx(a, b) for b in every] for a in every]
-    assert neg.tolist() == [f.neg_idx(a) for a in every]
-    assert inv.tolist() == [0] + [f.inv_idx(a) for a in range(1, q)]
+    assert add.tolist() == [[add_idx(f, a, b) for b in every] for a in every]
+    assert mul.tolist() == [[mul_idx(f, a, b) for b in every] for a in every]
+    assert neg.tolist() == [neg_idx(f, a) for a in every]
+    assert inv.tolist() == [0] + [inv_idx(f, a) for a in range(1, q)]
     rows = np.random.default_rng(q).integers(q, size=8)
     for a in rows.tolist():
-        assert mul[a].tolist() == [f._polymul_idx(a, b) for b in every]
+        assert mul[a].tolist() == [f._poly_product(a, b) for b in every]
     g = f.generator_index()
     assert _order_by_products(f, g) == q - 1
     assert all(_order_by_products(f, c) < q - 1 for c in range(1, g))

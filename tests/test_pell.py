@@ -16,7 +16,6 @@ from garlands.pell import (
     continued_fraction_sqrt,
     is_squarefree,
     negative_pell,
-    _convergent,
     pell_sweep,
     printed_criterion,
     sl2q_normalizer_report,
@@ -138,6 +137,11 @@ def test_negative_pell_minimality_up_to_200():
             continue
         bound = min(sol.y - 1, 200_000)
         assert exhaustive_negative_pell(d, bound) is None, d
+
+
+def _convergent(terms) -> tuple[int, int]:
+    """(p, q) of the continued fraction [terms[0]; terms[1], ...]."""
+    return pell._convergents(terms)[2:]
 
 
 def positive_pell(d: int) -> tuple[int, int]:
