@@ -99,6 +99,7 @@ def cmd_verify(args) -> int:
     if cache is not None:
         print(f"cache hits={cache.hits} misses={cache.misses}", file=sys.stderr)
     if doc.get("status") == "skipped_cap":
+        print(f"cap exceeded: {doc['reason']}", file=sys.stderr)
         return 3
     return 2 if doc.get("overall") == UNEXPECTED_MISMATCH else 0
 
@@ -223,6 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Python >= 3.10.7 refuses to print an int of more than 4300 digits, and a
+    # cap message or a skipped report prints an over-cap order such as 2^20000
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad arguments and 0 after --help

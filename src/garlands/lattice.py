@@ -393,63 +393,14 @@ def overall_verdict(verdicts) -> str:
 
 @dataclass
 class VerificationReport:
-    case: dict
-    hypotheses: dict
-    torus_order: int
-    normalizer_brute_order: int
-    normalizer_formula_order: int
-    formula_equals_brute: bool
-    lattice_member_count: int
-    lattice_orders: list[int]
-    lower_garland: list[str]
-    interval: list[str]
-    equal: bool
-    extra_members: list[dict]  # lower garland members outside the interval
-    garland_count: int
-    upper_garland_size: int
-    idempotent_normalizer: bool
-    normalizer_of_normalizer_order: int
-    verdicts: dict
-    overall: str
+    doc: dict  # the case's report document; the subgroups below are deliberately not in it
     torus: Subgroup
     normalizer: Subgroup  # N(torus), from the torus's coset table over the whole ambient
     interval_members: tuple[Subgroup, ...]  # Lat(torus, normalizer), lattice order
-    exhaustive: bool = True
-    formula_closure_failure: dict | None = None
 
     def to_dict(self) -> dict:
-        """Stable document; the subgroups themselves are deliberately excluded."""
-        return {
-            "case": self.case,
-            "hypotheses": self.hypotheses,
-            "torus_order": self.torus_order,
-            "normalizers": {
-                "brute_order": self.normalizer_brute_order,
-                "formula_order": self.normalizer_formula_order,
-                "formula_equals_brute": self.formula_equals_brute,
-                "formula_closure_failure": self.formula_closure_failure,
-            },
-            "lattice": {
-                "member_count": self.lattice_member_count,
-                "orders": self.lattice_orders,
-                "exhaustive": self.exhaustive,
-            },
-            "garland": {
-                "lower": self.lower_garland,
-                "interval": self.interval,
-                "equal": self.equal,
-                "extra_members": self.extra_members,
-                "garland_count": self.garland_count,
-                "upper_size": self.upper_garland_size,
-            },
-            "idempotence": {
-                "holds": self.idempotent_normalizer,
-                "normalizer_order": self.normalizer_brute_order,
-                "normalizer_of_normalizer_order": self.normalizer_of_normalizer_order,
-            },
-            "verdicts": self.verdicts,
-            "overall": self.overall,
-        }
+        """A fresh top level of the document, so a caller may add keys to it."""
+        return dict(self.doc)
 
 
 # (ambient, algebra) -> its [T, G] lattice, for the life of the process, as
@@ -498,7 +449,8 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
     normalizer, built from that T, vs N(T), (b) lower garland vs the
     interval up to N(T), (c) idempotence of N(T).  Every check records a
     verdict against what the hypothesis record predicts, so failures
-    outside the guaranteed regime are reported.
+    outside the guaranteed regime are reported.  The case's report
+    document is built here, beside T, N(T) and the interval's members.
     """
     hyp = record_hypotheses(spec, ambient.kind)
     lat = _torus_lattice(spec, ambient)
@@ -533,61 +485,44 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
         "lower_garland": _verdict(equal, garland_expected(hyp, ambient.kind)),
         "idempotence": _verdict(idempotent, garland_expected(hyp, ambient.kind)),
     }
-
-    case = dict(spec.serialize())
-    case["ambient"] = ambient.kind.lower()
-    case["n"] = spec.n
-    case["q"] = spec.base.q
-    case["ambient_order"] = ambient.order
-    return VerificationReport(
-        case=case,
-        hypotheses=hyp,
-        torus_order=torus.order,
-        normalizer_brute_order=normalizer.order,
-        normalizer_formula_order=formula_order,
-        formula_equals_brute=formula_eq,
-        lattice_member_count=len(lat),
-        lattice_orders=lat.member_orders(),
-        lower_garland=sorted(lower.member_ids),
-        interval=interval_ids,
-        equal=equal,
-        extra_members=extra,
-        garland_count=len(gls),
-        upper_garland_size=len(upper.member_ids),
-        idempotent_normalizer=idempotent,
-        normalizer_of_normalizer_order=second.order,
-        verdicts=verdicts,
-        overall=overall_verdict(verdicts.values()),
-        torus=torus,
-        normalizer=normalizer,
-        interval_members=interval_members,
-        exhaustive=lat.exhaustive,
-        formula_closure_failure=closure_failure,
-    )
-
-
-@dataclass
-class RestrictionReport:
-    case: dict
-    intersection_identity_holds: bool  # N_SL(T') == N_GL(T) cut down to SL
-    equal: bool
-    gl_interval_size: int
-    sl_interval_size: int
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "intersection_identity_holds": self.intersection_identity_holds,
-            "equal": self.equal,
-            "gl_interval_size": self.gl_interval_size,
-            "sl_interval_size": self.sl_interval_size,
-            "verdict": self.verdict,
-        }
+    doc = {
+        "case": {
+            **spec.serialize(),
+            "ambient": ambient.kind.lower(),
+            "n": spec.n,
+            "q": spec.base.q,
+            "ambient_order": ambient.order,
+        },
+        "hypotheses": hyp,
+        "torus_order": torus.order,
+        "normalizers": {
+            "brute_order": normalizer.order,
+            "formula_order": formula_order,
+            "formula_equals_brute": formula_eq,
+            "formula_closure_failure": closure_failure,
+        },
+        "lattice": {"member_count": len(lat), "orders": lat.member_orders(), "exhaustive": lat.exhaustive},
+        "garland": {
+            "lower": sorted(lower.member_ids),
+            "interval": interval_ids,
+            "equal": equal,
+            "extra_members": extra,
+            "garland_count": len(gls),
+            "upper_size": len(upper.member_ids),
+        },
+        "idempotence": {
+            "holds": idempotent,
+            "normalizer_order": normalizer.order,
+            "normalizer_of_normalizer_order": second.order,
+        },
+        "verdicts": verdicts,
+        "overall": overall_verdict(verdicts.values()),
+    }
+    return VerificationReport(doc, torus, normalizer, interval_members)
 
 
-def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: VerificationReport) -> RestrictionReport:
-    """Does cutting Lat(T, N_GL T) down to SL give exactly Lat(T', N_SL T')?
+def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: VerificationReport) -> dict:
+    """Does cutting Lat(T, N_GL T) down to SL give exactly Lat(T', N_SL T')?  The report's "restriction" block.
 
     The SL side (T', N_SL T' and its interval) comes from the SL case's own
     verification report.  The GL side (N_GL(T) and the members of
@@ -600,7 +535,7 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     mismatches.
     """
     sl = sl_report.torus.ambient  # over F_2 equal to gl, so the memo key (gl, spec) finds the lattice the pair shares
-    if gl.kind != GL or sl_report.case["ambient"] != "sl" or gl.field != sl.field or gl.n != sl.n:
+    if gl.kind != GL or sl_report.doc["case"]["ambient"] != "sl" or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
     lat = _LATTICES.get((gl, spec))
     if lat is not None:
@@ -614,15 +549,11 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in interval}
     rhs = {h.indices.tobytes() for h in sl_report.interval_members}
     equal = lhs == rhs
-    verdict = _verdict(equal, must=identity_holds)
-    case = dict(spec.serialize())
-    case["n"] = spec.n
-    case["q"] = spec.base.q
-    return RestrictionReport(
-        case=case,
-        intersection_identity_holds=identity_holds,
-        equal=equal,
-        gl_interval_size=len(interval),
-        sl_interval_size=len(sl_report.interval_members),
-        verdict=verdict,
-    )
+    return {
+        "case": {**spec.serialize(), "n": spec.n, "q": spec.base.q},
+        "intersection_identity_holds": identity_holds,  # N_SL(T') == N_GL(T) cut down to SL
+        "equal": equal,
+        "gl_interval_size": len(interval),
+        "sl_interval_size": len(sl_report.interval_members),
+        "verdict": _verdict(equal, must=identity_holds),
+    }

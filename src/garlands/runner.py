@@ -36,8 +36,6 @@ class CaseSpec:
     ambient: str  # "gl" | "sl"
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise CaseError(f"--p must be prime, got {self.p}")
         if self.base_degree < 1:
             raise CaseError(f"--base-degree must be >= 1, got {self.base_degree}")
         if not self.degrees or any(d < 1 for d in self.degrees):
@@ -117,7 +115,7 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
     if case.kind == SL:
         try:
             gl = ambient_group(GL, case.n, base, caps)
-            restriction = interval_restriction_check(spec, gl, report).to_dict()
+            restriction = interval_restriction_check(spec, gl, report)
         except GroupCapError as exc:
             restriction = {"skipped": str(exc)}
         doc["restriction"] = restriction

@@ -11,7 +11,7 @@ from garlands.cache import DiskCache
 from garlands.cli import main
 from garlands.config import SCHEMA_VERSION, Caps
 from garlands.matrix_group import AmbientGroup
-from garlands.runner import CaseSpec, run_case
+from garlands.runner import CaseSpec, run_case, run_sweep
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -157,6 +157,50 @@ def test_validation_error_exit_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,order",
+    [
+        (["torus", "--p", "2", "--base-degree", "20000", "--degrees", "2"], "field"),
+        (["verify", "--p", "2", "--degrees", "20000"], "algebra"),
+        (["verify", "--p", "2", "--base-degree", "20000", "--degrees", "2", "--json"], "field"),
+    ],
+)
+def test_orders_past_4300_digits_exit_3(capsys, argv, order):
+    # 2^20000 has 6,021 digits, past the int-to-str limit of Python >= 3.10.7;
+    # main lifts that limit, so the cap message prints it in full, as does
+    # the skipped document's q
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert "Traceback" not in err
+    assert f"cap exceeded: {order} order {2**20000} exceeds cap" in err
+    if "--json" in argv:
+        assert json.loads(out)["case"]["q"] == 2**20000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "10000000000000061", "--degrees", "2"],
+        ["torus", "--p", "100000000000000003", "--degrees", "2"],
+        ["torus", "--p", "10000000000000000", "--degrees", "2"],  # composite and over the cap: a cap failure too
+    ],
+)
+def test_field_cap_is_checked_before_primality(capsys, monkeypatch, argv):
+    # trial division of a p this large takes seconds; the field cap refuses
+    # it first, and FieldTable tests primality only below the cap
+    import garlands.finite_field
+    import garlands.runner
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) ran on an over-cap p")
+
+    monkeypatch.setattr(garlands.finite_field, "is_prime", refuse)
+    monkeypatch.setattr(garlands.runner, "is_prime", refuse)
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert f"cap exceeded: field order {argv[2]} exceeds cap" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["torus", "--p", "3"],  # --degrees missing
@@ -280,6 +324,17 @@ def test_sweep_threads_byte_identical(capsys):
     code2, out2, _ = _run(capsys, [*args, "--threads", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_sweep_500_threads_2_prints_the_golden_reports(capsys):
+    # the corpus run from two worker processes: the golden reports line for
+    # line, then the summary of the same sweep run in this process
+    code, out, _ = _run(capsys, ["sweep", "--max-order", "500", "--json", "--threads", "2"])
+    assert code == 0
+    golden = (GOLDEN / "sweep_500.jsonl").read_text().splitlines()
+    assert len(golden) == 232
+    summary = json.dumps({"summary": run_sweep(500)[1]}, sort_keys=True, separators=(",", ":"))
+    assert out.splitlines() == golden + [summary]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -155,29 +155,29 @@ def test_lower_garland_d23_strictly_contains_interval():
 
 
 def test_verify_f9_gl23_confirmed():
-    rep = verify_lower_garland(AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3))
-    assert rep.equal
-    assert rep.formula_equals_brute
-    assert rep.idempotent_normalizer
-    assert rep.overall == CONFIRMED
-    assert rep.interval == rep.lower_garland
+    doc = verify_lower_garland(AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3)).doc
+    assert doc["garland"]["equal"]
+    assert doc["normalizers"]["formula_equals_brute"]
+    assert doc["idempotence"]["holds"]
+    assert doc["overall"] == CONFIRMED
+    assert doc["garland"]["interval"] == doc["garland"]["lower"]
 
 
 def test_verify_f3f3_gl23_expected_counterexample():
-    rep = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(GL, 2, F3))
-    assert not rep.equal
-    assert [w["order"] for w in rep.extra_members] == [16]
-    assert rep.overall == EXPECTED_COUNTEREXAMPLE
-    assert len(rep.interval) == 2
+    doc = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(GL, 2, F3)).doc
+    assert not doc["garland"]["equal"]
+    assert [w["order"] for w in doc["garland"]["extra_members"]] == [16]
+    assert doc["overall"] == EXPECTED_COUNTEREXAMPLE
+    assert len(doc["garland"]["interval"]) == 2
 
 
 def test_verify_f3f3_sl23_formula_mismatch():
-    rep = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(SL, 2, F3))
-    assert not rep.hypotheses["norm_one_span"]
-    assert not rep.formula_equals_brute
-    assert rep.normalizer_formula_order == 4
-    assert rep.normalizer_brute_order == 24
-    assert rep.overall == EXPECTED_COUNTEREXAMPLE
+    doc = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(SL, 2, F3)).doc
+    assert not doc["hypotheses"]["norm_one_span"]
+    assert not doc["normalizers"]["formula_equals_brute"]
+    assert doc["normalizers"]["formula_order"] == 4
+    assert doc["normalizers"]["brute_order"] == 24
+    assert doc["overall"] == EXPECTED_COUNTEREXAMPLE
 
 
 def test_formula_closure_failure_is_reported(monkeypatch):
@@ -190,12 +190,12 @@ def test_formula_closure_failure_is_reported(monkeypatch):
     spec = AlgebraSpec(F3, [2])
     for kind, set_size, closure_size in [(GL, 16, 48), (SL, 8, 24)]:
         rep = verify_lower_garland(spec, ambient_group(kind, 2, F3))
-        failure = rep.formula_closure_failure
+        failure = rep.doc["normalizers"]["formula_closure_failure"]
         assert failure["ambient"] == {"kind": kind, "n": 2, "q": 3}
         assert (failure["set_size"], failure["closure_size"]) == (set_size, closure_size)
-        assert rep.normalizer_formula_order == 0
-        assert not rep.formula_equals_brute
-        assert rep.verdicts["normalizer_formula"] == "unexpected_mismatch"
+        assert rep.doc["normalizers"]["formula_order"] == 0
+        assert not rep.doc["normalizers"]["formula_equals_brute"]
+        assert rep.doc["verdicts"]["normalizer_formula"] == "unexpected_mismatch"
         assert rep.to_dict()["normalizers"]["formula_closure_failure"] == failure
     # over F_2 (SL = GL) the SL case reads the GL case's lattice and its T,
     # and its payload still names SL; X = {shear} lacks 1
@@ -203,7 +203,8 @@ def test_formula_closure_failure_is_reported(monkeypatch):
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
     lattice._reset_lattices()
     for kind in (GL, SL):
-        failure = verify_lower_garland(AlgebraSpec(F2, [1, 1]), ambient_group(kind, 2, F2)).formula_closure_failure
+        doc = verify_lower_garland(AlgebraSpec(F2, [1, 1]), ambient_group(kind, 2, F2)).doc
+        failure = doc["normalizers"]["formula_closure_failure"]
         assert failure["ambient"] == {"kind": kind, "n": 2, "q": 2}, kind
         assert (failure["set_size"], failure["closure_size"]) == (1, 2), kind
 
@@ -256,8 +257,8 @@ def test_sl_x_sigma_takes_the_inverse_determinant(monkeypatch, p):
 def test_interval_always_inside_lower_garland():
     for base, degs, kind in [(F3, [2], GL), (F3, [1, 1], GL), (F3, [2], SL), (F2, [2, 1], GL)]:
         spec = AlgebraSpec(base, degs)
-        rep = verify_lower_garland(spec, ambient_group(kind, spec.n, base))
-        assert set(rep.interval) <= set(rep.lower_garland)
+        garland = verify_lower_garland(spec, ambient_group(kind, spec.n, base)).doc["garland"]
+        assert set(garland["interval"]) <= set(garland["lower"])
 
 
 def test_restriction_check_examples():
@@ -267,16 +268,16 @@ def test_restriction_check_examples():
     gl23 = ambient_group(GL, 2, F3)
     sl23 = ambient_group(SL, 2, F3)
     r = check(AlgebraSpec(F3, [2]), gl23, sl23)
-    assert r.equal and r.intersection_identity_holds
+    assert r["equal"] and r["intersection_identity_holds"]
 
     gl22 = ambient_group(GL, 2, F2)
     sl22 = ambient_group(SL, 2, F2)
     r = check(AlgebraSpec(F2, [2]), gl22, sl22)
-    assert r.equal  # SL(2,2) = GL(2,2), degenerate equality
+    assert r["equal"]  # SL(2,2) = GL(2,2), degenerate equality
 
     r = check(AlgebraSpec(F3, [1, 1]), gl23, sl23)
-    assert not r.intersection_identity_holds  # recorded, not asserted
-    assert r.verdict == EXPECTED_COUNTEREXAMPLE
+    assert not r["intersection_identity_holds"]  # recorded, not asserted
+    assert r["verdict"] == EXPECTED_COUNTEREXAMPLE
 
 
 def test_lattice_conjugation_invariance():
@@ -784,7 +785,7 @@ def test_restriction_after_the_gl_case_reuses_its_stage(monkeypatch, p, degrees)
     # the enumeration's tables), enumerates the interval inside N_GL(T), and
     # keeps nothing
     lattice._reset_lattices()
-    assert interval_restriction_check(spec, gl, sl_report).to_dict() == after_gl.to_dict()
+    assert interval_restriction_check(spec, gl, sl_report) == after_gl
     assert counts.whole_tables >= 1 and (counts.intervals, counts.tori) == (1, 1)
     assert lattice._LATTICES == {}
 
@@ -849,9 +850,9 @@ def test_f2_reports_name_their_own_ambient(monkeypatch, n, degrees):
             assert all(h.ambient is amb for h in held), (amb, order[0])
             assert report.torus.generators == lat.bottom.generators
             assert report.normalizer.same_elements(lat.normalizers[0])
-            assert sorted(h.id for h in report.interval_members) == report.interval
+            assert sorted(h.id for h in report.interval_members) == report.doc["garland"]["interval"]
         counts = _Counts(monkeypatch)
-        assert interval_restriction_check(spec, gl, reports[SL]).equal
+        assert interval_restriction_check(spec, gl, reports[SL])["equal"]
         assert (counts.intervals, counts.tori, counts.whole_tables) == (0, 0, 0)
         monkeypatch.undo()
 
@@ -884,7 +885,7 @@ def test_ambients_are_equal_exactly_when_their_element_sets_are():
         sl_report = verify_lower_garland(spec, ambient_group(SL, 2, base))
         with pytest.raises(LatticeError):
             interval_restriction_check(spec, ambient_group(GL, 3, base), sl_report)
-        assert interval_restriction_check(spec, gl, sl_report).equal
+        assert interval_restriction_check(spec, gl, sl_report)["equal"]
 
 
 def test_stage_memo_keeps_no_ambient_sized_memo():
@@ -926,8 +927,7 @@ def test_verdict_classification(monkeypatch):
     case = CaseSpec(2, 1, (2,), "sl")
     assert run_case(case)["overall"] == CONFIRMED
     for verdict in (EXPECTED_COUNTEREXAMPLE, UNEXPECTED_MISMATCH):
-        stub = SimpleNamespace(to_dict=lambda v=verdict: {"verdict": v})
-        monkeypatch.setattr(runner, "interval_restriction_check", lambda *args, _s=stub: _s)
+        monkeypatch.setattr(runner, "interval_restriction_check", lambda *args, _v=verdict: {"verdict": _v})
         doc = run_case(case)
         assert doc["verdicts"] == dict.fromkeys(doc["verdicts"], CONFIRMED)
         assert doc["restriction"]["verdict"] == verdict and doc["overall"] == verdict
@@ -939,3 +939,19 @@ def test_report_to_dict_is_stable():
     d2 = verify_lower_garland(AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3)).to_dict()
     assert d1 == d2
     assert "timings" not in str(sorted(d1))
+
+
+def test_run_case_adds_its_keys_to_a_copy_of_the_report(monkeypatch):
+    # run_case adds schema, status, torus and restriction and merges the
+    # overall verdict on what to_dict returns; the report's own document
+    # keeps none of that
+    from garlands import runner
+
+    reports = []
+    verify = runner.verify_lower_garland
+    monkeypatch.setattr(runner, "verify_lower_garland", lambda *args: reports.append(verify(*args)) or reports[-1])
+    for ambient in ("gl", "sl"):
+        doc = run_case(CaseSpec(3, 1, (1, 1), ambient))
+        added = {"schema", "status", "torus"} | ({"restriction"} if ambient == "sl" else set())
+        assert set(doc) - set(reports[-1].doc) == added and not added & set(reports[-1].doc)
+        assert reports[-1].doc == verify(AlgebraSpec(F3, [1, 1]), reports[-1].torus.ambient).doc
