@@ -6,7 +6,6 @@ from .etale import (
     RingAutomorphism,
     additive_span_check,
     aut_group,
-    aut_group_size,
     count_power_in_base,
     primitive_norm_one_search,
     torus_units,
@@ -41,9 +40,7 @@ from .matrix_group import (
     torus_subgroup,
 )
 from .pell import (
-    NormalizerShape,
     PellSolution,
-    QuadraticCase,
     continued_fraction_sqrt,
     negative_pell,
     sl2q_normalizer_report,

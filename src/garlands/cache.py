@@ -8,16 +8,12 @@ import json
 import os
 from pathlib import Path
 
-from .config import SCHEMA_VERSION, Caps
+from .config import SCHEMA_VERSION, Caps, stable_json
 
 
 def case_key(case: dict, caps: Caps) -> str:
     """Caps are part of the key: they decide whether a case is skipped."""
-    payload = json.dumps(
-        {"schema": SCHEMA_VERSION, "case": case, "caps": dataclasses.asdict(caps)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    payload = stable_json({"schema": SCHEMA_VERSION, "case": case, "caps": dataclasses.asdict(caps)})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
@@ -58,9 +54,6 @@ class DiskCache:
             return  # append-only: first write wins
         # a name per writer: with a shared one, concurrent writers rename each other's file away
         tmp = self.root / f"{key}.{os.urandom(8).hex()}.tmp"
-        tmp.write_text(
-            # compact: json's C encoder runs only without indent
-            json.dumps({"schema": SCHEMA_VERSION, "report": report}, sort_keys=True, separators=(",", ":")),
-            encoding="utf-8",
-        )
+        # compact: json's C encoder runs only without indent
+        tmp.write_text(stable_json({"schema": SCHEMA_VERSION, "report": report}), encoding="utf-8")
         tmp.replace(path)

@@ -15,19 +15,17 @@ across repeated invocations; timings and cache statistics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from .cache import DiskCache
-from .config import DEFAULT_CAPS, SCHEMA_VERSION
-from .etale import AlgebraCapError, AlgebraError, AlgebraSpec
-from .finite_field import FieldCapError, FieldError, construct_field
-from .lattice import UNEXPECTED_MISMATCH
-from .matrix_group import CosetTable, GroupCapError, GroupError, Subgroup, ambient_group, torus_subgroup
+from .config import DEFAULT_CAPS, stable_json
+from .etale import AlgebraCapError, AlgebraError
+from .finite_field import FieldCapError, FieldError
+from .matrix_group import GroupCapError, GroupError
 from .pell import PellError, pell_sweep, sl2q_normalizer_report
-from .runner import CaseError, CaseSpec, run_case, run_sweep, torus_block
+from .runner import UNEXPECTED_MISMATCH, CaseError, CaseSpec, run_case, run_sweep, torus_report
 
 CACHE_ENV = "GARLANDS_CACHE_DIR"
 
@@ -45,7 +43,7 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
 
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(stable_json(doc))
     else:
         _print_tree(doc)
 
@@ -70,21 +68,7 @@ def _case_from_args(args) -> CaseSpec:
 
 
 def cmd_torus(args) -> int:
-    case = _case_from_args(args)
-    base = construct_field(case.p, case.base_degree)
-    spec = AlgebraSpec(base, case.degrees)
-    amb = ambient_group(case.kind, case.n, base)
-    torus = torus_subgroup(spec, amb)
-    normalizer = CosetTable(torus, Subgroup(amb, range(amb.order))).normalizer()
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "case": case.serialize(),
-        "field": base.serialize(),
-        "algebra_order": spec.order,
-        "ambient_order": amb.order,
-        "torus": torus_block(torus, normalizer),
-    }
-    _emit(doc, args.json)
+    _emit(torus_report(_case_from_args(args), DEFAULT_CAPS), args.json)
     return 0
 
 
@@ -116,7 +100,7 @@ def _print_pell_table(d_max: int, as_json: bool) -> None:
     """One line per d in [1, d_max]: a JSON row, or the aligned text table."""
     for row in pell_sweep(d_max):
         if as_json:
-            print(json.dumps(row, sort_keys=True, separators=(",", ":")))
+            print(stable_json(row))
         elif "skipped" in row:
             print(f"d={row['d']:>6}  skipped ({row['skipped']})")
         else:
@@ -138,7 +122,7 @@ def cmd_sweep(args) -> int:
     reports, summary = run_sweep(args.max_order, DEFAULT_CAPS, _cache_dir(args), args.threads)
     for doc in reports:
         if args.json:
-            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            print(stable_json(doc))
         else:
             case = doc["case"]
             if doc.get("status") == "skipped_cap":
@@ -152,7 +136,7 @@ def cmd_sweep(args) -> int:
                     f"garland==interval: {str(g['equal']):5} -> {doc['overall']}"
                 )
     if args.json:
-        print(json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")))
+        print(stable_json({"summary": summary}))
     else:
         print(
             f"summary: {summary['cases']} cases, {summary['confirmed']} confirmed, "

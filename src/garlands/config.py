@@ -1,7 +1,8 @@
-"""Desk-scale enumeration caps shared across the package."""
+"""Desk-scale enumeration caps, the report schema version and the one JSON writer, shared across the package."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 
@@ -24,3 +25,8 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 SCHEMA_VERSION = 2
+
+
+def stable_json(doc: dict) -> str:
+    """doc as compact JSON with sorted keys: what stdout prints and what the cache hashes and stores."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -93,10 +93,6 @@ class AlgebraSpec:
         return f"AlgebraSpec(q={self.base.q}, degrees={self.degrees})"
 
     @property
-    def factors(self) -> tuple[FieldTable, ...]:
-        return tuple(e.top for e in self.extensions)
-
-    @property
     def order(self) -> int:
         return self.base.q**self.n
 
@@ -225,20 +221,6 @@ def aut_group(spec: AlgebraSpec) -> list[RingAutomorphism]:
             autos.append(RingAutomorphism(spec, tuple(perm), tuple(frob)))
     autos.sort(key=lambda s: (s.perm, s.frob))
     return autos
-
-
-def aut_group_size(spec: AlgebraSpec) -> int:
-    """Closed form for |Aut(S/k)|."""
-    counts: dict[int, int] = {}
-    for d in spec.degrees:
-        counts[d] = counts.get(d, 0) + 1
-    out = 1
-    for d, c in counts.items():
-        fact = 1
-        for i in range(2, c + 1):
-            fact *= i
-        out *= fact * d**c
-    return out
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,13 @@ middle of the period, a palindrome followed by 2*a0 (Legendre).  The equation
 is solvable precisely when the period length is odd; the fundamental solution
 then comes from the two middle convergents and is verified by substitution.
 
-A report's `variant`, `solvable` and `criterion_agrees` answer the integer
+Each valid d has one row, a dict built in one place (_row): `d`, `variant`,
+`period_length` (None for d < 0), `solvable`, `criterion_predicts_solvable`
+and `criterion_agrees`, plus `x0`, `y0` and `coset_matrix` when solvable.
+`pell_sweep` yields it, `pell --d` prints it, and sl2q_normalizer_report
+wraps it in a NormalizerReport whose to_dict returns a top-level copy.
+
+The row's `variant`, `solvable` and `criterion_agrees` answer the integer
 equation, which is the SL(2,Z) shape: an integer solution (x0, y0) puts
 [[x0, -y0*d], [y0, -x0]] in a second coset of the integral torus
 {[[x, y*d], [y, x]] : x^2 - d*y^2 = 1}, and `TorusOnly` means there is none.
@@ -18,7 +24,7 @@ So `criterion_agrees` compares the criterion with integer solvability, and
 where it is false (d = 34 is the smallest such d) the SL(2,Z) and SL(2,Q)
 answers differ.  Reporting the SL(2,Q) answer is item 1 of ROADMAP.md.
 
-A report factors d once: the distinct primes of |d| give both the
+A row factors d once: the distinct primes of |d| give both the
 squarefree check (their product is |d|) and the printed criterion.
 """
 
@@ -48,16 +54,6 @@ def _valid_primes(d: int) -> list[int]:
     if prod(primes) != abs(d):
         raise PellError(f"d must be squarefree, got {d}")
     return primes
-
-
-@dataclass(frozen=True)
-class QuadraticCase:
-    """A squarefree integer d != 0, 1 defining Q(sqrt(d))."""
-
-    d: int
-
-    def __post_init__(self):
-        _valid_primes(self.d)
 
 
 @dataclass(frozen=True)
@@ -132,27 +128,12 @@ def negative_pell(d: int) -> PellSolution | None:
     Solvable exactly when the continued-fraction period of sqrt(d) has odd
     length; negative d is never solvable.
     """
-    return _solve_validated(QuadraticCase(d).d)[0]
+    _valid_primes(d)
+    return _solve_validated(d)[0]
 
 
 TORUS_ONLY = "TorusOnly"
 TWO_COSETS = "TwoCosets"
-
-
-@dataclass(frozen=True)
-class NormalizerShape:
-    """Shape of the normalizer of the quadratic torus for d, from the integer equation (the SL(2,Z) shape)."""
-
-    d: int
-    variant: str
-    witness: PellSolution | None
-
-    @property
-    def coset_matrix(self) -> tuple[tuple[int, int], tuple[int, int]] | None:
-        if self.witness is None:
-            return None
-        x0, y0 = self.witness.x, self.witness.y
-        return ((x0, -y0 * self.d), (y0, -x0))
 
 
 def printed_criterion(d: int) -> bool:
@@ -167,48 +148,35 @@ def _criterion(d: int, primes: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class NormalizerReport:
-    d: int
-    shape: NormalizerShape
-    period_length: int | None
-    solvable: bool
-    criterion_predicts_solvable: bool
-    criterion_agrees: bool
+    row: dict  # the row of d, as `pell --d` prints it
 
     def to_dict(self) -> dict:
-        doc = {
-            "d": self.d,
-            "variant": self.shape.variant,
-            "period_length": self.period_length,
-            "solvable": self.solvable,
-            "criterion_predicts_solvable": self.criterion_predicts_solvable,
-            "criterion_agrees": self.criterion_agrees,
-        }
-        if self.shape.witness is not None:
-            doc["x0"] = self.shape.witness.x
-            doc["y0"] = self.shape.witness.y
-            doc["coset_matrix"] = [list(r) for r in self.shape.coset_matrix]
-        return doc
+        """A fresh top level of the row, so a caller may add or change keys."""
+        return dict(self.row)
 
 
 def sl2q_normalizer_report(d: int) -> NormalizerReport:
     """Normalizer shape for d from the integer equation, plus the printed-criterion comparison."""
-    return _report_validated(d, _valid_primes(d))
+    return NormalizerReport(_row(d, _valid_primes(d)))
 
 
-def _report_validated(d: int, primes: Sequence[int]) -> NormalizerReport:
-    """The report of a valid d (squarefree, not 0 or 1) whose distinct primes of |d| are given."""
+def _row(d: int, primes: Sequence[int]) -> dict:
+    """The row of a valid d (squarefree, not 0 or 1) whose distinct primes of |d| are given."""
     sol, period_length = _solve_validated(d)
     solvable = sol is not None
-    shape = NormalizerShape(d, TWO_COSETS if solvable else TORUS_ONLY, sol)
     crit = _criterion(d, primes)
-    return NormalizerReport(
-        d=d,
-        shape=shape,
-        period_length=period_length,
-        solvable=solvable,
-        criterion_predicts_solvable=crit,
-        criterion_agrees=crit == solvable,
-    )
+    row = {
+        "d": d,
+        "variant": TWO_COSETS if solvable else TORUS_ONLY,
+        "period_length": period_length,
+        "solvable": solvable,
+        "criterion_predicts_solvable": crit,
+        "criterion_agrees": crit == solvable,
+    }
+    if solvable:
+        x0, y0 = sol.x, sol.y
+        row.update(x0=x0, y0=y0, coset_matrix=[[x0, -y0 * d], [y0, -x0]])
+    return row
 
 
 def pell_sweep(d_max: int) -> Iterator[dict]:
@@ -218,4 +186,4 @@ def pell_sweep(d_max: int) -> Iterator[dict]:
         if d == 1 or prod(primes) != d:
             yield {"d": d, "skipped": "square" if isqrt(d) ** 2 == d else "not squarefree"}
             continue
-        yield _report_validated(d, primes).to_dict()
+        yield _row(d, primes)

@@ -1,14 +1,15 @@
-"""Case construction, the verification sweep, and stable report documents."""
+"""Case construction, the torus and case documents, and the verification sweep."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import groupby
+from math import isqrt
 from typing import Iterator
 
 from .cache import DiskCache, case_key
-from .config import DEFAULT_CAPS, SCHEMA_VERSION, Caps
+# stable_json is imported here for callers that take it from the runner, as perfbench does
+from .config import DEFAULT_CAPS, SCHEMA_VERSION, Caps, stable_json
 from .etale import AlgebraCapError, AlgebraSpec
 from .finite_field import FieldCapError, FieldTable, construct_field, is_prime
 from .lattice import (
@@ -19,7 +20,16 @@ from .lattice import (
     overall_verdict,
     verify_lower_garland,
 )
-from .matrix_group import GL, SL, GroupCapError, Subgroup, ambient_group, is_maximal_abelian
+from .matrix_group import (
+    GL,
+    SL,
+    CosetTable,
+    GroupCapError,
+    Subgroup,
+    ambient_group,
+    is_maximal_abelian,
+    torus_subgroup,
+)
 
 
 class CaseError(Exception):
@@ -78,6 +88,22 @@ def torus_block(torus: Subgroup, normalizer: Subgroup) -> dict:
         "order": torus.order,
         "maximal_abelian": is_maximal_abelian(torus, normalizer),
         "generators": [m.coeff_rows() for m in torus.generator_matrices()],
+    }
+
+
+def torus_report(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> dict:
+    """The torus document of one case: orders, and the torus block with N(T) from T's coset table over G."""
+    base, spec = build_algebra(case, caps)
+    amb = ambient_group(case.kind, case.n, base, caps)
+    torus = torus_subgroup(spec, amb)
+    normalizer = CosetTable(torus, Subgroup(amb, range(amb.order))).normalizer()
+    return {
+        "schema": SCHEMA_VERSION,
+        "case": case.serialize(),
+        "field": base.serialize(),
+        "algebra_order": spec.order,
+        "ambient_order": amb.order,
+        "torus": torus_block(torus, normalizer),
     }
 
 
@@ -156,13 +182,11 @@ def sweep_cases(max_order: int) -> list[CaseSpec]:
     """Every algebra with 2 <= n and q^n <= max_order, in both ambients.
 
     Cases whose ambient exceeds the group cap are still listed; run_case
-    reports them as skipped.
+    reports them as skipped.  Only q with q^2 <= max_order carries a case.
     """
     cases = []
-    for p, m in prime_power_bases(max_order):
+    for p, m in prime_power_bases(isqrt(max(max_order, 0))):
         q = p**m
-        if q * q > max_order:
-            continue
         n = 2
         while q**n <= max_order:
             for degs in _partitions(n):
@@ -216,7 +240,3 @@ def run_sweep(
         "unexpected_mismatches": sum(1 for r in reports if r.get("overall") == UNEXPECTED_MISMATCH),
     }
     return reports, summary
-
-
-def stable_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

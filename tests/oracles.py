@@ -35,7 +35,8 @@ routes live here: matrix keys, products (cell by cell, and per element
 pair over index arrays), determinants (Laplace expansion) and inverses
 (Gauss-Jordan), subgroups generated from matrices, subgroup matrices and
 serialization, relative minimal polynomials and scalar multiples in an
-algebra.
+algebra.  The closed form for |Aut_k(S)| lives here too: the package reads
+the automorphisms off aut_group and never needs their count.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import hashlib
 import itertools
 import struct
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -389,6 +390,17 @@ def scalar_mul_comps(spec: AlgebraSpec, c: int, a) -> tuple[int, ...]:
 def algebra_comps(spec: AlgebraSpec, units: bool = False) -> list[tuple[int, ...]]:
     """Every element of S (with units, every unit) as a component tuple, in canonical component order."""
     return list(itertools.product(*(range(int(units), e.top.q) for e in spec.extensions)))
+
+
+def aut_group_size(spec: AlgebraSpec) -> int:
+    """Closed form for |Aut_k(S)| = prod_d d^(m_d) * m_d!, m_d the number of factors of degree d."""
+    counts: dict[int, int] = {}
+    for d in spec.degrees:
+        counts[d] = counts.get(d, 0) + 1
+    out = 1
+    for d, c in counts.items():
+        out *= factorial(c) * d**c
+    return out
 
 
 def _perm_closure(gens, n: int) -> frozenset:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -368,6 +369,44 @@ def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
     reports, summary = runner.run_sweep(4, threads=8)
     assert pools == [("spawn", 2)] and summary["cases"] == 4
     assert reports == runner.run_sweep(4, threads=1)[0]
+
+
+def _brute_cases(max_order: int) -> list[tuple]:
+    """sort_key of every case with q^n <= max_order and n >= 2, from trial division and partitions grown one cell at a time."""
+    partitions = {1: {(1,)}}
+    cases = []
+    for q in range(2, max_order + 1):
+        p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+        if p ** round(math.log(q, p)) != q:
+            continue
+        n = 2
+        while q**n <= max_order:
+            if n not in partitions:
+                partitions[n] = {
+                    tuple(sorted(grown, reverse=True))
+                    for part in partitions[n - 1]
+                    for grown in [part + (1,)] + [part[:i] + (part[i] + 1,) + part[i + 1 :] for i in range(len(part))]
+                }
+            cases += [(q, n, degs, ambient) for degs in partitions[n] for ambient in ("gl", "sl")]
+            n += 1
+    return sorted(cases)
+
+
+def test_sweep_cases_lists_only_bases_that_carry_a_case(monkeypatch):
+    from garlands import runner
+
+    for max_order in [*range(-3, 300), 500, 1024, 4096, 12_345]:
+        assert [c.sort_key() for c in runner.sweep_cases(max_order)] == _brute_cases(max_order), max_order
+    # a case needs n >= 2, so no base above isqrt(max_order) is looked at
+    asked = []
+    is_prime = runner.is_prime
+    monkeypatch.setattr(runner, "is_prime", lambda n: asked.append(n) or is_prime(n))
+    for max_order in (-1, 0, 3, 4, 500, 10**4, 10**6):
+        asked.clear()
+        cases = runner.sweep_cases(max_order)
+        assert all(n <= math.isqrt(max(max_order, 0)) for n in asked), max_order
+        assert all(c.q**2 <= max_order for c in cases), max_order
+    assert len(cases) == 6_268
 
 
 def test_sweep_pell_table(capsys):

@@ -12,7 +12,6 @@ from garlands.etale import (
     _pivots,
     additive_span_check,
     aut_group,
-    aut_group_size,
     count_power_in_base,
     primitive_norm_one_search,
     span_absorbs_units,
@@ -24,6 +23,7 @@ from oracles import (
     add_comps,
     add_idx,
     algebra_comps,
+    aut_group_size,
     brute_additive_span,
     brute_ring_automorphisms,
     count_power_in_base_by_shifts,

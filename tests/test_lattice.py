@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from garlands import cli, lattice, matrix_group
-from garlands.etale import AlgebraSpec, aut_group_size
+from garlands.etale import AlgebraSpec
 from garlands.finite_field import FieldMatrix, construct_field
 from garlands.lattice import (
     CONFIRMED,
@@ -33,7 +33,7 @@ from garlands.config import Caps
 from garlands.runner import CaseSpec, build_algebra, run_case, stable_json
 
 import oracles
-from oracles import formula_leaders_by_units, matrix_det, matrix_from_key, normality_edges_by_pairs, with_generators
+from oracles import aut_group_size, formula_leaders_by_units, matrix_det, matrix_from_key, normality_edges_by_pairs, with_generators
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)

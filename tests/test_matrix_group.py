@@ -37,6 +37,7 @@ from garlands.matrix_group import (
 
 from oracles import (
     ambient_by_candidates,
+    aut_group_size,
     centralizer_brute,
     double_coset_reps_by_elements,
     element_closure,
@@ -368,7 +369,7 @@ def test_normalizer_formula_subset_of_brute_always():
 
 
 def test_normalizer_formula_size_in_gl_is_product():
-    from garlands.etale import aut_group_size, torus_units
+    from garlands.etale import torus_units
 
     for base, degs in [(F3, [2]), (F3, [1, 1]), (F5, [1, 1]), (F2, [2, 1])]:
         spec = AlgebraSpec(base, degs)

@@ -12,7 +12,6 @@ from garlands.pell import (
     TWO_COSETS,
     PellError,
     PellSolution,
-    QuadraticCase,
     continued_fraction_sqrt,
     is_squarefree,
     negative_pell,
@@ -67,7 +66,7 @@ def _check_against_full_period(d):
     assert (None if sol is None else (sol.x, sol.y)) == negative_pell_by_full_period(d), d
     if is_squarefree(d):
         assert negative_pell(d) == sol, d
-        assert sl2q_normalizer_report(d).period_length == len(period), d
+        assert sl2q_normalizer_report(d).to_dict()["period_length"] == len(period), d
 
 
 def test_midpoint_matches_full_period_every_d_to_20000():
@@ -192,18 +191,18 @@ def test_squarefree_and_criterion_match_definitions():
 
 
 def test_sl2q_report_examples():
-    r = sl2q_normalizer_report(2)
-    assert r.shape.variant == TWO_COSETS
-    assert (r.shape.witness.x, r.shape.witness.y) == (1, 1)
-    assert r.shape.coset_matrix == ((1, -2), (1, -1))
-    assert r.criterion_agrees
+    r = sl2q_normalizer_report(2).to_dict()
+    assert r["variant"] == TWO_COSETS
+    assert (r["x0"], r["y0"]) == (1, 1)
+    assert r["coset_matrix"] == [[1, -2], [1, -1]]
+    assert r["criterion_agrees"]
 
-    r = sl2q_normalizer_report(3)
-    assert r.shape.variant == TORUS_ONLY and r.criterion_agrees
+    r = sl2q_normalizer_report(3).to_dict()
+    assert r["variant"] == TORUS_ONLY and r["criterion_agrees"]
 
-    r = sl2q_normalizer_report(34)
-    assert r.shape.variant == TORUS_ONLY
-    assert r.criterion_predicts_solvable and not r.criterion_agrees
+    r = sl2q_normalizer_report(34).to_dict()
+    assert r["variant"] == TORUS_ONLY
+    assert r["criterion_predicts_solvable"] and not r["criterion_agrees"]
 
 
 def test_report_computes_one_continued_fraction(monkeypatch):
@@ -216,19 +215,19 @@ def test_report_computes_one_continued_fraction(monkeypatch):
     monkeypatch.setattr(pell, "continued_fraction_sqrt", counted)
     for d in (2, 3, 13, 34, 94, 9_999_991):
         calls.clear()
-        r = sl2q_normalizer_report(d)
+        r = sl2q_normalizer_report(d).to_dict()
         assert calls == [d], d
-        assert r.period_length == len(continued_fraction_sqrt(d)[1])
+        assert r["period_length"] == len(continued_fraction_sqrt(d)[1])
     calls.clear()
-    assert sl2q_normalizer_report(-5).period_length is None and calls == []
+    assert sl2q_normalizer_report(-5).to_dict()["period_length"] is None and calls == []
 
 
 def test_witness_matrix_determinant_and_conjugation():
     rng = Random(20_240_817)
     for d in (2, 5, 13, 29, 58):
-        r = sl2q_normalizer_report(d)
-        assert r.shape.variant == TWO_COSETS
-        w = tuple(tuple(Fraction(v) for v in row) for row in r.shape.coset_matrix)
+        r = sl2q_normalizer_report(d).to_dict()
+        assert r["variant"] == TWO_COSETS
+        w = tuple(tuple(Fraction(v) for v in row) for row in r["coset_matrix"])
         det = w[0][0] * w[1][1] - w[0][1] * w[1][0]
         assert det == 1
         for _ in range(20):
@@ -297,8 +296,42 @@ def test_pell_factors_each_d_once(monkeypatch):
 
 
 def test_quadratic_case_validation():
-    QuadraticCase(-5)
-    QuadraticCase(34)
+    for d in (-5, 34):
+        assert negative_pell(d) is None
+        assert sl2q_normalizer_report(d).to_dict()["d"] == d
     for d in (0, 1, 4, 18):
         with pytest.raises(PellError):
-            QuadraticCase(d)
+            negative_pell(d)
+        with pytest.raises(PellError):
+            sl2q_normalizer_report(d)
+
+
+def test_report_row_is_the_sweep_row():
+    # one row per valid d: the report's equals the sweep's (d > 0), with the witness keys exactly when solvable
+    sweep_rows = {row["d"]: row for row in pell_sweep(2000)}
+    valid = 0
+    for d in range(-200, 2001):
+        try:
+            pell._valid_primes(d)
+        except PellError:
+            continue
+        valid += 1
+        row = sl2q_normalizer_report(d).to_dict()
+        if d > 0:
+            assert row == sweep_rows[d], d
+        if row["solvable"]:
+            x0, y0 = row["x0"], row["y0"]
+            assert x0 * x0 - d * y0 * y0 == -1, d
+            assert row["coset_matrix"] == [[x0, -y0 * d], [y0, -x0]], d
+        else:
+            assert not {"x0", "y0", "coset_matrix"} & row.keys(), d
+    assert valid == 1214 + 122  # squarefree d in [2, 2000], and -d for squarefree d in [1, 200]
+
+
+def test_report_to_dict_returns_a_fresh_row():
+    for d in (2, 3, -5):
+        report = sl2q_normalizer_report(d)
+        first, second = report.to_dict(), report.to_dict()
+        assert first == second and first is not second, d
+        first["d"] = 0
+        assert report.to_dict()["d"] == d

@@ -17,9 +17,7 @@ PUBLIC_API = {
     "Garland",
     "IntervalLattice",
     "NormalityGraph",
-    "NormalizerShape",
     "PellSolution",
-    "QuadraticCase",
     "RingAutomorphism",
     "SL",
     "Subgroup",
@@ -27,7 +25,6 @@ PUBLIC_API = {
     "additive_span_check",
     "ambient_group",
     "aut_group",
-    "aut_group_size",
     "construct_extension",
     "construct_field",
     "continued_fraction_sqrt",
