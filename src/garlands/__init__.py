@@ -12,7 +12,6 @@ from .etale import (
 )
 from .finite_field import (
     Extension,
-    FieldMatrix,
     FieldTable,
     construct_extension,
     construct_field,

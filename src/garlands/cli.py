@@ -148,9 +148,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pell(args) -> int:
-    if args.d is None and args.d_max is None:
-        print("pell requires --d or --d-max", file=sys.stderr)
-        return 1
     if _pell_over_cap(args.d) or _pell_over_cap(args.d_max):
         return 3
     if args.d is not None:
@@ -199,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("pell", help="negative-Pell normalizer shape for d")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--d-max", type=int, default=None)
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--d", type=int, default=None, help="one d")
+    which.add_argument("--d-max", type=int, default=None, help="a table of every d up to this bound")
     add_common(sp)
     sp.set_defaults(func=cmd_pell)
 

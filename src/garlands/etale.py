@@ -31,7 +31,6 @@ from .config import DEFAULT_CAPS, Caps
 from .finite_field import (
     Extension,
     FieldCapError,
-    FieldMatrix,
     FieldTable,
     construct_extension,
     extension_of,
@@ -130,11 +129,11 @@ class RingAutomorphism:
     perm: tuple[int, ...]
     frob: tuple[int, ...]
 
-    def matrix(self) -> FieldMatrix:
-        """Matrix of this k-linear map in the fixed basis (columns = images)."""
+    def matrix(self) -> np.ndarray:
+        """(n, n) int16 index array of this k-linear map in the fixed basis (columns = images)."""
         spec = self.spec
         n = spec.n
-        rows = [[0] * n for _ in range(n)]
+        rows = np.zeros((n, n), dtype=np.int16)
         offsets = [0]
         for d in spec.degrees:
             offsets.append(offsets[-1] + d)
@@ -145,8 +144,8 @@ class RingAutomorphism:
                 img = ext.rel_frobenius(ext._ypow[power], e)
                 col = offsets[i] + power
                 for row, c in enumerate(spec.extensions[target].coords(img)):
-                    rows[offsets[target] + row][col] = c
-        return FieldMatrix(spec.base, rows)
+                    rows[offsets[target] + row, col] = c
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ a fixed element is an F_p-linear map of coefficient digits
 on first use.  Powers and logarithms read those tables, sums add digits
 mod p, and the dense tables the matrix engine reads (np_add, np_mul,
 np_neg, np_inv) are derived with numpy from every element's digits and
-logarithm.  FieldMatrix carries matrices in and out only; matrix arithmetic
-runs vectorized over ambient indices in matrix_group.
+logarithm.  There is no matrix type: a matrix is an index array, and
+matrix arithmetic runs vectorized over ambient indices in matrix_group.
 
 Extensions F_{q^n} of a base field F_q are realised inside the absolute
 field F_{p^(m*n)} via a deterministic embedding (the base generator is sent
@@ -537,39 +537,3 @@ def construct_extension(base: FieldTable, n: int, caps: Caps = DEFAULT_CAPS) -> 
     top = _shared_field(base.p, base.m * n)
     extension_of(base, top)  # warm the embedding cache
     return top
-
-
-# ---------------------------------------------------------------------------
-# matrices over a FieldTable, for input and output only: matrix arithmetic
-# runs vectorized over ambient index arrays in matrix_group
-
-
-class FieldMatrix:
-    """Immutable n x n matrix over a FieldTable; rows hold canonical element indices."""
-
-    __slots__ = ("field", "n", "rows")
-
-    def __init__(self, field: FieldTable, rows: Sequence[Sequence[int]]):
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise FieldError("matrix must be square")
-        self.field = field
-        self.n = n
-        self.rows = tuple(tuple(int(v) for v in r) for r in rows)
-
-    @classmethod
-    def identity(cls, field: FieldTable, n: int) -> "FieldMatrix":
-        one = field.one_index
-        return cls(field, [[one if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def coeff_rows(self) -> list[list[tuple[int, ...]]]:
-        return [[self.field.coeffs_of(v) for v in r] for r in self.rows]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FieldMatrix) and self.field == other.field and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.rows))
-
-    def __repr__(self) -> str:
-        return f"FieldMatrix(q={self.field.q}, {self.rows})"

@@ -8,24 +8,24 @@ Completeness follows by induction along any maximal chain: each covering
 step K over H equals <H, g> for every g in K \\ H.
 
 Each expanded member other than top gets one coset table inside top
-(CosetTable in matrix_group): the right-coset labels over positions in
-top's sorted ambient indices, which number the right cosets by their
-leaders, and the maps of right cosets that right multiplication by H's
-generators induces.  The double cosets are orbit minima over those
-numbers, not over positions, so that pass is sized by [top:H].  Bottom's
-table takes its labels as orbit minima under left multiplication by its
-generators, by doubling along each generator's permutation.  Every member
-contains bottom, so its right cosets are unions of bottom's, and each
-later table is seeded with bottom's.  A member H with [H:bottom] <=
-|bottom| labels bottom's right cosets directly, by one product of their
-leaders with a right transversal of bottom in H, at most |top| products
-and no permutation of the whole top.  A larger member starts from
-bottom's labels over positions, and only the elements adjoined since
-bottom add left permutations; its right permutations belong to top
-(Subgroup.right_perm, memoized per generator).  A member closed as
-<H, g> keeps H's generators plus g, so members share generators, and an
-enumeration makes one product of the whole top per distinct generator
-that a position table reads.
+(CosetTable in matrix_group): the right cosets, numbered by their least
+positions (leaders) in top's sorted ambient indices, and the maps of
+right cosets that right multiplication by H's generators induces.  The
+double cosets are orbit minima over those numbers, not over positions, so
+that pass is sized by [top:H].  Bottom's table takes those least positions
+as orbit minima under left multiplication by its generators, by doubling
+along each generator's permutation.  Every member contains bottom, so its
+right cosets are unions of bottom's, and each later table is seeded with
+bottom's.  A member H with [H:bottom] <= |bottom| labels bottom's right
+cosets directly, by one product of their leaders with a right transversal
+of bottom in H, at most |top| products and no permutation of the whole
+top.  A larger member starts from bottom's least coset positions, and only
+the elements adjoined since bottom add left permutations; its right
+permutations are memoized per generator with bottom's table, which every
+later table shares (CosetTable.right_perm), and go with the enumeration's
+tables.  A member closed as <H, g> keeps H's generators plus g, so members
+share generators, and an enumeration makes one product of the whole top
+per distinct generator that a position table reads.
 Top itself gets no
 table: its only double coset is itself, so it has no extension, and
 N_top(top) = top.  The representatives are the leaders of the cosets
@@ -125,7 +125,7 @@ class IntervalLattice:
 
     def __post_init__(self):
         self.by_id = {m.id: m for m in self.members}
-        self.graph: NormalityGraph | None = None  # normality_graph's memo
+        self.graph: NormalityGraph | None = None  # set by _torus_lattice for the lattices it keeps
         if len(self.by_id) != len(self.members):  # reports key members on ids
             raise LatticeError("subgroup id collision; widen the digest")
 
@@ -239,9 +239,7 @@ class NormalityGraph:
 
 
 def normality_graph(lat: IntervalLattice) -> NormalityGraph:
-    """Edge for every comparable pair whose smaller member is normal in the larger; built once per lattice."""
-    if lat.graph is not None:
-        return lat.graph
+    """Edge for every comparable pair whose smaller member is normal in the larger."""
     if not lat.exhaustive:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
     ms = lat.members
@@ -260,13 +258,12 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
         above = rows.take(positions.take(a.indices), 1).all(axis=1)
         inside = rows.take(positions.take(na.indices), 1).sum(axis=1) == orders[bs]
         edges.extend((a.id, ms[j].id) for j in bs[above & inside])
-    lat.graph = NormalityGraph(
+    return NormalityGraph(
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),
         bottom_id=lat.bottom.id,
         top_id=lat.top.id,
     )
-    return lat.graph
 
 
 class _UnionFind:
@@ -409,16 +406,16 @@ _LATTICES: dict[tuple[AmbientGroup, AlgebraSpec], IntervalLattice] = {}
 
 
 def _torus_lattice(spec: AlgebraSpec, ambient: AmbientGroup) -> IntervalLattice:
-    """[T, G] for spec's torus T in ambient, with its normality graph: enumerated once per process, and kept.
+    """[T, G] for spec's torus T in ambient, and its normality graph in lat.graph: built once per process, kept.
 
-    Its top's memos (positions and right permutations, arrays as long as
-    the ambient) are dropped once the graph is built.
+    The lattice keeps subgroups' element lists and the graph member ids
+    only: no subgroup holds a memo, and the coset tables' positions and
+    right permutations went with the enumeration.
     """
     key = (ambient, spec)
     if key not in _LATTICES:
         lat = enumerate_interval(torus_subgroup(spec, ambient), ambient)
-        normality_graph(lat)
-        lat.top.drop_memos()
+        lat.graph = normality_graph(lat)
         _LATTICES[key] = lat
     return _LATTICES[key]
 
@@ -470,7 +467,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
 
     second = lat.normalizers[lat.members.index(normalizer)]  # N(N(T)): N(T) is a member of [T, G]
     idempotent = second.same_elements(normalizer)
-    gls = garlands(normality_graph(lat))
+    gls = garlands(lat.graph)
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
     interval_members = tuple(m.with_ambient(ambient) for m in _interval(lat))

@@ -10,8 +10,10 @@ n maximal minors) is nonzero, and its last rows are the x with c . x != 0
 (GL) or c . x = 1 (SL), since the determinant is linear in the last row;
 no other matrix is listed, and no non-member's determinant is taken.  One
 memo of minors per batch (_Minors) gives those cofactors, the determinants
-of the SL cut, and the inverse table as adjugate over determinant.  The
-sorted keys are stored, so a subgroup's keys are a gather.
+of the SL cut, and the inverse table as adjugate over determinant, built
+with the ambient.  The sorted keys are stored, so a subgroup's keys are a
+gather.  Matrices are (n, n) index arrays throughout: the identity's index
+is the lookup of the diagonal's key, and no other matrix type exists here.
 
 Every product of ambient elements on the case path is a right product
 through a factor table (RightProducts).  Row i of x * f is (row i of x) * f, and the
@@ -26,17 +28,20 @@ paired array's distinct values); lmul and conjugation go through the
 inverse table, as g * x = (x^-1 * g^-1)^-1, so g * x * g^-1 is two right
 products by g^-1 that share one table.
 Closures run breadth first over ambient indices, dropping repeats with a
-slot array instead of a sort; a CosetTable lays out the right cosets of a
-subgroup H inside a larger one (top) by labels over top's positions, and
-its double cosets over the numbers of those right cosets, so
-extend_subgroups can close <H, g> for many g together over double cosets
-of H instead of over elements.  A table's labels come over positions, as
-orbit minima under left permutations (doubling along each, for the
-bottom of an interval), or, for a member H over a bottom T with
-[H:T] <= |T|, over T's right cosets: one product of T's coset leaders by
-a right transversal of T in H, at most |top| products.  The right
-permutations the position route reads are memoized on top, so the tables
-of one enumeration share them, and <H, g> keeps H's generators plus g.
+slot array instead of a sort; a CosetTable numbers the right cosets of a
+subgroup H inside a larger one (top) by their least positions in top, and
+its double cosets over those numbers, so extend_subgroups can close
+<H, g> for many g together over double cosets of H instead of over
+elements.  A table's cosets come over positions, as orbit minima under
+left permutations (doubling along each, for the bottom of an interval),
+or, for a member H over a bottom T with [H:T] <= |T|, over T's right
+cosets: one product of T's coset leaders by a right transversal of T in
+H, at most |top| products.  The root table (the one seeded by no other)
+holds top's positions and the right permutations the position route
+reads, and every table seeded from it shares both, so the tables of one
+enumeration make one product of top per distinct generator, and the
+memo goes with them; <H, g> keeps H's generators plus g.  A subgroup
+holds no memo.
 
 The torus T = t(S*) is one batch of regular-representation matrices
 (AlgebraSpec.regular_rep_mats) and one lookup.  det t(a) is the norm of a,
@@ -70,7 +75,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .etale import AlgebraSpec, aut_group, torus_generators, torus_units, unit_norm_logs
-from .finite_field import FieldMatrix, FieldTable
+from .finite_field import FieldTable
 
 GL = "GL"
 SL = "SL"
@@ -249,7 +254,7 @@ class AmbientGroup:
         candidates = field.q ** (n * n)  # the dense key table holds 4 bytes for every candidate matrix
         if candidates > 80_000_000:
             raise GroupCapError(f"cannot enumerate {self!r}: {candidates} candidate matrices")
-        self._keys: np.ndarray | None = None
+        self._keys: np.ndarray | None = None  # set last by _ensure, which builds everything below
         self._mats: np.ndarray | None = None
         self._lut: np.ndarray | None = None
         self._keypow: np.ndarray | None = None
@@ -275,6 +280,7 @@ class AmbientGroup:
     # -- enumeration ------------------------------------------------------------
 
     def _ensure(self) -> None:
+        """Enumerate the ambient, with its key lookup, row codes and inverse table, in one step."""
         if self._keys is not None:
             return
         q, n = self.field.q, self.n
@@ -293,20 +299,21 @@ class AmbientGroup:
         for i in range(n - 1):
             rows[i] = np.repeat(leading[i, live], last.shape[1])
         rows[n - 1] = last.reshape(-1)
-        self._rows = rows
-        self._keys = (live.astype(np.int64)[:, None] * qn + last).reshape(-1)  # ascending, as prefixes and rows ascend
+        keys = (live.astype(np.int64)[:, None] * qn + last).reshape(-1)  # ascending, as prefixes and rows ascend
         del last  # before the matrices and the key table are allocated
         mats = np.empty((self.order, n, n), dtype=np.int16)
         for i in range(n):
             mats[:, i] = vecs.take(rows[i], axis=0)
-        self._mats = mats
         lut = np.full(q ** (n * n), -1, dtype=np.int32)
-        lut[self._keys] = np.arange(self.order, dtype=np.int32)
-        self._lut = lut
-        self._keypow = np.array([q ** (n * n - 1 - i) for i in range(n * n)], dtype=np.int64)
-        self._rowvecs = vecs[:, None, :]
-        self._inv = None
-        self._identity = self.index_of(FieldMatrix.identity(self.field, n))
+        lut[keys] = np.arange(self.order, dtype=np.int32)
+        keypow = np.array([q ** (n * n - 1 - i) for i in range(n * n)], dtype=np.int64)
+        step = 1 << 16  # bounds the minors and the key products of a whole large ambient
+        chunks = (mats[s : s + step] for s in range(0, self.order, step))
+        inv = [lut.take(_inv_mats(self.field, m).reshape(-1, n * n) @ keypow) for m in chunks]
+        self._rows, self._mats, self._lut, self._keypow, self._rowvecs = rows, mats, lut, keypow, vecs[:, None, :]
+        self._inv = np.concatenate(inv)
+        self._identity = int(lut[keypow[:: n + 1].sum() * self.field.one_index])  # the diagonal's places
+        self._keys = keys
 
     @property
     def identity_index(self) -> int:
@@ -319,10 +326,6 @@ class AmbientGroup:
 
     def inv_indices(self) -> np.ndarray:
         self._ensure()
-        if self._inv is None:
-            step = 1 << 16  # bounds the minors and the key products of a whole large ambient
-            chunks = (self._mats[s : s + step] for s in range(0, self.order, step))
-            self._inv = np.concatenate([self.indices_of_mats(_inv_mats(self.field, m)) for m in chunks])
         return self._inv
 
     # -- lookups ----------------------------------------------------------------
@@ -341,15 +344,6 @@ class AmbientGroup:
         if (idx < 0).any():
             raise NonMemberError("matrix outside the ambient group")
         return idx
-
-    def index_of(self, mat: FieldMatrix) -> int:
-        if mat.field != self.field or mat.n != self.n:
-            raise NonMemberError(f"matrix over the wrong field/size for {self!r}")
-        return int(self.indices_of_mats(np.array([mat.rows]))[0])
-
-    def matrix_at(self, idx: int) -> FieldMatrix:
-        self._ensure()
-        return FieldMatrix(self.field, self._mats[idx].tolist())
 
     def keys_of_indices(self, idxs: np.ndarray) -> np.ndarray:
         self._ensure()
@@ -456,7 +450,7 @@ def ambient_group(kind: str, n: int, field: FieldTable, caps: Caps = DEFAULT_CAP
 class Subgroup:
     """A subgroup of an ambient group, stored as sorted ambient indices."""
 
-    __slots__ = ("ambient", "indices", "_positions", "_right", "_id", "_gens")
+    __slots__ = ("ambient", "indices", "_id", "_gens")
 
     def __init__(
         self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray, generators: Sequence[int] | None = None
@@ -469,8 +463,6 @@ class Subgroup:
         if idx.size == 0:
             raise GroupError("a subgroup contains at least the identity")
         self.indices = idx
-        self._positions = None
-        self._right = {}
         self._id = None
         self._gens = None if generators is None else [int(g) for g in generators]
         if ambient.order % idx.size != 0:
@@ -485,31 +477,10 @@ class Subgroup:
         return np.take(self.indices, np.searchsorted(self.indices, idxs), mode="clip") == idxs
 
     def positions(self) -> np.ndarray:
-        """Ambient index -> its position in the sorted indices, -1 outside."""
-        if self._positions is None:
-            pos = np.full(self.ambient.order, -1, dtype=np.int32)
-            pos[self.indices] = np.arange(self.order, dtype=np.int32)
-            self._positions = pos
-        return self._positions
-
-    def right_perm(self, s: int) -> np.ndarray:
-        """The permutation x -> x * s of positions, for s in this subgroup; memoized per s.
-
-        Coset tables over positions inside this subgroup share it, so an
-        enumeration makes one product of the whole subgroup per distinct
-        generator they read; the memo holds (distinct s) * order * 4 bytes
-        and lives as long as the subgroup.
-        """
-        s = int(s)
-        perm = self._right.get(s)
-        if perm is None:
-            perm = self._right[s] = self.positions().take(self.ambient.rmul(self.indices, s))
-        return perm
-
-    def drop_memos(self) -> None:
-        """Forget the positions and right permutations, memos as long as the ambient that rebuild on demand."""
-        self._positions = None
-        self._right = {}
+        """Ambient index -> its position in the sorted indices, -1 outside; built anew on every call."""
+        pos = np.full(self.ambient.order, -1, dtype=np.int32)
+        pos[self.indices] = np.arange(self.order, dtype=np.int32)
+        return pos
 
     def with_ambient(self, ambient: AmbientGroup) -> "Subgroup":
         """This element set under an equal ambient object (SL(n,2) for GL(n,2)), with its generators and id."""
@@ -559,9 +530,6 @@ class Subgroup:
         if self._gens is None:
             raise GroupError(f"{self!r} was built from its elements and carries no generators")
         return self._gens
-
-    def generator_matrices(self) -> list[FieldMatrix]:
-        return [self.ambient.matrix_at(g) for g in self.generators]
 
 
 def _claim_fresh(cand: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -652,10 +620,11 @@ class CosetTable:
     """Right and double cosets of a subgroup H inside a subgroup top containing it.
 
     Right cosets are indexed by position 0..|top|-1 in top's sorted ambient
-    indices, so position order is ambient order.  `labels[x]` is the least
-    position of the right coset H x; `leaders` are the positions that are
-    their own label, one per right coset, ascending, and `coset[x]` is the
-    number of x's right coset, the rank of its leader.
+    indices, so position order is ambient order.  `leaders` are the least
+    positions of the right cosets, one per coset, ascending, and `coset[x]`
+    is the number of x's right coset H x, the rank of its leader, so
+    leaders[coset[x]] is the least position of H x.  `positions` maps an
+    ambient index to its position in top (-1 outside).
 
     Double cosets are computed over those numbers, not over positions: H x H
     is a union of right cosets, and right multiplication by H's i-th
@@ -673,19 +642,18 @@ class CosetTable:
     H x H = H x exactly when x normalizes H, so the double cosets that are
     single right cosets make up N_top(H).
 
-    The right-coset labels take one of two routes.
+    The right cosets come by one of two routes.
 
     Over positions: H x is the orbit of x under left multiplication by the
     generators' inverses, x -> (x^-1 * s_i)^-1, which is the permutation
-    top.right_perm(s_i) (x -> x * s_i, memoized on top and shared by the
-    position tables inside it) conjugated by inversion, and the labels are orbit
-    minima under those left permutations, taken by doubling
-    (_cycle_minima).  coset_right reads the right permutations at the
-    leaders.  below, if given, is the table of a subgroup T of H over the
-    same top.  Each right coset of H is a union of right cosets of T, and H
-    is generated by T and H's generators outside T, so a seeded table
-    hooks only those generators' left permutations onto T's labels
-    (_orbit_minima).
+    right_perm(s_i) (x -> x * s_i) conjugated by inversion, and each
+    position's least coset position is an orbit minimum under those left
+    permutations, taken by doubling (_cycle_minima).  coset_right reads the
+    right permutations at the leaders.  below, if given, is the table of a
+    subgroup T of H over the same top.  Each right coset of H is a union of
+    right cosets of T, and H is generated by T and H's generators outside
+    T, so a seeded table hooks only those generators' left permutations
+    onto T's least coset positions, leaders[coset] of below (_orbit_minima).
 
     Over T's right cosets, for a seeded table with [H:T] <= |T|: with r_j
     the leaders of T's right cosets inside H (a right transversal of T in
@@ -699,10 +667,18 @@ class CosetTable:
     keeps the first within |top| products, one pass over top, and no array
     of the route exceeds |top| entries; it builds no permutation of the
     whole top.  A larger index would take more products than that, so such
-    a table goes over positions, through top's shared right permutations.
+    a table goes over positions, through the shared right permutations.
+
+    The root table, seeded by none, builds top's positions and a memo of
+    right permutations, one per distinct s; every table seeded from it
+    shares both, so the position tables of one enumeration make one product
+    of the whole top per distinct generator.  The memo holds (distinct s) *
+    |top| * 4 bytes and goes with the tables.
     """
 
-    __slots__ = ("h", "top", "labels", "leaders", "coset", "coset_right", "double", "dnum", "dwidth", "by_double")
+    __slots__ = (
+        "h", "top", "positions", "_right", "leaders", "coset", "coset_right", "double", "dnum", "dwidth", "by_double"
+    )
 
     def __init__(self, h: Subgroup, top: Subgroup, below: "CosetTable | None" = None):
         if not h.is_subset_of(top):
@@ -714,6 +690,9 @@ class CosetTable:
                 raise GroupError("a seed table needs the same top")
             if not below.h.is_subset_of(h):
                 raise GroupError("a seed table needs a subgroup of H")
+            self.positions, self._right = below.positions, below._right
+        else:
+            self.positions, self._right = top.positions(), {}
         if _over_cosets(h, below):
             self._label_over_cosets(below)
         else:
@@ -725,26 +704,37 @@ class CosetTable:
         self.dwidth = np.bincount(self.dnum).astype(np.int32)
         self.by_double = np.argsort(self.dnum, kind="stable").astype(np.int32)
 
+    def right_perm(self, s: int) -> np.ndarray:
+        """The permutation x -> x * s of top's positions, for s in top; memoized per s with the root table."""
+        s = int(s)
+        perm = self._right.get(s)
+        if perm is None:
+            perm = self._right[s] = self.positions.take(self.top.ambient.rmul(self.top.indices, s))
+        return perm
+
     def _label_over_positions(self, below: "CosetTable | None") -> None:
         h, top = self.h, self.top
-        right = [top.right_perm(s) for s in h.generators]
+        right = [self.right_perm(s) for s in h.generators]
         fresh = right
         if below is not None:
             inside = below.h.contains(np.array(h.generators, dtype=np.int32))
             fresh = [r for r, s_inside in zip(right, inside) if not s_inside]
         left = []
         if fresh:
-            inverse = top.positions().take(h.ambient.inv_indices().take(top.indices))
+            inverse = self.positions.take(h.ambient.inv_indices().take(top.indices))
             left = [inverse.take(r.take(inverse)) for r in fresh]
-        self.labels = _cycle_minima(left, top.order) if below is None else _orbit_minima(below.labels, left)
-        leads = self.labels == np.arange(top.order)
+        if below is None:
+            labels = _cycle_minima(left, top.order)
+        else:
+            labels = _orbit_minima(below.leaders.take(below.coset), left)
+        leads = labels == np.arange(top.order)
         self.leaders = np.flatnonzero(leads)
-        self.coset = (np.cumsum(leads, dtype=np.int32) - 1).take(self.labels)
+        self.coset = (np.cumsum(leads, dtype=np.int32) - 1).take(labels)
         self.coset_right = [self.coset.take(r.take(self.leaders)) for r in right]
 
     def _label_over_cosets(self, below: "CosetTable") -> None:
         h, top, amb = self.h, self.top, self.h.ambient
-        inv, positions = amb.inv_indices(), top.positions()
+        inv, positions = amb.inv_indices(), self.positions
         lead = top.indices.take(below.leaders)  # T's coset number -> its least element
         trans = lead[h.contains(lead)]  # one r_j per right coset of T in H
         which = np.repeat(np.arange(trans.size, dtype=np.int32), lead.size)
@@ -753,7 +743,6 @@ class CosetTable:
         least = cosets.min(axis=0)  # T's coset number -> the least one in its H-coset
         own = least == np.arange(lead.size)
         self.leaders = below.leaders[own]
-        self.labels = below.leaders.take(least).take(below.coset)
         self.coset = (np.cumsum(own, dtype=np.int32) - 1).take(least).take(below.coset)
         gens = np.asarray(h.generators, dtype=np.int32)
         which = np.repeat(np.arange(gens.size, dtype=np.int32), self.leaders.size)
@@ -762,7 +751,7 @@ class CosetTable:
 
     def double_coset_reps(self) -> np.ndarray:
         """Least element of every double coset H x H in top other than H, ascending."""
-        own = self.coset[self.top.positions()[self.h.ambient.identity_index]]  # H, a double coset of one coset
+        own = self.coset[self.positions[self.h.ambient.identity_index]]  # H, a double coset of one coset
         reps = np.flatnonzero(self.double == np.arange(self.double.size))
         return self.top.indices[self.leaders[reps[reps != own]]]
 
@@ -798,7 +787,7 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     every double coset and leaves the frontier without another level.
     """
     gs = np.asarray(extra_indices, dtype=np.int32)
-    positions = table.top.positions()
+    positions = table.positions
     if (positions[gs] < 0).any():
         raise GroupError("the adjoined element lies outside the table's top")
     amb = table.h.ambient
@@ -918,7 +907,7 @@ def normalizer_formula(spec: AlgebraSpec, torus: Subgroup) -> Subgroup:
     """
     ambient, field = torus.ambient, torus.ambient.field
     _check_algebra(spec, ambient)
-    perms = np.array([s.matrix().rows for s in aut_group(spec)], dtype=np.int16)
+    perms = np.array([s.matrix() for s in aut_group(spec)], dtype=np.int16)
     units = torus_units(spec)
     first = np.zeros(len(perms), dtype=np.intp)  # GL: the first unit
     if ambient.kind == SL:

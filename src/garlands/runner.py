@@ -84,10 +84,12 @@ def build_algebra(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> tuple[FieldTable
 
 def torus_block(torus: Subgroup, normalizer: Subgroup) -> dict:
     """The report's "torus" entry: order, maximal-abelian check (inside N(T)) and generator matrices."""
+    amb = torus.ambient
+    gens = amb.mats()[torus.generators].tolist()
     return {
         "order": torus.order,
         "maximal_abelian": is_maximal_abelian(torus, normalizer),
-        "generators": [m.coeff_rows() for m in torus.generator_matrices()],
+        "generators": [[[amb.field.coeffs_of(v) for v in row] for row in m] for m in gens],
     }
 
 

@@ -29,13 +29,18 @@ embedding by the least root of its defining polynomial found by evaluating
 at every element in index order, and the relative generator by orbits
 under x -> x^q.
 
+Every field's whole sum and product tables are also recomputed here in one
+vectorized pass of the same polynomial arithmetic (tables_by_polynomials),
+so the one-element route needs to check only sampled rows of them.
+
 The package does matrix arithmetic only vectorized over ambient indices,
-and keeps FieldMatrix for input and output.  The one-matrix-at-a-time
-routes live here: matrix keys, products (cell by cell, and per element
-pair over index arrays), determinants (Laplace expansion) and inverses
-(Gauss-Jordan), subgroups generated from matrices, subgroup matrices and
-serialization, relative minimal polynomials and scalar multiples in an
-algebra.  The closed form for |Aut_k(S)| lives here too: the package reads
+and has no matrix type: its matrices are (n, n) index arrays.  FieldMatrix,
+the one-matrix container, and the one-matrix-at-a-time routes live here:
+an ambient's index of a matrix and matrix at an index, matrix keys,
+products (cell by cell, and per element pair over index arrays),
+determinants (Laplace expansion) and inverses (Gauss-Jordan), subgroups
+generated from matrices, subgroup matrices and serialization, relative
+minimal polynomials and scalar multiples in an algebra.  The closed form for |Aut_k(S)| lives here too: the package reads
 the automorphisms off aut_group and never needs their count.
 """
 
@@ -46,12 +51,13 @@ import itertools
 import struct
 from fractions import Fraction
 from math import factorial, isqrt
+from typing import Sequence
 
 import numpy as np
 
 from garlands.etale import AlgebraSpec, aut_group
-from garlands.finite_field import FieldError, FieldMatrix, FieldMismatchError, extension_of
-from garlands.matrix_group import SL, GroupCapError, Subgroup, _closure, is_normal_in
+from garlands.finite_field import FieldError, FieldMismatchError, FieldTable, extension_of
+from garlands.matrix_group import SL, GroupCapError, NonMemberError, Subgroup, _closure, is_normal_in
 
 
 # -- field arithmetic on coefficient polynomials ------------------------------
@@ -102,6 +108,28 @@ def mul_idx(f, a: int, b: int) -> int:
             for i in range(m):
                 out[k - m + i] -= c * poly[i]
     return _index(f, out[:m])
+
+
+def tables_by_polynomials(f) -> tuple[np.ndarray, np.ndarray]:
+    """(q, q) tables of every a + b and a * b: mul_idx's arithmetic, vectorized over all pairs.
+
+    Each index is decoded into its base-p digits (constant term first, the
+    most significant), sums add digits mod p, and products are the
+    schoolbook convolution of the digit vectors reduced mod the defining
+    polynomial from the top degree down.  Only p, m and defining_poly are
+    read, none of the field's tables.
+    """
+    p, m, q, poly = f.p, f.m, f.q, f.defining_poly
+    place = p ** np.arange(m - 1, -1, -1, dtype=np.int32)
+    digits = np.arange(q, dtype=np.int32)[:, None] // place % p
+    a, b = digits[:, None, :], digits[None, :, :]
+    sums = (a + b) % p @ place
+    conv = np.zeros((q, q, 2 * m - 1), dtype=np.int32)
+    for i in range(m):
+        conv[..., i : i + m] += a[..., i, None] * b
+    for k in range(2 * m - 2, m - 1, -1):  # x^k = -x^(k-m) * (poly - x^m)
+        conv[..., k - m : k] -= conv[..., k, None] % p * np.array(poly[:m], dtype=np.int32)
+    return sums, conv[..., :m] % p @ place
 
 
 def pow_idx(f, a: int, e: int) -> int:
@@ -213,6 +241,51 @@ def algebra_from_coords(spec: AlgebraSpec, coords) -> tuple[int, ...]:
         comps.append(extension_from_coords(e, coords[pos : pos + d]))
         pos += d
     return tuple(comps)
+
+
+# -- one matrix at a time --------------------------------------------------------
+
+
+class FieldMatrix:
+    """Immutable n x n matrix over a FieldTable; rows hold canonical element indices."""
+
+    __slots__ = ("field", "n", "rows")
+
+    def __init__(self, field: FieldTable, rows: Sequence[Sequence[int]]):
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise FieldError("matrix must be square")
+        self.field = field
+        self.n = n
+        self.rows = tuple(tuple(int(v) for v in r) for r in rows)
+
+    @classmethod
+    def identity(cls, field: FieldTable, n: int) -> "FieldMatrix":
+        one = field.one_index
+        return cls(field, [[one if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def coeff_rows(self) -> list[list[tuple[int, ...]]]:
+        return [[self.field.coeffs_of(v) for v in r] for r in self.rows]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldMatrix) and self.field == other.field and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.rows))
+
+    def __repr__(self) -> str:
+        return f"FieldMatrix(q={self.field.q}, {self.rows})"
+
+
+def index_of(amb, m: FieldMatrix) -> int:
+    """The ambient index of one member matrix; NonMemberError for any other."""
+    if m.field != amb.field or m.n != amb.n:
+        raise NonMemberError(f"matrix over the wrong field/size for {amb!r}")
+    return int(amb.indices_of_mats(np.array([m.rows]))[0])
+
+
+def matrix_at(amb, i: int) -> FieldMatrix:
+    return FieldMatrix(amb.field, amb.mats()[i].tolist())
 
 
 def matrix_key(m: FieldMatrix) -> int:
@@ -339,7 +412,7 @@ def ambient_by_candidates(kind: str, n: int, field) -> tuple[np.ndarray, np.ndar
 
 def generate(ambient, gens, max_size: int | None = None) -> Subgroup:
     """Smallest subgroup of the ambient containing the given matrices."""
-    idxs = [ambient.index_of(m) for m in gens]
+    idxs = [index_of(ambient, m) for m in gens]
     cl = _closure(ambient, idxs)
     if max_size is not None and cl.size > max_size:
         raise GroupCapError(f"closure reached {cl.size} elements, cap {max_size}", order=int(cl.size))
@@ -347,7 +420,7 @@ def generate(ambient, gens, max_size: int | None = None) -> Subgroup:
 
 
 def subgroup_matrices(sub) -> list[FieldMatrix]:
-    return [sub.ambient.matrix_at(int(i)) for i in sub.indices]
+    return [matrix_at(sub.ambient, int(i)) for i in sub.indices]
 
 
 def subgroup_serialize(sub, with_elements: bool = False) -> dict:
@@ -355,7 +428,7 @@ def subgroup_serialize(sub, with_elements: bool = False) -> dict:
     doc = {
         "ambient": {"kind": amb.kind, "n": amb.n, "field": amb.field.serialize()},
         "order": sub.order,
-        "generators": [m.coeff_rows() for m in sub.generator_matrices()],
+        "generators": [matrix_at(amb, g).coeff_rows() for g in sub.generators],
     }
     if with_elements:
         doc["elements"] = [m.coeff_rows() for m in subgroup_matrices(sub)]
@@ -733,7 +806,7 @@ def torus_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
     """Sorted ambient indices of t(u) for every unit u (norm-one units in SL), one matrix at a time."""
     one = spec.base.one_index
     idxs = [
-        ambient.index_of(regular_rep_by_basis(spec, u))
+        index_of(ambient, regular_rep_by_basis(spec, u))
         for u in algebra_comps(spec, units=True)
         if ambient.kind != SL or norm_comps(spec, u) == one
     ]
@@ -743,14 +816,14 @@ def torus_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
 def formula_by_units(spec: AlgebraSpec, ambient) -> np.ndarray:
     """Sorted ambient indices of t(u) * P_sigma (determinant one in SL), one FieldMatrix product at a time."""
     one = spec.base.one_index
-    perms = [s.matrix() for s in aut_group(spec)]
+    perms = [FieldMatrix(spec.base, s.matrix().tolist()) for s in aut_group(spec)]
     idxs = set()
     for u in algebra_comps(spec, units=True):
         t = regular_rep_by_basis(spec, u)
         for pm in perms:
             prod = matrix_product(t, pm)
             if ambient.kind != SL or matrix_det(prod) == one:
-                idxs.add(ambient.index_of(prod))
+                idxs.add(index_of(ambient, prod))
     return np.array(sorted(idxs), dtype=np.int32)
 
 
@@ -759,9 +832,9 @@ def formula_leaders_by_units(spec: AlgebraSpec, ambient) -> list[int]:
     one = spec.base.one_index
     out = []
     for s in aut_group(spec):
-        pm = s.matrix()
+        pm = FieldMatrix(spec.base, s.matrix().tolist())
         prods = (matrix_product(regular_rep_by_basis(spec, u), pm) for u in algebra_comps(spec, units=True))
-        out.append(next(ambient.index_of(x) for x in prods if ambient.kind != SL or matrix_det(x) == one))
+        out.append(next(index_of(ambient, x) for x in prods if ambient.kind != SL or matrix_det(x) == one))
     return out
 
 

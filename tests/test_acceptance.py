@@ -47,6 +47,7 @@ from oracles import (
     formula_leaders_by_units,
     generate,
     interval_by_elements,
+    matrix_at,
     matrix_from_coeff_rows,
     subgroup_count_of_aut,
     subgroup_id,
@@ -307,7 +308,7 @@ def test_constructed_generators_close_to_the_torus_and_formula_set(tori):
         formula = normalizer_formula(spec, torus)
         for sub, want in ((torus, torus_by_units(spec, amb)), (formula, formula_by_units(spec, amb))):
             assert amb.identity_index not in sub.generators, (amb, spec)
-            closed = generate(amb, [amb.matrix_at(g) for g in sub.generators])
+            closed = generate(amb, [matrix_at(amb, g) for g in sub.generators])
             assert np.array_equal(closed.indices, want), (amb, spec)
         lists[amb.kind, spec] = amb.keys_of_indices(torus.generators).tolist()
     f2 = [spec for kind, spec in lists if kind == GL and spec.base.q == 2]
@@ -346,7 +347,9 @@ def test_coset_table_label_routes_agree(monkeypatch, tori, direct_intervals):
             tables.append(CosetTable(h, top))
             first = tables[0]
             for other in tables[1:]:
-                for field in ("labels", "coset", "leaders", "double"):
+                labels = (first.leaders[first.coset], other.leaders[other.coset])  # least position of each right coset
+                assert np.array_equal(*labels), ("labels", m.order)
+                for field in ("coset", "leaders", "double"):
                     assert np.array_equal(getattr(first, field), getattr(other, field)), (field, m.order)
                 assert np.array_equal(first.double_coset_reps(), other.double_coset_reps()), m.order
                 assert first.normalizer() == other.normalizer(), m.order

@@ -461,6 +461,15 @@ def test_pell_single(capsys):
 def test_pell_requires_d(capsys):
     code, _, err = _run(capsys, ["pell"])
     assert code == 1
+    assert "one of the arguments --d --d-max is required" in err
+
+
+def test_pell_refuses_both_d_and_d_max(capsys):
+    # one d or a table up to d-max: both together is an error, not d's row
+    for argv in (["pell", "--d", "2", "--d-max", "3"], ["pell", "--d-max", "3", "--d", "2", "--json"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert "not allowed with argument" in err, argv
 
 
 def test_pell_invalid_d(capsys):

@@ -17,9 +17,10 @@ from garlands.etale import (
     span_absorbs_units,
     torus_units,
 )
-from garlands.finite_field import FieldCapError, FieldMatrix, construct_extension, construct_field, extension_of
+from garlands.finite_field import FieldCapError, construct_extension, construct_field, extension_of
 
 from oracles import (
+    FieldMatrix,
     add_comps,
     add_idx,
     algebra_comps,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from garlands.finite_field import (
     FieldCapError,
-    FieldMatrix,
     FieldMismatchError,
     FieldTable,
     NotPrimeError,
@@ -20,6 +19,7 @@ from garlands.finite_field import (
 )
 
 from oracles import (
+    FieldMatrix,
     add_idx,
     extension_from_coords,
     frob_idx,
@@ -34,6 +34,7 @@ from oracles import (
     neg_idx,
     rel_norm_by_products,
     relative_generator_by_orbits,
+    tables_by_polynomials,
 )
 
 
@@ -320,18 +321,23 @@ def _order_by_products(f, a):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (19, 2), (2, 9)])
 def test_dense_tables_match_scalar_ops(p, m):
-    # the numpy tables come from coefficient digits and exp/log; the scalar
-    # ops go element by element, and products also by polynomial reduction
+    # the numpy tables come from coefficient digits and exp/log; the whole
+    # sum and product tables are checked against the vectorized polynomial
+    # oracle, and sampled rows of them against the one-element ops, so the
+    # two oracles check each other; products also by the field's own
+    # polynomial reduction
     f = construct_field(p, m)
     q, every = f.q, range(f.q)
     add, mul, neg, inv = f.np_add(), f.np_mul(), f.np_neg(), f.np_inv()
     assert add.dtype == mul.dtype == neg.dtype == inv.dtype == np.int16
-    assert add.tolist() == [[add_idx(f, a, b) for b in every] for a in every]
-    assert mul.tolist() == [[mul_idx(f, a, b) for b in every] for a in every]
+    sums, products = tables_by_polynomials(f)
+    assert np.array_equal(add, sums) and np.array_equal(mul, products)
     assert neg.tolist() == [neg_idx(f, a) for a in every]
     assert inv.tolist() == [0] + [inv_idx(f, a) for a in range(1, q)]
     rows = np.random.default_rng(q).integers(q, size=8)
     for a in rows.tolist():
+        assert add[a].tolist() == [add_idx(f, a, b) for b in every]
+        assert mul[a].tolist() == [mul_idx(f, a, b) for b in every]
         assert mul[a].tolist() == [f._poly_product(a, b) for b in every]
     g = f.generator_index()
     assert _order_by_products(f, g) == q - 1

@@ -6,7 +6,7 @@ import pytest
 
 from garlands import cli, lattice, matrix_group
 from garlands.etale import AlgebraSpec
-from garlands.finite_field import FieldMatrix, construct_field
+from garlands.finite_field import construct_field
 from garlands.lattice import (
     CONFIRMED,
     EXPECTED_COUNTEREXAMPLE,
@@ -124,6 +124,30 @@ def test_normality_graph_no_edges_between_incomparable():
     assert pair not in g.edges
 
 
+def test_normality_graph_is_pure():
+    # a fresh graph on every call, and nothing written onto the lattice:
+    # only _torus_lattice keeps one, in lat.graph
+    gl23 = ambient_group(GL, 2, F3)
+    lat = enumerate_interval(torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23), gl23)
+    first = normality_graph(lat)
+    second = normality_graph(lat)
+    assert first == second and first is not second and first.edges
+    assert lat.graph is None
+
+
+def test_f2_pair_builds_one_normality_graph(monkeypatch):
+    # GL(3,2) = SL(3,2): the pair shares one kept [T, G], and its graph is
+    # built once, beside the lattice, and read by both reports
+    calls = []
+    graph = lattice.normality_graph
+    monkeypatch.setattr(lattice, "normality_graph", lambda lat: calls.append(lat) or graph(lat))
+    lattice._reset_lattices()
+    for ambient in ("gl", "sl"):
+        assert run_case(CaseSpec(2, 1, (1, 1, 1), ambient))["status"] == "ok"
+    (lat,) = lattice._LATTICES.values()
+    assert len(calls) == 1 and calls[0] is lat and lat.graph == graph(lat)
+
+
 def test_garlands_partition_and_flags():
     gl23 = ambient_group(GL, 2, F3)
     d = torus_subgroup(AlgebraSpec(F3, [1, 1]), gl23)
@@ -185,7 +209,7 @@ def test_formula_closure_failure_is_reported(monkeypatch):
     # the predicted set {t(a) P} is not closed: the report records the
     # failure and the formula verdict instead of raising
     shapes = ([[1, 0], [0, 1]], [[1, 1], [0, 1]])
-    stand_ins = [SimpleNamespace(matrix=lambda rows=rows: SimpleNamespace(rows=rows)) for rows in shapes]
+    stand_ins = [SimpleNamespace(matrix=lambda rows=rows: np.array(rows, dtype=np.int16)) for rows in shapes]
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: stand_ins)
     spec = AlgebraSpec(F3, [2])
     for kind, set_size, closure_size in [(GL, 16, 48), (SL, 8, 24)]:
@@ -199,7 +223,7 @@ def test_formula_closure_failure_is_reported(monkeypatch):
         assert rep.to_dict()["normalizers"]["formula_closure_failure"] == failure
     # over F_2 (SL = GL) the SL case reads the GL case's lattice and its T,
     # and its payload still names SL; X = {shear} lacks 1
-    shear = SimpleNamespace(matrix=lambda: SimpleNamespace(rows=[[1, 1], [0, 1]]))
+    shear = SimpleNamespace(matrix=lambda: np.array([[1, 1], [0, 1]], dtype=np.int16))
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
     lattice._reset_lattices()
     for kind in (GL, SL):
@@ -225,7 +249,7 @@ def test_normalizer_formula_closes_only_a_failing_set(monkeypatch, kind):
         leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
         assert n.generators == torus.generators + leaders, spec
         assert calls == [], spec
-    shear = SimpleNamespace(matrix=lambda: SimpleNamespace(rows=[[1, 1], [0, 1]]))
+    shear = SimpleNamespace(matrix=lambda: np.array([[1, 1], [0, 1]], dtype=np.int16))
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
     spec, amb = AlgebraSpec(F3, [2]), ambient_group(kind, 2, F3)
     torus = torus_subgroup(spec, amb)
@@ -244,7 +268,7 @@ def test_sl_x_sigma_takes_the_inverse_determinant(monkeypatch, p):
     # diagonal stand-ins keep X = T closed over the split algebra
     field = construct_field(p, 1)
     shapes = ([[1, 0], [0, 1]], [[2, 0], [0, 1]], [[3, 0], [0, 1]])
-    stand_ins = [SimpleNamespace(matrix=lambda rows=rows: FieldMatrix(field, rows)) for rows in shapes]
+    stand_ins = [SimpleNamespace(matrix=lambda rows=rows: np.array(rows, dtype=np.int16)) for rows in shapes]
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: stand_ins)
     monkeypatch.setattr(oracles, "aut_group", lambda spec: stand_ins)
     spec, amb = AlgebraSpec(field, [1, 1]), ambient_group(SL, 2, field)
@@ -406,7 +430,7 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
 
     calls = []  # ("minima", labels, perms), ("cycles", perms), ("right", s), ("products", count)
     orbit_minima, cycle_minima = matrix_group._orbit_minima, matrix_group._cycle_minima
-    right_perm, products = Subgroup.right_perm, matrix_group.RightProducts.__call__
+    right_perm, products = matrix_group.CosetTable.right_perm, matrix_group.RightProducts.__call__
 
     def recording_orbit_minima(labels, perms):
         calls.append(("minima", labels.copy(), list(perms)))
@@ -426,7 +450,7 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
 
     monkeypatch.setattr(matrix_group, "_orbit_minima", recording_orbit_minima)
     monkeypatch.setattr(matrix_group, "_cycle_minima", recording_cycle_minima)
-    monkeypatch.setattr(Subgroup, "right_perm", recording_right_perm)
+    monkeypatch.setattr(matrix_group.CosetTable, "right_perm", recording_right_perm)
     monkeypatch.setattr(matrix_group.RightProducts, "__call__", recording_products)
     tables = []  # (H, top, the calls its table made)
 
@@ -442,17 +466,18 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
     monkeypatch.undo()
     assert lat.exhaustive and len(tables) > 1
     top = tables[0][1]
+    root = lattice.CosetTable(t, top)
     inverse = top.positions()[amb.inv_indices()[top.indices]]
 
     def left(gens):
-        return [inverse[top.right_perm(s)[inverse]] for s in gens]
+        return [inverse[root.right_perm(s)[inverse]] for s in gens]
 
     h, _, made = tables[0]
     assert h is t
     doubled = [c[1] for c in made if c[0] == "cycles"]
     assert len(doubled) == 1 and all(map(np.array_equal, doubled[0], left(t.generators)))
     finished = next(c[1] for c in made if c[0] == "minima")  # the finishing pass's start
-    assert np.array_equal(finished, lattice.CosetTable(t, top).labels)
+    assert np.array_equal(finished, root.leaders[root.coset])
     for h, _, made in tables[1:]:
         builder = builders[h.indices.tobytes()]
         gens = h.generators
@@ -889,15 +914,17 @@ def test_ambients_are_equal_exactly_when_their_element_sets_are():
 
 
 def test_stage_memo_keeps_no_ambient_sized_memo():
-    # no subgroup the lattice memo holds keeps positions or right
-    # permutations, whose arrays are as long as the ambient
+    # no subgroup the lattice memo holds keeps an array or a dict other than
+    # its indices: no positions or right permutations, whose arrays are as
+    # long as the ambient
     for algebra, caps in PIPELINE_PAIRS[:2]:
         for ambient in ("sl", "gl"):
             run_case(CaseSpec(*algebra, ambient), caps)
     # GL(3,2) = SL(3,2), so that pair shares one lattice
     assert len(lattice._LATTICES) == 3
     held = [h for lat in lattice._LATTICES.values() for h in (lat.top, *lat.members, *lat.normalizers)]
-    assert all(h._positions is None and h._right == {} for h in held)
+    kept = [getattr(h, slot) for h in held for slot in type(h).__slots__ if slot != "indices"]
+    assert not [v for v in kept if isinstance(v, (np.ndarray, dict))]
     # each kept lattice keeps its normality graph, which holds member ids only
     graphs = [lat.graph for lat in lattice._LATTICES.values()]
     assert sorted(len(g.vertices) for g in graphs) == sorted(len(lat) for lat in lattice._LATTICES.values())

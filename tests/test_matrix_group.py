@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from garlands import matrix_group
 from garlands.config import Caps
 from garlands.etale import AlgebraSpec
-from garlands.finite_field import FieldMatrix, construct_field
+from garlands.finite_field import construct_field
 from garlands.lattice import enumerate_interval
 from garlands.matrix_group import (
     GL,
@@ -36,6 +37,7 @@ from garlands.matrix_group import (
 )
 
 from oracles import (
+    FieldMatrix,
     ambient_by_candidates,
     aut_group_size,
     centralizer_brute,
@@ -43,7 +45,9 @@ from oracles import (
     element_closure,
     formula_by_units,
     generate,
+    index_of,
     laplace_det,
+    matrix_at,
     matrix_det,
     matrix_from_coeff_rows,
     matrix_inverse,
@@ -172,17 +176,20 @@ def test_paired_products_match_field_matrix_products(n, base):
     rng = np.random.default_rng(base.q * 10 + n)
     xs = rng.integers(amb.order, size=40).astype(np.int32)
     gs = rng.integers(amb.order, size=40).astype(np.int32)
-    mat = amb.matrix_at
-    assert amb.rmul(xs, gs).tolist() == [amb.index_of(matrix_product(mat(x), mat(g))) for x, g in zip(xs, gs)]
-    assert amb.lmul(gs, xs).tolist() == [amb.index_of(matrix_product(mat(g), mat(x))) for x, g in zip(xs, gs)]
+
+    def mat(i):
+        return matrix_at(amb, i)
+
+    assert amb.rmul(xs, gs).tolist() == [index_of(amb, matrix_product(mat(x), mat(g))) for x, g in zip(xs, gs)]
+    assert amb.lmul(gs, xs).tolist() == [index_of(amb, matrix_product(mat(g), mat(x))) for x, g in zip(xs, gs)]
     g = int(gs[0])  # one index multiplies every entry
-    assert amb.rmul(xs, g).tolist() == [amb.index_of(matrix_product(mat(x), mat(g))) for x in xs]
-    assert amb.lmul(g, xs).tolist() == [amb.index_of(matrix_product(mat(g), mat(x))) for x in xs]
+    assert amb.rmul(xs, g).tolist() == [index_of(amb, matrix_product(mat(x), mat(g))) for x in xs]
+    assert amb.lmul(g, xs).tolist() == [index_of(amb, matrix_product(mat(g), mat(x))) for x in xs]
     conj = amb.conjugates(gs[:3], xs)
     assert conj.shape == (3, xs.size)
     for row, s in zip(conj, gs[:3]):
         conj = [matrix_product(matrix_product(mat(s), mat(x)), matrix_inverse(mat(s))) for x in xs]
-        assert row.tolist() == [amb.index_of(c) for c in conj]
+        assert row.tolist() == [index_of(amb, c) for c in conj]
     # one index gets a table of one factor, an index array a table of its
     # distinct values: over the whole ambient they agree
     every = np.arange(amb.order, dtype=np.int32)
@@ -222,7 +229,7 @@ def test_products_match_the_matrix_oracle(kind, n, base):
         assert np.array_equal(RightProducts(amb, factors)(xs, int(np.flatnonzero(factors == g)[-1])), right)
         assert np.array_equal(amb.rmul(xs, g), right)
         assert np.array_equal(amb.lmul(g, xs), products_by_matrices(amb, g, xs))
-    inverses = np.array([amb.index_of(matrix_inverse(amb.matrix_at(int(g)))) for g in factors], dtype=np.int32)
+    inverses = np.array([index_of(amb, matrix_inverse(matrix_at(amb, int(g)))) for g in factors], dtype=np.int32)
     expect = products_by_matrices(amb, products_by_matrices(amb, gs, xs), inverses[which])
     assert np.array_equal(amb.conjugate_by(factors, which, xs), expect)
     conj = amb.conjugates(factors, xs)
@@ -264,7 +271,7 @@ def test_generate_rejects_non_members():
 def test_generate_cap():
     gl23 = ambient_group(GL, 2, F3)
     with pytest.raises(GroupCapError) as err:
-        generate(gl23, [gl23.matrix_at(i) for i in range(4)], max_size=10)
+        generate(gl23, [matrix_at(gl23, i) for i in range(4)], max_size=10)
     assert err.value.order is not None and err.value.order > 10
 
 
@@ -295,6 +302,26 @@ def test_indices_of_mats_on_fresh_ambient():
     amb = AmbientGroup(GL, 2, F3)  # not enumerated yet
     ident = np.array([[[1, 0], [0, 1]]], dtype=np.int16)
     assert amb.indices_of_mats(ident).tolist() == [amb.identity_index]
+
+
+@pytest.mark.parametrize("kind,n,base", [(GL, 3, F2), (SL, 2, F4), (GL, 2, F9), (GL, 1, F5)])
+def test_ambient_is_built_in_one_step(monkeypatch, kind, n, base):
+    # mats() builds the inverse table with the ambient: after it, no
+    # inverse, lmul or conjugation takes another inverse; the identity's
+    # index is that of the one-on-the-diagonal matrix
+    amb = AmbientGroup(kind, n, base)
+    amb.mats()
+    calls = []
+    inv_mats = matrix_group._inv_mats
+    monkeypatch.setattr(matrix_group, "_inv_mats", lambda *args: calls.append(len(args[1])) or inv_mats(*args))
+    every = np.arange(amb.order, dtype=np.int32)
+    inv = amb.inv_indices()
+    assert (amb.rmul(every, inv) == amb.identity_index).all()
+    amb.lmul(int(inv[-1]), every)
+    amb.conjugates(every[:3], every)
+    assert calls == []
+    identity = np.full(n, base.one_index, dtype=np.int16) * np.eye(n, dtype=np.int16)
+    assert np.array_equal(amb.mats()[amb.identity_index], identity)
 
 
 def test_torus_sl_equals_gl_torus_cut_to_sl():
@@ -487,7 +514,7 @@ def test_is_subset_of_rejects_other_ambient():
     # {I, diag(1, 2)} has determinant 2, so it is not inside SL(2,3); read
     # against SL's mask by GL's indices it would look as if it were
     gl23, sl23 = ambient_group(GL, 2, F3), ambient_group(SL, 2, F3)
-    flip = Subgroup(gl23, [gl23.identity_index, gl23.index_of(FieldMatrix(F3, [[1, 0], [0, 2]]))])
+    flip = Subgroup(gl23, [gl23.identity_index, index_of(gl23, FieldMatrix(F3, [[1, 0], [0, 2]]))])
     whole_sl = Subgroup(sl23, np.arange(sl23.order))
     with pytest.raises(GroupError, match="different ambient"):
         flip.is_subset_of(whole_sl)
@@ -530,9 +557,10 @@ def test_coset_table_matches_brute_products(n, base, degrees):
                 # H x and x H by per-element matrix products; H x H is the
                 # union of the right cosets H y, y in x H, and its least
                 # position leads the least coset number of x's double coset
-                assert table.labels[i] == min(position[int(y)] for y in products_by_matrices(amb, h.indices, x))
-                assert table.leaders[table.coset[i]] == table.labels[i]
-                least = min(table.labels[position[int(y)]] for y in products_by_matrices(amb, x, h.indices))
+                label = table.leaders[table.coset]  # the least position of each right coset
+                assert label[i] == min(position[int(y)] for y in products_by_matrices(amb, h.indices, x))
+                assert table.leaders[table.coset[i]] == label[i]
+                least = min(label[position[int(y)]] for y in products_by_matrices(amb, x, h.indices))
                 assert table.leaders[table.double[table.coset[i]]] == least
             reps = table.double_coset_reps()
             assert reps.tolist() == double_coset_reps_by_elements(amb, h, top.indices)
@@ -557,7 +585,7 @@ def test_seeded_coset_tables_match_unseeded(n, base, degrees):
         below = CosetTable(torus, top)
         for h in map(with_generators, lat.members):  # a member conjugated from its orbit's representative has none
             plain, seeded = CosetTable(h, top), CosetTable(h, top, below=below)
-            assert np.array_equal(seeded.labels, plain.labels), h.order
+            assert np.array_equal(seeded.leaders[seeded.coset], plain.leaders[plain.coset]), h.order
             assert np.array_equal(seeded.coset, plain.coset), h.order
             assert np.array_equal(seeded.double, plain.double), h.order
             assert np.array_equal(seeded.double_coset_reps(), plain.double_coset_reps())
@@ -618,10 +646,31 @@ def test_right_perm_matches_fresh_products():
         positions = np.full(amb.order, -1, dtype=np.int32)
         positions[top.indices] = np.arange(top.order)
         assert np.array_equal(top.positions(), positions)
+        table = CosetTable(torus, top)
+        assert np.array_equal(table.positions, positions)
         for s in top.indices.tolist():
-            perm = top.right_perm(s)
+            perm = table.right_perm(s)
             assert np.array_equal(perm, positions[amb.rmul(top.indices, s)])
-            assert top.right_perm(s) is perm  # memoized on the top
+            assert table.right_perm(s) is perm  # memoized with the root table
+
+
+def test_seeded_tables_share_the_root_tables_memos():
+    # a subgroup holds no memo; the root table (seeded by none) holds top's
+    # positions and right permutations, and every table seeded from it
+    # shares both, so a permutation one of them builds serves them all
+    assert Subgroup.__slots__ == ("ambient", "indices", "_id", "_gens")
+    amb = ambient_group(GL, 3, F2)
+    torus = torus_subgroup(AlgebraSpec(F2, [2, 1]), amb)
+    top = Subgroup(amb, np.arange(amb.order))
+    root = CosetTable(torus, top)
+    seeded = [CosetTable(with_generators(m), top, below=root) for m in enumerate_interval(torus, amb).members[1:-1]]
+    assert len(seeded) > 2
+    for table in seeded:
+        assert table.positions is root.positions and table._right is root._right
+        for s in table.h.generators:
+            assert table.right_perm(s) is root.right_perm(s)
+    other = CosetTable(torus, top)
+    assert other.positions is not root.positions and other._right is not root._right
 
 
 def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
@@ -735,7 +784,7 @@ def test_generators_match_greedy_from_scratch(n, base, degrees):
             gens = m.generators
         except GroupError:  # conjugated from its orbit's representative
             continue
-        assert generate(amb, [amb.matrix_at(g) for g in gens]).same_elements(m), m.order
+        assert generate(amb, [matrix_at(amb, g) for g in gens]).same_elements(m), m.order
         kept += 1
     assert kept > 1
 
@@ -751,7 +800,7 @@ def test_coset_table_rejects_outside_elements():
     with pytest.raises(GroupError):
         extend_subgroup(CosetTable(t, n), outside)
     assert extend_subgroup(CosetTable(t, whole), outside).order == generate(
-        gl23, [gl23.matrix_at(int(x)) for x in [*t.generators, outside]]
+        gl23, [matrix_at(gl23, int(x)) for x in [*t.generators, outside]]
     ).order
 
 

@@ -11,7 +11,6 @@ PUBLIC_API = {
     "CaseSpec",
     "DEFAULT_CAPS",
     "Extension",
-    "FieldMatrix",
     "FieldTable",
     "GL",
     "Garland",

@@ -55,3 +55,23 @@ def test_tracer_installs_and_restores():
     assert after.keys() == before.keys()
     changed = [k for k in before if after[k] is not before[k]]
     assert changed == []
+
+
+def test_the_traced_mats_call_builds_the_ambient():
+    # matrix_group.enumerate.ms is the own time of the traced
+    # AmbientGroup.mats(): the constructor builds nothing, and the first
+    # mats() call builds the whole ambient, inverse table included, so an
+    # eager constructor would fail here instead of zeroing that metric
+    from garlands.finite_field import construct_field
+    from garlands.matrix_group import GL, AmbientGroup
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        amb = AmbientGroup(GL, 3, construct_field(2, 1))  # a fresh object, not the shared ambient
+        assert amb._keys is None and amb._inv is None
+        amb.mats()
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics(cases=1, pell_ds=0)["matrix_group.enumerate.ms"] > 0
+    assert amb._inv is not None and amb._inv.size == amb.order
