@@ -2,8 +2,13 @@
 
 The exact (P, Q) recurrence for sqrt(d)'s continued fraction runs only to the
 middle of the period, a palindrome followed by 2*a0 (Legendre).  The equation
-is solvable precisely when the period length is odd; the fundamental solution
-then comes from the two middle convergents and is verified by substitution.
+is solvable precisely when the period length is odd, 2k + 1; the fundamental
+solution is then the convergent x0/y0 of [a0; a1 .. a2k].  Its denominator is
+the continuant of the palindrome a1 .. ak, ak .. a1, so one denominator
+sequence to the middle gives it: K(a1 .. ak, ak .. a1) = K(a1 .. ak)^2 +
+K(a1 .. a(k-1))^2, by K(A, B) = K(A)K(B) + K(A-)K(-B) (A- drops A's last term,
+-B drops B's first) and K(reversed A) = K(A).  Then x0 = isqrt(d*y0^2 - 1),
+and the solution is verified by substitution.
 
 Each valid d has one row, a dict built in one place (_row): `d`, `variant`,
 `period_length` (None for d < 0), `solvable`, `criterion_predicts_solvable`
@@ -94,32 +99,24 @@ def continued_fraction_sqrt(d: int) -> tuple[int, tuple[int, ...]]:
         half.append(a)
 
 
-def _convergents(terms: Sequence[int]) -> tuple[int, int, int, int]:
-    """p(k-1), q(k-1), pk, qk of [terms[0]; terms[1], ..., terms[k]], with p(-1)/q(-1) = 1/0."""
-    p_prev, q_prev, p, q = 1, 0, terms[0], 1
-    for a in terms[1:]:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p_prev, q_prev, p, q
-
-
 def _solve_validated(d: int) -> tuple[PellSolution | None, int | None]:
     """(negative Pell solution or None, period length or None for d < 0) of a valid d.
 
-    For odd l = 2k + 1 and the convergents pi/qi of [a0; a1 .. ak], x0 + y0*sqrt(d) =
-    (p(k-1) + q(k-1)*sqrt(d)) * (pk + qk*sqrt(d)) / |p(k-1)^2 - d*q(k-1)^2|.
+    For odd l = 2k + 1, y0 = q2k = K(a1 .. ak, ak .. a1) = K(a1 .. ak)^2 + K(a1 .. a(k-1))^2 =
+    qk^2 + q(k-1)^2 (the continuant identity in the module docstring), and x0 = isqrt(d*y0^2 - 1);
+    PellSolution checks x0^2 - d*y0^2 = -1.
     """
     if d < 0:
         return None, None
-    a0, period = continued_fraction_sqrt(d)
-    if len(period) % 2 == 0:
+    _, period = continued_fraction_sqrt(d)
+    k, odd = divmod(len(period), 2)
+    if not odd:
         return None, len(period)
-    p0, q0, p1, q1 = _convergents([a0, *period[: len(period) // 2]])
-    mid = abs(p0 * p0 - d * q0 * q0)
-    x, y = p0 * p1 + d * q0 * q1, p0 * q1 + p1 * q0
-    if x % mid or y % mid:
-        raise PellError(f"internal: midpoint convergents of sqrt({d}) give no integer solution")
-    return PellSolution(d, x // mid, y // mid), len(period)
+    q_prev, q = 0, 1
+    for a in period[:k]:
+        q_prev, q = q, a * q + q_prev
+    y = q * q + q_prev * q_prev
+    return PellSolution(d, isqrt(d * y * y - 1), y), len(period)
 
 
 def negative_pell(d: int) -> PellSolution | None:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the structural shortcuts of the package:
 ring automorphisms are found by constrained search over unital k-linear
 bijections, additive spans by set closure, and Pell solutions by exhaustive
-y-search and by the convergent that ends the first full period of sqrt(d)'s
-continued fraction, so the fast implementations are checked against a second
-route.
+y-search, by the convergent that ends the first full period of sqrt(d)'s
+continued fraction, and by the product of the p and q convergents at the
+period's middle divided by |p^2 - d*q^2|, so the fast implementations are
+checked against a second route.
 Subgroup ids are recomputed from the element matrices' keys, interval
 lattices by the element-level breadth-first route (a per-element double-coset
 loop, then a closure over elements seeded with H), generators of a subgroup
@@ -862,13 +863,13 @@ def continued_fraction_by_full_period(d: int) -> tuple[int, tuple[int, ...]]:
             return a0, tuple(period)
 
 
-def convergent_by_terms(terms) -> tuple[int, int]:
-    """(h, k) of the continued fraction [terms[0]; terms[1], ...], by the forward recurrence."""
-    h_prev, h, k_prev, k = 1, terms[0], 0, 1
+def convergents_by_terms(terms) -> tuple[int, int, int, int]:
+    """p(k-1), q(k-1), pk, qk of [terms[0]; terms[1], ..., terms[k]], with p(-1)/q(-1) = 1/0, by the forward recurrence."""
+    p_prev, q_prev, p, q = 1, 0, terms[0], 1
     for a in terms[1:]:
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    return h, k
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p_prev, q_prev, p, q
 
 
 def negative_pell_by_full_period(d: int) -> tuple[int, int] | None:
@@ -876,7 +877,24 @@ def negative_pell_by_full_period(d: int) -> tuple[int, int] | None:
     a0, period = continued_fraction_by_full_period(d)
     if len(period) % 2 == 0:
         return None
-    return convergent_by_terms([a0, *period[:-1]])
+    return convergents_by_terms([a0, *period[:-1]])[2:]
+
+
+def negative_pell_by_midpoint_convergents(d: int) -> tuple[int, int] | None:
+    """x^2 - d*y^2 = -1 from both convergent sequences at the middle of an odd period 2k + 1, else None.
+
+    With pi/qi the convergents of [a0; a1 .. ak], x0 + y0*sqrt(d) =
+    (p(k-1) + q(k-1)*sqrt(d)) * (pk + qk*sqrt(d)) / |p(k-1)^2 - d*q(k-1)^2|.
+    """
+    a0, period = continued_fraction_by_full_period(d)
+    if len(period) % 2 == 0:
+        return None
+    p0, q0, p1, q1 = convergents_by_terms([a0, *period[: len(period) // 2]])
+    mid = abs(p0 * p0 - d * q0 * q0)
+    x, y = p0 * p1 + d * q0 * q1, p0 * q1 + p1 * q0
+    if x % mid or y % mid:
+        raise ValueError(f"midpoint convergents of sqrt({d}) give no integer solution")
+    return x // mid, y // mid
 
 
 def torus_point(d: int, t: Fraction) -> tuple[Fraction, Fraction]:

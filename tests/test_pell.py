@@ -22,11 +22,13 @@ from garlands.pell import (
 
 from oracles import (
     continued_fraction_by_full_period,
+    convergents_by_terms,
     exhaustive_negative_pell,
     in_torus_shape,
     mat_inv2,
     mat_mul2,
     negative_pell_by_full_period,
+    negative_pell_by_midpoint_convergents,
     torus_point,
 )
 
@@ -56,14 +58,17 @@ def test_continued_fraction_matches_decimal_expansion():
 
 
 def _check_against_full_period(d):
-    """Midpoint period and solution of a non-square d against the full-period recurrence."""
+    """Midpoint period and solution of a non-square d against the full-period recurrence and the midpoint convergents."""
     a0, period = continued_fraction_by_full_period(d)
     assert continued_fraction_sqrt(d) == (a0, period), d
     # a palindrome followed by 2 * a0
     assert period[-1] == 2 * a0 and period[:-1] == period[-2::-1], d
     sol, length = pell._solve_validated(d)
     assert length == len(period), d
-    assert (None if sol is None else (sol.x, sol.y)) == negative_pell_by_full_period(d), d
+    # y0 = qk^2 + q(k-1)^2 and x0 = isqrt(d*y0^2 - 1) against the end of the full period and
+    # against both convergent sequences at the middle
+    got = None if sol is None else (sol.x, sol.y)
+    assert got == negative_pell_by_full_period(d) == negative_pell_by_midpoint_convergents(d), d
     if is_squarefree(d):
         assert negative_pell(d) == sol, d
         assert sl2q_normalizer_report(d).to_dict()["period_length"] == len(period), d
@@ -75,15 +80,36 @@ def test_midpoint_matches_full_period_every_d_to_20000():
             _check_against_full_period(d)
 
 
-def test_midpoint_matches_full_period_sampled_squarefree_d_below_10_6():
-    rng = Random(14)
+def _squarefree_sample_below_10_6(seed: int, count: int) -> list[int]:
+    """`count` distinct squarefree d in [2, 10^6), drawn by Random(seed), sorted."""
+    rng = Random(seed)
     sample = set()
-    while len(sample) < 2_000:
+    while len(sample) < count:
         d = rng.randrange(2, 10**6)
         if is_squarefree(d):
             sample.add(d)
-    for d in sorted(sample):
+    return sorted(sample)
+
+
+def test_midpoint_matches_full_period_sampled_squarefree_d_below_10_6():
+    for d in _squarefree_sample_below_10_6(14, 2_000):
         _check_against_full_period(d)
+
+
+def test_longest_odd_periods_of_a_sample_below_10_6():
+    # the tail: the 20 longest odd periods among 2,000 seeded squarefree d < 10^6 (periods 1,043 to
+    # 2,111, y0 of 529 digits or more), against the full period and sympy's diop_DN; under 1 s
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    lengths = {d: len(continued_fraction_sqrt(d)[1]) for d in _squarefree_sample_below_10_6(31, 2_000)}
+    tail = sorted((d for d, n in lengths.items() if n % 2), key=lambda d: (lengths[d], d))[-20:]
+    assert min(lengths[d] for d in tail) >= 1_000
+    for d in tail:
+        sol = negative_pell(d)
+        assert len(str(sol.y)) > 500, d
+        assert (sol.x, sol.y) == negative_pell_by_full_period(d), d
+        oracle = diop_DN(d, -1)
+        assert len(oracle) == 1 and (sol.x, sol.y) == tuple(oracle[0]), d
 
 
 def test_continued_fraction_rejects_bad_d():
@@ -138,11 +164,6 @@ def test_negative_pell_minimality_up_to_200():
         assert exhaustive_negative_pell(d, bound) is None, d
 
 
-def _convergent(terms) -> tuple[int, int]:
-    """(p, q) of the continued fraction [terms[0]; terms[1], ...]."""
-    return pell._convergents(terms)[2:]
-
-
 def positive_pell(d: int) -> tuple[int, int]:
     """Fundamental solution of x^2 - d*y^2 = +1 for non-square d > 1."""
     a0, period = continued_fraction_sqrt(d)
@@ -150,7 +171,7 @@ def positive_pell(d: int) -> tuple[int, int]:
         terms = [a0] + list(period[:-1])
     else:
         terms = [a0] + list(period) + list(period[:-1])
-    x, y = _convergent(terms)
+    x, y = convergents_by_terms(terms)[2:]
     if x * x - d * y * y != 1:
         raise PellError(f"internal: convergent failed for d={d}")
     return x, y
