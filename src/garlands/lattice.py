@@ -42,9 +42,11 @@ expanded holds a table.  All of a member's closures run together
 built for the call, and each breadth-first level multiplies every right
 coset of each newly claimed (closure, double coset) pair by that
 closure's g, so a level is one call with no matrix product, and closures
-claiming the same double cosets become one subgroup.  [K:H] divides
-[top:H], so a closure whose double cosets hold more than half of top's
-right cosets is all of top and stops there.
+claiming the same double cosets are one closure.  [K:H] divides [top:H],
+so a closure whose double cosets hold more than half of top's right
+cosets is all of top and stops there, and comes back as top's own index
+array.  A closure comes back as its elements, and only one that is a new
+member becomes a Subgroup.
 
 Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
@@ -57,7 +59,9 @@ and bottom lies in every member H, so n^-1 H n = a^-1 t^-1 H t a = a^-1 H a;
 as a H a^-1 contains a bottom a^-1 = bottom, also n H n^-1 = a H a^-1.  So
 conjugating K by every leader reaches its whole orbit.  A leader inside K
 fixes K and is skipped, and the rest conjugate K's elements in one batch,
-through one factor table of their inverses.  The enumeration is still complete.  Take a covering
+through one factor table of their inverses; one stable sort of the
+conjugates' sorted rows drops repeats and keeps, for each conjugate, the
+first leader that reaches it.  The enumeration is still complete.  Take a covering
 step H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for
 an expanded representative R and n in A.  Then n^-1 H_{i+1} n =
 <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup is the closure of
@@ -67,12 +71,17 @@ H_{i+1}.
 
 Every member's normalizer in top comes from the same tables: a
 representative R has N_top(R) from its own table (top, which has none, is
-its own), and a member a R a^-1 found by conjugating has a N_top(R) a^-1.
+its own), and a member a R a^-1 found by conjugating has a N_top(R) a^-1;
+all those conjugates are taken in one batch and sorted in one sort.
 Edges of the normality graph join every comparable pair with the smaller
 subgroup normal in the larger (no Hasse restriction); garlands are the
-connected components.  a is normal in b exactly when a < b <= N_top(a), so
-each member needs two subset tests against the rows of a members x top
-membership matrix and no group products.
+connected components.  a is normal in b exactly when a < b <= N_top(a),
+that is |a & b| = |a| < |b| and |N_top(a) & b| = |b|, with no group
+products.  Top holds every member, so a is normal in top exactly when
+N_top(a) = top.  Every other count comes from one product of 0/1
+membership rows, the members below top and their normalizers other than
+top, against the members' rows, over the elements some row holds, in
+column blocks under a fixed entry budget.
 
 One case pipeline: every case's [T, G] is enumerated once per process,
 and kept (keyed by (ambient, algebra), so over F_2, where SL = GL, the two
@@ -141,22 +150,29 @@ def _conjugacy_orbit(k: Subgroup, leaders: np.ndarray) -> list[tuple[Subgroup, i
 
     leaders holds one ambient index per right coset of bottom in A, which
     reaches every conjugate (see the module docstring).  K comes first,
-    with the identity; leaders inside K fix K and are skipped, and each
-    other conjugate records the first leader that reaches it.
+    with the identity; leaders inside K fix K and are skipped.  The other
+    conjugates' sorted rows go under K's and are told apart by one stable
+    sort of the rows as byte strings, so each conjugate keeps the first
+    leader that reaches it.
     """
     amb = k.ambient
-    orbit = {k.indices.tobytes(): (k, amb.identity_index)}
     moving = leaders[~k.contains(leaders)]
-    if moving.size:
-        for a, row in zip(moving.tolist(), np.sort(amb.conjugates(moving, k.indices), axis=1)):
-            key = row.tobytes()
-            if key not in orbit:
-                orbit[key] = (Subgroup(amb, row), a)
-    return list(orbit.values())
+    if not moving.size:
+        return [(k, amb.identity_index)]
+    rows = np.vstack([k.indices, np.sort(amb.conjugates(moving, k.indices), axis=1)])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys.take(order)
+    first = np.sort(order[np.concatenate(([True], ranked[1:] != ranked[:-1]))])  # K's row is 0, the first
+    return [(k, amb.identity_index)] + [(Subgroup(amb, rows[i]), int(moving[i - 1])) for i in first[1:].tolist()]
 
 
 def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]]) -> tuple[Subgroup, ...]:
-    """a N a^-1 for each (N, a), in one conjugate_by call; an identity a leaves N as it is."""
+    """a N a^-1 for each (N, a), in one conjugate_by call and one sort; an identity a leaves N as it is.
+
+    The conjugates are sorted together, each offset by its run's number
+    times the ambient order, so every run comes out ascending.
+    """
     out = [n for n, _ in pairs]
     moved = [i for i, (_, a) in enumerate(pairs) if a != amb.identity_index]
     if moved:
@@ -164,6 +180,8 @@ def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]])
         which = np.repeat(np.arange(len(moved), dtype=np.int32), sizes)
         gs = np.array([pairs[i][1] for i in moved], dtype=np.int32)
         flat = amb.conjugate_by(gs, which, np.concatenate([out[i].indices for i in moved]))
+        offset = which.astype(np.int64) * amb.order
+        flat = np.sort(flat + offset) - offset
         for i, part in zip(moved, np.split(flat, np.cumsum(sizes)[:-1])):
             out[i] = Subgroup(amb, part)
     return tuple(out)
@@ -208,11 +226,12 @@ def enumerate_interval(
             below = table
             leaders = top.indices[table.leaders]
             leaders = leaders[rep_normalizers[start].contains(leaders)]  # one per right coset of bottom in A
-        for k in extend_subgroups(table, table.double_coset_reps()):
-            rep = k.indices.tobytes()
+        for elements, g in extend_subgroups(table, table.double_coset_reps()):
+            rep = elements.tobytes()
             if rep not in members:
+                k = Subgroup(ambient, elements, [*h.generators, g])
                 for m, a in _conjugacy_orbit(k, leaders):
-                    members[m.indices.tobytes()] = (m, rep, a)
+                    members[rep if m is k else m.indices.tobytes()] = (m, rep, a)
                 queue.append(k)
                 if max_members is not None and len(members) > max_members:
                     exhaustive = False
@@ -238,31 +257,55 @@ class NormalityGraph:
     top_id: str
 
 
+# float32 entries in one column block of normality_graph's membership product (16 MB)
+_PRODUCT_ENTRIES = 1 << 22
+
+
 def normality_graph(lat: IntervalLattice) -> NormalityGraph:
-    """Edge for every comparable pair whose smaller member is normal in the larger."""
+    """Edge for every comparable pair whose smaller member is normal in the larger.
+
+    a is normal in b exactly when a < b <= N_top(a): |a & b| = |a| < |b|
+    and |N_top(a) & b| = |b|.  Top holds every member, so a is normal in
+    top exactly when N_top(a) = top, and N_top(a) = top holds every b.
+    The other counts come from one product of 0/1 membership rows, the
+    members below top and their normalizers other than top, against the
+    members' rows.  Its columns are the ambient elements that some row
+    holds, taken in blocks of at most _PRODUCT_ENTRIES entries, so no
+    block grows with |top|.  The counts are float32 sums of 0/1 and exact
+    below 2^24; every row's set is a proper subgroup of top, so that holds
+    for |top| < 2^25, and a larger top counts in float64.
+    """
     if not lat.exhaustive:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
-    ms = lat.members
-    # contains[i, x]: member i holds top position x; a row's columns at a
-    # subgroup's positions are all set exactly when that member contains it
-    positions = lat.top.positions()
-    contains = np.zeros((len(ms), lat.top.order), dtype=bool)
-    for i, m in enumerate(ms):
-        contains[i, positions[m.indices]] = True
-    orders = np.array([m.order for m in ms])
-    edges = []
-    for a, na in zip(ms, lat.normalizers):
-        # a is normal in b exactly when a < b <= N_top(a)
-        bs = np.flatnonzero((orders > a.order) & (na.order % orders == 0))
-        rows = contains.take(bs, 0)  # one row gather, then column gathers: np.ix_ costs about half as much again
-        above = rows.take(positions.take(a.indices), 1).all(axis=1)
-        inside = rows.take(positions.take(na.indices), 1).sum(axis=1) == orders[bs]
-        edges.extend((a.id, ms[j].id) for j in bs[above & inside])
+    ms, top = lat.members, lat.top
+    below = len(ms) - 1  # the last member is top, the one of its order
+    whole = np.array([n.order == top.order for n in lat.normalizers[:below]], dtype=bool)
+    sets = [*ms[:below], *(n for n, w in zip(lat.normalizers, whole) if not w)]  # the product's rows
+    flat = np.concatenate([s.indices for s in sets]) if sets else np.zeros(0, dtype=np.int32)
+    row = np.repeat(np.arange(len(sets), dtype=np.int32), [s.order for s in sets])
+    held = np.zeros(lat.ambient.order, dtype=bool)
+    held[flat] = True
+    col = (np.cumsum(held, dtype=np.int32) - 1).take(flat)  # the elements some row holds, numbered in order
+    ncols = int(held.sum())
+    width = max(1, min(ncols, _PRODUCT_ENTRIES // max(1, len(sets))))
+    block = col // width
+    counts = np.zeros((len(sets), below), dtype=np.float32 if top.order < 1 << 25 else np.float64)
+    for b in range(-(-ncols // width)):
+        at = block == b
+        dense = np.zeros((len(sets), width), dtype=counts.dtype)
+        dense[row[at], col[at] - b * width] = 1
+        counts += dense @ dense[:below].T
+    size = np.array([m.order for m in ms[:below]])
+    inside = np.ones((below, below), dtype=bool)  # b <= N_top(a), for every b when N_top(a) = top
+    inside[~whole] = counts[below:] == size
+    normal = (counts[:below] == size[:, None]) & (size[:, None] < size) & inside
+    edges = [(ms[a].id, ms[b].id) for a, b in zip(*np.nonzero(normal))]
+    edges += [(ms[a].id, top.id) for a in np.flatnonzero(whole)]
     return NormalityGraph(
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),
         bottom_id=lat.bottom.id,
-        top_id=lat.top.id,
+        top_id=top.id,
     )
 
 

@@ -765,7 +765,7 @@ def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
     return below is not None and h.order <= below.h.order**2
 
 
-def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Subgroup]:
+def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[tuple[np.ndarray, int]]:
     """The distinct <H, g> for the table's H and every g in extra_indices, in first-occurrence order.
 
     <H, g> is a union of double cosets H x H.  H x H is the orbit of the
@@ -779,12 +779,16 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     before the first level, and claims the double cosets of the images.
     One claim over closure * double cosets + double coset drops repeats.
     Closures that claim the same double cosets reach the same cosets and
-    become one Subgroup, generated by H's generators and the first g that
-    reached it.
+    are one closure, generated by H's generators and the first g that
+    reached it.  Each comes back as (its sorted ambient indices, that g),
+    and no Subgroup is built: a caller that holds the closure already
+    drops it, and builds a Subgroup only for a new one.
 
     [K:H] divides [top:H], so a closure whose claimed double cosets hold
     more than half of top's right cosets is already all of top: it takes
     every double coset and leaves the frontier without another level.
+    Such a closure comes back as top's own index array, with no gather
+    and no copy.
     """
     gs = np.asarray(extra_indices, dtype=np.int32)
     positions = table.positions
@@ -821,13 +825,15 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[Su
     first = {}
     for i, row in enumerate(np.packbits(reached, axis=1)):
         first.setdefault(row.tobytes(), i)
-    double_at = dnum.take(coset)  # position -> its double coset number
-    return [Subgroup(amb, top[reached[i].take(double_at)], [*table.h.generators, gs[i]]) for i in first.values()]
+    everything = reached.all(axis=1)  # closures that are all of top
+    double_at = None if everything.all() else dnum.take(coset)  # position -> its double coset number
+    return [(top if everything[i] else top[reached[i].take(double_at)], int(gs[i])) for i in first.values()]
 
 
 def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
     """<H, g> for the table's H and one element g of its top (extend_subgroups with one g)."""
-    return extend_subgroups(table, [extra_index])[0]
+    elements, g = extend_subgroups(table, [extra_index])[0]
+    return Subgroup(table.h.ambient, elements, [*table.h.generators, g])
 
 
 def _check_algebra(spec: AlgebraSpec, ambient: AmbientGroup) -> None:

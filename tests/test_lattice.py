@@ -424,8 +424,8 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
 
     def recording_extend(table, gs):
         out = extend(table, gs)
-        for k in out:
-            builders.setdefault(k.indices.tobytes(), table.h)
+        for elements, _ in out:
+            builders.setdefault(elements.tobytes(), table.h)
         return out
 
     calls = []  # ("minima", labels, perms), ("cycles", perms), ("right", s), ("products", count)
@@ -614,8 +614,10 @@ def test_max_members_stops_after_the_orbit_that_crosses_it():
         normality_graph(lat)
 
 
-@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [1, 1]), (2, [2, 1])])
+@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [1, 1]), (2, [2, 1]), (3, [1, 1, 1])])
 def test_normality_graph_matches_pairwise_subset_tests(monkeypatch, p, degrees):
+    # GL(3,3) 1,1,1: 52 members in an ambient of 11,232, so the product's
+    # columns are the few elements the members hold, not all of top
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     amb = ambient_group(GL, spec.n, spec.base)
     t = torus_subgroup(spec, amb)
@@ -632,6 +634,21 @@ def test_normality_graph_matches_pairwise_subset_tests(monkeypatch, p, degrees):
         assert comparable  # the lattices have proper inclusions to test
         # normality is read off the members' normalizers: no group products
         assert calls == []
+
+
+@pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [1, 1])])
+@pytest.mark.parametrize("width", [1, 5, 16])
+def test_normality_graph_in_column_blocks_matches_pairwise_subset_tests(monkeypatch, p, degrees, width):
+    # a budget of `width` columns per block of the membership product: the
+    # counts summed over several blocks, the last one mostly ragged, give
+    # the same edges as pairwise subset tests
+    spec = AlgebraSpec(construct_field(p, 1), degrees)
+    amb = ambient_group(GL, spec.n, spec.base)
+    lat = enumerate_interval(torus_subgroup(spec, amb), amb)
+    rows = [*lat.members[:-1], *(n for n in lat.normalizers[:-1] if n.order < lat.top.order)]
+    assert np.unique(np.concatenate([r.indices for r in rows])).size > width  # more than one block
+    monkeypatch.setattr(lattice, "_PRODUCT_ENTRIES", width * len(rows))
+    assert set(normality_graph(lat).edges) == normality_edges_by_pairs(lat.members)[0]
 
 
 def _cut(n, top):
@@ -651,6 +668,35 @@ def test_member_normalizers_match_brute(p, degrees):
         for m, nm in zip(lat.members, lat.normalizers):
             assert nm.same_elements(_cut(normalizer_brute(amb, with_generators(m)), lat.top)), m.order
     assert enumerate_interval(t, amb, max_members=1).normalizers == ()
+
+
+@pytest.mark.parametrize("p,degrees,most", [(2, [1, 1, 1], 358), (3, [2, 1], 20)])
+def test_enumeration_builds_one_subgroup_per_member_and_normalizer(monkeypatch, p, degrees, most):
+    # a closure the enumeration already holds is dropped before any
+    # Subgroup is built for it: at most one Subgroup per member and one per
+    # normalizer (one for every distinct closure would make 482 and 40), and
+    # a closure that is all of top is top's own index array
+    spec = AlgebraSpec(construct_field(p, 1), degrees)
+    amb = ambient_group(GL, spec.n, spec.base)
+    t = torus_subgroup(spec, amb)
+    built, whole = [0], []
+    init, extend = Subgroup.__init__, lattice.extend_subgroups
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def recording_extend(table, gs):
+        out = extend(table, gs)
+        whole.extend(elements is table.top.indices for elements, _ in out if elements.size == table.top.order)
+        return out
+
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    monkeypatch.setattr(lattice, "extend_subgroups", recording_extend)
+    lat = enumerate_interval(t, amb)
+    monkeypatch.undo()
+    assert 2 * len(lat) == most and built[0] <= most
+    assert len(whole) > 1 and all(whole)
 
 
 def test_verify_scans_the_ambient_once(monkeypatch, capsys):

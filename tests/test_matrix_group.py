@@ -568,7 +568,7 @@ def test_coset_table_matches_brute_products(n, base, degrees):
             assert table.normalizer().same_elements(Subgroup(amb, brute.indices[top.contains(brute.indices)]))
             # the batched closures are the distinct element-level closures, first occurrence first
             closures = dict.fromkeys(element_closure(amb, h, g).tobytes() for g in reps)
-            assert [k.indices.tobytes() for k in extend_subgroups(table, reps)] == list(closures)
+            assert [elements.tobytes() for elements, _ in extend_subgroups(table, reps)] == list(closures)
 
 
 @pytest.mark.parametrize("n,base,degrees", [(3, F3, [2, 1]), (2, F9, [1, 1])])
@@ -688,7 +688,7 @@ def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
     monkeypatch.setattr(RightProducts, "__call__", lambda self, x, w=0: products.append(len(x)) or call(self, x, w))
     got = extend_subgroups(table, reps)
     monkeypatch.undo()
-    assert [k.indices.tobytes() for k in got] == list(dict.fromkeys(c.tobytes() for c in closures))
+    assert [elements.tobytes() for elements, _ in got] == list(dict.fromkeys(c.tobytes() for c in closures))
     assert products and sum(products) < sum(c.size // t.order for c in closures)
 
 
@@ -742,10 +742,12 @@ def test_extend_subgroups_match_element_closures(name):
         for g in gs.tolist():
             closures.setdefault(element_closure(amb, h, g, right).tobytes(), g)
         got = extend_subgroups(table, gs)
-        assert [k.indices.tobytes() for k in got] == list(closures)
-        assert [k.generators for k in got] == [[*h.generators, g] for g in closures.values()]
-        assert [k.order for k in got] == [len(c) // 4 for c in closures]
-        whole_top += sum(k.order == top.order for k in got)
+        assert [elements.tobytes() for elements, _ in got] == list(closures)
+        assert [g for _, g in got] == list(closures.values())  # each closure is <H's generators, g>
+        assert [elements.size for elements, _ in got] == [len(c) // 4 for c in closures]
+        # a closure that is all of top is top's own index array, not a copy
+        assert all(elements is top.indices for elements, _ in got if elements.size == top.order)
+        whole_top += sum(elements.size == top.order for elements, _ in got)
     if name == "trivial-h":
         assert wide == 0
     else:
@@ -757,15 +759,18 @@ def test_extend_subgroups_keys_closures_on_double_cosets(monkeypatch):
     # maps of right cosets, and they are told apart by the double cosets
     # they claim, one bit row per closure, not by their right cosets
     tables = _extension_tables("gl33-21") + _extension_tables("members")
-    want = [extend_subgroups(table, table.double_coset_reps()) for table in tables]
+
+    def closures(table):
+        return [(elements.tobytes(), g) for elements, g in extend_subgroups(table, table.double_coset_reps())]
+
+    want = [closures(table) for table in tables]
     shapes = []
     packbits = np.packbits
     monkeypatch.setattr(np, "packbits", lambda a, axis=None: shapes.append(a.shape) or packbits(a, axis=axis))
-    for table, closures in zip(tables, want):
+    for table, closed in zip(tables, want):
         table.coset_right = None
-        reps = table.double_coset_reps()
-        assert extend_subgroups(table, reps) == closures
-        assert shapes.pop() == (reps.size, table.dwidth.size)
+        assert closures(table) == closed
+        assert shapes.pop() == (table.double_coset_reps().size, table.dwidth.size)
     assert shapes == []
 
 
