@@ -250,7 +250,15 @@ def test_cache_keyed_by_caps(tmp_path):
     assert run_case(case, cache=cache) == run_case(case)
 
 
-@pytest.mark.parametrize("body", [{"schema": SCHEMA_VERSION}, {"schema": SCHEMA_VERSION, "report": "x"}, []])
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"schema": SCHEMA_VERSION},
+        {"schema": SCHEMA_VERSION, "report": "x"},
+        [],
+        {"schema": SCHEMA_VERSION - 1, "report": {"status": "ok"}},  # an older schema's report
+    ],
+)
 def test_cache_entry_without_report_is_a_miss(tmp_path, body):
     cache = DiskCache(tmp_path)
     (tmp_path / "k.json").write_text(json.dumps(body), encoding="utf-8")
