@@ -30,8 +30,8 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps
 from .finite_field import (
     Extension,
-    FieldCapError,
     FieldTable,
+    check_power_cap,
     construct_extension,
     extension_of,
 )
@@ -56,12 +56,9 @@ class AlgebraSpec:
             raise AlgebraError("at least one factor required")
         if any(d < 1 for d in degrees):
             raise AlgebraError(f"factor degrees must be >= 1, got {degrees}")
-        order = base.q ** sum(degrees)
-        if order > caps.algebra_order:
-            raise AlgebraCapError(f"algebra order {order} exceeds cap {caps.algebra_order}")
+        check_power_cap("algebra", base.q, sum(degrees), caps.algebra_order, AlgebraCapError)
         for d in degrees:
-            if base.q**d > caps.field_order:
-                raise FieldCapError(f"field order {base.q ** d} exceeds cap {caps.field_order}")
+            check_power_cap("field", base.q, d, caps.field_order)
         self.base = base
         self.degrees = degrees
         self.n = sum(degrees)

@@ -385,10 +385,24 @@ class FieldTable:
 # construction and extensions
 
 
+def check_power_cap(what: str, base: int, exp: int, cap: int, error: type[Exception] = FieldCapError) -> None:
+    """Raise error, naming the order, when base^exp exceeds cap; compare exponents first.
+
+    base >= 2^floor(log2 base), so once exp * floor(log2 base) exceeds the
+    cap's bit length, base^exp is past the cap: it is named base^exp and
+    neither computed nor printed in decimal, which for a huge exponent
+    takes seconds.  An exponent of 1, or a power this does not settle, is
+    computed and named in decimal.
+    """
+    if base >= 2 and exp > 1 and exp * (base.bit_length() - 1) > cap.bit_length():
+        raise error(f"{what} order {base}^{exp} exceeds cap {cap}")
+    if base**exp > cap:
+        raise error(f"{what} order {base**exp} exceeds cap {cap}")
+
+
 def construct_field(p: int, m: int, caps: Caps = DEFAULT_CAPS) -> FieldTable:
     """The FieldTable of F_{p^m}, once p^m is within the cap: one table per (p, m) in the process."""
-    if p**m > caps.field_order:
-        raise FieldCapError(f"field order {p**m} exceeds cap {caps.field_order}")
+    check_power_cap("field", p, m, caps.field_order)
     return _shared_field(p, m)
 
 
@@ -532,8 +546,7 @@ def construct_extension(base: FieldTable, n: int, caps: Caps = DEFAULT_CAPS) -> 
     """The field F_{q^n} built directly over base = F_q."""
     if n < 1:
         raise FieldError(f"extension degree must be >= 1, got {n}")
-    if base.q**n > caps.field_order:
-        raise FieldCapError(f"field order {base.q ** n} exceeds cap {caps.field_order}")
+    check_power_cap("field", base.q, n, caps.field_order)
     top = _shared_field(base.p, base.m * n)
     extension_of(base, top)  # warm the embedding cache
     return top

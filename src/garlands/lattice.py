@@ -83,16 +83,25 @@ membership rows, the members below top and their normalizers other than
 top, against the members' rows, over the elements some row holds, in
 column blocks under a fixed entry budget.
 
-One case pipeline: every case's [T, G] is enumerated once per process,
-and kept (keyed by (ambient, algebra), so over F_2, where SL = GL, the two
+One case pipeline: every case's [T, G] is computed once per process, and
+kept (keyed by (ambient, algebra), so over F_2, where SL = GL, the two
 cases share it).  T, N(T), N(N(T)) and the normality graph are all read
-off that lattice, which keeps element lists only.  The interval [T, N(T)]
-is T and its neighbours in the graph: for H >= T, T is normal in H
-exactly when H <= N(T).  An SL restriction that runs before its GL case
-enumerates only Lat(T, N_GL T) and keeps nothing: enumerating and keeping
-the whole [T, GL] there raised SL(3,3) with degrees 2,1, run first, from
-30 to 47 ms (medians of 15 alternating fresh-process runs on a 2-core
-host).
+off that lattice, which keeps element lists only; the graph is built when
+a report first reads it.  The interval [T, N(T)] is T and its neighbours
+in the graph: for H >= T, T is normal in H exactly when H <= N(T).
+
+Over a larger field only the SL case's [T', SL], T' = T & SL, is
+enumerated, and [T, GL] is read off it.  H -> H & SL maps [T, GL] one to
+one onto the T-invariant members of [T', SL], with inverse K -> TK, and
+N_GL(TK) = T M for M the s in N_SL(K) with s t s^-1 in TK for every t in
+T.  Proof: det T = N(S*) = k*, so T SL = GL, and T & SL = T'.
+(1) T normalizes H & SL, and H = T (H & SL), as h = t (t^-1 h) for the t
+in T with det t = det h.  (2) For T-invariant K, TK is a group, and
+TK & SL = T'K = K, since t k has determinant one only for t in T'.
+(3) t s with t in T and s in SL normalizes TK iff s does; such an s
+normalizes TK & SL = K, and s TK s^-1 = (s T s^-1) K, so s normalizes TK
+iff each s t s^-1 lies in TK.  So a pair's lattice work is done once, in
+whichever case runs first, and the SL restriction check builds no table.
 """
 
 from __future__ import annotations
@@ -106,10 +115,13 @@ import numpy as np
 from .etale import AlgebraSpec, additive_span_check
 from .matrix_group import (
     GL,
+    SL,
     AmbientGroup,
     CosetTable,
     HypothesisFailure,
+    RightProducts,
     Subgroup,
+    ambient_group,
     extend_subgroups,
     intersect_with_ambient,
     normalizer_formula,
@@ -136,7 +148,7 @@ class IntervalLattice:
 
     def __post_init__(self):
         self.by_id = {m.id: m for m in self.members}
-        self.graph: NormalityGraph | None = None  # set by _torus_lattice for the lattices it keeps
+        self.graph: NormalityGraph | None = None  # set by _graph when a report first reads a kept lattice's
         if len(self.by_id) != len(self.members):  # reports key members on ids
             raise LatticeError("subgroup id collision; widen the digest")
 
@@ -434,29 +446,132 @@ _LATTICES: dict[tuple[AmbientGroup, AlgebraSpec], IntervalLattice] = {}
 
 
 def _torus_lattice(spec: AlgebraSpec, ambient: AmbientGroup) -> IntervalLattice:
-    """[T, G] for spec's torus T in ambient, and its normality graph in lat.graph: built once per process, kept.
+    """[T, G] for spec's torus T in ambient: built once per process, kept.
 
-    The lattice keeps subgroups' element lists and the graph member ids
-    only: no subgroup holds a memo, and the coset tables' positions and
-    right permutations went with the enumeration.
+    An SL ambient enumerates it, and so does GL over F_2, where SL = GL and
+    the pair shares one lattice.  GL over a larger field reads it off the
+    SL case's [T', SL] (_read_off_sl), enumerating that first when the memo
+    lacks it, so a pair's lattice work is done once, in whichever case runs
+    first.  The lattice keeps subgroups' element lists only: no subgroup
+    holds a memo, and the coset tables' positions and right permutations
+    went with the enumeration.  Its normality graph is built when a report
+    first reads it (_graph), so a GL case alone builds none for [T', SL].
     """
     key = (ambient, spec)
-    if key not in _LATTICES:
-        lat = enumerate_interval(torus_subgroup(spec, ambient), ambient)
-        lat.graph = normality_graph(lat)
+    lat = _LATTICES.get(key)
+    if lat is None:
+        if ambient.kind == GL and ambient.field.q > 2:
+            lat = _read_off_sl(spec, ambient)
+        else:
+            lat = enumerate_interval(torus_subgroup(spec, ambient), ambient)
         _LATTICES[key] = lat
-    return _LATTICES[key]
+    return lat
+
+
+def _read_off_sl(spec: AlgebraSpec, gl: AmbientGroup) -> IntervalLattice:
+    """[T, GL] read off [T', SL] for q > 2: TK and N_GL(TK) for each T-invariant member K (module docstring).
+
+    The SL lattice comes from the memo, or is enumerated under the SL
+    ambient that run_case builds with gl's caps, and one key lookup maps SL
+    indices to GL's.  r, T's first generator, is t(g_1) for the primitive
+    element g_1 of the first factor, whose norm generates k*
+    (etale.torus_generators).  So T = <T', r>, and r^0, ..., r^(q-2) are a
+    transversal of T' in T, one per determinant.  T' lies in every K and
+    normalizes it, so K is T-invariant exactly when r K r^-1 lies in K: one
+    conjugation batch by r over the members other than T' and SL, which
+    are.  Likewise s in N_SL(K) normalizes TK exactly when s r s^-1 lies in
+    TK, that is [s, r] in K, as det(s r s^-1) = det r: one batch of
+    commutators over the s in N_SL(K) \\ K, for the K with N_SL(K) > K,
+    gives M = N_GL(TK) & SL; elsewhere M = K.  TK and N_GL(TK) = M T are
+    the right products of K and M by the powers of r.  The bottom is
+    torus_subgroup's T, with its generators, and the top all of GL.
+    """
+    sl = ambient_group(SL, gl.n, gl.field, gl.caps)
+    sub = _torus_lattice(spec, sl)
+    torus = torus_subgroup(spec, gl)
+    r, last = torus.generators[0], len(sub) - 1
+    embed = gl.indices_of_ambient(sl)
+    ks = [embed.take(k.indices) for k in sub.members]
+    inner = ks[1:last]  # T' and SL are T-invariant
+    owner, flat = _runs(inner)
+    moved = np.bincount(owner[~_member_of(gl, inner, owner, gl.conjugates([r], flat)[0])], minlength=len(inner))
+    kept = sorted({0, last, *(np.flatnonzero(moved == 0) + 1).tolist()})
+    grow = [i for i in kept if sub.normalizers[i].order > sub.members[i].order]
+    ms = {}  # kept member -> M, where M > K
+    if grow:
+        outside = []  # N_SL(K) minus K
+        for i in grow:
+            n = sub.normalizers[i].indices
+            outside.append(embed.take(n[~sub.members[i].contains(n)]))
+        owner, s = _runs(outside)
+        conj = gl.conjugate_by(s, np.arange(s.size, dtype=np.int32), np.full(s.size, r, dtype=np.int32))
+        inside = _member_of(gl, [ks[i] for i in grow], owner, gl.rmul(conj, gl.inv_indices()[r]))
+        for i, x, hit in zip(grow, outside, np.split(inside, np.cumsum([x.size for x in outside])[:-1])):
+            if hit.any():
+                ms[i] = np.sort(np.concatenate([ks[i], x[hit]]))
+    middle = [i for i in kept if 0 < i < last]
+    parts = _times_powers(gl, r, gl.field.q - 1, [ks[i] for i in middle] + list(ms.values()))
+    top = Subgroup(gl, np.arange(gl.order, dtype=np.int32))
+    # the torus overrides top when they are one member: T' = SL, so n = 1 and T = GL
+    members = {last: top, 0: torus, **{i: Subgroup(gl, x) for i, x in zip(middle, parts)}}
+    normalizers = {i: Subgroup(gl, x) for i, x in zip(ms, parts[len(middle) :])}
+    kept.sort(key=lambda i: (members[i].order, members[i].id))
+    return IntervalLattice(
+        bottom=torus,
+        top=top,
+        ambient=gl,
+        members=tuple(members[i] for i in kept),
+        normalizers=tuple(normalizers.get(i, members[i]) for i in kept),
+    )
+
+
+def _runs(sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The number of the set each entry comes from, and the sets' entries, concatenated."""
+    owner = np.repeat(np.arange(len(sets)), [x.size for x in sets])
+    return owner, np.concatenate(sets) if sets else np.zeros(0, dtype=np.int32)
+
+
+def _member_of(amb: AmbientGroup, sets: list[np.ndarray], owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether values[j] lies in sets[owner[j]], for sorted index arrays: one sorted search over their offset runs."""
+    at, flat = _runs(sets)
+    keyed = flat + at * amb.order
+    probe = values + owner * amb.order
+    return keyed.take(np.searchsorted(keyed, probe), mode="clip") == probe
+
+
+def _times_powers(amb: AmbientGroup, r: int, count: int, sets: list[np.ndarray]) -> list[np.ndarray]:
+    """S r^0 | S r^1 | ... | S r^(count-1), sorted, for each index array S whose right cosets by those powers are distinct.
+
+    count - 1 calls of one RightProducts table, and one sort of all the
+    products, each offset by its set's number times the ambient order.
+    """
+    if not sets:
+        return []
+    owner, flat = _runs(sets)
+    by = RightProducts(amb, [r])
+    parts = [flat]
+    for _ in range(count - 1):
+        parts.append(by(parts[-1]))
+    keyed = np.sort(np.concatenate(parts) + np.tile(owner * amb.order, count))
+    return np.split((keyed % amb.order).astype(np.int32), np.cumsum([count * x.size for x in sets])[:-1])
+
+
+def _graph(lat: IntervalLattice) -> NormalityGraph:
+    """lat's normality graph, built on first read and kept in lat.graph."""
+    if lat.graph is None:
+        lat.graph = normality_graph(lat)
+    return lat.graph
 
 
 def _interval(lat: IntervalLattice) -> tuple[Subgroup, ...]:
-    """The members of Lat(T, N(T)) in lat = [T, G], in lattice order: T and its neighbours in lat.graph.
+    """The members of Lat(T, N(T)) in lat = [T, G], in lattice order: T and its neighbours in lat's graph.
 
     For H >= T, T is normal in H exactly when H <= N(T), so the interval
     is T with every H that has an edge (T, H); the graph holds the edges
     into top when N(T) = G.
     """
     t = lat.bottom.id
-    above = {b for a, b in lat.graph.edges if a == t}
+    above = {b for a, b in _graph(lat).edges if a == t}
     return tuple(m for m in lat.members if m.id == t or m.id in above)
 
 
@@ -496,7 +611,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
 
     second = lat.normalizers[lat.members.index(normalizer)]  # N(N(T)): N(T) is a member of [T, G]
     idempotent = second.same_elements(normalizer)
-    gls = garlands(lat.graph)
+    gls = garlands(_graph(lat))
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
     interval_members = tuple(m.with_ambient(ambient) for m in _interval(lat))
@@ -550,25 +665,21 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: V
     """Does cutting Lat(T, N_GL T) down to SL give exactly Lat(T', N_SL T')?  The report's "restriction" block.
 
     The SL side (T', N_SL T' and its interval) comes from the SL case's own
-    verification report.  The GL side (N_GL(T) and the members of
-    Lat(T, N_GL T)) is read off the GL case's [T, G] lattice whenever the
-    lattice memo holds it, which over F_2 (SL = GL) it always does.  Else
-    N_GL(T) comes from T's table over GL and the interval is enumerated
-    inside it, and nothing is kept (see the module docstring for why).
+    verification report, and the GL side (N_GL(T) and the members of
+    Lat(T, N_GL T)) from the GL case's [T, G], _torus_lattice(spec, gl).
+    Over F_2 (SL = GL) the pair shares that lattice; over a larger field it
+    is read off the SL case's [T', SL], which the memo holds once the SL
+    report exists, so the check builds no coset table and enumerates
+    nothing.
     Whenever the normalizer intersection identity holds the answer is yes;
     the identity itself is recorded so hypothesis failures explain
     mismatches.
     """
-    sl = sl_report.torus.ambient  # over F_2 equal to gl, so the memo key (gl, spec) finds the lattice the pair shares
+    sl = sl_report.torus.ambient
     if gl.kind != GL or sl_report.doc["case"]["ambient"] != "sl" or gl.field != sl.field or gl.n != sl.n:
         raise LatticeError("expected matching GL and SL ambients")
-    lat = _LATTICES.get((gl, spec))
-    if lat is not None:
-        n_gl, interval = lat.normalizers[0], _interval(lat)
-    else:
-        torus = torus_subgroup(spec, gl)
-        n_gl = CosetTable(torus, Subgroup(gl, np.arange(gl.order, dtype=np.int32))).normalizer()
-        interval = enumerate_interval(torus, gl, within=n_gl).members
+    lat = _torus_lattice(spec, gl)
+    n_gl, interval = lat.normalizers[0], _interval(lat)
     identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
 
     lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in interval}

@@ -245,6 +245,7 @@ class AmbientGroup:
         self.kind = kind
         self.n = n
         self.field = field
+        self.caps = caps  # so a GL case can reach the SL ambient run_case builds under the same caps
         self.order = gl_order(n, field.q) if kind == GL else sl_order(n, field.q)
         if self.order > caps.group_order:
             raise GroupCapError(
@@ -338,6 +339,16 @@ class AmbientGroup:
     def indices_of_mats(self, mats: np.ndarray) -> np.ndarray:
         """Ambient indices of (N, n, n) member matrices."""
         return self._indices_of_keys(self.keys_of_mats(mats))  # enumerates the ambient before _lut is read
+
+    def indices_of_ambient(self, inner: "AmbientGroup") -> np.ndarray:
+        """This ambient's index of each element of inner, an ambient inside it (SL in GL): one key lookup.
+
+        Both ambients are in key order, so the result ascends, and it maps
+        a sorted index array of inner to a sorted index array here.
+        """
+        inner._ensure()
+        self._ensure()
+        return self._indices_of_keys(inner._keys)
 
     def _indices_of_keys(self, keys: np.ndarray) -> np.ndarray:
         idx = self._lut.take(keys)

@@ -12,6 +12,8 @@ lattices by the element-level breadth-first route (a per-element double-coset
 loop, then a closure over elements seeded with H), generators of a subgroup
 given as an element set by a greedy pick that recloses from the identity
 after every pick, normality edges by a subset test per pair of members,
+the GL-to-SL restriction block from each torus's normalizer by its coset
+table over the whole ambient and the interval enumerated inside it,
 centralizers by a commuting scan of the whole ambient per generator,
 regular representations from the algebra's own multiplication and
 coordinates, the torus and the formula normalizer (and each x_sigma, its
@@ -58,7 +60,18 @@ import numpy as np
 
 from garlands.etale import AlgebraSpec, aut_group
 from garlands.finite_field import FieldError, FieldMismatchError, FieldTable, extension_of
-from garlands.matrix_group import SL, GroupCapError, NonMemberError, Subgroup, _closure, is_normal_in
+from garlands.lattice import enumerate_interval
+from garlands.matrix_group import (
+    SL,
+    CosetTable,
+    GroupCapError,
+    NonMemberError,
+    Subgroup,
+    _closure,
+    intersect_with_ambient,
+    is_normal_in,
+    torus_subgroup,
+)
 
 
 # -- field arithmetic on coefficient polynomials ------------------------------
@@ -785,6 +798,35 @@ def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], set[tuple[s
                 if is_normal_in(a, generated[b.id]):
                     edges.add((a.id, b.id))
     return edges, comparable
+
+
+def restriction_by_normalizers(spec: AlgebraSpec, gl, sl) -> dict:
+    """The report's "restriction" block by the route that reads no [T, G] lattice.
+
+    In each ambient, the torus's coset table over the whole ambient gives
+    its normalizer N, and Lat(torus, N) is enumerated inside N.  The GL
+    interval cut down to SL is then compared with the SL one, and the
+    verdict follows the same rule as every other check.
+    """
+
+    def interval(amb):
+        torus = torus_subgroup(spec, amb)
+        n = CosetTable(torus, Subgroup(amb, np.arange(amb.order, dtype=np.int32))).normalizer()
+        return n, enumerate_interval(torus, amb, within=n).members
+
+    (n_gl, gl_interval), (n_sl, sl_interval) = interval(gl), interval(sl)
+    identity = intersect_with_ambient(n_gl, sl).same_elements(n_sl)
+    equal = {intersect_with_ambient(h, sl).indices.tobytes() for h in gl_interval} == {
+        h.indices.tobytes() for h in sl_interval
+    }
+    return {
+        "case": {**spec.serialize(), "n": spec.n, "q": spec.base.q},
+        "intersection_identity_holds": identity,
+        "equal": equal,
+        "gl_interval_size": len(gl_interval),
+        "sl_interval_size": len(sl_interval),
+        "verdict": "confirmed" if equal else "unexpected_mismatch" if identity else "expected_counterexample",
+    }
 
 
 def centralizer_brute(ambient, h) -> Subgroup:

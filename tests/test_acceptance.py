@@ -426,8 +426,9 @@ def test_idempotence_matches_second_brute_scan(sweep, tori):
 
 
 def test_rerouted_verdicts_match_conjugation_scans(sweep, tori):
-    # a report's N(T), N_GL(T) and C(T) come from coset tables; the
-    # whole-ambient conjugation scans are the oracle for every verdict they feed
+    # a report's N(T), N_GL(T) and C(T) come from coset tables, directly or
+    # through the SL lattice; the whole-ambient conjugation scans are the
+    # oracle for every verdict they feed
     restricted = 0
     for key, (amb, torus, normalizer) in tori.items():
         doc = sweep[key]

@@ -166,15 +166,24 @@ def test_validation_error_exit_1(capsys):
     ],
 )
 def test_orders_past_4300_digits_exit_3(capsys, argv, order):
-    # 2^20000 has 6,021 digits, past the int-to-str limit of Python >= 3.10.7;
-    # main lifts that limit, so the cap message prints it in full, as does
-    # the skipped document's q
+    # 2^20000 has 6,021 digits, past the int-to-str limit of Python >= 3.10.7.
+    # The cap message names it as 2^20000, refused by its exponent alone;
+    # main lifts that limit, so the skipped document's q prints in full
     code, out, err = _run(capsys, argv)
     assert code == 3
     assert "Traceback" not in err
-    assert f"cap exceeded: {order} order {2**20000} exceeds cap" in err
+    assert f"cap exceeded: {order} order 2^20000 exceeds cap 1048576" in err
     if "--json" in argv:
         assert json.loads(out)["case"]["q"] == 2**20000
+
+
+@pytest.mark.parametrize("flags,order", [(["--base-degree", "1000000", "--degrees", "2"], "field"), (["--degrees", "1000000"], "algebra")])
+def test_an_order_past_the_cap_by_its_exponent_is_refused_in_one_line(capsys, flags, order):
+    # 2^1000000 is refused by its exponent: neither computed nor printed in
+    # decimal, which took about 1.9 s and a 301 KB line
+    code, out, err = _run(capsys, ["torus", "--p", "2", *flags])
+    assert (code, out) == (3, "")
+    assert err == f"cap exceeded: {order} order 2^1000000 exceeds cap 1048576\n"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from garlands.finite_field import (
     FieldTable,
     NotPrimeError,
     _prime_factors,
+    check_power_cap,
     construct_extension,
     construct_field,
     extension_of,
@@ -107,6 +108,27 @@ def test_construct_field_at_cap_boundary():
     a, b = 12345, 999_983
     assert mul_idx(f, a, mul_idx(f, b, b)) == mul_idx(f, mul_idx(f, a, b), b)
     assert mul_idx(f, a, inv_idx(f, a)) == f.one_index
+
+
+def test_power_cap_refuses_exactly_the_powers_past_it():
+    # the exponent test only settles powers already past the cap, which it
+    # names as base^exp; every other power is compared, and named, in full
+    for cap in (1, 7, 8, 16, 1000, 1 << 20):
+        for base in range(2, 40):
+            for exp in range(1, 40):
+                try:
+                    check_power_cap("field", base, exp, cap)
+                except FieldCapError as exc:
+                    assert base**exp > cap, (cap, base, exp)
+                    by_exponent = exp > 1 and exp * (base.bit_length() - 1) > cap.bit_length()
+                    named = f"{base}^{exp}" if by_exponent else str(base**exp)
+                    assert str(exc) == f"field order {named} exceeds cap {cap}"
+                else:
+                    assert base**exp <= cap, (cap, base, exp)
+    with pytest.raises(FieldCapError, match=r"^field order 2\^1000000 exceeds cap 1048576$"):
+        construct_field(2, 1_000_000)
+    with pytest.raises(FieldCapError, match=r"^field order 1048577 exceeds cap 1048576$"):
+        construct_field(1_048_577, 1)  # an exponent of 1 names p itself
 
 
 def test_determinism_fresh_constructions():

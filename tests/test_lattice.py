@@ -25,12 +25,14 @@ from garlands.matrix_group import (
     AmbientGroup,
     Subgroup,
     ambient_group,
+    gl_order,
     intersect_with_ambient,
     normalizer_brute,
+    sl_order,
     torus_subgroup,
 )
-from garlands.config import Caps
-from garlands.runner import CaseSpec, build_algebra, run_case, stable_json
+from garlands.config import DEFAULT_CAPS, Caps
+from garlands.runner import CaseSpec, build_algebra, run_case, stable_json, sweep_cases
 
 import oracles
 from oracles import aut_group_size, formula_leaders_by_units, matrix_det, matrix_from_key, normality_edges_by_pairs, with_generators
@@ -700,9 +702,10 @@ def test_enumeration_builds_one_subgroup_per_member_and_normalizer(monkeypatch, 
 
 
 def test_verify_scans_the_ambient_once(monkeypatch, capsys):
-    # T's coset table over G is the one whole-ambient pass: N(T), N(N(T)),
-    # N_GL(T) and C(T) come from coset tables, and no case calls a
-    # conjugation scan, the tests' reference route
+    # N(T), N(N(T)) and N_GL(T) come from coset tables (in GL over a field
+    # larger than F_2, those of the SL lattice it is read off), C(T) is
+    # sought inside N(T), and no case calls a conjugation scan, the tests'
+    # reference route
     calls = []
     for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "garlands"]:
         if hasattr(mod, "normalizer_brute"):
@@ -735,11 +738,21 @@ PIPELINE_PAIRS = [
     ((2, 1, (2, 1)), Caps()),
 ]
 
+# the cases of sweep --max-order 500 whose ambient fits the default cap: the
+# sweep's ok cases
+SWEEP_500_OK = [
+    c for c in sweep_cases(500) if (gl_order if c.kind == GL else sl_order)(c.n, c.q) <= DEFAULT_CAPS.group_order
+]
+SWEEP_500_ALGEBRAS = list(dict.fromkeys((c.p, c.base_degree, c.degrees) for c in SWEEP_500_OK))
 
-@pytest.mark.parametrize("algebra,caps", PIPELINE_PAIRS)
+
+@pytest.mark.parametrize(
+    "algebra,caps", PIPELINE_PAIRS + [(a, Caps()) for a in SWEEP_500_ALGEBRAS if (a, Caps()) not in PIPELINE_PAIRS]
+)
 def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
-    # a pair run in either order reads the lattice memo; each report must
-    # equal the one a process that runs only that case prints
+    # a pair run in either order reads the lattice memo, and its lattice work
+    # lands in whichever case runs first; each report must equal the one a
+    # process that runs only that case prints
     gl, sl = CaseSpec(*algebra, "gl"), CaseSpec(*algebra, "sl")
     cold = {}
     for case in (gl, sl):
@@ -751,6 +764,27 @@ def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
             assert stable_json(run_case(case, caps)) == cold[case], (order, case)
 
 
+def test_gl_lattice_read_off_sl_matches_direct_enumeration():
+    # over a field larger than F_2, [T, GL] is read off [T', SL]; enumerating
+    # it in GL directly must give the same members, in the same order, with
+    # the same normalizers, graph edges and bottom generators
+    checked = 0
+    for case in SWEEP_500_OK:
+        if case.kind != GL or case.q == 2:
+            continue
+        base, spec = build_algebra(case)
+        gl = ambient_group(GL, case.n, base)
+        lattice._reset_lattices()
+        read = lattice._torus_lattice(spec, gl)
+        direct = enumerate_interval(torus_subgroup(spec, gl), gl)
+        assert [h.id for h in read.members] == [h.id for h in direct.members], case
+        assert all(a.same_elements(b) for a, b in zip(read.normalizers, direct.normalizers, strict=True)), case
+        assert normality_graph(read) == normality_graph(direct), case
+        assert read.bottom.generators == direct.bottom.generators and read.top.same_elements(direct.top), case
+        checked += 1
+    assert checked == 17
+
+
 @pytest.mark.parametrize("algebra,caps", PIPELINE_PAIRS)
 def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra, caps):
     # the torus and the formula set take their generators from the algebra,
@@ -759,10 +793,12 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
     # formula set is checked by one product pass, so across a pair no case
     # takes a closure, and the formula set's generators are T's and the
     # x_sigma.  Each algebra-side stage runs once per case: one span check
-    # for both ranks, and, where the case builds its own T (an SL case over
-    # F_2 reads the GL case's lattice), one torus_generators call and one
-    # regular_rep_mats batch of T's generators and units; the formula set
-    # comes from T, with one batch of |Aut(S)| units for the x_sigma and, in
+    # for both ranks, and, for each torus the case builds, one
+    # torus_generators call and one regular_rep_mats batch of its generators
+    # and units.  The GL case, run first, builds T, and over a field larger
+    # than F_2 first T' for the SL lattice its own is read off; the SL case
+    # then reads the memo and builds none.  The formula set comes from the
+    # report's T, with one batch of |Aut(S)| units for the x_sigma and, in
     # SL, the determinants of the |Aut(S)| P_sigma only
     assert not hasattr(matrix_group, "_pick_generators")
     calls, formula_gens, stages = [], [], []
@@ -789,18 +825,19 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
         stages.append([])
         assert run_case(case, caps)["status"] == "ok"
     monkeypatch.undo()
-    expected, expected_stages = [], []
+    expected, expected_stages, tori = [], [], {}
     for case in cases:
         base, spec = build_algebra(case, caps)
         amb = ambient_group(case.kind, case.n, base, caps)
-        torus = torus_subgroup(spec, amb)
+        torus = tori[case.kind] = torus_subgroup(spec, amb)
         leaders = [x for x in formula_leaders_by_units(spec, amb) if x != amb.identity_index]
         expected.append((amb.kind, torus.generators + leaders))
+    for case in cases:
         auts = aut_group_size(spec)
-        own_torus = case.kind == GL or base.q > 2
+        built = [SL] * (base.q > 2) + [GL] if case.kind == GL else []
         expected_stages.append(
             [("span", None)]
-            + [("generators", None), ("rep", len(torus.generators) + torus.order)] * own_torus
+            + [stage for kind in built for stage in (("generators", None), ("rep", len(tori[kind].generators) + tori[kind].order))]
             + [("det", auts)] * (case.kind == SL)
             + [("rep", auts)]
         )
@@ -810,7 +847,7 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
 
 
 class _Counts:
-    """Counts the tori, intervals, whole-ambient coset tables and normality graphs the lattice module makes."""
+    """Counts the tori, intervals, coset tables (all, and those over the whole ambient) and normality graphs the lattice module makes."""
 
     def __init__(self, monkeypatch):
         self.reset()
@@ -831,6 +868,7 @@ class _Counts:
 
         class CountingTable(lattice.CosetTable):
             def __init__(self, h, top, below=None):
+                counts.tables += 1
                 counts.whole_tables += top.order == h.ambient.order
                 super().__init__(h, top, below)
 
@@ -840,25 +878,45 @@ class _Counts:
         monkeypatch.setattr(lattice, "NormalityGraph", counting_graph)
 
     def reset(self):
-        self.intervals = self.tori = self.whole_tables = self.graphs = 0
+        self.intervals = self.tori = self.tables = self.whole_tables = self.graphs = 0
 
 
-@pytest.mark.parametrize("p,degrees", [(5, [1]), (3, [2, 1])])
-def test_restriction_after_the_gl_case_reuses_its_stage(monkeypatch, p, degrees):
+@pytest.mark.parametrize("p,degrees", [(5, [1]), (3, [2, 1]), (3, [1, 1])])
+@pytest.mark.parametrize("first", ["gl", "sl"])
+def test_restriction_builds_no_table_and_enumerates_nothing(monkeypatch, first, p, degrees):
+    # run_case's order: the restriction runs right after the SL case's own
+    # verification, and the GL case before or after the pair.  Either way it
+    # reads [T, GL] from the memo or off the SL case's [T', SL]: no coset
+    # table and no interval enumeration, and only when the GL case has not
+    # run, GL's torus
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     gl, sl = ambient_group(GL, spec.n, spec.base), ambient_group(SL, spec.n, spec.base)
-    verify_lower_garland(spec, gl)
+    if first == "gl":
+        verify_lower_garland(spec, gl)
     sl_report = verify_lower_garland(spec, sl)
     counts = _Counts(monkeypatch)
-    after_gl = interval_restriction_check(spec, gl, sl_report)
-    assert (counts.whole_tables, counts.intervals, counts.tori) == (0, 0, 0)
-    # cold, the same check builds T's table over GL (and, when N_GL(T) = GL,
-    # the enumeration's tables), enumerates the interval inside N_GL(T), and
-    # keeps nothing
-    lattice._reset_lattices()
-    assert interval_restriction_check(spec, gl, sl_report) == after_gl
-    assert counts.whole_tables >= 1 and (counts.intervals, counts.tori) == (1, 1)
-    assert lattice._LATTICES == {}
+    block = interval_restriction_check(spec, gl, sl_report)
+    assert (counts.tables, counts.intervals, counts.tori) == (0, 0, int(first == "sl"))
+    monkeypatch.undo()
+    assert block == oracles.restriction_by_normalizers(spec, gl, sl)
+
+
+def test_restriction_blocks_match_the_normalizer_route():
+    # every ok SL case of sweep 500 whose GL fits the cap, run alone: its
+    # restriction block against T's coset table over GL and Lat(T, N_GL T)
+    # enumerated inside N_GL(T), with the SL side built the same way
+    checked = 0
+    for case in SWEEP_500_OK:
+        gl_case = CaseSpec(case.p, case.base_degree, case.degrees, "gl")
+        if case.kind != SL or gl_case not in SWEEP_500_OK:
+            continue
+        lattice._reset_lattices()
+        block = run_case(case)["restriction"]
+        base, spec = build_algebra(case)
+        gl, sl = ambient_group(GL, case.n, base), ambient_group(SL, case.n, base)
+        assert block == oracles.restriction_by_normalizers(spec, gl, sl), case
+        checked += 1
+    assert checked == 22
 
 
 @pytest.mark.parametrize("first", ["gl", "sl"])
@@ -942,10 +1000,11 @@ def test_ambients_are_equal_exactly_when_their_element_sets_are():
             assert gl != sl
             cut = intersect_with_ambient(Subgroup(gl, np.arange(gl.order)), sl)
             assert cut.ambient is sl and cut.order == sl.order
-    # over F_3 the pair keeps a lattice per ambient
+    # over F_3 the pair keeps a lattice per ambient, SL's first: the GL case
+    # reads its own off it
     for ambient in ("gl", "sl"):
         run_case(CaseSpec(3, 1, (2, 1), ambient))
-    assert [amb.kind for amb, _ in lattice._LATTICES] == [GL, SL]
+    assert [amb.kind for amb, _ in lattice._LATTICES] == [SL, GL]
     # the SL side is checked on the report's case, whose subgroups are in the SL ambient even over F_2
     for base in (F2, F3):
         spec = AlgebraSpec(base, [2])
