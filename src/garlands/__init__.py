@@ -21,7 +21,6 @@ from .lattice import (
     Garland,
     IntervalLattice,
     NormalityGraph,
-    VerificationReport,
     enumerate_interval,
     garlands,
     interval_restriction_check,

@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Python >= 3.10.7 refuses to print an int of more than 4300 digits, and a
-    # cap message or a skipped report prints an over-cap order such as 2^20000
+    # Python >= 3.10.7 refuses to read or print an int of more than 4300
+    # digits, and a cap message names an over-cap --p in full
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:

@@ -24,7 +24,7 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def stable_json(doc: dict) -> str:

@@ -88,7 +88,11 @@ kept (keyed by (ambient, algebra), so over F_2, where SL = GL, the two
 cases share it).  T, N(T), N(N(T)) and the normality graph are all read
 off that lattice, which keeps element lists only; the graph is built when
 a report first reads it.  The interval [T, N(T)] is T and its neighbours
-in the graph: for H >= T, T is normal in H exactly when H <= N(T).
+in the graph: for H >= T, T is normal in H exactly when H <= N(T).  The
+case document (verify_lower_garland) is built from that lattice alone,
+torus block included, and so is each side of the GL-to-SL restriction
+block (interval_restriction_check): [T, GL] for the GL side and [T', SL]
+for the SL side, so no case hands its subgroups to another.
 
 Over a larger field only the SL case's [T', SL], T' = T & SL, is
 enumerated, and [T, GL] is read off it.  H -> H & SL maps [T, GL] one to
@@ -124,6 +128,7 @@ from .matrix_group import (
     ambient_group,
     extend_subgroups,
     intersect_with_ambient,
+    is_maximal_abelian,
     normalizer_formula,
     torus_subgroup,
 )
@@ -428,18 +433,6 @@ def overall_verdict(verdicts) -> str:
     return CONFIRMED
 
 
-@dataclass
-class VerificationReport:
-    doc: dict  # the case's report document; the subgroups below are deliberately not in it
-    torus: Subgroup
-    normalizer: Subgroup  # N(torus), from the torus's coset table over the whole ambient
-    interval_members: tuple[Subgroup, ...]  # Lat(torus, normalizer), lattice order
-
-    def to_dict(self) -> dict:
-        """A fresh top level of the document, so a caller may add keys to it."""
-        return dict(self.doc)
-
-
 # (ambient, algebra) -> its [T, G] lattice, for the life of the process, as
 # the ambient_group cache keeps the ambients
 _LATTICES: dict[tuple[AmbientGroup, AlgebraSpec], IntervalLattice] = {}
@@ -580,8 +573,19 @@ def _reset_lattices() -> None:
     _LATTICES.clear()
 
 
-def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> VerificationReport:
-    """Full verification for one algebra/ambient case.
+def torus_block(torus: Subgroup, normalizer: Subgroup) -> dict:
+    """The report's "torus" entry: order, maximal-abelian check (inside N(T)) and generator matrices."""
+    amb = torus.ambient
+    gens = amb.mats()[torus.generators].tolist()
+    return {
+        "order": torus.order,
+        "maximal_abelian": is_maximal_abelian(torus, normalizer),
+        "generators": [[[amb.field.coeffs_of(v) for v in row] for row in m] for m in gens],
+    }
+
+
+def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
+    """The case document of one algebra/ambient case, "torus" block included, built anew on every call.
 
     Reads everything off the case's [T, G] lattice (_torus_lattice): T is
     its bottom, N(T) and N(N(T)) are its normalizers of the members T and
@@ -590,15 +594,15 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
     normalizer, built from that T, vs N(T), (b) lower garland vs the
     interval up to N(T), (c) idempotence of N(T).  Every check records a
     verdict against what the hypothesis record predicts, so failures
-    outside the guaranteed regime are reported.  The case's report
-    document is built here, beside T, N(T) and the interval's members.
+    outside the guaranteed regime are reported.  run_case adds the
+    schema, the status and, for SL, the restriction block.
     """
     hyp = record_hypotheses(spec)
     lat = _torus_lattice(spec, ambient)
-    # over F_2 (SL = GL) the lattice may be the other case's, so the report's
-    # subgroups, and T in the failure payload, are put in the case's own ambient
+    # over F_2 (SL = GL) the lattice may be the other case's, so T, and the
+    # formula set and failure payload built from it, are put in the case's own ambient
     torus = lat.bottom.with_ambient(ambient)
-    normalizer = lat.normalizers[0].with_ambient(ambient)  # T is the one smallest member
+    normalizer = lat.normalizers[0]  # T is the one smallest member
     closure_failure = None
     try:
         formula = normalizer_formula(spec, torus)
@@ -614,8 +618,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
     gls = garlands(_graph(lat))
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
-    interval_members = tuple(m.with_ambient(ambient) for m in _interval(lat))
-    interval_ids = sorted(m.id for m in interval_members)
+    interval_ids = sorted(m.id for m in _interval(lat))
     equal = sorted(lower.member_ids) == interval_ids
     in_interval = set(interval_ids)
     extra = [{"id": mid, "order": lat.by_id[mid].order} for mid in lower.member_ids if mid not in in_interval]
@@ -626,7 +629,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
         "lower_garland": _verdict(equal, garland_expected(hyp, ambient.kind)),
         "idempotence": _verdict(idempotent, garland_expected(hyp, ambient.kind)),
     }
-    doc = {
+    return {
         "case": {
             **spec.serialize(),
             "ambient": ambient.kind.lower(),
@@ -636,6 +639,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
         },
         "hypotheses": hyp,
         "torus_order": torus.order,
+        "torus": torus_block(torus, normalizer),
         "normalizers": {
             "brute_order": normalizer.order,
             "formula_order": formula_order,
@@ -658,38 +662,37 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> Verificati
         "verdicts": verdicts,
         "overall": overall_verdict(verdicts.values()),
     }
-    return VerificationReport(doc, torus, normalizer, interval_members)
 
 
-def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl_report: VerificationReport) -> dict:
+def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl: AmbientGroup) -> dict:
     """Does cutting Lat(T, N_GL T) down to SL give exactly Lat(T', N_SL T')?  The report's "restriction" block.
 
-    The SL side (T', N_SL T' and its interval) comes from the SL case's own
-    verification report, and the GL side (N_GL(T) and the members of
-    Lat(T, N_GL T)) from the GL case's [T, G], _torus_lattice(spec, gl).
-    Over F_2 (SL = GL) the pair shares that lattice; over a larger field it
-    is read off the SL case's [T', SL], which the memo holds once the SL
-    report exists, so the check builds no coset table and enumerates
-    nothing.
-    Whenever the normalizer intersection identity holds the answer is yes;
-    the identity itself is recorded so hypothesis failures explain
-    mismatches.
+    Both sides are read off the lattice memo (_torus_lattice): N_GL(T) and
+    the GL interval off [T, GL], N_SL(T') and the SL interval off [T', SL].
+    On the case path the SL case's own verification has put [T', SL] in
+    the memo, and [T, GL] is there too or is read off it (over F_2 the pair
+    shares one lattice), so the check builds no coset table and enumerates
+    nothing.  Whenever the normalizer intersection identity holds the
+    answer is yes, and the identity holds whenever every unit is a
+    combination of norm-one units (norm_one_absorbs_units in the hypothesis
+    record).  The verdict is the graver of the identity's against that
+    premise and the equality's against the identity, so a hypothesis
+    failure explains a mismatch and nothing else does.
     """
-    sl = sl_report.torus.ambient
-    if gl.kind != GL or sl_report.doc["case"]["ambient"] != "sl" or gl.field != sl.field or gl.n != sl.n:
-        raise LatticeError("expected matching GL and SL ambients")
-    lat = _torus_lattice(spec, gl)
-    n_gl, interval = lat.normalizers[0], _interval(lat)
-    identity_holds = intersect_with_ambient(n_gl, sl).same_elements(sl_report.normalizer)
-
-    lhs = {intersect_with_ambient(h, sl).indices.tobytes() for h in interval}
-    rhs = {h.indices.tobytes() for h in sl_report.interval_members}
-    equal = lhs == rhs
+    if gl.kind != GL or sl.kind != SL or gl.field != sl.field or gl.n != sl.n:
+        raise LatticeError("expected GL and SL ambients of one degree over one field")
+    gl_lat, sl_lat = _torus_lattice(spec, gl), _torus_lattice(spec, sl)
+    gl_interval, sl_interval = _interval(gl_lat), _interval(sl_lat)
+    identity_holds = intersect_with_ambient(gl_lat.normalizers[0], sl).same_elements(sl_lat.normalizers[0])
+    equal = {intersect_with_ambient(h, sl).indices.tobytes() for h in gl_interval} == {
+        h.indices.tobytes() for h in sl_interval
+    }
+    premise = record_hypotheses(spec)["norm_one_absorbs_units"]
     return {
         "case": {**spec.serialize(), "n": spec.n, "q": spec.base.q},
         "intersection_identity_holds": identity_holds,  # N_SL(T') == N_GL(T) cut down to SL
         "equal": equal,
-        "gl_interval_size": len(interval),
-        "sl_interval_size": len(sl_report.interval_members),
-        "verdict": _verdict(equal, must=identity_holds),
+        "gl_interval_size": len(gl_interval),
+        "sl_interval_size": len(sl_interval),
+        "verdict": overall_verdict([_verdict(identity_holds, must=premise), _verdict(equal, must=identity_holds)]),
     }

@@ -18,6 +18,7 @@ from .lattice import (
     UNEXPECTED_MISMATCH,
     interval_restriction_check,
     overall_verdict,
+    torus_block,
     verify_lower_garland,
 )
 from .matrix_group import (
@@ -27,7 +28,6 @@ from .matrix_group import (
     GroupCapError,
     Subgroup,
     ambient_group,
-    is_maximal_abelian,
     torus_subgroup,
 )
 
@@ -82,17 +82,6 @@ def build_algebra(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> tuple[FieldTable
     return base, AlgebraSpec(base, case.degrees, caps)
 
 
-def torus_block(torus: Subgroup, normalizer: Subgroup) -> dict:
-    """The report's "torus" entry: order, maximal-abelian check (inside N(T)) and generator matrices."""
-    amb = torus.ambient
-    gens = amb.mats()[torus.generators].tolist()
-    return {
-        "order": torus.order,
-        "maximal_abelian": is_maximal_abelian(torus, normalizer),
-        "generators": [[[amb.field.coeffs_of(v) for v in row] for row in m] for m in gens],
-    }
-
-
 def torus_report(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> dict:
     """The torus document of one case: orders, and the torus block with N(T) from T's coset table over G."""
     base, spec = build_algebra(case, caps)
@@ -110,7 +99,7 @@ def torus_report(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> dict:
 
 
 def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None = None) -> dict:
-    """Full report document for one case (verify + restriction + maximal-abelian)."""
+    """Full report document for one case: the case document, stamped, with an SL case's restriction block."""
     key = case_key(case.serialize(), caps)
     if cache is not None:
         hit = cache.get(key)
@@ -120,35 +109,19 @@ def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None 
         base, spec = build_algebra(case, caps)
         amb = ambient_group(case.kind, case.n, base, caps)
     except (GroupCapError, FieldCapError, AlgebraCapError) as exc:
-        case_doc = case.serialize()
-        case_doc["q"] = case.q
-        case_doc["n"] = case.n
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "case": case_doc,
-            "status": "skipped_cap",
-            "reason": str(exc),
-        }
-        if cache is not None:
-            cache.put(key, doc)
-        return doc
-
-    report = verify_lower_garland(spec, amb)
-    doc = report.to_dict()
-    doc["schema"] = SCHEMA_VERSION
-    doc["status"] = "ok"
-    doc["torus"] = torus_block(report.torus, report.normalizer)
-
-    # GL-vs-SL restriction data rides along with the SL case when GL fits the cap
-    if case.kind == SL:
-        try:
-            gl = ambient_group(GL, case.n, base, caps)
-            restriction = interval_restriction_check(spec, gl, report)
-        except GroupCapError as exc:
-            restriction = {"skipped": str(exc)}
-        doc["restriction"] = restriction
-        doc["overall"] = overall_verdict([doc["overall"], restriction.get("verdict")])
-
+        doc = {"schema": SCHEMA_VERSION, "case": case.serialize(), "status": "skipped_cap", "reason": str(exc)}
+    else:
+        doc = verify_lower_garland(spec, amb)
+        doc["schema"] = SCHEMA_VERSION
+        doc["status"] = "ok"
+        # GL-vs-SL restriction data rides along with the SL case when GL fits the cap
+        if case.kind == SL:
+            try:
+                restriction = interval_restriction_check(spec, ambient_group(GL, case.n, base, caps), amb)
+            except GroupCapError as exc:
+                restriction = {"skipped": str(exc)}
+            doc["restriction"] = restriction
+            doc["overall"] = overall_verdict([doc["overall"], restriction.get("verdict")])
     if cache is not None:
         cache.put(key, doc)
     return doc

@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from garlands.etale import AlgebraSpec, aut_group
+from garlands.etale import AlgebraSpec, aut_group, span_absorbs_units
 from garlands.finite_field import FieldError, FieldMismatchError, FieldTable, extension_of
 from garlands.lattice import enumerate_interval
 from garlands.matrix_group import (
@@ -805,8 +805,10 @@ def restriction_by_normalizers(spec: AlgebraSpec, gl, sl) -> dict:
 
     In each ambient, the torus's coset table over the whole ambient gives
     its normalizer N, and Lat(torus, N) is enumerated inside N.  The GL
-    interval cut down to SL is then compared with the SL one, and the
-    verdict follows the same rule as every other check.
+    interval cut down to SL is then compared with the SL one.  The verdict
+    is the graver of the identity's against its premise, that the span of
+    the norm-one units holds every unit (span_absorbs_units), and the
+    equality's against the identity.
     """
 
     def interval(amb):
@@ -825,8 +827,14 @@ def restriction_by_normalizers(spec: AlgebraSpec, gl, sl) -> dict:
         "equal": equal,
         "gl_interval_size": len(gl_interval),
         "sl_interval_size": len(sl_interval),
-        "verdict": "confirmed" if equal else "unexpected_mismatch" if identity else "expected_counterexample",
+        "verdict": _gravest([(identity, span_absorbs_units(spec)), (equal, identity)]),
     }
+
+
+def _gravest(checks) -> str:
+    """The gravest verdict of (holds, must hold) pairs: an unexpected mismatch, an expected counterexample, or confirmed."""
+    failed = [must for holds, must in checks if not holds]
+    return "unexpected_mismatch" if any(failed) else "expected_counterexample" if failed else "confirmed"
 
 
 def centralizer_brute(ambient, h) -> Subgroup:

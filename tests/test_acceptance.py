@@ -80,11 +80,6 @@ IDEMPOTENCE_FAILURES = {
 }
 
 
-def _key(doc):
-    c = doc["case"]
-    return (c["q"], c["n"], tuple(c["degrees"]), c["ambient"])
-
-
 @pytest.fixture(scope="session")
 def sweep():
     """Reports for the full acceptance sweep, keyed by (q, n, degrees, ambient)."""
@@ -92,8 +87,7 @@ def sweep():
     for case in sweep_cases(5**3):  # q^n <= 125 covers q in {2..5}, n in {2, 3}
         if case.q > 5 or case.n > 3:
             continue
-        doc = run_case(case)
-        reports[_key(doc)] = doc
+        reports[case.sort_key()] = run_case(case)
     return reports
 
 
@@ -605,6 +599,13 @@ def test_sweep_500_contract():
         for name, (holds, must) in checks.items():
             want = "confirmed" if holds else "unexpected_mismatch" if must else "expected_counterexample"
             assert doc["verdicts"][name] == want, (doc["case"], name)
+        # the restriction judges the identity against its premise, and the equality against the identity
+        r = doc.get("restriction", {})
+        if "verdict" in r:
+            identity = r["intersection_identity_holds"]
+            assert identity == hyp["norm_one_absorbs_units"], doc["case"]
+            want = "confirmed" if r["equal"] else "unexpected_mismatch" if identity else "expected_counterexample"
+            assert r["verdict"] == want, doc["case"]
     assert len(ok) == 52
     print(f"\n[sweep contract] PASS: {summary['cases']} cases "
           f"({summary['ok']} verified, {summary['skipped_cap']} over cap), "

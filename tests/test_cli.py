@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,14 +168,30 @@ def test_validation_error_exit_1(capsys):
 )
 def test_orders_past_4300_digits_exit_3(capsys, argv, order):
     # 2^20000 has 6,021 digits, past the int-to-str limit of Python >= 3.10.7.
-    # The cap message names it as 2^20000, refused by its exponent alone;
-    # main lifts that limit, so the skipped document's q prints in full
+    # The cap message names it as 2^20000, refused by its exponent alone,
+    # and the skipped document carries the case as given, without q
     code, out, err = _run(capsys, argv)
     assert code == 3
     assert "Traceback" not in err
     assert f"cap exceeded: {order} order 2^20000 exceeds cap 1048576" in err
     if "--json" in argv:
-        assert json.loads(out)["case"]["q"] == 2**20000
+        assert json.loads(out)["case"] == {"p": 2, "base_degree": 20000, "degrees": [2], "ambient": "gl"}
+
+
+def test_a_skipped_verify_prints_the_case_as_given_at_once(capsys):
+    # the skipped document names p and the base degree, not q = 2^1000000,
+    # whose decimal form took about 1.4 s to print and filled a 301 KB line
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "--p", "2", "--base-degree", "1000000", "--degrees", "2", "--json"])
+    elapsed = time.perf_counter() - t0
+    assert code == 3 and err.endswith("cap exceeded: field order 2^1000000 exceeds cap 1048576\n")
+    assert json.loads(out) == {
+        "case": {"ambient": "gl", "base_degree": 1000000, "degrees": [2], "p": 2},
+        "reason": "field order 2^1000000 exceeds cap 1048576",
+        "schema": SCHEMA_VERSION,
+        "status": "skipped_cap",
+    }
+    assert len(out.encode()) < 1024 and elapsed < 0.5, (len(out), elapsed)
 
 
 @pytest.mark.parametrize("flags,order", [(["--base-degree", "1000000", "--degrees", "2"], "field"), (["--degrees", "1000000"], "algebra")])
@@ -324,9 +341,13 @@ def test_sweep_small(capsys):
     cases = lines[:-1]
     assert summary["cases"] == len(cases) >= 10
     assert summary["unexpected_mismatches"] == 0
-    # the sweep is ordered by case key
-    keys = [(d["case"]["q"], d["case"]["n"], d["case"]["degrees"], d["case"]["ambient"]) for d in cases]
+    # the sweep is ordered by case key; a skipped document (the ten GL(4,2)
+    # and SL(4,2) cases here) carries only the case as given, so the key
+    # comes from CaseSpec
+    specs = [CaseSpec(c["p"], c["base_degree"], tuple(c["degrees"]), c["ambient"]) for c in (d["case"] for d in cases)]
+    keys = [c.sort_key() for c in specs]
     assert keys == sorted(keys)
+    assert sum(d["status"] == "skipped_cap" for d in cases) == 10
 
 
 def test_sweep_byte_identical(capsys):

@@ -181,7 +181,7 @@ def test_lower_garland_d23_strictly_contains_interval():
 
 
 def test_verify_f9_gl23_confirmed():
-    doc = verify_lower_garland(AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3)).doc
+    doc = verify_lower_garland(AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3))
     assert doc["garland"]["equal"]
     assert doc["normalizers"]["formula_equals_brute"]
     assert doc["idempotence"]["holds"]
@@ -190,7 +190,7 @@ def test_verify_f9_gl23_confirmed():
 
 
 def test_verify_f3f3_gl23_expected_counterexample():
-    doc = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(GL, 2, F3)).doc
+    doc = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(GL, 2, F3))
     assert not doc["garland"]["equal"]
     assert [w["order"] for w in doc["garland"]["extra_members"]] == [16]
     assert doc["overall"] == EXPECTED_COUNTEREXAMPLE
@@ -198,7 +198,7 @@ def test_verify_f3f3_gl23_expected_counterexample():
 
 
 def test_verify_f3f3_sl23_formula_mismatch():
-    doc = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(SL, 2, F3)).doc
+    doc = verify_lower_garland(AlgebraSpec(F3, [1, 1]), ambient_group(SL, 2, F3))
     assert not doc["hypotheses"]["norm_one_span"]
     assert not doc["normalizers"]["formula_equals_brute"]
     assert doc["normalizers"]["formula_order"] == 4
@@ -215,21 +215,20 @@ def test_formula_closure_failure_is_reported(monkeypatch):
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: stand_ins)
     spec = AlgebraSpec(F3, [2])
     for kind, set_size, closure_size in [(GL, 16, 48), (SL, 8, 24)]:
-        rep = verify_lower_garland(spec, ambient_group(kind, 2, F3))
-        failure = rep.doc["normalizers"]["formula_closure_failure"]
+        doc = verify_lower_garland(spec, ambient_group(kind, 2, F3))
+        failure = doc["normalizers"]["formula_closure_failure"]
         assert failure["ambient"] == {"kind": kind, "n": 2, "q": 3}
         assert (failure["set_size"], failure["closure_size"]) == (set_size, closure_size)
-        assert rep.doc["normalizers"]["formula_order"] == 0
-        assert not rep.doc["normalizers"]["formula_equals_brute"]
-        assert rep.doc["verdicts"]["normalizer_formula"] == "unexpected_mismatch"
-        assert rep.to_dict()["normalizers"]["formula_closure_failure"] == failure
+        assert doc["normalizers"]["formula_order"] == 0
+        assert not doc["normalizers"]["formula_equals_brute"]
+        assert doc["verdicts"]["normalizer_formula"] == "unexpected_mismatch"
     # over F_2 (SL = GL) the SL case reads the GL case's lattice and its T,
     # and its payload still names SL; X = {shear} lacks 1
     shear = SimpleNamespace(matrix=lambda: np.array([[1, 1], [0, 1]], dtype=np.int16))
     monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
     lattice._reset_lattices()
     for kind in (GL, SL):
-        doc = verify_lower_garland(AlgebraSpec(F2, [1, 1]), ambient_group(kind, 2, F2)).doc
+        doc = verify_lower_garland(AlgebraSpec(F2, [1, 1]), ambient_group(kind, 2, F2))
         failure = doc["normalizers"]["formula_closure_failure"]
         assert failure["ambient"] == {"kind": kind, "n": 2, "q": 2}, kind
         assert (failure["set_size"], failure["closure_size"]) == (1, 2), kind
@@ -283,13 +282,14 @@ def test_sl_x_sigma_takes_the_inverse_determinant(monkeypatch, p):
 def test_interval_always_inside_lower_garland():
     for base, degs, kind in [(F3, [2], GL), (F3, [1, 1], GL), (F3, [2], SL), (F2, [2, 1], GL)]:
         spec = AlgebraSpec(base, degs)
-        garland = verify_lower_garland(spec, ambient_group(kind, spec.n, base)).doc["garland"]
+        garland = verify_lower_garland(spec, ambient_group(kind, spec.n, base))["garland"]
         assert set(garland["interval"]) <= set(garland["lower"])
 
 
 def test_restriction_check_examples():
     def check(spec, gl, sl):
-        return interval_restriction_check(spec, gl, verify_lower_garland(spec, sl))
+        verify_lower_garland(spec, sl)
+        return interval_restriction_check(spec, gl, sl)
 
     gl23 = ambient_group(GL, 2, F3)
     sl23 = ambient_group(SL, 2, F3)
@@ -716,10 +716,10 @@ def test_verify_scans_the_ambient_once(monkeypatch, capsys):
         monkeypatch.setattr(AmbientGroup, name, wrapped)
     for p, degrees in [(2, (1, 1, 1)), (3, (2,)), (3, (1, 1))]:
         spec = AlgebraSpec(construct_field(p, 1), degrees)
-        gl = ambient_group(GL, spec.n, spec.base)
-        sl_report = verify_lower_garland(spec, ambient_group(SL, spec.n, spec.base))
+        gl, sl = ambient_group(GL, spec.n, spec.base), ambient_group(SL, spec.n, spec.base)
+        verify_lower_garland(spec, sl)
         verify_lower_garland(spec, gl)
-        interval_restriction_check(spec, gl, sl_report)
+        interval_restriction_check(spec, gl, sl)
         for ambient in ("gl", "sl"):
             assert run_case(CaseSpec(p, 1, degrees, ambient))["status"] == "ok"
             flags = ["--p", str(p), "--degrees", ",".join(map(str, degrees)), "--ambient", ambient]
@@ -799,7 +799,9 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
     # than F_2 first T' for the SL lattice its own is read off; the SL case
     # then reads the memo and builds none.  The formula set comes from the
     # report's T, with one batch of |Aut(S)| units for the x_sigma and, in
-    # SL, the determinants of the |Aut(S)| P_sigma only
+    # SL, the determinants of the |Aut(S)| P_sigma only.  The SL case's
+    # restriction block then takes one more span check, for the premise of
+    # the intersection identity, and nothing else
     assert not hasattr(matrix_group, "_pick_generators")
     calls, formula_gens, stages = [], [], []
     closure, formula = matrix_group._closure, lattice.normalizer_formula
@@ -840,6 +842,7 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
             + [stage for kind in built for stage in (("generators", None), ("rep", len(tori[kind].generators) + tori[kind].order))]
             + [("det", auts)] * (case.kind == SL)
             + [("rep", auts)]
+            + [("span", None)] * (case.kind == SL)
         )
     assert calls == []
     assert formula_gens == expected
@@ -893,9 +896,9 @@ def test_restriction_builds_no_table_and_enumerates_nothing(monkeypatch, first, 
     gl, sl = ambient_group(GL, spec.n, spec.base), ambient_group(SL, spec.n, spec.base)
     if first == "gl":
         verify_lower_garland(spec, gl)
-    sl_report = verify_lower_garland(spec, sl)
+    verify_lower_garland(spec, sl)
     counts = _Counts(monkeypatch)
-    block = interval_restriction_check(spec, gl, sl_report)
+    block = interval_restriction_check(spec, gl, sl)
     assert (counts.tables, counts.intervals, counts.tori) == (0, 0, int(first == "sl"))
     monkeypatch.undo()
     assert block == oracles.restriction_by_normalizers(spec, gl, sl)
@@ -946,44 +949,48 @@ def test_f2_pair_shares_one_stage(monkeypatch, first):
         assert pair == (1, 1, counts.whole_tables, 1), degrees
     # independent of the memo and of intersect_with_ambient: GL's [T, G]
     # enumerated over the GL object and cut to determinant one by matrix
-    # keys is the SL report's interval
+    # keys is the SL document's interval
     monkeypatch.undo()
     spec = AlgebraSpec(construct_field(2, 1), [1, 1, 1])
     gl, sl = ambient_group(GL, 3, spec.base), ambient_group(SL, 3, spec.base)
-    sl_report = verify_lower_garland(spec, sl)
+    sl_doc = verify_lower_garland(spec, sl)
     lattice._reset_lattices()
     gl_lat = enumerate_interval(torus_subgroup(spec, gl), gl)
     assert gl_lat.ambient is gl and len(gl_lat) == 179
     keys = gl.keys_of_indices(np.arange(gl.order, dtype=np.int32))
     det_one = {int(k) for k in keys if matrix_det(matrix_from_key(spec.base, 3, int(k))) == 1}
-    cut = {frozenset(map(int, gl.keys_of_indices(h.indices))) & det_one for h in gl_lat.members}
-    assert cut == {frozenset(map(int, sl.keys_of_indices(h.indices))) for h in sl_report.interval_members}
+    cut = [sorted({int(k) for k in gl.keys_of_indices(h.indices)} & det_one) for h in gl_lat.members]
+    sl_keys = sl.keys_of_indices(np.arange(sl.order, dtype=np.int32))
+    assert sorted(Subgroup(sl, np.searchsorted(sl_keys, c)).id for c in cut) == sl_doc["garland"]["interval"]
 
 
 @pytest.mark.parametrize("n,degrees", [(2, [2]), (2, [1, 1]), (3, [1, 1, 1]), (3, [2, 1])])
 def test_f2_reports_name_their_own_ambient(monkeypatch, n, degrees):
     # SL(n,2) = GL(n,2) share one [T, G], enumerated in whichever ambient
-    # object ran first; each report's T, N(T) and interval members are in
-    # its own case's ambient, keep their generators and ids, and the
-    # restriction check still reads the shared lattice
+    # object ran first; each case's document names its own ambient, reads
+    # T, its generators and the interval's ids off the shared lattice, and
+    # is the same whichever case ran first, and the restriction check
+    # still reads that lattice
     spec = AlgebraSpec(F2, degrees)
     gl, sl = ambient_group(GL, n, F2), ambient_group(SL, n, F2)
+    docs = []
     for order in ((gl, sl), (sl, gl)):
         lattice._reset_lattices()
-        reports = {amb.kind: verify_lower_garland(spec, amb) for amb in order}
+        docs.append({amb.kind: verify_lower_garland(spec, amb) for amb in order})
         (lat,) = lattice._LATTICES.values()
         assert lat.ambient is order[0]
         for amb in (gl, sl):
-            report = reports[amb.kind]
-            held = [report.torus, report.normalizer, *report.interval_members]
-            assert all(h.ambient is amb for h in held), (amb, order[0])
-            assert report.torus.generators == lat.bottom.generators
-            assert report.normalizer.same_elements(lat.normalizers[0])
-            assert sorted(h.id for h in report.interval_members) == report.doc["garland"]["interval"]
+            doc = docs[-1][amb.kind]
+            assert doc["case"]["ambient"] == amb.kind.lower()
+            assert doc["torus"]["order"] == doc["torus_order"] == lat.bottom.order
+            assert len(doc["torus"]["generators"]) == len(lat.bottom.generators)
+            assert doc["normalizers"]["brute_order"] == lat.normalizers[0].order
+            assert doc["garland"]["interval"] == sorted(h.id for h in lattice._interval(lat))
         counts = _Counts(monkeypatch)
-        assert interval_restriction_check(spec, gl, reports[SL])["equal"]
+        assert interval_restriction_check(spec, gl, sl)["equal"]
         assert (counts.intervals, counts.tori, counts.whole_tables) == (0, 0, 0)
         monkeypatch.undo()
+    assert docs[0] == docs[1]
 
 
 def test_ambients_are_equal_exactly_when_their_element_sets_are():
@@ -1005,17 +1012,16 @@ def test_ambients_are_equal_exactly_when_their_element_sets_are():
     for ambient in ("gl", "sl"):
         run_case(CaseSpec(3, 1, (2, 1), ambient))
     assert [amb.kind for amb, _ in lattice._LATTICES] == [SL, GL]
-    # the SL side is checked on the report's case, whose subgroups are in the SL ambient even over F_2
-    for base in (F2, F3):
+    # the check takes a GL and an SL ambient of one degree over one field,
+    # by kind even over F_2, where the two compare equal
+    for base, other in ((F2, F3), (F3, F2)):
         spec = AlgebraSpec(base, [2])
-        gl = ambient_group(GL, 2, base)
-        gl_report = verify_lower_garland(spec, gl)
-        with pytest.raises(LatticeError):
-            interval_restriction_check(spec, gl, gl_report)
-        sl_report = verify_lower_garland(spec, ambient_group(SL, 2, base))
-        with pytest.raises(LatticeError):
-            interval_restriction_check(spec, ambient_group(GL, 3, base), sl_report)
-        assert interval_restriction_check(spec, gl, sl_report)["equal"]
+        gl, sl = ambient_group(GL, 2, base), ambient_group(SL, 2, base)
+        for pair in ((gl, gl), (sl, sl), (sl, gl), (ambient_group(GL, 3, base), sl), (gl, ambient_group(SL, 2, other))):
+            with pytest.raises(LatticeError):
+                interval_restriction_check(spec, *pair)
+        verify_lower_garland(spec, sl)
+        assert interval_restriction_check(spec, gl, sl)["equal"]
 
 
 def test_stage_memo_keeps_no_ambient_sized_memo():
@@ -1065,25 +1071,53 @@ def test_verdict_classification(monkeypatch):
         assert doc["restriction"]["verdict"] == verdict and doc["overall"] == verdict
 
 
-def test_report_to_dict_is_stable():
-    rep = verify_lower_garland(AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3))
-    d1 = rep.to_dict()
-    d2 = verify_lower_garland(AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3)).to_dict()
-    assert d1 == d2
-    assert "timings" not in str(sorted(d1))
+def test_an_identity_failure_where_its_premise_holds_is_unexpected(monkeypatch, capsys):
+    # F_3 + F_3 in SL(2,3): the intersection identity fails, and so does its
+    # premise (the norm-one units' span misses a unit), so the restriction
+    # reads expected_counterexample.  A record that claims the premise
+    # holds makes the same identity failure unexpected, and verify exits 2;
+    # the case's own verdicts do not read the premise and stay as they are
+    from garlands.lattice import UNEXPECTED_MISMATCH
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    case = CaseSpec(3, 1, (1, 1), "sl")
+    flags = ["verify", "--p", "3", "--degrees", "1,1", "--ambient", "sl"]
+    doc = run_case(case)
+    assert not doc["hypotheses"]["norm_one_absorbs_units"] and not doc["restriction"]["intersection_identity_holds"]
+    assert doc["restriction"]["verdict"] == doc["overall"] == EXPECTED_COUNTEREXAMPLE
+    assert cli.main(flags) == 0
+    record = lattice.record_hypotheses
+    monkeypatch.setattr(lattice, "record_hypotheses", lambda spec: {**record(spec), "norm_one_absorbs_units": True})
+    stood_in = run_case(case)
+    assert stood_in["restriction"]["verdict"] == stood_in["overall"] == UNEXPECTED_MISMATCH
+    assert stood_in["verdicts"] == doc["verdicts"]
+    assert cli.main(flags) == 2
+    capsys.readouterr()
 
 
-def test_run_case_adds_its_keys_to_a_copy_of_the_report(monkeypatch):
-    # run_case adds schema, status, torus and restriction and merges the
-    # overall verdict on what to_dict returns; the report's own document
-    # keeps none of that
+def test_case_documents_are_fresh_and_run_case_only_stamps_them(monkeypatch):
+    # verify_lower_garland builds the case document anew on every call, so
+    # run_case may stamp it in place: it adds schema, status and, for SL,
+    # the restriction block, merges the overall verdict, and changes
+    # nothing else
+    import copy
+
     from garlands import runner
+    from garlands.lattice import overall_verdict
 
-    reports = []
+    spec, gl = AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3)
+    first, second = verify_lower_garland(spec, gl), verify_lower_garland(spec, gl)
+    assert first == second and first is not second
+    assert not [k for k, v in first.items() if isinstance(v, (dict, list)) and v is second[k]]
+    assert "timings" not in str(sorted(first))
+    built = []
     verify = runner.verify_lower_garland
-    monkeypatch.setattr(runner, "verify_lower_garland", lambda *args: reports.append(verify(*args)) or reports[-1])
+    monkeypatch.setattr(runner, "verify_lower_garland", lambda *args: built.append(copy.deepcopy(d := verify(*args))) or d)
     for ambient in ("gl", "sl"):
         doc = run_case(CaseSpec(3, 1, (1, 1), ambient))
-        added = {"schema", "status", "torus"} | ({"restriction"} if ambient == "sl" else set())
-        assert set(doc) - set(reports[-1].doc) == added and not added & set(reports[-1].doc)
-        assert reports[-1].doc == verify(AlgebraSpec(F3, [1, 1]), reports[-1].torus.ambient).doc
+        added = {"schema", "status"} | ({"restriction"} if ambient == "sl" else set())
+        assert set(doc) - set(built[-1]) == added and not added & set(built[-1])
+        assert {k: v for k, v in doc.items() if k not in added | {"overall"}} == {
+            k: v for k, v in built[-1].items() if k != "overall"
+        }
+        assert doc["overall"] == overall_verdict([built[-1]["overall"], doc.get("restriction", {}).get("verdict")])

@@ -20,7 +20,6 @@ PUBLIC_API = {
     "RingAutomorphism",
     "SL",
     "Subgroup",
-    "VerificationReport",
     "additive_span_check",
     "ambient_group",
     "aut_group",
