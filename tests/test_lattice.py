@@ -1095,21 +1095,25 @@ def test_an_identity_failure_where_its_premise_holds_is_unexpected(monkeypatch, 
     capsys.readouterr()
 
 
-def test_case_documents_are_fresh_and_run_case_only_stamps_them(monkeypatch):
-    # verify_lower_garland builds the case document anew on every call, so
-    # run_case may stamp it in place: it adds schema, status and, for SL,
-    # the restriction block, merges the overall verdict, and changes
-    # nothing else
-    import copy
-
-    from garlands import runner
-    from garlands.lattice import overall_verdict
-
+def test_report_to_dict_is_stable():
+    # verify_lower_garland builds the case document anew on every call:
+    # equal documents, no container shared between them, no timings
     spec, gl = AlgebraSpec(F3, [2]), ambient_group(GL, 2, F3)
     first, second = verify_lower_garland(spec, gl), verify_lower_garland(spec, gl)
     assert first == second and first is not second
     assert not [k for k, v in first.items() if isinstance(v, (dict, list)) and v is second[k]]
     assert "timings" not in str(sorted(first))
+
+
+def test_run_case_adds_its_keys_to_a_copy_of_the_report(monkeypatch):
+    # the document is fresh, so run_case may stamp it in place: it adds
+    # schema, status and, for SL, the restriction block, merges the overall
+    # verdict, and changes nothing else
+    import copy
+
+    from garlands import runner
+    from garlands.lattice import overall_verdict
+
     built = []
     verify = runner.verify_lower_garland
     monkeypatch.setattr(runner, "verify_lower_garland", lambda *args: built.append(copy.deepcopy(d := verify(*args))) or d)
