@@ -12,11 +12,10 @@ indexed by element (Extension.mult_blocks), and regular_rep_mats maps a
 batch of component-index rows to block-diagonal index matrices with one
 gather per factor.  Whether a unit has norm one is decided here only, by
 its norm's logarithm (unit_norm_logs), read from the factors' exp/log
-tables, which every field has: the span check, the SL cut of the torus and
-the formula set's x_sigma all read it.  The span check reads each unit's
-coordinates from column 0 of the same tables and finds both ranks, all
-units' and the norm-one units', in one elimination over the base field's
-dense tables.
+tables, which every field has: the SL cut of the torus and the formula
+set's x_sigma both read it.  Whether the units, or the norm-one units,
+span S over k is read off q and the degrees alone (additive_span_check),
+so the hypothesis record lists no unit and builds no table.
 """
 
 from __future__ import annotations
@@ -219,59 +218,44 @@ def aut_group(spec: AlgebraSpec) -> list[RingAutomorphism]:
     return autos
 
 
-@dataclass(frozen=True)
-class SpanCheckResult:
-    spans: bool
-    rank: int
-    witness: np.ndarray  # (rank, t) component rows of selected units spanning what they all span
+def additive_span_check(spec: AlgebraSpec) -> tuple[bool, bool]:
+    """Do the units of S, and its norm-one units, span S over k?  (units_span, norm_one_span).
 
+    With f2 = (q = 2 and at least two factors of degree 1) and f3 = (q = 3
+    and degrees (1, 1)): units_span = not f2, norm_one_span = not (f2 or f3).
 
-def _pivots(base: FieldTable, rows: np.ndarray) -> np.ndarray:
-    """Pivot rows of a column-pivot elimination of (N, c) base-field index rows, which it overwrites.
+    Span of a subgroup.  The k-span A of a subgroup U of S* holds 1 and is
+    closed under products, so it is a subalgebra.  If A maps onto every
+    factor, it is the set of x with x_j = tau(x_i) for some pairs of factors
+    identified through isomorphisms tau: K_i -> K_j, and A = S exactly when
+    no two factors are identified.
 
-    A column's pivot is the first row not yet zero there, and it is
-    subtracted from every row that is not.  So a row's updates read only
-    pivots above it: eliminating a prefix of the rows never reads a later
-    row, and the pivots among the first m rows are those of the first m
-    rows eliminated alone, rank(first m rows) many.
+    U = S*.  Each projection is K_i*, which spans K_i.  If x_j = tau(x_i) on
+    all units, set x_i = 1: then K_j* = 1, so K_j = F_2.  This gives f2.
+
+    U = T' = ker N.  For t >= 2 factors, each projection of T' is all of
+    K_i*, since the norm of another factor is onto k*.  For t = 1, the
+    norm-one group of F_(q^d) has (q^d - 1)/(q - 1) elements, more than
+    q^e - 1 for any proper subfield F_(q^e), so it spans the field.
+    Identifying two factors forces K_j = F_2 when t >= 3, since a third
+    factor corrects the norm of any (x_i, x_j).  When t = 2, x_1 fixes its
+    partner only if the norm-one group of K_2 is trivial, so d = 1; then
+    T' = {(x, x^-1)}, and x^-1 = x on all of k* means q <= 3.  This adds
+    f3.  As span(T') lies inside span(S*), T' spans S exactly when S* does
+    and span(T') holds every unit (span_absorbs_units).
     """
-    add, mul, neg, inv = base.np_add(), base.np_mul(), base.np_neg(), base.np_inv()
-    pivots = []
-    for col in range(rows.shape[1]):
-        live = np.flatnonzero(rows[:, col])
-        if live.size:
-            pivots.append(live[0])
-            scaled = mul[inv[rows[live[0], col]], rows[live[0]]]  # the pivot row with a one in col
-            rows[live] = add[rows[live], neg[mul[rows[live, col, None], scaled]]]
-    return np.array(pivots, dtype=np.intp)
-
-
-def additive_span_check(spec: AlgebraSpec) -> tuple[SpanCheckResult, SpanCheckResult]:
-    """k-linear spans of the units of S and of its norm-one units: is each all of S?
-
-    Returns (units, norm_one), both from one elimination (_pivots).  The
-    units are the rows of torus_units, the norm-one ones (unit_norm_logs 0)
-    moved first, each part in unit order.  A unit's coordinates in the
-    fixed k-basis are column 0 of its factors' multiplication blocks.  The
-    pivots among the first m rows, m the count of norm-one units, give
-    their rank, and all pivots the rank of all units.  A witness holds the
-    pivot rows' units, in the order found; every selected unit lies in
-    their span.
-    """
-    units = torus_units(spec)
-    norm_one = unit_norm_logs(spec, units) == 0
-    units = np.concatenate([units[norm_one], units[~norm_one]])
-    rows = np.concatenate([e.mult_blocks()[units[:, i], :, 0] for i, e in enumerate(spec.extensions)], axis=1)
-    pivots = _pivots(spec.base, rows)
-    return tuple(
-        SpanCheckResult(p.size == spec.n, p.size, units[p]) for p in (pivots, pivots[pivots < norm_one.sum()])
-    )
+    units_span = not (spec.base.q == 2 and spec.degrees.count(1) >= 2)
+    return units_span, units_span and span_absorbs_units(spec)
 
 
 def span_absorbs_units(spec: AlgebraSpec) -> bool:
-    """Whether the span of the norm-one units contains every unit of S (it lies inside theirs): the ranks agree."""
-    units, norm_one = additive_span_check(spec)
-    return norm_one.rank == units.rank
+    """Whether every unit of S is a k-combination of norm-one units: all but F_3 + F_3.
+
+    span(T') lies inside span(S*).  When q = 2 the norm is trivial and
+    T' = S*; otherwise S* spans S (additive_span_check), so this holds
+    exactly when T' spans S, which fails only under f3.
+    """
+    return not (spec.base.q == 3 and spec.degrees == (1, 1))
 
 
 def primitive_norm_one_search(base: FieldTable, ext_field: FieldTable) -> int | None:

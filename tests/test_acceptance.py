@@ -17,7 +17,6 @@ import pytest
 from garlands.config import Caps
 from garlands.etale import (
     AlgebraSpec,
-    additive_span_check,
     count_power_in_base,
     primitive_norm_one_search,
 )
@@ -49,6 +48,7 @@ from oracles import (
     interval_by_elements,
     matrix_at,
     matrix_from_coeff_rows,
+    span_check_by_elimination,
     subgroup_count_of_aut,
     subgroup_id,
     torus_by_units,
@@ -128,7 +128,7 @@ def test_c02_predicted_failure_f3f3_sl23(sweep):
     doc = sweep[(3, 2, (1, 1), "sl")]
     assert doc["hypotheses"]["norm_one_span"] is False
     spec = AlgebraSpec(construct_field(3, 1), [1, 1])
-    span = additive_span_check(spec)[1]
+    span = span_check_by_elimination(spec)[1]
     assert span.spans is False and span.rank == 1
     nrm = doc["normalizers"]
     assert nrm["formula_order"] == 4

@@ -9,7 +9,6 @@ from garlands.etale import (
     AlgebraCapError,
     AlgebraError,
     AlgebraSpec,
-    _pivots,
     additive_span_check,
     aut_group,
     count_power_in_base,
@@ -24,11 +23,13 @@ from oracles import (
     add_comps,
     add_idx,
     algebra_comps,
+    algebra_specs,
     aut_group_size,
     brute_additive_span,
     brute_ring_automorphisms,
     count_power_in_base_by_shifts,
     extension_from_coords,
+    hypotheses_by_elimination,
     inv_comps,
     matrix_det,
     matrix_key,
@@ -38,6 +39,8 @@ from oracles import (
     neg_comps,
     norm_comps,
     regular_rep_by_basis,
+    span_check_by_elimination,
+    span_pivots,
 )
 
 
@@ -185,16 +188,16 @@ def test_aut_commutes_with_norm(base, degrees):
 
 
 def test_additive_span_examples():
-    res = additive_span_check(AlgebraSpec(F3, [1, 1]))[1]
+    res = span_check_by_elimination(AlgebraSpec(F3, [1, 1]))[1]
     assert not res.spans and res.rank == 1  # span is the diagonal
-    assert additive_span_check(AlgebraSpec(F3, [2]))[1].spans
-    res = additive_span_check(AlgebraSpec(F2, [1, 1]))[0]
+    assert span_check_by_elimination(AlgebraSpec(F3, [2]))[1].spans
+    res = span_check_by_elimination(AlgebraSpec(F2, [1, 1]))[0]
     assert not res.spans and res.rank == 1  # only unit is (1, 1)
 
 
 def test_additive_span_witness_spans():
     spec = AlgebraSpec(F5, [1, 1])
-    res = additive_span_check(spec)[1]
+    res = span_check_by_elimination(spec)[1]
     assert res.spans
     regen = brute_additive_span(spec, res.witness.tolist())
     assert len(regen) == spec.order
@@ -207,7 +210,7 @@ def test_additive_span_matches_brute_closure(base, degrees):
         pytest.skip("bounded at order 81")
     units = algebra_comps(spec, units=True)
     norm_one = [u for u in units if norm_comps(spec, u) == base.one_index]
-    for fast, selected in zip(additive_span_check(spec), (units, norm_one)):
+    for fast, selected in zip(span_check_by_elimination(spec), (units, norm_one)):
         brute = brute_additive_span(spec, selected)
         assert fast.spans == (len(brute) == spec.order)
         assert len(brute) == base.q**fast.rank
@@ -219,8 +222,8 @@ def test_additive_span_matches_brute_closure(base, degrees):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
 def test_prefix_pivots_are_the_prefix_rank(p, m):
-    # additive_span_check reads both ranks off one elimination, norm-one rows
-    # first: for every m, the pivots among the first m rows must be those of
+    # span_check_by_elimination reads both ranks off one elimination, norm-one
+    # rows first: for every m, the pivots among the first m rows must be those of
     # the first m rows eliminated alone, and number their rank, here the
     # log_q of the size of their span, grown by brute closure.  Seeded rows;
     # about a third are combinations of two earlier rows, so ranks stall
@@ -237,14 +240,14 @@ def test_prefix_pivots_are_the_prefix_rank(p, m):
                 rows.append(tuple(add(mul(c, x), mul(d, y)) for x, y in zip(rows[a], rows[b])))
             else:
                 rows.append(tuple(int(x) for x in rng.integers(field.q, size=cols)))
-        pivots = _pivots(field, np.array(rows, dtype=np.int32))
+        pivots = span_pivots(field, np.array(rows, dtype=np.int32))
         span = {(0,) * cols}
         for k, row in enumerate(rows, 1):
             if len(span) < field.q**cols:
                 stalls += row in span
                 span = {tuple(add(v, mul(c, r)) for v, r in zip(vec, row)) for vec in span for c in range(field.q)}
             prefix = pivots[pivots < k]
-            assert np.array_equal(prefix, _pivots(field, np.array(rows[:k], dtype=np.int32))), (cols, k)
+            assert np.array_equal(prefix, span_pivots(field, np.array(rows[:k], dtype=np.int32))), (cols, k)
             assert field.q**prefix.size == len(span), (cols, k)
     assert stalls
 
@@ -253,6 +256,19 @@ def test_span_absorbs_units():
     assert span_absorbs_units(AlgebraSpec(F2, [1, 1]))  # S* is one element
     assert not span_absorbs_units(AlgebraSpec(F3, [1, 1]))
     assert span_absorbs_units(AlgebraSpec(F3, [2]))
+
+
+def test_closed_form_spans_match_the_elimination():
+    # the closed forms of additive_span_check and span_absorbs_units against
+    # the elimination over every unit, key by key, on every algebra over F_q,
+    # q <= 64, with |S| <= 4096; tests/span_census.py runs the same
+    # comparison up to n = 7 at the default caps
+    specs = algebra_specs(64, 12, 4096)
+    assert len(specs) == 459
+    for spec in specs:
+        closed = dict(zip(("units_span", "norm_one_span"), additive_span_check(spec)))
+        closed["norm_one_absorbs_units"] = span_absorbs_units(spec)
+        assert closed == hypotheses_by_elimination(spec), spec
 
 
 def test_primitive_norm_one_examples():

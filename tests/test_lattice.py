@@ -6,7 +6,7 @@ import pytest
 
 from garlands import cli, lattice, matrix_group
 from garlands.etale import AlgebraSpec
-from garlands.finite_field import construct_field
+from garlands.finite_field import FieldCapError, construct_field
 from garlands.lattice import (
     CONFIRMED,
     EXPECTED_COUNTEREXAMPLE,
@@ -17,6 +17,7 @@ from garlands.lattice import (
     garlands,
     interval_restriction_check,
     normality_graph,
+    record_hypotheses,
     verify_lower_garland,
 )
 from garlands.matrix_group import (
@@ -35,7 +36,15 @@ from garlands.config import DEFAULT_CAPS, Caps
 from garlands.runner import CaseSpec, build_algebra, run_case, stable_json, sweep_cases
 
 import oracles
-from oracles import aut_group_size, formula_leaders_by_units, matrix_det, matrix_from_key, normality_edges_by_pairs, with_generators
+from oracles import (
+    aut_group_size,
+    formula_leaders_by_units,
+    hypotheses_by_elimination,
+    matrix_det,
+    matrix_from_key,
+    normality_edges_by_pairs,
+    with_generators,
+)
 
 F2 = construct_field(2, 1)
 F3 = construct_field(3, 1)
@@ -204,6 +213,27 @@ def test_verify_f3f3_sl23_formula_mismatch():
     assert doc["normalizers"]["formula_order"] == 4
     assert doc["normalizers"]["brute_order"] == 24
     assert doc["overall"] == EXPECTED_COUNTEREXAMPLE
+
+
+# (p, base degree, degrees): every algebra with n <= 7 and q <= 64 that the
+# default caps admit but whose factor tables Extension.mult_blocks refuses
+TABLE_CAPPED = [
+    (7, 1, (6,)), (7, 1, (7,)), (7, 1, (6, 1)), (2, 3, (6,)), (3, 2, (6,)), (13, 1, (5,)), (2, 4, (5,)),
+    (23, 1, (4,)), (5, 2, (4,)), (3, 3, (4,)), (29, 1, (4,)), (31, 1, (4,)), (2, 5, (4,)),
+]
+
+
+def test_the_hypothesis_record_builds_no_table():
+    # the span keys are closed forms in q and the degrees: the record of an
+    # algebra whose unit tables are over the cap is built without them, and
+    # no factor field is constructed, while the elimination is refused
+    for p, m, degrees in TABLE_CAPPED:
+        spec = AlgebraSpec(construct_field(p, m), degrees)
+        hyp = record_hypotheses(spec)
+        assert [hyp[key] for key in ("units_span", "norm_one_span", "norm_one_absorbs_units")] == [True] * 3, spec
+        assert spec._extensions is None, spec
+    with pytest.raises(FieldCapError):
+        hypotheses_by_elimination(AlgebraSpec(construct_field(7, 1), (6,)))
 
 
 def test_formula_closure_failure_is_reported(monkeypatch):
