@@ -1,11 +1,13 @@
 """Interval lattices of subgroups, normality graphs, and garlands.
 
-The interval Lat(bottom, top) is enumerated breadth first: for each known
-member H, one representative per H-double-coset of top other than H itself
-is adjoined and the generated subgroup recorded, until a fixpoint.
-Double-coset representatives suffice because <H, h1*g*h2> = <H, g>.
-Completeness follows by induction along any maximal chain: each covering
-step K over H equals <H, g> for every g in K \\ H.
+The interval Lat(bottom, top) is enumerated breadth first, one level of
+members at a time: level 0 is bottom, and level i + 1 holds the new
+members found by adjoining, to each member H of level i (one per orbit,
+below), one representative per H-double-coset of top other than H
+itself, until a level finds nothing new.  Double-coset representatives
+suffice because <H, h1*g*h2> = <H, g>.  Completeness follows by induction
+along any maximal chain: each covering step K over H equals <H, g> for
+every g in K \\ H.
 
 Each expanded member other than top gets one coset table inside top
 (CosetTable in matrix_group): the right cosets, numbered by their least
@@ -25,33 +27,44 @@ permutations are memoized per generator with bottom's table, which every
 later table shares (CosetTable.right_perm), and go with the enumeration's
 tables.  A member closed as <H, g> keeps H's generators plus g, so members
 share generators, and an enumeration makes one product of the whole top
-per distinct generator that a position table reads.
-Top itself gets no
+per distinct generator that a position table reads.  Top itself gets no
 table: its only double coset is itself, so it has no extension, and
 N_top(top) = top.  The representatives are the leaders of the cosets
 that are their own double label, so each is the least element of its
-double coset, in ascending order.  <H, g> is then closed over double
-cosets instead of elements: K = <H, g> contains H, so it is a union of
-double cosets H x H, and H x H is the orbit of the right coset H x under
-right multiplication by H's generators.  So the right cosets of K are
-those reached from H by two moves, completing a right coset to its double
-coset and multiplying it by g.  A closure costs at most [K:H] products by
-g and no gather through the maps of cosets, and only the member being
-expanded holds a table.  All of a member's closures run together
-(extend_subgroups): the products by every g go through one factor table
-built for the call, and each breadth-first level multiplies every right
-coset of each newly claimed (closure, double coset) pair by that
-closure's g, so a level is one call with no matrix product, and closures
-claiming the same double cosets are one closure.  [K:H] divides [top:H],
-so a closure whose double cosets hold more than half of top's right
-cosets is all of top and stops there, and comes back as top's own index
-array.  A closure comes back as its elements, and only one that is a new
-member becomes a Subgroup.
+double coset, in ascending order.
+
+<H, g> is closed over double cosets instead of elements: K = <H, g>
+contains H, so it is a union of double cosets H x H, and H x H is the
+orbit of the right coset H x under right multiplication by H's
+generators.  So the right cosets of K are those reached from H by two
+moves, completing a right coset to its double coset and multiplying it
+by g.  A closure costs at most [K:H] products by g and no gather through
+the maps of cosets.  The closures of a whole level run together, in one
+extend_level call per chunk of its tables: the products by every g of
+every table go through one factor table built for the call, each step
+multiplies every right coset of each newly claimed (closure, double
+coset) pair by that closure's g, and reads the image's double coset from
+the closure's own table, so a step is one call with no matrix product,
+and a table's closures claiming the same double cosets are one closure.
+A chunk is consecutive tables whose position arrays hold at most
+_LEVEL_ENTRIES entries together (one table at a time for a larger top),
+so only one chunk's tables are alive at once; on small tops a level is
+one chunk and one call ([1, GL(3,2)]'s 14 tables take 3 calls).  [K:H]
+divides [top:H], so a closure whose double cosets hold more than half of
+top's right cosets is all of top and stops there, and comes back as
+top's own index array.  A closure comes back as its elements, and only
+one that is a new member becomes a Subgroup, held without a copy (as
+are the conjugates and normalizers below, all sorted by construction).
+Closures are accepted level by level, then table by table, then in
+first-occurrence order, the order in which one table at a time would
+find them, so the members, their generators and every report are the
+same.
 
 Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
 expanded: a closure that yields a new member K adds K's whole orbit to the
-members but queues only K, so the members are always a union of orbits.
+members but puts only K on the next level, so the members are always a
+union of orbits.
 The orbit comes from bottom's right-coset leaders in A (CosetTable.leaders
 that lie in A), one element a per right coset bottom a, and needs no
 generators of A.  Every n in A is t a for a leader a and some t in bottom,
@@ -110,7 +123,6 @@ whichever case runs first, and the SL restriction check builds no table.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,7 +138,7 @@ from .matrix_group import (
     RightProducts,
     Subgroup,
     ambient_group,
-    extend_subgroups,
+    extend_level,
     intersect_with_ambient,
     is_maximal_abelian,
     normalizer_formula,
@@ -153,6 +165,7 @@ class IntervalLattice:
 
     def __post_init__(self):
         self.by_id = {m.id: m for m in self.members}
+        self.position = {m.id: i for i, m in enumerate(self.members)}
         self.graph: NormalityGraph | None = None  # set by _graph when a report first reads a kept lattice's
         if len(self.by_id) != len(self.members):  # reports key members on ids
             raise LatticeError("subgroup id collision; widen the digest")
@@ -172,7 +185,8 @@ def _conjugacy_orbit(k: Subgroup, leaders: np.ndarray) -> list[tuple[Subgroup, i
     with the identity; leaders inside K fix K and are skipped.  The other
     conjugates' sorted rows go under K's and are told apart by one stable
     sort of the rows as byte strings, so each conjugate keeps the first
-    leader that reaches it.
+    leader that reaches it.  The distinct rows are copied out together, and
+    each new conjugate holds its row of that copy.
     """
     amb = k.ambient
     moving = leaders[~k.contains(leaders)]
@@ -182,8 +196,9 @@ def _conjugacy_orbit(k: Subgroup, leaders: np.ndarray) -> list[tuple[Subgroup, i
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
     ranked = keys.take(order)
-    first = np.sort(order[np.concatenate(([True], ranked[1:] != ranked[:-1]))])  # K's row is 0, the first
-    return [(k, amb.identity_index)] + [(Subgroup(amb, rows[i]), int(moving[i - 1])) for i in first[1:].tolist()]
+    first = np.sort(order[np.concatenate(([True], ranked[1:] != ranked[:-1]))])[1:]  # K's row is 0, the first
+    conjugates = zip(rows[first], moving.take(first - 1).tolist())
+    return [(k, amb.identity_index)] + [(Subgroup.of_sorted(amb, row), a) for row, a in conjugates]
 
 
 def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]]) -> tuple[Subgroup, ...]:
@@ -200,10 +215,21 @@ def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]])
         gs = np.array([pairs[i][1] for i in moved], dtype=np.int32)
         flat = amb.conjugate_by(gs, which, np.concatenate([out[i].indices for i in moved]))
         offset = which.astype(np.int64) * amb.order
-        flat = np.sort(flat + offset) - offset
-        for i, part in zip(moved, np.split(flat, np.cumsum(sizes)[:-1])):
-            out[i] = Subgroup(amb, part)
+        flat = (np.sort(flat + offset) - offset).astype(np.int32)
+        for i, part in zip(moved, _pieces(flat, sizes)):
+            out[i] = Subgroup.of_sorted(amb, part)
     return tuple(out)
+
+
+def _pieces(flat: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """flat cut into consecutive runs of the given sizes, as slices."""
+    ends = np.cumsum(sizes).tolist()
+    return [flat[end - size : end] for end, size in zip(ends, sizes)]
+
+
+# int32 position entries of the coset tables that one extend_level call
+# reads side by side (16 MB), the budget of _PRODUCT_ENTRIES
+_LEVEL_ENTRIES = 1 << 22
 
 
 def enumerate_interval(
@@ -214,10 +240,15 @@ def enumerate_interval(
 ) -> IntervalLattice:
     """All subgroups H with bottom <= H <= top (top = within or the ambient), each with N_top(H).
 
+    Breadth first, one level of orbit representatives at a time: their
+    coset tables are built in chunks of consecutive tables, each within
+    _LEVEL_ENTRIES position entries (one table at a time for a larger
+    top), and each chunk's extensions are closed by one extend_level call.
     Bottom's table is built first; it seeds every later table's right
     cosets, and its normalizer in top acts on the interval by conjugation
     through its right-coset leaders, so only one member per orbit is
-    expanded.
+    expanded.  Closures are accepted level by level, then table by table,
+    then in first-occurrence order.
     """
     if bottom.ambient != ambient:
         raise LatticeError("bottom subgroup lives in a different ambient group")
@@ -231,30 +262,41 @@ def enumerate_interval(
     # member key -> (member, its representative R's key, a with member = a R a^-1)
     members = {start: (bottom, start, ambient.identity_index)}
     rep_normalizers: dict[bytes, Subgroup] = {}  # representative key -> N_top(R)
-    queue = deque([bottom])
+    chunk = max(1, _LEVEL_ENTRIES // top.order)
+    level = [bottom]
     exhaustive = True
     below = None  # bottom's table, once built
-    while queue and exhaustive:
-        h = queue.popleft()
-        if h.order == top.order:  # top is its own only double coset: no extension, and N_top(top) = top
-            rep_normalizers[h.indices.tobytes()] = top
-            continue
-        table = CosetTable(h, top, below)
-        rep_normalizers[h.indices.tobytes()] = table.normalizer()
-        if below is None:  # bottom's table, the first
-            below = table
-            leaders = top.indices[table.leaders]
-            leaders = leaders[rep_normalizers[start].contains(leaders)]  # one per right coset of bottom in A
-        for elements, g in extend_subgroups(table, table.double_coset_reps()):
-            rep = elements.tobytes()
-            if rep not in members:
-                k = Subgroup(ambient, elements, [*h.generators, g])
-                for m, a in _conjugacy_orbit(k, leaders):
-                    members[rep if m is k else m.indices.tobytes()] = (m, rep, a)
-                queue.append(k)
-                if max_members is not None and len(members) > max_members:
-                    exhaustive = False
-                    break
+    while level and exhaustive:
+        expand = []
+        for h in level:
+            if h.order == top.order:  # top is its own only double coset: no extension, and N_top(top) = top
+                rep_normalizers[h.indices.tobytes()] = top
+            else:
+                expand.append(h)
+        found = []  # the next level
+        for first in range(0, len(expand), chunk):
+            tables = []  # the previous chunk's tables go before this one's are built
+            for h in expand[first : first + chunk]:
+                tables.append(CosetTable(h, top, below))
+                rep_normalizers[h.indices.tobytes()] = tables[-1].normalizer()
+                if below is None:  # bottom's table, the first
+                    below = tables[0]
+                    leaders = top.indices[below.leaders]
+                    leaders = leaders[rep_normalizers[start].contains(leaders)]  # one per right coset of bottom in A
+            closed = extend_level([(table, table.double_coset_reps()) for table in tables])
+            for h, (elements, g) in ((t.h, c) for t, cs in zip(tables, closed) for c in cs):
+                rep = elements.tobytes()
+                if rep not in members:
+                    k = Subgroup.of_sorted(ambient, elements, [*h.generators, g])
+                    for m, a in _conjugacy_orbit(k, leaders):
+                        members[rep if m is k else m.indices.tobytes()] = (m, rep, a)
+                    found.append(k)
+                    if max_members is not None and len(members) > max_members:
+                        exhaustive = False
+                        break
+            if not exhaustive:
+                break
+        level = found
     ordered = sorted(members.values(), key=lambda e: (e[0].order, e[0].id))
     return IntervalLattice(
         bottom=bottom,
@@ -298,10 +340,12 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
     ms, top = lat.members, lat.top
     below = len(ms) - 1  # the last member is top, the one of its order
-    whole = np.array([n.order == top.order for n in lat.normalizers[:below]], dtype=bool)
+    size = np.array([m.order for m in ms[:below]], dtype=np.int64)
+    normalizer_size = np.array([n.order for n in lat.normalizers[:below]], dtype=np.int64)
+    whole = normalizer_size == top.order
     sets = [*ms[:below], *(n for n, w in zip(lat.normalizers, whole) if not w)]  # the product's rows
     flat = np.concatenate([s.indices for s in sets]) if sets else np.zeros(0, dtype=np.int32)
-    row = np.repeat(np.arange(len(sets), dtype=np.int32), [s.order for s in sets])
+    row = np.repeat(np.arange(len(sets), dtype=np.int32), np.concatenate([size, normalizer_size[~whole]]))
     held = np.zeros(lat.ambient.order, dtype=bool)
     held[flat] = True
     col = (np.cumsum(held, dtype=np.int32) - 1).take(flat)  # the elements some row holds, numbered in order
@@ -314,7 +358,6 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
         dense = np.zeros((len(sets), width), dtype=counts.dtype)
         dense[row[at], col[at] - b * width] = 1
         counts += dense @ dense[:below].T
-    size = np.array([m.order for m in ms[:below]])
     inside = np.ones((below, below), dtype=bool)  # b <= N_top(a), for every b when N_top(a) = top
     inside[~whole] = counts[below:] == size
     normal = (counts[:below] == size[:, None]) & (size[:, None] < size) & inside
@@ -499,7 +542,7 @@ def _read_off_sl(spec: AlgebraSpec, gl: AmbientGroup) -> IntervalLattice:
         owner, s = _runs(outside)
         conj = gl.conjugate_by(s, np.arange(s.size, dtype=np.int32), np.full(s.size, r, dtype=np.int32))
         inside = _member_of(gl, [ks[i] for i in grow], owner, gl.rmul(conj, gl.inv_indices()[r]))
-        for i, x, hit in zip(grow, outside, np.split(inside, np.cumsum([x.size for x in outside])[:-1])):
+        for i, x, hit in zip(grow, outside, _pieces(inside, [x.size for x in outside])):
             if hit.any():
                 ms[i] = np.sort(np.concatenate([ks[i], x[hit]]))
     middle = [i for i in kept if 0 < i < last]
@@ -546,7 +589,7 @@ def _times_powers(amb: AmbientGroup, r: int, count: int, sets: list[np.ndarray])
     for _ in range(count - 1):
         parts.append(by(parts[-1]))
     keyed = np.sort(np.concatenate(parts) + np.tile(owner * amb.order, count))
-    return np.split((keyed % amb.order).astype(np.int32), np.cumsum([count * x.size for x in sets])[:-1])
+    return _pieces((keyed % amb.order).astype(np.int32), [count * x.size for x in sets])
 
 
 def _graph(lat: IntervalLattice) -> NormalityGraph:
@@ -613,7 +656,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
         formula_order = 0
         formula_eq = False
 
-    second = lat.normalizers[lat.members.index(normalizer)]  # N(N(T)): N(T) is a member of [T, G]
+    second = lat.normalizers[lat.position[normalizer.id]]  # N(N(T)): N(T) is a member of [T, G]
     idempotent = second.same_elements(normalizer)
     gls = garlands(_graph(lat))
     lower = next(g for g in gls if g.is_lower)

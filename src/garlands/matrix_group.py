@@ -20,7 +20,7 @@ through a factor table (RightProducts).  Row i of x * f is (row i of x) * f, and
 ambient keeps each element's row codes (the base-q^n digits of its key),
 so one small product of the q^n row vectors by a call site's few factors
 gives code(v * f) for every row vector v and factor f, and key(x * f) is a
-sum of looked-up codes.  A call site (a closure, an extend_subgroups call,
+sum of looked-up codes.  A call site (a closure, an extend_level call,
 a conjugation batch) builds its table once; each breadth-first level is
 then gathers only, one call however many generators or closures it
 advances.  rmul is the same path with a table of one factor (or of a
@@ -30,13 +30,13 @@ products by g^-1 that share one table.
 Closures run breadth first over ambient indices, dropping repeats with a
 slot array instead of a sort; a CosetTable numbers the right cosets of a
 subgroup H inside a larger one (top) by their least positions in top, and
-its double cosets over those numbers, so extend_subgroups can close
-<H, g> for many g together over double cosets of H instead of over
-elements.  A table's cosets come over positions, as orbit minima under
-left permutations (doubling along each, for the bottom of an interval),
-or, for a member H over a bottom T with [H:T] <= |T|, over T's right
-cosets: one product of T's coset leaders by a right transversal of T in
-H, at most |top| products.  The root table (the one seeded by no other)
+its double cosets over those numbers, so extend_level can close <H, g>
+for the H of many tables and many g together over double cosets of H
+instead of over elements.  A table's cosets come over positions, as orbit
+minima under left permutations (doubling along each, for the bottom of
+an interval), or, for a member H over a bottom T with [H:T] <= |T|, over
+T's right cosets: one product of T's coset leaders by a right transversal
+of T in H, at most |top| products.  The root table (the one seeded by no other)
 holds top's positions and the right permutations the position route
 reads, and every table seeded from it shares both, so the tables of one
 enumeration make one product of top per distinct generator, and the
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -466,18 +467,36 @@ class Subgroup:
     def __init__(
         self, ambient: AmbientGroup, indices: Sequence[int] | np.ndarray, generators: Sequence[int] | None = None
     ):
-        self.ambient = ambient
         idx = np.array(indices, dtype=np.int32)
         if not (idx[1:] > idx[:-1]).all():
             idx = np.sort(idx)  # not np.unique, whose first call imports numpy.ma (about 15 ms)
             idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+        self._hold(ambient, idx, generators)
+
+    @classmethod
+    def of_sorted(
+        cls, ambient: AmbientGroup, indices: np.ndarray, generators: Sequence[int] | None = None
+    ) -> "Subgroup":
+        """A subgroup of an int32 index array, strictly increasing by construction, held with no copy and no scan.
+
+        For a mask's selection from sorted indices, or the sorted rows of a
+        bijective image; the tests check that every member and normalizer
+        of an enumeration is strictly increasing int32.  The array is
+        shared, not copied, so nothing writes to it afterwards.
+        """
+        out = cls.__new__(cls)
+        out._hold(ambient, indices, generators)
+        return out
+
+    def _hold(self, ambient: AmbientGroup, idx: np.ndarray, generators: Sequence[int] | None) -> None:
         if idx.size == 0:
             raise GroupError("a subgroup contains at least the identity")
+        if ambient.order % idx.size != 0:
+            raise GroupError(f"order {idx.size} does not divide ambient order {ambient.order}")
+        self.ambient = ambient
         self.indices = idx
         self._id = None
         self._gens = None if generators is None else [int(g) for g in generators]
-        if ambient.order % idx.size != 0:
-            raise GroupError(f"order {idx.size} does not divide ambient order {ambient.order}")
 
     @property
     def order(self) -> int:
@@ -537,7 +556,7 @@ class Subgroup:
 
     @property
     def generators(self) -> list[int]:
-        """As built by torus_subgroup, normalizer_formula or extend_subgroups; an element set has none."""
+        """As built by torus_subgroup, normalizer_formula or from extend_level's closures; an element set has none."""
         if self._gens is None:
             raise GroupError(f"{self!r} was built from its elements and carries no generators")
         return self._gens
@@ -648,7 +667,7 @@ class CosetTable:
     `dnum[c]` is the number of coset c's double coset, `dwidth[d]` the count
     of right cosets in double coset d, and `by_double` the coset numbers
     grouped by double coset, one ascending run per number, each run starting
-    at the sum of the widths before it.  extend_subgroups closes <H, g> over
+    at the sum of the widths before it.  extend_level closes <H, g> over
     double coset numbers, and the double cosets give the g worth adjoining.
     H x H = H x exactly when x normalizes H, so the double cosets that are
     single right cosets make up N_top(H).
@@ -768,7 +787,7 @@ class CosetTable:
 
     def normalizer(self) -> Subgroup:
         """N_top(H): the positions whose double coset holds one right coset."""
-        return Subgroup(self.h.ambient, self.top.indices[(self.dwidth.take(self.dnum) == 1).take(self.coset)])
+        return Subgroup.of_sorted(self.h.ambient, self.top.indices[(self.dwidth.take(self.dnum) == 1).take(self.coset)])
 
 
 def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
@@ -776,53 +795,86 @@ def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
     return below is not None and h.order <= below.h.order**2
 
 
-def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[tuple[np.ndarray, int]]:
-    """The distinct <H, g> for the table's H and every g in extra_indices, in first-occurrence order.
+def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[tuple[np.ndarray, int]]]:
+    """extend_subgroups(table, gs) for every (table, gs) job, all in one breadth-first run; the tables share one top.
 
-    <H, g> is a union of double cosets H x H.  H x H is the orbit of the
-    right coset H x under right multiplication by H's generators, so the
-    right cosets of K = <H, g> are those reached from H by two moves:
-    complete a right coset to its double coset, and multiply it by g.  All
-    closures run together, breadth first over (closure, double coset)
-    pairs: each level takes every right coset of each newly claimed double
-    coset (a run of the table's by_double), multiplies its least element by
-    its closure's g, once, through one RightProducts table of every g built
-    before the first level, and claims the double cosets of the images.
-    One claim over closure * double cosets + double coset drops repeats.
-    Closures that claim the same double cosets reach the same cosets and
-    are one closure, generated by H's generators and the first g that
-    reached it.  Each comes back as (its sorted ambient indices, that g),
-    and no Subgroup is built: a caller that holds the closure already
-    drops it, and builds a Subgroup only for a new one.
+    For a job's H and each of its g, <H, g> is a union of double cosets
+    H x H.  H x H is the orbit of the right coset H x under right
+    multiplication by H's generators, so the right cosets of K = <H, g> are
+    those reached from H by two moves: complete a right coset to its double
+    coset, and multiply it by g.  All closures of all jobs run together,
+    breadth first over (closure, double coset) pairs: each level takes
+    every right coset of each newly claimed double coset (a run of its
+    table's by_double), multiplies its least element by its closure's g,
+    once, through one RightProducts table of every g built before the first
+    level, and claims the double cosets of the images.  The jobs' right and
+    double cosets are numbered on from one job to the next, and each
+    image's double coset is read off its own table's map of positions to
+    double cosets, so one claim over every (closure, double coset of its
+    table) drops repeats.  A single job reads its table's arrays as they
+    are, with no concatenation and no offsets; several hold one map of
+    positions per table side by side, so a caller bounds how many it
+    passes at once.
+
+    Closures of one job that claim the same double cosets reach the same
+    cosets and are one closure, generated by H's generators and the first g
+    that reached it.  Each job's closures come back in first-occurrence
+    order as (their sorted ambient indices, that g), and no Subgroup is
+    built: a caller that holds the closure already drops it, and builds a
+    Subgroup only for a new one.
 
     [K:H] divides [top:H], so a closure whose claimed double cosets hold
     more than half of top's right cosets is already all of top: it takes
-    every double coset and leaves the frontier without another level.
-    Such a closure comes back as top's own index array, with no gather
-    and no copy.
+    every double coset of its table and leaves the frontier without another
+    level.  Such a closure comes back as its table's top's own index array,
+    with no gather and no copy.
     """
-    gs = np.asarray(extra_indices, dtype=np.int32)
-    positions = table.positions
-    if (positions[gs] < 0).any():
+    tables = [table for table, _ in jobs]
+    first = tables[0]
+    if any(t.top is not first.top and t.top != first.top for t in tables[1:]):
+        raise GroupError("the tables of one call need one top")
+    amb, positions = first.h.ambient, first.positions
+    gss = [np.asarray(gs, dtype=np.int32) for _, gs in jobs]
+    gs = _joined(gss)
+    if (positions.take(gs) < 0).any():
         raise GroupError("the adjoined element lies outside the table's top")
-    amb = table.h.ambient
-    top, coset, dnum, width = table.top.indices, table.coset, table.dnum, table.dwidth
-    lead = top.take(table.leaders)  # coset number -> its least element
-    ncos, ndouble = lead.size, width.size
+    # per job: its closures, right cosets and double cosets, and the first numbers of its cosets
+    counts = [g.size for g in gss]
+    ncos, ndouble = [t.leaders.size for t in tables], [t.dwidth.size for t in tables]
+    cbase, dbase = [0, *accumulate(ncos)][:-1], [0, *accumulate(ndouble)][:-1]
+    top = first.top.indices
+    # job * |top| + position -> its double coset number (numbered on), read by the levels and the results
+    double_at = _joined([t.dnum.take(t.coset) for t in tables], dbase)
+    width = _joined([t.dwidth for t in tables])
+    by_double = _joined([t.by_double for t in tables], cbase)
+    lead = top.take(_joined([t.leaders for t in tables]))  # coset number -> its least element
     start = np.cumsum(width, dtype=np.int32) - width  # double coset number -> the start of its run in by_double
+    own = double_at.take(positions[amb.identity_index] + top.size * np.arange(len(jobs)))  # each H, one right coset
+    # per closure: one slot per double coset of its table, double coset d (numbered on) at key[c] + d, and
+    # half, past which its cosets are all of top's.  One job keys c * ndouble + d, and reads (c, d) back by
+    # divmod; several key by a gather and read c back by a sorted search over the closures' first slots
+    closure = np.arange(gs.size, dtype=np.int32)
+    if len(jobs) == 1:
+        stride, half, at_job = ndouble[0], ncos[0], None
+        key = closure * stride
+    else:
+        job = np.repeat(np.arange(len(jobs), dtype=np.int32), counts)
+        row = np.take(ndouble, job)
+        first_slot = (np.cumsum(row) - row).astype(np.int32)
+        key = first_slot - np.take(dbase, job).astype(np.int32)
+        stride, half = None, np.take(ncos, job)
+        at_job = job * top.size  # where its table's run of double_at starts
+    spans = [c * n for c, n in zip(counts, ndouble)]
+    slot = np.full(sum(spans), -1, dtype=np.int32)
     by = RightProducts(amb, gs)
-    slot = np.full(gs.size * ndouble, -1, dtype=np.int32)
     claimed = np.zeros(gs.size)  # right cosets each closure has reached, a weighted bincount: float, exact here
-    own = dnum[coset[positions[amb.identity_index]]]  # H, a double coset of one right coset
-    frontier = _claim_fresh(np.arange(gs.size, dtype=np.int32) * ndouble + own, slot)
-    while frontier.size:
-        closure, ds = np.divmod(frontier, ndouble)
+    ds = np.repeat(own, counts)
+    slot[key + ds] = 0
+    while closure.size:
         w = width.take(ds)
         claimed += np.bincount(closure, weights=w, minlength=gs.size)
-        whole = 2 * claimed > ncos
-        if whole[closure].any():
-            slot.reshape(gs.size, ndouble)[whole] = 0
-            live = ~whole[closure]
+        live = ~(2 * claimed > half).take(closure)
+        if not live.all():
             closure, ds, w = closure[live], ds[live], w[live]
             if not closure.size:
                 break
@@ -830,15 +882,46 @@ def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[tu
         ends = np.cumsum(w, dtype=np.int32)
         runs = np.arange(ends[-1], dtype=np.int32) + np.repeat(start.take(ds) - ends + w, w)
         closure = np.repeat(closure, w)
-        images = coset.take(positions.take(by(lead.take(table.by_double.take(runs)), closure)))
-        frontier = _claim_fresh(closure * ndouble + dnum.take(images), slot)
-    reached = (slot >= 0).reshape(gs.size, ndouble)
-    first = {}
-    for i, row in enumerate(np.packbits(reached, axis=1)):
-        first.setdefault(row.tobytes(), i)
-    everything = reached.all(axis=1)  # closures that are all of top
-    double_at = None if everything.all() else dnum.take(coset)  # position -> its double coset number
-    return [(top if everything[i] else top[reached[i].take(double_at)], int(gs[i])) for i in first.values()]
+        at = positions.take(by(lead.take(by_double.take(runs)), closure))
+        if at_job is not None:
+            at = at + at_job.take(closure)
+        ds = double_at.take(at)
+        if stride is not None:
+            closure, ds = np.divmod(_claim_fresh(closure * stride + ds, slot), stride)
+        else:
+            fresh = _claim_fresh(key.take(closure) + ds, slot)
+            closure = np.searchsorted(first_slot, fresh, side="right").astype(np.int32) - 1
+            ds = fresh - key.take(closure)
+    reached = slot >= 0
+    whole = 2 * claimed > half  # closures that stopped at all of top, their slots unclaimed
+    out = []
+    for j, (t, g, end, span, last) in enumerate(zip(tables, gss, accumulate(spans), spans, accumulate(counts))):
+        rows = reached[end - span : end].reshape(g.size, t.dwidth.size)
+        rows[whole[last - g.size : last]] = True
+        firsts = {}
+        for i, bits in enumerate(np.packbits(rows, axis=1)):
+            firsts.setdefault(bits.tobytes(), i)
+        everything = rows.all(axis=1)  # closures that are all of top
+        local = double_at[j * top.size : (j + 1) * top.size]  # position -> its double coset number in t
+        if dbase[j] and not everything.all():
+            local = local - dbase[j]
+        top_of = t.top.indices
+        out.append([(top_of if everything[i] else top_of[rows[i].take(local)], int(g[i])) for i in firsts.values()])
+    return out
+
+
+def _joined(parts: list[np.ndarray], offsets: np.ndarray | None = None) -> np.ndarray:
+    """parts concatenated, each plus its offset; a single part comes back as it is (its offset is 0)."""
+    if len(parts) == 1:
+        return parts[0]
+    if offsets is not None:
+        parts = [p + o for p, o in zip(parts, offsets)]
+    return np.concatenate(parts)
+
+
+def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[tuple[np.ndarray, int]]:
+    """The distinct <H, g> for the table's H and every g in extra_indices, in first-occurrence order (extend_level)."""
+    return extend_level([(table, extra_indices)])[0]
 
 
 def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:

@@ -22,7 +22,7 @@ from garlands.etale import (
 )
 from garlands.finite_field import construct_extension, construct_field, extension_of
 from garlands.lattice import enumerate_interval, formula_expected, garland_expected
-from garlands import matrix_group
+from garlands import lattice, matrix_group
 from garlands.matrix_group import (
     GL,
     SL,
@@ -406,6 +406,29 @@ def test_intervals_match_element_level_oracle(sweep, tori, direct_intervals):
     # trivial tori: every subgroup of GL(2,2) = S_3, and of GL(3,2) = PSL(2,7)
     assert sweep[(2, 2, (1, 1), "gl")]["lattice"]["member_count"] == 6
     assert sweep[(2, 3, (1, 1, 1), "gl")]["lattice"]["member_count"] == 179
+
+
+def test_each_level_call_matches_one_call_per_table(monkeypatch, tori):
+    # enumerate_interval closes one breadth-first level of representatives
+    # per extend_level call; for each table of every such call, the batched
+    # closures are the one-job call's on that table: the same closures, in
+    # the same order, each with the same g
+    level, calls = lattice.extend_level, []
+
+    def checked_level(jobs):
+        out = level(jobs)
+        calls.append(len(jobs))
+        assert len(out) == len(jobs)
+        for (table, gs), closed in zip(jobs, out):
+            alone = matrix_group.extend_subgroups(table, gs)
+            assert [(elements.tobytes(), g) for elements, g in closed] == [(e.tobytes(), g) for e, g in alone]
+        return out
+
+    monkeypatch.setattr(lattice, "extend_level", checked_level)
+    for key, (amb, torus, normalizer) in tori.items():
+        for within in (None, normalizer):
+            enumerate_interval(torus, amb, within=within)
+    assert len(tori) >= 24 and max(calls) > 2  # several tables share a call
 
 
 def test_idempotence_matches_second_brute_scan(sweep, tori):

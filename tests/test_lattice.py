@@ -452,12 +452,13 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
     amb = ambient_group(GL, n, base)
     t = torus_subgroup(AlgebraSpec(base, degrees), amb)
     builders = {}  # member key -> the H whose table first closed it
-    extend = lattice.extend_subgroups
+    extend = lattice.extend_level
 
-    def recording_extend(table, gs):
-        out = extend(table, gs)
-        for elements, _ in out:
-            builders.setdefault(elements.tobytes(), table.h)
+    def recording_extend(jobs):
+        out = extend(jobs)
+        for (table, _), closed in zip(jobs, out):  # in the order the enumeration accepts closures
+            for elements, _ in closed:
+                builders.setdefault(elements.tobytes(), table.h)
         return out
 
     calls = []  # ("minima", labels, perms), ("cycles", perms), ("right", s), ("products", count)
@@ -492,7 +493,7 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
             super().__init__(h, top, below)
             tables.append((h, top, calls[start:]))
 
-    monkeypatch.setattr(lattice, "extend_subgroups", recording_extend)
+    monkeypatch.setattr(lattice, "extend_level", recording_extend)
     monkeypatch.setattr(lattice, "CosetTable", RecordingTable)
     lat = enumerate_interval(t, amb)
     monkeypatch.undo()
@@ -706,29 +707,76 @@ def test_member_normalizers_match_brute(p, degrees):
 def test_enumeration_builds_one_subgroup_per_member_and_normalizer(monkeypatch, p, degrees, most):
     # a closure the enumeration already holds is dropped before any
     # Subgroup is built for it: at most one Subgroup per member and one per
-    # normalizer (one for every distinct closure would make 482 and 40), and
-    # a closure that is all of top is top's own index array
+    # normalizer, by either constructor (one for every distinct closure
+    # would make 482 and 40), and a closure that is all of top is top's own
+    # index array
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     amb = ambient_group(GL, spec.n, spec.base)
     t = torus_subgroup(spec, amb)
     built, whole = [0], []
-    init, extend = Subgroup.__init__, lattice.extend_subgroups
+    init, of_sorted, extend = Subgroup.__init__, Subgroup.of_sorted, lattice.extend_level
 
     def counting_init(self, *args):
         built[0] += 1
         init(self, *args)
 
-    def recording_extend(table, gs):
-        out = extend(table, gs)
-        whole.extend(elements is table.top.indices for elements, _ in out if elements.size == table.top.order)
+    def counting_of_sorted(cls, *args):
+        built[0] += 1
+        return of_sorted(*args)
+
+    def recording_extend(jobs):
+        out = extend(jobs)
+        for (table, _), closed in zip(jobs, out):
+            top = table.top.indices
+            whole.extend(elements is top for elements, _ in closed if elements.size == top.size)
         return out
 
     monkeypatch.setattr(Subgroup, "__init__", counting_init)
-    monkeypatch.setattr(lattice, "extend_subgroups", recording_extend)
+    monkeypatch.setattr(Subgroup, "of_sorted", classmethod(counting_of_sorted))
+    monkeypatch.setattr(lattice, "extend_level", recording_extend)
     lat = enumerate_interval(t, amb)
     monkeypatch.undo()
     assert 2 * len(lat) == most and built[0] <= most
     assert len(whole) > 1 and all(whole)
+
+
+@pytest.mark.parametrize(
+    "kind,base,degrees,levels", [(GL, F2, [1, 1, 1], 3), (SL, F2, [1, 1, 1], 3), (SL, F3, [2, 1], 2), (SL, F9, [1, 1], 2)]
+)
+def test_one_extension_call_per_level(monkeypatch, kind, base, degrees, levels):
+    # one extend_level call per breadth-first level of representatives
+    # (their 14 tables in 3 calls for [1, GL(3,2)]), every table of a level
+    # in one call as the tops are small, and one table per call under a
+    # budget of one table's positions
+    amb = ambient_group(kind, sum(degrees), base)
+    t = torus_subgroup(AlgebraSpec(base, degrees), amb)
+    level, calls = lattice.extend_level, []
+    monkeypatch.setattr(lattice, "extend_level", lambda jobs: calls.append(len(jobs)) or level(jobs))
+    want = enumerate_interval(t, amb)
+    assert len(calls) == levels and calls[0] == 1
+    tables = sum(calls)
+    calls.clear()
+    monkeypatch.setattr(lattice, "_LEVEL_ENTRIES", amb.order)
+    got = enumerate_interval(t, amb)
+    assert calls == [1] * tables
+    # the same members, normalizers and generators, in the same order
+    assert [m.indices.tobytes() for m in got.members] == [m.indices.tobytes() for m in want.members]
+    assert [n.indices.tobytes() for n in got.normalizers] == [n.indices.tobytes() for n in want.normalizers]
+    assert [m._gens for m in got.members] == [m._gens for m in want.members]
+
+
+@pytest.mark.parametrize("kind,base,degrees", [(GL, F2, [1, 1, 1]), (GL, F3, [2, 1]), (SL, F3, [2, 1]), (GL, F9, [1, 1])])
+def test_members_and_normalizers_hold_strictly_increasing_int32(kind, base, degrees):
+    # the enumeration builds its members and normalizers from arrays that
+    # are sorted and unique by construction, and keeps them uncopied and
+    # unchecked (Subgroup.of_sorted): the closures, the conjugates' sorted
+    # rows, the normalizers' sorted runs and a table's normalizer
+    amb = ambient_group(kind, sum(degrees), base)
+    t = torus_subgroup(AlgebraSpec(base, degrees), amb)
+    for within in (None, normalizer_brute(amb, t)):
+        lat = enumerate_interval(t, amb, within=within)
+        for s in (*lat.members, *lat.normalizers):
+            assert s.indices.dtype == np.int32 and (np.diff(s.indices) > 0).all(), s.order
 
 
 def test_verify_scans_the_ambient_once(monkeypatch, capsys):
