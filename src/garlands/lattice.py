@@ -46,13 +46,15 @@ multiplies every right coset of each newly claimed (closure, double
 coset) pair by that closure's g, and reads the image's double coset from
 the closure's own table, so a step is one call with no matrix product,
 and a table's closures claiming the same double cosets are one closure.
-A chunk is consecutive tables whose position arrays hold at most
-_LEVEL_ENTRIES entries together (one table at a time for a larger top),
-so only one chunk's tables are alive at once; on small tops a level is
-one chunk and one call ([1, GL(3,2)]'s 14 tables take 3 calls).  [K:H]
-divides [top:H], so a closure whose double cosets hold more than half of
-top's right cosets is all of top and stops there, and comes back as
-top's own index array.  A closure comes back as its elements, and only
+A chunk is consecutive tables whose positions number at most
+_BLOCK_ENTRIES together (one table at a time for a larger top): that
+bounds the call's joined map of positions to double cosets, and each
+table holds its own map of positions to right cosets of the same length
+beside it.  Only one chunk's tables are alive at once; on small tops a
+level is one chunk and one call ([1, GL(3,2)]'s 14 tables take 3
+calls).  [K:H] divides [top:H], so a closure whose double cosets hold
+more than half of top's right cosets is all of top and stops there, and
+comes back as top's own index array.  A closure comes back as its elements, and only
 one that is a new member becomes a Subgroup, held without a copy (as
 are the conjugates and normalizers below, all sorted by construction).
 Closures are accepted level by level, then table by table, then in
@@ -164,10 +166,9 @@ class IntervalLattice:
     normalizers: tuple[Subgroup, ...] = ()  # N_top of each member, aligned with members; () unless exhaustive
 
     def __post_init__(self):
-        self.by_id = {m.id: m for m in self.members}
-        self.position = {m.id: i for i, m in enumerate(self.members)}
+        self.position = {m.id: i for i, m in enumerate(self.members)}  # member id -> its place in members
         self.graph: NormalityGraph | None = None  # set by _graph when a report first reads a kept lattice's
-        if len(self.by_id) != len(self.members):  # reports key members on ids
+        if len(self.position) != len(self.members):  # reports key members on ids
             raise LatticeError("subgroup id collision; widen the digest")
 
     def member_orders(self) -> list[int]:
@@ -227,9 +228,10 @@ def _pieces(flat: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
     return [flat[end - size : end] for end, size in zip(ends, sizes)]
 
 
-# int32 position entries of the coset tables that one extend_level call
-# reads side by side (16 MB), the budget of _PRODUCT_ENTRIES
-_LEVEL_ENTRIES = 1 << 22
+# 4-byte entries in one block of work (16 MB): the positions of the coset
+# tables whose maps one extend_level call joins, and the float32 entries of
+# a column block of normality_graph's membership product
+_BLOCK_ENTRIES = 1 << 22
 
 
 def enumerate_interval(
@@ -242,8 +244,8 @@ def enumerate_interval(
 
     Breadth first, one level of orbit representatives at a time: their
     coset tables are built in chunks of consecutive tables, each within
-    _LEVEL_ENTRIES position entries (one table at a time for a larger
-    top), and each chunk's extensions are closed by one extend_level call.
+    _BLOCK_ENTRIES positions (one table at a time for a larger top), and
+    each chunk's extensions are closed by one extend_level call.
     Bottom's table is built first; it seeds every later table's right
     cosets, and its normalizer in top acts on the interval by conjugation
     through its right-coset leaders, so only one member per orbit is
@@ -262,7 +264,7 @@ def enumerate_interval(
     # member key -> (member, its representative R's key, a with member = a R a^-1)
     members = {start: (bottom, start, ambient.identity_index)}
     rep_normalizers: dict[bytes, Subgroup] = {}  # representative key -> N_top(R)
-    chunk = max(1, _LEVEL_ENTRIES // top.order)
+    chunk = max(1, _BLOCK_ENTRIES // top.order)
     level = [bottom]
     exhaustive = True
     below = None  # bottom's table, once built
@@ -318,10 +320,6 @@ class NormalityGraph:
     top_id: str
 
 
-# float32 entries in one column block of normality_graph's membership product (16 MB)
-_PRODUCT_ENTRIES = 1 << 22
-
-
 def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     """Edge for every comparable pair whose smaller member is normal in the larger.
 
@@ -331,7 +329,7 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     The other counts come from one product of 0/1 membership rows, the
     members below top and their normalizers other than top, against the
     members' rows.  Its columns are the ambient elements that some row
-    holds, taken in blocks of at most _PRODUCT_ENTRIES entries, so no
+    holds, taken in blocks of at most _BLOCK_ENTRIES entries, so no
     block grows with |top|.  The counts are float32 sums of 0/1 and exact
     below 2^24; every row's set is a proper subgroup of top, so that holds
     for |top| < 2^25, and a larger top counts in float64.
@@ -350,7 +348,7 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     held[flat] = True
     col = (np.cumsum(held, dtype=np.int32) - 1).take(flat)  # the elements some row holds, numbered in order
     ncols = int(held.sum())
-    width = max(1, min(ncols, _PRODUCT_ENTRIES // max(1, len(sets))))
+    width = max(1, min(ncols, _BLOCK_ENTRIES // max(1, len(sets))))
     block = col // width
     counts = np.zeros((len(sets), below), dtype=np.float32 if top.order < 1 << 25 else np.float64)
     for b in range(-(-ncols // width)):
@@ -664,7 +662,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
     interval_ids = sorted(m.id for m in _interval(lat))
     equal = sorted(lower.member_ids) == interval_ids
     in_interval = set(interval_ids)
-    extra = [{"id": mid, "order": lat.by_id[mid].order} for mid in lower.member_ids if mid not in in_interval]
+    extra = [{"id": i, "order": lat.members[lat.position[i]].order} for i in lower.member_ids if i not in in_interval]
     extra.sort(key=lambda d: (d["order"], d["id"]))
 
     verdicts = {

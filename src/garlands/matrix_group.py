@@ -807,14 +807,15 @@ def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[
     every right coset of each newly claimed double coset (a run of its
     table's by_double), multiplies its least element by its closure's g,
     once, through one RightProducts table of every g built before the first
-    level, and claims the double cosets of the images.  The jobs' right and
-    double cosets are numbered on from one job to the next, and each
-    image's double coset is read off its own table's map of positions to
-    double cosets, so one claim over every (closure, double coset of its
-    table) drops repeats.  A single job reads its table's arrays as they
-    are, with no concatenation and no offsets; several hold one map of
-    positions per table side by side, so a caller bounds how many it
-    passes at once.
+    level, and claims the double cosets of the images.  Each image's
+    double coset is read off its own table's map of positions to double
+    cosets; the maps lie side by side, |top| entries per table, so a caller
+    bounds how many tables it passes at once.  Each closure holds one claim
+    slot per double coset of the widest table, and one claim over every
+    (closure, double coset of its table) drops repeats.  The jobs' right
+    and double cosets are numbered on from one job to the next where the
+    tables' arrays are read together; one job's arrays are read as they
+    are, with no concatenation.
 
     Closures of one job that claim the same double cosets reach the same
     cosets and are one closure, generated by H's generators and the first g
@@ -843,34 +844,26 @@ def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[
     ncos, ndouble = [t.leaders.size for t in tables], [t.dwidth.size for t in tables]
     cbase, dbase = [0, *accumulate(ncos)][:-1], [0, *accumulate(ndouble)][:-1]
     top = first.top.indices
-    # job * |top| + position -> its double coset number (numbered on), read by the levels and the results
-    double_at = _joined([t.dnum.take(t.coset) for t in tables], dbase)
+    # job * |top| + position -> its double coset number in its table
+    double_at = _joined([t.dnum.take(t.coset) for t in tables])
     width = _joined([t.dwidth for t in tables])
     by_double = _joined([t.by_double for t in tables], cbase)
     lead = top.take(_joined([t.leaders for t in tables]))  # coset number -> its least element
     start = np.cumsum(width, dtype=np.int32) - width  # double coset number -> the start of its run in by_double
-    own = double_at.take(positions[amb.identity_index] + top.size * np.arange(len(jobs)))  # each H, one right coset
-    # per closure: one slot per double coset of its table, double coset d (numbered on) at key[c] + d, and
-    # half, past which its cosets are all of top's.  One job keys c * ndouble + d, and reads (c, d) back by
-    # divmod; several key by a gather and read c back by a sorted search over the closures' first slots
-    closure = np.arange(gs.size, dtype=np.int32)
-    if len(jobs) == 1:
-        stride, half, at_job = ndouble[0], ncos[0], None
-        key = closure * stride
-    else:
-        job = np.repeat(np.arange(len(jobs), dtype=np.int32), counts)
-        row = np.take(ndouble, job)
-        first_slot = (np.cumsum(row) - row).astype(np.int32)
-        key = first_slot - np.take(dbase, job).astype(np.int32)
-        stride, half = None, np.take(ncos, job)
-        at_job = job * top.size  # where its table's run of double_at starts
-    spans = [c * n for c, n in zip(counts, ndouble)]
-    slot = np.full(sum(spans), -1, dtype=np.int32)
+    # per closure: where its table's run of double_at starts, the number of its table's first double coset,
+    # and half, past which its cosets are all of top's; and stride slots, one per double coset of the widest
+    # table, its double coset d at closure * stride + d
+    per_job = [[j * top.size for j in range(len(jobs))], dbase, ncos]
+    at_job, on, half = np.repeat(np.array(per_job, dtype=np.int32), counts, axis=1)
+    stride = max(ndouble)
+    slot = np.full(gs.size * stride, -1, dtype=np.int32)
     by = RightProducts(amb, gs)
     claimed = np.zeros(gs.size)  # right cosets each closure has reached, a weighted bincount: float, exact here
-    ds = np.repeat(own, counts)
-    slot[key + ds] = 0
+    closure = np.arange(gs.size, dtype=np.int32)
+    ds = double_at.take(at_job + positions[amb.identity_index])  # H, a double coset of one right coset
+    slot[closure * stride + ds] = 0
     while closure.size:
+        ds = ds + on.take(closure)  # numbered on across the tables
         w = width.take(ds)
         claimed += np.bincount(closure, weights=w, minlength=gs.size)
         live = ~(2 * claimed > half).take(closure)
@@ -882,29 +875,18 @@ def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[
         ends = np.cumsum(w, dtype=np.int32)
         runs = np.arange(ends[-1], dtype=np.int32) + np.repeat(start.take(ds) - ends + w, w)
         closure = np.repeat(closure, w)
-        at = positions.take(by(lead.take(by_double.take(runs)), closure))
-        if at_job is not None:
-            at = at + at_job.take(closure)
-        ds = double_at.take(at)
-        if stride is not None:
-            closure, ds = np.divmod(_claim_fresh(closure * stride + ds, slot), stride)
-        else:
-            fresh = _claim_fresh(key.take(closure) + ds, slot)
-            closure = np.searchsorted(first_slot, fresh, side="right").astype(np.int32) - 1
-            ds = fresh - key.take(closure)
-    reached = slot >= 0
-    whole = 2 * claimed > half  # closures that stopped at all of top, their slots unclaimed
+        at = positions.take(by(lead.take(by_double.take(runs)), closure)) + at_job.take(closure)
+        closure, ds = np.divmod(_claim_fresh(closure * stride + double_at.take(at), slot), stride)
+    reached = (slot >= 0).reshape(gs.size, stride)
+    reached[2 * claimed > half] = True  # closures that stopped at all of top, their slots unclaimed
     out = []
-    for j, (t, g, end, span, last) in enumerate(zip(tables, gss, accumulate(spans), spans, accumulate(counts))):
-        rows = reached[end - span : end].reshape(g.size, t.dwidth.size)
-        rows[whole[last - g.size : last]] = True
+    for j, (t, g, end) in enumerate(zip(tables, gss, accumulate(counts))):
+        rows = reached[end - g.size : end, : t.dwidth.size]
         firsts = {}
         for i, bits in enumerate(np.packbits(rows, axis=1)):
             firsts.setdefault(bits.tobytes(), i)
         everything = rows.all(axis=1)  # closures that are all of top
         local = double_at[j * top.size : (j + 1) * top.size]  # position -> its double coset number in t
-        if dbase[j] and not everything.all():
-            local = local - dbase[j]
         top_of = t.top.indices
         out.append([(top_of if everything[i] else top_of[rows[i].take(local)], int(g[i])) for i in firsts.values()])
     return out

@@ -185,7 +185,7 @@ def test_lower_garland_d23_strictly_contains_interval():
     lat = enumerate_interval(d, gl23)
     g = normality_graph(lat)
     lower = next(x for x in garlands(g) if x.is_lower)
-    lower_orders = sorted(lat.by_id[i].order for i in lower.member_ids)
+    lower_orders = sorted(lat.members[lat.position[i]].order for i in lower.member_ids)
     assert lower_orders == [4, 8, 16]
 
 
@@ -356,7 +356,7 @@ def test_lattice_conjugation_invariance():
         for m in lat.members:
             image = Subgroup(gl23, gl23.rmul(gl23.lmul(g, m.indices), ginv))
             mapping[m.id] = image.id
-            assert image.id in lat2.by_id
+            assert image.id in lat2.position
         mapped_edges = {tuple(sorted((mapping[a], mapping[b]))) for a, b in graph.edges}
         plain_edges = {tuple(sorted(e)) for e in graph2.edges}
         assert mapped_edges == plain_edges
@@ -680,7 +680,7 @@ def test_normality_graph_in_column_blocks_matches_pairwise_subset_tests(monkeypa
     lat = enumerate_interval(torus_subgroup(spec, amb), amb)
     rows = [*lat.members[:-1], *(n for n in lat.normalizers[:-1] if n.order < lat.top.order)]
     assert np.unique(np.concatenate([r.indices for r in rows])).size > width  # more than one block
-    monkeypatch.setattr(lattice, "_PRODUCT_ENTRIES", width * len(rows))
+    monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", width * len(rows))
     assert set(normality_graph(lat).edges) == normality_edges_by_pairs(lat.members)[0]
 
 
@@ -756,7 +756,7 @@ def test_one_extension_call_per_level(monkeypatch, kind, base, degrees, levels):
     assert len(calls) == levels and calls[0] == 1
     tables = sum(calls)
     calls.clear()
-    monkeypatch.setattr(lattice, "_LEVEL_ENTRIES", amb.order)
+    monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", amb.order)
     got = enumerate_interval(t, amb)
     assert calls == [1] * tables
     # the same members, normalizers and generators, in the same order
