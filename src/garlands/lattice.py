@@ -54,9 +54,9 @@ beside it.  Only one chunk's tables are alive at once; on small tops a
 level is one chunk and one call ([1, GL(3,2)]'s 14 tables take 3
 calls).  [K:H] divides [top:H], so a closure whose double cosets hold
 more than half of top's right cosets is all of top and stops there, and
-comes back as top's own index array.  A closure comes back as its elements, and only
-one that is a new member becomes a Subgroup, held without a copy (as
-are the conjugates and normalizers below, all sorted by construction).
+comes back as top's own index array.  A closure comes back as its
+elements, and only one that is a new member becomes a Subgroup, held
+without a copy (as are the conjugates below, sorted by construction).
 Closures are accepted level by level, then table by table, then in
 first-occurrence order, the order in which one table at a time would
 find them, so the members, their generators and every report are the
@@ -84,19 +84,18 @@ R with the representative of n^-1 g n's R-double-coset.  It was found when
 R was expanded, its orbit was added with it, and that orbit contains
 H_{i+1}.
 
-Every member's normalizer in top comes from the same tables: a
-representative R has N_top(R) from its own table (top, which has none, is
-its own), and a member a R a^-1 found by conjugating has a N_top(R) a^-1;
-all those conjugates are taken in one batch and sorted in one sort.
-Edges of the normality graph join every comparable pair with the smaller
-subgroup normal in the larger (no Hasse restriction); garlands are the
-connected components.  a is normal in b exactly when a < b <= N_top(a),
-that is |a & b| = |a| < |b| and |N_top(a) & b| = |b|, with no group
-products.  Top holds every member, so a is normal in top exactly when
-N_top(a) = top.  Every other count comes from one product of 0/1
-membership rows, the members below top and their normalizers other than
-top, against the members' rows, over the elements some row holds, in
-column blocks under a fixed entry budget.
+Every member's normalizer in top is a member (N_top(H) holds H, which
+holds bottom), kept as its position: a representative R has N_top(R) from
+its own table (top, which has none, is its own), a member a R a^-1 has
+a N_top(R) a^-1, and all those conjugates are taken in one batch and one
+sort and found by their keys.  Edges of the normality graph join every
+comparable pair with the smaller subgroup normal in the larger (no Hasse
+restriction); garlands are the connected components.  a is normal in b
+exactly when a <= b, |a| < |b| and b <= N_top(a), so the members'
+inclusions and the normalizer positions decide every pair, with no group
+products; the inclusions come from one product of 0/1 membership rows of
+the members below top (top holds every member), over the elements some
+row holds, in column blocks under a fixed entry budget.
 
 One case pipeline: every case's [T, G] is computed once per process, and
 kept (keyed by (ambient, algebra), so over F_2, where SL = GL, the two
@@ -156,14 +155,16 @@ class NonExhaustiveError(LatticeError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: normalizer_at, an array, has no truth value
 class IntervalLattice:
+    """The members of [bottom, top]; N_top(members[i]) holds bottom, so it is a member: members[normalizer_at[i]]."""
+
     bottom: Subgroup
     top: Subgroup
     ambient: AmbientGroup
     members: tuple[Subgroup, ...]  # sorted by (order, id)
     exhaustive: bool = True
-    normalizers: tuple[Subgroup, ...] = ()  # N_top of each member, aligned with members; () unless exhaustive
+    normalizer_at: np.ndarray | None = None  # position in members of N_top of each member; None unless exhaustive
 
     def __post_init__(self):
         self.position = {m.id: i for i, m in enumerate(self.members)}  # member id -> its place in members
@@ -202,24 +203,26 @@ def _conjugacy_orbit(k: Subgroup, leaders: np.ndarray) -> list[tuple[Subgroup, i
     return [(k, amb.identity_index)] + [(Subgroup.of_sorted(amb, row), a) for row, a in conjugates]
 
 
-def _conjugate_normalizers(amb: AmbientGroup, pairs: list[tuple[Subgroup, int]]) -> tuple[Subgroup, ...]:
-    """a N a^-1 for each (N, a), in one conjugate_by call and one sort; an identity a leaves N as it is.
+def _normalizer_positions(amb: AmbientGroup, keys: list[bytes], members: dict, rep_normalizers: dict) -> np.ndarray:
+    """For each key, in members as (member, R's key, a), the position in keys of N_top(a R a^-1) = a N_top(R) a^-1.
 
-    The conjugates are sorted together, each offset by its run's number
-    times the ambient order, so every run comes out ascending.
+    One conjugate_by call and one sort; an identity a leaves N_top(R) as it
+    is.  The conjugates are sorted together, each offset by its run's
+    number times the ambient order, so every run comes out ascending.
     """
-    out = [n for n, _ in pairs]
-    moved = [i for i, (_, a) in enumerate(pairs) if a != amb.identity_index]
+    out = [rep_normalizers[members[key][1]] for key in keys]
+    moved = [i for i, key in enumerate(keys) if members[key][2] != amb.identity_index]
     if moved:
-        sizes = [out[i].order for i in moved]
+        sizes = [out[i].size for i in moved]
         which = np.repeat(np.arange(len(moved), dtype=np.int32), sizes)
-        gs = np.array([pairs[i][1] for i in moved], dtype=np.int32)
-        flat = amb.conjugate_by(gs, which, np.concatenate([out[i].indices for i in moved]))
+        gs = np.array([members[keys[i]][2] for i in moved], dtype=np.int32)
+        flat = amb.conjugate_by(gs, which, np.concatenate([out[i] for i in moved]))
         offset = which.astype(np.int64) * amb.order
         flat = (np.sort(flat + offset) - offset).astype(np.int32)
         for i, part in zip(moved, _pieces(flat, sizes)):
-            out[i] = Subgroup.of_sorted(amb, part)
-    return tuple(out)
+            out[i] = part
+    at = {key: i for i, key in enumerate(keys)}
+    return np.array([at[n.tobytes()] for n in out], dtype=np.int32)
 
 
 def _pieces(flat: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
@@ -240,7 +243,7 @@ def enumerate_interval(
     within: Subgroup | None = None,
     max_members: int | None = None,
 ) -> IntervalLattice:
-    """All subgroups H with bottom <= H <= top (top = within or the ambient), each with N_top(H).
+    """All subgroups H with bottom <= H <= top (top = within or the ambient), each with N_top(H)'s position.
 
     Breadth first, one level of orbit representatives at a time: their
     coset tables are built in chunks of consecutive tables, each within
@@ -263,7 +266,7 @@ def enumerate_interval(
     start = bottom.indices.tobytes()
     # member key -> (member, its representative R's key, a with member = a R a^-1)
     members = {start: (bottom, start, ambient.identity_index)}
-    rep_normalizers: dict[bytes, Subgroup] = {}  # representative key -> N_top(R)
+    rep_normalizers: dict[bytes, np.ndarray] = {}  # representative key -> N_top(R)'s sorted indices
     chunk = max(1, _BLOCK_ENTRIES // top.order)
     level = [bottom]
     exhaustive = True
@@ -272,7 +275,7 @@ def enumerate_interval(
         expand = []
         for h in level:
             if h.order == top.order:  # top is its own only double coset: no extension, and N_top(top) = top
-                rep_normalizers[h.indices.tobytes()] = top
+                rep_normalizers[h.indices.tobytes()] = top.indices
             else:
                 expand.append(h)
         found = []  # the next level
@@ -283,8 +286,8 @@ def enumerate_interval(
                 rep_normalizers[h.indices.tobytes()] = tables[-1].normalizer()
                 if below is None:  # bottom's table, the first
                     below = tables[0]
-                    leaders = top.indices[below.leaders]
-                    leaders = leaders[rep_normalizers[start].contains(leaders)]  # one per right coset of bottom in A
+                    # one per right coset of bottom in A: the right cosets that are their own double cosets
+                    leaders = top.indices[below.leaders[below.dwidth.take(below.dnum) == 1]]
             closed = extend_level([(table, table.double_coset_reps()) for table in tables])
             for h, (elements, g) in ((t.h, c) for t, cs in zip(tables, closed) for c in cs):
                 rep = elements.tobytes()
@@ -299,16 +302,14 @@ def enumerate_interval(
             if not exhaustive:
                 break
         level = found
-    ordered = sorted(members.values(), key=lambda e: (e[0].order, e[0].id))
+    keys = sorted(members, key=lambda key: (members[key][0].order, members[key][0].id))
     return IntervalLattice(
         bottom=bottom,
         top=top,
         ambient=ambient,
-        members=tuple(m for m, _, _ in ordered),
+        members=tuple(members[key][0] for key in keys),
         exhaustive=exhaustive,
-        normalizers=(
-            _conjugate_normalizers(ambient, [(rep_normalizers[r], a) for _, r, a in ordered]) if exhaustive else ()
-        ),
+        normalizer_at=_normalizer_positions(ambient, keys, members, rep_normalizers) if exhaustive else None,
     )
 
 
@@ -323,44 +324,40 @@ class NormalityGraph:
 def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     """Edge for every comparable pair whose smaller member is normal in the larger.
 
-    a is normal in b exactly when a < b <= N_top(a): |a & b| = |a| < |b|
-    and |N_top(a) & b| = |b|.  Top holds every member, so a is normal in
-    top exactly when N_top(a) = top, and N_top(a) = top holds every b.
-    The other counts come from one product of 0/1 membership rows, the
-    members below top and their normalizers other than top, against the
-    members' rows.  Its columns are the ambient elements that some row
-    holds, taken in blocks of at most _BLOCK_ENTRIES entries, so no
-    block grows with |top|.  The counts are float32 sums of 0/1 and exact
-    below 2^24; every row's set is a proper subgroup of top, so that holds
-    for |top| < 2^25, and a larger top counts in float64.
+    a is normal in b exactly when a < b <= N_top(a), and N_top(a) is the
+    member at normalizer_at[a]: with sub[a, b] for a <= b, a is normal in
+    b exactly when sub[a, b], |a| < |b| and sub[b, normalizer_at[a]], with
+    no group products.  Below top, sub[a, b] is |a & b| = |a|, from one
+    product of 0/1 membership rows of the members below top; top holds
+    every member, and only top holds top.  The product's columns are the
+    ambient elements that some row holds, taken in blocks of at most
+    _BLOCK_ENTRIES entries, so no block grows with |top|.  The counts are
+    float32 sums of 0/1 and exact below 2^24; every row's set is a proper
+    subgroup of top, so that holds for |top| < 2^25, and a larger top
+    counts in float64.
     """
     if not lat.exhaustive:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
     ms, top = lat.members, lat.top
     below = len(ms) - 1  # the last member is top, the one of its order
-    size = np.array([m.order for m in ms[:below]], dtype=np.int64)
-    normalizer_size = np.array([n.order for n in lat.normalizers[:below]], dtype=np.int64)
-    whole = normalizer_size == top.order
-    sets = [*ms[:below], *(n for n, w in zip(lat.normalizers, whole) if not w)]  # the product's rows
-    flat = np.concatenate([s.indices for s in sets]) if sets else np.zeros(0, dtype=np.int32)
-    row = np.repeat(np.arange(len(sets), dtype=np.int32), np.concatenate([size, normalizer_size[~whole]]))
+    size = np.array([m.order for m in ms], dtype=np.int64)
+    row, flat = _runs([m.indices for m in ms[:below]])
     held = np.zeros(lat.ambient.order, dtype=bool)
     held[flat] = True
     col = (np.cumsum(held, dtype=np.int32) - 1).take(flat)  # the elements some row holds, numbered in order
     ncols = int(held.sum())
-    width = max(1, min(ncols, _BLOCK_ENTRIES // max(1, len(sets))))
+    width = max(1, min(ncols, _BLOCK_ENTRIES // max(1, below)))
     block = col // width
-    counts = np.zeros((len(sets), below), dtype=np.float32 if top.order < 1 << 25 else np.float64)
+    counts = np.zeros((below, below), dtype=np.float32 if top.order < 1 << 25 else np.float64)
     for b in range(-(-ncols // width)):
         at = block == b
-        dense = np.zeros((len(sets), width), dtype=counts.dtype)
+        dense = np.zeros((below, width), dtype=counts.dtype)
         dense[row[at], col[at] - b * width] = 1
-        counts += dense @ dense[:below].T
-    inside = np.ones((below, below), dtype=bool)  # b <= N_top(a), for every b when N_top(a) = top
-    inside[~whole] = counts[below:] == size
-    normal = (counts[:below] == size[:, None]) & (size[:, None] < size) & inside
+        counts += dense @ dense.T
+    sub = np.pad(counts == size[:below, None], (0, 1))  # sub[a, b]: a <= b, and top holds every member
+    sub[:, below] = True
+    normal = sub & (size[:, None] < size) & sub[:, lat.normalizer_at].T
     edges = [(ms[a].id, ms[b].id) for a, b in zip(*np.nonzero(normal))]
-    edges += [(ms[a].id, top.id) for a in np.flatnonzero(whole)]
     return NormalityGraph(
         vertices=tuple(m.id for m in ms),
         edges=tuple(sorted(edges)),
@@ -503,7 +500,7 @@ def _torus_lattice(spec: AlgebraSpec, ambient: AmbientGroup) -> IntervalLattice:
 
 
 def _read_off_sl(spec: AlgebraSpec, gl: AmbientGroup) -> IntervalLattice:
-    """[T, GL] read off [T', SL] for q > 2: TK and N_GL(TK) for each T-invariant member K (module docstring).
+    """[T, GL] read off [T', SL] for q > 2: TK for each T-invariant member K, and N_GL(TK) (module docstring).
 
     The SL lattice comes from the memo, or is enumerated under the SL
     ambient that run_case builds with gl's caps, and one key lookup maps SL
@@ -516,9 +513,9 @@ def _read_off_sl(spec: AlgebraSpec, gl: AmbientGroup) -> IntervalLattice:
     are.  Likewise s in N_SL(K) normalizes TK exactly when s r s^-1 lies in
     TK, that is [s, r] in K, as det(s r s^-1) = det r: one batch of
     commutators over the s in N_SL(K) \\ K, for the K with N_SL(K) > K,
-    gives M = N_GL(TK) & SL; elsewhere M = K.  TK and N_GL(TK) = M T are
-    the right products of K and M by the powers of r.  The bottom is
-    torus_subgroup's T, with its generators, and the top all of GL.
+    gives M = N_GL(TK) & SL; elsewhere M = K.  M is a kept member, so
+    N_GL(TK) = T M is the member read off M, and TK is the right product of
+    K by the powers of r.  The bottom is torus_subgroup's T with its generators.
     """
     sl = ambient_group(SL, gl.n, gl.field, gl.caps)
     sub = _torus_lattice(spec, sl)
@@ -530,32 +527,30 @@ def _read_off_sl(spec: AlgebraSpec, gl: AmbientGroup) -> IntervalLattice:
     owner, flat = _runs(inner)
     moved = np.bincount(owner[~_member_of(gl, inner, owner, gl.conjugates([r], flat)[0])], minlength=len(inner))
     kept = sorted({0, last, *(np.flatnonzero(moved == 0) + 1).tolist()})
-    grow = [i for i in kept if sub.normalizers[i].order > sub.members[i].order]
-    ms = {}  # kept member -> M, where M > K
+    grow = [i for i in kept if sub.normalizer_at[i] != i]
+    m_at = {i: i for i in kept}  # kept member K -> M's position in sub
     if grow:
-        outside = []  # N_SL(K) minus K
-        for i in grow:
-            n = sub.normalizers[i].indices
-            outside.append(embed.take(n[~sub.members[i].contains(n)]))
+        ns = [sub.members[sub.normalizer_at[i]].indices for i in grow]
+        outside = [embed.take(n[~sub.members[i].contains(n)]) for i, n in zip(grow, ns)]  # N_SL(K) minus K
         owner, s = _runs(outside)
         conj = gl.conjugate_by(s, np.arange(s.size, dtype=np.int32), np.full(s.size, r, dtype=np.int32))
         inside = _member_of(gl, [ks[i] for i in grow], owner, gl.rmul(conj, gl.inv_indices()[r]))
+        at = {ks[i].tobytes(): i for i in kept}
         for i, x, hit in zip(grow, outside, _pieces(inside, [x.size for x in outside])):
-            if hit.any():
-                ms[i] = np.sort(np.concatenate([ks[i], x[hit]]))
+            m_at[i] = at[np.sort(np.concatenate([ks[i], x[hit]])).tobytes()]
     middle = [i for i in kept if 0 < i < last]
-    parts = _times_powers(gl, r, gl.field.q - 1, [ks[i] for i in middle] + list(ms.values()))
+    parts = _times_powers(gl, r, gl.field.q - 1, [ks[i] for i in middle])
     top = Subgroup(gl, np.arange(gl.order, dtype=np.int32))
     # the torus overrides top when they are one member: T' = SL, so n = 1 and T = GL
     members = {last: top, 0: torus, **{i: Subgroup(gl, x) for i, x in zip(middle, parts)}}
-    normalizers = {i: Subgroup(gl, x) for i, x in zip(ms, parts[len(middle) :])}
     kept.sort(key=lambda i: (members[i].order, members[i].id))
+    position = {i: j for j, i in enumerate(kept)}
     return IntervalLattice(
         bottom=torus,
         top=top,
         ambient=gl,
         members=tuple(members[i] for i in kept),
-        normalizers=tuple(normalizers.get(i, members[i]) for i in kept),
+        normalizer_at=np.array([position[m_at[i]] for i in kept], dtype=np.int32),
     )
 
 
@@ -629,21 +624,22 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
     """The case document of one algebra/ambient case, "torus" block included, built anew on every call.
 
     Reads everything off the case's [T, G] lattice (_torus_lattice): T is
-    its bottom, N(T) and N(N(T)) are its normalizers of the members T and
-    N(T) (element-level, over all of G, and independent of the formula),
-    and the normality graph is the lattice's own.  Checks (a) the formula
-    normalizer, built from that T, vs N(T), (b) lower garland vs the
-    interval up to N(T), (c) idempotence of N(T).  Every check records a
-    verdict against what the hypothesis record predicts, so failures
-    outside the guaranteed regime are reported.  run_case adds the
-    schema, the status and, for SL, the restriction block.
+    its bottom, N(T) and N(N(T)) are the members at the normalizer
+    positions of T and N(T) (element-level, over all of G, and independent
+    of the formula), and the normality graph is the lattice's own.  Checks
+    (a) the formula normalizer, built from that T, vs N(T), (b) lower
+    garland vs the interval up to N(T), (c) idempotence of N(T), N(T) at
+    its own normalizer position.  Every check records a verdict against
+    what the hypothesis record predicts, so failures outside the guaranteed
+    regime are reported.  run_case adds the schema, the status and, for
+    SL, the restriction block.
     """
     hyp = record_hypotheses(spec)
     lat = _torus_lattice(spec, ambient)
     # over F_2 (SL = GL) the lattice may be the other case's, so T, and the
     # formula set and failure payload built from it, are put in the case's own ambient
     torus = lat.bottom.with_ambient(ambient)
-    normalizer = lat.normalizers[0]  # T is the one smallest member
+    normalizer = lat.members[lat.normalizer_at[0]]  # T is the one smallest member
     closure_failure = None
     try:
         formula = normalizer_formula(spec, torus)
@@ -654,8 +650,9 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
         formula_order = 0
         formula_eq = False
 
-    second = lat.normalizers[lat.position[normalizer.id]]  # N(N(T)): N(T) is a member of [T, G]
-    idempotent = second.same_elements(normalizer)
+    at = lat.normalizer_at
+    second = lat.members[at[at[0]]]  # N(N(T)): N(T) is a member of [T, G]
+    idempotent = bool(at[at[0]] == at[0])
     gls = garlands(_graph(lat))
     lower = next(g for g in gls if g.is_lower)
     upper = next(g for g in gls if g.is_upper)
@@ -724,7 +721,8 @@ def interval_restriction_check(spec: AlgebraSpec, gl: AmbientGroup, sl: AmbientG
         raise LatticeError("expected GL and SL ambients of one degree over one field")
     gl_lat, sl_lat = _torus_lattice(spec, gl), _torus_lattice(spec, sl)
     gl_interval, sl_interval = _interval(gl_lat), _interval(sl_lat)
-    identity_holds = intersect_with_ambient(gl_lat.normalizers[0], sl).same_elements(sl_lat.normalizers[0])
+    n_gl, n_sl = (lat.members[lat.normalizer_at[0]] for lat in (gl_lat, sl_lat))
+    identity_holds = intersect_with_ambient(n_gl, sl).same_elements(n_sl)
     equal = {intersect_with_ambient(h, sl).indices.tobytes() for h in gl_interval} == {
         h.indices.tobytes() for h in sl_interval
     }

@@ -480,8 +480,8 @@ class Subgroup:
         """A subgroup of an int32 index array, strictly increasing by construction, held with no copy and no scan.
 
         For a mask's selection from sorted indices, or the sorted rows of a
-        bijective image; the tests check that every member and normalizer
-        of an enumeration is strictly increasing int32.  The array is
+        bijective image; the tests check that every member of an
+        enumeration is strictly increasing int32.  The array is
         shared, not copied, so nothing writes to it afterwards.
         """
         out = cls.__new__(cls)
@@ -785,9 +785,9 @@ class CosetTable:
         reps = np.flatnonzero(self.double == np.arange(self.double.size))
         return self.top.indices[self.leaders[reps[reps != own]]]
 
-    def normalizer(self) -> Subgroup:
-        """N_top(H): the positions whose double coset holds one right coset."""
-        return Subgroup.of_sorted(self.h.ambient, self.top.indices[(self.dwidth.take(self.dnum) == 1).take(self.coset)])
+    def normalizer(self) -> np.ndarray:
+        """N_top(H) as sorted ambient indices: the positions whose double coset holds one right coset."""
+        return self.top.indices[(self.dwidth.take(self.dnum) == 1).take(self.coset)]
 
 
 def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:

@@ -87,7 +87,7 @@ def torus_report(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> dict:
     base, spec = build_algebra(case, caps)
     amb = ambient_group(case.kind, case.n, base, caps)
     torus = torus_subgroup(spec, amb)
-    normalizer = CosetTable(torus, Subgroup(amb, range(amb.order))).normalizer()
+    normalizer = Subgroup.of_sorted(amb, CosetTable(torus, Subgroup(amb, range(amb.order))).normalizer())
     return {
         "schema": SCHEMA_VERSION,
         "case": case.serialize(),

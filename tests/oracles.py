@@ -902,7 +902,7 @@ def restriction_by_normalizers(spec: AlgebraSpec, gl, sl) -> dict:
 
     def interval(amb):
         torus = torus_subgroup(spec, amb)
-        n = CosetTable(torus, Subgroup(amb, np.arange(amb.order, dtype=np.int32))).normalizer()
+        n = Subgroup(amb, CosetTable(torus, Subgroup(amb, np.arange(amb.order, dtype=np.int32))).normalizer())
         return n, enumerate_interval(torus, amb, within=n).members
 
     (n_gl, gl_interval), (n_sl, sl_interval) = interval(gl), interval(sl)

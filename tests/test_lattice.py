@@ -51,6 +51,13 @@ F3 = construct_field(3, 1)
 F9 = construct_field(3, 2)
 
 
+def _normalizers(lat):
+    """Each member's normalizer in top, read off its position among the members; each holds its member."""
+    out = [lat.members[i] for i in lat.normalizer_at]
+    assert all(m.is_subset_of(n) for m, n in zip(lat.members, out, strict=True))
+    return out
+
+
 def test_interval_bottom_is_ambient():
     gl22 = ambient_group(GL, 2, F2)
     whole = Subgroup(gl22, range(6))
@@ -572,7 +579,7 @@ def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
     gl32 = ambient_group(GL, 3, F2)
     t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
     lat = enumerate_interval(t, gl32)
-    acting = next(n for n in lat.normalizers if n.order == acting_order)
+    acting = next(n for n in _normalizers(lat) if n.order == acting_order)
     leaders = acting.indices[lattice.CosetTable(t, acting).leaders]
     assert np.array_equal(leaders, acting.indices)
     for k in lat.members:
@@ -678,7 +685,8 @@ def test_normality_graph_in_column_blocks_matches_pairwise_subset_tests(monkeypa
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     amb = ambient_group(GL, spec.n, spec.base)
     lat = enumerate_interval(torus_subgroup(spec, amb), amb)
-    rows = [*lat.members[:-1], *(n for n in lat.normalizers[:-1] if n.order < lat.top.order)]
+    _normalizers(lat)
+    rows = lat.members[:-1]  # the members below top
     assert np.unique(np.concatenate([r.indices for r in rows])).size > width  # more than one block
     monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", width * len(rows))
     assert set(normality_graph(lat).edges) == normality_edges_by_pairs(lat.members)[0]
@@ -697,19 +705,19 @@ def test_member_normalizers_match_brute(p, degrees):
     t = torus_subgroup(spec, amb)
     for within in (None, normalizer_brute(amb, t)):
         lat = enumerate_interval(t, amb, within=within)
-        assert len(lat.normalizers) == len(lat.members)
-        for m, nm in zip(lat.members, lat.normalizers):
+        assert len(lat.normalizer_at) == len(lat.members)
+        for m, nm in zip(lat.members, _normalizers(lat)):
             assert nm.same_elements(_cut(normalizer_brute(amb, with_generators(m)), lat.top)), m.order
-    assert enumerate_interval(t, amb, max_members=1).normalizers == ()
+    assert enumerate_interval(t, amb, max_members=1).normalizer_at is None
 
 
-@pytest.mark.parametrize("p,degrees,most", [(2, [1, 1, 1], 358), (3, [2, 1], 20)])
+@pytest.mark.parametrize("p,degrees,most", [(2, [1, 1, 1], 179), (3, [2, 1], 10)])
 def test_enumeration_builds_one_subgroup_per_member_and_normalizer(monkeypatch, p, degrees, most):
     # a closure the enumeration already holds is dropped before any
-    # Subgroup is built for it: at most one Subgroup per member and one per
-    # normalizer, by either constructor (one for every distinct closure
-    # would make 482 and 40), and a closure that is all of top is top's own
-    # index array
+    # Subgroup is built for it, and a normalizer is a member position with
+    # no Subgroup of its own: at most one Subgroup per member, by either
+    # constructor (one for every distinct closure and normalizer would make
+    # 482 and 40), and a closure that is all of top is top's own index array
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     amb = ambient_group(GL, spec.n, spec.base)
     t = torus_subgroup(spec, amb)
@@ -736,7 +744,7 @@ def test_enumeration_builds_one_subgroup_per_member_and_normalizer(monkeypatch, 
     monkeypatch.setattr(lattice, "extend_level", recording_extend)
     lat = enumerate_interval(t, amb)
     monkeypatch.undo()
-    assert 2 * len(lat) == most and built[0] <= most
+    assert len(lat) == most and built[0] <= most
     assert len(whole) > 1 and all(whole)
 
 
@@ -761,21 +769,22 @@ def test_one_extension_call_per_level(monkeypatch, kind, base, degrees, levels):
     assert calls == [1] * tables
     # the same members, normalizers and generators, in the same order
     assert [m.indices.tobytes() for m in got.members] == [m.indices.tobytes() for m in want.members]
-    assert [n.indices.tobytes() for n in got.normalizers] == [n.indices.tobytes() for n in want.normalizers]
+    assert np.array_equal(got.normalizer_at, want.normalizer_at)
     assert [m._gens for m in got.members] == [m._gens for m in want.members]
 
 
 @pytest.mark.parametrize("kind,base,degrees", [(GL, F2, [1, 1, 1]), (GL, F3, [2, 1]), (SL, F3, [2, 1]), (GL, F9, [1, 1])])
 def test_members_and_normalizers_hold_strictly_increasing_int32(kind, base, degrees):
-    # the enumeration builds its members and normalizers from arrays that
-    # are sorted and unique by construction, and keeps them uncopied and
-    # unchecked (Subgroup.of_sorted): the closures, the conjugates' sorted
-    # rows, the normalizers' sorted runs and a table's normalizer
+    # the enumeration builds its members from arrays that are sorted and
+    # unique by construction, and keeps them uncopied and unchecked
+    # (Subgroup.of_sorted): the closures and the conjugates' sorted rows;
+    # the normalizers are members, at int32 positions
     amb = ambient_group(kind, sum(degrees), base)
     t = torus_subgroup(AlgebraSpec(base, degrees), amb)
     for within in (None, normalizer_brute(amb, t)):
         lat = enumerate_interval(t, amb, within=within)
-        for s in (*lat.members, *lat.normalizers):
+        assert lat.normalizer_at.dtype == np.int32
+        for s in (*lat.members, *_normalizers(lat)):
             assert s.indices.dtype == np.int32 and (np.diff(s.indices) > 0).all(), s.order
 
 
@@ -845,7 +854,7 @@ def test_reports_do_not_depend_on_the_stage_memo(algebra, caps):
 def test_gl_lattice_read_off_sl_matches_direct_enumeration():
     # over a field larger than F_2, [T, GL] is read off [T', SL]; enumerating
     # it in GL directly must give the same members, in the same order, with
-    # the same normalizers, graph edges and bottom generators
+    # the same normalizer positions, graph edges and bottom generators
     checked = 0
     for case in SWEEP_500_OK:
         if case.kind != GL or case.q == 2:
@@ -856,7 +865,8 @@ def test_gl_lattice_read_off_sl_matches_direct_enumeration():
         read = lattice._torus_lattice(spec, gl)
         direct = enumerate_interval(torus_subgroup(spec, gl), gl)
         assert [h.id for h in read.members] == [h.id for h in direct.members], case
-        assert all(a.same_elements(b) for a, b in zip(read.normalizers, direct.normalizers, strict=True)), case
+        assert np.array_equal(read.normalizer_at, direct.normalizer_at), case
+        assert all(a.same_elements(b) for a, b in zip(_normalizers(read), _normalizers(direct), strict=True)), case
         assert normality_graph(read) == normality_graph(direct), case
         assert read.bottom.generators == direct.bottom.generators and read.top.same_elements(direct.top), case
         checked += 1
@@ -1062,7 +1072,7 @@ def test_f2_reports_name_their_own_ambient(monkeypatch, n, degrees):
             assert doc["case"]["ambient"] == amb.kind.lower()
             assert doc["torus"]["order"] == doc["torus_order"] == lat.bottom.order
             assert len(doc["torus"]["generators"]) == len(lat.bottom.generators)
-            assert doc["normalizers"]["brute_order"] == lat.normalizers[0].order
+            assert doc["normalizers"]["brute_order"] == _normalizers(lat)[0].order
             assert doc["garland"]["interval"] == sorted(h.id for h in lattice._interval(lat))
         counts = _Counts(monkeypatch)
         assert interval_restriction_check(spec, gl, sl)["equal"]
@@ -1111,9 +1121,11 @@ def test_stage_memo_keeps_no_ambient_sized_memo():
             run_case(CaseSpec(*algebra, ambient), caps)
     # GL(3,2) = SL(3,2), so that pair shares one lattice
     assert len(lattice._LATTICES) == 3
-    held = [h for lat in lattice._LATTICES.values() for h in (lat.top, *lat.members, *lat.normalizers)]
+    held = [h for lat in lattice._LATTICES.values() for h in (lat.top, *lat.members, *_normalizers(lat))]
     kept = [getattr(h, slot) for h in held for slot in type(h).__slots__ if slot != "indices"]
     assert not [v for v in kept if isinstance(v, (np.ndarray, dict))]
+    # a normalizer is a member's position, 4 bytes, and no array of its own
+    assert all(lat.normalizer_at.nbytes == 4 * len(lat) for lat in lattice._LATTICES.values())
     # each kept lattice keeps its normality graph, which holds member ids only
     graphs = [lat.graph for lat in lattice._LATTICES.values()]
     assert sorted(len(g.vertices) for g in graphs) == sorted(len(lat) for lat in lattice._LATTICES.values())
