@@ -50,7 +50,10 @@ A chunk is consecutive tables whose positions number at most
 _BLOCK_ENTRIES together (one table at a time for a larger top): that
 bounds the call's joined map of positions to double cosets, and each
 table holds its own map of positions to right cosets of the same length
-beside it.  Only one chunk's tables are alive at once; on small tops a
+beside it.  Inside a call the closures run in consecutive runs whose
+claim arrays hold at most _BLOCK_ENTRIES slots, and a run's closures take
+their elements from masks gathered in blocks of the same size
+(extend_level).  Only one chunk's tables are alive at once; on small tops a
 level is one chunk and one call ([1, GL(3,2)]'s 14 tables take 3
 calls).  [K:H] divides [top:H], so a closure whose double cosets hold
 more than half of top's right cosets is all of top and stops there, and
@@ -67,18 +70,30 @@ acts on the interval by conjugation; only one member per A-orbit is
 expanded: a closure that yields a new member K adds K's whole orbit to the
 members but puts only K on the next level, so the members are always a
 union of orbits.
-The orbit comes from bottom's right-coset leaders in A (CosetTable.leaders
-that lie in A), one element a per right coset bottom a, and needs no
-generators of A.  Every n in A is t a for a leader a and some t in bottom,
-and bottom lies in every member H, so n^-1 H n = a^-1 t^-1 H t a = a^-1 H a;
-as a H a^-1 contains a bottom a^-1 = bottom, also n H n^-1 = a H a^-1.  So
-conjugating K by every leader reaches its whole orbit.  A leader inside K
-fixes K and is skipped, and the rest conjugate K's elements in one batch,
-through one factor table of their inverses; one stable sort of the
+The orbit is taken by left cosets.  Bottom's right-coset leaders in A
+(CosetTable.leaders that lie in A) give one element a per right coset
+bottom a, which is the left coset a bottom, as A normalizes bottom.  Let
+B = <bottom, K's generators that lie in A>; B <= K, so for b in B,
+(a b) K (a b)^-1 = a K a^-1: conjugation is constant on each left coset
+aB, and conjugating K by one element per left coset of B in A reaches its
+whole orbit.  A left coset inside K fixes K and is skipped.  A is labelled
+by left cosets of B as orbit minima under the right permutations of K's
+generators in A outside bottom, hooked onto the labels of bottom's left
+cosets (_orbit_minima), through the root table's memo of right
+permutations when A is top; with no such generator B = bottom, and the
+leaders are the left cosets.  The least element of each coset outside K
+then conjugates K's elements in one batch.  That element is a leader, the
+least of its coset of bottom, so every conjugation goes through one
+product table of the leaders' inverses ([A:bottom] factors, not |A|),
+built at the first orbit that conjugates.  One stable sort of the
 conjugates' sorted rows drops repeats and keeps, for each conjugate, the
-first leader that reaches it.  The enumeration is still complete.  Take a covering
-step H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for
-an expanded representative R and n in A.  Then n^-1 H_{i+1} n =
+first element that reaches it.  On [1, GL(3,2)], where
+A = G and B = K, that is [G:K] - 1 conjugations of K, where one per
+leader outside K took |G| - |K|.
+
+The enumeration is still complete.  Take a covering step
+H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for an
+expanded representative R and n in A.  Then n^-1 H_{i+1} n =
 <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup is the closure of
 R with the representative of n^-1 g n's R-double-coset.  It was found when
 R was expanded, its orbit was added with it, and that orbit contains
@@ -95,7 +110,13 @@ exactly when a <= b, |a| < |b| and b <= N_top(a), so the members'
 inclusions and the normalizer positions decide every pair, with no group
 products; the inclusions come from one product of 0/1 membership rows of
 the members below top (top holds every member), over the elements some
-row holds, in column blocks under a fixed entry budget.
+row holds, in column blocks under a fixed entry budget.  The graph is
+held in member positions: its edges as two position arrays, its garlands
+as each member's least position in its component, found by min-label
+hooking and pointer jumping (_components), and the interval's positions.
+Ids are made once per lattice, from one key gather over all members
+(Subgroup.digest_ids), and a report reads them only for the members it
+names.
 
 One case pipeline: every case's [T, G] is computed once per process, and
 kept (keyed by (ambient, algebra), so over F_2, where SL = GL, the two
@@ -131,6 +152,7 @@ import numpy as np
 
 from .etale import AlgebraSpec, additive_span_check, span_absorbs_units
 from .matrix_group import (
+    _BLOCK_ENTRIES,
     GL,
     SL,
     AmbientGroup,
@@ -138,6 +160,8 @@ from .matrix_group import (
     HypothesisFailure,
     RightProducts,
     Subgroup,
+    _jump,
+    _orbit_minima,
     ambient_group,
     extend_level,
     intersect_with_ambient,
@@ -179,45 +203,134 @@ class IntervalLattice:
         return len(self.members)
 
 
-def _conjugacy_orbit(k: Subgroup, leaders: np.ndarray) -> list[tuple[Subgroup, int]]:
+class _Action:
+    """A = N_top(bottom) acting on [bottom, top] by conjugation, read off bottom's coset table (module docstring).
+
+    A's elements are numbered by their positions in A (its sorted indices).
+    Its right cosets of bottom are its left cosets, bottom a = a bottom as
+    A normalizes bottom, and leaders holds their least elements.  The
+    least element of a left coset of any B between bottom and A is a
+    leader, so every conjugation is by a leader, named by its number in
+    leaders.  A's elements, the labels of bottom's cosets by least
+    position (base), and the product table of the leaders' inverses, which
+    every conjugation goes through, are built at their first use.
+    """
+
+    def __init__(self, below: CosetTable):
+        top = below.top
+        self.below = below
+        self.inside = below.dwidth.take(below.dnum) == 1  # bottom's right cosets in A: their own double cosets
+        self.leaders = top.indices[below.leaders[self.inside]]
+        self.order = self.leaders.size * below.h.order  # |A|
+        self.whole = self.order == top.order  # A is top: A's positions are top's, and the root table's memo serves
+        self._own = int(below.coset[below.positions[top.ambient.identity_index]])  # bottom's own right coset
+        self._elements: np.ndarray | None = None
+        self._base: np.ndarray | None = None
+        self._inverses: RightProducts | None = None
+
+    def representatives(self, k: Subgroup) -> np.ndarray:
+        """The leader number of the least element of every left coset of B = <bottom, K's generators in A> outside K.
+
+        Conjugation by a is constant on aB, as B <= K; aB lies in K or
+        misses it.  With no generator of K in A outside bottom, B = bottom
+        and the leaders lead its left cosets.  Otherwise A's left cosets of
+        B are the classes joining a to a s for those generators s, hooked
+        onto base by their right permutations of A (_orbit_minima).
+        """
+        if k.order % self.order == 0 and k.contains(self.leaders).all():  # K holds A
+            return np.zeros(0, dtype=np.intp)
+        fresh = [s for s in k.generators if self._fresh(s)]
+        if not fresh:
+            return np.flatnonzero(~k.contains(self.leaders))
+        elements = self.elements()
+        if self.whole:
+            perms = [self.below.right_perm(x) for x in fresh]
+        else:
+            which = np.repeat(np.arange(len(fresh), dtype=np.int32), elements.size)
+            prods = RightProducts(k.ambient, fresh)(np.tile(elements, len(fresh)), which)
+            perms = list(np.searchsorted(elements, prods).astype(np.int32).reshape(len(fresh), -1))
+        labels = _orbit_minima(self.base(), perms)
+        firsts = np.searchsorted(elements, self.leaders)  # the leaders' positions in A
+        reps = np.searchsorted(firsts, np.flatnonzero(labels == np.arange(labels.size)))
+        return reps[~k.contains(self.leaders.take(reps))]
+
+    def _fresh(self, s: int) -> bool:
+        """Whether s lies in A outside bottom: in top, in a right coset of bottom inside A, and not in bottom's own."""
+        at = self.below.positions[s]
+        coset = self.below.coset[at] if at >= 0 else self._own
+        return coset != self._own and bool(self.inside[coset])
+
+    def elements(self) -> np.ndarray:
+        """A's sorted ambient indices: top's, or the positions whose right coset of bottom lies in A."""
+        if self._elements is None:
+            below = self.below
+            self._elements = below.top.indices if self.whole else below.top.indices[self.inside.take(below.coset)]
+        return self._elements
+
+    def base(self) -> np.ndarray:
+        """Each position in A -> the least position in A of its coset of bottom."""
+        if self._base is None:
+            below = self.below
+            least = below.leaders.take(below.coset)  # top position -> the least position of its right coset
+            if self.whole:
+                self._base = least
+            else:
+                spots = below.positions.take(self.elements())  # A's positions in top
+                self._base = np.searchsorted(spots, least.take(spots)).astype(np.int32)
+        return self._base
+
+    def conjugate(self, at: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+        """a x a^-1 for a = leaders[at[i]] and x = idxs[i]: two right products by a^-1 through one table of their inverses."""
+        amb = self.below.top.ambient
+        inv = amb.inv_indices()
+        if self._inverses is None:
+            self._inverses = RightProducts(amb, inv.take(self.leaders))
+        by = self._inverses
+        return by(inv.take(by(inv.take(idxs), at)), at)
+
+
+def _conjugacy_orbit(k: Subgroup, action: _Action) -> list[tuple[Subgroup, int]]:
     """Each conjugate a K a^-1 of K under A with one such a, from one conjugation batch.
 
-    leaders holds one ambient index per right coset of bottom in A, which
-    reaches every conjugate (see the module docstring).  K comes first,
-    with the identity; leaders inside K fix K and are skipped.  The other
+    One a per left coset of B in A outside K reaches every conjugate
+    (_Action.representatives); a K with no such coset, which holds A, is
+    its whole orbit.  K comes first, with the identity.  The other
     conjugates' sorted rows go under K's and are told apart by one stable
-    sort of the rows as byte strings, so each conjugate keeps the first
-    leader that reaches it.  The distinct rows are copied out together, and
-    each new conjugate holds its row of that copy.
+    sort of the rows as byte strings, so each conjugate keeps the first a
+    that reaches it.  The distinct rows are copied out together, and each
+    new conjugate holds its row of that copy.
     """
     amb = k.ambient
-    moving = leaders[~k.contains(leaders)]
+    moving = action.representatives(k)
     if not moving.size:
         return [(k, amb.identity_index)]
-    rows = np.vstack([k.indices, np.sort(amb.conjugates(moving, k.indices), axis=1)])
+    at = np.repeat(moving.astype(np.int32), k.order)
+    conj = action.conjugate(at, np.tile(k.indices, moving.size)).reshape(moving.size, k.order)
+    rows = np.vstack([k.indices, np.sort(conj, axis=1)])
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
     ranked = keys.take(order)
     first = np.sort(order[np.concatenate(([True], ranked[1:] != ranked[:-1]))])[1:]  # K's row is 0, the first
-    conjugates = zip(rows[first], moving.take(first - 1).tolist())
+    conjugates = zip(rows[first], action.leaders.take(moving.take(first - 1)).tolist())
     return [(k, amb.identity_index)] + [(Subgroup.of_sorted(amb, row), a) for row, a in conjugates]
 
 
-def _normalizer_positions(amb: AmbientGroup, keys: list[bytes], members: dict, rep_normalizers: dict) -> np.ndarray:
+def _normalizer_positions(keys: list[bytes], members: dict, rep_normalizers: dict, action: _Action | None) -> np.ndarray:
     """For each key, in members as (member, R's key, a), the position in keys of N_top(a R a^-1) = a N_top(R) a^-1.
 
-    One conjugate_by call and one sort; an identity a leaves N_top(R) as it
-    is.  The conjugates are sorted together, each offset by its run's
-    number times the ambient order, so every run comes out ascending.
+    One conjugation batch through the action's table and one sort; an
+    identity a leaves N_top(R) as it is.  The conjugates are sorted
+    together, each offset by its run's number times the ambient order, so
+    every run comes out ascending.
     """
     out = [rep_normalizers[members[key][1]] for key in keys]
-    moved = [i for i, key in enumerate(keys) if members[key][2] != amb.identity_index]
+    moved = [i for i, key in enumerate(keys) if members[key][1] != key]  # the members that are not representatives
     if moved:
         sizes = [out[i].size for i in moved]
-        which = np.repeat(np.arange(len(moved), dtype=np.int32), sizes)
-        gs = np.array([members[keys[i]][2] for i in moved], dtype=np.int32)
-        flat = amb.conjugate_by(gs, which, np.concatenate([out[i] for i in moved]))
-        offset = which.astype(np.int64) * amb.order
+        amb = action.below.top.ambient
+        a = np.searchsorted(action.leaders, [members[keys[i]][2] for i in moved]).astype(np.int32)
+        flat = action.conjugate(np.repeat(a, sizes), np.concatenate([out[i] for i in moved]))
+        offset = np.repeat(np.arange(len(moved), dtype=np.int64) * amb.order, sizes)
         flat = (np.sort(flat + offset) - offset).astype(np.int32)
         for i, part in zip(moved, _pieces(flat, sizes)):
             out[i] = part
@@ -231,10 +344,6 @@ def _pieces(flat: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
     return [flat[end - size : end] for end, size in zip(ends, sizes)]
 
 
-# 4-byte entries in one block of work (16 MB): the positions of the coset
-# tables whose maps one extend_level call joins, and the float32 entries of
-# a column block of normality_graph's membership product
-_BLOCK_ENTRIES = 1 << 22
 
 
 def enumerate_interval(
@@ -270,7 +379,7 @@ def enumerate_interval(
     chunk = max(1, _BLOCK_ENTRIES // top.order)
     level = [bottom]
     exhaustive = True
-    below = None  # bottom's table, once built
+    below = action = None  # bottom's table and A's action, once built
     while level and exhaustive:
         expand = []
         for h in level:
@@ -286,14 +395,13 @@ def enumerate_interval(
                 rep_normalizers[h.indices.tobytes()] = tables[-1].normalizer()
                 if below is None:  # bottom's table, the first
                     below = tables[0]
-                    # one per right coset of bottom in A: the right cosets that are their own double cosets
-                    leaders = top.indices[below.leaders[below.dwidth.take(below.dnum) == 1]]
+                    action = _Action(below)
             closed = extend_level([(table, table.double_coset_reps()) for table in tables])
             for h, (elements, g) in ((t.h, c) for t, cs in zip(tables, closed) for c in cs):
                 rep = elements.tobytes()
                 if rep not in members:
                     k = Subgroup.of_sorted(ambient, elements, [*h.generators, g])
-                    for m, a in _conjugacy_orbit(k, leaders):
+                    for m, a in _conjugacy_orbit(k, action):
                         members[rep if m is k else m.indices.tobytes()] = (m, rep, a)
                     found.append(k)
                     if max_members is not None and len(members) > max_members:
@@ -302,6 +410,7 @@ def enumerate_interval(
             if not exhaustive:
                 break
         level = found
+    Subgroup.digest_ids([m for m, _, _ in members.values()])
     keys = sorted(members, key=lambda key: (members[key][0].order, members[key][0].id))
     return IntervalLattice(
         bottom=bottom,
@@ -309,16 +418,55 @@ def enumerate_interval(
         ambient=ambient,
         members=tuple(members[key][0] for key in keys),
         exhaustive=exhaustive,
-        normalizer_at=_normalizer_positions(ambient, keys, members, rep_normalizers) if exhaustive else None,
+        normalizer_at=_normalizer_positions(keys, members, rep_normalizers, action) if exhaustive else None,
     )
 
 
-@dataclass
+@dataclass(eq=False)  # compared by __eq__ below: the edges are arrays
 class NormalityGraph:
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]  # (smaller id, larger id), sorted
-    bottom_id: str
-    top_id: str
+    """The normality graph of an exhaustive lattice, held in member positions.
+
+    smaller[e] < larger[e] are the positions of edge e's members, the
+    smaller normal in the larger, in ascending (smaller, larger) order.
+    component[i] is the least position in member i's garland (bottom's is
+    0), and interval holds T = bottom and its neighbours, ascending: the
+    positions of [T, N(T)] when bottom is a torus T (_interval).  vertices
+    and edges, as (smaller id, larger id) sorted, are id views built on
+    each read, for callers that key on ids.
+    """
+
+    members: tuple[Subgroup, ...]
+    smaller: np.ndarray
+    larger: np.ndarray
+
+    def __post_init__(self):
+        self.component = _components(len(self.members), self.smaller, self.larger)
+        self.interval = np.concatenate(([0], self.larger[self.smaller == 0])).astype(np.int32)
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return tuple(m.id for m in self.members)
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        ms = self.members
+        return tuple(sorted((ms[a].id, ms[b].id) for a, b in zip(self.smaller.tolist(), self.larger.tolist())))
+
+    @property
+    def bottom_id(self) -> str:
+        return self.members[0].id
+
+    @property
+    def top_id(self) -> str:
+        return self.members[-1].id
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, NormalityGraph)
+            and self.vertices == other.vertices
+            and np.array_equal(self.smaller, other.smaller)
+            and np.array_equal(self.larger, other.larger)
+        )
 
 
 def normality_graph(lat: IntervalLattice) -> NormalityGraph:
@@ -334,7 +482,7 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     _BLOCK_ENTRIES entries, so no block grows with |top|.  The counts are
     float32 sums of 0/1 and exact below 2^24; every row's set is a proper
     subgroup of top, so that holds for |top| < 2^25, and a larger top
-    counts in float64.
+    counts in float64.  The edges stay member positions.
     """
     if not lat.exhaustive:
         raise NonExhaustiveError("normality graph requires an exhaustive lattice")
@@ -357,31 +505,27 @@ def normality_graph(lat: IntervalLattice) -> NormalityGraph:
     sub = np.pad(counts == size[:below, None], (0, 1))  # sub[a, b]: a <= b, and top holds every member
     sub[:, below] = True
     normal = sub & (size[:, None] < size) & sub[:, lat.normalizer_at].T
-    edges = [(ms[a].id, ms[b].id) for a, b in zip(*np.nonzero(normal))]
-    return NormalityGraph(
-        vertices=tuple(m.id for m in ms),
-        edges=tuple(sorted(edges)),
-        bottom_id=lat.bottom.id,
-        top_id=top.id,
-    )
+    smaller, larger = np.nonzero(normal)
+    return NormalityGraph(members=ms, smaller=smaller.astype(np.int32), larger=larger.astype(np.int32))
 
 
-class _UnionFind:
-    def __init__(self, items: Sequence[str]):
-        self.parent = {x: x for x in items}
+def _components(count: int, smaller: np.ndarray, larger: np.ndarray) -> np.ndarray:
+    """The least position in each position's connected component, joined by the edges (smaller[e], larger[e]).
 
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    The _orbit_minima scheme over edges: each round hooks the label of
+    either end onto the other's when that is smaller (np.minimum.at), then
+    pointer-jumps until every label is its own label.  Labels only fall and
+    stay inside their component, and once every edge joins equal labels
+    each is its component's least position.
+    """
+    labels = np.arange(count, dtype=np.int32)
+    while True:
+        ends = labels.take(smaller), labels.take(larger)
+        if np.array_equal(*ends):
+            return labels
+        for a, b in (ends, ends[::-1]):
+            np.minimum.at(labels, a, b)
+        labels = _jump(labels)
 
 
 @dataclass
@@ -392,23 +536,13 @@ class Garland:
 
 
 def garlands(graph: NormalityGraph) -> list[Garland]:
-    """Connected components of the normality graph, lower/upper flagged."""
-    uf = _UnionFind(graph.vertices)
-    for a, b in graph.edges:
-        uf.union(a, b)
-    comps: dict[str, list[str]] = {}
-    for v in graph.vertices:
-        comps.setdefault(uf.find(v), []).append(v)
-    out = []
-    for vs in comps.values():
-        vs.sort()
-        out.append(
-            Garland(
-                member_ids=tuple(vs),
-                is_lower=graph.bottom_id in vs,
-                is_upper=graph.top_id in vs,
-            )
-        )
+    """Connected components of the normality graph, lower/upper flagged, from its component labels."""
+    ids = graph.vertices
+    comps: dict[int, list[str]] = {}
+    for i, root in enumerate(graph.component.tolist()):
+        comps.setdefault(root, []).append(ids[i])
+    lower, upper = 0, int(graph.component[-1])
+    out = [Garland(member_ids=tuple(sorted(vs)), is_lower=root == lower, is_upper=root == upper) for root, vs in comps.items()]
     out.sort(key=lambda g: (not g.is_lower, not g.is_upper, g.member_ids))
     return out
 
@@ -543,6 +677,7 @@ def _read_off_sl(spec: AlgebraSpec, gl: AmbientGroup) -> IntervalLattice:
     top = Subgroup(gl, np.arange(gl.order, dtype=np.int32))
     # the torus overrides top when they are one member: T' = SL, so n = 1 and T = GL
     members = {last: top, 0: torus, **{i: Subgroup(gl, x) for i, x in zip(middle, parts)}}
+    Subgroup.digest_ids(list(members.values()))
     kept.sort(key=lambda i: (members[i].order, members[i].id))
     position = {i: j for j, i in enumerate(kept)}
     return IntervalLattice(
@@ -597,11 +732,9 @@ def _interval(lat: IntervalLattice) -> tuple[Subgroup, ...]:
 
     For H >= T, T is normal in H exactly when H <= N(T), so the interval
     is T with every H that has an edge (T, H); the graph holds the edges
-    into top when N(T) = G.
+    into top when N(T) = G, and keeps the interval's positions.
     """
-    t = lat.bottom.id
-    above = {b for a, b in _graph(lat).edges if a == t}
-    return tuple(m for m in lat.members if m.id == t or m.id in above)
+    return tuple(lat.members[i] for i in _graph(lat).interval.tolist())
 
 
 def _reset_lattices() -> None:
@@ -642,7 +775,7 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
     normalizer = lat.members[lat.normalizer_at[0]]  # T is the one smallest member
     closure_failure = None
     try:
-        formula = normalizer_formula(spec, torus)
+        formula = normalizer_formula(spec, torus, normalizer)
         formula_order = formula.order
         formula_eq = formula.same_elements(normalizer)
     except HypothesisFailure as exc:
@@ -653,14 +786,16 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
     at = lat.normalizer_at
     second = lat.members[at[at[0]]]  # N(N(T)): N(T) is a member of [T, G]
     idempotent = bool(at[at[0]] == at[0])
-    gls = garlands(_graph(lat))
-    lower = next(g for g in gls if g.is_lower)
-    upper = next(g for g in gls if g.is_upper)
-    interval_ids = sorted(m.id for m in _interval(lat))
-    equal = sorted(lower.member_ids) == interval_ids
-    in_interval = set(interval_ids)
-    extra = [{"id": i, "order": lat.members[lat.position[i]].order} for i in lower.member_ids if i not in in_interval]
-    extra.sort(key=lambda d: (d["order"], d["id"]))
+    # the garlands are the graph's components, bottom's (the lower) at label 0 and top's (the upper) at its own
+    graph = _graph(lat)
+    component, interval = graph.component, graph.interval
+    lower = np.flatnonzero(component == 0)
+    equal = np.array_equal(lower, interval)
+    ms = lat.members
+    in_interval = np.zeros(len(ms), dtype=bool)
+    in_interval[interval] = True
+    # the members are in (order, id) order, so lower's positions outside the interval are too
+    extra = [{"id": ms[i].id, "order": ms[i].order} for i in lower[~in_interval.take(lower)].tolist()]
 
     verdicts = {
         "normalizer_formula": _verdict(formula_eq, formula_expected(hyp, ambient.kind)),
@@ -686,12 +821,12 @@ def verify_lower_garland(spec: AlgebraSpec, ambient: AmbientGroup) -> dict:
         },
         "lattice": {"member_count": len(lat), "orders": lat.member_orders(), "exhaustive": lat.exhaustive},
         "garland": {
-            "lower": sorted(lower.member_ids),
-            "interval": interval_ids,
+            "lower": sorted(ms[i].id for i in lower.tolist()),
+            "interval": sorted(ms[i].id for i in interval.tolist()),
             "equal": equal,
             "extra_members": extra,
-            "garland_count": len(gls),
-            "upper_size": len(upper.member_ids),
+            "garland_count": int(np.count_nonzero(component == np.arange(len(ms)))),
+            "upper_size": int(np.count_nonzero(component == component[-1])),
         },
         "idempotence": {
             "holds": idempotent,

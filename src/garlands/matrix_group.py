@@ -530,8 +530,18 @@ class Subgroup:
     def id(self) -> str:
         """Digest of the matrix keys; the same matrix set has the same id in GL and SL."""
         if self._id is None:
-            self._id = hashlib.blake2b(self.key_tuple(), digest_size=8).hexdigest()
+            self._id = _digest(self.key_tuple())
         return self._id
+
+    @staticmethod
+    def digest_ids(subgroups: Sequence["Subgroup"]) -> None:
+        """Give each subgroup that lacks one its id, from one key gather over all of them; they share an ambient."""
+        todo = [s for s in subgroups if s._id is None]
+        if not todo:
+            return
+        keys = todo[0].ambient.keys_of_indices(np.concatenate([s.indices for s in todo]))
+        for s, end in zip(todo, accumulate(s.order for s in todo)):
+            s._id = _digest(keys[end - s.order : end])  # a contiguous slice hashes as its bytes, uncopied
 
     def same_elements(self, other: "Subgroup") -> bool:
         _require_same_ambient(self, other)
@@ -560,6 +570,17 @@ class Subgroup:
         if self._gens is None:
             raise GroupError(f"{self!r} was built from its elements and carries no generators")
         return self._gens
+
+
+# entries in one block of work (16 MB of 4-byte entries): extend_level's
+# claim array of one run and its block of closure masks (1-byte entries),
+# and, in the lattice, the positions of the coset tables one extend_level
+# call joins and a column block of the normality graph's membership product
+_BLOCK_ENTRIES = 1 << 22
+
+
+def _digest(keys: bytes | np.ndarray) -> str:
+    return hashlib.blake2b(keys, digest_size=8).hexdigest()
 
 
 def _claim_fresh(cand: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -796,33 +817,39 @@ def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
 
 
 def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[tuple[np.ndarray, int]]]:
-    """extend_subgroups(table, gs) for every (table, gs) job, all in one breadth-first run; the tables share one top.
+    """extend_subgroups(table, gs) for every (table, gs) job, in breadth-first runs; the tables share one top.
 
     For a job's H and each of its g, <H, g> is a union of double cosets
     H x H.  H x H is the orbit of the right coset H x under right
     multiplication by H's generators, so the right cosets of K = <H, g> are
     those reached from H by two moves: complete a right coset to its double
-    coset, and multiply it by g.  All closures of all jobs run together,
+    coset, and multiply it by g.  The closures of all jobs run together,
     breadth first over (closure, double coset) pairs: each level takes
     every right coset of each newly claimed double coset (a run of its
     table's by_double), multiplies its least element by its closure's g,
     once, through one RightProducts table of every g built before the first
-    level, and claims the double cosets of the images.  Each image's
-    double coset is read off its own table's map of positions to double
-    cosets; the maps lie side by side, |top| entries per table, so a caller
-    bounds how many tables it passes at once.  Each closure holds one claim
-    slot per double coset of the widest table, and one claim over every
-    (closure, double coset of its table) drops repeats.  The jobs' right
-    and double cosets are numbered on from one job to the next where the
-    tables' arrays are read together; one job's arrays are read as they
-    are, with no concatenation.
+    level, and claims the double coset of each image.  Each image's double
+    coset is read off its own table's map of positions to double cosets;
+    the maps lie side by side, |top| entries per table, so a caller bounds
+    how many tables it passes at once.  Each closure holds one claim slot
+    per double coset of the widest table (the stride), and one claim over
+    every (closure, double coset of its table) drops repeats.  The closures
+    run in consecutive runs of at most _BLOCK_ENTRIES // stride, one claim
+    array per run, so the claims never exceed _BLOCK_ENTRIES entries; on
+    small tops a call is one run.  The jobs' right and double cosets are
+    numbered on from one job to the next where the tables' arrays are read
+    together; one job's arrays are read as they are, with no concatenation.
 
     Closures of one job that claim the same double cosets reach the same
     cosets and are one closure, generated by H's generators and the first g
     that reached it.  Each job's closures come back in first-occurrence
     order as (their sorted ambient indices, that g), and no Subgroup is
     built: a caller that holds the closure already drops it, and builds a
-    Subgroup only for a new one.
+    Subgroup only for a new one.  A job's new closures in a run take their
+    masks over top's positions from one gather, in blocks of at most
+    _BLOCK_ENTRIES entries, and each selects its elements of top by its
+    mask.  When top is the whole ambient, an element's position is its
+    index, and the images need no lookup.
 
     [K:H] divides [top:H], so a closure whose claimed double cosets hold
     more than half of top's right cosets is already all of top: it takes
@@ -852,43 +879,62 @@ def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[
     start = np.cumsum(width, dtype=np.int32) - width  # double coset number -> the start of its run in by_double
     # per closure: where its table's run of double_at starts, the number of its table's first double coset,
     # and half, past which its cosets are all of top's; and stride slots, one per double coset of the widest
-    # table, its double coset d at closure * stride + d
+    # table, its double coset d at closure * stride + d, numbered within its run
     per_job = [[j * top.size for j in range(len(jobs))], dbase, ncos]
     at_job, on, half = np.repeat(np.array(per_job, dtype=np.int32), counts, axis=1)
     stride = max(ndouble)
-    slot = np.full(gs.size * stride, -1, dtype=np.int32)
+    run = max(1, _BLOCK_ENTRIES // stride)
+    step = max(1, _BLOCK_ENTRIES // top.size)  # closures per block of masks
     by = RightProducts(amb, gs)
-    claimed = np.zeros(gs.size)  # right cosets each closure has reached, a weighted bincount: float, exact here
-    closure = np.arange(gs.size, dtype=np.int32)
-    ds = double_at.take(at_job + positions[amb.identity_index])  # H, a double coset of one right coset
-    slot[closure * stride + ds] = 0
-    while closure.size:
-        ds = ds + on.take(closure)  # numbered on across the tables
-        w = width.take(ds)
-        claimed += np.bincount(closure, weights=w, minlength=gs.size)
-        live = ~(2 * claimed > half).take(closure)
-        if not live.all():
-            closure, ds, w = closure[live], ds[live], w[live]
-            if not closure.size:
-                break
-        # every right coset of each new double coset, beside its closure: ragged runs of by_double
-        ends = np.cumsum(w, dtype=np.int32)
-        runs = np.arange(ends[-1], dtype=np.int32) + np.repeat(start.take(ds) - ends + w, w)
-        closure = np.repeat(closure, w)
-        at = positions.take(by(lead.take(by_double.take(runs)), closure)) + at_job.take(closure)
-        closure, ds = np.divmod(_claim_fresh(closure * stride + double_at.take(at), slot), stride)
-    reached = (slot >= 0).reshape(gs.size, stride)
-    reached[2 * claimed > half] = True  # closures that stopped at all of top, their slots unclaimed
-    out = []
-    for j, (t, g, end) in enumerate(zip(tables, gss, accumulate(counts))):
-        rows = reached[end - g.size : end, : t.dwidth.size]
-        firsts = {}
-        for i, bits in enumerate(np.packbits(rows, axis=1)):
-            firsts.setdefault(bits.tobytes(), i)
-        everything = rows.all(axis=1)  # closures that are all of top
-        local = double_at[j * top.size : (j + 1) * top.size]  # position -> its double coset number in t
-        top_of = t.top.indices
-        out.append([(top_of if everything[i] else top_of[rows[i].take(local)], int(g[i])) for i in firsts.values()])
+    identity = positions[amb.identity_index]  # H, a double coset of one right coset
+    whole_ambient = top.size == amb.order  # then an element's position is its index
+    ends = list(accumulate(counts))
+    firsts: list[dict[bytes, int]] = [{} for _ in jobs]  # per job: claimed double cosets -> first closure
+    out: list[list[tuple[np.ndarray, int]]] = [[] for _ in jobs]
+    for lo in range(0, gs.size, run):
+        hi = min(lo + run, gs.size)
+        size, run_job, run_on, run_half = hi - lo, at_job[lo:hi], on[lo:hi], half[lo:hi]
+        slot = np.full(size * stride, -1, dtype=np.int32)
+        claimed = np.zeros(size)  # right cosets each closure has reached, a weighted bincount: float, exact here
+        closure = np.arange(size, dtype=np.int32)  # numbered within the run
+        ds = double_at.take(run_job + identity)
+        slot[closure * stride + ds] = 0
+        while closure.size:
+            ds = ds + run_on.take(closure)  # numbered on across the tables
+            w = width.take(ds)
+            claimed += np.bincount(closure, weights=w, minlength=size)
+            live = ~(2 * claimed > run_half).take(closure)
+            if not live.all():
+                closure, ds, w = closure[live], ds[live], w[live]
+                if not closure.size:
+                    break
+            # every right coset of each new double coset, beside its closure: ragged runs of by_double
+            cuts = np.cumsum(w, dtype=np.int32)
+            runs = np.arange(cuts[-1], dtype=np.int32) + np.repeat(start.take(ds) - cuts + w, w)
+            closure = np.repeat(closure, w)
+            at = by(lead.take(by_double.take(runs)), closure + lo if lo else closure)
+            if not whole_ambient:
+                at = positions.take(at)
+            at += run_job.take(closure)
+            closure, ds = np.divmod(_claim_fresh(closure * stride + double_at.take(at), slot), stride)
+        reached = (slot >= 0).reshape(size, stride)
+        everything = 2 * claimed > run_half  # closures that stopped at all of top, their slots unclaimed
+        reached[everything] = True
+        for j, (t, g, end) in enumerate(zip(tables, gss, ends)):
+            begin, stop = max(lo, end - g.size), min(hi, end)
+            if begin >= stop:
+                continue
+            rows = reached[begin - lo : stop - lo, : t.dwidth.size]
+            new = []  # the run's closures of job j that no earlier closure of the job reached
+            for i, bits in enumerate(np.packbits(rows, axis=1), begin):
+                if firsts[j].setdefault(bits.tobytes(), i) == i:
+                    new.append(i - begin)
+            local = double_at[j * top.size : (j + 1) * top.size]  # position -> its double coset number in t
+            full, ks, top_of = everything[begin - lo : stop - lo].tolist(), g[begin - end + g.size :].tolist(), t.top.indices
+            for s in range(0, len(new), step):  # one gather of the masks over top's positions per block
+                block = new[s : s + step]
+                masks = rows.take(block, axis=0).take(local, axis=1)
+                out[j] += [(top_of if full[i] else top_of[mask], ks[i]) for i, mask in zip(block, masks)]
     return out
 
 
@@ -970,7 +1016,7 @@ def is_maximal_abelian(h: Subgroup, normalizer: Subgroup) -> bool:
     return int((conj == normalizer.indices).all(axis=0).sum()) == h.order
 
 
-def normalizer_formula(spec: AlgebraSpec, torus: Subgroup) -> Subgroup:
+def normalizer_formula(spec: AlgebraSpec, torus: Subgroup, normalizer: Subgroup | None = None) -> Subgroup:
     """The predicted normalizer X = {t(a) * P_sigma} inside the ambient of the case's torus T.
 
     a runs over the units of S and sigma over the ring automorphisms of S
@@ -985,7 +1031,9 @@ def normalizer_formula(spec: AlgebraSpec, torus: Subgroup) -> Subgroup:
     for every generator s: then X * <gens> lies in X, which holds 1.  That
     is one RightProducts call over |X| * |gens| products; only if it fails
     is the closure taken, for the structured payload HypothesisFailure
-    carries instead of crashing.
+    carries instead of crashing.  normalizer, if given, is N(T) built by
+    another route (a coset table): a group, so an X with its elements is
+    closed, and X takes no product pass.
     """
     ambient, field = torus.ambient, torus.ambient.field
     _check_algebra(spec, ambient)
@@ -1000,6 +1048,8 @@ def normalizer_formula(spec: AlgebraSpec, torus: Subgroup) -> Subgroup:
     which = np.repeat(np.arange(xs.size, dtype=np.int32), torus.order)
     members = RightProducts(ambient, xs)(np.tile(torus.indices, xs.size), which)
     sub = Subgroup(ambient, members, gens)
+    if normalizer is not None and sub.same_elements(normalizer):
+        return sub
     which = np.repeat(np.arange(len(gens), dtype=np.int32), sub.order)
     if not sub.contains(RightProducts(ambient, gens)(np.tile(sub.indices, len(gens)), which)).all():
         raise HypothesisFailure(

@@ -14,6 +14,7 @@ lattices by the element-level breadth-first route (a per-element double-coset
 loop, then a closure over elements seeded with H), generators of a subgroup
 given as an element set by a greedy pick that recloses from the identity
 after every pick, normality edges by a subset test per pair of members,
+garlands by a union-find over those edges keyed on member ids,
 the GL-to-SL restriction block from each torus's normalizer by its coset
 table over the whole ambient and the interval enumerated inside it,
 centralizers by a commuting scan of the whole ambient per generator,
@@ -887,6 +888,38 @@ def normality_edges_by_pairs(members) -> tuple[set[tuple[str, str]], set[tuple[s
                 if is_normal_in(a, generated[b.id]):
                     edges.add((a.id, b.id))
     return edges, comparable
+
+
+class UnionFind:
+    """Disjoint sets of member ids, by parent links with path compression."""
+
+    def __init__(self, items: Sequence[str]):
+        self.parent = {x: x for x in items}
+
+    def find(self, x: str) -> str:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def garlands_by_union_find(vertices, edges, bottom_id: str, top_id: str) -> list[tuple[tuple[str, ...], bool, bool]]:
+    """(sorted member ids, is lower, is upper) of each component of the id graph, lower first, then upper, then by ids."""
+    uf = UnionFind(vertices)
+    for a, b in edges:
+        uf.union(a, b)
+    comps: dict[str, list[str]] = {}
+    for v in vertices:
+        comps.setdefault(uf.find(v), []).append(v)
+    out = [(tuple(sorted(vs)), bottom_id in vs, top_id in vs) for vs in comps.values()]
+    return sorted(out, key=lambda g: (not g[1], not g[2], g[0]))
 
 
 def restriction_by_normalizers(spec: AlgebraSpec, gl, sl) -> dict:

@@ -21,7 +21,7 @@ from garlands.etale import (
     primitive_norm_one_search,
 )
 from garlands.finite_field import construct_extension, construct_field, extension_of
-from garlands.lattice import enumerate_interval, formula_expected, garland_expected
+from garlands.lattice import enumerate_interval, formula_expected, garland_expected, garlands, normality_graph
 from garlands import lattice, matrix_group
 from garlands.matrix_group import (
     GL,
@@ -44,10 +44,12 @@ from oracles import (
     exhaustive_negative_pell,
     formula_by_units,
     formula_leaders_by_units,
+    garlands_by_union_find,
     generate,
     interval_by_elements,
     matrix_at,
     matrix_from_coeff_rows,
+    normality_edges_by_pairs,
     span_check_by_elimination,
     subgroup_count_of_aut,
     subgroup_id,
@@ -439,6 +441,108 @@ def test_each_level_call_matches_one_call_per_table(monkeypatch, tori):
         for within in (None, normalizer):
             enumerate_interval(torus, amb, within=within)
     assert len(tori) >= 24 and max(calls) > 2  # several tables share a call
+
+
+def test_orbits_match_conjugation_by_every_element_of_the_acting_group(monkeypatch, tori):
+    # every orbit the enumeration takes, on [T, G] and [T, N(T)] of each ok
+    # acceptance torus ([1, GL(3,2)] among them), against conjugating K by
+    # every element of A = N_top(T): the same members, and each witness a
+    # gives its member as a K a^-1.  The orbit conjugates K by one element
+    # per left coset of B = <T, K's generators in A> outside K, B closed by
+    # the oracle: (|A| - |A & K|) / |B| conjugations.  Conjugating by every
+    # leader of T's cosets gives the same orbits, so only the count tells
+    # the two apart
+    orbit, conjugate, seen, made = lattice._conjugacy_orbit, lattice._Action.conjugate, [], []
+    monkeypatch.setattr(
+        lattice._Action, "conjugate", lambda self, at, idxs: made.append(np.unique(at).size) or conjugate(self, at, idxs)
+    )
+
+    def recording(k, action):
+        made.clear()
+        got = orbit(k, action)
+        seen.append((k, action.elements(), got, sum(made)))
+        return got
+
+    monkeypatch.setattr(lattice, "_conjugacy_orbit", recording)
+    fewer = 0  # orbits with B larger than T, which a conjugation per leader of T's cosets would overcount
+    for key, (amb, torus, normalizer) in tori.items():
+        for within in (None, normalizer):
+            seen.clear()
+            enumerate_interval(torus, amb, within=within)
+            assert seen, key
+            for k, acting, got, conjugated in seen:
+                by_all = {row.tobytes() for row in np.sort(amb.conjugates(acting, k.indices), axis=1)}
+                assert {m.indices.tobytes() for m, _ in got} == by_all, (key, k.order)
+                for m, a in got:
+                    assert np.array_equal(np.sort(amb.conjugates([a], k.indices)[0]), m.indices), (key, k.order)
+                in_a = [g for g in k.generators if acting[np.searchsorted(acting, g) % acting.size] == g]
+                b = generate(amb, [matrix_at(amb, g) for g in [*torus.generators, *in_a]])
+                outside = acting.size - int(k.contains(acting).sum())
+                assert conjugated == outside // b.order, (key, k.order)
+                fewer += b.order > torus.order and outside > 0
+    assert len(tori) >= 24 and fewer > 0
+
+
+def test_normality_graph_matches_the_id_oracle(tori):
+    # the graph held in member positions, on [T, G] and [T, N(T)] of each ok
+    # acceptance torus, against normality edges by a subset test per pair of
+    # members and a union-find over their ids: the edges, the garlands
+    # (components, lower and upper), each component's label (its least
+    # position), the lower garland and the interval [T, N(T)]
+    for key, (amb, torus, normalizer) in tori.items():
+        for within in (None, normalizer):
+            lat = enumerate_interval(torus, amb, within=within)
+            graph = normality_graph(lat)
+            ids = [m.id for m in lat.members]
+            edges = sorted(normality_edges_by_pairs(lat.members)[0])
+            assert graph.edges == tuple(edges), key
+            want = garlands_by_union_find(ids, edges, lat.bottom.id, lat.top.id)
+            assert [(g.member_ids, g.is_lower, g.is_upper) for g in garlands(graph)] == want, key
+            labels = graph.component.tolist()
+            by_label = {}
+            for i, label in enumerate(labels):
+                by_label.setdefault(label, []).append(i)
+            assert all(label == min(at) for label, at in by_label.items()), key
+            assert sorted(tuple(sorted(ids[i] for i in at)) for at in by_label.values()) == sorted(g[0] for g in want)
+            lower = next(g[0] for g in want if g[1])
+            assert tuple(sorted(ids[i] for i in by_label[0])) == lower, key
+            interval = {lat.bottom.id} | {b for a, b in edges if a == lat.bottom.id}
+            assert [ids[i] for i in graph.interval.tolist()] == [i for i in ids if i in interval], key
+    assert len(tori) >= 24
+
+
+@pytest.mark.parametrize("budget", [168, 4096])
+def test_extend_level_in_runs_under_a_small_budget(monkeypatch, tori, budget):
+    # a block budget that cuts extend_level's closures into runs of a few
+    # closures (one at a time on [1, GL(3,2)]'s first call at 168) and their
+    # masks into blocks of a few rows: each call gives the closures of one
+    # run under the default budget, in the same order with the same g, and
+    # the enumeration the same members, normalizer positions and generators
+    want = {}
+    for key, (amb, torus, normalizer) in tori.items():
+        for within in (None, normalizer):
+            want[key, within is None] = enumerate_interval(torus, amb, within=within)
+    level, split, default = lattice.extend_level, [], matrix_group._BLOCK_ENTRIES
+
+    def recording_level(jobs):
+        stride = max(table.dwidth.size for table, _ in jobs)
+        split.append(sum(len(gs) for _, gs in jobs) > max(1, budget // stride))
+        got = level(jobs)
+        monkeypatch.setattr(matrix_group, "_BLOCK_ENTRIES", default)
+        one_run = level(jobs)
+        monkeypatch.setattr(matrix_group, "_BLOCK_ENTRIES", budget)
+        assert [[(e.tobytes(), g) for e, g in job] for job in got] == [[(e.tobytes(), g) for e, g in job] for job in one_run]
+        return got
+
+    monkeypatch.setattr(lattice, "extend_level", recording_level)
+    monkeypatch.setattr(matrix_group, "_BLOCK_ENTRIES", budget)
+    for key, (amb, torus, normalizer) in tori.items():
+        for within in (None, normalizer):
+            got, old = enumerate_interval(torus, amb, within=within), want[key, within is None]
+            assert [m.indices.tobytes() for m in got.members] == [m.indices.tobytes() for m in old.members], key
+            assert np.array_equal(got.normalizer_at, old.normalizer_at), key
+            assert [m._gens for m in got.members] == [m._gens for m in old.members], key
+    assert any(split)
 
 
 def test_idempotence_matches_second_brute_scan(sweep, tori):

@@ -297,6 +297,39 @@ def test_normalizer_formula_closes_only_a_failing_set(monkeypatch, kind):
     assert failure.value.payload["closure_size"] == closure(amb, calls[0]).size
 
 
+@pytest.mark.parametrize("kind", [GL, SL])
+def test_normalizer_formula_given_n_t_takes_no_product_pass(monkeypatch, kind):
+    # N(T) from T's coset table is a group, so an X with its elements is
+    # closed: X is built by one RightProducts call and takes no product
+    # pass (two calls without N(T)).  An X that differs from N(T) is still
+    # checked: a non-closed one raises with the payload it raises without
+    made = []
+    product = matrix_group.RightProducts.__call__
+    monkeypatch.setattr(matrix_group.RightProducts, "__call__", lambda self, *args: made.append(1) or product(self, *args))
+    for spec in (AlgebraSpec(F3, [2]), AlgebraSpec(F3, [1, 1]), AlgebraSpec(F2, [2, 1])):
+        amb = ambient_group(kind, spec.n, spec.base)
+        torus = torus_subgroup(spec, amb)
+        n = Subgroup.of_sorted(amb, lattice.CosetTable(torus, Subgroup(amb, np.arange(amb.order))).normalizer())
+        made.clear()
+        alone = matrix_group.normalizer_formula(spec, torus)
+        assert len(made) == 2, spec
+        made.clear()
+        given = matrix_group.normalizer_formula(spec, torus, n)
+        assert given.same_elements(alone) and given.generators == alone.generators, spec
+        assert len(made) == (1 if alone.same_elements(n) else 2), spec
+    shear = SimpleNamespace(matrix=lambda: np.array([[1, 1], [0, 1]], dtype=np.int16))
+    monkeypatch.setattr(matrix_group, "aut_group", lambda spec: [shear])
+    spec, amb = AlgebraSpec(F3, [2]), ambient_group(kind, 2, F3)
+    torus = torus_subgroup(spec, amb)
+    n = normalizer_brute(amb, torus)
+    payloads = []
+    for args in ((spec, torus), (spec, torus, n)):
+        with pytest.raises(matrix_group.HypothesisFailure) as failure:
+            matrix_group.normalizer_formula(*args)
+        payloads.append(failure.value.payload)
+    assert payloads[0] == payloads[1] and payloads[0]["set_size"] == torus.order  # X = T x_shear, not N(T)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_sl_x_sigma_takes_the_inverse_determinant(monkeypatch, p):
     # det(t(a) P) = N(a) det(P), so in SL x_sigma is t(a) P for the first
@@ -575,15 +608,18 @@ def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
     # the one-batch orbit of each member of GL(3,2) 1,1,1's [T, G] under
     # N(T) = G, and under a smaller acting group whose orbits split, against
     # conjugating K by every element of the acting group; T is trivial, so
-    # its right-coset leaders in the acting group are all of that group
+    # its right-coset leaders in the acting group are all of that group, and
+    # each K carries generators, so the orbit conjugates by one element per
+    # left coset of <K's generators in A>
     gl32 = ambient_group(GL, 3, F2)
     t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
     lat = enumerate_interval(t, gl32)
     acting = next(n for n in _normalizers(lat) if n.order == acting_order)
-    leaders = acting.indices[lattice.CosetTable(t, acting).leaders]
-    assert np.array_equal(leaders, acting.indices)
-    for k in lat.members:
-        orbit = lattice._conjugacy_orbit(k, leaders)
+    action = lattice._Action(lattice.CosetTable(t, acting))
+    assert np.array_equal(action.leaders, acting.indices) and np.array_equal(action.elements(), acting.indices)
+    for m in lat.members:
+        k = with_generators(m)
+        orbit = lattice._conjugacy_orbit(k, action)
         by_all = {row.tobytes() for row in np.sort(gl32.conjugates(acting.indices, k.indices), axis=1)}
         assert {m.indices.tobytes() for m, _ in orbit} == by_all
         for m, a in orbit:
@@ -593,17 +629,18 @@ def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
 
 @pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [1, 1]), (2, [2, 1]), (3, [2, 1])])
 def test_orbits_come_from_one_leader_per_right_coset_of_t_in_its_normalizer(monkeypatch, p, degrees):
-    # the enumeration conjugates every orbit by the same leaders: they lie in
-    # N_top(T), T a runs over each right coset of T in N_top(T) once, and
-    # each orbit is K's conjugates by every element of N_top(T)
+    # the enumeration conjugates every orbit through one action of
+    # N_top(T): its leaders lie in N_top(T), T a runs over each right coset
+    # of T in N_top(T) once, and each orbit is K's conjugates by every
+    # element of N_top(T)
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     amb = ambient_group(GL, spec.n, spec.base)
     t = torus_subgroup(spec, amb)
     calls = []
     orbit = lattice._conjugacy_orbit
 
-    def recording_orbit(k, leaders):
-        calls.append((k, leaders, orbit(k, leaders)))
+    def recording_orbit(k, action):
+        calls.append((k, action, orbit(k, action)))
         return calls[-1][2]
 
     monkeypatch.setattr(lattice, "_conjugacy_orbit", recording_orbit)
@@ -611,34 +648,38 @@ def test_orbits_come_from_one_leader_per_right_coset_of_t_in_its_normalizer(monk
         calls.clear()
         lat = enumerate_interval(t, amb, within=within)
         n = _cut(normalizer_brute(amb, t), lat.top)
-        leaders = calls[0][1]
-        assert all(c[1] is leaders for c in calls)
+        action = calls[0][1]
+        assert all(c[1] is action for c in calls)
+        leaders = action.leaders
         cosets = amb.lmul(np.repeat(t.indices, leaders.size), np.tile(leaders, t.order))
         assert leaders.size == n.order // t.order and np.array_equal(np.sort(cosets), n.indices)
+        assert np.array_equal(action.elements(), n.indices)
         for k, _, got in calls:
             by_all = {row.tobytes() for row in np.sort(amb.conjugates(n.indices, k.indices), axis=1)}
             assert {m.indices.tobytes() for m, _ in got} == by_all, k.order
 
 
 def test_conjugacy_orbit_skips_the_leaders_inside_k(monkeypatch):
-    # conjugating by an element of K fixes K, so only the leaders outside K
-    # conjugate it; the top holds every leader and is conjugated by none
+    # conjugating by an element of K fixes K, and so does conjugating by a
+    # whole left coset aB of B = <K's generators> in A: one element per left
+    # coset of B outside K is conjugated, each with every element of K.  The
+    # top holds every leader and is conjugated by none
     gl32 = ambient_group(GL, 3, F2)
     t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
     lat = enumerate_interval(t, gl32)
-    leaders = np.arange(gl32.order, dtype=np.int32)  # T is trivial: every element leads its own coset
+    action = lattice._Action(lattice.CosetTable(t, lat.top))
+    assert np.array_equal(action.leaders, np.arange(gl32.order))  # T is trivial: every element leads its own coset
     pairs = []  # conjugation's products: one per element conjugated
-    conjugate_by = AmbientGroup.conjugate_by
-    monkeypatch.setattr(
-        AmbientGroup, "conjugate_by", lambda self, gs, w, idxs: pairs.append(len(idxs)) or conjugate_by(self, gs, w, idxs)
-    )
-    for k in lat.members:
+    conjugate = lattice._Action.conjugate
+    monkeypatch.setattr(lattice._Action, "conjugate", lambda self, at, idxs: pairs.append(len(idxs)) or conjugate(self, at, idxs))
+    for m in lat.members:
+        k = with_generators(m)  # B = K, as T is trivial and A = G
         pairs.clear()
-        lattice._conjugacy_orbit(k, leaders)
-        assert sum(pairs) == (gl32.order - k.order) * k.order, k.order
-    top = lat.members[-1]
+        lattice._conjugacy_orbit(k, action)
+        assert sum(pairs) == (gl32.order - k.order), k.order
+    top = with_generators(lat.members[-1])
     pairs.clear()
-    assert lattice._conjugacy_orbit(top, leaders) == [(top, gl32.identity_index)]
+    assert lattice._conjugacy_orbit(top, action) == [(top, gl32.identity_index)]
     assert pairs == []
 
 
@@ -895,8 +936,8 @@ def test_only_the_torus_and_the_formula_set_pick_generators(monkeypatch, algebra
     closure, formula = matrix_group._closure, lattice.normalizer_formula
     monkeypatch.setattr(matrix_group, "_closure", lambda amb, gens: calls.append((amb, list(gens))) or closure(amb, gens))
 
-    def recording_formula(spec, torus):
-        x = formula(spec, torus)
+    def recording_formula(spec, torus, normalizer):
+        x = formula(spec, torus, normalizer)
         formula_gens.append((torus.ambient.kind, x.generators))
         return x
 

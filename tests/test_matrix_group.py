@@ -54,6 +54,7 @@ from oracles import (
     matrix_inverse,
     matrix_product,
     products_by_matrices,
+    subgroup_id,
     subgroup_matrices,
     subgroup_serialize,
     torus_by_units,
@@ -819,3 +820,21 @@ def test_subgroup_serialization_shape():
     assert doc["ambient"]["field"] == {"p": 3, "m": 1, "defining_poly": [0, 1]}
     regenerated = generate(gl23, [matrix_from_coeff_rows(F3, rows) for rows in doc["generators"]])
     assert regenerated.same_elements(t)
+
+
+def test_digest_ids_take_one_key_gather(monkeypatch):
+    # an enumeration's ids come from one key gather over all its members:
+    # each is the digest of its own keys, as the oracle recomputes them from
+    # the matrices, and a subgroup that has its id keeps it with no gather
+    amb = ambient_group(GL, 3, F2)
+    members = enumerate_interval(torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), amb), amb).members
+    fresh = [Subgroup(amb, m.indices) for m in members]
+    gathers = []
+    keys = AmbientGroup.keys_of_indices
+    monkeypatch.setattr(AmbientGroup, "keys_of_indices", lambda self, idxs: gathers.append(len(idxs)) or keys(self, idxs))
+    Subgroup.digest_ids(fresh)
+    assert gathers == [sum(m.order for m in members)]
+    Subgroup.digest_ids(fresh)
+    assert len(gathers) == 1
+    monkeypatch.undo()
+    assert [s.id for s in fresh] == [m.id for m in members] == [subgroup_id(m) for m in members]
