@@ -18,20 +18,17 @@ that pass is sized by [top:H].  Bottom's table takes those least positions
 as orbit minima under left multiplication by its generators, by doubling
 along each generator's permutation.  Every member contains bottom, so its
 right cosets are unions of bottom's, and each later table is seeded with
-bottom's.  A member H with [H:bottom] <= |bottom| labels bottom's right
-cosets directly, by one product of their leaders with a right transversal
-of bottom in H, at most |top| products and no permutation of the whole
-top.  A larger member starts from bottom's least coset positions, and only
-the elements adjoined since bottom add left permutations; its right
+bottom's: it starts from bottom's least coset positions, and only the
+elements adjoined since bottom add left permutations.  The right
 permutations are memoized per generator with bottom's table, which every
 later table shares (CosetTable.right_perm), and go with the enumeration's
 tables.  A member closed as <H, g> keeps H's generators plus g, so members
 share generators, and an enumeration makes one product of the whole top
-per distinct generator that a position table reads.  Top itself gets no
-table: its only double coset is itself, so it has no extension, and
-N_top(top) = top.  The representatives are the leaders of the cosets
-that are their own double label, so each is the least element of its
-double coset, in ascending order.
+per distinct generator.  Top itself gets no table: its only double coset
+is itself, so it has no extension, and N_top(top) = top.  The double
+coset representatives are the leaders of the cosets that are their own
+double label, so each is the least element of its double coset, in
+ascending order.
 
 <H, g> is closed over double cosets instead of elements: K = <H, g>
 contains H, so it is a union of double cosets H x H, and H x H is the
@@ -58,8 +55,9 @@ level is one chunk and one call ([1, GL(3,2)]'s 14 tables take 3
 calls).  [K:H] divides [top:H], so a closure whose double cosets hold
 more than half of top's right cosets is all of top and stops there, and
 comes back as top's own index array.  A closure comes back as its
-elements, and only one that is a new member becomes a Subgroup, held
-without a copy (as are the conjugates below, sorted by construction).
+elements, and becomes a Subgroup only as a candidate that is a new
+representative (below), held without a copy (as are the conjugates,
+sorted by construction).
 Closures are accepted level by level, then table by table, then in
 first-occurrence order, the order in which one table at a time would
 find them, so the members, their generators and every report are the
@@ -67,37 +65,38 @@ same.
 
 Bottom is expanded first, and its table's normalizer A = N_top(bottom)
 acts on the interval by conjugation; only one member per A-orbit is
-expanded: a closure that yields a new member K adds K's whole orbit to the
-members but puts only K on the next level, so the members are always a
-union of orbits.
+expanded.  A level holds candidates, each a closure's elements and the
+generators it was closed from, in the order the closures were accepted.
+A candidate that an earlier candidate's orbit holds is skipped before
+any Subgroup or table is built for it; each other one is a representative
+K, and when its table is built, on the level after the one that found it,
+its whole orbit is read off that table and added to the members.  So a
+representative is the first candidate of its orbit, as when each orbit
+was added as soon as it was found, and the members are always a union of
+orbits.
 The orbit is taken by left cosets.  Bottom's right-coset leaders in A
 (CosetTable.leaders that lie in A) give one element a per right coset
-bottom a, which is the left coset a bottom, as A normalizes bottom.  Let
-B = <bottom, K's generators that lie in A>; B <= K, so for b in B,
-(a b) K (a b)^-1 = a K a^-1: conjugation is constant on each left coset
-aB, and conjugating K by one element per left coset of B in A reaches its
-whole orbit.  A left coset inside K fixes K and is skipped.  A is labelled
-by left cosets of B as orbit minima under the right permutations of K's
-generators in A outside bottom, hooked onto the labels of bottom's left
-cosets (_orbit_minima), through the root table's memo of right
-permutations when A is top; with no such generator B = bottom, and the
-leaders are the left cosets.  The least element of each coset outside K
-then conjugates K's elements in one batch.  That element is a leader, the
-least of its coset of bottom, so every conjugation goes through one
-product table of the leaders' inverses ([A:bottom] factors, not |A|),
-built at the first orbit that conjugates.  One stable sort of the
-conjugates' sorted rows drops repeats and keeps, for each conjugate, the
-first element that reaches it.  On [1, GL(3,2)], where
-A = G and B = K, that is [G:K] - 1 conjugations of K, where one per
-leader outside K took |G| - |K|.
+bottom a, which is the left coset a bottom, as A normalizes bottom.
+Conjugation by a is constant on a(K & A) = aK & A, and aK is the inverse
+of the right coset K a^-1, so K's own table labels every leader a by the
+number of K a^-1: one gather of its coset map at the positions of the
+leaders' inverses.  The first leader of each label, other than K's own
+label (the leaders in K), conjugates K's elements, all in one batch.  It
+is the least element of its left coset, and every conjugation goes
+through one product table of the leaders' inverses ([A:bottom] factors,
+not |A|), built at the first orbit that conjugates.  One stable sort of
+the conjugates' sorted rows drops repeats and keeps, for each conjugate,
+the first element that reaches it, the least element of A that does.
+That is |K| ([A : K & A] - 1) conjugated elements: on [1, GL(3,2)],
+where A = G, |G| - |K|, as one conjugation per leader outside K took.
 
 The enumeration is still complete.  Take a covering step
 H_{i+1} = <H_i, g> along a chain from bottom, with H_i = n R n^-1 for an
 expanded representative R and n in A.  Then n^-1 H_{i+1} n =
 <R, n^-1 g n>, and n^-1 g n lies in top, so that subgroup is the closure of
 R with the representative of n^-1 g n's R-double-coset.  It was found when
-R was expanded, its orbit was added with it, and that orbit contains
-H_{i+1}.
+R was expanded, and became a candidate unless its orbit was already held;
+either way its orbit was added, and that orbit contains H_{i+1}.
 
 Every member's normalizer in top is a member (N_top(H) holds H, which
 holds bottom), kept as its position: a representative R has N_top(R) from
@@ -161,7 +160,6 @@ from .matrix_group import (
     RightProducts,
     Subgroup,
     _jump,
-    _orbit_minima,
     ambient_group,
     extend_level,
     intersect_with_ambient,
@@ -206,93 +204,49 @@ class IntervalLattice:
 class _Action:
     """A = N_top(bottom) acting on [bottom, top] by conjugation, read off bottom's coset table (module docstring).
 
-    A's elements are numbered by their positions in A (its sorted indices).
-    Its right cosets of bottom are its left cosets, bottom a = a bottom as
-    A normalizes bottom, and leaders holds their least elements.  The
-    least element of a left coset of any B between bottom and A is a
-    leader, so every conjugation is by a leader, named by its number in
-    leaders.  A's elements, the labels of bottom's cosets by least
-    position (base), and the product table of the leaders' inverses, which
-    every conjugation goes through, are built at their first use.
+    A's right cosets of bottom are its left cosets, bottom a = a bottom as
+    A normalizes bottom, and leaders holds their least elements, ascending.
+    Every conjugation is by a leader, named by its number in leaders,
+    through one product table of the leaders' inverses, built at its first
+    use.  inverses holds the leaders' inverses' positions in top.
     """
 
     def __init__(self, below: CosetTable):
         top = below.top
-        self.below = below
-        self.inside = below.dwidth.take(below.dnum) == 1  # bottom's right cosets in A: their own double cosets
-        self.leaders = top.indices[below.leaders[self.inside]]
-        self.order = self.leaders.size * below.h.order  # |A|
-        self.whole = self.order == top.order  # A is top: A's positions are top's, and the root table's memo serves
-        self._own = int(below.coset[below.positions[top.ambient.identity_index]])  # bottom's own right coset
-        self._elements: np.ndarray | None = None
-        self._base: np.ndarray | None = None
+        self.ambient = top.ambient
+        inside = below.dwidth.take(below.dnum) == 1  # bottom's right cosets in A: their own double cosets
+        self.leaders = top.indices[below.leaders[inside]]
+        self.inverses = below.positions.take(self.ambient.inv_indices().take(self.leaders))
         self._inverses: RightProducts | None = None
 
-    def representatives(self, k: Subgroup) -> np.ndarray:
-        """The leader number of the least element of every left coset of B = <bottom, K's generators in A> outside K.
+    def representatives(self, table: CosetTable) -> np.ndarray:
+        """The number of the least leader of every left coset of K & A in A outside K, for K = table.h, ascending.
 
-        Conjugation by a is constant on aB, as B <= K; aB lies in K or
-        misses it.  With no generator of K in A outside bottom, B = bottom
-        and the leaders lead its left cosets.  Otherwise A's left cosets of
-        B are the classes joining a to a s for those generators s, hooked
-        onto base by their right permutations of A (_orbit_minima).
+        Conjugation by a is constant on a(K & A) = aK & A, and aK is the
+        inverse of the right coset K a^-1, so K's own table labels every
+        leader a by the number of K a^-1: one gather at the inverses.  A
+        label's first leader is the least, and the leaders with K's own
+        label lie in K.
         """
-        if k.order % self.order == 0 and k.contains(self.leaders).all():  # K holds A
-            return np.zeros(0, dtype=np.intp)
-        fresh = [s for s in k.generators if self._fresh(s)]
-        if not fresh:
-            return np.flatnonzero(~k.contains(self.leaders))
-        elements = self.elements()
-        if self.whole:
-            perms = [self.below.right_perm(x) for x in fresh]
-        else:
-            which = np.repeat(np.arange(len(fresh), dtype=np.int32), elements.size)
-            prods = RightProducts(k.ambient, fresh)(np.tile(elements, len(fresh)), which)
-            perms = list(np.searchsorted(elements, prods).astype(np.int32).reshape(len(fresh), -1))
-        labels = _orbit_minima(self.base(), perms)
-        firsts = np.searchsorted(elements, self.leaders)  # the leaders' positions in A
-        reps = np.searchsorted(firsts, np.flatnonzero(labels == np.arange(labels.size)))
-        return reps[~k.contains(self.leaders.take(reps))]
-
-    def _fresh(self, s: int) -> bool:
-        """Whether s lies in A outside bottom: in top, in a right coset of bottom inside A, and not in bottom's own."""
-        at = self.below.positions[s]
-        coset = self.below.coset[at] if at >= 0 else self._own
-        return coset != self._own and bool(self.inside[coset])
-
-    def elements(self) -> np.ndarray:
-        """A's sorted ambient indices: top's, or the positions whose right coset of bottom lies in A."""
-        if self._elements is None:
-            below = self.below
-            self._elements = below.top.indices if self.whole else below.top.indices[self.inside.take(below.coset)]
-        return self._elements
-
-    def base(self) -> np.ndarray:
-        """Each position in A -> the least position in A of its coset of bottom."""
-        if self._base is None:
-            below = self.below
-            least = below.leaders.take(below.coset)  # top position -> the least position of its right coset
-            if self.whole:
-                self._base = least
-            else:
-                spots = below.positions.take(self.elements())  # A's positions in top
-                self._base = np.searchsorted(spots, least.take(spots)).astype(np.int32)
-        return self._base
+        labels = table.coset.take(self.inverses)
+        first = np.full(table.leaders.size, labels.size, dtype=np.int32)
+        np.minimum.at(first, labels, np.arange(labels.size, dtype=np.int32))
+        own = table.coset[table.positions[self.ambient.identity_index]]
+        return np.flatnonzero((first.take(labels) == np.arange(labels.size)) & (labels != own))
 
     def conjugate(self, at: np.ndarray, idxs: np.ndarray) -> np.ndarray:
         """a x a^-1 for a = leaders[at[i]] and x = idxs[i]: two right products by a^-1 through one table of their inverses."""
-        amb = self.below.top.ambient
-        inv = amb.inv_indices()
+        inv = self.ambient.inv_indices()
         if self._inverses is None:
-            self._inverses = RightProducts(amb, inv.take(self.leaders))
+            self._inverses = RightProducts(self.ambient, inv.take(self.leaders))
         by = self._inverses
         return by(inv.take(by(inv.take(idxs), at)), at)
 
 
-def _conjugacy_orbit(k: Subgroup, action: _Action) -> list[tuple[Subgroup, int]]:
-    """Each conjugate a K a^-1 of K under A with one such a, from one conjugation batch.
+def _conjugacy_orbit(table: CosetTable, action: _Action) -> list[tuple[Subgroup, int]]:
+    """Each conjugate a K a^-1 of K = table.h under A with one such a, from one conjugation batch.
 
-    One a per left coset of B in A outside K reaches every conjugate
+    One a per left coset of K & A in A outside K reaches every conjugate
     (_Action.representatives); a K with no such coset, which holds A, is
     its whole orbit.  K comes first, with the identity.  The other
     conjugates' sorted rows go under K's and are told apart by one stable
@@ -300,8 +254,9 @@ def _conjugacy_orbit(k: Subgroup, action: _Action) -> list[tuple[Subgroup, int]]
     that reaches it.  The distinct rows are copied out together, and each
     new conjugate holds its row of that copy.
     """
+    k = table.h
     amb = k.ambient
-    moving = action.representatives(k)
+    moving = action.representatives(table)
     if not moving.size:
         return [(k, amb.identity_index)]
     at = np.repeat(moving.astype(np.int32), k.order)
@@ -327,7 +282,7 @@ def _normalizer_positions(keys: list[bytes], members: dict, rep_normalizers: dic
     moved = [i for i, key in enumerate(keys) if members[key][1] != key]  # the members that are not representatives
     if moved:
         sizes = [out[i].size for i in moved]
-        amb = action.below.top.ambient
+        amb = action.ambient
         a = np.searchsorted(action.leaders, [members[keys[i]][2] for i in moved]).astype(np.int32)
         flat = action.conjugate(np.repeat(a, sizes), np.concatenate([out[i] for i in moved]))
         offset = np.repeat(np.arange(len(moved), dtype=np.int64) * amb.order, sizes)
@@ -354,15 +309,17 @@ def enumerate_interval(
 ) -> IntervalLattice:
     """All subgroups H with bottom <= H <= top (top = within or the ambient), each with N_top(H)'s position.
 
-    Breadth first, one level of orbit representatives at a time: their
-    coset tables are built in chunks of consecutive tables, each within
-    _BLOCK_ENTRIES positions (one table at a time for a larger top), and
-    each chunk's extensions are closed by one extend_level call.
-    Bottom's table is built first; it seeds every later table's right
-    cosets, and its normalizer in top acts on the interval by conjugation
-    through its right-coset leaders, so only one member per orbit is
-    expanded.  Closures are accepted level by level, then table by table,
-    then in first-occurrence order.
+    Breadth first, one level of candidates at a time, each its elements
+    and generators, in the order their closures were accepted: a
+    candidate that an earlier candidate's orbit holds is skipped, and each
+    other one is an orbit representative.  Its coset table gives its
+    normalizer and its orbit (_conjugacy_orbit), and the tables are built
+    in chunks of consecutive tables, each within _BLOCK_ENTRIES positions
+    (one table at a time for a larger top), whose extensions are closed by
+    one extend_level call.  Bottom's table is built first; it seeds every
+    later table's right cosets, and its normalizer in top acts on the
+    interval by conjugation through its right-coset leaders, so only one
+    member per orbit is expanded.
     """
     if bottom.ambient != ambient:
         raise LatticeError("bottom subgroup lives in a different ambient group")
@@ -372,43 +329,40 @@ def enumerate_interval(
         top = within
         if not bottom.is_subset_of(top):
             raise LatticeError("bottom is not contained in the given top subgroup")
-    start = bottom.indices.tobytes()
+    start, identity = bottom.indices.tobytes(), ambient.identity_index
     # member key -> (member, its representative R's key, a with member = a R a^-1)
-    members = {start: (bottom, start, ambient.identity_index)}
+    members: dict[bytes, tuple[Subgroup, bytes, int]] = {}
     rep_normalizers: dict[bytes, np.ndarray] = {}  # representative key -> N_top(R)'s sorted indices
     chunk = max(1, _BLOCK_ENTRIES // top.order)
-    level = [bottom]
+    level = {start: (bottom.indices, None)}  # candidate key -> (elements, generators); bottom is held as given
     exhaustive = True
     below = action = None  # bottom's table and A's action, once built
     while level and exhaustive:
-        expand = []
-        for h in level:
+        found: dict[bytes, tuple[np.ndarray, list[int]]] = {}  # the next level's candidates
+        tables = []
+        for key, (elements, gens) in level.items():
+            if key in members:  # an earlier candidate's orbit holds it
+                continue
+            h = bottom if key == start else Subgroup.of_sorted(ambient, elements, gens)
             if h.order == top.order:  # top is its own only double coset: no extension, and N_top(top) = top
-                rep_normalizers[h.indices.tobytes()] = top.indices
+                orbit, rep_normalizers[key] = [(h, identity)], top.indices
             else:
-                expand.append(h)
-        found = []  # the next level
-        for first in range(0, len(expand), chunk):
-            tables = []  # the previous chunk's tables go before this one's are built
-            for h in expand[first : first + chunk]:
-                tables.append(CosetTable(h, top, below))
-                rep_normalizers[h.indices.tobytes()] = tables[-1].normalizer()
+                table = CosetTable(h, top, below)
                 if below is None:  # bottom's table, the first
-                    below = tables[0]
-                    action = _Action(below)
-            closed = extend_level([(table, table.double_coset_reps()) for table in tables])
-            for h, (elements, g) in ((t.h, c) for t, cs in zip(tables, closed) for c in cs):
-                rep = elements.tobytes()
-                if rep not in members:
-                    k = Subgroup.of_sorted(ambient, elements, [*h.generators, g])
-                    for m, a in _conjugacy_orbit(k, action):
-                        members[rep if m is k else m.indices.tobytes()] = (m, rep, a)
-                    found.append(k)
-                    if max_members is not None and len(members) > max_members:
-                        exhaustive = False
-                        break
-            if not exhaustive:
+                    below, action = table, _Action(table)
+                orbit = [(h, identity)] if h is bottom else _conjugacy_orbit(table, action)  # A normalizes bottom
+                rep_normalizers[key] = table.normalizer()
+                tables.append(table)
+            for m, a in orbit:
+                members[key if m is h else m.indices.tobytes()] = (m, key, a)
+            if max_members is not None and len(members) > max_members:
+                exhaustive = False
                 break
+            if len(tables) == chunk:
+                _extend(tables, members, found)
+                tables = []  # this chunk's tables go before the next one's are built
+        if tables and exhaustive:
+            _extend(tables, members, found)
         level = found
     Subgroup.digest_ids([m for m, _, _ in members.values()])
     keys = sorted(members, key=lambda key: (members[key][0].order, members[key][0].id))
@@ -420,6 +374,21 @@ def enumerate_interval(
         exhaustive=exhaustive,
         normalizer_at=_normalizer_positions(keys, members, rep_normalizers, action) if exhaustive else None,
     )
+
+
+def _extend(tables: list[CosetTable], members: dict, found: dict) -> None:
+    """Close each table's H with its double-coset representatives in one extend_level call, and add the new closures to found.
+
+    A closure is new when neither members nor found holds it.  It goes in
+    as its elements and H's generators plus its g, table by table, then
+    in first-occurrence order: the order in which the candidates are taken.
+    """
+    closed = extend_level([(table, table.double_coset_reps()) for table in tables])
+    for table, closures in zip(tables, closed):
+        for elements, g in closures:
+            key = elements.tobytes()
+            if key not in members and key not in found:
+                found[key] = (elements, [*table.h.generators, g])
 
 
 @dataclass(eq=False)  # compared by __eq__ below: the edges are arrays

@@ -34,11 +34,10 @@ its double cosets over those numbers, so extend_level can close <H, g>
 for the H of many tables and many g together over double cosets of H
 instead of over elements.  A table's cosets come over positions, as orbit
 minima under left permutations (doubling along each, for the bottom of
-an interval), or, for a member H over a bottom T with [H:T] <= |T|, over
-T's right cosets: one product of T's coset leaders by a right transversal
-of T in H, at most |top| products.  The root table (the one seeded by no other)
-holds top's positions and the right permutations the position route
-reads, and every table seeded from it shares both, so the tables of one
+an interval, and hooked onto the bottom's cosets for a member above it).
+The root table (the one seeded by no other) holds top's positions and
+the right permutations those left permutations are read from, and every
+table seeded from it shares both, so the tables of one
 enumeration make one product of top per distinct generator, and the
 memo goes with them; <H, g> keeps H's generators plus g.  A subgroup
 holds no memo.
@@ -693,37 +692,21 @@ class CosetTable:
     H x H = H x exactly when x normalizes H, so the double cosets that are
     single right cosets make up N_top(H).
 
-    The right cosets come by one of two routes.
-
-    Over positions: H x is the orbit of x under left multiplication by the
-    generators' inverses, x -> (x^-1 * s_i)^-1, which is the permutation
-    right_perm(s_i) (x -> x * s_i) conjugated by inversion, and each
-    position's least coset position is an orbit minimum under those left
-    permutations, taken by doubling (_cycle_minima).  coset_right reads the
-    right permutations at the leaders.  below, if given, is the table of a
-    subgroup T of H over the same top.  Each right coset of H is a union of
-    right cosets of T, and H is generated by T and H's generators outside
-    T, so a seeded table hooks only those generators' left permutations
-    onto T's least coset positions, leaders[coset] of below (_orbit_minima).
-
-    Over T's right cosets, for a seeded table with [H:T] <= |T|: with r_j
-    the leaders of T's right cosets inside H (a right transversal of T in
-    H, T's own coset among them), H = U_j T r_j, so H x = U_j T r_j x.  The
-    right cosets of T inside the H-coset of T's coset c are those of
-    r_j * lead_T(c), and the least of their numbers is the number of that
-    H-coset's least position: exact, with no iteration.  That takes
-    [H:T] * [top:T] products, as (lead_T(c)^-1 * r_j^-1)^-1 through one
-    RightProducts table of the r_j^-1, and coset_right takes [top:H]
-    products per generator at H's leaders.  The size rule [H:T] <= |T|
-    keeps the first within |top| products, one pass over top, and no array
-    of the route exceeds |top| entries; it builds no permutation of the
-    whole top.  A larger index would take more products than that, so such
-    a table goes over positions, through the shared right permutations.
+    H x is the orbit of x under left multiplication by the generators'
+    inverses, x -> (x^-1 * s_i)^-1, which is the permutation right_perm(s_i)
+    (x -> x * s_i) conjugated by inversion, and each position's least coset
+    position is an orbit minimum under those left permutations, taken by
+    doubling (_cycle_minima).  coset_right reads the right permutations at
+    the leaders.  below, if given, is the table of a subgroup T of H over
+    the same top.  Each right coset of H is a union of right cosets of T,
+    and H is generated by T and H's generators outside T, so a seeded table
+    hooks only those generators' left permutations onto T's least coset
+    positions, leaders[coset] of below (_orbit_minima).
 
     The root table, seeded by none, builds top's positions and a memo of
     right permutations, one per distinct s; every table seeded from it
-    shares both, so the position tables of one enumeration make one product
-    of the whole top per distinct generator.  The memo holds (distinct s) *
+    shares both, so the tables of one enumeration make one product of the
+    whole top per distinct generator.  The memo holds (distinct s) *
     |top| * 4 bytes and goes with the tables.
     """
 
@@ -744,27 +727,6 @@ class CosetTable:
             self.positions, self._right = below.positions, below._right
         else:
             self.positions, self._right = top.positions(), {}
-        if _over_cosets(h, below):
-            self._label_over_cosets(below)
-        else:
-            self._label_over_positions(below)
-        ncos = self.leaders.size
-        self.double = _orbit_minima(np.arange(ncos, dtype=np.int32), self.coset_right)
-        own = self.double == np.arange(ncos)
-        self.dnum = (np.cumsum(own, dtype=np.int32) - 1).take(self.double)
-        self.dwidth = np.bincount(self.dnum).astype(np.int32)
-        self.by_double = np.argsort(self.dnum, kind="stable").astype(np.int32)
-
-    def right_perm(self, s: int) -> np.ndarray:
-        """The permutation x -> x * s of top's positions, for s in top; memoized per s with the root table."""
-        s = int(s)
-        perm = self._right.get(s)
-        if perm is None:
-            perm = self._right[s] = self.positions.take(self.top.ambient.rmul(self.top.indices, s))
-        return perm
-
-    def _label_over_positions(self, below: "CosetTable | None") -> None:
-        h, top = self.h, self.top
         right = [self.right_perm(s) for s in h.generators]
         fresh = right
         if below is not None:
@@ -782,23 +744,20 @@ class CosetTable:
         self.leaders = np.flatnonzero(leads)
         self.coset = (np.cumsum(leads, dtype=np.int32) - 1).take(labels)
         self.coset_right = [self.coset.take(r.take(self.leaders)) for r in right]
+        ncos = self.leaders.size
+        self.double = _orbit_minima(np.arange(ncos, dtype=np.int32), self.coset_right)
+        own = self.double == np.arange(ncos)
+        self.dnum = (np.cumsum(own, dtype=np.int32) - 1).take(self.double)
+        self.dwidth = np.bincount(self.dnum).astype(np.int32)
+        self.by_double = np.argsort(self.dnum, kind="stable").astype(np.int32)
 
-    def _label_over_cosets(self, below: "CosetTable") -> None:
-        h, top, amb = self.h, self.top, self.h.ambient
-        inv, positions = amb.inv_indices(), self.positions
-        lead = top.indices.take(below.leaders)  # T's coset number -> its least element
-        trans = lead[h.contains(lead)]  # one r_j per right coset of T in H
-        which = np.repeat(np.arange(trans.size, dtype=np.int32), lead.size)
-        prods = RightProducts(amb, inv.take(trans))(np.tile(inv.take(lead), trans.size), which)
-        cosets = below.coset.take(positions.take(inv.take(prods))).reshape(trans.size, lead.size)
-        least = cosets.min(axis=0)  # T's coset number -> the least one in its H-coset
-        own = least == np.arange(lead.size)
-        self.leaders = below.leaders[own]
-        self.coset = (np.cumsum(own, dtype=np.int32) - 1).take(least).take(below.coset)
-        gens = np.asarray(h.generators, dtype=np.int32)
-        which = np.repeat(np.arange(gens.size, dtype=np.int32), self.leaders.size)
-        at = RightProducts(amb, gens)(np.tile(top.indices.take(self.leaders), gens.size), which)
-        self.coset_right = list(self.coset.take(positions.take(at)).reshape(gens.size, self.leaders.size))
+    def right_perm(self, s: int) -> np.ndarray:
+        """The permutation x -> x * s of top's positions, for s in top; memoized per s with the root table."""
+        s = int(s)
+        perm = self._right.get(s)
+        if perm is None:
+            perm = self._right[s] = self.positions.take(self.top.ambient.rmul(self.top.indices, s))
+        return perm
 
     def double_coset_reps(self) -> np.ndarray:
         """Least element of every double coset H x H in top other than H, ascending."""
@@ -809,11 +768,6 @@ class CosetTable:
     def normalizer(self) -> np.ndarray:
         """N_top(H) as sorted ambient indices: the positions whose double coset holds one right coset."""
         return self.top.indices[(self.dwidth.take(self.dnum) == 1).take(self.coset)]
-
-
-def _over_cosets(h: Subgroup, below: "CosetTable | None") -> bool:
-    """Whether H's table takes the route over T's right cosets: seeded by T's table, with [H:T] <= |T|."""
-    return below is not None and h.order <= below.h.order**2
 
 
 def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[tuple[np.ndarray, int]]]:

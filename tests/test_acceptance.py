@@ -302,12 +302,11 @@ def test_constructed_generators_close_to_the_torus_and_formula_set(tori):
     assert len(cases) >= 28
 
 
-def test_coset_table_label_routes_agree(monkeypatch, tori, direct_intervals):
-    # every member H of [T, G] and of [T, N(T)], seeded with T's table, gets
-    # the same table over T's right cosets as over positions, whichever the
-    # size rule [H:T] <= |T| picks, and the same as its unseeded table,
-    # whose labels come by doubling; the 24 ok acceptance tori and
-    # GL/SL(2,13) with degrees 2 and 1,1
+def test_coset_table_label_routes_agree(tori, direct_intervals):
+    # every member H of [T, G] and of [T, N(T)] gets the same table seeded
+    # with T's, whose labels come by hooking H's generators outside T onto
+    # T's cosets, as unseeded, whose labels come by doubling; the 24 ok
+    # acceptance tori and GL/SL(2,13) with degrees 2 and 1,1
     f13, large = construct_field(13, 1), Caps(group_order=30_000)
     lattices = []
     for key, (amb, torus, _) in tori.items():
@@ -325,20 +324,13 @@ def test_coset_table_label_routes_agree(monkeypatch, tori, direct_intervals):
         below = CosetTable(lat.bottom, top)
         for m in lat.members:
             h = with_generators(m)
-            tables = []
-            for over_cosets in (True, False):
-                monkeypatch.setattr(matrix_group, "_over_cosets", lambda h, below, route=over_cosets: route)
-                tables.append(CosetTable(h, top, below))
-            monkeypatch.undo()
-            tables.append(CosetTable(h, top))
-            first = tables[0]
-            for other in tables[1:]:
-                labels = (first.leaders[first.coset], other.leaders[other.coset])  # least position of each right coset
-                assert np.array_equal(*labels), ("labels", m.order)
-                for field in ("coset", "leaders", "double"):
-                    assert np.array_equal(getattr(first, field), getattr(other, field)), (field, m.order)
-                assert np.array_equal(first.double_coset_reps(), other.double_coset_reps()), m.order
-                assert np.array_equal(first.normalizer(), other.normalizer()), m.order
+            seeded, unseeded = CosetTable(h, top, below), CosetTable(h, top)
+            labels = (seeded.leaders[seeded.coset], unseeded.leaders[unseeded.coset])  # least position of each right coset
+            assert np.array_equal(*labels), ("labels", m.order)
+            for field in ("coset", "leaders", "double"):
+                assert np.array_equal(getattr(seeded, field), getattr(unseeded, field)), (field, m.order)
+            assert np.array_equal(seeded.double_coset_reps(), unseeded.double_coset_reps()), m.order
+            assert np.array_equal(seeded.normalizer(), unseeded.normalizer()), m.order
             compared += 1
     assert compared > 100
 
@@ -446,41 +438,44 @@ def test_each_level_call_matches_one_call_per_table(monkeypatch, tori):
 def test_orbits_match_conjugation_by_every_element_of_the_acting_group(monkeypatch, tori):
     # every orbit the enumeration takes, on [T, G] and [T, N(T)] of each ok
     # acceptance torus ([1, GL(3,2)] among them), against conjugating K by
-    # every element of A = N_top(T): the same members, and each witness a
-    # gives its member as a K a^-1.  The orbit conjugates K by one element
-    # per left coset of B = <T, K's generators in A> outside K, B closed by
-    # the oracle: (|A| - |A & K|) / |B| conjugations.  Conjugating by every
-    # leader of T's cosets gives the same orbits, so only the count tells
-    # the two apart
+    # every element of A = N_top(T) = N(T): the same members, and each
+    # witness a gives its member as a K a^-1.  The orbit conjugates K by one
+    # element per left coset of K & A in A outside K, read off K's table:
+    # (|A| - |A & K|) / |A & K| conjugations.  Conjugating by every leader
+    # of T's cosets, or by one per left coset of B = <T, K's generators in
+    # A> (closed by the oracle), gives the same orbits, so only the count
+    # tells them apart.  A & K is larger than B for 18 orbits here, all on
+    # [T, G] of GL and SL(3,3) 1,1,1 (|A & K| = 16 and 8, |B| = |T|)
     orbit, conjugate, seen, made = lattice._conjugacy_orbit, lattice._Action.conjugate, [], []
     monkeypatch.setattr(
         lattice._Action, "conjugate", lambda self, at, idxs: made.append(np.unique(at).size) or conjugate(self, at, idxs)
     )
 
-    def recording(k, action):
+    def recording(table, action):
         made.clear()
-        got = orbit(k, action)
-        seen.append((k, action.elements(), got, sum(made)))
+        got = orbit(table, action)
+        seen.append((table.h, got, sum(made)))
         return got
 
     monkeypatch.setattr(lattice, "_conjugacy_orbit", recording)
-    fewer = 0  # orbits with B larger than T, which a conjugation per leader of T's cosets would overcount
+    fewer = wider = 0  # orbits with A & K larger than T, and than B; bottom and top take no orbit call
     for key, (amb, torus, normalizer) in tori.items():
+        acting = normalizer.indices
         for within in (None, normalizer):
             seen.clear()
             enumerate_interval(torus, amb, within=within)
-            assert seen, key
-            for k, acting, got, conjugated in seen:
+            for k, got, conjugated in seen:
                 by_all = {row.tobytes() for row in np.sort(amb.conjugates(acting, k.indices), axis=1)}
                 assert {m.indices.tobytes() for m, _ in got} == by_all, (key, k.order)
                 for m, a in got:
                     assert np.array_equal(np.sort(amb.conjugates([a], k.indices)[0]), m.indices), (key, k.order)
+                meet = int(k.contains(acting).sum())
+                assert conjugated == (acting.size - meet) // meet, (key, k.order)
                 in_a = [g for g in k.generators if acting[np.searchsorted(acting, g) % acting.size] == g]
                 b = generate(amb, [matrix_at(amb, g) for g in [*torus.generators, *in_a]])
-                outside = acting.size - int(k.contains(acting).sum())
-                assert conjugated == outside // b.order, (key, k.order)
-                fewer += b.order > torus.order and outside > 0
-    assert len(tori) >= 24 and fewer > 0
+                fewer += meet > torus.order and acting.size > meet
+                wider += meet > b.order and acting.size > meet
+    assert len(tori) >= 24 and fewer > 0 and wider > 0
 
 
 def test_normality_graph_matches_the_id_oracle(tori):

@@ -39,7 +39,9 @@ import oracles
 from oracles import (
     aut_group_size,
     formula_leaders_by_units,
+    generate,
     hypotheses_by_elimination,
+    matrix_at,
     matrix_det,
     matrix_from_key,
     normality_edges_by_pairs,
@@ -484,11 +486,9 @@ def test_one_whole_top_product_per_generator(monkeypatch, p, degrees):
 def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch, n, base, degrees):
     # a member K = <H, g> is generated by H's generators and g.  T's own
     # table takes the left permutations of T's generators by doubling, which
-    # for the abelian T leaves the finishing pass nothing to change; a
-    # later table over positions ([K:T] > |T|) builds left permutations only
-    # for the elements adjoined since T, and one over T's right cosets
-    # builds no permutation of the whole top: no right permutation, no
-    # orbit minima over positions, no product pass longer than |top|
+    # for the abelian T leaves the finishing pass nothing to change; every
+    # later table, seeded with T's, hooks exactly the left permutations of
+    # the elements adjoined since T onto T's labels
     amb = ambient_group(GL, n, base)
     t = torus_subgroup(AlgebraSpec(base, degrees), amb)
     builders = {}  # member key -> the H whose table first closed it
@@ -501,9 +501,8 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
                 builders.setdefault(elements.tobytes(), table.h)
         return out
 
-    calls = []  # ("minima", labels, perms), ("cycles", perms), ("right", s), ("products", count)
+    calls = []  # ("minima", labels, perms), ("cycles", perms)
     orbit_minima, cycle_minima = matrix_group._orbit_minima, matrix_group._cycle_minima
-    right_perm, products = matrix_group.CosetTable.right_perm, matrix_group.RightProducts.__call__
 
     def recording_orbit_minima(labels, perms):
         calls.append(("minima", labels.copy(), list(perms)))
@@ -513,18 +512,8 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
         calls.append(("cycles", list(perms)))
         return cycle_minima(perms, size)
 
-    def recording_right_perm(self, s):
-        calls.append(("right", s))
-        return right_perm(self, s)
-
-    def recording_products(self, idxs, which=0):
-        calls.append(("products", len(idxs)))
-        return products(self, idxs, which)
-
     monkeypatch.setattr(matrix_group, "_orbit_minima", recording_orbit_minima)
     monkeypatch.setattr(matrix_group, "_cycle_minima", recording_cycle_minima)
-    monkeypatch.setattr(matrix_group.CosetTable, "right_perm", recording_right_perm)
-    monkeypatch.setattr(matrix_group.RightProducts, "__call__", recording_products)
     tables = []  # (H, top, the calls its table made)
 
     class RecordingTable(lattice.CosetTable):
@@ -560,66 +549,33 @@ def test_expanded_members_keep_the_generators_they_were_closed_from(monkeypatch,
         assert gens[: len(t.generators)] == t.generators
         assert not t.contains(adjoined).any() and 2 ** len(adjoined) <= h.order // t.order
         assert not [c for c in made if c[0] == "cycles"], h.order
-        over_positions = [c[2] for c in made if c[0] == "minima" and c[1].size == top.order]
-        if h.order // t.order > t.order:  # over positions, from T's labels
-            assert len(over_positions) == 1 and len(over_positions[0]) == len(adjoined), h.order
-            assert all(map(np.array_equal, over_positions[0], left(adjoined))), h.order
-        else:  # over T's right cosets
-            assert not over_positions and not [c for c in made if c[0] == "right"], h.order
-            assert max(c[1] for c in made if c[0] == "products") <= top.order, h.order
-
-
-@pytest.mark.parametrize(
-    "p,degrees,routes",
-    [
-        (3, [2, 1], {"cosets", "positions"}),
-        (2, [2, 1], {"cosets", "positions"}),
-        (2, [1, 1, 1], {"positions"}),  # T is trivial, so [H:T] = |H| > |T| for every H past T
-    ],
-)
-def test_member_tables_take_the_route_the_size_rule_names(monkeypatch, p, degrees, routes):
-    # T's own table is over positions; every later table, seeded with T's,
-    # is over T's right cosets exactly when [H:T] <= |T|
-    amb = ambient_group(GL, 3, construct_field(p, 1))
-    t = torus_subgroup(AlgebraSpec(amb.field, degrees), amb)
-    taken = []  # (H, seeded, route)
-    over_cosets, over_positions = lattice.CosetTable._label_over_cosets, lattice.CosetTable._label_over_positions
-
-    def by_cosets(table, below):
-        taken.append((table.h, below is not None, "cosets"))
-        return over_cosets(table, below)
-
-    def by_positions(table, below):
-        taken.append((table.h, below is not None, "positions"))
-        return over_positions(table, below)
-
-    monkeypatch.setattr(lattice.CosetTable, "_label_over_cosets", by_cosets)
-    monkeypatch.setattr(lattice.CosetTable, "_label_over_positions", by_positions)
-    enumerate_interval(t, amb)
-    monkeypatch.undo()
-    assert taken[0] == (t, False, "positions") and all(seeded for _, seeded, _ in taken[1:])
-    for h, _, route in taken[1:]:
-        assert route == ("cosets" if h.order // t.order <= t.order else "positions"), h.order
-    assert {route for _, _, route in taken[1:]} == routes
+        hooked = [c for c in made if c[0] == "minima" and c[1].size == top.order]
+        assert len(hooked) == 1 and np.array_equal(hooked[0][1], finished), h.order
+        assert len(hooked[0][2]) == len(adjoined), h.order
+        assert all(map(np.array_equal, hooked[0][2], left(adjoined))), h.order
 
 
 @pytest.mark.parametrize("acting_order", [168, 24])
 def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
-    # the one-batch orbit of each member of GL(3,2) 1,1,1's [T, G] under
-    # N(T) = G, and under a smaller acting group whose orbits split, against
-    # conjugating K by every element of the acting group; T is trivial, so
-    # its right-coset leaders in the acting group are all of that group, and
-    # each K carries generators, so the orbit conjugates by one element per
-    # left coset of <K's generators in A>
+    # the one-batch orbit of each member of GL(3,2) 1,1,1's [T, G] inside an
+    # acting group, N(T) = G or a smaller one whose orbits split, as top,
+    # against conjugating K by every element of the acting group.  T is
+    # trivial, so its right-coset leaders in the acting group are all of
+    # that group, and K's own table, seeded with T's, names one conjugator
+    # per left coset of K
     gl32 = ambient_group(GL, 3, F2)
     t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
     lat = enumerate_interval(t, gl32)
     acting = next(n for n in _normalizers(lat) if n.order == acting_order)
-    action = lattice._Action(lattice.CosetTable(t, acting))
-    assert np.array_equal(action.leaders, acting.indices) and np.array_equal(action.elements(), acting.indices)
-    for m in lat.members:
+    below = lattice.CosetTable(t, acting)
+    action = lattice._Action(below)
+    assert np.array_equal(action.leaders, acting.indices)
+    inside = [m for m in lat.members if m.is_subset_of(acting)]
+    assert len(inside) == (179 if acting_order == 168 else 30)
+    for m in inside:
         k = with_generators(m)
-        orbit = lattice._conjugacy_orbit(k, action)
+        orbit = lattice._conjugacy_orbit(lattice.CosetTable(k, acting, below), action)
+        assert orbit[0] == (k, gl32.identity_index)
         by_all = {row.tobytes() for row in np.sort(gl32.conjugates(acting.indices, k.indices), axis=1)}
         assert {m.indices.tobytes() for m, _ in orbit} == by_all
         for m, a in orbit:
@@ -631,56 +587,80 @@ def test_conjugacy_orbits_match_conjugation_by_every_element(acting_order):
 def test_orbits_come_from_one_leader_per_right_coset_of_t_in_its_normalizer(monkeypatch, p, degrees):
     # the enumeration conjugates every orbit through one action of
     # N_top(T): its leaders lie in N_top(T), T a runs over each right coset
-    # of T in N_top(T) once, and each orbit is K's conjugates by every
-    # element of N_top(T)
+    # of T in N_top(T) once, each orbit is read off K's own table, and each
+    # is K's conjugates by every element of N_top(T)
     spec = AlgebraSpec(construct_field(p, 1), degrees)
     amb = ambient_group(GL, spec.n, spec.base)
     t = torus_subgroup(spec, amb)
-    calls = []
+    actions, calls, orbits = [], [], 0
     orbit = lattice._conjugacy_orbit
 
-    def recording_orbit(k, action):
-        calls.append((k, action, orbit(k, action)))
+    class RecordingAction(lattice._Action):
+        def __init__(self, below):
+            super().__init__(below)
+            actions.append(self)
+
+    def recording_orbit(table, action):
+        calls.append((table, action, orbit(table, action)))
         return calls[-1][2]
 
+    monkeypatch.setattr(lattice, "_Action", RecordingAction)
     monkeypatch.setattr(lattice, "_conjugacy_orbit", recording_orbit)
     for within in (None, normalizer_brute(amb, t)):
+        actions.clear()
         calls.clear()
         lat = enumerate_interval(t, amb, within=within)
         n = _cut(normalizer_brute(amb, t), lat.top)
-        action = calls[0][1]
-        assert all(c[1] is action for c in calls)
+        assert len(actions) == 1
+        action = actions[0]
         leaders = action.leaders
         cosets = amb.lmul(np.repeat(t.indices, leaders.size), np.tile(leaders, t.order))
         assert leaders.size == n.order // t.order and np.array_equal(np.sort(cosets), n.indices)
-        assert np.array_equal(action.elements(), n.indices)
-        for k, _, got in calls:
+        for table, by, got in calls:
+            k = table.h
+            assert by is action and table.top is lat.top and got[0][0] is k, k.order
             by_all = {row.tobytes() for row in np.sort(amb.conjugates(n.indices, k.indices), axis=1)}
             assert {m.indices.tobytes() for m, _ in got} == by_all, k.order
+        orbits += len(calls)
+    assert orbits  # bottom and top take no orbit call, and [T, G] has members between them
 
 
 def test_conjugacy_orbit_skips_the_leaders_inside_k(monkeypatch):
     # conjugating by an element of K fixes K, and so does conjugating by a
-    # whole left coset aB of B = <K's generators> in A: one element per left
-    # coset of B outside K is conjugated, each with every element of K.  The
-    # top holds every leader and is conjugated by none
-    gl32 = ambient_group(GL, 3, F2)
-    t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
-    lat = enumerate_interval(t, gl32)
-    action = lattice._Action(lattice.CosetTable(t, lat.top))
-    assert np.array_equal(action.leaders, np.arange(gl32.order))  # T is trivial: every element leads its own coset
+    # whole left coset of K & A in A: one element per left coset of K & A
+    # outside K is conjugated, each with every element of K, so
+    # |K| ([A : K & A] - 1) products.  On [1, GL(3,2)], A = G and that is
+    # |G| - |K|; on [T, GL(3,3)] with degrees 1,1,1, A = N(T) is monomial
+    # and K & A can be larger than <T, K's generators in A>.  The top
+    # holds every leader and is conjugated by none
     pairs = []  # conjugation's products: one per element conjugated
     conjugate = lattice._Action.conjugate
     monkeypatch.setattr(lattice._Action, "conjugate", lambda self, at, idxs: pairs.append(len(idxs)) or conjugate(self, at, idxs))
-    for m in lat.members:
-        k = with_generators(m)  # B = K, as T is trivial and A = G
+    wider = 0  # members with K & A larger than <T, K's generators in A>
+    for base in (F2, F3):
+        amb = ambient_group(GL, 3, base)
+        t = torus_subgroup(AlgebraSpec(base, [1, 1, 1]), amb)
+        lat = enumerate_interval(t, amb)
+        below = lattice.CosetTable(t, lat.top)
+        action = lattice._Action(below)
+        acting = lat.members[lat.normalizer_at[0]].indices
+        if base is F2:  # T is trivial: every element leads its own coset
+            assert np.array_equal(action.leaders, np.arange(amb.order)) and acting.size == amb.order
+        for m in lat.members[1:-1]:
+            k = with_generators(m)
+            pairs.clear()
+            lattice._conjugacy_orbit(lattice.CosetTable(k, lat.top, below), action)
+            meet = int(k.contains(acting).sum())
+            assert sum(pairs) == k.order * (acting.size // meet - 1), (base.q, k.order)
+            if base is F2:
+                assert sum(pairs) == amb.order - k.order, k.order
+            in_a = [g for g in k.generators if acting[np.searchsorted(acting, g) % acting.size] == g]
+            wider += meet > generate(amb, [matrix_at(amb, g) for g in [*t.generators, *in_a]]).order
+        top = with_generators(lat.members[-1])
         pairs.clear()
-        lattice._conjugacy_orbit(k, action)
-        assert sum(pairs) == (gl32.order - k.order), k.order
-    top = with_generators(lat.members[-1])
-    pairs.clear()
-    assert lattice._conjugacy_orbit(top, action) == [(top, gl32.identity_index)]
-    assert pairs == []
+        assert lattice._conjugacy_orbit(lattice.CosetTable(top, lat.top, below), action) == [(top, amb.identity_index)]
+        assert pairs == []
+    assert wider > 0
 
 
 def test_max_members_stops_after_the_orbit_that_crosses_it():
@@ -693,6 +673,57 @@ def test_max_members_stops_after_the_orbit_that_crosses_it():
     assert 2 < len(lat) < 179
     with pytest.raises(NonExhaustiveError):
         normality_graph(lat)
+
+
+@pytest.mark.parametrize("most", [1, 29, 100, 178])
+def test_max_members_keeps_whole_orbits_in_representative_order(monkeypatch, most):
+    # each representative's orbit is added when its table is built, on the
+    # level after the one that found it; stopped at max_members, the
+    # lattice holds bottom and the orbits the full enumeration adds first,
+    # up to and including the first that takes it past the budget
+    gl32 = ambient_group(GL, 3, F2)
+    t = torus_subgroup(AlgebraSpec(F2, [1, 1, 1]), gl32)
+    held = []
+    positions = lattice._normalizer_positions
+    monkeypatch.setattr(
+        lattice, "_normalizer_positions", lambda keys, members, *rest: held.append(dict(members)) or positions(keys, members, *rest)
+    )
+    enumerate_interval(t, gl32)
+    orbits = {}  # representative key -> its orbit's keys, in the order the members were added
+    for key, (_, rep, _) in held[0].items():
+        orbits.setdefault(rep, []).append(key)
+    assert len(orbits) == 15 and sum(map(len, orbits.values())) == 179
+    want = set()
+    for orbit in orbits.values():
+        want.update(orbit)
+        if len(want) > most:
+            break
+    lat = enumerate_interval(t, gl32, max_members=most)
+    assert not lat.exhaustive and lat.normalizer_at is None
+    assert {m.indices.tobytes() for m in lat.members} == want
+
+
+@pytest.mark.parametrize("kind,base,degrees", [(GL, F2, [1, 1, 1]), (GL, F3, [1, 1, 1]), (SL, F3, [2, 1]), (GL, F3, [1, 1])])
+def test_representatives_lead_the_left_cosets_of_k_and_a_outside_k(kind, base, degrees):
+    # _Action.representatives, read off K's own table by one gather at the
+    # leaders' inverses, against the left cosets a (K & A) of A = N(T)
+    # formed element by element, for every member K of [T, G]: the least
+    # element of each coset other than K & A, as a leader number, ascending
+    amb = ambient_group(kind, sum(degrees), base)
+    t = torus_subgroup(AlgebraSpec(base, degrees), amb)
+    lat = enumerate_interval(t, amb)
+    below = lattice.CosetTable(t, lat.top)
+    action = lattice._Action(below)
+    acting = lat.members[lat.normalizer_at[0]].indices
+    for m in lat.members:
+        k = with_generators(m)
+        meet = acting[k.contains(acting)]
+        cosets = amb.lmul(np.repeat(acting, meet.size), np.tile(meet, acting.size)).reshape(acting.size, meet.size)
+        least = {int(row.min()) for row in cosets if not k.contains(row[:1])[0]}
+        want = np.searchsorted(action.leaders, sorted(least))
+        assert np.array_equal(action.leaders.take(want), sorted(least)), k.order  # each least element is a leader
+        got = action.representatives(lattice.CosetTable(k, lat.top, below))
+        assert np.array_equal(got, want), k.order
 
 
 @pytest.mark.parametrize("p,degrees", [(2, [1, 1, 1]), (3, [1, 1]), (2, [2, 1]), (3, [1, 1, 1])])
