@@ -2,8 +2,8 @@
 
 Subcommands: torus (construct and describe the torus), verify (full
 lower-garland verification with verdicts), sweep (corpus run over all
-algebras up to a size bound, or a Pell table with --pell), pell (single d
-or a range).
+algebras up to a size bound, in order, in this process), pell (single d,
+or a table with --d-max).
 
 Exit codes: 0 when every check is confirmed or matches a predicted failure
 (and after --help), 2 on an unexpected mismatch, 3 when an enumeration cap
@@ -96,30 +96,9 @@ def _pell_over_cap(d: int | None) -> bool:
     return True
 
 
-def _print_pell_table(d_max: int, as_json: bool) -> None:
-    """One line per d in [1, d_max]: a JSON row, or the aligned text table."""
-    for row in pell_sweep(d_max):
-        if as_json:
-            print(stable_json(row))
-        elif "skipped" in row:
-            print(f"d={row['d']:>6}  skipped ({row['skipped']})")
-        else:
-            sol = f"x0={row['x0']} y0={row['y0']}" if row["solvable"] else "-"
-            flag = "" if row["criterion_agrees"] else "  CRITERION-DISAGREES"
-            print(
-                f"d={row['d']:>6}  period={row['period_length']:>3}  "
-                f"solvable={str(row['solvable']):5}  {sol}{flag}"
-            )
-
-
 def cmd_sweep(args) -> int:
-    if args.pell:
-        if _pell_over_cap(args.d_max):
-            return 3
-        _print_pell_table(args.d_max, args.json)
-        return 0
     t0 = time.perf_counter()
-    reports, summary = run_sweep(args.max_order, DEFAULT_CAPS, _cache_dir(args), args.threads)
+    reports, summary = run_sweep(args.max_order, DEFAULT_CAPS, _cache_dir(args))
     for doc in reports:
         if args.json:
             print(stable_json(doc))
@@ -151,10 +130,21 @@ def cmd_pell(args) -> int:
     if _pell_over_cap(args.d) or _pell_over_cap(args.d_max):
         return 3
     if args.d is not None:
-        doc = sl2q_normalizer_report(args.d).to_dict()
-        _emit(doc, args.json)
+        _emit(sl2q_normalizer_report(args.d).to_dict(), args.json)
         return 0
-    _print_pell_table(args.d_max, args.json)
+    # one line per d in [1, d_max]: a JSON row, or the aligned text table
+    for row in pell_sweep(args.d_max):
+        if args.json:
+            print(stable_json(row))
+        elif "skipped" in row:
+            print(f"d={row['d']:>6}  skipped ({row['skipped']})")
+        else:
+            sol = f"x0={row['x0']} y0={row['y0']}" if row["solvable"] else "-"
+            flag = "" if row["criterion_agrees"] else "  CRITERION-DISAGREES"
+            print(
+                f"d={row['d']:>6}  period={row['period_length']:>3}  "
+                f"solvable={str(row['solvable']):5}  {sol}{flag}"
+            )
     return 0
 
 
@@ -189,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="verify all algebras with q^n up to a bound")
     sp.add_argument("--max-order", type=int, default=100, help="bound on the algebra order q^n")
-    sp.add_argument("--threads", type=int, default=1, help="worker processes, at least 1")
-    sp.add_argument("--pell", action="store_true", help="emit a Pell table instead")
-    sp.add_argument("--d-max", type=int, default=100)
     add_common(sp, cached=True)
     sp.set_defaults(func=cmd_sweep)
 

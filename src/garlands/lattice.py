@@ -421,14 +421,6 @@ class NormalityGraph:
         ms = self.members
         return tuple(sorted((ms[a].id, ms[b].id) for a, b in zip(self.smaller.tolist(), self.larger.tolist())))
 
-    @property
-    def bottom_id(self) -> str:
-        return self.members[0].id
-
-    @property
-    def top_id(self) -> str:
-        return self.members[-1].id
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NormalityGraph)

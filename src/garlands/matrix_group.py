@@ -771,7 +771,7 @@ class CosetTable:
 
 
 def extend_level(jobs: Sequence[tuple[CosetTable, Sequence[int]]]) -> list[list[tuple[np.ndarray, int]]]:
-    """extend_subgroups(table, gs) for every (table, gs) job, in breadth-first runs; the tables share one top.
+    """Each (table, gs) job's distinct <H, g>, in first-occurrence order, in breadth-first runs; the tables share one top.
 
     For a job's H and each of its g, <H, g> is a union of double cosets
     H x H.  H x H is the orbit of the right coset H x under right
@@ -901,14 +901,9 @@ def _joined(parts: list[np.ndarray], offsets: np.ndarray | None = None) -> np.nd
     return np.concatenate(parts)
 
 
-def extend_subgroups(table: CosetTable, extra_indices: Sequence[int]) -> list[tuple[np.ndarray, int]]:
-    """The distinct <H, g> for the table's H and every g in extra_indices, in first-occurrence order (extend_level)."""
-    return extend_level([(table, extra_indices)])[0]
-
-
 def extend_subgroup(table: CosetTable, extra_index: int) -> Subgroup:
-    """<H, g> for the table's H and one element g of its top (extend_subgroups with one g)."""
-    elements, g = extend_subgroups(table, [extra_index])[0]
+    """<H, g> for the table's H and one element g of its top (extend_level with one job and one g)."""
+    [[(elements, g)]] = extend_level([(table, [extra_index])])
     return Subgroup(table.h.ambient, elements, [*table.h.generators, g])
 
 

@@ -1,9 +1,8 @@
-"""Case construction, the torus and case documents, and the verification sweep."""
+"""Case construction, the torus and case documents, and the verification sweep (its cases in order, in one process)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from math import isqrt
 from typing import Iterator
 
@@ -172,40 +171,10 @@ def sweep_cases(max_order: int) -> list[CaseSpec]:
     return cases
 
 
-def _run_task(args: tuple) -> list[dict]:
-    cases, caps, cache_dir = args
+def run_sweep(max_order: int, caps: Caps = DEFAULT_CAPS, cache_dir: str | None = None) -> tuple[list[dict], dict]:
+    """All case reports (ordered by case key) plus a summary, run in this process."""
     cache = DiskCache(cache_dir) if cache_dir else None
-    return [run_case(c, caps, cache) for c in cases]
-
-
-def run_sweep(
-    max_order: int,
-    caps: Caps = DEFAULT_CAPS,
-    cache_dir: str | None = None,
-    threads: int = 1,
-) -> tuple[list[dict], dict]:
-    """All case reports (ordered by case key) plus a summary.
-
-    threads > 1 runs the cases in that many worker processes, but no more
-    than there are tasks (an algebra's GL and SL cases are one task); each
-    worker is a fresh (spawned) interpreter, so the reports are the same as
-    with one thread.
-    """
-    if threads < 1:
-        raise CaseError(f"threads must be at least 1, got {threads}")
-    cases = sweep_cases(max_order)
-    # an algebra's cases (GL, then SL) are adjacent and make one task, so a
-    # worker runs the SL restriction after the GL case whose [T, G] it reads
-    tasks = [(list(t), caps, cache_dir) for _, t in groupby(cases, key=lambda c: (c.p, c.base_degree, c.degrees))]
-    workers = min(threads, len(tasks))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            done = list(pool.imap(_run_task, tasks))
-    else:
-        done = list(map(_run_task, tasks))
-    reports = [doc for docs in done for doc in docs]
+    reports = [run_case(case, caps, cache) for case in sweep_cases(max_order)]
     summary = {
         "cases": len(reports),
         "ok": sum(1 for r in reports if r.get("status") == "ok"),

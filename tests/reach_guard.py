@@ -4,7 +4,12 @@ Run from the repository root:  PYTHONPATH=src python tests/reach_guard.py [CASE 
 
 Each case runs twice, each time in a fresh process: once for its wall time
 and ru_maxrss, and once under tracemalloc for its traced allocation peak,
-which does not move with allocation order as the resident peak does.
+which does not move with allocation order as the resident peak does.  The
+timed run also samples the host's speed with the benchmark's SpeedSampler
+(perfbench/calibrate.py).  It prints its raw wall time, less the time the
+sampler took, and next to it that time scaled by the sampled speed: a host
+whose per-core speed switches moves the raw seconds more than the scaled
+ones.  The checks read the raw seconds.
 Prints one line per case and exits 1 if a case fails its check:
 
   gl-sl-3-5-111  GL(3,5) then SL(3,5) with degrees 1,1,1, both reports ok
@@ -23,6 +28,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 from garlands.config import Caps
 from garlands.etale import AlgebraSpec
@@ -30,6 +36,9 @@ from garlands.finite_field import construct_field
 from garlands.lattice import enumerate_interval
 from garlands.matrix_group import GL, ambient_group, torus_subgroup
 from garlands.runner import CaseSpec, run_case
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import calibrate  # noqa: E402  (perfbench is a directory of scripts, not a package)
 
 CAPS = Caps(group_order=1_500_000)
 PAIRS = {"gl-sl-3-5-111": (5, (1, 1, 1)), "gl-sl-3-5-21": (5, (2, 1)), "gl-sl-2-31-2": (31, (2,))}
@@ -50,12 +59,21 @@ def run(name: str) -> dict:
 
 def child(name: str, trace: bool) -> None:
     if trace:
-        tracemalloc.start()
+        tracemalloc.start()  # no speed sampling here: its reference work would add to the traced peak
+    else:
+        sampler = calibrate.SpeedSampler()
+        sampler.start()
     start = time.perf_counter()
     out = run(name)
-    out["wall_s"] = time.perf_counter() - start
+    end = time.perf_counter()
     if trace:
+        out["wall_s"] = end - start
         out["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    else:
+        time.sleep(calibrate.INTERVAL_S * (calibrate.MIN_SAMPLES + 1))  # samples for a run shorter than a few
+        sampler.stop()
+        out["wall_s"] = end - start - sampler.spent(start, end)
+        out["scaled_s"] = out["wall_s"] * sampler.speed(start, end)
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
     print(json.dumps(out))
 
@@ -97,7 +115,7 @@ def main(names: list[str]) -> int:
             continue
         outcome = plain.get("members", plain.get("overall"))
         print(
-            f"{name}: {plain['wall_s']:.2f} s, ru_maxrss {plain['maxrss_mb']:.1f} MB, "
+            f"{name}: {plain['wall_s']:.2f} s ({plain['scaled_s']:.2f} s speed-scaled), ru_maxrss {plain['maxrss_mb']:.1f} MB, "
             f"traced peak {traced['traced_peak_mb']:.2f} MB; {outcome}"
         )
     return 1 if failed else 0

@@ -423,7 +423,7 @@ def test_each_level_call_matches_one_call_per_table(monkeypatch, tori):
         calls.append(len(jobs))
         assert len(out) == len(jobs)
         for (table, gs), closed in zip(jobs, out):
-            alone = matrix_group.extend_subgroups(table, gs)
+            alone = matrix_group.extend_level([(table, gs)])[0]
             assert [(elements.tobytes(), g) for elements, g in closed] == [(e.tobytes(), g) for e, g in alone]
         assert sum(made) == batched
         return out

@@ -357,18 +357,10 @@ def test_sweep_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_sweep_threads_byte_identical(capsys):
-    args = ["sweep", "--max-order", "30", "--json"]
-    code1, out1, _ = _run(capsys, [*args, "--threads", "1"])
-    code2, out2, _ = _run(capsys, [*args, "--threads", "2"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_sweep_500_threads_2_prints_the_golden_reports(capsys):
-    # the corpus run from two worker processes: the golden reports line for
-    # line, then the summary of the same sweep run in this process
-    code, out, _ = _run(capsys, ["sweep", "--max-order", "500", "--json", "--threads", "2"])
+def test_sweep_500_prints_the_golden_reports(capsys):
+    # the corpus run through the CLI: the golden reports line for line,
+    # then the summary of the same sweep run through the runner
+    code, out, _ = _run(capsys, ["sweep", "--max-order", "500", "--json"])
     assert code == 0
     golden = (GOLDEN / "sweep_500.jsonl").read_text().splitlines()
     assert len(golden) == 232
@@ -376,37 +368,12 @@ def test_sweep_500_threads_2_prints_the_golden_reports(capsys):
     assert out.splitlines() == golden + [summary]
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_sweep_threads_below_one_exit_1(capsys, threads):
-    code, out, err = _run(capsys, ["sweep", "--max-order", "9", "--threads", threads])
-    assert code == 1
-    assert out == "" and "threads" in err
-
-
-def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
-    import multiprocessing
-
-    from garlands import runner
-
-    pools = []
-    real = multiprocessing.get_context
-
-    def spy(method=None):
-        ctx = real(method)
-
-        class Context:
-            def Pool(self, workers):
-                pools.append((method, workers))
-                return ctx.Pool(workers)
-
-        return Context()
-
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    # GL and SL of two algebras over F_2; an algebra's cases are one task,
-    # so the four cases start two workers
-    reports, summary = runner.run_sweep(4, threads=8)
-    assert pools == [("spawn", 2)] and summary["cases"] == 4
-    assert reports == runner.run_sweep(4, threads=1)[0]
+@pytest.mark.parametrize("flags", [["--threads", "2"], ["--pell"], ["--pell", "--d-max", "100"]])
+def test_sweep_refuses_removed_flags(capsys, flags):
+    # the sweep runs in this process, and the Pell table is `pell --d-max`
+    code, out, err = _run(capsys, ["sweep", "--max-order", "9", *flags])
+    assert code == 1 and out == ""
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in err
 
 
 def _brute_cases(max_order: int) -> list[tuple]:
@@ -447,8 +414,8 @@ def test_sweep_cases_lists_only_bases_that_carry_a_case(monkeypatch):
     assert len(cases) == 6_268
 
 
-def test_sweep_pell_table(capsys):
-    code, out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "100", "--json"])
+def test_pell_range_table(capsys):
+    code, out, _ = _run(capsys, ["pell", "--d-max", "100", "--json"])
     assert code == 0
     lines = _json_lines(out)
     assert len(lines) == 100
@@ -456,17 +423,17 @@ def test_sweep_pell_table(capsys):
     assert d34["criterion_agrees"] is False
 
 
-def test_sweep_pell_100_golden(capsys):
+def test_pell_range_100_golden(capsys):
     # byte-identical to the stored table, row by row
-    code, out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "100", "--json"])
+    code, out, _ = _run(capsys, ["pell", "--d-max", "100", "--json"])
     assert code == 0
     golden = (GOLDEN / "pell_100.jsonl").read_text().splitlines()
     assert out.splitlines() == golden
 
 
-def test_sweep_pell_20000_digest(capsys):
+def test_pell_range_20000_digest(capsys):
     # SHA-256 of the whole table, byte for byte
-    code, out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "20000", "--json"])
+    code, out, _ = _run(capsys, ["pell", "--d-max", "20000", "--json"])
     assert code == 0
     want = (GOLDEN / "pell_20000.sha256").read_text().split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == want
@@ -521,7 +488,7 @@ def test_pell_invalid_d(capsys):
     [
         ["pell", "--d", "1000001"],
         ["pell", "--d-max", "1000001", "--json"],
-        ["sweep", "--pell", "--d-max", "1000001"],
+        ["pell", "--d-max", "-1000001"],
         ["pell", "--d", "-1000001"],
     ],
 )
@@ -532,11 +499,9 @@ def test_pell_cap_exit_3(capsys, argv):
     assert err.startswith("cap exceeded:")
 
 
-def test_pell_range_text_matches_sweep_table(capsys):
-    code, pell_out, _ = _run(capsys, ["pell", "--d-max", "30"])
+def test_pell_range_text_table(capsys):
+    code, out, _ = _run(capsys, ["pell", "--d-max", "30"])
     assert code == 0
-    _, sweep_out, _ = _run(capsys, ["sweep", "--pell", "--d-max", "30"])
-    assert pell_out == sweep_out
-    lines = pell_out.splitlines()
+    lines = out.splitlines()
     assert len(lines) == 30
     assert lines[1] == "d=     2  period=  1  solvable=True   x0=1 y0=1"

@@ -113,7 +113,7 @@ def test_interval_within_top():
     # an exhaustive lattice holds its top, inside the ambient or not
     for top in (n, t):
         lat = enumerate_interval(t, gl23, within=top)
-        assert normality_graph(lat).top_id == lat.top.id == lat.members[-1].id
+        assert normality_graph(lat).members[-1].id == lat.top.id == lat.members[-1].id
 
 
 def test_normality_graph_examples():
@@ -1202,7 +1202,7 @@ def test_stage_memo_keeps_no_ambient_sized_memo():
     graphs = [lat.graph for lat in lattice._LATTICES.values()]
     assert sorted(len(g.vertices) for g in graphs) == sorted(len(lat) for lat in lattice._LATTICES.values())
     assert 179 in [len(g.vertices) for g in graphs]
-    assert all(isinstance(x, str) for g in graphs for x in (*g.vertices, *sum(g.edges, ()), g.bottom_id, g.top_id))
+    assert all(isinstance(x, str) for g in graphs for x in (*g.vertices, *sum(g.edges, ()), g.members[0].id, g.members[-1].id))
 
 
 def test_verdict_classification(monkeypatch):

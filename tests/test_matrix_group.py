@@ -24,8 +24,8 @@ from garlands.matrix_group import (
     _inv_mats,
     _orbit_minima,
     ambient_group,
+    extend_level,
     extend_subgroup,
-    extend_subgroups,
     gl_order,
     intersect_with_ambient,
     is_maximal_abelian,
@@ -570,7 +570,7 @@ def test_coset_table_matches_brute_products(n, base, degrees):
             assert np.array_equal(table.normalizer(), brute.indices[top.contains(brute.indices)])
             # the batched closures are the distinct element-level closures, first occurrence first
             closures = dict.fromkeys(element_closure(amb, h, g).tobytes() for g in reps)
-            assert [elements.tobytes() for elements, _ in extend_subgroups(table, reps)] == list(closures)
+            assert [elements.tobytes() for elements, _ in extend_level([(table, reps)])[0]] == list(closures)
 
 
 @pytest.mark.parametrize("n,base,degrees", [(3, F3, [2, 1]), (2, F9, [1, 1])])
@@ -688,7 +688,7 @@ def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
     products = []  # the products by g go through one RightProducts table
     call = RightProducts.__call__
     monkeypatch.setattr(RightProducts, "__call__", lambda self, x, w=0: products.append(len(x)) or call(self, x, w))
-    got = extend_subgroups(table, reps)
+    got = extend_level([(table, reps)])[0]
     monkeypatch.undo()
     assert [elements.tobytes() for elements, _ in got] == list(dict.fromkeys(c.tobytes() for c in closures))
     assert products and sum(products) < sum(c.size // t.order for c in closures)
@@ -743,7 +743,7 @@ def test_extend_subgroups_match_element_closures(name):
         closures = {}
         for g in gs.tolist():
             closures.setdefault(element_closure(amb, h, g, right).tobytes(), g)
-        got = extend_subgroups(table, gs)
+        got = extend_level([(table, gs)])[0]
         assert [elements.tobytes() for elements, _ in got] == list(closures)
         assert [g for _, g in got] == list(closures.values())  # each closure is <H's generators, g>
         assert [elements.size for elements, _ in got] == [len(c) // 4 for c in closures]
@@ -763,7 +763,7 @@ def test_extend_subgroups_keys_closures_on_double_cosets(monkeypatch):
     tables = _extension_tables("gl33-21") + _extension_tables("members")
 
     def closures(table):
-        return [(elements.tobytes(), g) for elements, g in extend_subgroups(table, table.double_coset_reps())]
+        return [(elements.tobytes(), g) for elements, g in extend_level([(table, table.double_coset_reps())])[0]]
 
     want = [closures(table) for table in tables]
     shapes = []

@@ -27,8 +27,6 @@ ALLOWED = {
     # the normality graph is held in member positions, and the case document reads those; its id views stay
     # for callers that key on member ids, as the graph's fields did
     "edges": "NormalityGraph's id view of its edges, (smaller id, larger id) sorted",
-    "bottom_id": "NormalityGraph's id view of its bottom member",
-    "top_id": "NormalityGraph's id view of its top member",
     "garlands": "public API: the garlands as id lists, read off the graph's component labels",
 }
 
