@@ -1,4 +1,8 @@
-"""Append-only disk cache for case reports, keyed by a hash of schema, case and caps."""
+"""Append-only disk cache for case reports, keyed by a hash of schema, case and caps.
+
+The command line does not use it: the key leaves out the code, so a report
+change without a schema bump would be served stale.
+"""
 
 from __future__ import annotations
 
@@ -20,33 +24,26 @@ def case_key(case: dict, caps: Caps) -> str:
 class DiskCache:
     """Write-once JSON files under a directory; results must not depend on hits.
 
-    A schema version bump invalidates everything (the version is part of both
-    the key and the stored document); a file that does not hold a report
-    document is a miss.
+    The benchmark worker passes one to run_case and checks that re-served
+    documents equal the computed ones.  A schema version bump invalidates
+    everything (the version is part of both the key and the stored
+    document); a file that does not hold a report document is a miss.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: str) -> dict | None:
         path = self.root / f"{key}.json"
         if not path.exists():
-            self.misses += 1
             return None
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            self.misses += 1
             return None
         report = doc.get("report") if isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION else None
-        if not isinstance(report, dict):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return report
+        return report if isinstance(report, dict) else None
 
     def put(self, key: str, report: dict) -> None:
         path = self.root / f"{key}.json"

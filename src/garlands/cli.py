@@ -9,30 +9,21 @@ Exit codes: 0 when every check is confirmed or matches a predicted failure
 (and after --help), 2 on an unexpected mismatch, 3 when an enumeration cap
 or the Pell cap on |--d| / |--d-max| is exceeded, 1 on invalid arguments,
 argument-parsing errors included.  Reports on stdout are byte-identical
-across repeated invocations; timings and cache statistics go to stderr.
+across repeated invocations and computed anew by each; timings go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
-from .cache import DiskCache
 from .config import DEFAULT_CAPS, stable_json
 from .etale import AlgebraCapError, AlgebraError
 from .finite_field import FieldCapError, FieldError
 from .matrix_group import GroupCapError, GroupError
 from .pell import PellError, pell_sweep, sl2q_normalizer_report
 from .runner import UNEXPECTED_MISMATCH, CaseError, CaseSpec, run_case, run_sweep, torus_report
-
-CACHE_ENV = "GARLANDS_CACHE_DIR"
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_ENV)
-
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
@@ -74,14 +65,11 @@ def cmd_torus(args) -> int:
 
 def cmd_verify(args) -> int:
     case = _case_from_args(args)
-    cache = DiskCache(_cache_dir(args)) if _cache_dir(args) else None
     t0 = time.perf_counter()
-    doc = run_case(case, DEFAULT_CAPS, cache)
+    doc = run_case(case, DEFAULT_CAPS)
     elapsed = time.perf_counter() - t0
     _emit(doc, args.json)
     print(f"verify {case.serialize()} took {elapsed:.2f}s", file=sys.stderr)
-    if cache is not None:
-        print(f"cache hits={cache.hits} misses={cache.misses}", file=sys.stderr)
     if doc.get("status") == "skipped_cap":
         print(f"cap exceeded: {doc['reason']}", file=sys.stderr)
         return 3
@@ -98,7 +86,7 @@ def _pell_over_cap(d: int | None) -> bool:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    reports, summary = run_sweep(args.max_order, DEFAULT_CAPS, _cache_dir(args))
+    reports, summary = run_sweep(args.max_order, DEFAULT_CAPS)
     for doc in reports:
         if args.json:
             print(stable_json(doc))
@@ -162,10 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--degrees", type=str, required=True, help="comma-separated factor degrees, e.g. 2,1")
         sp.add_argument("--ambient", choices=["gl", "sl"], default="gl")
 
-    def add_common(sp, cached=False):
+    def add_common(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        if cached:
-            sp.add_argument("--cache-dir", type=str, default=None, help=f"report cache directory (or ${CACHE_ENV})")
 
     sp = sub.add_parser("torus", help="construct the torus and report its order/generators")
     add_case_flags(sp)
@@ -174,12 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="full lower-garland verification for one case")
     add_case_flags(sp)
-    add_common(sp, cached=True)
+    add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="verify all algebras with q^n up to a bound")
     sp.add_argument("--max-order", type=int, default=100, help="bound on the algebra order q^n")
-    add_common(sp, cached=True)
+    add_common(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("pell", help="negative-Pell normalizer shape for d")

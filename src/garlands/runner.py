@@ -98,7 +98,11 @@ def torus_report(case: CaseSpec, caps: Caps = DEFAULT_CAPS) -> dict:
 
 
 def run_case(case: CaseSpec, caps: Caps = DEFAULT_CAPS, cache: DiskCache | None = None) -> dict:
-    """Full report document for one case: the case document, stamped, with an SL case's restriction block."""
+    """Full report document for one case: the case document, stamped, with an SL case's restriction block.
+
+    The command line passes no cache, so its reports are always computed; a
+    cache, which only the benchmark worker passes, serves and stores them.
+    """
     key = case_key(case.serialize(), caps)
     if cache is not None:
         hit = cache.get(key)
@@ -171,10 +175,9 @@ def sweep_cases(max_order: int) -> list[CaseSpec]:
     return cases
 
 
-def run_sweep(max_order: int, caps: Caps = DEFAULT_CAPS, cache_dir: str | None = None) -> tuple[list[dict], dict]:
-    """All case reports (ordered by case key) plus a summary, run in this process."""
-    cache = DiskCache(cache_dir) if cache_dir else None
-    reports = [run_case(case, caps, cache) for case in sweep_cases(max_order)]
+def run_sweep(max_order: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], dict]:
+    """All case reports (ordered by case key) plus a summary, each computed in this process."""
+    reports = [run_case(case, caps) for case in sweep_cases(max_order)]
     summary = {
         "cases": len(reports),
         "ok": sum(1 for r in reports if r.get("status") == "ok"),

@@ -1241,7 +1241,6 @@ def test_an_identity_failure_where_its_premise_holds_is_unexpected(monkeypatch, 
     # the case's own verdicts do not read the premise and stay as they are
     from garlands.lattice import UNEXPECTED_MISMATCH
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     case = CaseSpec(3, 1, (1, 1), "sl")
     flags = ["verify", "--p", "3", "--degrees", "1,1", "--ambient", "sl"]
     doc = run_case(case)

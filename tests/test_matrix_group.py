@@ -675,7 +675,7 @@ def test_seeded_tables_share_the_root_tables_memos():
     assert other.positions is not root.positions and other._right is not root._right
 
 
-def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
+def test_extend_level_stops_at_half_the_cosets(monkeypatch):
     # T's table for GL(3,3) 2,1 over G: most closures reach all of G, and
     # they stop once they hold more than half the cosets, so the products
     # by g fall short of one per coset of each closure
@@ -695,7 +695,7 @@ def test_extend_subgroups_stops_at_half_the_cosets(monkeypatch):
 
 
 def _extension_tables(name):
-    """The coset tables of one named case of test_extend_subgroups_match_element_closures."""
+    """The coset tables of one named case of test_extend_level_match_element_closures."""
     base, degrees, caps = {
         "gl33-21": (F3, [2, 1], Caps()),  # T over G, where most closures are all of G
         "gl2-13": (F13, [2], WIDE),
@@ -719,7 +719,7 @@ def _extension_tables(name):
 
 
 @pytest.mark.parametrize("name", ["gl33-21", "gl2-13", "members", "trivial-h"])
-def test_extend_subgroups_match_element_closures(name):
+def test_extend_level_match_element_closures(name):
     # closing <H, g> over double cosets reaches the element-level closures:
     # the same subgroups, in first-occurrence order, each generated by H's
     # generators and the first g that reached it; the adjoined elements are
@@ -756,7 +756,7 @@ def test_extend_subgroups_match_element_closures(name):
         assert wide > 0 and whole_top > 0  # some double coset holds several right cosets, and the half rule fires
 
 
-def test_extend_subgroups_keys_closures_on_double_cosets(monkeypatch):
+def test_extend_level_keys_closures_on_double_cosets(monkeypatch):
     # the closures move by double cosets: they read none of the table's
     # maps of right cosets, and they are told apart by the double cosets
     # they claim, one bit row per closure, not by their right cosets
